@@ -8,6 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -231,6 +233,80 @@ func BenchmarkSatisfiabilityCheck(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCheckSuiteE measures the classic satisfiability check on the
+// fabric and the states the end-to-end benchmark's plan-large workload
+// checks: suite E at scale 0.25, walked block by block along the plan A*
+// itself returns, one full Check per state (states inside a run may be
+// unsafe and exit early, as in the search). One iteration is one walk.
+// arcvisits/check is the evaluator's own count of arcs scanned by distance
+// traversals — exact and machine-independent, the number DESIGN.md's cost
+// model is stated in.
+func BenchmarkCheckSuiteE(b *testing.B) {
+	s, err := klotski.Suite("E", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := klotski.PlanAStar(s.Task, klotski.Options{SkipAudit: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval := klotski.NewEvaluator(s.Task.Topo)
+	view := s.Task.Topo.NewView()
+	walk := func() {
+		view.Reset()
+		for _, blk := range plan.Sequence {
+			s.Task.Apply(view, blk)
+			eval.Check(view, &s.Task.Demands, klotski.CheckOpts{})
+		}
+	}
+	walk() // first-use scratch allocation stays out of the measurement
+	checks0, visits0 := eval.Checks, eval.ArcVisits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walk()
+	}
+	b.StopTimer()
+	checks := float64(eval.Checks - checks0)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/checks, "ns/check")
+	b.ReportMetric(float64(eval.ArcVisits-visits0)/checks, "arcvisits/check")
+}
+
+// TestEvaluatorFootprintSuiteE bounds what one evaluator costs a cold
+// process on the benchmark's large fabric: the bytes allocated by
+// NewEvaluator plus the first Check (which sizes every piece of traversal
+// scratch) must not exceed what the per-destination evaluator it replaced
+// allocated for the same two calls — 642 536 bytes, measured at the parent
+// commit with this function. The bound is what keeps op_rss_mb_p50 flat:
+// the batched traversal has to replace the old scratch, not sit beside it.
+func TestEvaluatorFootprintSuiteE(t *testing.T) {
+	const parentBytes = 642536
+	s, err := klotski.Suite("E", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := s.Task.Topo.NewView()
+	s.Task.Demands.DestinationIndex() // the demand set's own cache, not the evaluator's
+	// TotalAlloc is process-wide; the smallest of a few runs is the run no
+	// other goroutine allocated during.
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		eval := klotski.NewEvaluator(s.Task.Topo)
+		viol := eval.Check(view, &s.Task.Demands, klotski.CheckOpts{})
+		runtime.ReadMemStats(&after)
+		if !viol.OK() {
+			t.Fatalf("initial state unsafe: %v", viol)
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("NewEvaluator + first Check allocate %d bytes (parent %d)", best, parentBytes)
+	if best > parentBytes {
+		t.Errorf("NewEvaluator + first Check allocate %d bytes, more than the %d of the evaluator they replaced", best, parentBytes)
 	}
 }
 

@@ -121,8 +121,8 @@ type Options struct {
 	DisableIncrementalView bool
 
 	// DisableIncrementalEval forces every cache-missing satisfiability
-	// check through the classic full evaluation (one BFS + sweep per
-	// destination) instead of the incremental engine that invalidates only
+	// check through the classic full evaluation (every destination group
+	// recomputed) instead of the incremental engine that invalidates only
 	// the destination groups a block delta can affect. Kept for ablation
 	// and differential cross-checks; the two paths produce identical
 	// verdicts. Incremental evaluation is also bypassed automatically when

@@ -180,9 +180,10 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 
 // planMember runs one member to completion: admit, plan, and — as often
 // as the pool preempts it — checkpoint, re-admit, resume.
-func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bound.Store) FleetMemberReport {
-	rep := FleetMemberReport{Name: m.Name}
+func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bound.Store) (rep FleetMemberReport) {
+	rep.Name = m.Name
 	start := time.Now()
+	// rep is the named result so that this write reaches the caller.
 	defer func() { rep.Elapsed = time.Since(start) }()
 	admit := func() (*sched.Client, error) {
 		w := time.Now()

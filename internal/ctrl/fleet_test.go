@@ -179,6 +179,35 @@ func TestFleetMaxPreemptionsFallsBack(t *testing.T) {
 	}
 }
 
+// TestFleetMembersReportElapsed pins that every member's report carries its
+// own wall time, whether it completed or failed: planMember sets Elapsed in a
+// deferred write, which once missed the value already copied out.
+func TestFleetMembersReportElapsed(t *testing.T) {
+	task, _ := loopTask(t)
+	pool := sched.NewPool(2, nil)
+	defer pool.Close()
+	members := []FleetMember{
+		{Name: "ok", Task: task, Planner: PlannerAStar, Options: core.Options{Alpha: 0.2}},
+		{Name: "starved", Task: task, Planner: PlannerAStar, Options: core.Options{Alpha: 0.2, MaxStates: 1}},
+	}
+	rep, err := Fleet(context.Background(), members, FleetOptions{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 1 || rep.Failed != 1 {
+		t.Fatalf("completed %d failed %d, want one of each", rep.Completed, rep.Failed)
+	}
+	for i := range rep.Members {
+		m := &rep.Members[i]
+		if (m.Err != nil) != (m.Name == "starved") {
+			t.Fatalf("member %s: err = %v", m.Name, m.Err)
+		}
+		if m.Elapsed <= 0 || m.Elapsed > rep.Makespan {
+			t.Errorf("member %s: elapsed %v, want within (0, makespan %v]", m.Name, m.Elapsed, rep.Makespan)
+		}
+	}
+}
+
 // TestFleetRequiresPool pins the one hard input error.
 func TestFleetRequiresPool(t *testing.T) {
 	if _, err := Fleet(context.Background(), nil, FleetOptions{}); err == nil {

@@ -10,13 +10,15 @@ import (
 
 // This file implements the incremental satisfiability engine. A planner
 // probing the state space mutates only one block between consecutive
-// checks, yet the classic Check pays one BFS plus one flow sweep per
-// distinct destination over the whole fabric every time. CheckDelta instead
-// memoizes, per destination group, the group's settled distance field and
-// its sparse per-circuit load contribution; per-circuit total load is the
-// sum of group contributions. A delta check invalidates only the groups
-// whose placement the touched elements can actually affect, re-runs those
-// groups' BFS + sweep, and re-verifies bounds on the affected circuits.
+// checks, yet the classic Check recomputes every destination group's
+// distance field and flow sweep every time. CheckDelta instead memoizes, per
+// destination group, the group's settled distance field and its sparse
+// per-circuit load contribution; per-circuit total load is the sum of group
+// contributions. A delta check invalidates only the groups whose placement
+// the touched elements can actually affect, recomputes those groups — their
+// distance fields together, through the same batched traversal the classic
+// path uses, then one sweep each — and re-verifies bounds on the affected
+// circuits.
 //
 // Invalidation rule. A group's placement is fully determined by its
 // shortest-distance field dist (unreachable = ∞): the flow DAG is the set
@@ -85,12 +87,12 @@ type incGroup struct {
 	dstActive bool    // destination was active at last (re)compute
 	demands   []int32 // indices into ds.Demands, shared with the dst index
 
-	// dist is the group's memoized shortest-distance field, biased by +1 so
-	// that 0 marks unreachable — recompute then clears it with a memclr
-	// instead of a -1 fill. Distance comparisons are unaffected by the bias
-	// (it cancels in differences). Meaningful only while dstActive. The
-	// backing array is a slice of the memo-wide distSlab, not a private
-	// allocation.
+	// dist is the group's memoized shortest-distance field in the traversal's
+	// own encoding: biased by +1 so that 0 marks unreachable, which cancels
+	// in the differences the invalidation tests compare. Meaningful only
+	// while dstActive. The backing array is a slice of the memo-wide
+	// distSlab, not a private allocation; the traversal writes into it
+	// directly.
 	dist []int32
 	// hasFlow marks switches that carried any of this group's flow in the
 	// memoized placement (positive inflow after the sweep). A DAG edge
@@ -134,7 +136,6 @@ type incMemo struct {
 
 	total  []float64 // per directional index: sum of group contributions
 	upMemo []bool    // per circuit: up-state in the memoized view
-	degree []int32   // per switch: up-circuit count in the memoized view
 
 	// Slab backing for every group's dist and hasFlow. One allocation per
 	// rebuild (amortized to zero once capacity sticks) instead of two per
@@ -154,10 +155,10 @@ type incMemo struct {
 	liMark  []uint32
 	swMark  []uint32
 	ckMark  []uint32
-	tsw     []topo.SwitchID
 	transCk []topo.CircuitID
-	degCh   []topo.SwitchID
+	degCh   []topo.SwitchID // endpoints of this delta's transitions, each once
 	marked  []int32
+	batch   []int32 // one recompute batch: the dirty groups gathered by incDistances
 
 	// Self-disable policy accumulators: delta passes observed, groups
 	// dirty at the start of each pass, and groups total per pass. off
@@ -175,7 +176,6 @@ func (e *Evaluator) ensureInc() *incMemo {
 		e.inc = &incMemo{
 			total:    make([]float64, 2*m),
 			upMemo:   make([]bool, m),
-			degree:   make([]int32, n),
 			portOver: make([]bool, n),
 			over:     make([]bool, m),
 			liMark:   make([]uint32, 2*m),
@@ -183,9 +183,8 @@ func (e *Evaluator) ensureInc() *incMemo {
 			ckMark:   make([]uint32, m),
 			// Delta scratch at its worst-case sizes up front, so delta
 			// passes never grow-and-copy short-lived arrays.
-			tsw:     make([]topo.SwitchID, 0, n),
 			transCk: make([]topo.CircuitID, 0, m),
-			degCh:   make([]topo.SwitchID, 0, 2*m),
+			degCh:   make([]topo.SwitchID, 0, n),
 			marked:  make([]int32, 0, 2*m),
 		}
 	}
@@ -320,10 +319,7 @@ func (e *Evaluator) CheckDemandDelta(v *topo.View, changed []int32, ds *demand.S
 		e.incRescale(scale)
 	}
 	m.nextEpoch()
-	if !e.upForMemo { // a classic run overwrote e.up; restore the anchor
-		copy(e.up, m.upMemo)
-		e.upForMemo = true
-	}
+	e.restoreUp()
 
 	// Mark the owning destination group of every changed demand dirty. The
 	// destination index is sorted, so a binary search per changed index
@@ -497,29 +493,22 @@ func (m *incMemo) feedPolicy(e *Evaluator, dirtyCount int) {
 func (e *Evaluator) incRebuild(v *topo.View, ds *demand.Set, theta float64, split SplitMode, scale float64) {
 	m := e.inc
 	t := e.t
-	n, nc := t.NumSwitches(), t.NumCircuits()
+	n := t.NumSwitches()
 
-	// Port state: degrees and per-switch over-budget flags. e.up mirrors the
-	// memo anchor from here on; the BFS/sweep inner loops read it.
-	for i := range m.degree {
-		m.degree[i] = 0
-	}
-	for c := 0; c < nc; c++ {
-		cid := topo.CircuitID(c)
-		up := v.CircuitUp(cid)
-		m.upMemo[c] = up
-		e.up[c] = up
-		if up {
-			ck := t.Circuit(cid)
-			m.degree[ck.A]++
-			m.degree[ck.B]++
-		}
-	}
+	// Up state and port flags. The evaluator's compacted up arcs mirror the
+	// memo anchor from here on; each up circuit is recorded from its A-side
+	// arc.
+	e.buildUp(v)
 	e.upForMemo = true
+	clear(m.upMemo)
 	m.nPort = 0
 	for i := 0; i < n; i++ {
-		s := t.Switch(topo.SwitchID(i))
-		over := s.Ports > 0 && int(m.degree[i]) > s.Ports
+		for _, a := range e.up(int32(i)) {
+			if a.li&1 == 0 {
+				m.upMemo[a.li>>1] = true
+			}
+		}
+		over := e.ports[i] > 0 && e.upDeg[i] > e.ports[i]
 		m.portOver[i] = over
 		if over {
 			m.nPort++
@@ -534,9 +523,6 @@ func (e *Evaluator) incRebuild(v *topo.View, ds *demand.Set, theta float64, spli
 	}
 	m.groups = m.groups[:len(dsts)]
 	m.dirty = m.dirty[:len(dsts)]
-	for i := range m.dirty {
-		m.dirty[i] = false
-	}
 	// Carve each group's dist / hasFlow out of the shared slabs. Slices must
 	// be re-carved every rebuild: the slab may have been regrown, and groups
 	// are reused across rebuilds with different destination counts.
@@ -551,84 +537,103 @@ func (e *Evaluator) incRebuild(v *topo.View, ds *demand.Set, theta float64, spli
 		g.hasFlow = m.flowSlab[gi*words : (gi+1)*words : (gi+1)*words]
 	}
 	m.staleLis = m.staleLis[:0]
-	for i := range m.total {
-		m.total[i] = 0
-	}
+	clear(m.total)
 	m.unreach = 0
 	for gi, dst := range dsts {
 		g := &m.groups[gi]
 		g.dst = dst
 		g.demands = byDst[gi]
-		e.incComputeGroup(v, g, ds, split)
-		m.unreach += int(g.unreach)
-		for j, li := range g.lis {
-			m.total[li] += g.vals[j]
+		m.dirty[gi] = true
+	}
+	for gi := 0; gi < len(m.groups); {
+		gi = e.incDistances(v, gi)
+		for _, bi := range m.batch {
+			g := &m.groups[bi]
+			e.incPlaceGroup(v, g, ds, split)
+			m.dirty[bi] = false
+			m.unreach += int(g.unreach)
+			for j, li := range g.lis {
+				m.total[li] += g.vals[j]
+			}
 		}
 	}
 
-	// Utilization flags.
-	m.nOver = 0
-	for c := 0; c < nc; c++ {
-		cid := topo.CircuitID(c)
-		over := (m.total[2*c]+m.total[2*c+1])*scale/t.Circuit(cid).Capacity > theta
-		m.over[c] = over
-		if over {
-			m.nOver++
-		}
-	}
-
-	m.ds, m.dsLen, m.theta, m.split, m.scale = ds, len(ds.Demands), theta, split, scale
+	m.ds, m.dsLen, m.theta, m.split = ds, len(ds.Demands), theta, split
+	e.incRescale(scale)                         // utilization flags from the fresh totals
 	m.passes, m.sumDirty, m.sumGroups = 0, 0, 0 // fresh anchor, fresh policy window
 	m.valid = true
 }
 
-// incComputeGroup (re)computes one group's distance field, unreachable
-// count, and sparse load contribution from the view.
-func (e *Evaluator) incComputeGroup(v *topo.View, g *incGroup, ds *demand.Set, split SplitMode) {
+// incDistances gathers into m.batch the next dirty groups at or after
+// index from — at most batchWidth of them — and recomputes the distance
+// fields of those whose destination is active in one traversal, writing
+// straight into the groups' memoized fields. It returns the index scanning
+// stopped at. The gathered groups stay dirty until incPlaceGroup has
+// re-placed them: a pass that aborts in between leaves them with fresh
+// fields and stale placements, which the next pass recomputes from scratch.
+func (e *Evaluator) incDistances(v *topo.View, from int) int {
+	m := e.inc
+	swActive, _ := v.Activity()
+	tr := &e.trav
+	m.batch, tr.dsts, tr.live = m.batch[:0], tr.dsts[:0], tr.live[:0]
+	gi := from
+	for ; gi < len(m.groups) && len(m.batch) < batchWidth; gi++ {
+		if !m.dirty[gi] {
+			continue
+		}
+		g := &m.groups[gi]
+		m.batch = append(m.batch, int32(gi))
+		// An inactive destination carries no distances: the group can only
+		// become routable again through an operation on the destination
+		// switch itself.
+		g.dstActive = swActive[g.dst]
+		if g.dstActive {
+			clear(g.dist)
+			tr.dsts = append(tr.dsts, g.dst)
+			tr.live = append(tr.live, g.dist)
+		}
+	}
+	if len(tr.live) > 0 {
+		e.distances(tr.dsts, tr.live)
+	}
+	return gi
+}
+
+// incPlaceGroup recomputes one group's unreachable count, sparse load
+// contribution and flow set over its freshly computed distance field.
+func (e *Evaluator) incPlaceGroup(v *topo.View, g *incGroup, ds *demand.Set, split SplitMode) {
 	g.lis = g.lis[:0]
 	g.vals = g.vals[:0]
 	g.unreach = 0
-	g.dstActive = v.SwitchActive(g.dst)
 	if !g.dstActive {
-		// No distances: the group can only become routable again through
-		// an operation on the destination switch itself.
 		g.unreach = int32(len(g.demands))
 		return
 	}
-	for i := range g.dist { // memclr: 0 = unreachable under the +1 bias
-		g.dist[i] = 0
-	}
 	g.hasFlow.Reset()
 
-	e.bfs(v, g.dst)
-	for _, u := range e.queue {
-		g.dist[u] = e.distOf(u) + 1
-	}
+	swActive, _ := v.Activity()
+	e.beginGroup()
 	for _, di := range g.demands {
 		d := ds.Demands[di]
-		if !v.SwitchActive(d.Src) || e.distOf(d.Src) < 0 {
+		if !swActive[d.Src] || g.dist[d.Src] == 0 {
 			g.unreach++
 			continue
 		}
-		e.addInflow(d.Src, d.Rate)
+		e.seed(g.dist, d.Src, d.Rate)
 	}
-	e.sweepGroup(v, g.dst, split)
+	lis, vals := e.sweep(g.dist, g.dst, split)
 	// Snapshot the sparse contribution at exact size: growing via repeated
 	// append doubles through several short-lived arrays per group, which
 	// dominated the planner's alloc profile.
-	if need := len(e.gtouched); cap(g.lis) < need {
+	if need := len(lis); cap(g.lis) < need {
 		g.lis = make([]int32, 0, need)
 		g.vals = make([]float64, 0, need)
 	}
-	for _, li := range e.gtouched {
-		g.lis = append(g.lis, li)
-		g.vals = append(g.vals, e.gload[li])
-		e.gload[li] = 0
-	}
-	e.gtouched = e.gtouched[:0]
-	for _, u := range e.queue {
-		if e.inflowOf(u) > 0 {
-			g.hasFlow.Set(int(u))
+	g.lis = append(g.lis, lis...)
+	g.vals = append(g.vals, vals...)
+	for i := range e.trav.nodes {
+		if nd := &e.trav.nodes[i]; nd.f > 0 {
+			g.hasFlow.Set(int(nd.sw))
 		}
 	}
 }
@@ -648,15 +653,13 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 	m := e.inc
 	t := e.t
 	ep := m.nextEpoch()
-	if !e.upForMemo { // a classic run overwrote e.up; restore the anchor
-		copy(e.up, m.upMemo)
-		e.upForMemo = true
-	}
+	e.restoreUp()
 
-	// 1. Diff circuit up-states, collecting actual transitions; maintain
-	// degrees, port flags, and the e.up snapshot. Note upMemo holds the OLD
-	// state until a circuit's entry is overwritten here, so the analysis
-	// below reads the transition direction from the updated value.
+	// 1. Diff circuit up-states, collecting actual transitions, then
+	// recompact the up arcs of every switch a transition touches and refresh
+	// its port flag. Note upMemo holds the OLD state until a circuit's entry
+	// is overwritten here, so the analysis below reads the transition
+	// direction from the updated value.
 	trans := m.transCk[:0]
 	degCh := m.degCh[:0]
 	for _, c := range touchedCk {
@@ -669,20 +672,18 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 			continue
 		}
 		m.upMemo[c] = up
-		e.up[c] = up
 		trans = append(trans, c)
 		ck := t.Circuit(c)
-		d := int32(1)
-		if !up {
-			d = -1
+		for _, s := range [2]topo.SwitchID{ck.A, ck.B} {
+			if m.swMark[s] != ep {
+				m.swMark[s] = ep
+				degCh = append(degCh, s)
+			}
 		}
-		m.degree[ck.A] += d
-		m.degree[ck.B] += d
-		degCh = append(degCh, ck.A, ck.B)
 	}
-	for _, s := range degCh { // duplicates harmless: flag update is idempotent
-		sw := t.Switch(s)
-		over := sw.Ports > 0 && int(m.degree[s]) > sw.Ports
+	for _, s := range degCh {
+		e.compactSwitch(s, m.upMemo)
+		over := e.ports[s] > 0 && e.upDeg[s] > e.ports[s]
 		if over != m.portOver[s] {
 			m.portOver[s] = over
 			if over {
@@ -694,15 +695,11 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 	}
 	m.degCh = degCh[:0]
 
-	// 2. Deduplicate the touched switches (the inactive-destination probe
-	// needs them; planners pass per-block unions with repeats).
-	tsw := m.tsw[:0]
+	// 2. Mark the touched switches for the inactive-destination probe. The
+	// endpoints marked above are touched switches too under the caller's
+	// closure contract, so sharing the mark cannot dirty a group spuriously.
 	for _, s := range touchedSw {
-		if m.swMark[s] == ep {
-			continue
-		}
 		m.swMark[s] = ep
-		tsw = append(tsw, s)
 	}
 
 	// 3. Invalidation analysis on clean groups. Dirty groups carry stale
@@ -717,12 +714,7 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 		g := &m.groups[gi]
 		hit := false
 		if !g.dstActive {
-			for _, s := range tsw {
-				if s == g.dst {
-					hit = true
-					break
-				}
-			}
+			hit = m.swMark[g.dst] == ep
 		} else {
 			for _, c := range trans {
 				ck := t.Circuit(c)
@@ -770,7 +762,6 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 			dirtyCount++
 		}
 	}
-	m.tsw = tsw[:0]
 	m.transCk = trans[:0]
 
 	// Feed the self-disable policy: a persistently high dirty fraction
@@ -817,55 +808,56 @@ func (e *Evaluator) incRecomputeDirty(v *topo.View, ds *demand.Set, theta float6
 		markLi(li)
 	}
 	recomputed := 0
-	for gi := range m.groups {
-		if !m.dirty[gi] {
-			continue
-		}
-		g := &m.groups[gi]
-		for _, li := range g.lis {
-			markLi(li)
-		}
-		m.unreach -= int(g.unreach)
-		e.incComputeGroup(v, g, ds, split)
-		m.unreach += int(g.unreach)
-		m.dirty[gi] = false
-		recomputed++
-		var viol Violation
-		if g.unreach > 0 {
-			for _, di := range g.demands {
-				d := ds.Demands[di]
-				if !g.dstActive || !v.SwitchActive(d.Src) || !g.settled(d.Src) {
-					viol = Violation{Kind: ViolationUnreachable, Demand: d}
-					break
+	swActive, _ := v.Activity()
+	for next := 0; next < len(m.groups); {
+		next = e.incDistances(v, next)
+		for _, gi := range m.batch {
+			g := &m.groups[gi]
+			for _, li := range g.lis {
+				markLi(li)
+			}
+			m.unreach -= int(g.unreach)
+			e.incPlaceGroup(v, g, ds, split)
+			m.unreach += int(g.unreach)
+			m.dirty[gi] = false
+			recomputed++
+			var viol Violation
+			if g.unreach > 0 {
+				for _, di := range g.demands {
+					d := ds.Demands[di]
+					if !g.dstActive || !swActive[d.Src] || !g.settled(d.Src) {
+						viol = Violation{Kind: ViolationUnreachable, Demand: d}
+						break
+					}
 				}
 			}
-		}
-		for j, li := range g.lis {
-			markLi(li)
-			e.load[li] += g.vals[j]
+			for j, li := range g.lis {
+				markLi(li)
+				e.load[li] += g.vals[j]
+				if viol.Kind != ViolationNone {
+					continue // keep folding so the memo state stays coherent
+				}
+				c := li >> 1
+				var tot float64
+				if m.liMark[2*c] == ep {
+					tot = e.load[2*c]
+				}
+				if m.liMark[2*c+1] == ep {
+					tot += e.load[2*c+1]
+				}
+				if tot*scale/e.caps[c] > theta {
+					viol = Violation{Kind: ViolationUtilization, Circuit: topo.CircuitID(c), Util: tot * scale / e.caps[c]}
+				}
+			}
 			if viol.Kind != ViolationNone {
-				continue // keep folding so the memo state stays coherent
+				// Abort: later dirty groups stay dirty; queue every marked
+				// index for re-summation on the next completed pass.
+				e.GroupInvalidations += recomputed
+				e.GroupsReused += len(m.groups) - recomputed
+				m.staleLis = append(m.staleLis[:0], marked...)
+				m.marked = marked[:0]
+				return viol, true
 			}
-			c := li >> 1
-			var tot float64
-			if m.liMark[2*c] == ep {
-				tot = e.load[2*c]
-			}
-			if m.liMark[2*c+1] == ep {
-				tot += e.load[2*c+1]
-			}
-			if tot*scale/e.caps[c] > theta {
-				viol = Violation{Kind: ViolationUtilization, Circuit: topo.CircuitID(c), Util: tot * scale / e.caps[c]}
-			}
-		}
-		if viol.Kind != ViolationNone {
-			// Abort: later dirty groups stay dirty; queue every marked
-			// index for re-summation on the next completed pass.
-			e.GroupInvalidations += recomputed
-			e.GroupsReused += len(m.groups) - recomputed
-			m.staleLis = append(m.staleLis[:0], marked...)
-			m.marked = marked[:0]
-			return viol, true
 		}
 	}
 	e.GroupInvalidations += recomputed
@@ -911,22 +903,32 @@ func (e *Evaluator) incRecomputeDirty(v *topo.View, ds *demand.Set, theta float6
 }
 
 // supported reports whether switch s still has at least one shortest-path
-// next hop in the post-delta view (e.up), judged against the group's
-// memoized distance field. Used when a tight circuit at a flow-less switch
-// goes down: if another support remains, every memoized distance is still
-// achieved and the whole placement stands.
+// next hop among the post-delta up arcs, judged against the group's memoized
+// distance field. Used when a tight circuit at a flow-less switch goes down:
+// if another support remains, every memoized distance is still achieved and
+// the whole placement stands.
 func (e *Evaluator) supported(g *incGroup, s topo.SwitchID) bool {
 	dsf := g.dist[s]
-	arcs := e.arcs(s)
-	for i := range arcs {
-		a := &arcs[i]
+	for _, a := range e.up(int32(s)) {
 		// Under the +1 bias an unsettled neighbor has dist 0, so the
 		// candidate support distance must itself be positive to count.
-		if e.up[a.ck] && dsf > a.metric && g.dist[a.other] == dsf-a.metric {
+		if dsf > a.metric && g.dist[a.other] == dsf-a.metric {
 			return true
 		}
 	}
 	return false
+}
+
+// restoreUp makes the compacted up arcs mirror the memo's anchor view again
+// after a classic run overwrote them.
+func (e *Evaluator) restoreUp() {
+	if e.upForMemo {
+		return
+	}
+	for s := range e.upDeg {
+		e.compactSwitch(topo.SwitchID(s), e.inc.upMemo)
+	}
+	e.upForMemo = true
 }
 
 // incVerdict synthesizes a Violation from the memo's counters, scanning for

@@ -81,8 +81,8 @@ func nextHops(t *topo.Topology, v *topo.View, dist []float64, u topo.SwitchID, s
 }
 
 // bellmanFord computes metric distances to dst by plain relaxation —
-// O(V·E), slow, simple, and entirely unlike the production Dial's-buckets
-// implementation.
+// O(V·E), slow, simple, and entirely unlike the production batched
+// level-synchronous traversal.
 func bellmanFord(t *topo.Topology, v *topo.View, dst topo.SwitchID) []float64 {
 	n := t.NumSwitches()
 	dist := make([]float64, n)

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,11 +51,69 @@ func randomLayeredTopo(rng *rand.Rand) (*topo.Topology, []topo.SwitchID, []topo.
 	return t, layers[0], layers[len(layers)-1]
 }
 
+// randomMeshTopo builds a seeded random connected fabric of n switches with
+// the features the layered generator never produces: metrics drawn from a
+// set that mixes unit, small and large (≥ 1000) values so that ties across
+// different hop counts occur, parallel circuits between one pair of
+// switches, and unequal capacities.
+func randomMeshTopo(rng *rand.Rand, n int) (*topo.Topology, []topo.SwitchID) {
+	t := topo.New("mesh")
+	var sw []topo.SwitchID
+	for i := 0; i < n; i++ {
+		sw = append(sw, t.AddSwitch(topo.Switch{Name: fmt.Sprintf("s%d", i), Role: topo.RoleFSW}))
+	}
+	metrics := []int32{1, 1, 2, 3, 1000, 1000, 2000, 3000}
+	wire := func(a, b topo.SwitchID) {
+		c := t.AddCircuit(a, b, 1+7*rng.Float64())
+		t.SetMetric(c, metrics[rng.Intn(len(metrics))])
+		if rng.Intn(5) == 0 { // parallel circuit, same metric or not
+			p := t.AddCircuit(a, b, 1+7*rng.Float64())
+			if rng.Intn(2) == 0 {
+				t.SetMetric(p, t.Circuit(c).Metric)
+			}
+		}
+	}
+	for i := 1; i < n; i++ { // random spanning tree keeps it connected
+		wire(sw[i], sw[rng.Intn(i)])
+	}
+	for i := 0; i < n; i++ { // plus about one extra circuit per switch
+		a, b := sw[rng.Intn(n)], sw[rng.Intn(n)]
+		if a != b {
+			wire(a, b)
+		}
+	}
+	return t, sw
+}
+
+// checkAgainstReference compares one full evaluation with ReferenceLoads.
+func checkAgainstReference(t *testing.T, label string, tp *topo.Topology, view *topo.View, ds *demand.Set, split SplitMode) {
+	t.Helper()
+	want, routed := ReferenceLoads(tp, view, ds, split)
+	eval := NewEvaluator(tp)
+	_, viol := eval.Evaluate(view, ds, CheckOpts{Theta: 1e9, Split: split})
+	gotRouted := viol.Kind != ViolationUnreachable
+	if routed != gotRouted {
+		t.Fatalf("%s split %v: routability disagreement (ref %v, eval %v: %v)",
+			label, split, routed, gotRouted, viol)
+	}
+	for c := 0; c < tp.NumCircuits(); c++ {
+		cid := topo.CircuitID(c)
+		ab, ba := eval.CircuitLoad(cid)
+		got := ab + ba
+		if math.Abs(got-want[cid]) > 1e-9*(1+want[cid]) {
+			t.Fatalf("%s split %v circuit %d: eval %v, reference %v",
+				label, split, cid, got, want[cid])
+		}
+	}
+}
+
 // TestEvaluatorMatchesReference cross-validates the production evaluator
-// (Dial's buckets, reverse-order sweep, versioned shared buffers) against
-// the independent reference implementation (Bellman-Ford + memoized
-// top-down recursion) on randomized layered topologies, random drains, and
-// both splitting policies.
+// (batched multi-destination traversal, level-ordered pull sweep, shared
+// scratch) against the independent reference implementation (Bellman-Ford +
+// memoized top-down recursion) on randomized layered topologies, random
+// drains, and both splitting policies; then on random meshes with non-unit
+// and large metrics, parallel circuits, drained sources and destinations,
+// and more destination groups than one traversal batch carries.
 func TestEvaluatorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 80; trial++ {
@@ -77,23 +136,44 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 			})
 		}
 		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
-			want, routed := ReferenceLoads(tp, view, &ds, split)
-			eval := NewEvaluator(tp)
-			_, viol := eval.Evaluate(view, &ds, CheckOpts{Theta: 1e9, Split: split})
-			gotRouted := viol.Kind != ViolationUnreachable
-			if routed != gotRouted {
-				t.Fatalf("trial %d split %v: routability disagreement (ref %v, eval %v: %v)",
-					trial, split, routed, gotRouted, viol)
+			checkAgainstReference(t, fmt.Sprintf("layered trial %d", trial), tp, view, &ds, split)
+		}
+	}
+
+	for trial := 0; trial < 24; trial++ {
+		// Odd trials use enough switches for > batchWidth destination
+		// groups, so the batch boundary is crossed.
+		n := 10 + rng.Intn(14)
+		if trial%2 == 1 {
+			n = batchWidth + 8 + rng.Intn(16)
+		}
+		tp, sw := randomMeshTopo(rng, n)
+		view := tp.NewView()
+		for i := 0; i < n/8; i++ { // drains hit sources and destinations too
+			view.DrainSwitch(sw[rng.Intn(n)])
+		}
+		for i := 0; i < n/6; i++ {
+			view.DrainCircuit(topo.CircuitID(rng.Intn(tp.NumCircuits())))
+		}
+		var ds demand.Set
+		add := func(src, dst topo.SwitchID) {
+			if src != dst {
+				ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", ds.Len()), Src: src, Dst: dst, Rate: 0.5 + 2*rng.Float64()})
 			}
-			for c := 0; c < tp.NumCircuits(); c++ {
-				cid := topo.CircuitID(c)
-				ab, ba := eval.CircuitLoad(cid)
-				got := ab + ba
-				if math.Abs(got-want[cid]) > 1e-9*(1+want[cid]) {
-					t.Fatalf("trial %d split %v circuit %d: eval %v, reference %v",
-						trial, split, cid, got, want[cid])
-				}
+		}
+		if trial%2 == 1 {
+			for _, dst := range sw { // one group per switch
+				add(sw[rng.Intn(n)], dst)
 			}
+		}
+		for i := 0; i < 6+rng.Intn(10); i++ {
+			add(sw[rng.Intn(n)], sw[rng.Intn(n)])
+		}
+		if dsts, _ := ds.DestinationIndex(); trial%2 == 1 && len(dsts) <= batchWidth {
+			t.Fatalf("mesh trial %d: %d destination groups do not cross the batch boundary", trial, len(dsts))
+		}
+		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
+			checkAgainstReference(t, fmt.Sprintf("mesh trial %d", trial), tp, view, &ds, split)
 		}
 	}
 }

@@ -45,15 +45,16 @@ func (e *Evaluator) Trace(v *topo.View, src, dst topo.SwitchID) (*PathDAG, error
 		return nil, fmt.Errorf("routing: trace %s -> %s: endpoint inactive",
 			t.Switch(src).Name, t.Switch(dst).Name)
 	}
-	e.fillUp(v)
-	e.bfs(v, dst)
-	if e.distOf(src) < 0 {
+	e.buildUp(v)
+	dist := make([]int32, t.NumSwitches())
+	e.distances([]topo.SwitchID{dst}, [][]int32{dist})
+	if dist[src] == 0 {
 		return nil, fmt.Errorf("routing: trace %s -> %s: no path",
 			t.Switch(src).Name, t.Switch(dst).Name)
 	}
 	dag := &PathDAG{
 		Src: src, Dst: dst,
-		Cost:     e.distOf(src),
+		Cost:     dist[src] - 1, // the field is biased by +1
 		NextHops: make(map[topo.SwitchID][]topo.CircuitID),
 	}
 	// Walk the shortest-path DAG forward from src.
@@ -65,17 +66,12 @@ func (e *Evaluator) Trace(v *topo.View, src, dst topo.SwitchID) (*PathDAG, error
 		if u == dst {
 			continue
 		}
-		du := e.distOf(u)
-		for _, cid := range t.Switch(u).Circuits() {
-			if !v.CircuitUp(cid) {
+		for _, a := range e.up(int32(u)) {
+			w := topo.SwitchID(a.other)
+			if dist[w] != dist[u]-a.metric {
 				continue
 			}
-			ck := t.Circuit(cid)
-			w := ck.Other(u)
-			if e.distOf(w) != du-ck.Metric {
-				continue
-			}
-			dag.NextHops[u] = append(dag.NextHops[u], cid)
+			dag.NextHops[u] = append(dag.NextHops[u], topo.CircuitID(a.li>>1))
 			if !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)

@@ -1,0 +1,398 @@
+package routing
+
+import (
+	"math/bits"
+
+	"klotski/internal/topo"
+)
+
+// This file holds the evaluator's two traversal primitives — the only code
+// in the package that walks the fabric — and the up-arc compaction both of
+// them read. The classic check, the incremental memo's group recompute and
+// Trace all go through them.
+//
+//   - distances is one level-synchronous, bit-parallel traversal for up to
+//     batchWidth destinations at once. Each switch carries a 64-bit mask of
+//     the destinations that have settled it; a level is the set of
+//     (switch, mask) pairs settling at one distance. A switch's up arcs are
+//     scanned once per distinct level at which any destination settles it,
+//     with all of that level's destinations riding in the mask, instead of
+//     once per destination.
+//   - sweep places one destination group's flow over its distance field. It
+//     visits only the switches that carry flow, level by level from the
+//     sources toward the destination, and each switch sums its inflow by
+//     pulling from its upstream neighbours in its own adjacency order. No
+//     float sum depends on the order in which switches were reached, so the
+//     placement is a function of (adjacency order, up state, demands,
+//     distance field) alone — see the summation-order contract in the
+//     package comment.
+
+// batchWidth is the number of destinations one traversal carries: the bits
+// of a mask word.
+const batchWidth = 64
+
+// arc is one directed arc of the adjacency: a circuit as seen from one
+// endpoint. 12 bytes, so a switch's arcs share cache lines.
+type arc struct {
+	other  int32 // peer endpoint
+	metric int32
+	li     int32 // directional load index for flow from this endpoint toward other; the circuit is li>>1
+}
+
+// level is one distance level of a traversal in flight.
+type level struct {
+	d    int32
+	list []int32  // switches queued at this level, in first-touch order
+	mask []uint64 // distances only: per switch, the destinations reaching it at d
+}
+
+// levelQueue keeps the levels of one traversal in flight, ordered by
+// distance, and recycles drained ones. The two primitives own one queue each
+// so that only the levels distances uses ever carry a mask.
+type levelQueue struct {
+	active []*level // ascending d
+	free   []*level
+}
+
+// flowNode is the sweep state of one flow-carrying switch.
+type flowNode struct {
+	f float64 // seeded rate until the switch is visited, then its total inflow
+	// What each next hop draws from f. ECMP: the equal share f/count, divided
+	// once here rather than once per arc. WCMP: the capacity sum, for the
+	// per-arc f·cap/weight.
+	per float64
+	sw  int32
+}
+
+// traversal is the scratch of the two primitives. Everything is allocated on
+// first use and sized to what the checks actually touch.
+type traversal struct {
+	settled []uint64   // distances: per switch, the destinations that have settled it
+	pending levelQueue // distances: levels not yet settled
+	flowq   levelQueue // sweep: flow-carrying switches not yet visited
+
+	// One traversal batch: the destinations handed to distances and the
+	// fields it fills. The classic path carves its fields out of dist and
+	// lists them per requested destination in fields, nil where that
+	// destination is inactive; the memo passes its groups' own fields.
+	dsts   []topo.SwitchID
+	live   [][]int32
+	dist   []int32
+	fields [][]int32
+
+	// Sweep: slot[s] is 1+index of s in nodes, 0 while s carries no flow of
+	// the current group. nodes doubles as the visit log that beginGroup
+	// resets from.
+	slot  []int32
+	nodes []flowNode
+	hops  []int32 // next-hop arc indices of the switch being visited
+	lis   []int32 // the group's contribution: directional load indices …
+	vals  []float64
+}
+
+// up returns the up arcs of switch s in the compacted state.
+func (e *Evaluator) up(s int32) []arc {
+	off := e.arcOff[s]
+	return e.upArcs[off : off+e.upDeg[s]]
+}
+
+// buildUp compacts the up arcs of every switch for the view's state: an arc
+// is up iff its circuit's flag and both endpoint switches' flags are set.
+// One pass over the static arcs also yields every switch's up degree.
+func (e *Evaluator) buildUp(v *topo.View) {
+	e.upForMemo = false
+	sw, ck := v.Activity()
+	for s := range e.upDeg {
+		n := int32(0)
+		if sw[s] {
+			lo, hi := e.arcOff[s], e.arcOff[s+1]
+			out := e.upArcs[lo:hi]
+			for _, a := range e.arcs[lo:hi] {
+				if ck[a.li>>1] && sw[a.other] {
+					out[n] = a
+					n++
+				}
+			}
+		}
+		e.upDeg[s] = n
+	}
+}
+
+// compactSwitch recompacts one switch's up arcs from per-circuit up flags.
+func (e *Evaluator) compactSwitch(s topo.SwitchID, up []bool) {
+	lo, hi := e.arcOff[s], e.arcOff[s+1]
+	out := e.upArcs[lo:hi]
+	n := int32(0)
+	for _, a := range e.arcs[lo:hi] {
+		if up[a.li>>1] {
+			out[n] = a
+			n++
+		}
+	}
+	e.upDeg[s] = n
+}
+
+// at returns the in-flight level at distance d, creating it if needed. Few
+// levels are in flight at once (the distinct metrics within one metric's
+// reach of the current level), so a scan from the far end beats any index.
+func (q *levelQueue) at(d int32) *level {
+	i := len(q.active)
+	for i > 0 && q.active[i-1].d > d {
+		i--
+	}
+	if i > 0 && q.active[i-1].d == d {
+		return q.active[i-1]
+	}
+	var lv *level
+	if k := len(q.free); k > 0 {
+		lv, q.free = q.free[k-1], q.free[:k-1]
+	} else {
+		lv = &level{}
+	}
+	lv.d = d
+	q.active = append(q.active, nil)
+	copy(q.active[i+1:], q.active[i:])
+	q.active[i] = lv
+	return lv
+}
+
+// release returns a drained level to the pool. A mask it carries is all-zero
+// again: distances clears every entry it set.
+func (q *levelQueue) release(lv *level) {
+	lv.list = lv.list[:0]
+	q.free = append(q.free, lv)
+}
+
+// distances computes the metric-shortest distance fields of up to batchWidth
+// destinations over the compacted up arcs. fields[i] receives the field of
+// dsts[i], biased by +1 so that 0 means unreachable; it must be all-zero on
+// entry. Destinations must be active switches.
+//
+// The traversal is Dijkstra over integer distances with the frontier merged
+// across destinations: pending (switch, destination) pairs are kept per
+// distance level as one mask per switch, levels are processed in ascending
+// order, and a pair settles at the first level that reaches it. Levels exist
+// only for distances actually pending, so memory does not depend on the
+// magnitude of the metrics.
+func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
+	tr := &e.trav
+	e.BFSes += len(dsts)
+	n := len(e.upDeg)
+	if tr.settled == nil {
+		tr.settled = make([]uint64, n)
+	}
+	settled := tr.settled
+	clear(settled)
+
+	q := &tr.pending
+	lv := q.at(0)
+	if lv.mask == nil {
+		lv.mask = make([]uint64, n)
+	}
+	for i, d := range dsts {
+		if lv.mask[d] == 0 {
+			lv.list = append(lv.list, int32(d))
+		}
+		lv.mask[d] |= 1 << uint(i)
+	}
+
+	visits := 0
+	for len(q.active) > 0 {
+		lv := q.active[0]
+		q.active = q.active[:copy(q.active, q.active[1:])]
+		d, mask := lv.d, lv.mask
+
+		// Settle: keep, per switch, only the destinations not settled at a
+		// shorter distance, and record their distance.
+		for _, w := range lv.list {
+			nw := mask[w] &^ settled[w]
+			mask[w] = nw
+			settled[w] |= nw
+			for ; nw != 0; nw &= nw - 1 {
+				fields[bits.TrailingZeros64(nw)][w] = d + 1
+			}
+		}
+		// Expand: one scan of each newly settled switch's up arcs carries
+		// all of its newly settled destinations to the levels beyond.
+		var next *level
+		for _, w := range lv.list {
+			fm := mask[w]
+			if fm == 0 {
+				continue
+			}
+			mask[w] = 0
+			arcs := e.up(w)
+			visits += len(arcs)
+			for i := range arcs {
+				a := &arcs[i]
+				cand := fm &^ settled[a.other]
+				if cand == 0 {
+					continue
+				}
+				if nd := d + a.metric; next == nil || next.d != nd {
+					next = q.at(nd)
+					if next.mask == nil {
+						next.mask = make([]uint64, n)
+					}
+				}
+				if next.mask[a.other] == 0 {
+					next.list = append(next.list, a.other)
+				}
+				next.mask[a.other] |= cand
+			}
+		}
+		q.release(lv)
+	}
+	e.ArcVisits += visits
+}
+
+// batchDistances runs distances for the active destinations among dsts
+// (at most batchWidth) into the evaluator's own batch scratch and returns one
+// field per destination, nil where the destination is inactive. The fields
+// are valid until the next call.
+func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]int32 {
+	tr := &e.trav
+	n := len(e.upDeg)
+	if len(tr.dist) < len(dsts)*n {
+		tr.dist = make([]int32, len(dsts)*n)
+	}
+	tr.fields, tr.live, tr.dsts = tr.fields[:0], tr.live[:0], tr.dsts[:0]
+	for _, dst := range dsts {
+		var field []int32
+		if swActive[dst] {
+			k := len(tr.live)
+			field = tr.dist[k*n : (k+1)*n : (k+1)*n]
+			tr.live = append(tr.live, field)
+			tr.dsts = append(tr.dsts, dst)
+		}
+		tr.fields = append(tr.fields, field)
+	}
+	clear(tr.dist[:len(tr.live)*n])
+	if len(tr.live) > 0 {
+		e.distances(tr.dsts, tr.live)
+	}
+	return tr.fields
+}
+
+// beginGroup resets the sweep scratch for a new destination group. The reset
+// happens here, at the start, rather than after a sweep: a check that exits
+// between seeding and sweeping leaves marks behind, and the next group —
+// whichever call it belongs to — must not see them.
+func (e *Evaluator) beginGroup() {
+	tr := &e.trav
+	if tr.slot == nil {
+		tr.slot = make([]int32, len(e.upDeg))
+	}
+	for i := range tr.nodes {
+		tr.slot[tr.nodes[i].sw] = 0
+	}
+	tr.nodes = tr.nodes[:0]
+	for _, lv := range tr.flowq.active {
+		tr.flowq.release(lv)
+	}
+	tr.flowq.active = tr.flowq.active[:0]
+	tr.lis, tr.vals = tr.lis[:0], tr.vals[:0]
+}
+
+// enqueue adds switch s to the current group's flow set, queued at its
+// distance level, and returns its node index. A switch already in the set
+// keeps its place.
+func (tr *traversal) enqueue(dist []int32, s int32) int32 {
+	if k := tr.slot[s]; k != 0 {
+		return k - 1
+	}
+	tr.nodes = append(tr.nodes, flowNode{sw: s})
+	k := int32(len(tr.nodes))
+	tr.slot[s] = k
+	lv := tr.flowq.at(dist[s])
+	lv.list = append(lv.list, s)
+	return k - 1
+}
+
+// seed adds rate to the inflow of source switch src of the current group.
+func (e *Evaluator) seed(dist []int32, src topo.SwitchID, rate float64) {
+	tr := &e.trav
+	tr.nodes[tr.enqueue(dist, int32(src))].f += rate
+}
+
+// sweep propagates the seeded inflow of the current group toward dst over
+// the distance field dist and returns the group's contribution as aligned
+// (directional load index, value) slices, valid until the next beginGroup.
+// Each directional index appears at most once.
+//
+// Levels are visited from the farthest source inward. A visited switch x
+// first pulls: for every up arc, in adjacency order, whose peer w is
+// upstream (dist[w] = dist[x] + metric) and carries flow, w's share over
+// that arc is emitted as the arc's load and added to x's inflow. Every such
+// w lies at a strictly larger distance and is final by then. x then weighs
+// its own next hops (dist[peer] = dist[x] − metric) and queues them. The
+// seeded rate enters the sum first, the pulled shares follow in adjacency
+// order: the inflow of x is the same float sum however x was reached.
+func (e *Evaluator) sweep(dist []int32, dst topo.SwitchID, split SplitMode) ([]int32, []float64) {
+	tr := &e.trav
+	wcmp := split == SplitCapacityWeighted
+	q := &tr.flowq
+	for len(q.active) > 0 {
+		top := len(q.active) - 1
+		lv := q.active[top]
+		q.active = q.active[:top]
+		for _, x := range lv.list {
+			dx := dist[x]
+			nx := tr.slot[x] - 1
+			f := tr.nodes[nx].f
+			hops := tr.hops[:0]
+			weight := 0.0
+			arcs := e.up(x)
+			for i := range arcs {
+				a := &arcs[i]
+				switch dist[a.other] - dx {
+				case a.metric: // upstream: pull its share over this arc
+					k := tr.slot[a.other]
+					if k == 0 {
+						continue
+					}
+					w := &tr.nodes[k-1]
+					if w.f == 0 {
+						continue
+					}
+					share := w.per
+					if wcmp {
+						share = w.f * e.caps[a.li>>1] / w.per
+					}
+					f += share
+					tr.lis = append(tr.lis, a.li^1)
+					tr.vals = append(tr.vals, share)
+				case -a.metric: // next hop
+					hops = append(hops, int32(i))
+					if wcmp {
+						weight += e.caps[a.li>>1]
+					} else {
+						weight++
+					}
+				}
+			}
+			tr.hops = hops[:0]
+			tr.nodes[nx].f = f
+			if f == 0 || x == int32(dst) {
+				continue
+			}
+			if weight == 0 {
+				// A settled switch other than dst has a tight arc toward
+				// dst by construction of the distance field.
+				panic("routing: internal error: flow stranded at switch with no next hop")
+			}
+			if wcmp {
+				tr.nodes[nx].per = weight
+			} else {
+				tr.nodes[nx].per = f / weight
+			}
+			for _, ti := range hops {
+				if w := arcs[ti].other; tr.slot[w] == 0 {
+					tr.enqueue(dist, w)
+				}
+			}
+		}
+		q.release(lv)
+	}
+	return tr.lis, tr.vals
+}

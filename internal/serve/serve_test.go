@@ -339,12 +339,29 @@ func TestDrainCheckpointsAndRecovers(t *testing.T) {
 // only one can hold a reservation at a time, so the rest time out of
 // admission and degrade to serial planning instead of being rejected or
 // wedged. Every job must still finish DONE with the same plan.
+//
+// Planning one of these jobs takes about a millisecond, far less than
+// AdmitWait, so left alone the admitted job would release the pool before
+// anyone times out. The leg hook therefore holds every job at its first leg
+// until a degrade has been counted: the admitted job keeps its reservation
+// for as long as it takes, and degraded jobs — which reach the hook only
+// after the count moved — pass straight through.
 func TestAdmissionFlood(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newManager(t, t.TempDir(), func(c *Config) {
 		c.PoolWorkers = 2
 		c.AdmitWait = 10 * time.Millisecond
 		c.Recorder = obs.NewRecorder(reg)
+		c.LegHook = func(string, int) error {
+			deadline := time.Now().Add(10 * time.Second)
+			for reg.Snapshot().Counters[obs.MetricServeSerialDegrades] == 0 {
+				if time.Now().After(deadline) {
+					return errors.New("no job degraded while the pool was held")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		}
 	})
 	defer m.Close()
 

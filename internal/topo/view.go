@@ -109,6 +109,13 @@ func (v *View) CircuitUp(id CircuitID) bool {
 	return v.ckActive[id] && v.swActive[c.A] && v.swActive[c.B]
 }
 
+// Activity returns the view's per-switch and per-circuit activity flags,
+// indexed by ID, for bulk readers that would otherwise call SwitchActive and
+// CircuitUp once per element: a circuit is up iff its own flag and both
+// endpoint switches' flags are set. The slices alias the view's state —
+// callers must not modify them, and they reflect later mutations.
+func (v *View) Activity() (switches, circuits []bool) { return v.swActive, v.ckActive }
+
 // ActiveDegree returns the number of up circuits incident to the switch.
 func (v *View) ActiveDegree(id SwitchID) int {
 	n := 0

@@ -17,5 +17,5 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-go test -run '^$' -bench 'BenchmarkPlannerGuard|BenchmarkCheckDemandDelta|BenchmarkFleetGuard' -benchtime "${BENCHTIME:-30x}" . |
+go test -run '^$' -bench 'BenchmarkPlannerGuard|BenchmarkCheckDemandDelta|BenchmarkCheckSuiteE|BenchmarkFleetGuard' -benchtime "${BENCHTIME:-30x}" . |
 	go run ./cmd/benchguard -baseline BENCH_planner.json "$@"
