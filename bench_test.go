@@ -275,38 +275,53 @@ func BenchmarkCheckSuiteE(b *testing.B) {
 	b.ReportMetric(float64(eval.ArcVisits-visits0)/checks, "arcvisits/check")
 }
 
-// TestEvaluatorFootprintSuiteE bounds what one evaluator costs a cold
-// process on the benchmark's large fabric: the bytes allocated by
-// NewEvaluator plus the first Check (which sizes every piece of traversal
-// scratch) must not exceed what the per-destination evaluator it replaced
-// allocated for the same two calls — 642 536 bytes, measured at the parent
-// commit with this function. The bound is what keeps op_rss_mb_p50 flat:
-// the batched traversal has to replace the old scratch, not sit beside it.
+// TestEvaluatorFootprintSuiteE bounds what an evaluator costs a process on
+// the benchmark's large fabric, in bytes allocated: NewEvaluator plus the
+// first Check (which sizes every piece of traversal scratch), and — what a
+// planner lane, a fleet member or a daemon job actually pays — Fork plus the
+// first Check. Neither may exceed what the per-destination evaluator this
+// one replaced allocated for the same calls. The two parent figures come
+// from this very function run in a checkout of the parent commit (recipe in
+// DESIGN.md, "Satisfiability checker"). The bounds are what keep
+// op_rss_mb_p50 flat: the batched traversal has to replace the old scratch,
+// not sit beside it.
 func TestEvaluatorFootprintSuiteE(t *testing.T) {
-	const parentBytes = 642536
+	const (
+		parentNew  = 642536 // NewEvaluator + first Check at the parent commit
+		parentFork = 301256 // Fork + first Check at the parent commit
+	)
 	s, err := klotski.Suite("E", 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	view := s.Task.Topo.NewView()
 	s.Task.Demands.DestinationIndex() // the demand set's own cache, not the evaluator's
-	// TotalAlloc is process-wide; the smallest of a few runs is the run no
-	// other goroutine allocated during.
-	best := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	for i := 0; i < 5; i++ {
-		runtime.ReadMemStats(&before)
-		eval := klotski.NewEvaluator(s.Task.Topo)
-		viol := eval.Check(view, &s.Task.Demands, klotski.CheckOpts{})
-		runtime.ReadMemStats(&after)
-		if !viol.OK() {
-			t.Fatalf("initial state unsafe: %v", viol)
+	root := klotski.NewEvaluator(s.Task.Topo)
+	for _, c := range []struct {
+		name   string
+		make   func() *klotski.Evaluator
+		parent uint64
+	}{
+		{"NewEvaluator", func() *klotski.Evaluator { return klotski.NewEvaluator(s.Task.Topo) }, parentNew},
+		{"Fork", root.Fork, parentFork},
+	} {
+		// TotalAlloc is process-wide; the smallest of a few runs is the run
+		// no other goroutine allocated during.
+		best := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&before)
+			viol := c.make().Check(view, &s.Task.Demands, klotski.CheckOpts{})
+			runtime.ReadMemStats(&after)
+			if !viol.OK() {
+				t.Fatalf("initial state unsafe: %v", viol)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
-	}
-	t.Logf("NewEvaluator + first Check allocate %d bytes (parent %d)", best, parentBytes)
-	if best > parentBytes {
-		t.Errorf("NewEvaluator + first Check allocate %d bytes, more than the %d of the evaluator they replaced", best, parentBytes)
+		t.Logf("%s + first Check allocate %d bytes (parent %d)", c.name, best, c.parent)
+		if best > c.parent {
+			t.Errorf("%s + first Check allocate %d bytes, more than the %d of the evaluator they replaced", c.name, best, c.parent)
+		}
 	}
 }
 
@@ -602,37 +617,51 @@ func BenchmarkEvaluatorCheckDelta(b *testing.B) {
 // CheckDemandDelta fed the changed index (invalidating only the dirty
 // destination groups), versus a classic full Check. The ratio is the
 // per-observation win drift-aware replanning gets from the incremental
-// engine.
+// engine. delta/full run on suite C at the bench scale; deltaLarge/fullLarge
+// repeat them on the end-to-end benchmark's fabric (suite E × 0.25), where
+// one dirty group is one single-destination traversal of ~1200 switches —
+// the memo-on path no end-to-end workload exercises.
 func BenchmarkCheckDemandDelta(b *testing.B) {
-	s := buildSuite(b, "C")
-	tp := s.Task.Topo
-	b.Run("delta", func(b *testing.B) {
-		ds := s.Task.Demands.Clone()
-		eval := klotski.NewEvaluator(tp)
-		view := tp.NewView()
-		changed := []int32{0}
-		eval.CheckDemandDelta(view, nil, &ds, klotski.CheckOpts{})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			di := i % len(ds.Demands)
-			ds.Demands[di].Rate *= 1.0001
-			changed[0] = int32(di)
-			eval.CheckDemandDelta(view, changed, &ds, klotski.CheckOpts{})
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		ds := s.Task.Demands.Clone()
-		eval := klotski.NewEvaluator(tp)
-		view := tp.NewView()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			di := i % len(ds.Demands)
-			ds.Demands[di].Rate *= 1.0001
-			eval.Check(view, &ds, klotski.CheckOpts{})
-		}
-	})
+	large, err := klotski.Suite("E", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		suffix string
+		s      *klotski.Scenario
+	}{{"", buildSuite(b, "C")}, {"Large", large}} {
+		tp := c.s.Task.Topo
+		b.Run("delta"+c.suffix, func(b *testing.B) {
+			ds := c.s.Task.Demands.Clone()
+			eval := klotski.NewEvaluator(tp)
+			view := tp.NewView()
+			changed := []int32{0}
+			eval.CheckDemandDelta(view, nil, &ds, klotski.CheckOpts{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				di := i % len(ds.Demands)
+				ds.Demands[di].Rate *= 1.0001
+				changed[0] = int32(di)
+				eval.CheckDemandDelta(view, changed, &ds, klotski.CheckOpts{})
+			}
+			if eval.IncrementalOff() {
+				b.Fatal("the incremental engine switched itself off")
+			}
+		})
+		b.Run("full"+c.suffix, func(b *testing.B) {
+			ds := c.s.Task.Demands.Clone()
+			eval := klotski.NewEvaluator(tp)
+			view := tp.NewView()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				di := i % len(ds.Demands)
+				ds.Demands[di].Rate *= 1.0001
+				eval.Check(view, &ds, klotski.CheckOpts{})
+			}
+		})
+	}
 }
 
 // BenchmarkAStarBatchedBoundary measures serial A* against the

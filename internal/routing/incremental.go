@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"klotski/internal/demand"
@@ -495,20 +496,16 @@ func (e *Evaluator) incRebuild(v *topo.View, ds *demand.Set, theta float64, spli
 	t := e.t
 	n := t.NumSwitches()
 
-	// Up state and port flags. The evaluator's compacted up arcs mirror the
-	// memo anchor from here on; each up circuit is recorded from its A-side
-	// arc.
+	// Up state and port flags. The evaluator's up bits mirror the memo
+	// anchor from here on.
 	e.buildUp(v)
 	e.upForMemo = true
-	clear(m.upMemo)
+	for c := range m.upMemo {
+		m.upMemo[c] = v.CircuitUp(topo.CircuitID(c))
+	}
 	m.nPort = 0
 	for i := 0; i < n; i++ {
-		for _, a := range e.up(int32(i)) {
-			if a.li&1 == 0 {
-				m.upMemo[a.li>>1] = true
-			}
-		}
-		over := e.ports[i] > 0 && e.upDeg[i] > e.ports[i]
+		over := e.ports[i] > 0 && e.upDegree(int32(i)) > e.ports[i]
 		m.portOver[i] = over
 		if over {
 			m.nPort++
@@ -655,9 +652,9 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 	ep := m.nextEpoch()
 	e.restoreUp()
 
-	// 1. Diff circuit up-states, collecting actual transitions, then
-	// recompact the up arcs of every switch a transition touches and refresh
-	// its port flag. Note upMemo holds the OLD state until a circuit's entry
+	// 1. Diff circuit up-states, collecting actual transitions, then rebuild
+	// the up bits of every switch a transition touches and refresh its port
+	// flag. Note upMemo holds the OLD state until a circuit's entry
 	// is overwritten here, so the analysis below reads the transition
 	// direction from the updated value.
 	trans := m.transCk[:0]
@@ -682,8 +679,8 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 		}
 	}
 	for _, s := range degCh {
-		e.compactSwitch(s, m.upMemo)
-		over := e.ports[s] > 0 && e.upDeg[s] > e.ports[s]
+		e.setSwitchUp(s, m.upMemo)
+		over := e.ports[s] > 0 && e.upDegree(int32(s)) > e.ports[s]
 		if over != m.portOver[s] {
 			m.portOver[s] = over
 			if over {
@@ -909,24 +906,28 @@ func (e *Evaluator) incRecomputeDirty(v *topo.View, ds *demand.Set, theta float6
 // the whole placement stands.
 func (e *Evaluator) supported(g *incGroup, s topo.SwitchID) bool {
 	dsf := g.dist[s]
-	for _, a := range e.up(int32(s)) {
-		// Under the +1 bias an unsettled neighbor has dist 0, so the
-		// candidate support distance must itself be positive to count.
-		if dsf > a.metric && g.dist[a.other] == dsf-a.metric {
-			return true
+	words, arcs := e.upWords(int32(s))
+	for k, bw := range words {
+		for ; bw != 0; bw &= bw - 1 {
+			a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+			// Under the +1 bias an unsettled neighbor has dist 0, so the
+			// candidate support distance must itself be positive to count.
+			if dsf > a.metric && g.dist[a.other] == dsf-a.metric {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// restoreUp makes the compacted up arcs mirror the memo's anchor view again
-// after a classic run overwrote them.
+// restoreUp makes the up bits mirror the memo's anchor view again after a
+// classic run overwrote them.
 func (e *Evaluator) restoreUp() {
 	if e.upForMemo {
 		return
 	}
-	for s := range e.upDeg {
-		e.compactSwitch(topo.SwitchID(s), e.inc.upMemo)
+	for s := range e.ports {
+		e.setSwitchUp(topo.SwitchID(s), e.inc.upMemo)
 	}
 	e.upForMemo = true
 }

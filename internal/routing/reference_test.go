@@ -113,7 +113,8 @@ func checkAgainstReference(t *testing.T, label string, tp *topo.Topology, view *
 // memoized top-down recursion) on randomized layered topologies, random
 // drains, and both splitting policies; then on random meshes with non-unit
 // and large metrics, parallel circuits, drained sources and destinations,
-// and more destination groups than one traversal batch carries.
+// and more destination groups than one traversal batch carries; then on
+// fabrics whose hubs have more circuits than one word of the up mask holds.
 func TestEvaluatorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 80; trial++ {
@@ -174,6 +175,38 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 		}
 		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
 			checkAgainstReference(t, fmt.Sprintf("mesh trial %d", trial), tp, view, &ds, split)
+		}
+	}
+
+	// Hubs with more than 64 and more than 128 circuits, so their up masks
+	// span several words, with drains on both sides of every word boundary.
+	for trial := 0; trial < 6; trial++ {
+		tp, sw := randomMeshTopo(rng, 24)
+		hubs := sw[:2]
+		for hi, hub := range hubs {
+			for len(tp.Switch(hub).Circuits()) < 70+70*hi {
+				c := tp.AddCircuit(hub, sw[2+rng.Intn(len(sw)-2)], 1+7*rng.Float64())
+				tp.SetMetric(c, int32(1+rng.Intn(3)))
+			}
+		}
+		view := tp.NewView()
+		for _, hub := range hubs {
+			cks := tp.Switch(hub).Circuits()
+			for _, j := range []int{0, 62, 63, 64, 65, 127, 128, len(cks) - 1} {
+				if j < len(cks) && rng.Intn(2) == 0 {
+					view.DrainCircuit(cks[j])
+				}
+			}
+		}
+		view.DrainSwitch(sw[2+rng.Intn(len(sw)-2)])
+		var ds demand.Set
+		for i := 0; i < 12; i++ {
+			if src, dst := sw[rng.Intn(len(sw))], sw[rng.Intn(len(sw))]; src != dst {
+				ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", ds.Len()), Src: src, Dst: dst, Rate: 0.5 + 2*rng.Float64()})
+			}
+		}
+		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
+			checkAgainstReference(t, fmt.Sprintf("hub trial %d", trial), tp, view, &ds, split)
 		}
 	}
 }

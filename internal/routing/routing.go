@@ -12,8 +12,10 @@
 // even when the set has hundreds of entries), and a full check does three
 // things (traverse.go):
 //
-//  1. compacts the up arcs of the state once — O(|arcs|), no per-circuit
-//     flag is tested again after it;
+//  1. records the up state of the view once, as one bit per arc in each
+//     switch's adjacency order — O(|arcs|), no per-circuit or per-switch
+//     flag is tested again after it, and an evaluator (or fork) owns
+//     |arcs|/8 bytes of it rather than a copy of the arcs;
 //  2. computes every group's distance field in ONE bit-parallel traversal
 //     per batch of up to 64 destinations: a switch's arcs are scanned once
 //     per distinct distance at which any destination of the batch settles
@@ -21,7 +23,7 @@
 //     most destinations reach a given switch at one of two or three
 //     distances, so the scan count is a small multiple of |arcs| instead of
 //     |D_dst|·|arcs| (suite E × 0.25, 14 groups: 29 k arc visits per check
-//     against 148 k for one search per destination);
+//     against 135 k for one search per destination);
 //  3. places each group's flow with a sweep that visits only the switches
 //     carrying that group's flow, so its cost is the degree sum of those
 //     switches, not of the fabric.
@@ -177,20 +179,20 @@ type Evaluator struct {
 	// Immutable precompute, shared by forks. Static CSR adjacency: arcs of
 	// switch s are arcs[arcOff[s]:arcOff[s+1]], in the switch's Circuits()
 	// order — the adjacency order every float sum of a sweep follows.
-	arcs   []arc
-	arcOff []int32
-	caps   []float64 // per-circuit capacity
-	ports  []int32   // per-switch port budget, 0 = unconstrained
+	arcs    []arc
+	arcOff  []int32
+	wordOff []int32   // switch s owns upBits[wordOff[s]:wordOff[s+1]]
+	caps    []float64 // per-circuit capacity
+	ports   []int32   // per-switch port budget, 0 = unconstrained
 
-	// Up adjacency of the state being checked: the up arcs of switch s are
-	// upArcs[arcOff[s]:arcOff[s]+upDeg[s]], in static order. Compacted once
+	// Up state of the view being checked: one bit per static arc, each
+	// switch's bits starting on a word of its own (see upWords). Built once
 	// per check (buildUp) or kept in step with the incremental memo's anchor
-	// view switch by switch (compactSwitch), so no traversal ever tests a
-	// per-circuit up flag. upDeg doubles as the up-circuit count of the port
-	// constraint.
-	upArcs []arc
-	upDeg  []int32
-	// upForMemo records whether upArcs currently mirrors the incremental
+	// view switch by switch (setSwitchUp), so no traversal ever tests a
+	// per-circuit flag. A switch's popcount is its up-circuit count for the
+	// port constraint.
+	upBits []uint64
+	// upForMemo records whether upBits currently mirrors the incremental
 	// memo's anchor view; a classic run overwrites it and clears the flag.
 	upForMemo bool
 
@@ -223,10 +225,11 @@ type Evaluator struct {
 func NewEvaluator(t *topo.Topology) *Evaluator {
 	n, m := t.NumSwitches(), t.NumCircuits()
 	e := &Evaluator{
-		t:      t,
-		caps:   make([]float64, m),
-		ports:  make([]int32, n),
-		arcOff: make([]int32, n+1),
+		t:       t,
+		caps:    make([]float64, m),
+		ports:   make([]int32, n),
+		arcOff:  make([]int32, n+1),
+		wordOff: make([]int32, n+1),
 	}
 	for c := 0; c < m; c++ {
 		e.caps[c] = t.Circuit(topo.CircuitID(c)).Capacity
@@ -234,7 +237,9 @@ func NewEvaluator(t *topo.Topology) *Evaluator {
 	for i := 0; i < n; i++ {
 		s := t.Switch(topo.SwitchID(i))
 		e.ports[i] = int32(s.Ports)
-		e.arcOff[i+1] = e.arcOff[i] + int32(len(s.Circuits()))
+		deg := int32(len(s.Circuits()))
+		e.arcOff[i+1] = e.arcOff[i] + deg
+		e.wordOff[i+1] = e.wordOff[i] + (deg+63)/64
 	}
 	e.arcs = make([]arc, 0, e.arcOff[n])
 	for i := 0; i < n; i++ {
@@ -254,8 +259,7 @@ func NewEvaluator(t *topo.Topology) *Evaluator {
 
 // initScratch allocates the per-evaluator mutable state every check needs.
 func (e *Evaluator) initScratch() {
-	e.upArcs = make([]arc, len(e.arcs))
-	e.upDeg = make([]int32, len(e.ports))
+	e.upBits = make([]uint64, e.wordOff[len(e.ports)])
 	e.load = make([]float64, 2*len(e.caps))
 }
 
@@ -271,7 +275,7 @@ func (e *Evaluator) Clone() *Evaluator { return e.Fork() }
 // per-worker evaluators, costing a handful of scratch allocations instead of
 // an adjacency rebuild.
 func (e *Evaluator) Fork() *Evaluator {
-	f := &Evaluator{t: e.t, arcs: e.arcs, arcOff: e.arcOff, caps: e.caps, ports: e.ports}
+	f := &Evaluator{t: e.t, arcs: e.arcs, arcOff: e.arcOff, wordOff: e.wordOff, caps: e.caps, ports: e.ports}
 	f.initScratch()
 	return f
 }
@@ -307,13 +311,13 @@ func (e *Evaluator) run(v *topo.View, ds *demand.Set, opts CheckOpts, earlyExit 
 		theta = 0.75
 	}
 
-	// Compact the state's up arcs once; every traversal below reads them.
+	// Record the state's up arcs once; every traversal below reads them.
 	e.buildUp(v)
 	// Port constraints (Eq. 6): the number of up circuits on a switch must
 	// not exceed its physical port budget.
 	var pending Violation
 	for i, p := range e.ports {
-		if p > 0 && e.upDeg[i] > p {
+		if p > 0 && e.upDegree(int32(i)) > p {
 			pending = Violation{Kind: ViolationPorts, Switch: topo.SwitchID(i)}
 			if earlyExit {
 				return pending

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"klotski/internal/topo"
@@ -66,15 +67,19 @@ func (e *Evaluator) Trace(v *topo.View, src, dst topo.SwitchID) (*PathDAG, error
 		if u == dst {
 			continue
 		}
-		for _, a := range e.up(int32(u)) {
-			w := topo.SwitchID(a.other)
-			if dist[w] != dist[u]-a.metric {
-				continue
-			}
-			dag.NextHops[u] = append(dag.NextHops[u], topo.CircuitID(a.li>>1))
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
+		words, arcs := e.upWords(int32(u))
+		for k, bw := range words {
+			for ; bw != 0; bw &= bw - 1 {
+				a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+				w := topo.SwitchID(a.other)
+				if dist[w] != dist[u]-a.metric {
+					continue
+				}
+				dag.NextHops[u] = append(dag.NextHops[u], topo.CircuitID(a.li>>1))
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
 			}
 		}
 		sort.Slice(dag.NextHops[u], func(i, j int) bool { return dag.NextHops[u][i] < dag.NextHops[u][j] })

@@ -7,14 +7,13 @@ import (
 )
 
 // This file holds the evaluator's two traversal primitives — the only code
-// in the package that walks the fabric — and the up-arc compaction both of
-// them read. The classic check, the incremental memo's group recompute and
+// in the package that walks the fabric — and the up mask both of them read. The classic check, the incremental memo's group recompute and
 // Trace all go through them.
 //
 //   - distances is one level-synchronous, bit-parallel traversal for up to
 //     batchWidth destinations at once. Each switch carries a 64-bit mask of
-//     the destinations that have settled it; a level is the set of
-//     (switch, mask) pairs settling at one distance. A switch's up arcs are
+//     the destinations that have settled it; a level is a list of
+//     (switch, mask) pairs pending at one distance. A switch's up arcs are
 //     scanned once per distinct level at which any destination settles it,
 //     with all of that level's destinations riding in the mask, instead of
 //     once per destination.
@@ -39,20 +38,29 @@ type arc struct {
 	li     int32 // directional load index for flow from this endpoint toward other; the circuit is li>>1
 }
 
-// level is one distance level of a traversal in flight.
+// level is one distance level of a traversal in flight: the switches queued
+// at distance d, in first-touch order. distances pairs each with the
+// destinations reaching it at d, so a level costs 12 bytes per pending pair
+// and nothing per switch of the fabric.
 type level struct {
 	d    int32
-	list []int32  // switches queued at this level, in first-touch order
-	mask []uint64 // distances only: per switch, the destinations reaching it at d
+	sw   []int32
+	mask []uint64 // distances only, aligned with sw
 }
 
 // levelQueue keeps the levels of one traversal in flight, ordered by
-// distance, and recycles drained ones. The two primitives own one queue each
-// so that only the levels distances uses ever carry a mask.
+// distance, and recycles drained ones. The two primitives take turns on one
+// queue: every distance level is drained before the first sweep starts.
 type levelQueue struct {
 	active []*level // ascending d
 	free   []*level
 }
+
+// maxPooledLevels caps the drained levels a queue keeps for reuse. A
+// traversal has at most one level in flight per distinct pending distance;
+// a fabric with many distinct metrics may need more for a moment, and the
+// surplus goes back to the collector instead of staying with the evaluator.
+const maxPooledLevels = 32
 
 // flowNode is the sweep state of one flow-carrying switch.
 type flowNode struct {
@@ -68,8 +76,8 @@ type flowNode struct {
 // first use and sized to what the checks actually touch.
 type traversal struct {
 	settled []uint64   // distances: per switch, the destinations that have settled it
-	pending levelQueue // distances: levels not yet settled
-	flowq   levelQueue // sweep: flow-carrying switches not yet visited
+	last    []int32    // distances: per switch, where its most recent pending pair sits in its level
+	levels  levelQueue // distances: pairs not yet settled; sweep: flow-carrying switches not yet visited
 
 	// One traversal batch: the destinations handed to distances and the
 	// fields it fills. The classic path carves its fields out of dist and
@@ -85,51 +93,57 @@ type traversal struct {
 	// resets from.
 	slot  []int32
 	nodes []flowNode
-	hops  []int32 // next-hop arc indices of the switch being visited
+	hops  []int32 // next-hop switches of the switch being visited
 	lis   []int32 // the group's contribution: directional load indices …
 	vals  []float64
 }
 
-// up returns the up arcs of switch s in the compacted state.
-func (e *Evaluator) up(s int32) []arc {
-	off := e.arcOff[s]
-	return e.upArcs[off : off+e.upDeg[s]]
+// upWords returns the up mask of switch s and its static arcs: bit j of
+// word k is set iff arcs[64k+j] is up. Every loop over a switch's up arcs
+// walks the set bits in ascending order, which is the switch's adjacency
+// order.
+func (e *Evaluator) upWords(s int32) (words []uint64, arcs []arc) {
+	return e.upBits[e.wordOff[s]:e.wordOff[s+1]], e.arcs[e.arcOff[s]:e.arcOff[s+1]]
 }
 
-// buildUp compacts the up arcs of every switch for the view's state: an arc
-// is up iff its circuit's flag and both endpoint switches' flags are set.
-// One pass over the static arcs also yields every switch's up degree.
+// upDegree returns the number of up circuits at switch s.
+func (e *Evaluator) upDegree(s int32) int32 {
+	n := 0
+	for _, w := range e.upBits[e.wordOff[s]:e.wordOff[s+1]] {
+		n += bits.OnesCount64(w)
+	}
+	return int32(n)
+}
+
+// buildUp records the up state of every arc for the view: an arc is up iff
+// its circuit's flag and both endpoint switches' flags are set. It reads the
+// view's flag arrays and the static arcs' endpoints, never a Circuit struct.
 func (e *Evaluator) buildUp(v *topo.View) {
 	e.upForMemo = false
 	sw, ck := v.Activity()
-	for s := range e.upDeg {
-		n := int32(0)
-		if sw[s] {
-			lo, hi := e.arcOff[s], e.arcOff[s+1]
-			out := e.upArcs[lo:hi]
-			for _, a := range e.arcs[lo:hi] {
-				if ck[a.li>>1] && sw[a.other] {
-					out[n] = a
-					n++
-				}
+	for s := range e.ports {
+		words, arcs := e.upWords(int32(s))
+		clear(words)
+		if !sw[s] {
+			continue
+		}
+		for j, a := range arcs {
+			if ck[a.li>>1] && sw[a.other] {
+				words[j>>6] |= 1 << (j & 63)
 			}
 		}
-		e.upDeg[s] = n
 	}
 }
 
-// compactSwitch recompacts one switch's up arcs from per-circuit up flags.
-func (e *Evaluator) compactSwitch(s topo.SwitchID, up []bool) {
-	lo, hi := e.arcOff[s], e.arcOff[s+1]
-	out := e.upArcs[lo:hi]
-	n := int32(0)
-	for _, a := range e.arcs[lo:hi] {
+// setSwitchUp rebuilds one switch's up mask from per-circuit up flags.
+func (e *Evaluator) setSwitchUp(s topo.SwitchID, up []bool) {
+	words, arcs := e.upWords(int32(s))
+	clear(words)
+	for j, a := range arcs {
 		if up[a.li>>1] {
-			out[n] = a
-			n++
+			words[j>>6] |= 1 << (j & 63)
 		}
 	}
-	e.upDeg[s] = n
 }
 
 // at returns the in-flight level at distance d, creating it if needed. Few
@@ -156,89 +170,98 @@ func (q *levelQueue) at(d int32) *level {
 	return lv
 }
 
-// release returns a drained level to the pool. A mask it carries is all-zero
-// again: distances clears every entry it set.
+// drain releases every level still in flight.
+func (q *levelQueue) drain() {
+	for _, lv := range q.active {
+		q.release(lv)
+	}
+	q.active = q.active[:0]
+}
+
+// release returns a drained level to the pool, or drops it when the pool is
+// full.
 func (q *levelQueue) release(lv *level) {
-	lv.list = lv.list[:0]
-	q.free = append(q.free, lv)
+	if len(q.free) < maxPooledLevels {
+		lv.sw, lv.mask = lv.sw[:0], lv.mask[:0]
+		q.free = append(q.free, lv)
+	}
 }
 
 // distances computes the metric-shortest distance fields of up to batchWidth
-// destinations over the compacted up arcs. fields[i] receives the field of
-// dsts[i], biased by +1 so that 0 means unreachable; it must be all-zero on
-// entry. Destinations must be active switches.
+// destinations over the up arcs. fields[i] receives the field of dsts[i],
+// biased by +1 so that 0 means unreachable; it must be all-zero on entry.
+// Destinations must be active switches.
 //
 // The traversal is Dijkstra over integer distances with the frontier merged
 // across destinations: pending (switch, destination) pairs are kept per
-// distance level as one mask per switch, levels are processed in ascending
-// order, and a pair settles at the first level that reaches it. Levels exist
-// only for distances actually pending, so memory does not depend on the
-// magnitude of the metrics.
+// distance level as (switch, mask) pairs, levels are processed in ascending
+// order, and a destination settles a switch at the first level that reaches
+// it. A push merges into the switch's most recent pending pair when that
+// pair is at the same distance — always, on a fabric of equal metrics, where
+// one level is pending at a time; otherwise the switch gets a second pair at
+// that level, which costs a rescan of its arcs and changes no distance,
+// because a pair only ever settles what no shorter level has. Scratch is
+// proportional to the pairs pending, never to the fabric times the levels in
+// flight nor to the magnitude of a metric, and one destination costs what a
+// single-source search costs.
 func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
 	tr := &e.trav
 	e.BFSes += len(dsts)
-	n := len(e.upDeg)
 	if tr.settled == nil {
-		tr.settled = make([]uint64, n)
+		tr.settled = make([]uint64, len(e.ports))
+		tr.last = make([]int32, len(e.ports))
 	}
-	settled := tr.settled
+	settled, last := tr.settled, tr.last
 	clear(settled)
 
-	q := &tr.pending
+	q := &tr.levels
+	q.drain() // flow levels an early exit left queued
 	lv := q.at(0)
-	if lv.mask == nil {
-		lv.mask = make([]uint64, n)
-	}
 	for i, d := range dsts {
-		if lv.mask[d] == 0 {
-			lv.list = append(lv.list, int32(d))
-		}
-		lv.mask[d] |= 1 << uint(i)
+		lv.sw = append(lv.sw, int32(d))
+		lv.mask = append(lv.mask, 1<<uint(i))
 	}
 
 	visits := 0
 	for len(q.active) > 0 {
 		lv := q.active[0]
 		q.active = q.active[:copy(q.active, q.active[1:])]
-		d, mask := lv.d, lv.mask
-
-		// Settle: keep, per switch, only the destinations not settled at a
-		// shorter distance, and record their distance.
-		for _, w := range lv.list {
-			nw := mask[w] &^ settled[w]
-			mask[w] = nw
-			settled[w] |= nw
-			for ; nw != 0; nw &= nw - 1 {
-				fields[bits.TrailingZeros64(nw)][w] = d + 1
-			}
-		}
-		// Expand: one scan of each newly settled switch's up arcs carries
-		// all of its newly settled destinations to the levels beyond.
+		d := lv.d
 		var next *level
-		for _, w := range lv.list {
-			fm := mask[w]
+		for j, w := range lv.sw {
+			// Keep the destinations not settled at a shorter distance, record
+			// theirs, and carry them over w's up arcs in one scan.
+			fm := lv.mask[j] &^ settled[w]
 			if fm == 0 {
 				continue
 			}
-			mask[w] = 0
-			arcs := e.up(w)
-			visits += len(arcs)
-			for i := range arcs {
-				a := &arcs[i]
-				cand := fm &^ settled[a.other]
-				if cand == 0 {
-					continue
-				}
-				if nd := d + a.metric; next == nil || next.d != nd {
-					next = q.at(nd)
-					if next.mask == nil {
-						next.mask = make([]uint64, n)
+			settled[w] |= fm
+			for b := fm; b != 0; b &= b - 1 {
+				fields[bits.TrailingZeros64(b)][w] = d + 1
+			}
+			words, arcs := e.upWords(w)
+			for k, bw := range words {
+				for ; bw != 0; bw &= bw - 1 {
+					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+					visits++
+					cand := fm &^ settled[a.other]
+					if cand == 0 {
+						continue
+					}
+					nd := d + a.metric
+					if next == nil || next.d != nd {
+						next = q.at(nd)
+					}
+					// last is only a hint: it is right iff that slot of the
+					// level holds this switch, so it never needs resetting.
+					if p := int(last[a.other]); p < len(next.sw) && next.sw[p] == a.other {
+						next.mask[p] |= cand
+					} else {
+						last[a.other] = int32(len(next.sw))
+						next.sw = append(next.sw, a.other)
+						next.mask = append(next.mask, cand)
 					}
 				}
-				if next.mask[a.other] == 0 {
-					next.list = append(next.list, a.other)
-				}
-				next.mask[a.other] |= cand
 			}
 		}
 		q.release(lv)
@@ -252,7 +275,7 @@ func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
 // are valid until the next call.
 func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]int32 {
 	tr := &e.trav
-	n := len(e.upDeg)
+	n := len(e.ports)
 	if len(tr.dist) < len(dsts)*n {
 		tr.dist = make([]int32, len(dsts)*n)
 	}
@@ -281,16 +304,13 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 func (e *Evaluator) beginGroup() {
 	tr := &e.trav
 	if tr.slot == nil {
-		tr.slot = make([]int32, len(e.upDeg))
+		tr.slot = make([]int32, len(e.ports))
 	}
 	for i := range tr.nodes {
 		tr.slot[tr.nodes[i].sw] = 0
 	}
 	tr.nodes = tr.nodes[:0]
-	for _, lv := range tr.flowq.active {
-		tr.flowq.release(lv)
-	}
-	tr.flowq.active = tr.flowq.active[:0]
+	tr.levels.drain()
 	tr.lis, tr.vals = tr.lis[:0], tr.vals[:0]
 }
 
@@ -304,15 +324,16 @@ func (tr *traversal) enqueue(dist []int32, s int32) int32 {
 	tr.nodes = append(tr.nodes, flowNode{sw: s})
 	k := int32(len(tr.nodes))
 	tr.slot[s] = k
-	lv := tr.flowq.at(dist[s])
-	lv.list = append(lv.list, s)
+	lv := tr.levels.at(dist[s])
+	lv.sw = append(lv.sw, s)
 	return k - 1
 }
 
 // seed adds rate to the inflow of source switch src of the current group.
 func (e *Evaluator) seed(dist []int32, src topo.SwitchID, rate float64) {
 	tr := &e.trav
-	tr.nodes[tr.enqueue(dist, int32(src))].f += rate
+	k := tr.enqueue(dist, int32(src)) // may grow nodes: index only afterwards
+	tr.nodes[k].f += rate
 }
 
 // sweep propagates the seeded inflow of the current group toward dst over
@@ -331,43 +352,45 @@ func (e *Evaluator) seed(dist []int32, src topo.SwitchID, rate float64) {
 func (e *Evaluator) sweep(dist []int32, dst topo.SwitchID, split SplitMode) ([]int32, []float64) {
 	tr := &e.trav
 	wcmp := split == SplitCapacityWeighted
-	q := &tr.flowq
+	q := &tr.levels
 	for len(q.active) > 0 {
 		top := len(q.active) - 1
 		lv := q.active[top]
 		q.active = q.active[:top]
-		for _, x := range lv.list {
+		for _, x := range lv.sw {
 			dx := dist[x]
 			nx := tr.slot[x] - 1
 			f := tr.nodes[nx].f
 			hops := tr.hops[:0]
 			weight := 0.0
-			arcs := e.up(x)
-			for i := range arcs {
-				a := &arcs[i]
-				switch dist[a.other] - dx {
-				case a.metric: // upstream: pull its share over this arc
-					k := tr.slot[a.other]
-					if k == 0 {
-						continue
-					}
-					w := &tr.nodes[k-1]
-					if w.f == 0 {
-						continue
-					}
-					share := w.per
-					if wcmp {
-						share = w.f * e.caps[a.li>>1] / w.per
-					}
-					f += share
-					tr.lis = append(tr.lis, a.li^1)
-					tr.vals = append(tr.vals, share)
-				case -a.metric: // next hop
-					hops = append(hops, int32(i))
-					if wcmp {
-						weight += e.caps[a.li>>1]
-					} else {
-						weight++
+			words, arcs := e.upWords(x)
+			for k, bw := range words {
+				for ; bw != 0; bw &= bw - 1 {
+					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+					switch dist[a.other] - dx {
+					case a.metric: // upstream: pull its share over this arc
+						k := tr.slot[a.other]
+						if k == 0 {
+							continue
+						}
+						w := &tr.nodes[k-1]
+						if w.f == 0 {
+							continue
+						}
+						share := w.per
+						if wcmp {
+							share = w.f * e.caps[a.li>>1] / w.per
+						}
+						f += share
+						tr.lis = append(tr.lis, a.li^1)
+						tr.vals = append(tr.vals, share)
+					case -a.metric: // next hop
+						hops = append(hops, a.other)
+						if wcmp {
+							weight += e.caps[a.li>>1]
+						} else {
+							weight++
+						}
 					}
 				}
 			}
@@ -386,8 +409,8 @@ func (e *Evaluator) sweep(dist []int32, dst topo.SwitchID, split SplitMode) ([]i
 			} else {
 				tr.nodes[nx].per = f / weight
 			}
-			for _, ti := range hops {
-				if w := arcs[ti].other; tr.slot[w] == 0 {
+			for _, w := range hops {
+				if tr.slot[w] == 0 {
 					tr.enqueue(dist, w)
 				}
 			}

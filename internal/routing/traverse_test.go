@@ -221,7 +221,7 @@ func TestEarlyExitLeavesNoMarks(t *testing.T) {
 			if viol := e.Check(broken, ds, exitOpts); viol.Kind != ViolationUnreachable {
 				t.Fatalf("seed %d: draining a source left the state routable: %v", seed, viol)
 			}
-			if len(e.trav.flowq.active) > 0 {
+			if len(e.trav.levels.active) > 0 {
 				victim = d
 				break
 			}
@@ -258,5 +258,49 @@ func compareWithFresh(t *testing.T, label string, e *Evaluator, tp *topo.Topolog
 		if math.Float64bits(ab) != math.Float64bits(wab) || math.Float64bits(ba) != math.Float64bits(wba) {
 			t.Fatalf("%s: circuit %d loads (%v,%v), fresh evaluator (%v,%v)", label, c, ab, ba, wab, wba)
 		}
+	}
+}
+
+// TestLevelScratchIgnoresMetricSpread bounds what a traversal leaves behind
+// on a large fabric whose metrics are nearly all distinct: a ring of 4000
+// switches with chords and metrics drawn from 1..997 keeps close to a
+// thousand distance levels in flight at once. The scratch kept afterwards
+// must be a few pairs per switch — not a per-switch array per level in
+// flight, which here would be tens of megabytes.
+func TestLevelScratchIgnoresMetricSpread(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 4000
+	tp := topo.New("ring")
+	sw := make([]topo.SwitchID, n)
+	for i := range sw {
+		sw[i] = tp.AddSwitch(topo.Switch{Name: fmt.Sprintf("s%d", i), Role: topo.RoleFSW})
+	}
+	for i := range sw {
+		tp.SetMetric(tp.AddCircuit(sw[i], sw[(i+1)%n], 10), int32(1+rng.Intn(997)))
+		tp.SetMetric(tp.AddCircuit(sw[i], sw[(i+2+rng.Intn(n-3))%n], 10), int32(1+rng.Intn(997)))
+	}
+	ds := &demand.Set{}
+	for i := 0; i < 40; i++ {
+		if src, dst := sw[rng.Intn(n)], sw[rng.Intn(n)]; src != dst {
+			ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", i), Src: src, Dst: dst, Rate: 1})
+		}
+	}
+	view := tp.NewView()
+	checkAgainstReference(t, "ring", tp, view, ds, SplitEqual)
+
+	e := NewEvaluator(tp)
+	if viol := e.Check(view, ds, CheckOpts{Theta: 1e9}); !viol.OK() {
+		t.Fatalf("ring is unsafe: %v", viol)
+	}
+	q := &e.trav.levels
+	if len(q.active) != 0 || len(q.free) > maxPooledLevels {
+		t.Fatalf("%d levels still in flight, %d pooled (cap %d)", len(q.active), len(q.free), maxPooledLevels)
+	}
+	kept := 0
+	for _, lv := range q.free {
+		kept += 4*cap(lv.sw) + 8*cap(lv.mask)
+	}
+	if limit := 3 * 12 * n; kept > limit {
+		t.Errorf("levels keep %d bytes after a check, more than three pairs per switch (%d)", kept, limit)
 	}
 }
