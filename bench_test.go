@@ -15,6 +15,7 @@ import (
 
 	"klotski"
 	"klotski/internal/experiments"
+	"klotski/internal/routing"
 )
 
 // benchScale keeps one planner invocation in the milliseconds range so the
@@ -241,9 +242,13 @@ func BenchmarkSatisfiabilityCheck(b *testing.B) {
 // checks: suite E at scale 0.25, walked block by block along the plan A*
 // itself returns, one full Check per state (states inside a run may be
 // unsafe and exit early, as in the search). One iteration is one walk.
-// arcvisits/check is the evaluator's own count of arcs scanned by distance
-// traversals — exact and machine-independent, the number DESIGN.md's cost
-// model is stated in.
+// The custom metrics are the evaluator's own counts — exact and
+// machine-independent, the numbers DESIGN.md's cost model is stated in:
+// arcvisits/check, the arcs scanned by distance traversals;
+// rebuilt-switches/check, the switches whose up masks were re-derived to
+// follow the view from one state to the next (the fabric has 1236); and
+// allup-share, the part of arcvisits/check taken at switches with every arc
+// up, which are ranged over in place instead of through the mask.
 func BenchmarkCheckSuiteE(b *testing.B) {
 	s, err := klotski.Suite("E", 0.25)
 	if err != nil {
@@ -263,16 +268,62 @@ func BenchmarkCheckSuiteE(b *testing.B) {
 		}
 	}
 	walk() // first-use scratch allocation stays out of the measurement
-	checks0, visits0 := eval.Checks, eval.ArcVisits
+	base := *eval
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		walk()
 	}
 	b.StopTimer()
-	checks := float64(eval.Checks - checks0)
+	checks := float64(eval.Checks - base.Checks)
+	visits := float64(eval.ArcVisits - base.ArcVisits)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/checks, "ns/check")
-	b.ReportMetric(float64(eval.ArcVisits-visits0)/checks, "arcvisits/check")
+	b.ReportMetric(visits/checks, "arcvisits/check")
+	b.ReportMetric(float64(eval.UpRebuilds-base.UpRebuilds)/checks, "rebuilt-switches/check")
+	b.ReportMetric(float64(eval.ArcVisitsInPlace-base.ArcVisitsInPlace)/visits, "allup-share")
+}
+
+// BenchmarkCheckPortReject measures the check's cheapest exit on the same
+// fabric: suite E's port-infeasible corner, where V2 grid blocks are
+// undrained before any V1 block is drained and every state puts a spine
+// switch over its port budget. Half the checks of a plan-large search end
+// this way (522 of 1013), before a single demand is routed, so what they
+// cost is what following the view costs. One iteration walks the undrain
+// blocks from the initial state, one Check per block.
+func BenchmarkCheckPortReject(b *testing.B) {
+	s, err := klotski.Suite("E", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var undrains []int
+	for ty, info := range s.Task.Types {
+		if info.Op == klotski.Undrain {
+			undrains = append(undrains, s.Task.BlocksOfType(klotski.ActionType(ty))...)
+		}
+	}
+	eval := klotski.NewEvaluator(s.Task.Topo)
+	view := s.Task.Topo.NewView()
+	walk := func() {
+		view.Reset()
+		for _, blk := range undrains {
+			s.Task.Apply(view, blk)
+			if viol := eval.Check(view, &s.Task.Demands, klotski.CheckOpts{}); viol.Kind != routing.ViolationPorts {
+				b.Fatalf("undrain-first state answered %v, want a port violation", viol)
+			}
+		}
+	}
+	walk()
+	base := *eval
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walk()
+	}
+	b.StopTimer()
+	checks := float64(eval.Checks - base.Checks)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/checks, "ns/check")
+	b.ReportMetric(float64(eval.UpRebuilds-base.UpRebuilds)/checks, "rebuilt-switches/check")
+	b.ReportMetric(float64(eval.BFSes-base.BFSes)/checks, "searches/check")
 }
 
 // TestEvaluatorFootprintSuiteE bounds what an evaluator costs a process on

@@ -37,12 +37,12 @@
 // The engine is long-lived: Bind compares the caller's constraint
 // signatures against the cut set's provenance. A structural change
 // (θ, split policy, topology outages, budgets) invalidates everything; a
-// pure demand change keeps structural cuts (occupancy rejections, which
-// are demand-independent) and drops the rest, so replanning after demand
-// drift starts warm. Tables are frozen per seal epoch: cuts learned
-// mid-run make the NEXT seal's tables sharper but never mutate the
-// tables a live run is pruning against, which keeps pruning decisions
-// deterministic within a run.
+// pure demand change keeps structural cuts (occupancy and port-budget
+// rejections, which are demand-independent) and drops the rest, so
+// replanning after demand drift starts warm. Tables are frozen per seal
+// epoch: cuts learned mid-run make the NEXT seal's tables sharper but never
+// mutate the tables a live run is pruning against, which keeps pruning
+// decisions deterministic within a run.
 //
 // The engine is not safe for concurrent use; the planners call it only
 // from the planner goroutine (worker lanes never touch it).
@@ -110,7 +110,7 @@ type Engine struct {
 
 const (
 	cutKnown      uint8 = 1 << 0 // vector verified infeasible
-	cutStructural uint8 = 1 << 1 // rejection independent of demand (occupancy)
+	cutStructural uint8 = 1 << 1 // rejection independent of demand (occupancy, ports)
 )
 
 // maxLatticeFloats bounds the dense tables: nVec·n float64 slots per
@@ -211,8 +211,9 @@ func (e *Engine) Arm(initial []uint16, last int) {
 }
 
 // Learn records an infeasible boundary vector as a cut. structural marks
-// cuts whose rejection is demand-independent (occupancy/space budget),
-// letting them survive demand drift. Returns true when the cut is new.
+// cuts whose rejection is demand-independent (occupancy/space budget, or
+// a switch's port budget), letting them survive demand drift. Returns true
+// when the cut is new.
 func (e *Engine) Learn(vec []uint16, structural bool) bool {
 	if e.nVec == 0 {
 		return false

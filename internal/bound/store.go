@@ -5,11 +5,11 @@ import "sync"
 // Store shares STRUCTURAL cuts across engines — and therefore across
 // concurrently planning fleet members working the same fabric structure.
 //
-// A structural cut records an occupancy/space-budget rejection: a lattice
-// vector that is infeasible for purely demand-independent reasons. That
-// fact holds for every plan over the same structure regardless of the
-// demand set it plans against, which is exactly why Bind keeps structural
-// cuts across demand-only rebinds. The store extends the same reasoning
+// A structural cut records an occupancy/space-budget or port-budget
+// rejection: a lattice vector that is infeasible for purely
+// demand-independent reasons. That fact holds for every plan over the same
+// structure regardless of the demand set it plans against, which is exactly
+// why Bind keeps structural cuts across demand-only rebinds. The store extends the same reasoning
 // across engine instances: each engine publishes the structural cuts it
 // learns into a shard keyed by its structural signature, and Bind pulls
 // the shard's accumulated cuts into the engine it is (re)binding.

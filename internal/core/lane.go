@@ -57,10 +57,11 @@ type lane struct {
 	// a lane-private struct for workers.
 	m *Metrics
 
-	// occRejected reports whether the most recent failing check was
-	// rejected by the occupancy budget — a demand-independent (structural)
-	// verdict the bound engine keeps across demand drift.
-	occRejected bool
+	// structRejected reports whether the most recent failing check was
+	// rejected by the occupancy budget or by a switch's port budget — both
+	// demand-independent (structural) verdicts the bound engine keeps
+	// across demand drift.
+	structRejected bool
 }
 
 // newLane builds a check lane over sp. eval supplies the routing evaluator
@@ -126,7 +127,7 @@ func (ln *lane) fold() {
 func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) bool {
 	sp := ln.sp
 	ln.m.Checks++
-	ln.occRejected = false
+	ln.structRejected = false
 	var checkStart time.Time
 	if ln.rec.Enabled() {
 		checkStart = time.Now()
@@ -137,7 +138,7 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 	if sp.occDelta != nil && !ln.occupancyOK(v) {
 		// The evaluator never saw this view; incVec intentionally stays at
 		// the memoized state so the next delta is computed from it.
-		ln.occRejected = true
+		ln.structRejected = true
 		return false
 	}
 
@@ -162,8 +163,7 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 			// too. A nil incVec forces a full rebuild should the engine ever
 			// be re-armed.
 			ln.incVec = nil
-			viol := ln.eval.Check(ln.view, sp.demands, copts)
-			return viol.OK()
+			return ln.verdict(ln.eval.Check(ln.view, sp.demands, copts))
 		}
 		ln.collectTouched(v)
 		inv0, reu0 := ln.eval.GroupInvalidations, ln.eval.GroupsReused
@@ -180,9 +180,17 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 			ln.rec.IncDisable()
 		}
 		ln.incVec = append(ln.incVec[:0], v...)
-		return viol.OK()
+		return ln.verdict(viol)
 	}
-	viol := ln.eval.Check(ln.view, sp.demands, copts)
+	return ln.verdict(ln.eval.Check(ln.view, sp.demands, copts))
+}
+
+// verdict folds an evaluator verdict into the lane's: the state is safe
+// iff there is no violation, and a port violation — which every evaluator
+// path answers before it routes a single demand — marks the rejection
+// structural.
+func (ln *lane) verdict(viol routing.Violation) bool {
+	ln.structRejected = viol.Kind == routing.ViolationPorts
 	return viol.OK()
 }
 

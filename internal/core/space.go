@@ -298,8 +298,8 @@ func sigMix(h, x uint64) uint64 {
 
 // boundStructSig fingerprints every demand-independent input that shapes
 // boundary verdicts: θ, α, split policy, funneling, run cap, space
-// budgets, topology element activity (outages), and the task shape. Any
-// change invalidates the engine's entire cut set.
+// budgets, topology element activity (outages), port budgets, and the task
+// shape. Any change invalidates the engine's entire cut set.
 func (sp *space) boundStructSig() uint64 {
 	h := sigOffset
 	h = sigMix(h, math.Float64bits(sp.opts.Theta))
@@ -346,6 +346,11 @@ func (sp *space) boundStructSig() uint64 {
 	if nb > 0 {
 		h = sigMix(h, w)
 	}
+	// Port budgets: a port rejection is learned as a structural cut, so the
+	// budgets it was judged against belong to the structure.
+	for i := 0; i < t.NumSwitches(); i++ {
+		h = sigMix(h, uint64(int64(t.Switch(topo.SwitchID(i)).Ports)))
+	}
 	for _, tot := range sp.totals {
 		h = sigMix(h, uint64(tot))
 	}
@@ -354,7 +359,7 @@ func (sp *space) boundStructSig() uint64 {
 
 // boundDemandSig fingerprints the demand matrix and growth model — the
 // inputs whose drift invalidates demand-dependent cuts while structural
-// (occupancy) cuts survive.
+// (occupancy and port) cuts survive.
 func (sp *space) boundDemandSig() uint64 {
 	h := sigOffset
 	for i := range sp.demands.Demands {
@@ -779,7 +784,7 @@ func (sp *space) feasible(vecIdx int32, last migration.ActionType) bool {
 	}
 	sp.feasT.set(vecIdx, res)
 	if !ok && sp.bd != nil {
-		sp.bd.Learn(sp.vec(vecIdx), sp.ln.occRejected)
+		sp.bd.Learn(sp.vec(vecIdx), sp.ln.structRejected)
 	}
 	return ok
 }

@@ -137,6 +137,9 @@ type incMemo struct {
 
 	total  []float64 // per directional index: sum of group contributions
 	upMemo []bool    // per circuit: up-state in the memoized view
+	// upEpoch is the evaluator's up-state epoch as of the memo's last sync:
+	// while the two agree, the up state still reflects the anchor view.
+	upEpoch int
 
 	// Slab backing for every group's dist and hasFlow. One allocation per
 	// rebuild (amortized to zero once capacity sticks) instead of two per
@@ -145,11 +148,9 @@ type incMemo struct {
 	distSlab []int32
 	flowSlab Bitset
 
-	portOver []bool // per switch: over its port budget
-	nPort    int
-	over     []bool // per circuit: over the utilization bound
-	nOver    int
-	unreach  int // total unreachable demands across groups
+	over    []bool // per circuit: over the utilization bound
+	nOver   int
+	unreach int // total unreachable demands across groups
 
 	// Epoch-stamped scratch marks (one epoch per delta) and reusable lists.
 	epoch   uint32
@@ -157,7 +158,6 @@ type incMemo struct {
 	swMark  []uint32
 	ckMark  []uint32
 	transCk []topo.CircuitID
-	degCh   []topo.SwitchID // endpoints of this delta's transitions, each once
 	marked  []int32
 	batch   []int32 // one recompute batch: the dirty groups gathered by incDistances
 
@@ -175,17 +175,15 @@ func (e *Evaluator) ensureInc() *incMemo {
 	if e.inc == nil {
 		n, m := e.t.NumSwitches(), e.t.NumCircuits()
 		e.inc = &incMemo{
-			total:    make([]float64, 2*m),
-			upMemo:   make([]bool, m),
-			portOver: make([]bool, n),
-			over:     make([]bool, m),
-			liMark:   make([]uint32, 2*m),
-			swMark:   make([]uint32, n),
-			ckMark:   make([]uint32, m),
+			total:  make([]float64, 2*m),
+			upMemo: make([]bool, m),
+			over:   make([]bool, m),
+			liMark: make([]uint32, 2*m),
+			swMark: make([]uint32, n),
+			ckMark: make([]uint32, m),
 			// Delta scratch at its worst-case sizes up front, so delta
 			// passes never grow-and-copy short-lived arrays.
 			transCk: make([]topo.CircuitID, 0, m),
-			degCh:   make([]topo.SwitchID, 0, n),
 			marked:  make([]int32, 0, 2*m),
 		}
 	}
@@ -320,7 +318,10 @@ func (e *Evaluator) CheckDemandDelta(v *topo.View, changed []int32, ds *demand.S
 		e.incRescale(scale)
 	}
 	m.nextEpoch()
-	e.restoreUp()
+	if m.upEpoch != e.upEpoch { // a classic check of another view came in between
+		e.syncUp(v)
+		m.upEpoch = e.upEpoch
+	}
 
 	// Mark the owning destination group of every changed demand dirty. The
 	// destination index is sorted, so a binary search per changed index
@@ -343,12 +344,8 @@ func (e *Evaluator) CheckDemandDelta(v *topo.View, changed []int32, ds *demand.S
 
 	// Port state is rate-independent, but the classic check answers port
 	// violations first; preserve that order.
-	if m.nPort > 0 {
-		for i, over := range m.portOver {
-			if over {
-				return Violation{Kind: ViolationPorts, Switch: topo.SwitchID(i)}
-			}
-		}
+	if viol := e.portViolation(); !viol.OK() {
+		return viol
 	}
 	if viol, aborted := e.incRecomputeDirty(v, ds, theta, opts.Split); aborted {
 		return viol
@@ -496,20 +493,12 @@ func (e *Evaluator) incRebuild(v *topo.View, ds *demand.Set, theta float64, spli
 	t := e.t
 	n := t.NumSwitches()
 
-	// Up state and port flags. The evaluator's up bits mirror the memo
-	// anchor from here on.
-	e.buildUp(v)
-	e.upForMemo = true
+	// Up state (and with it the port flags), then the per-circuit up flags
+	// the next delta reads its transitions from.
+	e.syncUp(v)
+	m.upEpoch = e.upEpoch
 	for c := range m.upMemo {
 		m.upMemo[c] = v.CircuitUp(topo.CircuitID(c))
-	}
-	m.nPort = 0
-	for i := 0; i < n; i++ {
-		over := e.ports[i] > 0 && e.upDegree(int32(i)) > e.ports[i]
-		m.portOver[i] = over
-		if over {
-			m.nPort++
-		}
 	}
 
 	// Group placements and totals, folded in ascending group order.
@@ -635,10 +624,10 @@ func (e *Evaluator) incPlaceGroup(v *topo.View, g *incGroup, ds *demand.Set, spl
 	}
 }
 
-// incDelta applies a touched-element delta to the memo: update port state
-// on circuits whose up-state flipped, mark groups whose placement a flipped
-// circuit can affect as dirty, recompute them, and re-verify bounds on the
-// circuits whose totals changed.
+// incDelta applies a touched-element delta to the memo: bring the up state
+// in step with the view, mark groups whose placement a flipped circuit can
+// affect as dirty, recompute them, and re-verify bounds on the circuits whose
+// totals changed.
 //
 // Like the classic path, the recompute pass exits at the first violation it
 // proves (aborted=true with the violation): remaining dirty groups stay
@@ -650,15 +639,16 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 	m := e.inc
 	t := e.t
 	ep := m.nextEpoch()
-	e.restoreUp()
+	// The up state follows the view by content, whatever this evaluator
+	// checked last — the memo's anchor or, through a classic call in
+	// between, some other view — and carries the port flags with it.
+	e.syncUp(v)
+	m.upEpoch = e.upEpoch
 
-	// 1. Diff circuit up-states, collecting actual transitions, then rebuild
-	// the up bits of every switch a transition touches and refresh its port
-	// flag. Note upMemo holds the OLD state until a circuit's entry
-	// is overwritten here, so the analysis below reads the transition
-	// direction from the updated value.
+	// 1. Diff circuit up-states, collecting actual transitions. Note upMemo
+	// holds the OLD state until a circuit's entry is overwritten here, so the
+	// analysis below reads the transition direction from the updated value.
 	trans := m.transCk[:0]
-	degCh := m.degCh[:0]
 	for _, c := range touchedCk {
 		if m.ckMark[c] == ep {
 			continue
@@ -671,26 +661,8 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 		m.upMemo[c] = up
 		trans = append(trans, c)
 		ck := t.Circuit(c)
-		for _, s := range [2]topo.SwitchID{ck.A, ck.B} {
-			if m.swMark[s] != ep {
-				m.swMark[s] = ep
-				degCh = append(degCh, s)
-			}
-		}
+		m.swMark[ck.A], m.swMark[ck.B] = ep, ep
 	}
-	for _, s := range degCh {
-		e.setSwitchUp(s, m.upMemo)
-		over := e.ports[s] > 0 && e.upDegree(int32(s)) > e.ports[s]
-		if over != m.portOver[s] {
-			m.portOver[s] = over
-			if over {
-				m.nPort++
-			} else {
-				m.nPort--
-			}
-		}
-	}
-	m.degCh = degCh[:0]
 
 	// 2. Mark the touched switches for the inactive-destination probe. The
 	// endpoints marked above are touched switches too under the caller's
@@ -767,12 +739,8 @@ func (e *Evaluator) incDelta(v *topo.View, touchedSw []topo.SwitchID, touchedCk 
 
 	// Port violations outrank routing ones in the classic check order, so
 	// answer them before paying for any group recompute; dirty groups wait.
-	if m.nPort > 0 {
-		for i, over := range m.portOver {
-			if over {
-				return Violation{Kind: ViolationPorts, Switch: topo.SwitchID(i)}, true
-			}
-		}
+	if viol := e.portViolation(); !viol.OK() {
+		return viol, true
 	}
 
 	return e.incRecomputeDirty(v, ds, theta, split)
@@ -920,28 +888,12 @@ func (e *Evaluator) supported(g *incGroup, s topo.SwitchID) bool {
 	return false
 }
 
-// restoreUp makes the up bits mirror the memo's anchor view again after a
-// classic run overwrote them.
-func (e *Evaluator) restoreUp() {
-	if e.upForMemo {
-		return
-	}
-	for s := range e.ports {
-		e.setSwitchUp(topo.SwitchID(s), e.inc.upMemo)
-	}
-	e.upForMemo = true
-}
-
 // incVerdict synthesizes a Violation from the memo's counters, scanning for
 // a concrete offending element only when a counter is non-zero.
 func (e *Evaluator) incVerdict(v *topo.View, ds *demand.Set) Violation {
 	m := e.inc
-	if m.nPort > 0 {
-		for i, over := range m.portOver {
-			if over {
-				return Violation{Kind: ViolationPorts, Switch: topo.SwitchID(i)}
-			}
-		}
+	if viol := e.portViolation(); !viol.OK() {
+		return viol
 	}
 	if m.unreach > 0 {
 		for gi := range m.groups {

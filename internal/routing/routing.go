@@ -12,10 +12,18 @@
 // even when the set has hundreds of entries), and a full check does three
 // things (traverse.go):
 //
-//  1. records the up state of the view once, as one bit per arc in each
-//     switch's adjacency order — O(|arcs|), no per-circuit or per-switch
-//     flag is tested again after it, and an evaluator (or fork) owns
-//     |arcs|/8 bytes of it rather than a copy of the arcs;
+//  1. brings the up state in step with the view: one bit per arc in each
+//     switch's adjacency order, plus, per switch, whether every arc is up
+//     and whether the switch is over its port budget. The evaluator keeps
+//     its own copy of the activity flags that state was derived from and
+//     compares the view's flags against it by content, so the work is a
+//     flag comparison plus a rebuild of the switches the difference
+//     reaches — on a planner lane, where consecutive checks differ by one
+//     block, about 2 % of a large fabric — and no caller has to say which
+//     view it is passing or what changed in it. The port constraint is
+//     answered from the same pass. No per-circuit or per-switch flag is
+//     tested again after it, and an evaluator (or fork) owns |arcs|/8 bytes
+//     of mask rather than a copy of the arcs;
 //  2. computes every group's distance field in ONE bit-parallel traversal
 //     per batch of up to 64 destinations: a switch's arcs are scanned once
 //     per distinct distance at which any destination of the batch settles
@@ -23,7 +31,10 @@
 //     most destinations reach a given switch at one of two or three
 //     distances, so the scan count is a small multiple of |arcs| instead of
 //     |D_dst|·|arcs| (suite E × 0.25, 14 groups: 29 k arc visits per check
-//     against 135 k for one search per destination);
+//     against 135 k for one search per destination). A switch with every arc
+//     up — seven visits in ten on that fabric — is scanned by ranging over
+//     its static arcs in place; only a switch with a down arc is scanned
+//     through its mask. Same arcs, same order;
 //  3. places each group's flow with a sweep that visits only the switches
 //     carrying that group's flow, so its cost is the degree sum of those
 //     switches, not of the fabric.
@@ -185,16 +196,20 @@ type Evaluator struct {
 	caps    []float64 // per-circuit capacity
 	ports   []int32   // per-switch port budget, 0 = unconstrained
 
-	// Up state of the view being checked: one bit per static arc, each
-	// switch's bits starting on a word of its own (see upWords). Built once
-	// per check (buildUp) or kept in step with the incremental memo's anchor
-	// view switch by switch (setSwitchUp), so no traversal ever tests a
-	// per-circuit flag. A switch's popcount is its up-circuit count for the
-	// port constraint.
-	upBits []uint64
-	// upForMemo records whether upBits currently mirrors the incremental
-	// memo's anchor view; a classic run overwrites it and clears the flag.
-	upForMemo bool
+	// Up state of the view last synced (syncUp): one bit per static arc, each
+	// switch's bits starting on a word of its own (see upWords), so no
+	// traversal ever tests a per-circuit flag; per switch, whether all its
+	// arcs are up and whether it is over its port budget (swFlags), and how
+	// many switches are over (nOver). swFlags' swActive bits and seenCk are
+	// the evaluator's own copy of the activity flags all of that was derived
+	// from: syncUp diffs the next view against them and rebuilds only the
+	// switches the difference reaches. All-zero is the all-drained view and
+	// its up state at once, so a fresh evaluator is in sync by construction.
+	upBits  []uint64
+	swFlags []uint8
+	nOver   int
+	seenCk  []bool
+	upEpoch int // advanced by every sync that changed the up state
 
 	// Traversal scratch (traverse.go), allocated on first use and per Fork.
 	trav traversal
@@ -215,6 +230,8 @@ type Evaluator struct {
 	Checks             int // number of Check/Evaluate/CheckDelta calls
 	BFSes              int // number of per-destination distance fields computed
 	ArcVisits          int // arcs scanned by the distance traversals
+	ArcVisitsInPlace   int // … of which at switches with every arc up, ranged over in place
+	UpRebuilds         int // switch up masks rebuilt to follow a view
 	GroupInvalidations int // destination groups recomputed by CheckDelta
 	GroupsReused       int // destination groups served from the memo
 	IncRebuilds        int // CheckDelta calls that fell back to a full rebuild
@@ -260,6 +277,8 @@ func NewEvaluator(t *topo.Topology) *Evaluator {
 // initScratch allocates the per-evaluator mutable state every check needs.
 func (e *Evaluator) initScratch() {
 	e.upBits = make([]uint64, e.wordOff[len(e.ports)])
+	e.swFlags = make([]uint8, len(e.ports))
+	e.seenCk = make([]bool, len(e.caps))
 	e.load = make([]float64, 2*len(e.caps))
 }
 
@@ -311,22 +330,16 @@ func (e *Evaluator) run(v *topo.View, ds *demand.Set, opts CheckOpts, earlyExit 
 		theta = 0.75
 	}
 
-	// Record the state's up arcs once; every traversal below reads them.
-	e.buildUp(v)
-	// Port constraints (Eq. 6): the number of up circuits on a switch must
-	// not exceed its physical port budget.
-	var pending Violation
-	for i, p := range e.ports {
-		if p > 0 && e.upDegree(int32(i)) > p {
-			pending = Violation{Kind: ViolationPorts, Switch: topo.SwitchID(i)}
-			if earlyExit {
-				return pending
-			}
-			// Record the first port violation but keep evaluating so the
-			// caller still gets full placement statistics.
-			break
-		}
+	// Bring the up arcs in step with the view; every traversal below reads
+	// them. Port constraints (Eq. 6) fall out of the same pass: the number of
+	// up circuits on a switch must not exceed its physical port budget.
+	e.syncUp(v)
+	pending := e.portViolation()
+	if earlyExit && !pending.OK() {
+		return pending
 	}
+	// Otherwise the first port violation is recorded but evaluation goes on,
+	// so the caller still gets full placement statistics.
 	return e.evalDemands(v, ds, opts, theta, earlyExit, res, pending)
 }
 

@@ -7,7 +7,9 @@ import (
 )
 
 // This file holds the evaluator's two traversal primitives — the only code
-// in the package that walks the fabric — and the up mask both of them read. The classic check, the incremental memo's group recompute and
+// in the package that walks the fabric — and the up state both of them read,
+// which syncUp keeps in step with whatever view is checked and which nothing
+// else writes. The classic check, the incremental memo's group recompute and
 // Trace all go through them.
 //
 //   - distances is one level-synchronous, bit-parallel traversal for up to
@@ -98,52 +100,125 @@ type traversal struct {
 	vals  []float64
 }
 
+// Per-switch flags of the up state (Evaluator.swFlags), written by
+// rebuildSwitch together with the switch's mask words.
+const (
+	// swActive: the switch's activity flag in the view last synced.
+	swActive uint8 = 1 << iota
+	// swAllUp: the switch is active and every static arc of it is up, so a
+	// loop over its up arcs may range over the static arcs in place instead
+	// of walking the mask. Same arcs, same (adjacency) order.
+	swAllUp
+	// swOver: the switch has more up circuits than its port budget.
+	swOver
+	// swStale: syncUp scratch — the switch awaits a rebuild in the call under
+	// way. Clear between calls.
+	swStale
+)
+
 // upWords returns the up mask of switch s and its static arcs: bit j of
 // word k is set iff arcs[64k+j] is up. Every loop over a switch's up arcs
-// walks the set bits in ascending order, which is the switch's adjacency
-// order.
+// visits them in ascending order, which is the switch's adjacency order —
+// by walking the set bits, or by ranging over arcs when the switch is
+// flagged swAllUp.
 func (e *Evaluator) upWords(s int32) (words []uint64, arcs []arc) {
 	return e.upBits[e.wordOff[s]:e.wordOff[s+1]], e.arcs[e.arcOff[s]:e.arcOff[s+1]]
 }
 
-// upDegree returns the number of up circuits at switch s.
-func (e *Evaluator) upDegree(s int32) int32 {
-	n := 0
-	for _, w := range e.upBits[e.wordOff[s]:e.wordOff[s+1]] {
-		n += bits.OnesCount64(w)
-	}
-	return int32(n)
-}
-
-// buildUp records the up state of every arc for the view: an arc is up iff
-// its circuit's flag and both endpoint switches' flags are set. It reads the
-// view's flag arrays and the static arcs' endpoints, never a Circuit struct.
-func (e *Evaluator) buildUp(v *topo.View) {
-	e.upForMemo = false
+// syncUp makes the up state — mask, per-switch flags and over-budget count —
+// reflect the view, paying for what differs from the state it reflected
+// before. The evaluator keeps its own copy of the activity flags the mask was
+// built from (swActive per switch, seenCk per circuit) and compares the
+// view's flags against it by content, so any view may follow any other (a
+// lane's, the audit's, a Reset or CopyFrom one) with no cooperation from the
+// caller. A switch's words depend on its own flag, its circuits' flags and
+// its neighbours' flags, hence the rebuild set: every switch that flipped,
+// each of its static neighbours, and both endpoints of every circuit that
+// flipped. A fresh evaluator's copy is all-drained, which the zero mask
+// reflects exactly, so its first call is this same diff finding every active
+// element flipped; nothing else ever writes the mask.
+func (e *Evaluator) syncUp(v *topo.View) {
 	sw, ck := v.Activity()
-	for s := range e.ports {
-		words, arcs := e.upWords(int32(s))
-		clear(words)
-		if !sw[s] {
+	flags := e.swFlags[:len(sw)]
+	stale := false
+	for s, on := range sw {
+		if on == (flags[s]&swActive != 0) {
 			continue
 		}
+		stale = true
+		flags[s] |= swStale
+		for _, a := range e.arcs[e.arcOff[s]:e.arcOff[s+1]] {
+			flags[a.other] |= swStale
+		}
+	}
+	seen := e.seenCk[:len(ck)]
+	for c, on := range ck {
+		if on == seen[c] {
+			continue
+		}
+		seen[c] = on
+		stale = true
+		cc := e.t.Circuit(topo.CircuitID(c))
+		flags[cc.A] |= swStale
+		flags[cc.B] |= swStale
+	}
+	if !stale {
+		return
+	}
+	e.upEpoch++
+	for s, f := range flags {
+		if f&swStale != 0 {
+			e.rebuildSwitch(int32(s), sw, ck)
+		}
+	}
+}
+
+// rebuildSwitch derives the up state of switch s from the activity flags: an
+// arc is up iff its circuit's flag and both endpoint switches' flags are
+// set. It reads the flag arrays and the static arcs' endpoints, never a
+// Circuit struct. The number of up arcs is the switch's up-circuit count for
+// the port constraint (Eq. 6).
+func (e *Evaluator) rebuildSwitch(s int32, sw, ck []bool) {
+	e.UpRebuilds++
+	words, arcs := e.upWords(s)
+	clear(words)
+	var f uint8
+	n := 0
+	if sw[s] {
+		f = swActive
 		for j, a := range arcs {
 			if ck[a.li>>1] && sw[a.other] {
 				words[j>>6] |= 1 << (j & 63)
+				n++
 			}
 		}
-	}
-}
-
-// setSwitchUp rebuilds one switch's up mask from per-circuit up flags.
-func (e *Evaluator) setSwitchUp(s topo.SwitchID, up []bool) {
-	words, arcs := e.upWords(int32(s))
-	clear(words)
-	for j, a := range arcs {
-		if up[a.li>>1] {
-			words[j>>6] |= 1 << (j & 63)
+		if n == len(arcs) {
+			f |= swAllUp
 		}
 	}
+	if e.swFlags[s]&swOver != 0 {
+		e.nOver--
+	}
+	if p := e.ports[s]; p > 0 && int32(n) > p {
+		f |= swOver
+		e.nOver++
+	}
+	e.swFlags[s] = f // and no longer stale
+}
+
+// portViolation returns the port violation of the synced view: the
+// lowest-numbered switch over its budget, found by a scan that runs only
+// when some switch is over. The zero Violation means every switch fits.
+func (e *Evaluator) portViolation() Violation {
+	if e.nOver == 0 {
+		return Violation{}
+	}
+	for s, f := range e.swFlags {
+		if f&swOver != 0 {
+			return Violation{Kind: ViolationPorts, Switch: topo.SwitchID(s)}
+		}
+	}
+	panic("routing: internal error: over-budget count without an over-budget switch")
 }
 
 // at returns the in-flight level at distance d, creating it if needed. Few
@@ -222,7 +297,7 @@ func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
 		lv.mask = append(lv.mask, 1<<uint(i))
 	}
 
-	visits := 0
+	visits, inPlace := 0, 0
 	for len(q.active) > 0 {
 		lv := q.active[0]
 		q.active = q.active[:copy(q.active, q.active[1:])]
@@ -240,26 +315,23 @@ func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
 				fields[bits.TrailingZeros64(b)][w] = d + 1
 			}
 			words, arcs := e.upWords(w)
+			if e.swFlags[w]&swAllUp != 0 {
+				for i := range arcs {
+					a := &arcs[i]
+					if cand := next.offer(a, fm, d, settled, last); cand != 0 {
+						next = q.push(next, a.other, d+a.metric, cand, last)
+					}
+				}
+				visits += len(arcs)
+				inPlace += len(arcs)
+				continue
+			}
 			for k, bw := range words {
+				visits += bits.OnesCount64(bw)
 				for ; bw != 0; bw &= bw - 1 {
 					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
-					visits++
-					cand := fm &^ settled[a.other]
-					if cand == 0 {
-						continue
-					}
-					nd := d + a.metric
-					if next == nil || next.d != nd {
-						next = q.at(nd)
-					}
-					// last is only a hint: it is right iff that slot of the
-					// level holds this switch, so it never needs resetting.
-					if p := int(last[a.other]); p < len(next.sw) && next.sw[p] == a.other {
-						next.mask[p] |= cand
-					} else {
-						last[a.other] = int32(len(next.sw))
-						next.sw = append(next.sw, a.other)
-						next.mask = append(next.mask, cand)
+					if cand := next.offer(a, fm, d, settled, last); cand != 0 {
+						next = q.push(next, a.other, d+a.metric, cand, last)
 					}
 				}
 			}
@@ -267,6 +339,48 @@ func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
 		q.release(lv)
 	}
 	e.ArcVisits += visits
+	e.ArcVisitsInPlace += inPlace
+}
+
+// offer is the body both scans of distances — in place and over the mask —
+// run per up arc. The destinations fm settled a switch at distance d and are
+// offered to the peer of its arc a, which keeps those it has not settled yet.
+// lv is the level the previous arc queued into (nil before the first): when
+// it is the level at d + metric and holds the peer's pending pair, the
+// candidates merge into that pair here and offer returns 0; otherwise it
+// returns them for push to queue. The split keeps the two common outcomes —
+// nothing to offer, merge — inlined in the scan and calls out only for a new
+// pair or a change of level.
+func (lv *level) offer(a *arc, fm uint64, d int32, settled []uint64, last []int32) uint64 {
+	cand := fm &^ settled[a.other]
+	if cand == 0 || lv == nil || lv.d != d+a.metric {
+		return cand
+	}
+	// last is only a hint: it is right iff that slot of the level holds this
+	// switch, so it never needs resetting.
+	if p := int(last[a.other]); p < len(lv.sw) && lv.sw[p] == a.other {
+		lv.mask[p] |= cand
+		return 0
+	}
+	return cand
+}
+
+// push queues the candidates offer returned for switch w at distance nd,
+// looking the level up unless lv is it: merged into w's pending pair there if
+// it has one, as a new pair otherwise. It returns the level used and leaves
+// the merge hint for offer.
+func (q *levelQueue) push(lv *level, w, nd int32, cand uint64, last []int32) *level {
+	if lv == nil || lv.d != nd {
+		lv = q.at(nd)
+	}
+	if p := int(last[w]); p < len(lv.sw) && lv.sw[p] == w {
+		lv.mask[p] |= cand
+		return lv
+	}
+	last[w] = int32(len(lv.sw))
+	lv.sw = append(lv.sw, w)
+	lv.mask = append(lv.mask, cand)
+	return lv
 }
 
 // batchDistances runs distances for the active destinations among dsts

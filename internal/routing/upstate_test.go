@@ -1,0 +1,394 @@
+package routing
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"klotski/internal/demand"
+	"klotski/internal/topo"
+)
+
+// upHarness drives long-lived evaluators through arbitrary sequences of view
+// mutations and evaluator calls, and after every call holds the evaluator's
+// up state and its answer against two things that share none of the state
+// under test: the view's own accessors (for the mask, the flags and the
+// count), and a fresh fork of the root evaluator whose all-up flags have been
+// stripped, so that it bit-walks every switch (for violations and loads).
+type upHarness struct {
+	t     testing.TB
+	tp    *topo.Topology
+	sw    []topo.SwitchID // every switch
+	hubs  []topo.SwitchID
+	ds    *demand.Set
+	opts  CheckOpts
+	allCk []topo.CircuitID
+
+	root  *Evaluator
+	evals []*Evaluator
+	views [2]*topo.View
+	saved *topo.View // an earlier state of views[0], to return to
+	ev, v int
+	step  int
+}
+
+// newUpHarness builds a random mesh with two hubs whose up masks span two
+// and three words, port budgets that sit right at the switches' degrees (so
+// single drains move switches on and off the over-budget count), and a
+// dozen demands.
+func newUpHarness(t testing.TB, seed int64) *upHarness {
+	rng := rand.New(rand.NewSource(seed))
+	tp, sw := randomMeshTopo(rng, 24)
+	hubs := sw[:2]
+	for hi, hub := range hubs {
+		for len(tp.Switch(hub).Circuits()) < 70+70*hi {
+			c := tp.AddCircuit(hub, sw[2+rng.Intn(len(sw)-2)], 1+7*rng.Float64())
+			tp.SetMetric(c, int32(1+rng.Intn(3)))
+		}
+	}
+	for _, s := range []topo.SwitchID{sw[0], sw[1], sw[5], sw[9], sw[13]} {
+		tp.SetPorts(s, len(tp.Switch(s).Circuits())-rng.Intn(3))
+	}
+	h := &upHarness{t: t, tp: tp, sw: sw, hubs: hubs, ds: &demand.Set{}, opts: CheckOpts{Theta: 0.9, Split: SplitMode(seed % 2)}}
+	for h.ds.Len() < 12 {
+		if src, dst := sw[rng.Intn(len(sw))], sw[rng.Intn(len(sw))]; src != dst {
+			h.ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", h.ds.Len()), Src: src, Dst: dst, Rate: 0.2 + rng.Float64()})
+		}
+	}
+	for c := 0; c < tp.NumCircuits(); c++ {
+		h.allCk = append(h.allCk, topo.CircuitID(c))
+	}
+	h.root = NewEvaluator(tp)
+	h.evals = []*Evaluator{h.root.Fork()}
+	h.views = [2]*topo.View{tp.NewView(), tp.NewView()}
+	h.saved = tp.NewView()
+	return h
+}
+
+// The operations do understands.
+const (
+	opToggleSwitch = iota
+	opToggleCircuit
+	opToggleHubCircuit // one near a word boundary of a hub's mask
+	opReset
+	opCopyFrom    // the current view becomes a copy of the other
+	opOtherView   // the other view is checked next, on the same evaluator
+	opSaveRestore // even operand: remember this state; odd: go back to it
+	opFork        // even operand: fork; then move to evaluator operand mod n
+	opCheck
+	opEvaluate
+	opCheckDelta
+	opDemandDelta // memo, classic check of the other view, demand delta
+	opEvaluateDelta
+	opTrace
+	upOps
+)
+
+// do runs one operation. op selects it, arg picks its operand.
+func (h *upHarness) do(op byte, arg int) {
+	h.step++
+	e, v := h.evals[h.ev], h.views[h.v]
+	switch op % upOps {
+	case opToggleSwitch:
+		s := h.sw[arg%len(h.sw)]
+		v.SetSwitchActive(s, !v.SwitchActive(s))
+	case opToggleCircuit:
+		c := h.allCk[arg%len(h.allCk)]
+		v.SetCircuitActive(c, !v.CircuitActive(c))
+	case opToggleHubCircuit:
+		cks := h.tp.Switch(h.hubs[arg%2]).Circuits()
+		at := []int{0, 62, 63, 64, 65, 127, 128, len(cks) - 1}[(arg/2)%8]
+		if at < len(cks) {
+			v.SetCircuitActive(cks[at], !v.CircuitActive(cks[at]))
+		}
+	case opReset:
+		v.Reset()
+	case opCopyFrom:
+		v.CopyFrom(h.views[1-h.v])
+	case opOtherView:
+		h.v = 1 - h.v
+	case opSaveRestore:
+		if arg%2 == 0 {
+			h.saved.CopyFrom(v)
+		} else {
+			v.CopyFrom(h.saved)
+		}
+	case opFork:
+		if len(h.evals) < 3 && arg%2 == 0 {
+			h.evals = append(h.evals, e.Fork())
+		}
+		h.ev = arg % len(h.evals)
+	case opCheck:
+		visits := e.ArcVisits
+		viol := e.Check(v, h.ds, h.opts)
+		h.verifyClassic("Check", e, v, viol, nil, e.ArcVisits-visits)
+	case opEvaluate:
+		visits := e.ArcVisits
+		res, viol := e.Evaluate(v, h.ds, h.opts)
+		h.verifyClassic("Evaluate", e, v, viol, &res, e.ArcVisits-visits)
+	case opCheckDelta:
+		viol := h.memo(e).CheckDelta(v, h.sw, h.allCk, h.ds, h.opts)
+		h.verifyMemo("CheckDelta", e, v, viol)
+	case opDemandDelta:
+		// A demand delta on the memo's anchor view, with a classic check of
+		// the other view slipped in between: the up state has to come back.
+		h.memo(e).CheckDelta(v, h.sw, h.allCk, h.ds, h.opts)
+		e.Check(h.views[1-h.v], h.ds, h.opts)
+		h.verifyState("Check (other view)", e, h.views[1-h.v])
+		di := int32(arg % h.ds.Len())
+		rate := h.ds.Demands[di].Rate
+		h.ds.Demands[di].Rate = 1.25 * rate
+		viol := e.CheckDemandDelta(v, []int32{di}, h.ds, h.opts)
+		h.verifyMemo("CheckDemandDelta", e, v, viol)
+		h.ds.Demands[di].Rate = rate
+		e.CheckDemandDelta(v, []int32{di}, h.ds, h.opts)
+	case opEvaluateDelta:
+		_, viol := h.memo(e).EvaluateDelta(v, h.sw, h.allCk, h.ds, h.opts)
+		h.verifyMemo("EvaluateDelta", e, v, viol)
+	case opTrace:
+		d := h.ds.Demands[arg%h.ds.Len()]
+		got, gotErr := e.Trace(v, d.Src, d.Dst)
+		if v.SwitchActive(d.Src) && v.SwitchActive(d.Dst) {
+			h.verifyState("Trace", e, v) // Trace syncs only once both endpoints are active
+		}
+		want, wantErr := h.bitWalker(v).Trace(v, d.Src, d.Dst)
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			h.t.Fatalf("step %d: Trace(%d→%d) = %v, %v; a fresh evaluator gives %v, %v", h.step, d.Src, d.Dst, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// memo returns e with its incremental engine armed: wholesale deltas make
+// the engine switch itself off, after which its entry points are the classic
+// check under another name.
+func (h *upHarness) memo(e *Evaluator) *Evaluator {
+	if e.IncrementalOff() {
+		e.ResetIncremental()
+	}
+	return e
+}
+
+// verifyState holds e's up state against the view, element by element,
+// through the view's public accessors only.
+func (h *upHarness) verifyState(call string, e *Evaluator, v *topo.View) {
+	h.t.Helper()
+	over, first := 0, topo.SwitchID(0)
+	for _, s := range h.sw {
+		words, _ := e.upWords(int32(s))
+		cks := h.tp.Switch(s).Circuits()
+		up := 0
+		for j, c := range cks {
+			bit := words[j>>6]>>(j&63)&1 != 0
+			if bit != v.CircuitUp(c) {
+				h.t.Fatalf("step %d, after %s: switch %d arc %d (circuit %d): mask says up=%v, the view says %v", h.step, call, s, j, c, bit, v.CircuitUp(c))
+			}
+			if bit {
+				up++
+			}
+		}
+		for j := len(cks); j < 64*len(words); j++ {
+			if words[j>>6]>>(j&63)&1 != 0 {
+				h.t.Fatalf("step %d, after %s: switch %d has bit %d set beyond its %d arcs", h.step, call, s, j, len(cks))
+			}
+		}
+		var want uint8
+		if v.SwitchActive(s) {
+			want |= swActive
+			if up == len(cks) {
+				want |= swAllUp
+			}
+		}
+		if p := h.tp.Switch(s).Ports; p > 0 && up > p {
+			want |= swOver
+			if over++; over == 1 {
+				first = s
+			}
+		}
+		if e.swFlags[s] != want {
+			h.t.Fatalf("step %d, after %s: switch %d flags %04b, want %04b (%d of %d arcs up, budget %d)", h.step, call, s, e.swFlags[s], want, up, len(cks), h.tp.Switch(s).Ports)
+		}
+	}
+	if e.nOver != over {
+		h.t.Fatalf("step %d, after %s: over-budget count %d, want %d", h.step, call, e.nOver, over)
+	}
+	var want Violation
+	if over > 0 {
+		want = Violation{Kind: ViolationPorts, Switch: first}
+	}
+	if got := e.portViolation(); got != want {
+		h.t.Fatalf("step %d, after %s: port violation %v, want %v (the lowest-numbered of %d offenders)", h.step, call, got, want, over)
+	}
+}
+
+// bitWalker returns a fresh evaluator in sync with v that takes the mask walk
+// at every switch: its later syncs of the same view find nothing to rebuild,
+// so the stripped flags stay stripped.
+func (h *upHarness) bitWalker(v *topo.View) *Evaluator {
+	w := h.root.Fork()
+	w.syncUp(v)
+	for s := range w.swFlags {
+		w.swFlags[s] &^= swAllUp
+	}
+	return w
+}
+
+// verifyClassic holds a Check or Evaluate answer — violation, result, every
+// directional load, bit for bit — and the arcs it visited against the
+// bit-walking fresh evaluator's.
+func (h *upHarness) verifyClassic(call string, e *Evaluator, v *topo.View, viol Violation, res *Result, visits int) {
+	h.t.Helper()
+	h.verifyState(call, e, v)
+	w := h.bitWalker(v)
+	var wantViol Violation
+	if res == nil {
+		wantViol = w.Check(v, h.ds, h.opts)
+	} else {
+		var wantRes Result
+		wantRes, wantViol = w.Evaluate(v, h.ds, h.opts)
+		if !reflect.DeepEqual(*res, wantRes) {
+			h.t.Fatalf("step %d: %s result %+v, a fresh evaluator gives %+v", h.step, call, *res, wantRes)
+		}
+	}
+	if viol != wantViol {
+		h.t.Fatalf("step %d: %s violation %v, a fresh evaluator gives %v", h.step, call, viol, wantViol)
+	}
+	if visits != w.ArcVisits {
+		h.t.Fatalf("step %d: %s visited %d arcs, the bit walk visits %d", h.step, call, visits, w.ArcVisits)
+	}
+	if w.ArcVisitsInPlace != 0 {
+		h.t.Fatalf("step %d: the reference evaluator ranged over %d arcs in place", h.step, w.ArcVisitsInPlace)
+	}
+	if res == nil && viol.Kind == ViolationPorts {
+		return // rejected before anything was placed: the loads are the previous call's
+	}
+	for _, c := range h.allCk {
+		ab, ba := e.CircuitLoad(c)
+		wab, wba := w.CircuitLoad(c)
+		if math.Float64bits(ab) != math.Float64bits(wab) || math.Float64bits(ba) != math.Float64bits(wba) {
+			h.t.Fatalf("step %d: %s loads circuit %d with (%v, %v), a fresh evaluator with (%v, %v)", h.step, call, c, ab, ba, wab, wba)
+		}
+	}
+}
+
+// verifyMemo holds a memo-path answer against a fresh classic check: the
+// same verdict, and the same violation whenever it is a port violation
+// (which both paths answer first, lowest switch first).
+func (h *upHarness) verifyMemo(call string, e *Evaluator, v *topo.View, viol Violation) {
+	h.t.Helper()
+	h.verifyState(call, e, v)
+	want := h.bitWalker(v).Check(v, h.ds, h.opts)
+	ports := want.Kind == ViolationPorts || viol.Kind == ViolationPorts
+	if viol.OK() != want.OK() || (ports && viol != want) {
+		h.t.Fatalf("step %d: %s answers %v, a fresh classic check %v", h.step, call, viol, want)
+	}
+}
+
+// TestUpMaskFollowsView runs seeded random operation sequences: drains and
+// undrains of switches and circuits, Reset, CopyFrom, two views alternating
+// on up to three evaluators and forks, every evaluator entry point.
+func TestUpMaskFollowsView(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		h := newUpHarness(t, seed)
+		rng := rand.New(rand.NewSource(seed * 7919))
+		for i := 0; i < 400; i++ {
+			op := byte(rng.Intn(upOps))
+			if rng.Intn(3) == 0 { // keep the views from draining away
+				op = byte(rng.Intn(opReset))
+			}
+			h.do(op, rng.Intn(1<<16))
+		}
+	}
+}
+
+// TestUpMaskFlagsAndEarlierStates scripts the transitions a random walk
+// seldom lines up: the last down arc of a three-word hub coming up, a check
+// of an unchanged view, and a view going back to an earlier state.
+func TestUpMaskFlagsAndEarlierStates(t *testing.T) {
+	h := newUpHarness(t, 99)
+	e, v, hub := h.evals[0], h.views[0], h.hubs[1]
+	cks := h.tp.Switch(hub).Circuits()
+	if len(cks) <= 128 {
+		t.Fatalf("hub has %d circuits, want a three-word mask", len(cks))
+	}
+	h.do(opEvaluate, 0)
+	if e.swFlags[hub]&swAllUp == 0 {
+		t.Fatal("undrained hub is not flagged all-up")
+	}
+	v.DrainCircuit(cks[64])
+	v.DrainCircuit(cks[130])
+	h.do(opEvaluate, 0)
+	v.UndrainCircuit(cks[64])
+	h.do(opEvaluate, 0)
+	if e.swFlags[hub]&swAllUp != 0 {
+		t.Fatal("hub with one arc still down is flagged all-up")
+	}
+	v.UndrainCircuit(cks[130]) // the last down arc comes up
+	before := e.UpRebuilds
+	h.do(opEvaluate, 0)
+	if e.swFlags[hub]&swAllUp == 0 {
+		t.Fatal("hub whose last down arc came up is not flagged all-up")
+	}
+	if got := e.UpRebuilds - before; got != 2 {
+		t.Fatalf("one circuit flip rebuilt %d switches, want its 2 endpoints", got)
+	}
+	h.do(opCheck, 0)
+	if got := e.UpRebuilds - before; got != 2 {
+		t.Fatalf("a check of an unchanged view rebuilt %d switches", got-2)
+	}
+
+	// Back to an earlier state, by CopyFrom and by Reset.
+	h.do(opSaveRestore, 0)
+	v.DrainSwitch(h.sw[7])
+	v.DrainCircuit(cks[3])
+	h.do(opCheck, 0)
+	h.do(opSaveRestore, 1)
+	h.do(opEvaluate, 0)
+	v.DrainSwitch(hub)
+	h.do(opCheckDelta, 0)
+	h.do(opReset, 0)
+	h.do(opEvaluate, 0)
+}
+
+// TestUpMaskMemoCoherence alternates two views on one evaluator with the
+// memo's entry points and the classic ones interleaved: the memo no longer
+// writes the up state itself, so every one of its answers rests on the up
+// state having followed the right view.
+func TestUpMaskMemoCoherence(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		h := newUpHarness(t, seed)
+		h.views[1].DrainSwitch(h.sw[4])
+		h.views[1].DrainCircuit(h.tp.Switch(h.hubs[1]).Circuits()[127])
+		for i := 0; i < 12; i++ {
+			h.do(opOtherView, 0)
+			h.do(byte(opCheck+i%3), 0) // Check, Evaluate, CheckDelta
+			h.do(opDemandDelta, i)
+			h.do(opEvaluateDelta, 0)
+			h.do(opTrace, i)
+			h.do(opToggleCircuit, 31*i+int(seed))
+		}
+	}
+}
+
+// FuzzUpMaskFollowsView feeds arbitrary operation sequences — three bytes a
+// step: operation, operand high, operand low — to the same harness.
+func FuzzUpMaskFollowsView(f *testing.F) {
+	// Drain and undrain one switch; a hub circuit at bit 63 down and up; the
+	// memo, then a classic check of the other view; back to an earlier state
+	// and Reset; fork mid-way, CopyFrom, Trace.
+	f.Add([]byte{opEvaluate, 0, 0, opToggleSwitch, 0, 5, opEvaluate, 0, 0, opToggleSwitch, 0, 5, opEvaluate, 0, 0})
+	f.Add([]byte{opToggleHubCircuit, 0, 4, opCheck, 0, 0, opToggleHubCircuit, 0, 4, opCheck, 0, 0})
+	f.Add([]byte{opCheckDelta, 0, 0, opToggleCircuit, 0, 9, opOtherView, 0, 0, opToggleSwitch, 0, 3, opCheck, 0, 0, opOtherView, 0, 0, opDemandDelta, 0, 2})
+	f.Add([]byte{opSaveRestore, 0, 0, opToggleSwitch, 0, 1, opToggleCircuit, 0, 7, opEvaluate, 0, 0, opSaveRestore, 0, 1, opEvaluate, 0, 0, opReset, 0, 0, opEvaluateDelta, 0, 0})
+	f.Add([]byte{opFork, 0, 0, opToggleSwitch, 0, 2, opEvaluate, 0, 0, opFork, 0, 1, opEvaluate, 0, 0, opCopyFrom, 0, 0, opTrace, 0, 3, opEvaluate, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 600 {
+			script = script[:600]
+		}
+		h := newUpHarness(t, 1)
+		for ; len(script) >= 3; script = script[3:] {
+			h.do(script[0], int(script[1])<<8|int(script[2]))
+		}
+	})
+}
