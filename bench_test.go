@@ -248,7 +248,11 @@ func BenchmarkSatisfiabilityCheck(b *testing.B) {
 // rebuilt-switches/check, the switches whose up masks were re-derived to
 // follow the view from one state to the next (the fabric has 1236); and
 // allup-share, the part of arcvisits/check taken at switches with every arc
-// up, which are ranged over in place instead of through the mask.
+// up, which are ranged over in place instead of through the mask;
+// repaired-share, the part of the distance fields the checks used that were
+// the previous check's, repaired, rather than traversed afresh; and
+// repaired-entries/check, the field entries those repairs wrote (14 fields of
+// 1236 entries each stand behind a check).
 func BenchmarkCheckSuiteE(b *testing.B) {
 	s, err := klotski.Suite("E", 0.25)
 	if err != nil {
@@ -281,6 +285,75 @@ func BenchmarkCheckSuiteE(b *testing.B) {
 	b.ReportMetric(visits/checks, "arcvisits/check")
 	b.ReportMetric(float64(eval.UpRebuilds-base.UpRebuilds)/checks, "rebuilt-switches/check")
 	b.ReportMetric(float64(eval.ArcVisitsInPlace-base.ArcVisitsInPlace)/visits, "allup-share")
+	repairs := float64(eval.FieldRepairs - base.FieldRepairs)
+	b.ReportMetric(repairs/(repairs+float64(eval.BFSes-base.BFSes)), "repaired-share")
+	b.ReportMetric(float64(eval.FieldEntriesRepaired-base.FieldEntriesRepaired)/checks, "repaired-entries/check")
+}
+
+// BenchmarkCheckFarJump measures the classic check where the view jumps
+// instead of stepping: one evaluator alternates between suite E's initial
+// state and the state some blocks into the plan, one Check each. "over" picks
+// the fewest blocks that make a jump rebuild more switches than the field
+// repair's cut-over (a sixteenth of the fabric), so every check traverses
+// afresh and must cost what a check cost before fields were retained; "under"
+// picks one block fewer, the farthest jump that is still repaired.
+func BenchmarkCheckFarJump(b *testing.B) {
+	s, err := klotski.Suite("E", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := klotski.PlanAStar(s.Task, klotski.Options{SkipAudit: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cutover := s.Task.Topo.NumSwitches() / 16
+	near, far := s.Task.Topo.NewView(), s.Task.Topo.NewView()
+	// rebuilt counts the switches a jump from the initial state to v rebuilds.
+	rebuilt := func(v *klotski.View) int {
+		eval := klotski.NewEvaluator(s.Task.Topo)
+		eval.Check(near, &s.Task.Demands, klotski.CheckOpts{})
+		before := eval.UpRebuilds
+		eval.Check(v, &s.Task.Demands, klotski.CheckOpts{})
+		return eval.UpRebuilds - before
+	}
+	blocks := 0
+	for rebuilt(far) <= cutover {
+		s.Task.Apply(far, plan.Sequence[blocks])
+		blocks++
+	}
+	under := s.Task.Topo.NewView()
+	for _, blk := range plan.Sequence[:blocks-1] {
+		s.Task.Apply(under, blk)
+	}
+	for _, c := range []struct {
+		name string
+		view *klotski.View
+	}{{"over", far}, {"under", under}} {
+		b.Run(c.name, func(b *testing.B) {
+			eval := klotski.NewEvaluator(s.Task.Topo)
+			jump := func() {
+				eval.Check(near, &s.Task.Demands, klotski.CheckOpts{})
+				eval.Check(c.view, &s.Task.Demands, klotski.CheckOpts{})
+			}
+			jump()
+			base := *eval
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				jump()
+			}
+			b.StopTimer()
+			checks := float64(eval.Checks - base.Checks)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/checks, "ns/check")
+			b.ReportMetric(float64(eval.UpRebuilds-base.UpRebuilds)/checks, "rebuilt-switches/check")
+			b.ReportMetric(float64(eval.ArcVisits-base.ArcVisits)/checks, "arcvisits/check")
+			repairs := float64(eval.FieldRepairs - base.FieldRepairs)
+			b.ReportMetric(repairs/(repairs+float64(eval.BFSes-base.BFSes)), "repaired-share")
+			if c.view == far && repairs != 0 {
+				b.Fatalf("a jump of more than %d rebuilt switches was repaired: the cut-over is no longer a sixteenth", cutover)
+			}
+		})
+	}
 }
 
 // BenchmarkCheckPortReject measures the check's cheapest exit on the same

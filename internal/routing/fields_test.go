@@ -1,0 +1,357 @@
+package routing
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"klotski/internal/demand"
+	"klotski/internal/topo"
+)
+
+// The classic check keeps its distance fields between calls and repairs them
+// around the switches syncUp rebuilt. These tests drive it through upHarness
+// (upstate_test.go), which after every evaluator call holds every retained
+// field against a fresh fork's full traversal, entry by entry, and every
+// classic answer against a fresh evaluator's; what they add is the sequences,
+// and assertions on which way each check came by its fields.
+
+// ladder is a fabric on which one flipped circuit moves a known part of a
+// field: two rails of ladderLen switches, rail a with metric 1 and rail b with
+// metric 2, a rung of metric 1 between them at every eighth position, and
+// three circuits that start drained — a shortcut along rail a, a spare rung,
+// and a third circuit at a switch whose port budget its three others fill.
+type ladder struct {
+	h        *upHarness
+	a, b     []topo.SwitchID
+	railA    []topo.CircuitID // railA[i] joins a[i] and a[i+1]
+	railB    []topo.CircuitID
+	shortcut topo.CircuitID // a[100]–a[120], metric 4
+	spare    topo.CircuitID // a[108]–b[108], metric 1
+	extra    topo.CircuitID // a[116]–b[117]: puts a[116] over its budget
+}
+
+const ladderLen = 128
+
+func newLadder(t testing.TB) *ladder {
+	tp := topo.New("ladder")
+	l := &ladder{}
+	for i := 0; i < ladderLen; i++ {
+		l.a = append(l.a, tp.AddSwitch(topo.Switch{Name: fmt.Sprintf("a%d", i), Role: topo.RoleFSW}))
+	}
+	for i := 0; i < ladderLen; i++ {
+		l.b = append(l.b, tp.AddSwitch(topo.Switch{Name: fmt.Sprintf("b%d", i), Role: topo.RoleFSW}))
+	}
+	wire := func(x, y topo.SwitchID, metric int32) topo.CircuitID {
+		c := tp.AddCircuit(x, y, 100)
+		tp.SetMetric(c, metric)
+		return c
+	}
+	for i := 0; i+1 < ladderLen; i++ {
+		l.railA = append(l.railA, wire(l.a[i], l.a[i+1], 1))
+		l.railB = append(l.railB, wire(l.b[i], l.b[i+1], 2))
+	}
+	for i := 0; i < ladderLen; i += 8 {
+		wire(l.a[i], l.b[i], 1)
+	}
+	wire(l.a[ladderLen-1], l.b[ladderLen-1], 1)
+	l.shortcut = wire(l.a[100], l.a[120], 4)
+	l.spare = wire(l.a[108], l.b[108], 1)
+	l.extra = wire(l.a[116], l.b[117], 1)
+	tp.SetPorts(l.a[116], 2)
+
+	// Every destination sits near the left end, so that what happens at the
+	// right end moves the far part of each field and not all of it.
+	ds := &demand.Set{}
+	for i, d := range []struct{ src, dst topo.SwitchID }{
+		{l.a[127], l.a[0]}, {l.b[127], l.a[0]}, {l.a[30], l.a[0]},
+		{l.a[125], l.b[0]}, {l.b[40], l.b[0]},
+		{l.a[126], l.a[20]}, {l.b[5], l.a[20]},
+		{l.b[124], l.b[28]}, {l.a[2], l.b[28]},
+	} {
+		ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", i), Src: d.src, Dst: d.dst, Rate: 0.5 + 0.1*float64(i)})
+	}
+	sw := append(append([]topo.SwitchID(nil), l.a...), l.b...)
+	l.h = newHarnessOn(t, tp, sw, []topo.SwitchID{l.a[0], l.b[0]}, ds, CheckOpts{Theta: 0.9})
+	for _, v := range l.h.views {
+		v.DrainCircuit(l.shortcut)
+		v.DrainCircuit(l.spare)
+		v.DrainCircuit(l.extra)
+	}
+	return l
+}
+
+// How a classic call is expected to come by its fields.
+const (
+	viaNothing  = "nothing"   // rejected on ports, or nothing changed
+	viaRepair   = "repair"    // retained fields repaired
+	viaTraverse = "traversal" // full traversal, no repair attempted
+	viaGiveUp   = "give-up"   // a repair that ran out of budget, then the traversal
+)
+
+// check runs op (opCheck or opEvaluate) on the current evaluator and view and
+// fails unless the call came by its fields the expected way.
+func (l *ladder) check(op byte, want, what string) pathTaken {
+	l.h.t.Helper()
+	l.h.do(op, 0)
+	p := l.h.last
+	got := viaNothing
+	switch {
+	case p.repaired:
+		got = viaRepair
+	case p.gaveUp:
+		got = viaGiveUp
+	case p.traversed:
+		got = viaTraverse
+	}
+	l.h.t.Logf("%s: by %s, %d visits, %d entries", what, got, p.visits, p.entries)
+	if got != want {
+		l.h.t.Fatalf("%s: fields came by %s (visits %d, entries %d), want by %s", what, got, p.visits, p.entries, want)
+	}
+	return p
+}
+
+func (l *ladder) view() *topo.View { return l.h.views[l.h.v] }
+
+// TestFieldsFollowView scripts, on the ladder, each kind of change a repair
+// has to get right, then runs seeded random sequences on larger meshes.
+func TestFieldsFollowView(t *testing.T) {
+	l := newLadder(t)
+	e, v := l.h.evals[0], l.view()
+	l.check(opEvaluate, viaTraverse, "first check")
+	l.check(opCheck, viaNothing, "unchanged view")
+
+	// Distances that increase, through many levels: rail a cut at 119|120
+	// sends everything beyond it round by rail b.
+	v.DrainCircuit(l.railA[119])
+	if p := l.check(opEvaluate, viaRepair, "rail a cut"); p.entries < 4*8 {
+		t.Fatalf("rail a cut rewrote %d entries, want a cascade in every field", p.entries)
+	}
+	// Distances that decrease, through a circuit that comes up …
+	v.UndrainCircuit(l.shortcut)
+	if p := l.check(opEvaluate, viaRepair, "shortcut up"); p.entries < 20 {
+		t.Fatalf("shortcut rewrote %d entries, want the far part of several fields", p.entries)
+	}
+	v.DrainCircuit(l.shortcut)
+	l.check(opCheck, viaRepair, "shortcut down again")
+	v.UndrainCircuit(l.railA[119])
+	l.check(opCheck, viaRepair, "rail a whole again")
+	// … and through a switch that becomes active.
+	v.DrainSwitch(l.a[122])
+	l.check(opEvaluate, viaRepair, "rail switch drained")
+	if d := e.trav.dist[l.a[122]]; d != 0 {
+		t.Fatalf("drained switch keeps distance %d in the first field", d)
+	}
+	v.UndrainSwitch(l.a[122])
+	l.check(opEvaluate, viaRepair, "rail switch active again")
+
+	// A region cut off entirely, entries back to unreachable, and re-attached.
+	v.DrainCircuit(l.railA[123])
+	v.DrainCircuit(l.railB[123])
+	l.check(opEvaluate, viaRepair, "right end cut off")
+	for k := range e.trav.kept {
+		if d := e.trav.dist[k*len(e.ports)+int(l.a[126])]; d != 0 {
+			t.Fatalf("field %d still reaches the cut-off region (distance %d)", k, d)
+		}
+	}
+	v.DrainCircuit(l.railA[125]) // a change inside the unreachable region
+	l.check(opEvaluate, viaRepair, "change inside the cut-off region")
+	v.UndrainCircuit(l.railA[125])
+	v.UndrainCircuit(l.railB[123])
+	l.check(opEvaluate, viaRepair, "re-attached by rail b")
+	v.UndrainCircuit(l.railA[123])
+	l.check(opCheck, viaRepair, "re-attached by rail a")
+
+	// A destination drained, then undrained: another destination list each time.
+	v.DrainSwitch(l.a[20])
+	l.check(opEvaluate, viaTraverse, "destination drained")
+	v.DrainCircuit(l.railA[115])
+	l.check(opEvaluate, viaRepair, "with one destination fewer")
+	v.UndrainSwitch(l.a[20])
+	l.check(opEvaluate, viaTraverse, "destination active again")
+	v.UndrainCircuit(l.railA[115])
+	l.check(opCheck, viaRepair, "rail a whole once more")
+
+	// Every destination drained: nothing to compute, nothing visited, and what
+	// is retained waits, marks adding up, for the destinations to come back.
+	dsts, _ := l.h.ds.DestinationIndex()
+	for _, d := range dsts {
+		v.DrainSwitch(d)
+	}
+	l.check(opEvaluate, viaNothing, "no destination active")
+	if len(e.trav.kept) != len(dsts) || e.nMarked == 0 {
+		t.Fatalf("with no destination active: %d fields retained, %d switches marked", len(e.trav.kept), e.nMarked)
+	}
+	for _, d := range dsts {
+		v.UndrainSwitch(d)
+	}
+	if p := l.check(opEvaluate, viaRepair, "destinations back"); p.entries != 0 {
+		t.Fatalf("back in the state the fields were computed in, the repair rewrote %d entries", p.entries)
+	}
+
+	// Checks rejected on ports between two routed ones: the marks add up, and
+	// CircuitLoad is zero, not the loads of the routed check before.
+	v.UndrainCircuit(l.extra)
+	l.check(opCheck, viaNothing, "over the port budget")
+	if ab, ba := e.CircuitLoad(l.railA[10]); ab != 0 || ba != 0 {
+		t.Fatalf("CircuitLoad after a port rejection = (%v, %v), want zero", ab, ba)
+	}
+	v.DrainCircuit(l.railA[109])
+	l.check(opCheck, viaNothing, "still over the port budget")
+	if e.nMarked != 4 {
+		t.Fatalf("%d switches marked after two port rejections, want 4", e.nMarked)
+	}
+	v.DrainCircuit(l.railA[116]) // a[116] back within budget, one circuit swapped for another
+	l.check(opCheck, viaRepair, "within budget again")
+	if ab, ba := e.CircuitLoad(l.railA[10]); ab+ba == 0 {
+		t.Fatal("CircuitLoad is zero after a routed check")
+	}
+	v.UndrainCircuit(l.railA[116])
+	v.DrainCircuit(l.extra)
+	v.UndrainCircuit(l.railA[109])
+	l.check(opEvaluate, viaRepair, "back to the initial state")
+
+	// The memo's entry points and Trace on the same evaluator, in between.
+	v.DrainCircuit(l.railA[105])
+	l.h.do(opCheckDelta, 0)
+	v.UndrainCircuit(l.spare)
+	l.h.do(opTrace, 0)
+	l.h.do(opDemandDelta, 3)
+	l.check(opEvaluate, viaRepair, "after memo calls and a trace")
+	v.DrainCircuit(l.spare)
+	l.h.do(opEvaluateDelta, 0)
+	l.h.do(opTrace, 5)
+	v.UndrainCircuit(l.railA[105])
+	l.check(opCheck, viaRepair, "after more of them")
+
+	// A fork taken mid-sequence starts from nothing; the original carries on.
+	l.h.do(opFork, 0)
+	l.h.ev = 1
+	v.DrainCircuit(l.railB[12])
+	l.check(opCheck, viaTraverse, "fork's first check")
+	l.h.ev = 0
+	l.check(opCheck, viaRepair, "original after the fork")
+	l.h.ev = 1
+	v.UndrainCircuit(l.railB[12])
+	l.check(opCheck, viaRepair, "fork's second check")
+	l.h.ev = 0
+	l.check(opCheck, viaRepair, "original again")
+
+	// Jumps just under and just over the cut-over: 256 switches, so sixteen
+	// rebuilt ones are repaired around and eighteen are not. Rail b's circuits
+	// carry little, so the fields hardly move.
+	if n := len(e.ports); n/repairCutover != 16 {
+		t.Fatalf("ladder of %d switches puts the cut-over at %d rebuilt, the script assumes 16", n, n/repairCutover)
+	}
+	under := []int{3, 13, 23, 37, 43, 53, 67, 77}
+	for _, i := range under {
+		v.DrainCircuit(l.railB[i])
+	}
+	l.check(opEvaluate, viaRepair, "sixteen switches rebuilt")
+	for _, i := range under {
+		v.UndrainCircuit(l.railB[i])
+	}
+	v.DrainCircuit(l.railB[90])
+	l.check(opEvaluate, viaTraverse, "eighteen switches rebuilt")
+	v.UndrainCircuit(l.railB[90])
+	l.check(opCheck, viaRepair, "two switches rebuilt")
+
+	// Few rebuilt switches that move most of every field: rail a cut next to
+	// the destinations' end. The repair gives up and the traversal answers.
+	v.DrainCircuit(l.railA[3])
+	v.DrainCircuit(l.railA[5])
+	v.DrainCircuit(l.railB[2])
+	l.check(opEvaluate, viaGiveUp, "cut next to the destinations")
+	v.UndrainCircuit(l.railB[2])
+	l.check(opEvaluate, viaGiveUp, "and half undone")
+
+	// Another view of the same content, a copy, a reset.
+	l.h.do(opOtherView, 0)
+	v = l.view()
+	v.CopyFrom(l.h.views[0])
+	l.check(opCheck, viaNothing, "a copy of the view checked last")
+	v.UndrainCircuit(l.railA[3])
+	l.check(opCheck, viaRepair, "the copy, one circuit on")
+	l.h.do(opOtherView, 0)
+	l.check(opCheck, viaRepair, "the original again")
+	l.h.do(opReset, 0) // rail a whole next to the destinations, and the three spare circuits up
+	l.check(opEvaluate, viaGiveUp, "reset, far away in every field")
+	l.view().DrainCircuit(l.railB[60])
+	l.check(opCheck, viaNothing, "over the port budget after the reset")
+	l.view().DrainCircuit(l.extra)
+	l.check(opCheck, viaRepair, "near the reset view")
+	l.view().Reset()
+	l.view().DrainCircuit(l.extra)
+	l.check(opEvaluate, viaRepair, "reset, nearby")
+
+	// More destination groups than one batch carries: the second batch
+	// overwrites what the first retained, so every check traverses.
+	wide := newMeshHarness(t, 5, 96, 400)
+	if dsts, _ := wide.ds.DestinationIndex(); len(dsts) <= batchWidth {
+		t.Fatalf("%d destination groups, want more than one batch", len(dsts))
+	}
+	for i := 0; i < 6; i++ {
+		wide.do(opToggleCircuit, 17*i)
+		wide.do(opEvaluate, 0)
+		if wide.last.repaired || !wide.last.traversed {
+			t.Fatalf("two batches: check %d repaired=%v traversed=%v", i, wide.last.repaired, wide.last.traversed)
+		}
+	}
+
+	// Random sequences on meshes large enough for single drains to fall
+	// under the cut-over.
+	var repaired, traversed, gaveUp int
+	for seed := int64(1); seed <= 6; seed++ {
+		h := newMeshHarness(t, seed, 96, 20)
+		rng := rand.New(rand.NewSource(seed * 104729))
+		for i := 0; i < 500; i++ {
+			op := byte(rng.Intn(upOps))
+			switch rng.Intn(4) {
+			case 0: // keep the views from draining away
+				op = byte(rng.Intn(opReset))
+			case 1:
+				op = opCheck + byte(rng.Intn(2))
+			case 2:
+				op = opToggleCircuit
+			}
+			h.do(op, rng.Intn(1<<16))
+			if op%upOps == opCheck || op%upOps == opEvaluate {
+				switch {
+				case h.last.repaired:
+					repaired++
+				case h.last.gaveUp:
+					gaveUp++
+				case h.last.traversed:
+					traversed++
+				}
+			}
+		}
+	}
+	t.Logf("random sequences: %d classic checks repaired, %d traversed, %d gave up and traversed", repaired, traversed, gaveUp)
+	if repaired < 100 || traversed < 100 {
+		t.Fatalf("random sequences took one way too seldom: %d repaired, %d traversed", repaired, traversed)
+	}
+}
+
+// FuzzFieldsFollowView feeds arbitrary operation sequences — the script
+// format of FuzzUpMaskFollowsView — to the harness on a 96-switch mesh, where
+// six rebuilt switches are the cut-over.
+func FuzzFieldsFollowView(f *testing.F) {
+	// One circuit down and up; a switch down, a port-rejected or routed check,
+	// and up; the memo and a trace between two classic checks; two views
+	// alternating; fork, reset, copy.
+	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 40, opEvaluate, 0, 0, opToggleCircuit, 0, 40, opCheck, 0, 0})
+	f.Add([]byte{opCheck, 0, 0, opToggleSwitch, 0, 30, opCheck, 0, 0, opToggleCircuit, 0, 9, opCheck, 0, 0, opToggleSwitch, 0, 30, opEvaluate, 0, 0})
+	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 7, opCheckDelta, 0, 0, opTrace, 0, 2, opToggleCircuit, 0, 90, opDemandDelta, 0, 1, opEvaluate, 0, 0})
+	f.Add([]byte{opCheck, 0, 0, opOtherView, 0, 0, opToggleCircuit, 0, 3, opCheck, 0, 0, opOtherView, 0, 0, opCheck, 0, 0, opCopyFrom, 0, 0, opCheck, 0, 0})
+	f.Add([]byte{opCheck, 0, 0, opFork, 0, 0, opToggleHubCircuit, 0, 6, opCheck, 0, 0, opFork, 0, 1, opCheck, 0, 0, opReset, 0, 0, opEvaluate, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 600 {
+			script = script[:600]
+		}
+		h := newMeshHarness(t, 3, 96, 20)
+		for ; len(script) >= 3; script = script[3:] {
+			h.do(script[0], int(script[1])<<8|int(script[2]))
+		}
+	})
+}

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/bits"
+	"slices"
 
 	"klotski/internal/topo"
 )
@@ -10,7 +11,11 @@ import (
 // in the package that walks the fabric — and the up state both of them read,
 // which syncUp keeps in step with whatever view is checked and which nothing
 // else writes. The classic check, the incremental memo's group recompute and
-// Trace all go through them.
+// Trace all go through them. The classic check also keeps the fields of its
+// last traversal and, while the next check asks for the same destinations and
+// syncUp rebuilt few switches in between, repairs them around those switches
+// (repairField) instead of traversing again; a repaired field equals the
+// traversed one entry for entry.
 //
 //   - distances is one level-synchronous, bit-parallel traversal for up to
 //     batchWidth destinations at once. Each switch carries a 64-bit mask of
@@ -64,6 +69,9 @@ type levelQueue struct {
 // surplus goes back to the collector instead of staying with the evaluator.
 const maxPooledLevels = 32
 
+// flipped is an arc whose up state may have changed between two checks.
+type flipped struct{ x, y, metric int32 }
+
 // flowNode is the sweep state of one flow-carrying switch.
 type flowNode struct {
 	f float64 // seeded rate until the switch is visited, then its total inflow
@@ -90,6 +98,20 @@ type traversal struct {
 	dist   []int32
 	fields [][]int32
 
+	// What the classic path retains between checks: field k of dist, n
+	// entries each, is the exact distance field of kept[k] over the up state
+	// as it stood when the rebuilt marks (swMarked) were last cleared. The
+	// memo and Trace borrow dsts and live for their own batches but never
+	// write dist or kept.
+	kept       []topo.SwitchID
+	keptVisits int // arcs the traversal that computed them visited
+	// Repair scratch: the switches rebuilt since, the arcs between two of
+	// them by their state now, and the entries of the field under repair that
+	// lost their support.
+	marked   []int32
+	down, up []flipped
+	unset    []int32
+
 	// Sweep: slot[s] is 1+index of s in nodes, 0 while s carries no flow of
 	// the current group. nodes doubles as the visit log that beginGroup
 	// resets from.
@@ -114,7 +136,29 @@ const (
 	// swStale: syncUp scratch — the switch awaits a rebuild in the call under
 	// way. Clear between calls.
 	swStale
+	// swMarked: the switch was rebuilt since the retained distance fields
+	// were last computed or repaired (counted in nMarked). An arc whose up
+	// state changed since then has both its ends marked.
+	swMarked
 )
+
+// repairCutover is the share of the fabric, as 1/repairCutover of its
+// switches, up to which the retained fields are repaired around the rebuilt
+// switches; beyond it they are traversed afresh. Between two routed checks of
+// a search on suite E × 0.25 (1236 switches) the rebuilt count is bimodal —
+// 11 to 20 switches, or 187 and up — while the small fabrics A to D rebuild a
+// tenth of themselves, where a repair tests as many arcs as the traversal or
+// more: the constant sits between 1.6 % and 10 %. See DESIGN.md,
+// "Satisfiability checker".
+const repairCutover = 16
+
+// repairBudget bounds what a repair may cost when few rebuilt switches move
+// much of every field (a pod losing its last short way out): it gives up, and
+// the fields are traversed afresh, once it has tested more than
+// 1/repairBudget of the arcs that traversal visited last time. On the same
+// search nine repairs in ten test under a fifth of them; one in fifty would
+// have tested two to seven times as many.
+const repairBudget = 2
 
 // upWords returns the up mask of switch s and its static arcs: bit j of
 // word k is set iff arcs[64k+j] is up. Every loop over a switch's up arcs
@@ -196,14 +240,18 @@ func (e *Evaluator) rebuildSwitch(s int32, sw, ck []bool) {
 			f |= swAllUp
 		}
 	}
-	if e.swFlags[s]&swOver != 0 {
+	old := e.swFlags[s]
+	if old&swOver != 0 {
 		e.nOver--
 	}
 	if p := e.ports[s]; p > 0 && int32(n) > p {
 		f |= swOver
 		e.nOver++
 	}
-	e.swFlags[s] = f // and no longer stale
+	if old&swMarked == 0 {
+		e.nMarked++
+	}
+	e.swFlags[s] = f | swMarked // and no longer stale
 }
 
 // portViolation returns the port violation of the synced view: the
@@ -242,6 +290,20 @@ func (q *levelQueue) at(d int32) *level {
 	q.active = append(q.active, nil)
 	copy(q.active[i+1:], q.active[i:])
 	q.active[i] = lv
+	return lv
+}
+
+// add queues switch s at distance d, with no mask: the form the field repair
+// and the sweep use.
+func (q *levelQueue) add(d, s int32) {
+	lv := q.at(d)
+	lv.sw = append(lv.sw, s)
+}
+
+// pop removes and returns the level at the smallest distance in flight.
+func (q *levelQueue) pop() *level {
+	lv := q.active[0]
+	q.active = q.active[:copy(q.active, q.active[1:])]
 	return lv
 }
 
@@ -299,8 +361,7 @@ func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
 
 	visits, inPlace := 0, 0
 	for len(q.active) > 0 {
-		lv := q.active[0]
-		q.active = q.active[:copy(q.active, q.active[1:])]
+		lv := q.pop()
 		d := lv.d
 		var next *level
 		for j, w := range lv.sw {
@@ -383,15 +444,25 @@ func (q *levelQueue) push(lv *level, w, nd int32, cand uint64, last []int32) *le
 	return lv
 }
 
-// batchDistances runs distances for the active destinations among dsts
-// (at most batchWidth) into the evaluator's own batch scratch and returns one
-// field per destination, nil where the destination is inactive. The fields
-// are valid until the next call.
+// batchDistances returns the distance fields of the active destinations among
+// dsts (at most batchWidth), one per destination and nil where the destination
+// is inactive, held in the evaluator's own batch scratch and valid until the
+// next call. The fields stay behind as the retained fields of those
+// destinations: when the next call asks for the same active destinations and
+// syncUp has rebuilt no more than 1/repairCutover of the fabric since, the
+// fields are repaired around the rebuilt switches; otherwise — an evaluator's
+// first check, a destination drained or undrained, another demand set, a
+// second batch, a far jump of the view, a repair that gave up — distances
+// computes them afresh. Either way the result is the fields' one definition,
+// the metric-shortest distances over the up arcs, so nothing downstream can
+// tell which ran. Rates never enter a field: the key is (destinations, up
+// state) by content.
 func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]int32 {
 	tr := &e.trav
 	n := len(e.ports)
 	if len(tr.dist) < len(dsts)*n {
 		tr.dist = make([]int32, len(dsts)*n)
+		tr.kept = tr.kept[:0]
 	}
 	tr.fields, tr.live, tr.dsts = tr.fields[:0], tr.live[:0], tr.dsts[:0]
 	for _, dst := range dsts {
@@ -404,11 +475,222 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 		}
 		tr.fields = append(tr.fields, field)
 	}
-	clear(tr.dist[:len(tr.live)*n])
-	if len(tr.live) > 0 {
+	if len(tr.dsts) == 0 {
+		// Nothing to compute; what is retained stays as it is, a step further
+		// behind, and the marks go on saying by how much.
+		return tr.fields
+	}
+	if e.nMarked*repairCutover > n || !slices.Equal(tr.dsts, tr.kept) || !e.repairFields() {
+		tr.kept = append(tr.kept[:0], tr.dsts...)
+		clear(tr.dist[:len(tr.live)*n])
+		before := e.ArcVisits
 		e.distances(tr.dsts, tr.live)
+		tr.keptVisits = e.ArcVisits - before
+		if e.nMarked > 0 { // the fields are in step with the up state
+			for s := range e.swFlags {
+				e.swFlags[s] &^= swMarked
+			}
+			e.nMarked = 0
+		}
 	}
 	return tr.fields
+}
+
+// repairFields brings the retained fields in step with the up state by
+// repairing each around the switches marked as rebuilt, and clears the marks.
+// It reports false when it gave up: the repair had tested more arcs than
+// 1/repairBudget of what the traversal it stands in for visited, and the
+// fields are then neither the old ones nor the new.
+//
+// An arc whose up state changed has a mark at both ends, so the arcs between
+// two marked switches are listed once for all fields, each from its lower
+// end: in tr.down those that are down now, in tr.up those that are up. The
+// marked switches come from one pass over the flag bytes: a list kept by
+// rebuildSwitch would grow to the whole fabric on every fork's first check.
+func (e *Evaluator) repairFields() bool {
+	if e.nMarked == 0 {
+		return true
+	}
+	tr := &e.trav
+	tr.marked, tr.down, tr.up = tr.marked[:0], tr.down[:0], tr.up[:0]
+	for s, f := range e.swFlags {
+		if f&swMarked != 0 {
+			tr.marked = append(tr.marked, int32(s))
+		}
+	}
+	visits := 0
+	for _, x := range tr.marked {
+		words, arcs := e.upWords(x)
+		for j := range arcs {
+			a := &arcs[j]
+			if a.other <= x || e.swFlags[a.other]&swMarked == 0 {
+				continue
+			}
+			if words[j>>6]>>(j&63)&1 != 0 {
+				tr.up = append(tr.up, flipped{x, a.other, a.metric})
+			} else {
+				tr.down = append(tr.down, flipped{x, a.other, a.metric})
+			}
+		}
+		visits += len(arcs)
+	}
+	for _, x := range tr.marked {
+		e.swFlags[x] &^= swMarked
+	}
+	e.nMarked = 0
+
+	budget := tr.keptVisits / repairBudget
+	written, ok := 0, visits <= budget
+	for k := 0; ok && k < len(tr.kept); k++ {
+		var v, w int
+		v, w, ok = e.repairField(tr.live[k], budget-visits)
+		visits += v
+		written += w
+	}
+	e.ArcVisits += visits
+	if ok {
+		e.FieldRepairs += len(tr.kept)
+		e.FieldEntriesRepaired += written
+	}
+	return ok
+}
+
+// repairField makes dist, the exact distance field of a destination over an
+// earlier up state, the exact field over the current one, given in tr.down
+// and tr.up every arc that went down or came up in between (and possibly
+// others in the state they had before, which change nothing). Two phases,
+// each over the level queue in ascending distance:
+//
+//  1. Un-set what lost its support. An entry stands while its switch has an
+//     up arc to a standing entry at its distance minus the arc's metric. It
+//     can lose that by an arc going down, so the far end of every tight arc in
+//     tr.down is a candidate, or by its parent being un-set, so the tight
+//     children of every un-set entry are. Parents lie at strictly smaller
+//     distances and are final when a candidate is judged. What still stands
+//     afterwards is the length of a path that exists, hence an upper bound.
+//  2. Relax outward, label-setting: across the arcs of tr.up (arcs that came
+//     up and switches that became active shorten paths) and into each un-set
+//     entry from its best standing neighbour (the way around what went down;
+//     an entry nothing reaches stays 0, unreachable), then on from every
+//     entry a relaxation lowered. Any other arc joins two entries of the old
+//     field, which was valid over it.
+//
+// Distances are integers, so the result equals a fresh traversal's entry for
+// entry. It returns the arcs it tested and the entries it wrote, and false as
+// soon as the former exceed budget.
+func (e *Evaluator) repairField(dist []int32, budget int) (visits, written int, ok bool) {
+	tr := &e.trav
+	q := &tr.levels
+	q.drain() // flow levels an early exit left queued, or a repair that gave up
+	visits = len(tr.down) + len(tr.up)
+
+	for _, f := range tr.down {
+		switch dx, dy := dist[f.x], dist[f.y]; {
+		case dx == 0 || dy == 0:
+		case dx == dy+f.metric:
+			q.add(dx, f.x)
+		case dy == dx+f.metric:
+			q.add(dy, f.y)
+		}
+	}
+	unset := tr.unset[:0]
+	for len(q.active) > 0 && visits <= budget {
+		lv := q.pop()
+		d := lv.d
+		for _, x := range lv.sw {
+			if dist[x] != d { // un-set already, through another pair of this level
+				continue
+			}
+			// One scan finds x a standing parent, and stops, or gathers the
+			// tight children to judge after x.
+			standing, kids := false, tr.hops[:0]
+			words, arcs := e.upWords(x)
+		scan:
+			for k, bw := range words {
+				for ; bw != 0; bw &= bw - 1 {
+					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+					visits++
+					switch o := dist[a.other]; o {
+					case 0:
+					case d - a.metric:
+						standing = true
+						break scan
+					case d + a.metric:
+						kids = append(kids, a.other)
+					}
+				}
+			}
+			tr.hops = kids[:0]
+			if standing {
+				continue
+			}
+			dist[x] = 0
+			unset = append(unset, x)
+			for _, c := range kids {
+				q.add(dist[c], c)
+			}
+		}
+		q.release(lv)
+	}
+	tr.unset = unset
+	written = len(unset)
+	if visits > budget {
+		return visits, written, false
+	}
+
+	for _, f := range tr.up {
+		switch dx, dy := dist[f.x], dist[f.y]; {
+		case dx != 0 && (dy == 0 || dx+f.metric < dy):
+			dist[f.y] = dx + f.metric
+			q.add(dx+f.metric, f.y)
+			written++
+		case dy != 0 && (dx == 0 || dy+f.metric < dx):
+			dist[f.x] = dy + f.metric
+			q.add(dy+f.metric, f.x)
+			written++
+		}
+	}
+	for _, x := range unset {
+		d := dist[x]
+		words, arcs := e.upWords(x)
+		for k, bw := range words {
+			visits += bits.OnesCount64(bw)
+			for ; bw != 0; bw &= bw - 1 {
+				a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+				if o := dist[a.other]; o != 0 && (d == 0 || o+a.metric < d) {
+					d = o + a.metric
+				}
+			}
+		}
+		if d != dist[x] {
+			dist[x] = d
+			q.add(d, x)
+			written++
+		}
+	}
+	for len(q.active) > 0 && visits <= budget {
+		lv := q.pop()
+		d := lv.d
+		for _, x := range lv.sw {
+			if dist[x] != d { // lowered further since it was queued
+				continue
+			}
+			words, arcs := e.upWords(x)
+			for k, bw := range words {
+				visits += bits.OnesCount64(bw)
+				for ; bw != 0; bw &= bw - 1 {
+					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+					if o := dist[a.other]; o == 0 || d+a.metric < o {
+						dist[a.other] = d + a.metric
+						q.add(d+a.metric, a.other)
+						written++
+					}
+				}
+			}
+		}
+		q.release(lv)
+	}
+	return visits, written, visits <= budget
 }
 
 // beginGroup resets the sweep scratch for a new destination group. The reset
@@ -438,8 +720,7 @@ func (tr *traversal) enqueue(dist []int32, s int32) int32 {
 	tr.nodes = append(tr.nodes, flowNode{sw: s})
 	k := int32(len(tr.nodes))
 	tr.slot[s] = k
-	lv := tr.levels.at(dist[s])
-	lv.sw = append(lv.sw, s)
+	tr.levels.add(dist[s], s)
 	return k - 1
 }
 

@@ -13,10 +13,12 @@ import (
 
 // upHarness drives long-lived evaluators through arbitrary sequences of view
 // mutations and evaluator calls, and after every call holds the evaluator's
-// up state and its answer against two things that share none of the state
-// under test: the view's own accessors (for the mask, the flags and the
-// count), and a fresh fork of the root evaluator whose all-up flags have been
-// stripped, so that it bit-walks every switch (for violations and loads).
+// up state, its retained distance fields and its answer against things that
+// share none of the state under test: the view's own accessors (for the mask,
+// the flags and the counts), a fresh fork's full traversal (for the fields,
+// entry by entry), and a fresh fork of the root evaluator whose all-up flags
+// have been stripped, so that it bit-walks every switch (for violations and
+// loads).
 type upHarness struct {
 	t     testing.TB
 	tp    *topo.Topology
@@ -32,15 +34,30 @@ type upHarness struct {
 	saved *topo.View // an earlier state of views[0], to return to
 	ev, v int
 	step  int
+	last  pathTaken // of the most recent classic call
 }
 
-// newUpHarness builds a random mesh with two hubs whose up masks span two
-// and three words, port budgets that sit right at the switches' degrees (so
-// single drains move switches on and off the over-budget count), and a
-// dozen demands.
+// pathTaken says how a classic call came by its distance fields.
+type pathTaken struct {
+	traversed, repaired bool
+	gaveUp              bool // traversed after a repair ran out of budget
+	visits, entries     int
+}
+
+// newUpHarness builds a random mesh of 24 switches — three rebuilt switches
+// are already past the field repair's cut-over, so only circuit flips away
+// from the hubs' neighbourhoods are repaired — and a dozen demands.
 func newUpHarness(t testing.TB, seed int64) *upHarness {
+	return newMeshHarness(t, seed, 24, 12)
+}
+
+// newMeshHarness builds a random mesh of n switches with two hubs whose up
+// masks span two and three words, port budgets that sit right at the
+// switches' degrees (so single drains move switches on and off the
+// over-budget count), and the given number of demands between random pairs.
+func newMeshHarness(t testing.TB, seed int64, n, demands int) *upHarness {
 	rng := rand.New(rand.NewSource(seed))
-	tp, sw := randomMeshTopo(rng, 24)
+	tp, sw := randomMeshTopo(rng, n)
 	hubs := sw[:2]
 	for hi, hub := range hubs {
 		for len(tp.Switch(hub).Circuits()) < 70+70*hi {
@@ -51,12 +68,18 @@ func newUpHarness(t testing.TB, seed int64) *upHarness {
 	for _, s := range []topo.SwitchID{sw[0], sw[1], sw[5], sw[9], sw[13]} {
 		tp.SetPorts(s, len(tp.Switch(s).Circuits())-rng.Intn(3))
 	}
-	h := &upHarness{t: t, tp: tp, sw: sw, hubs: hubs, ds: &demand.Set{}, opts: CheckOpts{Theta: 0.9, Split: SplitMode(seed % 2)}}
-	for h.ds.Len() < 12 {
+	ds := &demand.Set{}
+	for ds.Len() < demands {
 		if src, dst := sw[rng.Intn(len(sw))], sw[rng.Intn(len(sw))]; src != dst {
-			h.ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", h.ds.Len()), Src: src, Dst: dst, Rate: 0.2 + rng.Float64()})
+			ds.Add(demand.Demand{Name: fmt.Sprintf("d%d", ds.Len()), Src: src, Dst: dst, Rate: 0.2 + rng.Float64()})
 		}
 	}
+	return newHarnessOn(t, tp, sw, hubs, ds, CheckOpts{Theta: 0.9, Split: SplitMode(seed % 2)})
+}
+
+// newHarnessOn wraps a fabric built by the caller.
+func newHarnessOn(t testing.TB, tp *topo.Topology, sw, hubs []topo.SwitchID, ds *demand.Set, opts CheckOpts) *upHarness {
+	h := &upHarness{t: t, tp: tp, sw: sw, hubs: hubs, ds: ds, opts: opts}
 	for c := 0; c < tp.NumCircuits(); c++ {
 		h.allCk = append(h.allCk, topo.CircuitID(c))
 	}
@@ -121,13 +144,13 @@ func (h *upHarness) do(op byte, arg int) {
 		}
 		h.ev = arg % len(h.evals)
 	case opCheck:
-		visits := e.ArcVisits
+		before := *e
 		viol := e.Check(v, h.ds, h.opts)
-		h.verifyClassic("Check", e, v, viol, nil, e.ArcVisits-visits)
+		h.verifyClassic("Check", e, v, viol, nil, &before)
 	case opEvaluate:
-		visits := e.ArcVisits
+		before := *e
 		res, viol := e.Evaluate(v, h.ds, h.opts)
-		h.verifyClassic("Evaluate", e, v, viol, &res, e.ArcVisits-visits)
+		h.verifyClassic("Evaluate", e, v, viol, &res, &before)
 	case opCheckDelta:
 		viol := h.memo(e).CheckDelta(v, h.sw, h.allCk, h.ds, h.opts)
 		h.verifyMemo("CheckDelta", e, v, viol)
@@ -171,10 +194,11 @@ func (h *upHarness) memo(e *Evaluator) *Evaluator {
 }
 
 // verifyState holds e's up state against the view, element by element,
-// through the view's public accessors only.
+// through the view's public accessors only, and then the retained distance
+// fields against a fresh traversal.
 func (h *upHarness) verifyState(call string, e *Evaluator, v *topo.View) {
 	h.t.Helper()
-	over, first := 0, topo.SwitchID(0)
+	over, first, marked := 0, topo.SwitchID(0), 0
 	for _, s := range h.sw {
 		words, _ := e.upWords(int32(s))
 		cks := h.tp.Switch(s).Circuits()
@@ -206,12 +230,18 @@ func (h *upHarness) verifyState(call string, e *Evaluator, v *topo.View) {
 				first = s
 			}
 		}
-		if e.swFlags[s] != want {
-			h.t.Fatalf("step %d, after %s: switch %d flags %04b, want %04b (%d of %d arcs up, budget %d)", h.step, call, s, e.swFlags[s], want, up, len(cks), h.tp.Switch(s).Ports)
+		if got := e.swFlags[s] &^ swMarked; got != want {
+			h.t.Fatalf("step %d, after %s: switch %d flags %04b, want %04b (%d of %d arcs up, budget %d)", h.step, call, s, got, want, up, len(cks), h.tp.Switch(s).Ports)
+		}
+		if e.swFlags[s]&swMarked != 0 {
+			marked++
 		}
 	}
 	if e.nOver != over {
 		h.t.Fatalf("step %d, after %s: over-budget count %d, want %d", h.step, call, e.nOver, over)
+	}
+	if e.nMarked != marked {
+		h.t.Fatalf("step %d, after %s: rebuilt-switch count %d, %d switches carry the mark", h.step, call, e.nMarked, marked)
 	}
 	var want Violation
 	if over > 0 {
@@ -219,6 +249,35 @@ func (h *upHarness) verifyState(call string, e *Evaluator, v *topo.View) {
 	}
 	if got := e.portViolation(); got != want {
 		h.t.Fatalf("step %d, after %s: port violation %v, want %v (the lowest-numbered of %d offenders)", h.step, call, got, want, over)
+	}
+	h.verifyFields(call, e, v)
+}
+
+// verifyFields holds every retained distance field of e against a full
+// traversal by a fresh fork on the same view, entry by entry. With no switch
+// marked as rebuilt the fields claim to be in step with the up state, which
+// verifyState has just held against v — whichever call left them so: a
+// classic check that traversed or repaired, or a memo call or Trace that was
+// not to touch them. With marks pending (a port rejection, a memo call that
+// moved the up state) the fields are a step behind by design and the next
+// routed classic check answers for them.
+func (h *upHarness) verifyFields(call string, e *Evaluator, v *topo.View) {
+	h.t.Helper()
+	if e.nMarked != 0 || len(e.trav.kept) == 0 {
+		return
+	}
+	w := h.root.Fork()
+	w.syncUp(v)
+	n := len(e.ports)
+	want := make([]int32, n)
+	for k, dst := range e.trav.kept {
+		clear(want)
+		w.distances([]topo.SwitchID{dst}, [][]int32{want})
+		for s, d := range e.trav.dist[k*n : (k+1)*n] {
+			if d != want[s] {
+				h.t.Fatalf("step %d, after %s: retained field of destination %d has %d at switch %d, a fresh traversal %d (both +1, 0 = unreachable)", h.step, call, dst, d, s, want[s])
+			}
+		}
 	}
 }
 
@@ -236,8 +295,9 @@ func (h *upHarness) bitWalker(v *topo.View) *Evaluator {
 
 // verifyClassic holds a Check or Evaluate answer — violation, result, every
 // directional load, bit for bit — and the arcs it visited against the
-// bit-walking fresh evaluator's.
-func (h *upHarness) verifyClassic(call string, e *Evaluator, v *topo.View, viol Violation, res *Result, visits int) {
+// bit-walking fresh evaluator's. before is a copy of e taken ahead of the
+// call, for the counters.
+func (h *upHarness) verifyClassic(call string, e *Evaluator, v *topo.View, viol Violation, res *Result, before *Evaluator) {
 	h.t.Helper()
 	h.verifyState(call, e, v)
 	w := h.bitWalker(v)
@@ -254,14 +314,31 @@ func (h *upHarness) verifyClassic(call string, e *Evaluator, v *topo.View, viol 
 	if viol != wantViol {
 		h.t.Fatalf("step %d: %s violation %v, a fresh evaluator gives %v", h.step, call, viol, wantViol)
 	}
-	if visits != w.ArcVisits {
-		h.t.Fatalf("step %d: %s visited %d arcs, the bit walk visits %d", h.step, call, visits, w.ArcVisits)
+	// Full traversals still match the bit walk arc for arc. A call that
+	// repaired its retained fields instead stayed within the repair's budget,
+	// a share of what the traversal it stands in for visited; one that
+	// traversed after a repair gave up has spent more than that budget on top.
+	visits, budget := e.ArcVisits-before.ArcVisits, before.trav.keptVisits/repairBudget
+	traversed := e.BFSes > before.BFSes
+	h.last = pathTaken{
+		traversed: traversed,
+		repaired:  e.FieldRepairs > before.FieldRepairs,
+		gaveUp:    traversed && visits != w.ArcVisits,
+		visits:    visits,
+		entries:   e.FieldEntriesRepaired - before.FieldEntriesRepaired,
+	}
+	switch excess := visits - w.ArcVisits; {
+	case h.last.traversed && h.last.repaired:
+		h.t.Fatalf("step %d: %s both traversed and repaired", h.step, call)
+	case h.last.traversed && excess != 0 && excess <= budget:
+		h.t.Fatalf("step %d: %s traversed and visited %d arcs, the bit walk visits %d and a repair gives up beyond %d", h.step, call, visits, w.ArcVisits, budget)
+	case h.last.repaired && visits > budget:
+		h.t.Fatalf("step %d: %s repaired and tested %d arcs, beyond its budget of %d", h.step, call, visits, budget)
+	case !h.last.traversed && !h.last.repaired && visits != 0:
+		h.t.Fatalf("step %d: %s neither traversed nor repaired and yet visited %d arcs", h.step, call, visits)
 	}
 	if w.ArcVisitsInPlace != 0 {
 		h.t.Fatalf("step %d: the reference evaluator ranged over %d arcs in place", h.step, w.ArcVisitsInPlace)
-	}
-	if res == nil && viol.Kind == ViolationPorts {
-		return // rejected before anything was placed: the loads are the previous call's
 	}
 	for _, c := range h.allCk {
 		ab, ba := e.CircuitLoad(c)

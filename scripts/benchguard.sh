@@ -18,11 +18,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# The ops of BenchmarkCheckDemandDelta and BenchmarkCheckPortReject take
-# microseconds: thirty of them are one scheduler hiccup wide (a 30x sample
-# once recorded 21 µs for a 5 µs op), so they run separately at
-# MICROBENCHTIME (default 3000x) and join the same guard run.
+# The ops of BenchmarkCheckDemandDelta, BenchmarkCheckPortReject and
+# BenchmarkCheckFarJump take microseconds to a few hundred: thirty of them are
+# one scheduler hiccup wide (a 30x sample once recorded 21 µs for a 5 µs op),
+# so they run separately at MICROBENCHTIME (default 3000x) and join the same
+# guard run.
 {
 	go test -run '^$' -bench 'BenchmarkPlannerGuard|BenchmarkCheckSuiteE|BenchmarkFleetGuard' -benchtime "${BENCHTIME:-30x}" .
-	go test -run '^$' -bench 'BenchmarkCheckDemandDelta|BenchmarkCheckPortReject' -benchtime "${MICROBENCHTIME:-3000x}" .
+	go test -run '^$' -bench 'BenchmarkCheckDemandDelta|BenchmarkCheckPortReject|BenchmarkCheckFarJump' -benchtime "${MICROBENCHTIME:-3000x}" .
 } | go run ./cmd/benchguard -baseline BENCH_planner.json "$@"
