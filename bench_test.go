@@ -237,7 +237,7 @@ func BenchmarkSatisfiabilityCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckSuiteE measures the classic satisfiability check on the
+// BenchmarkCheckSuiteE measures the satisfiability check on the
 // fabric and the states the end-to-end benchmark's plan-large workload
 // checks: suite E at scale 0.25, walked block by block along the plan A*
 // itself returns, one full Check per state (states inside a run may be
@@ -596,7 +596,7 @@ func BenchmarkPlannerGuardLarge(b *testing.B) {
 // (cross-plan imports make states-expanded arrival-order dependent), and
 // the pool is built outside the timed region — it is process-lifetime
 // infrastructure, not per-fleet cost. ReportAllocs pins the scratch-pool
-// satellite: per-lane keyer/occupancy/memo buffers are recycled through
+// satellite: per-lane keyer/occupancy buffers are recycled through
 // sync.Pool, so allocs/op in the baseline is where a scratch-pool
 // regression shows up.
 func BenchmarkFleetGuard(b *testing.B) {
@@ -669,82 +669,11 @@ func BenchmarkFleetGuard(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckIncremental isolates the incremental satisfiability engine
-// at the planner level: both Klotski planners on topology E with
-// per-destination-group memoization (the default) versus the classic full
-// evaluation per cache miss. Plans are byte-identical between the modes;
-// only the per-check cost differs.
-func BenchmarkCheckIncremental(b *testing.B) {
-	s := buildSuite(b, "E")
-	for _, pl := range []plannerCase{
-		{"AStar", klotski.PlanAStar, klotski.Options{}},
-		{"DP", klotski.PlanDP, klotski.Options{}},
-	} {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{
-			{"incremental", false},
-			{"full", true},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", pl.name, mode.name), func(b *testing.B) {
-				opts := pl.opts
-				opts.DisableIncrementalEval = mode.disable
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := pl.run(s.Task, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEvaluatorCheckDelta is the evaluator micro-benchmark: one
-// circuit flips per iteration and the state is re-verified — via CheckDelta
-// fed the tracked touched elements, versus a classic full Check. The ratio
-// is the per-check win the incremental engine delivers to every planner
-// cache miss.
-func BenchmarkEvaluatorCheckDelta(b *testing.B) {
-	s := buildSuite(b, "C")
-	tp := s.Task.Topo
-	ck := klotski.CircuitID(0)
-	b.Run("delta", func(b *testing.B) {
-		eval := klotski.NewEvaluator(tp)
-		view := tp.NewView()
-		view.Track()
-		eval.CheckDelta(view, nil, nil, &s.Task.Demands, klotski.CheckOpts{})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			view.SetCircuitActive(ck, i%2 == 1)
-			tsw, tck := view.TakeTouched()
-			tsw, tck = klotski.ExpandTouched(tp, tsw, tck)
-			eval.CheckDelta(view, tsw, tck, &s.Task.Demands, klotski.CheckOpts{})
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		eval := klotski.NewEvaluator(tp)
-		view := tp.NewView()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			view.SetCircuitActive(ck, i%2 == 1)
-			eval.Check(view, &s.Task.Demands, klotski.CheckOpts{})
-		}
-	})
-}
-
 // BenchmarkCheckDemandDelta is the demand-side evaluator micro-benchmark:
-// one demand rate drifts per iteration and the state is re-verified — via
-// CheckDemandDelta fed the changed index (invalidating only the dirty
-// destination groups), versus a classic full Check. The ratio is the
-// per-observation win drift-aware replanning gets from the incremental
-// engine. delta/full run on suite C at the bench scale; deltaLarge/fullLarge
-// repeat them on the end-to-end benchmark's fabric (suite E × 0.25), where
-// one dirty group is one single-destination traversal of ~1200 switches —
-// the memo-on path no end-to-end workload exercises.
+// one demand rate drifts per iteration and the state is re-verified on the
+// same view. Rates enter no distance field, so the check keeps its fields
+// and pays for the sweeps alone. full runs on suite C at the bench scale;
+// fullLarge on the end-to-end benchmark's fabric (suite E × 0.25).
 func BenchmarkCheckDemandDelta(b *testing.B) {
 	large, err := klotski.Suite("E", 0.25)
 	if err != nil {
@@ -755,24 +684,6 @@ func BenchmarkCheckDemandDelta(b *testing.B) {
 		s      *klotski.Scenario
 	}{{"", buildSuite(b, "C")}, {"Large", large}} {
 		tp := c.s.Task.Topo
-		b.Run("delta"+c.suffix, func(b *testing.B) {
-			ds := c.s.Task.Demands.Clone()
-			eval := klotski.NewEvaluator(tp)
-			view := tp.NewView()
-			changed := []int32{0}
-			eval.CheckDemandDelta(view, nil, &ds, klotski.CheckOpts{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				di := i % len(ds.Demands)
-				ds.Demands[di].Rate *= 1.0001
-				changed[0] = int32(di)
-				eval.CheckDemandDelta(view, changed, &ds, klotski.CheckOpts{})
-			}
-			if eval.IncrementalOff() {
-				b.Fatal("the incremental engine switched itself off")
-			}
-		})
 		b.Run("full"+c.suffix, func(b *testing.B) {
 			ds := c.s.Task.Demands.Clone()
 			eval := klotski.NewEvaluator(tp)

@@ -5,12 +5,12 @@
 // search-state interning, or parallel lanes in the loop — and every
 // boundary state is re-checked for reachability, capacity, and occupancy.
 //
-// Two replay engines produce that verdict. ModeSerial re-evaluates every
-// boundary from scratch and is the pristine reference. ModeIncremental
-// (see incremental.go) reuses the routing evaluator's per-destination
-// group memo across consecutive boundaries and can split the replay over
-// parallel lanes; it is differential-tested byte-identical to the serial
-// engine, Report for Report, including failure steps under tampering.
+// Two replay engines produce that verdict. ModeSerial walks the sequence
+// once, evaluating and accounting boundary by boundary, and is the pristine
+// reference. ModeIncremental (see incremental.go) enumerates the boundaries
+// up front and can split their evaluation over parallel lanes; it is
+// differential-tested byte-identical to the serial engine, Report for
+// Report, including failure steps under tampering.
 //
 // The package deliberately does NOT import internal/core: it re-derives
 // the boundary semantics (canonical ordering, run splits, funneling
@@ -81,12 +81,12 @@ type Config struct {
 	// after the last step is still checked as a run boundary.
 	AllowPartial bool
 
-	// Mode selects the replay engine: ModeSerial (zero value) re-evaluates
-	// every boundary from scratch and is the pristine reference;
-	// ModeIncremental reuses the evaluator's group memo across boundaries
-	// and may fan out across Workers lanes. Both produce byte-identical
-	// Reports (differential-tested); the incremental engine exists to make
-	// the mandatory audit cheap, not to change its answers.
+	// Mode selects the replay engine: ModeSerial (zero value) is the
+	// single-pass pristine reference; ModeIncremental evaluates the
+	// boundaries apart from the verdict assembly and may fan out across
+	// Workers lanes. Both produce byte-identical Reports
+	// (differential-tested); the lane engine exists to make the mandatory
+	// audit cheap, not to change its answers.
 	Mode Mode
 
 	// Workers is the lane count for ModeIncremental; 0 or 1 replays on a

@@ -9,17 +9,16 @@ import (
 	"klotski/internal/topo"
 )
 
-// This file implements the incremental + parallel replay engine — the cheap
-// audit of ROADMAP item 3. The serial engine in audit.go re-evaluates every
-// boundary state from scratch: one full placement per boundary, which costs
-// 40-50% of the whole planning run on top of every plan. The incremental
-// engine replays the same boundary states but:
+// This file implements the lane replay engine — the cheap audit of ROADMAP
+// item 3. The serial engine in audit.go walks the sequence once, evaluating
+// and accounting boundary by boundary. The lane engine audits the same
+// boundary states but:
 //
-//   - evaluates consecutive boundaries with routing.EvaluateDelta, reusing
-//     the evaluator's per-destination-group memo across boundaries instead
-//     of recomputing every group's placement each time;
-//   - optionally splits the boundary list across worker lanes, each lane
-//     replaying its contiguous segment on its own fresh view and evaluator;
+//   - enumerates the boundaries up front and evaluates them apart from the
+//     verdict assembly, so the list can be split across worker lanes, each
+//     lane replaying its contiguous segment on its own fresh view and
+//     evaluator (whose up state and distance fields follow the view from one
+//     boundary to the next, as the serial engine's do);
 //   - counts datacenter occupancy with a reused dense scratch instead of a
 //     fresh map per boundary.
 //
@@ -27,11 +26,8 @@ import (
 // its own routing evaluator, still re-derives boundary positions, funneling
 // circuits, and occupancy directly from the task definition, and still
 // shares no code or state with internal/core (which this package does not
-// import). What it reuses is routing's incremental engine — the same
-// evaluation library the serial auditor already trusts for classic checks —
-// and EvaluateDelta promises (and the routing differential tests verify)
-// results byte-identical to a classic full evaluation. On top of that, this
-// engine as a whole is differential-tested byte-identical, Report for
+// import). It calls the same routing.Evaluate the serial auditor does, and
+// the engine as a whole is differential-tested byte-identical, Report for
 // Report, against the serial auditor across fabrics, tamperings, and worker
 // counts; ModeSerial remains the pristine reference path.
 //
@@ -44,12 +40,12 @@ import (
 type Mode uint8
 
 const (
-	// ModeSerial replays every boundary with a full, from-scratch
-	// evaluation — the pristine reference engine.
+	// ModeSerial replays the sequence in one pass, evaluating and
+	// accounting each boundary in turn — the pristine reference engine.
 	ModeSerial Mode = iota
 
-	// ModeIncremental replays boundaries with memo-reusing delta
-	// evaluations, optionally across parallel lanes (Config.Workers).
+	// ModeIncremental evaluates the boundaries lane by lane, optionally in
+	// parallel (Config.Workers), and assembles the verdict afterwards.
 	// Differential-tested byte-identical to ModeSerial.
 	ModeIncremental
 )
@@ -148,7 +144,7 @@ func replayIncremental(task *migration.Task, seq []int, cfg *Config, rep *Report
 		replayLane(task, seq, cfg, theta, bs, results)
 	} else {
 		// Contiguous segments, balanced to within one boundary. Each lane
-		// re-applies its prefix once and then replays deltas; results land
+		// re-applies its prefix once and then replays its blocks; results land
 		// in disjoint slices of the shared results array, so the tasks are
 		// order-independent and safe to hand to any runner.
 		var tasks []func()
@@ -208,8 +204,8 @@ func replayIncremental(task *migration.Task, seq []int, cfg *Config, rep *Report
 
 // replayLane evaluates one contiguous run of boundaries on a fresh view and
 // a fresh evaluator: it applies the executed prefix plus every sequence step
-// preceding its first boundary, then walks its boundaries in order, feeding
-// each inter-boundary block delta to the memo-reusing evaluator.
+// preceding its first boundary, then walks its boundaries in order,
+// evaluating each on the same evaluator.
 func replayLane(task *migration.Task, seq []int, cfg *Config, theta float64, bs []boundary, results []boundaryResult) {
 	view := task.Topo.NewView()
 	eval := routing.NewEvaluator(task.Topo)
@@ -225,32 +221,14 @@ func replayLane(task *migration.Task, seq []int, cfg *Config, theta float64, bs 
 			}
 		}
 	}
-	view.Track()
 
 	occ := newOccScratch(task, cfg.SpaceBudget)
-	var xsw []topo.SwitchID
-	var xck []topo.CircuitID
 	pos := 0
 	for k := range bs {
 		b := &bs[k]
 		for ; pos < b.idx; pos++ {
 			task.Apply(view, seq[pos])
 		}
-		// Close the raw touched set over circuit/switch incidence, as
-		// CheckDelta's invalidation rule requires (see ExpandTouched); the
-		// buffers are lane-local and reused across boundaries.
-		tsw, tck := view.TakeTouched()
-		xsw, xck = xsw[:0], xck[:0]
-		xsw = append(xsw, tsw...)
-		xck = append(xck, tck...)
-		for _, s := range tsw {
-			xck = append(xck, task.Topo.Switch(s).Circuits()...)
-		}
-		for _, c := range xck {
-			cc := task.Topo.Circuit(c)
-			xsw = append(xsw, cc.A, cc.B)
-		}
-
 		copts := routing.CheckOpts{Theta: theta, Split: cfg.Split,
 			DemandScale: task.Forecast.ScaleAt(b.applied)}
 		if b.withFunnel && !cfg.FreeOrder && cfg.FunnelFactor > 1 && b.lastBlock >= 0 {
@@ -258,7 +236,7 @@ func replayLane(task *migration.Task, seq []int, cfg *Config, theta float64, bs 
 			copts.FunnelCircuits = funnelCircuits(task, b.lastBlock)
 		}
 		r := &results[k]
-		r.res, r.viol = eval.EvaluateDelta(view, xsw, xck, &task.Demands, copts)
+		r.res, r.viol = eval.Evaluate(view, &task.Demands, copts)
 		r.occDC, r.occN, r.occBudget, r.occOK = occ.check(task, view)
 	}
 }

@@ -10,16 +10,16 @@ import (
 
 // ErrAudit means the planner produced a sequence that the independent
 // post-planning audit rejected — a planner bug (most likely in a fast
-// path: the satisfiability cache, the incremental evaluator, or a parallel
-// lane), caught before the plan could reach an operator.
+// path: the satisfiability cache, the evaluator's retained state, or a
+// parallel lane), caught before the plan could reach an operator.
 var ErrAudit = errors.New("core: plan failed independent audit")
 
 // auditConfig maps planner options onto the independent auditor's
 // configuration. The planner's own fast-path knobs (its caches, its
-// incremental toggles, its shared Evaluator) deliberately do not cross
+// incremental-view toggle, its shared Evaluator) deliberately do not cross
 // this boundary: the auditor builds all of its state from the task alone.
-// The audit does default to the auditor's OWN incremental + parallel
-// engine (audit.ModeIncremental), which is differential-tested
+// The audit does default to the auditor's OWN parallel lane engine
+// (audit.ModeIncremental), which is differential-tested
 // byte-identical to the serial reference — Options.AuditSerial forces the
 // reference engine; audit worker lanes follow the planner's worker
 // setting (adaptive resolves to the runtime's parallelism).

@@ -18,7 +18,7 @@ var batchTestHook func(worker int)
 // top of the open heap, whose entries are the next expansion candidates. A
 // frontierWarmer resolves all of those that miss the shared satisfiability
 // cache in one parallel batch on persistent worker lanes (each owning a
-// forked evaluator whose incremental memo stays warm across batches),
+// forked evaluator whose retained up state stays warm across batches),
 // committing verdicts through the cache's claim protocol. Verdicts are
 // deterministic functions of the state, so the warmed cache is identical to
 // what lazy serial checking would produce (plus speculative extra entries
@@ -193,8 +193,8 @@ func (fw *frontierWarmer) addSuccessors(cur []uint16) {
 }
 
 // ensureLanes builds the persistent worker lanes on first use. Each owns a
-// forked evaluator, scratch view, and incremental memo; per-check recording
-// is disabled in workers and folded in bulk after each batch.
+// forked evaluator and scratch view; per-check recording is disabled in
+// workers and folded in bulk after each batch.
 func (fw *frontierWarmer) ensureLanes() {
 	if fw.lanes != nil {
 		return

@@ -120,19 +120,6 @@ type Options struct {
 	// ablation benchmark; never faster.
 	DisableIncrementalView bool
 
-	// DisableIncrementalEval forces every cache-missing satisfiability
-	// check through the classic full evaluation (every destination group
-	// recomputed) instead of the incremental engine that invalidates only
-	// the destination groups a block delta can affect. Kept for ablation
-	// and differential cross-checks; the two paths produce identical
-	// verdicts. Incremental evaluation is also bypassed automatically when
-	// FunnelFactor > 1 (funneling bounds depend on the in-flight block) or
-	// when a shared Evaluator is supplied via Options.Evaluator, and the
-	// engine disables itself mid-run when successive deltas keep
-	// invalidating (nearly) every destination group — dense homogeneous
-	// fabrics hit this structurally; Metrics.IncDisables counts it.
-	DisableIncrementalEval bool
-
 	// Workers sets the parallelism of the search: 0 or 1 runs fully serial;
 	// n > 1 lets the planners resolve satisfiability checks on n concurrent
 	// worker lanes (A* warms the frontier speculatively, DP sweeps the
@@ -173,18 +160,18 @@ type Options struct {
 	SkipAudit bool
 
 	// AuditSerial forces the post-planning audit onto the serial reference
-	// engine. The default replays the plan with the incremental + parallel
-	// audit engine (audit.ModeIncremental), which is differential-tested
-	// byte-identical to the serial reference but roughly removes the
-	// 40-50% audit overhead of re-evaluating every boundary from scratch.
-	// Set AuditSerial when certifying a release build against the pristine
-	// reference path.
+	// engine. The default replays the plan with the parallel lane engine
+	// (audit.ModeIncremental), which is differential-tested byte-identical
+	// to the serial reference. Set AuditSerial when certifying a release
+	// build against the pristine reference path.
 	AuditSerial bool
 
 	// Evaluator optionally supplies a routing evaluator to reuse across
 	// planning runs over the same topology. When nil a fresh one is built.
-	// The post-planning audit never uses it: audits run on a fresh
-	// evaluator by construction.
+	// Whatever up state and distance fields it carries over from earlier
+	// checks follow the next view by content, so plans are byte-identical
+	// to a fresh evaluator's. The post-planning audit never uses it: audits
+	// run on a fresh evaluator by construction.
 	Evaluator *routing.Evaluator
 
 	// Recorder optionally streams planner events (states, checks, cache
@@ -278,11 +265,11 @@ type Metrics struct {
 	CacheMisses   int           // checks that missed the cache and ran the evaluator
 	PlanningTime  time.Duration // wall clock
 
-	// Incremental-evaluation counters (zero when the engine is disabled).
-	GroupInvalidations int // destination groups recomputed by delta checks
-	GroupsReused       int // destination groups served from the memo
-	IncDisables        int // incremental engine self-disable events (low-reuse fabric)
-	BatchedChecks      int // frontier checks resolved by parallel batches
+	// Always zero: bench/ still reads the two (ROADMAP item 4 drops them).
+	GroupInvalidations int
+	GroupsReused       int
+
+	BatchedChecks int // frontier checks resolved by parallel batches
 
 	// Parallel-search counters (zero on serial runs).
 	WorkerChecks     int // satisfiability checks executed on worker lanes

@@ -818,42 +818,40 @@ func TestOptionsValidation(t *testing.T) {
 // state rejected by a switch's port budget is infeasible whatever the
 // demands are, so its cut must survive a demand-only rebind of the bound
 // engine, while a state rejected on utilization must be forgotten and
-// re-proved. Both evaluator paths (memo and classic) answer ports first.
+// re-proved. The evaluator answers ports first.
 func TestPortCutSurvivesDemandRebind(t *testing.T) {
 	// Two old bridges up, two new ones down, src budgeted for three ports,
 	// θ = 0.7 on unit-capacity bridges carrying 1.2.
 	portVec := []uint16{0, 2} // both new bridges undrained first: four circuits on src
 	utilVec := []uint16{1, 0} // one old bridge drained: the other carries 1.2 > 0.7
-	for _, classic := range []bool{false, true} {
-		opts := Options{Theta: 0.7, DisableIncrementalEval: classic}
-		task := bridgeTask(t, 2, 2, 1, 1, 1.2, 3)
-		eng := NewBoundEngine(task, opts)
-		opts.Bound = eng
-		sp, err := newSpace(task, opts)
-		if err != nil {
-			t.Fatal(err)
+	opts := Options{Theta: 0.7}
+	task := bridgeTask(t, 2, 2, 1, 1, 1.2, 3)
+	eng := NewBoundEngine(task, opts)
+	opts.Bound = eng
+	sp, err := newSpace(task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range [][]uint16{portVec, utilVec} {
+		idx, _ := sp.intern(v)
+		if sp.feasible(idx, NoLast) {
+			t.Fatalf("state %v should be unsafe", v)
 		}
-		for _, v := range [][]uint16{portVec, utilVec} {
-			idx, _ := sp.intern(v)
-			if sp.feasible(idx, NoLast) {
-				t.Fatalf("classic=%v: state %v should be unsafe", classic, v)
-			}
-		}
-		// Learn doubles as the probe: it reports whether the cut was new.
-		if eng.Learn(portVec, false) || eng.Learn(utilVec, false) {
-			t.Fatalf("classic=%v: failed checks were not learned as cuts", classic)
-		}
+	}
+	// Learn doubles as the probe: it reports whether the cut was new.
+	if eng.Learn(portVec, false) || eng.Learn(utilVec, false) {
+		t.Fatal("failed checks were not learned as cuts")
+	}
 
-		// Same structure, drifted demand: newSpace rebinds the engine.
-		drifted := bridgeTask(t, 2, 2, 1, 1, 1.3, 3)
-		if _, err := newSpace(drifted, opts); err != nil {
-			t.Fatal(err)
-		}
-		if eng.Learn(portVec, false) {
-			t.Errorf("classic=%v: port cut was dropped by a demand-only rebind", classic)
-		}
-		if !eng.Learn(utilVec, false) {
-			t.Errorf("classic=%v: utilization cut survived a demand rebind", classic)
-		}
+	// Same structure, drifted demand: newSpace rebinds the engine.
+	drifted := bridgeTask(t, 2, 2, 1, 1, 1.3, 3)
+	if _, err := newSpace(drifted, opts); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Learn(portVec, false) {
+		t.Error("port cut was dropped by a demand-only rebind")
+	}
+	if !eng.Learn(utilVec, false) {
+		t.Error("utilization cut survived a demand rebind")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // lane is one worker's complete mutable check state. The space itself
 // holds only immutable task precompute and the shared concurrent tables;
 // everything a satisfiability check mutates — the scratch topology view,
-// the routing evaluator with its incremental memo, the occupancy scratch,
+// the routing evaluator with its retained up state, the occupancy scratch,
 // the keyer's encode buffer, and the check accounting — lives in a lane,
 // so any number of lanes can check vectors concurrently against one space.
 //
@@ -31,17 +31,6 @@ type lane struct {
 	// mostly check near-neighbor states, so the delta is usually one or
 	// two blocks instead of a full rebuild). nil until the first build.
 	curVec []uint16
-
-	// Incremental satisfiability state. useInc enables routing.CheckDelta:
-	// incVec is the vector the evaluator's memo was computed on (tracked
-	// separately from curVec — an occupancy rejection rebuilds the view but
-	// leaves the memo alone), and touchSw/touchCk accumulate the union of
-	// Touched sets for blocks differing between incVec and the vector being
-	// checked.
-	useInc  bool
-	incVec  []uint16
-	touchSw []topo.SwitchID
-	touchCk []topo.CircuitID
 
 	// occ is the per-check occupancy scratch (dense, indexed by DC+1).
 	occ []int32
@@ -66,9 +55,8 @@ type lane struct {
 
 // newLane builds a check lane over sp. eval supplies the routing evaluator
 // (lane 0 may receive a caller-provided one; workers fork lane 0's). rec
-// is the per-check recorder, nil for worker lanes. useInc selects the
-// incremental-evaluation policy for this lane.
-func (sp *space) newLane(eval *routing.Evaluator, rec *obs.Recorder, useInc bool, m *Metrics) *lane {
+// is the per-check recorder, nil for worker lanes.
+func (sp *space) newLane(eval *routing.Evaluator, rec *obs.Recorder, m *Metrics) *lane {
 	// Scratch buffers come from the shape-keyed pool (see scratch.go);
 	// they are dirty on arrival, and every consumer fully overwrites
 	// before reading — the fresh lane's nil curVec forces the full
@@ -76,13 +64,12 @@ func (sp *space) newLane(eval *routing.Evaluator, rec *obs.Recorder, useInc bool
 	// rewrites its exactly-sized buffer.
 	scr := sp.acquireScratch()
 	ln := &lane{
-		sp:     sp,
-		eval:   eval,
-		view:   sp.task.Topo.NewView(),
-		rec:    rec,
-		key:    keyer{fits64: sp.key.fits64, shifts: sp.key.shifts, buf: scr.key},
-		useInc: useInc,
-		m:      m,
+		sp:   sp,
+		eval: eval,
+		view: sp.task.Topo.NewView(),
+		rec:  rec,
+		key:  keyer{fits64: sp.key.fits64, shifts: sp.key.shifts, buf: scr.key},
+		m:    m,
 	}
 	if sp.occDelta != nil {
 		ln.occ = scr.occ
@@ -94,10 +81,10 @@ func (sp *space) newLane(eval *routing.Evaluator, rec *obs.Recorder, useInc bool
 }
 
 // workerLane forks a fresh lane for a parallel check worker: its own
-// evaluator fork (shared immutable adjacency, private scratch and memo),
-// view, and accounting.
+// evaluator fork (shared immutable adjacency, private scratch), view, and
+// accounting.
 func (sp *space) workerLane() *lane {
-	return sp.newLane(sp.ln.eval.Fork(), nil, sp.laneInc, &Metrics{})
+	return sp.newLane(sp.ln.eval.Fork(), nil, &Metrics{})
 }
 
 // fold merges a worker lane's accumulated accounting into the shared
@@ -109,15 +96,10 @@ func (ln *lane) fold() {
 	sp.metrics.WorkerChecks += ln.m.Checks
 	sp.metrics.CacheHits += ln.m.CacheHits
 	sp.metrics.CacheMisses += ln.m.CacheMisses
-	sp.metrics.GroupInvalidations += ln.m.GroupInvalidations
-	sp.metrics.GroupsReused += ln.m.GroupsReused
-	sp.metrics.IncDisables += ln.m.IncDisables
 	sp.rec.ChecksAdded(ln.m.Checks)
 	sp.rec.WorkerChecks(ln.m.Checks)
 	sp.rec.CacheHitsAdded(ln.m.CacheHits)
 	sp.rec.CacheMissesAdded(ln.m.CacheMisses)
-	sp.rec.GroupInvalidations(ln.m.GroupInvalidations)
-	sp.rec.GroupsReused(ln.m.GroupsReused)
 	*ln.m = Metrics{}
 }
 
@@ -136,8 +118,6 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 	ln.buildView(v)
 
 	if sp.occDelta != nil && !ln.occupancyOK(v) {
-		// The evaluator never saw this view; incVec intentionally stays at
-		// the memoized state so the next delta is computed from it.
 		ln.structRejected = true
 		return false
 	}
@@ -156,72 +136,11 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 		copts.FunnelFactor = sp.opts.FunnelFactor
 		copts.FunnelCircuits = funnelCircuits(sp.task, blockID)
 	}
-	if ln.useInc {
-		if ln.eval.IncrementalOff() {
-			// The engine disabled itself (this fabric invalidates wholesale,
-			// so memoization cannot pay); skip the touched-set bookkeeping
-			// too. A nil incVec forces a full rebuild should the engine ever
-			// be re-armed.
-			ln.incVec = nil
-			return ln.verdict(ln.eval.Check(ln.view, sp.demands, copts))
-		}
-		ln.collectTouched(v)
-		inv0, reu0 := ln.eval.GroupInvalidations, ln.eval.GroupsReused
-		viol := ln.eval.CheckDelta(ln.view, ln.touchSw, ln.touchCk, sp.demands, copts)
-		inv, reu := ln.eval.GroupInvalidations-inv0, ln.eval.GroupsReused-reu0
-		ln.m.GroupInvalidations += inv
-		ln.m.GroupsReused += reu
-		if ln.rec.Enabled() {
-			ln.rec.GroupInvalidations(inv)
-			ln.rec.GroupsReused(reu)
-		}
-		if ln.eval.IncrementalOff() {
-			ln.m.IncDisables++
-			ln.rec.IncDisable()
-		}
-		ln.incVec = append(ln.incVec[:0], v...)
-		return ln.verdict(viol)
-	}
-	return ln.verdict(ln.eval.Check(ln.view, sp.demands, copts))
-}
-
-// verdict folds an evaluator verdict into the lane's: the state is safe
-// iff there is no violation, and a port violation — which every evaluator
-// path answers before it routes a single demand — marks the rejection
-// structural.
-func (ln *lane) verdict(viol routing.Violation) bool {
+	// A port violation — which the evaluator answers before it routes a
+	// single demand — marks the rejection structural.
+	viol := ln.eval.Check(ln.view, sp.demands, copts)
 	ln.structRejected = viol.Kind == routing.ViolationPorts
 	return viol.OK()
-}
-
-// collectTouched gathers into touchSw/touchCk the union of the precomputed
-// Touched sets of every block differing between incVec (the vector the
-// evaluator's memo reflects) and v. On the first check incVec is nil and
-// the sets stay empty: the evaluator has no memo yet and does a full
-// rebuild regardless.
-func (ln *lane) collectTouched(v []uint16) {
-	sp := ln.sp
-	ln.touchSw = ln.touchSw[:0]
-	ln.touchCk = ln.touchCk[:0]
-	if ln.incVec == nil {
-		return
-	}
-	for ty := 0; ty < sp.nTypes; ty++ {
-		cur, want := int(ln.incVec[ty]), int(v[ty])
-		if cur == want {
-			continue
-		}
-		lo, hi := cur, want
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		blocks := sp.task.BlocksOfType(migration.ActionType(ty))
-		for j := lo; j < hi; j++ {
-			bt := sp.task.Touched(blocks[j])
-			ln.touchSw = append(ln.touchSw, bt.Switches...)
-			ln.touchCk = append(ln.touchCk, bt.Circuits...)
-		}
-	}
 }
 
 // buildView materializes the state for vector v in the lane's scratch

@@ -27,7 +27,7 @@ import (
 // costs, occupancy deltas, the key packing layout) and the two concurrent
 // tables every lane shares — the striped intern table and the per-vector
 // satisfiability cache. All per-check mutable state (scratch view,
-// evaluator, incremental memo, occupancy scratch) lives in lanes: the
+// evaluator, occupancy scratch) lives in lanes: the
 // planner goroutine owns lane 0 (sp.ln), and parallel batches fork
 // additional worker lanes that check vectors concurrently against the
 // shared tables.
@@ -67,12 +67,6 @@ type space struct {
 
 	// ln is lane 0: the planner goroutine's own check lane.
 	ln *lane
-
-	// useInc is lane 0's incremental-evaluation policy; laneInc is the
-	// worker lanes' (workers always own their forked memo, so a shared
-	// caller-supplied evaluator does not disqualify them).
-	useInc  bool
-	laneInc bool
 
 	metrics  Metrics
 	rec      *obs.Recorder // nil-safe; nil is the no-op default
@@ -226,20 +220,6 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 	if opts.SpaceBudget != nil {
 		sp.precomputeOccupancy()
 	}
-	// Incremental satisfiability: for lane 0, sound only when bounds depend
-	// on the topology state alone (no funneling) and this space owns the
-	// evaluator's memo (a caller-supplied evaluator may be shared with
-	// other live spaces whose checks would desynchronize it). Worker lanes
-	// always fork a private evaluator, so only the funneling condition
-	// applies to them.
-	sp.useInc = !opts.DisableIncrementalEval && opts.FunnelFactor <= 1 && opts.Evaluator == nil
-	sp.laneInc = !opts.DisableIncrementalEval && opts.FunnelFactor <= 1
-	if sp.useInc || (sp.laneInc && opts.Workers > 1) {
-		// Eagerly precompute touched sets while construction is
-		// single-threaded. Worker lanes spun up later (e.g. a resume leg
-		// raising Workers) fall back on the goroutine-safe lazy build.
-		task.BuildTouched()
-	}
 	if task.Forecast.GrowthPerStep != 0 {
 		total := 0
 		for _, t := range sp.totals {
@@ -250,7 +230,7 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 			sp.scales[k] = task.Forecast.ScaleAt(k)
 		}
 	}
-	sp.ln = sp.newLane(eval, sp.rec, sp.useInc, &sp.metrics)
+	sp.ln = sp.newLane(eval, sp.rec, &sp.metrics)
 	if opts.Workers == WorkersAdaptive {
 		sp.adaptive = newAdaptivePolicy(sp)
 	}

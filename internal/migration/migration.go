@@ -106,26 +106,13 @@ type Task struct {
 	// Janus baselines cannot plan such migrations (paper §6.3).
 	TopologyChanging bool
 
-	// Lazily built derived tables, atomically published so concurrent
+	// Lazily built derived table, atomically published so concurrent
 	// readers (parallel check workers share one Task) can trigger or race
 	// the build safely: racing builders produce identical tables and the
-	// last store wins. Both are unsafe.Pointer rather than atomic.Pointer
-	// so Task values stay copyable (WithDemands/WithTopology copy the
-	// struct); the published payloads are immutable, so copies share them.
+	// last store wins. unsafe.Pointer rather than atomic.Pointer so Task
+	// values stay copyable (WithDemands/WithTopology copy the struct); the
+	// published payload is immutable, so copies share it.
 	blocksByType unsafe.Pointer // *[][]int: block indices per type, canonical order
-	touched      unsafe.Pointer // *[]BlockTouch: per-block touched-element sets
-}
-
-// BlockTouch is the precomputed impact set of one operation block: every
-// element whose activity — or whose incident circuits' up-state — can change
-// when the block is applied or reverted. Switches contains the operated
-// switches plus the endpoints of every touched circuit; Circuits contains
-// the operated circuits plus every circuit incident to an operated switch.
-// Incremental satisfiability checking invalidates exactly the per-destination
-// routing state whose reachable set intersects Switches.
-type BlockTouch struct {
-	Switches []topo.SwitchID
-	Circuits []topo.CircuitID
 }
 
 // AddType interns a new action type and returns its handle.
@@ -135,7 +122,6 @@ func (t *Task) AddType(info ActionTypeInfo) ActionType {
 	}
 	t.Types = append(t.Types, info)
 	atomic.StorePointer(&t.blocksByType, nil)
-	atomic.StorePointer(&t.touched, nil)
 	return ActionType(len(t.Types) - 1)
 }
 
@@ -147,7 +133,6 @@ func (t *Task) AddBlock(b Block) int {
 	}
 	t.Blocks = append(t.Blocks, b)
 	atomic.StorePointer(&t.blocksByType, nil)
-	atomic.StorePointer(&t.touched, nil)
 	return b.ID
 }
 
@@ -185,65 +170,8 @@ func (t *Task) BlocksOfType(a ActionType) []int {
 	return byType[a]
 }
 
-// Touched returns the precomputed touched-element set of the block. The
-// full table is built lazily on first call and cached; like BlocksOfType
-// the build is goroutine-safe via atomic publication, so concurrent check
-// workers need no pre-touch protocol. The returned sets are shared —
-// callers must not modify them.
-func (t *Task) Touched(blockID int) *BlockTouch {
-	if touched := (*[]BlockTouch)(atomic.LoadPointer(&t.touched)); touched != nil {
-		return &(*touched)[blockID]
-	}
-	t.BuildTouched()
-	return &(*(*[]BlockTouch)(atomic.LoadPointer(&t.touched)))[blockID]
-}
-
-// BuildTouched forces construction of the per-block touched-element table.
-func (t *Task) BuildTouched() {
-	if atomic.LoadPointer(&t.touched) != nil {
-		return
-	}
-	touched := make([]BlockTouch, len(t.Blocks))
-	seenSw := make(map[topo.SwitchID]bool)
-	seenCk := make(map[topo.CircuitID]bool)
-	for i := range t.Blocks {
-		b := &t.Blocks[i]
-		for k := range seenSw {
-			delete(seenSw, k)
-		}
-		for k := range seenCk {
-			delete(seenCk, k)
-		}
-		bt := &touched[i]
-		addCk := func(c topo.CircuitID) {
-			if !seenCk[c] {
-				seenCk[c] = true
-				bt.Circuits = append(bt.Circuits, c)
-			}
-		}
-		addSw := func(s topo.SwitchID) {
-			if !seenSw[s] {
-				seenSw[s] = true
-				bt.Switches = append(bt.Switches, s)
-			}
-		}
-		for _, s := range b.Switches {
-			addSw(s)
-			for _, c := range t.Topo.Switch(s).Circuits() {
-				addCk(c)
-			}
-		}
-		for _, c := range b.Circuits {
-			addCk(c)
-		}
-		for _, c := range bt.Circuits {
-			ck := t.Topo.Circuit(c)
-			addSw(ck.A)
-			addSw(ck.B)
-		}
-	}
-	atomic.StorePointer(&t.touched, unsafe.Pointer(&touched))
-}
+// Touched returns the block, for its Switches and Circuits: bench/ still calls it (ROADMAP item 4 drops it).
+func (t *Task) Touched(blockID int) *Block { return &t.Blocks[blockID] }
 
 // Counts returns the number of blocks per action type — the target vector
 // V* of the compact topology representation.

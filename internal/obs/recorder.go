@@ -26,9 +26,6 @@ const (
 	MetricDriftReplans       = "ctrl.drift_replans"
 	MetricTelemetryFaults    = "ctrl.telemetry_faults"
 	MetricDegradedRuns       = "ctrl.degraded_runs"
-	MetricGroupInvalidations = "routing.group_invalidations"
-	MetricGroupsReused       = "routing.groups_reused"
-	MetricIncDisables        = "routing.incremental_disables"
 	MetricBatchedChecks      = "planner.batched_boundary_checks"
 	MetricWorkerChecks       = "planner.worker_checks"
 	MetricShardContention    = "planner.shard_contention"
@@ -85,9 +82,6 @@ type Recorder struct {
 	driftReplans     *Counter
 	telemetryFaults  *Counter
 	degradedRuns     *Counter
-	groupInval       *Counter
-	groupsReused     *Counter
-	incDisables      *Counter
 	batchedChecks    *Counter
 	workerChecks     *Counter
 	shardContention  *Counter
@@ -143,9 +137,6 @@ func NewRecorder(reg *Registry) *Recorder {
 		driftReplans:     reg.Counter(MetricDriftReplans),
 		telemetryFaults:  reg.Counter(MetricTelemetryFaults),
 		degradedRuns:     reg.Counter(MetricDegradedRuns),
-		groupInval:       reg.Counter(MetricGroupInvalidations),
-		groupsReused:     reg.Counter(MetricGroupsReused),
-		incDisables:      reg.Counter(MetricIncDisables),
 		batchedChecks:    reg.Counter(MetricBatchedChecks),
 		workerChecks:     reg.Counter(MetricWorkerChecks),
 		shardContention:  reg.Counter(MetricShardContention),
@@ -360,34 +351,6 @@ func (r *Recorder) DegradedRun() {
 		return
 	}
 	r.degradedRuns.Inc()
-}
-
-// GroupInvalidations counts n destination groups recomputed by incremental
-// satisfiability checks.
-func (r *Recorder) GroupInvalidations(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.groupInval.Add(int64(n))
-}
-
-// GroupsReused counts n destination groups answered from the incremental
-// memo without recomputation.
-func (r *Recorder) GroupsReused(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.groupsReused.Add(int64(n))
-}
-
-// IncDisable counts one incremental-engine self-disable event: successive
-// deltas kept invalidating (nearly) every destination group, so the
-// evaluator fell back to classic full checks for the rest of the run.
-func (r *Recorder) IncDisable() {
-	if r == nil {
-		return
-	}
-	r.incDisables.Inc()
 }
 
 // BatchedChecks counts n boundary checks resolved by a parallel batch

@@ -9,12 +9,12 @@ import (
 	"klotski/internal/topo"
 )
 
-// The classic check keeps its distance fields between calls and repairs them
-// around the switches syncUp rebuilt. These tests drive it through upHarness
+// The check keeps its distance fields between calls and repairs them around
+// the switches syncUp rebuilt. These tests drive it through upHarness
 // (upstate_test.go), which after every evaluator call holds every retained
 // field against a fresh fork's full traversal, entry by entry, and every
-// classic answer against a fresh evaluator's; what they add is the sequences,
-// and assertions on which way each check came by its fields.
+// answer against a fresh evaluator's; what they add is the sequences, and
+// assertions on which way each check came by its fields.
 
 // ladder is a fabric on which one flipped circuit moves a known part of a
 // field: two rails of ladderLen switches, rail a with metric 1 and rail b with
@@ -81,7 +81,7 @@ func newLadder(t testing.TB) *ladder {
 	return l
 }
 
-// How a classic call is expected to come by its fields.
+// How a check is expected to come by its fields.
 const (
 	viaNothing  = "nothing"   // rejected on ports, or nothing changed
 	viaRepair   = "repair"    // retained fields repaired
@@ -89,8 +89,8 @@ const (
 	viaGiveUp   = "give-up"   // a repair that ran out of budget, then the traversal
 )
 
-// check runs op (opCheck or opEvaluate) on the current evaluator and view and
-// fails unless the call came by its fields the expected way.
+// check runs op (one of the checking ones) on the current evaluator and view
+// and fails unless the call came by its fields the expected way.
 func (l *ladder) check(op byte, want, what string) pathTaken {
 	l.h.t.Helper()
 	l.h.do(op, 0)
@@ -211,18 +211,19 @@ func TestFieldsFollowView(t *testing.T) {
 	v.UndrainCircuit(l.railA[109])
 	l.check(opEvaluate, viaRepair, "back to the initial state")
 
-	// The memo's entry points and Trace on the same evaluator, in between.
+	// A Trace on the same evaluator moves the up state and leaves the fields
+	// alone, the marks saying by how much; a rate that drifts leaves both alone.
 	v.DrainCircuit(l.railA[105])
-	l.h.do(opCheckDelta, 0)
-	v.UndrainCircuit(l.spare)
 	l.h.do(opTrace, 0)
-	l.h.do(opDemandDelta, 3)
-	l.check(opEvaluate, viaRepair, "after memo calls and a trace")
+	v.UndrainCircuit(l.spare)
+	l.h.do(opTrace, 5)
+	l.check(opEvaluate, viaRepair, "after two traces")
+	l.h.do(opDriftRate, 200<<8|3)
+	l.check(opDemandDelta, viaNothing, "after a rate drifted")
 	v.DrainCircuit(l.spare)
-	l.h.do(opEvaluateDelta, 0)
 	l.h.do(opTrace, 5)
 	v.UndrainCircuit(l.railA[105])
-	l.check(opCheck, viaRepair, "after more of them")
+	l.check(opCheckDelta, viaRepair, "after another trace")
 
 	// A fork taken mid-sequence starts from nothing; the original carries on.
 	l.h.do(opFork, 0)
@@ -315,7 +316,7 @@ func TestFieldsFollowView(t *testing.T) {
 				op = opToggleCircuit
 			}
 			h.do(op, rng.Intn(1<<16))
-			if op%upOps == opCheck || op%upOps == opEvaluate {
+			if op%upOps >= opCheck && op%upOps < opTrace {
 				switch {
 				case h.last.repaired:
 					repaired++
@@ -327,7 +328,7 @@ func TestFieldsFollowView(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("random sequences: %d classic checks repaired, %d traversed, %d gave up and traversed", repaired, traversed, gaveUp)
+	t.Logf("random sequences: %d checks repaired, %d traversed, %d gave up and traversed", repaired, traversed, gaveUp)
 	if repaired < 100 || traversed < 100 {
 		t.Fatalf("random sequences took one way too seldom: %d repaired, %d traversed", repaired, traversed)
 	}
@@ -338,11 +339,11 @@ func TestFieldsFollowView(t *testing.T) {
 // six rebuilt switches are the cut-over.
 func FuzzFieldsFollowView(f *testing.F) {
 	// One circuit down and up; a switch down, a port-rejected or routed check,
-	// and up; the memo and a trace between two classic checks; two views
+	// and up; a trace and a drifting rate between two checks; two views
 	// alternating; fork, reset, copy.
 	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 40, opEvaluate, 0, 0, opToggleCircuit, 0, 40, opCheck, 0, 0})
 	f.Add([]byte{opCheck, 0, 0, opToggleSwitch, 0, 30, opCheck, 0, 0, opToggleCircuit, 0, 9, opCheck, 0, 0, opToggleSwitch, 0, 30, opEvaluate, 0, 0})
-	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 7, opCheckDelta, 0, 0, opTrace, 0, 2, opToggleCircuit, 0, 90, opDemandDelta, 0, 1, opEvaluate, 0, 0})
+	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 7, opTrace, 0, 2, opToggleCircuit, 0, 90, opDriftRate, 200, 1, opDemandDelta, 0, 0, opEvaluate, 0, 0})
 	f.Add([]byte{opCheck, 0, 0, opOtherView, 0, 0, opToggleCircuit, 0, 3, opCheck, 0, 0, opOtherView, 0, 0, opCheck, 0, 0, opCopyFrom, 0, 0, opCheck, 0, 0})
 	f.Add([]byte{opCheck, 0, 0, opFork, 0, 0, opToggleHubCircuit, 0, 6, opCheck, 0, 0, opFork, 0, 1, opCheck, 0, 0, opReset, 0, 0, opEvaluate, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {

@@ -85,6 +85,78 @@ func randomMeshTopo(rng *rand.Rand, n int) (*topo.Topology, []topo.SwitchID) {
 	return t, sw
 }
 
+// randomFabric builds a random multi-layer fabric with rng: three tiers of
+// switches wired tier-to-tier with random capacities and metrics, plus a
+// few random port budgets.
+func randomFabric(rng *rand.Rand) (*topo.Topology, []topo.SwitchID) {
+	t := topo.New("rand")
+	tiers := [][]topo.SwitchID{}
+	roles := []topo.Role{topo.RoleRSW, topo.RoleFSW, topo.RoleSSW}
+	for ti, role := range roles {
+		n := 2 + rng.Intn(4)
+		var tier []topo.SwitchID
+		for i := 0; i < n; i++ {
+			ports := 0
+			if rng.Intn(4) == 0 {
+				ports = 2 + rng.Intn(6)
+			}
+			tier = append(tier, t.AddSwitch(topo.Switch{
+				Name:  fmt.Sprintf("t%d-%d", ti, i),
+				Role:  role,
+				Ports: ports,
+			}))
+		}
+		tiers = append(tiers, tier)
+	}
+	var all []topo.SwitchID
+	for _, tier := range tiers {
+		all = append(all, tier...)
+	}
+	for ti := 0; ti+1 < len(tiers); ti++ {
+		for _, a := range tiers[ti] {
+			for _, b := range tiers[ti+1] {
+				if rng.Float64() < 0.8 {
+					c := t.AddCircuit(a, b, 5+rng.Float64()*20)
+					if rng.Intn(3) == 0 {
+						t.SetMetric(c, int32(1+rng.Intn(3)))
+					}
+				}
+			}
+		}
+	}
+	// A few same-tier cross links for path diversity.
+	for _, tier := range tiers {
+		for i := 0; i+1 < len(tier); i++ {
+			if rng.Float64() < 0.3 {
+				t.AddCircuit(tier[i], tier[i+1], 5+rng.Float64()*10)
+			}
+		}
+	}
+	return t, all
+}
+
+func randomDemands(rng *rand.Rand, sw []topo.SwitchID) demand.Set {
+	var ds demand.Set
+	n := 3 + rng.Intn(10)
+	for i := 0; i < n; i++ {
+		src := sw[rng.Intn(len(sw))]
+		dst := sw[rng.Intn(len(sw))]
+		if src == dst {
+			continue
+		}
+		ds.Add(demand.Demand{
+			Name: fmt.Sprintf("d%d", i),
+			Src:  src,
+			Dst:  dst,
+			Rate: 0.5 + rng.Float64()*4,
+		})
+	}
+	if ds.Len() == 0 {
+		ds.Add(demand.Demand{Name: "d0", Src: sw[0], Dst: sw[len(sw)-1], Rate: 1})
+	}
+	return ds
+}
+
 // checkAgainstReference compares one full evaluation with ReferenceLoads.
 func checkAgainstReference(t *testing.T, label string, tp *topo.Topology, view *topo.View, ds *demand.Set, split SplitMode) {
 	t.Helper()
@@ -207,6 +279,32 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 		}
 		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
 			checkAgainstReference(t, fmt.Sprintf("hub trial %d", trial), tp, view, &ds, split)
+		}
+	}
+}
+
+// TestGroupFoldMatchesReference holds the group-by-group fold of one reused
+// evaluator, both split modes in turn, against the naive reference
+// implementation on the small tier fabrics.
+func TestGroupFoldMatchesReference(t *testing.T) {
+	for seed := int64(100); seed < 106; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tp, sw := randomFabric(rng)
+		ds := randomDemands(rng, sw)
+		e := NewEvaluator(tp)
+		v := tp.NewView()
+		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
+			_, viol := e.Evaluate(v, &ds, CheckOpts{Theta: 100, Split: split})
+			want, routed := ReferenceLoads(tp, v, &ds, split)
+			if routed != (viol.Kind != ViolationUnreachable) {
+				t.Fatalf("seed %d split %v: routed=%v but viol=%v", seed, split, routed, viol)
+			}
+			for c, w := range want {
+				ab, ba := e.CircuitLoad(c)
+				if got := ab + ba; math.Abs(got-w) > 1e-6 {
+					t.Fatalf("seed %d split %v circuit %d: load %v, want %v", seed, split, c, got, w)
+				}
+			}
 		}
 	}
 }

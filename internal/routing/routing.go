@@ -63,11 +63,10 @@
 // demand rates in demand order, plus the shares pulled from its upstream
 // neighbours in the switch's own adjacency order; each directional circuit
 // load of a group is assigned exactly once; and totals are folded group by
-// group in ascending destination order. This is what lets the classic
-// check, the incremental memo's recompute of any subset of groups, and
-// Trace share one distance routine and one sweep while staying bitwise
-// identical to each other, and what makes the reported Violation a
-// deterministic function of (view, demands, options).
+// group in ascending destination order. This is what lets a check that
+// repaired its fields and one that traversed, on whatever evaluator and after
+// whatever earlier views, report bitwise identical loads, and what makes the
+// reported Violation a deterministic function of (view, demands, options).
 package routing
 
 import (
@@ -226,7 +225,6 @@ type Evaluator struct {
 	nOver   int
 	nMarked int // switches flagged swMarked: rebuilt since the retained distance fields were last in step
 	seenCk  []bool
-	upEpoch int // advanced by every sync that changed the up state
 
 	// Traversal scratch (traverse.go), allocated on first use and per Fork.
 	trav traversal
@@ -243,21 +241,14 @@ type Evaluator struct {
 	funnel    []bool
 	funnelSet bool
 
-	// Incremental memo for CheckDelta; nil until first use.
-	inc *incMemo
-
 	// Stats counters for the lifetime of the evaluator.
-	Checks               int // number of Check/Evaluate/CheckDelta calls
+	Checks               int // number of Check/Evaluate calls
 	BFSes                int // per-destination distance fields computed by a full traversal
 	FieldRepairs         int // … and retained fields brought up to date by a repair instead
 	FieldEntriesRepaired int // entries those repairs wrote: un-set, re-set or lowered
 	ArcVisits            int // arcs scanned by the distance traversals and tested by the repairs
 	ArcVisitsInPlace     int // … of which at switches with every arc up, ranged over in place
 	UpRebuilds           int // switch up masks rebuilt to follow a view
-	GroupInvalidations   int // destination groups recomputed by CheckDelta
-	GroupsReused         int // destination groups served from the memo
-	IncRebuilds          int // CheckDelta calls that fell back to a full rebuild
-	IncDisables          int // times the engine disabled itself (memo reuse too low)
 }
 
 // NewEvaluator returns an evaluator for views over t.
@@ -304,14 +295,10 @@ func (e *Evaluator) initScratch() {
 	e.load = make([]float64, 2*len(e.caps))
 }
 
-// Clone returns an independent evaluator over the same topology, for use
-// from another goroutine.
-func (e *Evaluator) Clone() *Evaluator { return e.Fork() }
-
 // Fork returns an independent evaluator over the same topology that shares
 // e's immutable precompute — the static CSR adjacency, its offsets, and the
 // per-circuit capacities and per-switch port budgets — while owning fresh
-// mutable scratch and an empty incremental memo. A fork is safe to use
+// mutable scratch. A fork is safe to use
 // concurrently with e and with other forks; it is the cheap way to stamp out
 // per-worker evaluators, costing a handful of scratch allocations instead of
 // an adjacency rebuild.
@@ -326,6 +313,16 @@ func (e *Evaluator) Fork() *Evaluator {
 // (Kind == ViolationNone) means the state is safe.
 func (e *Evaluator) Check(v *topo.View, ds *demand.Set, opts CheckOpts) Violation {
 	return e.run(v, ds, opts, true, nil)
+}
+
+// CheckDelta is Check, touched sets ignored: bench/ still calls it (ROADMAP item 4 drops it).
+func (e *Evaluator) CheckDelta(v *topo.View, _ []topo.SwitchID, _ []topo.CircuitID, ds *demand.Set, opts CheckOpts) Violation {
+	return e.Check(v, ds, opts)
+}
+
+// CheckDemandDelta is Check, changed indices ignored: bench/ still calls it (ROADMAP item 4 drops it).
+func (e *Evaluator) CheckDemandDelta(v *topo.View, _ []int32, ds *demand.Set, opts CheckOpts) Violation {
+	return e.Check(v, ds, opts)
 }
 
 // Evaluate places all demands and returns aggregate statistics without
@@ -387,9 +384,7 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 	// Destination groups come from the prebuilt destination index, in
 	// batches of up to batchWidth: one multi-destination traversal yields
 	// every distance field of the batch, then each group is seeded, swept
-	// and folded into the totals in ascending group order — the summation
-	// order the incremental path reproduces, so both give bitwise-identical
-	// loads and verdicts.
+	// and folded into the totals in ascending group order.
 	swActive, _ := v.Activity()
 	dsts, byDst := ds.DestinationIndex()
 	for lo := 0; lo < len(dsts); lo += batchWidth {

@@ -10,12 +10,11 @@ import (
 // This file holds the evaluator's two traversal primitives — the only code
 // in the package that walks the fabric — and the up state both of them read,
 // which syncUp keeps in step with whatever view is checked and which nothing
-// else writes. The classic check, the incremental memo's group recompute and
-// Trace all go through them. The classic check also keeps the fields of its
-// last traversal and, while the next check asks for the same destinations and
-// syncUp rebuilt few switches in between, repairs them around those switches
-// (repairField) instead of traversing again; a repaired field equals the
-// traversed one entry for entry.
+// else writes. The check and Trace both go through them. The check also keeps
+// the fields of its last traversal and, while the next check asks for the same
+// destinations and syncUp rebuilt few switches in between, repairs them around
+// those switches (repairField) instead of traversing again; a repaired field
+// equals the traversed one entry for entry.
 //
 //   - distances is one level-synchronous, bit-parallel traversal for up to
 //     batchWidth destinations at once. Each switch carries a 64-bit mask of
@@ -90,19 +89,18 @@ type traversal struct {
 	levels  levelQueue // distances: pairs not yet settled; sweep: flow-carrying switches not yet visited
 
 	// One traversal batch: the destinations handed to distances and the
-	// fields it fills. The classic path carves its fields out of dist and
-	// lists them per requested destination in fields, nil where that
-	// destination is inactive; the memo passes its groups' own fields.
+	// fields it fills. The check carves its fields out of dist and lists them
+	// per requested destination in fields, nil where that destination is
+	// inactive.
 	dsts   []topo.SwitchID
 	live   [][]int32
 	dist   []int32
 	fields [][]int32
 
-	// What the classic path retains between checks: field k of dist, n
-	// entries each, is the exact distance field of kept[k] over the up state
-	// as it stood when the rebuilt marks (swMarked) were last cleared. The
-	// memo and Trace borrow dsts and live for their own batches but never
-	// write dist or kept.
+	// What the check retains between calls: field k of dist, n entries each,
+	// is the exact distance field of kept[k] over the up state as it stood
+	// when the rebuilt marks (swMarked) were last cleared. Trace traverses
+	// into a field of its own and never writes dist or kept.
 	kept       []topo.SwitchID
 	keptVisits int // arcs the traversal that computed them visited
 	// Repair scratch: the switches rebuilt since, the arcs between two of
@@ -209,7 +207,6 @@ func (e *Evaluator) syncUp(v *topo.View) {
 	if !stale {
 		return
 	}
-	e.upEpoch++
 	for s, f := range flags {
 		if f&swStale != 0 {
 			e.rebuildSwitch(int32(s), sw, ck)

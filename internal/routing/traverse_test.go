@@ -80,10 +80,7 @@ func placeGroups(e *Evaluator, v *topo.View, ds *demand.Set, split SplitMode, gr
 // property: a group's distance field and its (index, value) contribution —
 // order of entries included, since the first over-bound entry is the
 // reported violation — are bitwise the same whether the group is computed
-// alone, in a full batch, or in a shuffled batch of random companions; and
-// forcing any single group through the incremental engine's recompute
-// leaves the memoized totals bitwise equal to a classic evaluation's loads
-// and the verdict unchanged.
+// alone, in a full batch, or in a shuffled batch of random companions.
 func TestPlacementIndependentOfBatching(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -104,46 +101,6 @@ func TestPlacementIndependentOfBatching(t *testing.T) {
 					t.Fatalf("seed %d round %d: group %d placed differently in a batch of %d than alone",
 						seed, round, gi, len(groups))
 				}
-			}
-		}
-
-		// Through the public paths, on the undrained fabric where every
-		// pass completes: each group in turn is recomputed by the memo, and
-		// the totals must stay bitwise equal to a classic evaluation's.
-		clean := tp.NewView()
-		opts := CheckOpts{Theta: 1e9, Split: split}
-		classic := NewEvaluator(tp)
-		if _, viol := classic.Evaluate(clean, ds, opts); !viol.OK() {
-			t.Fatalf("seed %d: undrained fabric is unsafe: %v", seed, viol)
-		}
-		inc := NewEvaluator(tp)
-		inc.CheckDelta(clean, nil, nil, ds, opts)
-		for gi := range dsts {
-			inc.inc.dirty[gi] = true
-			if viol := inc.CheckDelta(clean, nil, nil, ds, opts); !viol.OK() {
-				t.Fatalf("seed %d group %d: %v after recompute of a safe state", seed, gi, viol)
-			}
-			if inc.IncrementalOff() || inc.IncRebuilds != 1 {
-				t.Fatalf("seed %d: single-group recomputes did not stay on the delta path", seed)
-			}
-			for c := 0; c < tp.NumCircuits(); c++ {
-				ab, ba := classic.CircuitLoad(topo.CircuitID(c))
-				if ia, ib := inc.inc.total[2*c], inc.inc.total[2*c+1]; ia != ab || ib != ba {
-					t.Fatalf("seed %d group %d circuit %d: memo totals (%v,%v) != classic loads (%v,%v)",
-						seed, gi, c, ia, ib, ab, ba)
-				}
-			}
-		}
-
-		// On the drained, overloaded state a pass may abort at the
-		// recomputed group's own violation; whichever it reports, the
-		// verdict cannot flip.
-		opts.Theta = 0.05
-		inc.CheckDelta(view, nil, nil, ds, opts) // different theta: rebuild
-		for gi := range dsts {
-			inc.inc.dirty[gi] = true
-			if viol := inc.CheckDelta(view, nil, nil, ds, opts); viol.OK() {
-				t.Fatalf("seed %d group %d: unsafe state passed after recompute", seed, gi)
 			}
 		}
 	}
@@ -197,9 +154,9 @@ func TestViolationIsDeterministic(t *testing.T) {
 
 // TestEarlyExitLeavesNoMarks covers the exits that leave sweep scratch
 // half-built: a Check that returns between seeding a group and sweeping it
-// (a later demand of the group has an unreachable source), and a CheckDelta
-// that aborts mid-batch. The next full evaluation on the same evaluator
-// must equal a fresh evaluator's, bit for bit.
+// (a later demand of the group has an unreachable source). The next full
+// evaluation on the same evaluator must equal a fresh evaluator's, bit for
+// bit.
 func TestEarlyExitLeavesNoMarks(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,15 +187,6 @@ func TestEarlyExitLeavesNoMarks(t *testing.T) {
 			t.Fatalf("seed %d: no demand makes Check exit between seeding and sweeping", seed)
 		}
 		compareWithFresh(t, fmt.Sprintf("seed %d after early-exit Check", seed), e, tp, view, ds, CheckOpts{Theta: 0.9, Split: split})
-
-		// The same through the incremental engine: build the memo, then a
-		// delta that aborts at its first violation.
-		e.CheckDelta(clean, nil, nil, ds, exitOpts)
-		tsw, tck := ExpandTouched(tp, []topo.SwitchID{victim.Src}, nil)
-		if viol := e.CheckDelta(broken, tsw, tck, ds, exitOpts); viol.OK() {
-			t.Fatalf("seed %d: CheckDelta missed the unreachable demand", seed)
-		}
-		compareWithFresh(t, fmt.Sprintf("seed %d after aborted CheckDelta", seed), e, tp, view, ds, CheckOpts{Theta: 0.9, Split: split})
 	}
 }
 

@@ -34,10 +34,11 @@ type upHarness struct {
 	saved *topo.View // an earlier state of views[0], to return to
 	ev, v int
 	step  int
-	last  pathTaken // of the most recent classic call
+	last  pathTaken // of the most recent check
+	viol  Violation // its answer
 }
 
-// pathTaken says how a classic call came by its distance fields.
+// pathTaken says how a check came by its distance fields.
 type pathTaken struct {
 	traversed, repaired bool
 	gaveUp              bool // traversed after a repair ran out of budget
@@ -100,11 +101,11 @@ const (
 	opOtherView   // the other view is checked next, on the same evaluator
 	opSaveRestore // even operand: remember this state; odd: go back to it
 	opFork        // even operand: fork; then move to evaluator operand mod n
+	opDriftRate   // one demand's rate changes in place, and stays changed
 	opCheck
 	opEvaluate
-	opCheckDelta
-	opDemandDelta // memo, classic check of the other view, demand delta
-	opEvaluateDelta
+	opCheckDelta  // Check through the forward bench/ still calls
+	opDemandDelta // likewise, through CheckDemandDelta
 	opTrace
 	upOps
 )
@@ -143,33 +144,28 @@ func (h *upHarness) do(op byte, arg int) {
 			h.evals = append(h.evals, e.Fork())
 		}
 		h.ev = arg % len(h.evals)
+	case opDriftRate:
+		// Rates enter no distance field: the next check keeps its fields and
+		// must still place the new rates, which the fresh evaluator it is held
+		// against reads from the same set.
+		d := &h.ds.Demands[arg%h.ds.Len()]
+		d.Rate *= 0.5 + float64(arg>>8&0xff)/256
 	case opCheck:
 		before := *e
 		viol := e.Check(v, h.ds, h.opts)
-		h.verifyClassic("Check", e, v, viol, nil, &before)
+		h.verifyAnswer("Check", e, v, viol, nil, &before)
 	case opEvaluate:
 		before := *e
 		res, viol := e.Evaluate(v, h.ds, h.opts)
-		h.verifyClassic("Evaluate", e, v, viol, &res, &before)
+		h.verifyAnswer("Evaluate", e, v, viol, &res, &before)
 	case opCheckDelta:
-		viol := h.memo(e).CheckDelta(v, h.sw, h.allCk, h.ds, h.opts)
-		h.verifyMemo("CheckDelta", e, v, viol)
+		before := *e
+		viol := e.CheckDelta(v, nil, nil, h.ds, h.opts)
+		h.verifyAnswer("CheckDelta", e, v, viol, nil, &before)
 	case opDemandDelta:
-		// A demand delta on the memo's anchor view, with a classic check of
-		// the other view slipped in between: the up state has to come back.
-		h.memo(e).CheckDelta(v, h.sw, h.allCk, h.ds, h.opts)
-		e.Check(h.views[1-h.v], h.ds, h.opts)
-		h.verifyState("Check (other view)", e, h.views[1-h.v])
-		di := int32(arg % h.ds.Len())
-		rate := h.ds.Demands[di].Rate
-		h.ds.Demands[di].Rate = 1.25 * rate
-		viol := e.CheckDemandDelta(v, []int32{di}, h.ds, h.opts)
-		h.verifyMemo("CheckDemandDelta", e, v, viol)
-		h.ds.Demands[di].Rate = rate
-		e.CheckDemandDelta(v, []int32{di}, h.ds, h.opts)
-	case opEvaluateDelta:
-		_, viol := h.memo(e).EvaluateDelta(v, h.sw, h.allCk, h.ds, h.opts)
-		h.verifyMemo("EvaluateDelta", e, v, viol)
+		before := *e
+		viol := e.CheckDemandDelta(v, nil, h.ds, h.opts)
+		h.verifyAnswer("CheckDemandDelta", e, v, viol, nil, &before)
 	case opTrace:
 		d := h.ds.Demands[arg%h.ds.Len()]
 		got, gotErr := e.Trace(v, d.Src, d.Dst)
@@ -181,16 +177,6 @@ func (h *upHarness) do(op byte, arg int) {
 			h.t.Fatalf("step %d: Trace(%d→%d) = %v, %v; a fresh evaluator gives %v, %v", h.step, d.Src, d.Dst, got, gotErr, want, wantErr)
 		}
 	}
-}
-
-// memo returns e with its incremental engine armed: wholesale deltas make
-// the engine switch itself off, after which its entry points are the classic
-// check under another name.
-func (h *upHarness) memo(e *Evaluator) *Evaluator {
-	if e.IncrementalOff() {
-		e.ResetIncremental()
-	}
-	return e
 }
 
 // verifyState holds e's up state against the view, element by element,
@@ -256,11 +242,11 @@ func (h *upHarness) verifyState(call string, e *Evaluator, v *topo.View) {
 // verifyFields holds every retained distance field of e against a full
 // traversal by a fresh fork on the same view, entry by entry. With no switch
 // marked as rebuilt the fields claim to be in step with the up state, which
-// verifyState has just held against v — whichever call left them so: a
-// classic check that traversed or repaired, or a memo call or Trace that was
-// not to touch them. With marks pending (a port rejection, a memo call that
-// moved the up state) the fields are a step behind by design and the next
-// routed classic check answers for them.
+// verifyState has just held against v — whichever call left them so: a check
+// that traversed or repaired, or a Trace that was not to touch them. With
+// marks pending (a port rejection, a Trace that moved the up state) the
+// fields are a step behind by design and the next routed check answers for
+// them.
 func (h *upHarness) verifyFields(call string, e *Evaluator, v *topo.View) {
 	h.t.Helper()
 	if e.nMarked != 0 || len(e.trav.kept) == 0 {
@@ -293,12 +279,13 @@ func (h *upHarness) bitWalker(v *topo.View) *Evaluator {
 	return w
 }
 
-// verifyClassic holds a Check or Evaluate answer — violation, result, every
+// verifyAnswer holds a check's answer — violation, result, every
 // directional load, bit for bit — and the arcs it visited against the
 // bit-walking fresh evaluator's. before is a copy of e taken ahead of the
 // call, for the counters.
-func (h *upHarness) verifyClassic(call string, e *Evaluator, v *topo.View, viol Violation, res *Result, before *Evaluator) {
+func (h *upHarness) verifyAnswer(call string, e *Evaluator, v *topo.View, viol Violation, res *Result, before *Evaluator) {
 	h.t.Helper()
+	h.viol = viol
 	h.verifyState(call, e, v)
 	w := h.bitWalker(v)
 	var wantViol Violation
@@ -346,19 +333,6 @@ func (h *upHarness) verifyClassic(call string, e *Evaluator, v *topo.View, viol 
 		if math.Float64bits(ab) != math.Float64bits(wab) || math.Float64bits(ba) != math.Float64bits(wba) {
 			h.t.Fatalf("step %d: %s loads circuit %d with (%v, %v), a fresh evaluator with (%v, %v)", h.step, call, c, ab, ba, wab, wba)
 		}
-	}
-}
-
-// verifyMemo holds a memo-path answer against a fresh classic check: the
-// same verdict, and the same violation whenever it is a port violation
-// (which both paths answer first, lowest switch first).
-func (h *upHarness) verifyMemo(call string, e *Evaluator, v *topo.View, viol Violation) {
-	h.t.Helper()
-	h.verifyState(call, e, v)
-	want := h.bitWalker(v).Check(v, h.ds, h.opts)
-	ports := want.Kind == ViolationPorts || viol.Kind == ViolationPorts
-	if viol.OK() != want.OK() || (ports && viol != want) {
-		h.t.Fatalf("step %d: %s answers %v, a fresh classic check %v", h.step, call, viol, want)
 	}
 }
 
@@ -428,36 +402,137 @@ func TestUpMaskFlagsAndEarlierStates(t *testing.T) {
 	h.do(opEvaluate, 0)
 }
 
-// TestUpMaskMemoCoherence alternates two views on one evaluator with the
-// memo's entry points and the classic ones interleaved: the memo no longer
-// writes the up state itself, so every one of its answers rests on the up
-// state having followed the right view.
-func TestUpMaskMemoCoherence(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		h := newUpHarness(t, seed)
-		h.views[1].DrainSwitch(h.sw[4])
-		h.views[1].DrainCircuit(h.tp.Switch(h.hubs[1]).Circuits()[127])
-		for i := 0; i < 12; i++ {
-			h.do(opOtherView, 0)
-			h.do(byte(opCheck+i%3), 0) // Check, Evaluate, CheckDelta
-			h.do(opDemandDelta, i)
-			h.do(opEvaluateDelta, 0)
-			h.do(opTrace, i)
-			h.do(opToggleCircuit, 31*i+int(seed))
-		}
+// newTierHarness puts the harness on one of randomFabric's small three-tier
+// fabrics: sparse tier-to-tier wiring, mixed metrics and capacities, a few
+// port budgets, a handful of demands, a random bound, and capacity-weighted
+// splitting on every third seed. One flipped switch of such a fabric is past
+// the field repair's cut-over, so every routed check of a changed view
+// traverses.
+func newTierHarness(t testing.TB, rng *rand.Rand, seed int64) *upHarness {
+	tp, sw := randomFabric(rng)
+	ds := randomDemands(rng, sw)
+	split := SplitEqual
+	if seed%3 == 0 {
+		split = SplitCapacityWeighted
 	}
+	return newHarnessOn(t, tp, sw, sw[:2], &ds, CheckOpts{Theta: 0.5 + rng.Float64()*0.4, Split: split})
+}
+
+// TestCheckDeltaMatchesCheckRandomWalk walks a view of a tier fabric through
+// random small batches of switch and circuit flips and checks it after each,
+// through CheckDelta and through Evaluate in turn, on one long-lived evaluator.
+func TestCheckDeltaMatchesCheckRandomWalk(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			h := newTierHarness(t, rng, seed)
+			for step := 0; step < 60; step++ {
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					h.do(byte(opToggleSwitch+rng.Intn(2)), rng.Intn(1<<16))
+				}
+				h.do([]byte{opCheckDelta, opEvaluate}[step%2], 0)
+			}
+		})
+	}
+}
+
+// TestCheckDemandDeltaMatchesCheckRandomWalk walks the demand rates of a tier
+// fabric instead, in place, with the forecast scale moving now and then and a
+// circuit flip every fifth step. A check of an unchanged view at other rates
+// must place those rates — and, rates entering no distance field, must not
+// walk the fabric to do it.
+func TestCheckDemandDeltaMatchesCheckRandomWalk(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			h := newTierHarness(t, rng, seed)
+			h.do(opCheckDelta, 0) // the evaluator's first check traverses
+			for step := 0; step < 60; step++ {
+				if step%17 == 8 {
+					h.opts.DemandScale = 1 + rng.Float64()*0.5
+				}
+				if step%5 == 4 {
+					h.do(opToggleCircuit, rng.Intn(1<<16))
+					h.do(opCheckDelta, 0)
+					continue
+				}
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					h.do(opDriftRate, rng.Intn(1<<16))
+				}
+				h.do(opDemandDelta, 0)
+				if h.last.visits != 0 {
+					t.Fatalf("step %d: a check after a rate change alone visited %d arcs", step, h.last.visits)
+				}
+				if step%2 == 1 {
+					h.do(opEvaluate, 0)
+				}
+			}
+		})
+	}
+}
+
+// expect fails unless the harness's most recent check answered with a
+// violation of the given kind.
+func (h *upHarness) expect(kind ViolationKind, what string) {
+	h.t.Helper()
+	if h.viol.Kind != kind {
+		h.t.Fatalf("%s: %v, want %v", what, h.viol, kind)
+	}
+}
+
+// TestCheckDeltaDstDrainUndrain drains and undrains the one destination: the
+// destination list changes both times, and the verdict flips both ways.
+func TestCheckDeltaDstDrainUndrain(t *testing.T) {
+	tp, sw, _ := diamond()
+	ds := oneDemand(sw[0], sw[3], 8)
+	h := newHarnessOn(t, tp, sw, sw[:2], &ds, CheckOpts{Theta: 0.9})
+	v := h.views[0]
+	h.do(opCheckDelta, 0)
+	h.expect(ViolationNone, "initial")
+	v.DrainSwitch(sw[3])
+	h.do(opCheckDelta, 0)
+	h.expect(ViolationUnreachable, "destination drained")
+	v.UndrainSwitch(sw[3])
+	h.do(opCheckDelta, 0)
+	h.expect(ViolationNone, "destination undrained")
+}
+
+// TestCheckDeltaPortFlip moves a switch over its port budget and back under
+// it by another way, which cuts the source off.
+func TestCheckDeltaPortFlip(t *testing.T) {
+	tp := topo.New("ports")
+	a := tp.AddSwitch(topo.Switch{Name: "a", Role: topo.RoleRSW})
+	b := tp.AddSwitch(topo.Switch{Name: "b", Role: topo.RoleFSW, Ports: 1})
+	c := tp.AddSwitch(topo.Switch{Name: "c", Role: topo.RoleSSW})
+	c0 := tp.AddCircuit(a, b, 10)
+	tp.AddCircuit(b, c, 10)
+	c2 := tp.AddCircuit(a, c, 10)
+	ds := oneDemand(a, c, 1)
+	sw := []topo.SwitchID{a, b, c}
+	h := newHarnessOn(t, tp, sw, sw[:2], &ds, CheckOpts{Theta: 0.9})
+	v := h.views[0]
+	v.DrainCircuit(c0) // b starts with one up circuit against its budget of one
+	h.do(opCheckDelta, 0)
+	h.expect(ViolationNone, "initial")
+	v.UndrainCircuit(c0)
+	h.do(opCheckDelta, 0)
+	h.expect(ViolationPorts, "b over its budget")
+	v.DrainCircuit(c2)
+	v.DrainCircuit(c0)
+	h.do(opCheckDelta, 0)
+	h.expect(ViolationUnreachable, "a cut off")
 }
 
 // FuzzUpMaskFollowsView feeds arbitrary operation sequences — three bytes a
 // step: operation, operand high, operand low — to the same harness.
 func FuzzUpMaskFollowsView(f *testing.F) {
-	// Drain and undrain one switch; a hub circuit at bit 63 down and up; the
-	// memo, then a classic check of the other view; back to an earlier state
-	// and Reset; fork mid-way, CopyFrom, Trace.
+	// Drain and undrain one switch; a hub circuit at bit 63 down and up; two
+	// views alternating with a rate drifting in between; back to an earlier
+	// state and Reset; fork mid-way, CopyFrom, Trace.
 	f.Add([]byte{opEvaluate, 0, 0, opToggleSwitch, 0, 5, opEvaluate, 0, 0, opToggleSwitch, 0, 5, opEvaluate, 0, 0})
 	f.Add([]byte{opToggleHubCircuit, 0, 4, opCheck, 0, 0, opToggleHubCircuit, 0, 4, opCheck, 0, 0})
-	f.Add([]byte{opCheckDelta, 0, 0, opToggleCircuit, 0, 9, opOtherView, 0, 0, opToggleSwitch, 0, 3, opCheck, 0, 0, opOtherView, 0, 0, opDemandDelta, 0, 2})
-	f.Add([]byte{opSaveRestore, 0, 0, opToggleSwitch, 0, 1, opToggleCircuit, 0, 7, opEvaluate, 0, 0, opSaveRestore, 0, 1, opEvaluate, 0, 0, opReset, 0, 0, opEvaluateDelta, 0, 0})
+	f.Add([]byte{opCheckDelta, 0, 0, opToggleCircuit, 0, 9, opOtherView, 0, 0, opToggleSwitch, 0, 3, opCheck, 0, 0, opOtherView, 0, 0, opDriftRate, 200, 2, opDemandDelta, 0, 0})
+	f.Add([]byte{opSaveRestore, 0, 0, opToggleSwitch, 0, 1, opToggleCircuit, 0, 7, opEvaluate, 0, 0, opSaveRestore, 0, 1, opEvaluate, 0, 0, opReset, 0, 0, opEvaluate, 0, 0})
 	f.Add([]byte{opFork, 0, 0, opToggleSwitch, 0, 2, opEvaluate, 0, 0, opFork, 0, 1, opEvaluate, 0, 0, opCopyFrom, 0, 0, opTrace, 0, 3, opEvaluate, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 600 {

@@ -10,14 +10,6 @@ type View struct {
 	t        *Topology
 	swActive []bool
 	ckActive []bool
-
-	// Touched-element tracking, enabled by Track. When on, every mutation
-	// that actually changes an activity flag records the element, so an
-	// incremental evaluator can invalidate exactly the state derived from
-	// what changed instead of rebuilding from the whole view.
-	tracking  bool
-	touchedSw []SwitchID
-	touchedCk []CircuitID
 }
 
 // NewView returns a view initialized to the topology's base activity state.
@@ -32,55 +24,19 @@ func (t *Topology) NewView() *View {
 // Topology returns the underlying immutable topology.
 func (v *View) Topology() *Topology { return v.t }
 
-// Reset restores the view to the topology's base activity state. With
-// tracking enabled, every element whose flag changes is recorded.
+// Reset restores the view to the topology's base activity state.
 func (v *View) Reset() {
-	if v.tracking {
-		for i := range v.swActive {
-			if v.swActive[i] != v.t.swActive[i] {
-				v.touchedSw = append(v.touchedSw, SwitchID(i))
-			}
-		}
-		for i := range v.ckActive {
-			if v.ckActive[i] != v.t.ckActive[i] {
-				v.touchedCk = append(v.touchedCk, CircuitID(i))
-			}
-		}
-	}
 	copy(v.swActive, v.t.swActive)
 	copy(v.ckActive, v.t.ckActive)
 }
 
-// Track enables touched-element reporting: subsequent mutations that change
-// an activity flag are recorded until TakeTouched drains them. No-op
-// mutations (setting a flag to its current value) are not recorded.
-func (v *View) Track() { v.tracking = true }
-
-// TakeTouched returns the switches and circuits whose activity changed since
-// the last TakeTouched (or since Track), and resets the record. Elements
-// flipped twice appear twice; consumers are expected to deduplicate. The
-// returned slices are invalidated by the next mutation after the next
-// TakeTouched call — copy them if they must outlive that.
-func (v *View) TakeTouched() ([]SwitchID, []CircuitID) {
-	sw, ck := v.touchedSw, v.touchedCk
-	v.touchedSw = nil
-	v.touchedCk = nil
-	return sw, ck
-}
-
 // SetSwitchActive overrides the activity of a switch in this view only.
 func (v *View) SetSwitchActive(id SwitchID, active bool) {
-	if v.tracking && v.swActive[id] != active {
-		v.touchedSw = append(v.touchedSw, id)
-	}
 	v.swActive[id] = active
 }
 
 // SetCircuitActive overrides the activity of a circuit in this view only.
 func (v *View) SetCircuitActive(id CircuitID, active bool) {
-	if v.tracking && v.ckActive[id] != active {
-		v.touchedCk = append(v.touchedCk, id)
-	}
 	v.ckActive[id] = active
 }
 
@@ -165,18 +121,6 @@ func (v *View) Clone() *View {
 func (v *View) CopyFrom(src *View) {
 	if v.t != src.t {
 		panic("topo: CopyFrom across different topologies")
-	}
-	if v.tracking {
-		for i := range v.swActive {
-			if v.swActive[i] != src.swActive[i] {
-				v.touchedSw = append(v.touchedSw, SwitchID(i))
-			}
-		}
-		for i := range v.ckActive {
-			if v.ckActive[i] != src.ckActive[i] {
-				v.touchedCk = append(v.touchedCk, CircuitID(i))
-			}
-		}
 	}
 	copy(v.swActive, src.swActive)
 	copy(v.ckActive, src.ckActive)

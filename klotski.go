@@ -323,7 +323,7 @@ func PlanJanusContext(ctx context.Context, task *Task, opts Options) (*Plan, err
 
 // Independent plan auditing: a defense-in-depth verifier that replays a
 // sequence step by step against a pristine serial evaluator, sharing none
-// of the planners' fast paths (caches, incremental evaluation, worker
+// of the planners' fast paths (caches, retained evaluator state, worker
 // lanes). Every planner runs it automatically as a post-pass unless
 // Options.SkipAudit is set; Plan.Audit carries the report.
 type (
@@ -416,14 +416,6 @@ const (
 
 // NewEvaluator returns a routing evaluator for views over t.
 func NewEvaluator(t *Topology) *Evaluator { return routing.NewEvaluator(t) }
-
-// ExpandTouched closes a touched-element set over the incidence relations
-// Evaluator.CheckDelta's invalidation rule relies on: endpoints of touched
-// circuits join the switch set, circuits incident to touched switches join
-// the circuit set.
-func ExpandTouched(t *Topology, sw []SwitchID, ck []CircuitID) ([]SwitchID, []CircuitID) {
-	return routing.ExpandTouched(t, sw, ck)
-}
 
 // Generators and the Table-3 suite.
 type (

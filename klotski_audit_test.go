@@ -12,21 +12,18 @@ import (
 
 // Differential audit testing: the independent auditor (internal/audit) and
 // the planners are separately derived implementations of the same boundary
-// semantics, so every plan any planner emits — serial, incremental,
-// parallel — must pass the audit, and any tampering with an emitted plan
+// semantics, so every plan any planner emits — serial or parallel — must
+// pass the audit, and any tampering with an emitted plan
 // (reordering, injecting, or dropping actions) must be caught at the exact
 // offending step.
 
 // auditPlanners is the planner matrix the audit must agree with: the
-// serial A* (incremental evaluation on), the batched-parallel A*, the DP
-// planner, its parallel wavefront, and the full (non-incremental)
-// evaluation path.
+// serial A*, the batched-parallel A*, the DP planner and its parallel
+// wavefront.
 func auditPlanners(task *klotski.Task, opts klotski.Options) []struct {
 	name string
 	plan func() (*klotski.Plan, error)
 } {
-	fullOpts := opts
-	fullOpts.DisableIncrementalEval = true
 	return []struct {
 		name string
 		plan func() (*klotski.Plan, error)
@@ -35,7 +32,6 @@ func auditPlanners(task *klotski.Task, opts klotski.Options) []struct {
 		{"astar-parallel", func() (*klotski.Plan, error) { return klotski.PlanAStarParallel(task, opts, 4) }},
 		{"dp", func() (*klotski.Plan, error) { return klotski.PlanDP(task, opts) }},
 		{"dp-parallel", func() (*klotski.Plan, error) { return klotski.PlanDPParallel(task, opts, 4) }},
-		{"astar-full-eval", func() (*klotski.Plan, error) { return klotski.PlanAStar(task, fullOpts) }},
 	}
 }
 

@@ -1,6 +1,7 @@
 package klotski_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -63,77 +64,68 @@ func assertPlannersAgree(t *testing.T, task *klotski.Task, opts klotski.Options)
 	}
 }
 
-// assertIncrementalMatchesFull plans with the incremental satisfiability
-// engine on (the default) and off (DisableIncrementalEval), across the
-// serial A*, batched-parallel A*, and DP planners, and requires
-// byte-identical sequences, exactly equal costs, and identical per-boundary
-// CheckState verdicts. The incremental engine re-sums group contributions
-// in the classic fold order precisely so this holds bitwise.
+// planBytes encodes the plan document an operator would receive.
+func planBytes(t *testing.T, task *klotski.Task, plan *klotski.Plan, opts klotski.Options) []byte {
+	t.Helper()
+	doc, err := klotski.BuildPlanDocument(task, plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := doc.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertIncrementalMatchesFull plans with A* and DP at Workers 1 and 2, each
+// on a fresh evaluator ("full") and then twice on ONE caller-supplied
+// Options.Evaluator that all of the runs share ("incremental"): every shared
+// run but the first starts from the up state and distance fields another
+// search left behind, with an evaluation of an unrelated view in between. The
+// evaluator follows whatever view it is handed by content, so the plan bytes
+// must not depend on what it checked before.
 func assertIncrementalMatchesFull(t *testing.T, task *klotski.Task, opts klotski.Options) {
 	t.Helper()
-	fullOpts := opts
-	fullOpts.DisableIncrementalEval = true
+	shared := klotski.NewEvaluator(task.Topo)
+	other := task.Topo.NewView()
+	task.Apply(other, len(task.Blocks)-1)
 	planners := []struct {
 		name string
-		plan func(o klotski.Options) (*klotski.Plan, error)
-	}{
-		{"astar", func(o klotski.Options) (*klotski.Plan, error) { return klotski.PlanAStar(task, o) }},
-		{"astar-parallel", func(o klotski.Options) (*klotski.Plan, error) { return klotski.PlanAStarParallel(task, o, 4) }},
-		{"dp", func(o klotski.Options) (*klotski.Plan, error) { return klotski.PlanDP(task, o) }},
-	}
-	var ref *klotski.Plan
+		plan func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
+	}{{"astar", klotski.PlanAStar}, {"dp", klotski.PlanDP}}
 	for _, p := range planners {
-		inc, errI := p.plan(opts)
-		full, errF := p.plan(fullOpts)
-		if (errI == nil) != (errF == nil) {
-			t.Fatalf("%s: incremental/full disagree on feasibility: inc=%v full=%v", p.name, errI, errF)
-		}
-		if errI != nil {
-			if !errors.Is(errI, klotski.ErrInfeasible) || !errors.Is(errF, klotski.ErrInfeasible) {
-				t.Fatalf("%s: unexpected errors: inc=%v full=%v", p.name, errI, errF)
+		for _, workers := range []int{1, 2} {
+			fullOpts := opts
+			fullOpts.Workers = workers
+			full, errF := p.plan(task, fullOpts)
+			var want []byte
+			if errF == nil {
+				want = planBytes(t, task, full, opts)
 			}
-			continue
-		}
-		if inc.Cost != full.Cost {
-			t.Fatalf("%s: cost differs: incremental=%v full=%v", p.name, inc.Cost, full.Cost)
-		}
-		if len(inc.Sequence) != len(full.Sequence) {
-			t.Fatalf("%s: sequence length differs: incremental=%d full=%d", p.name, len(inc.Sequence), len(full.Sequence))
-		}
-		for i := range inc.Sequence {
-			if inc.Sequence[i] != full.Sequence[i] {
-				t.Fatalf("%s: sequences diverge at step %d: incremental=%v full=%v",
-					p.name, i, inc.Sequence, full.Sequence)
-			}
-		}
-		// The serial and batched A* must also agree with each other and
-		// with DP (costs already cross-checked elsewhere; here we pin the
-		// byte-identical claim for the incremental default).
-		if ref == nil {
-			ref = inc
-		} else if p.name != "dp" {
-			for i := range inc.Sequence {
-				if inc.Sequence[i] != ref.Sequence[i] {
-					t.Fatalf("%s: sequence diverges from serial A* at step %d", p.name, i)
+			for run := 0; run < 2; run++ {
+				incOpts := fullOpts
+				incOpts.Evaluator = shared
+				inc, errI := p.plan(task, incOpts)
+				label := fmt.Sprintf("%s workers=%d shared run %d", p.name, workers, run)
+				if errF != nil {
+					if !errors.Is(errF, klotski.ErrInfeasible) || !errors.Is(errI, klotski.ErrInfeasible) {
+						t.Fatalf("%s: fresh evaluator: %v, shared: %v", label, errF, errI)
+					}
+					continue
 				}
+				if errI != nil {
+					t.Fatalf("%s: %v, a fresh evaluator plans fine", label, errI)
+				}
+				if got := planBytes(t, task, inc, opts); !bytes.Equal(got, want) {
+					t.Fatalf("%s: plan differs from a fresh evaluator's:\n%s\nwant:\n%s", label, got, want)
+				}
+				shared.Evaluate(other, &task.Demands, klotski.CheckOpts{})
 			}
 		}
-		// Per-boundary verdicts must match between the engines.
-		counts := make([]int, task.NumTypes())
-		if vi, vf := klotski.CheckState(task, counts, opts), klotski.CheckState(task, counts, fullOpts); (vi == nil) != (vf == nil) {
-			t.Fatalf("%s: initial-state verdicts differ: inc=%v full=%v", p.name, vi, vf)
-		}
-		for i, run := range inc.Runs {
-			for _, b := range run.Blocks {
-				counts[task.Blocks[b].Type]++
-			}
-			vi := klotski.CheckState(task, counts, opts)
-			vf := klotski.CheckState(task, counts, fullOpts)
-			if (vi == nil) != (vf == nil) {
-				t.Fatalf("%s: verdicts differ after run %d/%d: inc=%v full=%v",
-					p.name, i+1, len(inc.Runs), vi, vf)
-			}
-		}
+	}
+	if shared.FieldRepairs+shared.BFSes == 0 {
+		t.Fatal("the shared evaluator never routed a check")
 	}
 }
 
@@ -158,8 +150,8 @@ func TestIncrementalVsFullSuites(t *testing.T) {
 }
 
 // TestIncrementalVsFullRandomFabrics draws seeded random HGRID fabrics and
-// requires the incremental and full engines to produce byte-identical
-// plans, costs, and per-boundary verdicts on each.
+// requires a shared, already-used evaluator and a fresh one to produce
+// byte-identical plans on each.
 func TestIncrementalVsFullRandomFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test over generated fabrics")
