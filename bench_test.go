@@ -465,10 +465,7 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 // suite C with a live recorder, reporting search-effort metrics alongside
 // ns/op so the guard can tell "got slower" apart from "explores more
 // states" — an algorithmic regression moves states/op, a constant-factor
-// one moves only ns/op. The parallel variants pin a fixed worker count so
-// states/op stays machine-independent: A* commits the identical serial
-// frontier (same states/op), while the DP wavefront deterministically
-// enumerates the full layer lattice (a larger, but fixed, count).
+// one moves only ns/op.
 // The audited cases run the default path — plan plus the independent
 // post-planning audit — and the NoAudit twins isolate the planner, so the
 // committed baseline pins both the search and the audit replay's
@@ -482,8 +479,6 @@ func BenchmarkPlannerGuard(b *testing.B) {
 	for _, pl := range []plannerCase{
 		{"AStar", klotski.PlanAStar, klotski.Options{}},
 		{"DP", klotski.PlanDP, klotski.Options{}},
-		{"AStarParallel", klotski.PlanAStar, klotski.Options{Workers: 4}},
-		{"DPParallel", klotski.PlanDP, klotski.Options{Workers: 4}},
 		{"AStarNoAudit", klotski.PlanAStar, klotski.Options{SkipAudit: true}},
 		{"DPNoAudit", klotski.PlanDP, klotski.Options{SkipAudit: true}},
 	} {
@@ -511,19 +506,11 @@ func BenchmarkPlannerGuard(b *testing.B) {
 
 // BenchmarkPlannerGuardLarge is the relational guard fixture: suite E at
 // 2.5× the micro-guard's scale, where the search (not fixed setup cost)
-// dominates ns/op. cmd/benchguard enforces two relations over it in
-// addition to the absolute baseline: the parallel entries must not run
-// slower than their serial twins beyond -max-parallel-excess (the adaptive
-// policy's job — on a single-CPU host it resolves to the serial path, so
-// "parallel" ties serial instead of paying for idle lanes), and the
-// audited defaults must not exceed their NoAudit twins beyond
-// -max-audit-overhead (the incremental parallel audit engine's job).
-//
-// The parallel entries use WorkersAdaptive, so their states/op depends on
-// the host's core count (the DP wavefront only enumerates its layer
-// lattice at ≥2 lanes); they deliberately report no search-effort metrics.
-// The serial entries keep the recorder wired so states/op stays guarded at
-// this scale too.
+// dominates ns/op. cmd/benchguard enforces one relation over it in
+// addition to the absolute baseline: the audited defaults must not exceed
+// their NoAudit twins beyond -max-audit-overhead (the incremental parallel
+// audit engine's job). Every entry keeps the recorder wired so states/op
+// stays guarded at this scale too.
 //
 // The Bounded twins share one lower-bound engine across all b.N
 // iterations, the deployment shape of the drift loop: iteration 1 runs
@@ -542,28 +529,22 @@ func BenchmarkPlannerGuardLarge(b *testing.B) {
 		name    string
 		run     func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
 		opts    klotski.Options
-		det     bool // states/op machine-independent → report it
 		bounded bool // share a warm lower-bound engine across iterations
 	}{
-		{"AStar", klotski.PlanAStar, klotski.Options{}, true, false},
-		{"DP", klotski.PlanDP, klotski.Options{}, true, false},
-		{"AStarBounded", klotski.PlanAStar, klotski.Options{}, true, true},
-		{"DPBounded", klotski.PlanDP, klotski.Options{}, true, true},
-		{"AStarParallel", klotski.PlanAStar, klotski.Options{Workers: klotski.WorkersAdaptive}, false, false},
-		{"DPParallel", klotski.PlanDP, klotski.Options{Workers: klotski.WorkersAdaptive}, false, false},
-		{"AStarNoAudit", klotski.PlanAStar, klotski.Options{SkipAudit: true}, true, false},
-		{"DPNoAudit", klotski.PlanDP, klotski.Options{SkipAudit: true}, true, false},
+		{"AStar", klotski.PlanAStar, klotski.Options{}, false},
+		{"DP", klotski.PlanDP, klotski.Options{}, false},
+		{"AStarBounded", klotski.PlanAStar, klotski.Options{}, true},
+		{"DPBounded", klotski.PlanDP, klotski.Options{}, true},
+		{"AStarNoAudit", klotski.PlanAStar, klotski.Options{SkipAudit: true}, false},
+		{"DPNoAudit", klotski.PlanDP, klotski.Options{SkipAudit: true}, false},
 	} {
 		b.Run(pl.name, func(b *testing.B) {
 			opts := pl.opts
 			if pl.bounded {
 				opts.Bound = klotski.NewBoundEngine(s.Task, opts)
 			}
-			var reg *klotski.ObsRegistry
-			if pl.det {
-				reg = klotski.NewObsRegistry()
-				opts.Recorder = klotski.NewObsRecorder(reg)
-			}
+			reg := klotski.NewObsRegistry()
+			opts.Recorder = klotski.NewObsRecorder(reg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -572,10 +553,8 @@ func BenchmarkPlannerGuardLarge(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if reg != nil {
-				snap := reg.Snapshot()
-				b.ReportMetric(float64(snap.Counters["planner.states_expanded"])/float64(b.N), "states/op")
-			}
+			snap := reg.Snapshot()
+			b.ReportMetric(float64(snap.Counters["planner.states_expanded"])/float64(b.N), "states/op")
 		})
 	}
 }
@@ -585,20 +564,17 @@ func BenchmarkPlannerGuardLarge(b *testing.B) {
 // ns/op of one full fleet is the makespan cmd/benchguard's
 // -max-fleet-excess relation holds against both alternatives:
 //
-//   - Sequential: one adaptive-parallel plan at a time — the pre-fleet
-//     deployment shape. The shared pool must beat it by overlapping the
-//     plans' serial phases.
-//   - Naive: all 8 plans at once, each spawning its own adaptive worker
-//     lanes — the oversubscribed shape the pool exists to replace.
+//   - Sequential: one plan at a time, its audit on GOMAXPROCS lanes — the
+//     pre-fleet deployment shape. The shared pool must beat it by
+//     overlapping the plans' searches.
+//   - Naive: all 8 plans at once, each spawning its own audit lanes — the
+//     unadmitted shape the pool exists to replace.
 //   - Fleet: all 8 plans admitted to one shared work-stealing pool.
 //
 // Cut sharing is off so every member's search effort is deterministic
 // (cross-plan imports make states-expanded arrival-order dependent), and
 // the pool is built outside the timed region — it is process-lifetime
-// infrastructure, not per-fleet cost. ReportAllocs pins the scratch-pool
-// satellite: per-lane keyer/occupancy buffers are recycled through
-// sync.Pool, so allocs/op in the baseline is where a scratch-pool
-// regression shows up.
+// infrastructure, not per-fleet cost.
 func BenchmarkFleetGuard(b *testing.B) {
 	const fleetSize = 8
 	tasks := make([]*klotski.Task, fleetSize)
@@ -697,70 +673,4 @@ func BenchmarkCheckDemandDelta(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAStarBatchedBoundary measures serial A* against the
-// frontier-warming parallel variant on topology E: worker lanes resolve
-// the top of the open list's satisfiability verdicts ahead of the serial
-// search loop, which then commits expansions in the identical order.
-func BenchmarkAStarBatchedBoundary(b *testing.B) {
-	s := buildSuite(b, "E")
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := klotski.PlanAStar(s.Task, klotski.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := klotski.PlanAStarParallel(s.Task, klotski.Options{}, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationOverlay isolates the incremental view builder: applying
-// block deltas between consecutively checked states versus rebuilding the
-// intermediate topology from scratch for every satisfiability check.
-func BenchmarkAblationOverlay(b *testing.B) {
-	s := buildSuite(b, "E")
-	for _, c := range []struct {
-		name string
-		opts klotski.Options
-	}{
-		{"incremental", klotski.Options{}},
-		{"rebuild", klotski.Options{DisableIncrementalView: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := klotski.PlanDP(s.Task, c.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelPrecheck measures the DP planner with and without the
-// wavefront-parallel sweep on topology E. The speedup tracks core count
-// (on a single-CPU machine the two are identical — the wavefront disables
-// itself below two usable workers).
-func BenchmarkParallelPrecheck(b *testing.B) {
-	s := buildSuite(b, "E")
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := klotski.PlanDP(s.Task, klotski.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := klotski.PlanDPParallel(s.Task, klotski.Options{}, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -15,25 +15,21 @@
 // is deterministic, so even small growth there trips the wall-clock
 // tolerance only when real).
 //
-// Beyond the absolute baseline, two RELATIONAL invariants are enforced on
-// the large guard fixture (BenchmarkPlannerGuardLarge) whenever its
-// entries appear in the run, comparing entries of the same run against
-// each other — immune to machine speed, sensitive only to the ratios the
-// design promises:
+// Beyond the absolute baseline, RELATIONAL invariants are enforced on the
+// large guard fixture (BenchmarkPlannerGuardLarge) and the fleet fixture
+// (BenchmarkFleetGuard) whenever their entries appear in the run,
+// comparing entries of the same run against each other — immune to
+// machine speed, sensitive only to the ratios the design promises:
 //
-//   - AStarParallel/DPParallel must not exceed their serial twins' ns/op
-//     by more than -max-parallel-excess: the adaptive worker policy must
-//     keep "parallel" from losing to serial on any host (on a single CPU
-//     it resolves to the serial path, so the entries tie up to noise).
 //   - The audited defaults (AStar/DP) must not exceed their NoAudit twins
 //     by more than -max-audit-overhead: the incremental parallel audit
 //     engine keeps the safety replay a small fraction of planning.
 //   - The fleet guard fixture's shared-pool entry (FleetGuard/Fleet) must
-//     not exceed the same run's sequential-adaptive and naive-concurrent
-//     entries by more than -max-fleet-excess: the shared work-stealing
-//     scheduler has to beat planning the fleet one at a time AND
-//     oversubscribing the host with per-plan worker sets (on a single CPU
-//     all three shapes resolve to near-serial execution and tie).
+//     not exceed the same run's sequential and naive-concurrent entries by
+//     more than -max-fleet-excess: the shared pool's admission has to beat
+//     planning the fleet one at a time AND starting every plan at once (on
+//     a single CPU all three shapes resolve to near-serial execution and
+//     tie).
 //   - With -min-prune-ratio r > 0, the bound-pruned entries
 //     (AStarBounded/DPBounded) must come in at least r below their
 //     unpruned twins in states/op — the lower-bound engine must actually
@@ -128,7 +124,6 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "BENCH_planner.json", "baseline file to compare against")
 	maxSlowdown := fs.Float64("max-slowdown", 0.30, "maximum tolerated fractional growth per guarded metric")
-	maxParallelExcess := fs.Float64("max-parallel-excess", 0.10, "maximum tolerated ns/op excess of the large fixture's parallel entries over their serial twins")
 	maxAuditOverhead := fs.Float64("max-audit-overhead", 0.15, "maximum tolerated ns/op excess of the large fixture's audited entries over their NoAudit twins")
 	maxFleetExcess := fs.Float64("max-fleet-excess", 0.10, "maximum tolerated ns/op excess of the fleet fixture's shared-pool entry over the sequential and naive-concurrent entries")
 	minPruneRatio := fs.Float64("min-prune-ratio", 0, "minimum required fractional states/op reduction of the large fixture's Bounded entries vs their unpruned twins (0 = off; needs a warm engine, i.e. -benchtime well above 1x)")
@@ -147,7 +142,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 
-	relFailures := checkRelational(current, *maxParallelExcess, *maxAuditOverhead, *minPruneRatio, *maxFleetExcess, stdout)
+	relFailures := checkRelational(current, *maxAuditOverhead, *minPruneRatio, *maxFleetExcess, stdout)
 
 	base, err := readBaseline(*baselinePath)
 	if os.IsNotExist(err) && !*update {
@@ -159,7 +154,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	}
 	if *update {
 		if relFailures > 0 {
-			fmt.Fprintf(stderr, "benchguard: refusing to write baseline: %d relational invariant(s) violated (rerun, or raise -max-parallel-excess/-max-audit-overhead deliberately)\n", relFailures)
+			fmt.Fprintf(stderr, "benchguard: refusing to write baseline: %d relational invariant(s) violated (rerun, or raise -max-audit-overhead/-max-fleet-excess deliberately)\n", relFailures)
 			return 1
 		}
 		if err := writeBaseline(*baselinePath, Baseline{Benchmarks: current}); err != nil {
@@ -217,8 +212,8 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	return 0
 }
 
-// checkRelational enforces the large fixture's same-run ratio invariants:
-// parallel vs serial ns/op, audited vs NoAudit ns/op, and — when
+// checkRelational enforces the same-run ratio invariants: audited vs
+// NoAudit ns/op, fleet vs sequential and naive ns/op, and — when
 // -min-prune-ratio is set — bound-pruned vs unpruned states/op. Rules
 // whose entries are absent from the run are skipped silently — other
 // bench selections (the micro guard, the evaluator benches) carry no
@@ -226,7 +221,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 // disguise: the numerator must come in at least |limit| BELOW the
 // denominator, which is how the prune-ratio rule demands a minimum
 // states/op reduction instead of tolerating a maximum excess.
-func checkRelational(current map[string]Result, maxParallelExcess, maxAuditOverhead, minPruneRatio, maxFleetExcess float64, stdout io.Writer) int {
+func checkRelational(current map[string]Result, maxAuditOverhead, minPruneRatio, maxFleetExcess float64, stdout io.Writer) int {
 	type rule struct {
 		what     string
 		num, den string
@@ -234,8 +229,6 @@ func checkRelational(current map[string]Result, maxParallelExcess, maxAuditOverh
 		limit    float64
 	}
 	rules := []rule{
-		{"parallel-vs-serial", "PlannerGuardLarge/AStarParallel", "PlannerGuardLarge/AStar", "ns/op", maxParallelExcess},
-		{"parallel-vs-serial", "PlannerGuardLarge/DPParallel", "PlannerGuardLarge/DP", "ns/op", maxParallelExcess},
 		{"audit-overhead", "PlannerGuardLarge/AStar", "PlannerGuardLarge/AStarNoAudit", "ns/op", maxAuditOverhead},
 		{"audit-overhead", "PlannerGuardLarge/DP", "PlannerGuardLarge/DPNoAudit", "ns/op", maxAuditOverhead},
 		{"fleet-vs-sequential", "FleetGuard/Fleet", "FleetGuard/Sequential", "ns/op", maxFleetExcess},

@@ -130,7 +130,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		alpha   = fs.Float64("alpha", 0, "within-run marginal cost α of f_cost(x)=1+α(x−1)")
 		growth  = fs.Float64("growth", 0, "forecasted demand growth per migration step (e.g. 0.002)")
 		maxRun  = fs.Int("maxrun", 0, "maintenance-window cap: max same-type actions per run (0 = unlimited)")
-		workers = fs.Int("workers", -1, "parallel search workers for astar/dp (-1 = adaptive: sized at run time from contention/waste/hit-rate counters; 0 or 1 = serial; plans are identical at any setting)")
+		workers = fs.Int("workers", -1, "replay lanes of the post-planning audit (-1 = the plan's pool share under -fleet, else GOMAXPROCS; 0 or 1 = one lane); the search is serial and the plan identical at any setting")
 		timeout = fs.Duration("timeout", 5*time.Minute, "planning time budget")
 
 		auditSerial = fs.Bool("audit-serial", false, "run the post-planning audit on the serial reference engine instead of the incremental parallel one (slower, same verdicts)")

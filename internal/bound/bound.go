@@ -44,8 +44,8 @@
 // mutate the tables a live run is pruning against, which keeps pruning
 // decisions deterministic within a run.
 //
-// The engine is not safe for concurrent use; the planners call it only
-// from the planner goroutine (worker lanes never touch it).
+// The engine is not safe for concurrent use; a plan calls it from its one
+// goroutine.
 package bound
 
 import "math"

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -138,8 +137,10 @@ func TestAnytimeContextCancelled(t *testing.T) {
 	}{
 		{"astar", func(ctx context.Context, o Options) (*Plan, error) { return PlanAStarContext(ctx, task, o) }},
 		{"dp", func(ctx context.Context, o Options) (*Plan, error) { return PlanDPContext(ctx, task, o) }},
+		// Workers sizes only the audit; the name predates that.
 		{"dp-parallel", func(ctx context.Context, o Options) (*Plan, error) {
-			return PlanDPParallelContext(ctx, task, o, 2)
+			o.Workers = 2
+			return PlanDPContext(ctx, task, o)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,76 +159,6 @@ func TestAnytimeContextCancelled(t *testing.T) {
 			checkPlan(t, task, p, Options{Alpha: 0.2})
 		})
 	}
-}
-
-// TestPrecheckWorkerPanicRecovered asserts a panicking wavefront worker
-// degrades the planner to serial instead of crashing or failing: the run
-// completes, the plan is byte-identical to the serial planner's, and the
-// degradation is visible in Metrics.LanePanics.
-func TestPrecheckWorkerPanicRecovered(t *testing.T) {
-	task := bridgeTask(t, 4, 4, 100, 100, 150, 0)
-	// Keep GOMAXPROCS pinned up so goroutines genuinely interleave even on
-	// single-core CI runners.
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	parallelTestHook = func(worker int) {
-		if worker == 1 {
-			panic("injected test panic")
-		}
-	}
-	defer func() { parallelTestHook = nil }()
-
-	p, err := PlanDPParallel(task, Options{Alpha: 0.2}, 2)
-	if err != nil {
-		t.Fatalf("a lane panic must degrade the run to serial, not fail it: %v", err)
-	}
-	if p.Metrics.LanePanics == 0 {
-		t.Fatal("Metrics.LanePanics = 0; the degradation must be accounted")
-	}
-	parallelTestHook = nil
-	serial, err := PlanDP(task, Options{Alpha: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Sequence, serial.Sequence) || p.Cost != serial.Cost {
-		t.Fatalf("degraded plan differs from serial:\n%v (cost %.3f)\n%v (cost %.3f)",
-			p.Sequence, p.Cost, serial.Sequence, serial.Cost)
-	}
-	checkPlan(t, task, p, Options{Alpha: 0.2})
-}
-
-// TestFrontierWarmerPanicDegradesToSerial asserts a panicking A* batch
-// worker retires the frontier warmer instead of killing the search: the
-// run completes on the serial lazy path, the plan is byte-identical to the
-// serial planner's, and Metrics.LanePanics records the degradation.
-func TestFrontierWarmerPanicDegradesToSerial(t *testing.T) {
-	task := bridgeTask(t, 4, 4, 100, 100, 150, 0)
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	batchTestHook = func(worker int) {
-		if worker == 1 {
-			panic("injected test panic")
-		}
-	}
-	defer func() { batchTestHook = nil }()
-
-	p, err := PlanAStarParallel(task, Options{Alpha: 0.2}, 4)
-	if err != nil {
-		t.Fatalf("a warmer panic must degrade the search to serial, not fail it: %v", err)
-	}
-	if p.Metrics.LanePanics == 0 {
-		t.Fatal("Metrics.LanePanics = 0; the degradation must be accounted")
-	}
-	batchTestHook = nil
-	serial, err := PlanAStar(task, Options{Alpha: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Sequence, serial.Sequence) || p.Cost != serial.Cost {
-		t.Fatalf("degraded plan differs from serial:\n%v (cost %.3f)\n%v (cost %.3f)",
-			p.Sequence, p.Cost, serial.Sequence, serial.Cost)
-	}
-	checkPlan(t, task, p, Options{Alpha: 0.2})
 }
 
 // TestCheckpointPartialIsExecutable asserts the advisory Partial prefix in

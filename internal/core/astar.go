@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"context"
-	"runtime"
 
 	"klotski/internal/migration"
 )
@@ -27,36 +26,6 @@ func PlanAStar(task *migration.Task, opts Options) (*Plan, error) {
 // budget exhaustion the search returns an *Interrupted error carrying a
 // resumable Checkpoint instead of discarding its work.
 func PlanAStarContext(ctx context.Context, task *migration.Task, opts Options) (*Plan, error) {
-	return planAStar(ctx, task, opts)
-}
-
-// PlanAStarParallel runs the A* planner with batch-expansion frontier
-// warming: at each node expansion, the feasibility verdicts the search will
-// need next (the node's boundary state, its successors, and the top of the
-// open heap) are resolved concurrently on persistent worker lanes and
-// committed into the shared satisfiability cache. Verdicts are
-// deterministic, so plans and costs are byte-identical to PlanAStar's; only
-// wall-clock time and the check accounting differ. workers ≤ 0 picks
-// GOMAXPROCS; warming silently degrades to the serial lazy path when it
-// cannot apply (single worker, cache disabled, or funneling).
-//
-// Equivalent to setting Options.Workers and calling PlanAStar — kept as a
-// convenience entry point.
-func PlanAStarParallel(task *migration.Task, opts Options, workers int) (*Plan, error) {
-	return PlanAStarParallelContext(context.Background(), task, opts, workers)
-}
-
-// PlanAStarParallelContext is PlanAStarParallel with cooperative
-// cancellation, mirroring PlanAStarContext.
-func PlanAStarParallelContext(ctx context.Context, task *migration.Task, opts Options, workers int) (*Plan, error) {
-	if workers == WorkersAdaptive {
-		opts.Workers = WorkersAdaptive
-		return planAStar(ctx, task, opts)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	opts.Workers = workers
 	return planAStar(ctx, task, opts)
 }
 
@@ -93,7 +62,6 @@ func planAStar(ctx context.Context, task *migration.Task, opts Options) (*Plan, 
 		pq:      &openHeap{secondary: !opts.DisableSecondaryPriority},
 		scratch: make([]uint16, sp.nTypes),
 	}
-	s.configureWarmer()
 	startTail := 0
 	if opts.InitialCounts != nil {
 		startTail = opts.InitialRunLength
@@ -114,16 +82,6 @@ type astarSearch struct {
 	pq      *openHeap
 	scratch []uint16
 	front   frontier
-	warm    *frontierWarmer // nil on the serial path
-}
-
-// configureWarmer (re)arms the parallel frontier warmer from the current
-// effective worker count (the static Options.Workers knob, or the adaptive
-// policy's live lane count). Called at search start and after every
-// rebudget, so a serial checkpoint resumed with workers picks up warming
-// (and vice versa).
-func (s *astarSearch) configureWarmer() {
-	s.warm = s.sp.newFrontierWarmer(s.sp.effectiveWorkers())
 }
 
 func (s *astarSearch) push(vecIdx int32, last migration.ActionType, tail int, g float64) {
@@ -214,16 +172,6 @@ func (s *astarSearch) run() (*Plan, error) {
 		// current run needs no check; switching run types requires the
 		// state being left (the completed run's boundary) to be safe.
 		cur := sp.vec(it.vecIdx)
-		if s.warm != nil {
-			s.warm.run(cur, it.vecIdx, s.pq)
-			if s.warm.retired {
-				// The warmer is permanently done — a worker lane panicked
-				// inside it, or the adaptive policy judged speculation a
-				// net loss on this fabric — and the search continues on
-				// the serial lazy path, which produces the identical plan.
-				s.warm = nil
-			}
-		}
 		boundaryOK := true
 		boundaryChecked := false
 		for a := 0; a < sp.nTypes; a++ {
@@ -274,7 +222,6 @@ func (s *astarSearch) interrupt(reason error) error {
 	}
 	cp.resume = func(ctx context.Context, opts Options) (*Plan, error) {
 		sp.rebudget(ctx, opts)
-		s.configureWarmer()
 		return s.run()
 	}
 	return interruptErrf(reason, cp,

@@ -10,19 +10,20 @@ import (
 
 // ErrAudit means the planner produced a sequence that the independent
 // post-planning audit rejected — a planner bug (most likely in a fast
-// path: the satisfiability cache, the evaluator's retained state, or a
-// parallel lane), caught before the plan could reach an operator.
+// path: the satisfiability cache or the evaluator's retained state),
+// caught before the plan could reach an operator.
 var ErrAudit = errors.New("core: plan failed independent audit")
 
 // auditConfig maps planner options onto the independent auditor's
-// configuration. The planner's own fast-path knobs (its caches, its
-// incremental-view toggle, its shared Evaluator) deliberately do not cross
-// this boundary: the auditor builds all of its state from the task alone.
-// The audit does default to the auditor's OWN parallel lane engine
-// (audit.ModeIncremental), which is differential-tested
-// byte-identical to the serial reference — Options.AuditSerial forces the
-// reference engine; audit worker lanes follow the planner's worker
-// setting (adaptive resolves to the runtime's parallelism).
+// configuration. The planner's own fast-path state (its caches, its shared
+// Evaluator) deliberately does not cross this boundary: the auditor builds
+// all of its state from the task alone. The audit defaults to the
+// auditor's OWN parallel lane engine (audit.ModeIncremental), which is
+// differential-tested byte-identical to the serial reference —
+// Options.AuditSerial forces the reference engine. This is the one place
+// Options.Workers and Options.Sched act: Workers counts the replay lanes
+// (WorkersAdaptive resolves to the pool share, else GOMAXPROCS) and Sched
+// runs their spans as pool tasks.
 func auditConfig(opts *Options) audit.Config {
 	cfg := audit.Config{
 		Theta:        opts.Theta,
@@ -115,11 +116,12 @@ func AuditResumed(task *migration.Task, seq, executed []int, opts Options, freeO
 // nothing with the search that produced it; a failure turns the "success"
 // into ErrAudit — a wrong plan must never look like a right one.
 func (sp *space) finishPlan(p *Plan) (*Plan, error) {
-	// The run is over whichever way the audit goes: recycle the lanes'
-	// pooled scratch. (Interrupted runs never reach here, correctly — a
-	// checkpointed space keeps its lanes live for the resume leg.)
-	defer sp.releaseScratch()
-	sp.sealBound(p)
+	// A completed run's optimal cost is the incumbent the next run over the
+	// same bound problem prunes against. Interrupted and infeasible runs
+	// never reach here and seal nothing.
+	if sp.bd != nil {
+		sp.bd.Seal(p.Cost)
+	}
 	if sp.opts.SkipAudit {
 		return p, nil
 	}

@@ -29,6 +29,16 @@
 // the paper's Eq. 9 heuristic made tight (and consistent) in the corner
 // case where the last action's type still has pending actions; see
 // heuristic() for the algebra.
+//
+// # Execution
+//
+// Each planner is one serial search on one goroutine, as in the paper's
+// Algorithms 1 and 2: a plan owns a single check lane (view, evaluator,
+// occupancy bitset), and a satisfiability check costs what differs from
+// the previous check on that lane. Parallelism lives above and below a
+// plan — across plans on the shared internal/sched pool, and inside the
+// post-planning audit's replay lanes — never inside a search (DESIGN.md,
+// "In-plan parallel search: tried and not kept").
 package core
 
 import (
@@ -64,6 +74,11 @@ var (
 // NoLast marks "no action finished yet" in replanning options and run
 // reconstruction.
 const NoLast migration.ActionType = -1
+
+// WorkersAdaptive, assigned to Options.Workers, sizes the audit's replay
+// lanes from the run's share of its scheduler pool, or from GOMAXPROCS
+// when no pool is attached, instead of a fixed count.
+const WorkersAdaptive = -1
 
 // Options parameterizes a planning run. The zero value gives the paper's
 // defaults: θ = 0.75, α = 0, A* heuristic and secondary priority on,
@@ -114,24 +129,12 @@ type Options struct {
 	// unconstrained.
 	SpaceBudget map[int]int
 
-	// DisableIncrementalView rebuilds the intermediate topology from
-	// scratch for every satisfiability check instead of applying block
-	// deltas from the previously checked state. Kept for the overlay
-	// ablation benchmark; never faster.
-	DisableIncrementalView bool
-
-	// Workers sets the parallelism of the search: 0 or 1 runs fully serial;
-	// n > 1 lets the planners resolve satisfiability checks on n concurrent
-	// worker lanes (A* warms the frontier speculatively, DP sweeps the
-	// lattice in wavefront layers); WorkersAdaptive (-1) hands the choice
-	// to the runtime adaptive policy, which starts from GOMAXPROCS and
-	// resizes lanes — and disables speculative warming — from the observed
-	// shard-contention, speculative-waste, and cache hit-rate counters (see
-	// adaptive.go). The emitted plan is byte-identical at every worker
-	// count and under the adaptive policy for any counter history —
-	// parallelism only changes where verdicts are computed, never which
-	// states the search commits. Values above GOMAXPROCS are honored as
-	// given; values below WorkersAdaptive are rejected.
+	// Workers sizes the incremental audit's replay lanes (see auditConfig):
+	// 0 or 1 replays on one lane, n > 1 on n lanes, WorkersAdaptive (-1) on
+	// the client's pool share when Options.Sched is attached and GOMAXPROCS
+	// otherwise. The search itself is serial at every setting, so the plan
+	// and every Metrics field but PlanningTime are identical whatever the
+	// value. Values below WorkersAdaptive are rejected.
 	Workers int
 
 	// MaxStates caps the number of states the planner may create. 0 means
@@ -194,16 +197,15 @@ type Options struct {
 	Bound *bound.Engine
 
 	// Sched optionally attaches the run to a shared worker pool
-	// (internal/sched): the parallel phases — DP wavefront layers, A*
-	// frontier-warm batches, the incremental audit's replay spans —
-	// submit their task closures to the pool instead of spawning
-	// per-plan goroutines, so N concurrent plans share one worker
-	// budget instead of oversubscribing the host N-fold. Under
-	// WorkersAdaptive the adaptive policy seeds its lane count from the
-	// client's pool share instead of GOMAXPROCS. Plans stay
-	// byte-identical at any pool size, share, or steal interleaving —
-	// the pool only changes where closures execute, never which states
-	// the search commits. nil keeps the classic per-plan goroutines.
+	// (internal/sched): the incremental audit's replay spans are submitted
+	// to the pool as stealable tasks instead of spawning per-plan
+	// goroutines, so N concurrent plans share one worker budget instead of
+	// oversubscribing the host N-fold, and WorkersAdaptive sizes the audit
+	// lanes from the client's pool share. Admission, shares and priority
+	// preemption of whole plans are the pool's business (ctrl.PlanFleet,
+	// klotskid); the search never runs on it. Plans stay byte-identical at
+	// any pool size, share, or steal interleaving. nil keeps the audit's
+	// per-plan goroutines.
 	Sched *sched.Client
 }
 
@@ -230,7 +232,7 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: negative InitialRunLength %d", o.InitialRunLength)
 	}
 	if o.Workers < WorkersAdaptive {
-		return fmt.Errorf("core: Workers %d invalid (0 selects serial, %d the adaptive policy)", o.Workers, WorkersAdaptive)
+		return fmt.Errorf("core: Workers %d invalid (0 or 1 selects one audit lane, %d sizes them from the pool share)", o.Workers, WorkersAdaptive)
 	}
 	return nil
 }
@@ -268,25 +270,6 @@ type Metrics struct {
 	// Always zero: bench/ still reads the two (ROADMAP item 4 drops them).
 	GroupInvalidations int
 	GroupsReused       int
-
-	BatchedChecks int // frontier checks resolved by parallel batches
-
-	// Parallel-search counters (zero on serial runs).
-	WorkerChecks     int // satisfiability checks executed on worker lanes
-	ShardContention  int // intern-shard and verdict-claim collisions between workers
-	SpeculativeWaste int // speculatively batched verdicts the search never consumed
-	LanePanics       int // worker-lane panics contained by degrading to serial execution
-
-	// Adaptive worker-policy trace (zero unless Workers == WorkersAdaptive).
-	AdaptiveDecisions int // policy decisions taken (incl. the initial resolve)
-	AdaptiveLanes     int // effective lane count after the last decision
-	AdaptiveWarmOffs  int // speculative-warming disables by the policy
-
-	// SpeculativeStates counts wavefront-valued DP cells the equivalent
-	// serial recursion never evaluates (reachable only through infeasible
-	// boundaries). They are memoized but excluded from StatesCreated and
-	// StatesPopped, so effort counts agree at every worker count.
-	SpeculativeStates int
 
 	// Lower-bound engine counters (zero unless Options.Bound is attached).
 	BoundCutsLearned  int // new infeasibility cuts learned during this run

@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"klotski/internal/demand"
 	"klotski/internal/migration"
 	"klotski/internal/routing"
+	"klotski/internal/sched"
 	"klotski/internal/topo"
 )
 
@@ -797,6 +800,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MaxRunLength: -2},
 		{FunnelFactor: 0.5},
 		{InitialRunLength: -1},
+		{Workers: WorkersAdaptive - 1},
 	}
 	for i, opts := range bad {
 		if _, err := PlanAStar(task, opts); err == nil {
@@ -818,7 +822,10 @@ func TestOptionsValidation(t *testing.T) {
 // state rejected by a switch's port budget is infeasible whatever the
 // demands are, so its cut must survive a demand-only rebind of the bound
 // engine, while a state rejected on utilization must be forgotten and
-// re-proved. The evaluator answers ports first.
+// re-proved. The evaluator answers ports first. Checked on the space
+// directly, then through both planners at every Workers setting with and
+// without a scheduler client: the cuts a plan leaves behind, and which of
+// them outlive the rebind, must not depend on either.
 func TestPortCutSurvivesDemandRebind(t *testing.T) {
 	// Two old bridges up, two new ones down, src budgeted for three ports,
 	// θ = 0.7 on unit-capacity bridges carrying 1.2.
@@ -826,6 +833,7 @@ func TestPortCutSurvivesDemandRebind(t *testing.T) {
 	utilVec := []uint16{1, 0} // one old bridge drained: the other carries 1.2 > 0.7
 	opts := Options{Theta: 0.7}
 	task := bridgeTask(t, 2, 2, 1, 1, 1.2, 3)
+	drifted := bridgeTask(t, 2, 2, 1, 1, 1.3, 3) // same structure, drifted demand
 	eng := NewBoundEngine(task, opts)
 	opts.Bound = eng
 	sp, err := newSpace(task, opts)
@@ -842,9 +850,7 @@ func TestPortCutSurvivesDemandRebind(t *testing.T) {
 	if eng.Learn(portVec, false) || eng.Learn(utilVec, false) {
 		t.Fatal("failed checks were not learned as cuts")
 	}
-
-	// Same structure, drifted demand: newSpace rebinds the engine.
-	drifted := bridgeTask(t, 2, 2, 1, 1, 1.3, 3)
+	// newSpace rebinds the engine.
 	if _, err := newSpace(drifted, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -853,5 +859,58 @@ func TestPortCutSurvivesDemandRebind(t *testing.T) {
 	}
 	if !eng.Learn(utilVec, false) {
 		t.Error("utilization cut survived a demand rebind")
+	}
+
+	pool := sched.NewPool(2, nil)
+	defer pool.Close()
+	for _, pl := range []struct {
+		name string
+		plan func(*migration.Task, Options) (*Plan, error)
+	}{{"dp", PlanDP}, {"astar", PlanAStar}} {
+		var want string
+		for _, workers := range []int{1, 2, WorkersAdaptive} {
+			for _, pooled := range []bool{false, true} {
+				label := fmt.Sprintf("%s workers=%d pooled=%v", pl.name, workers, pooled)
+				o := Options{Theta: 0.7, Workers: workers}
+				o.Bound = NewBoundEngine(task, o)
+				if pooled {
+					c, err := pool.Register(label, sched.ClientOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Sched = c
+				}
+				_, err := pl.plan(task, o)
+				if pooled {
+					o.Sched.Close() // frees the reservation for the next registration
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if _, err := newSpace(drifted, o); err != nil {
+					t.Fatal(err)
+				}
+				// The cuts still known after the rebind, probed over the
+				// whole 3 × 3 lattice (the engine is discarded afterwards).
+				var kept [][]uint16
+				for d := uint16(0); d <= 2; d++ {
+					for u := uint16(0); u <= 2; u++ {
+						if v := []uint16{d, u}; !o.Bound.Learn(v, false) {
+							kept = append(kept, v)
+						}
+					}
+				}
+				got := fmt.Sprint(kept)
+				if !strings.Contains(got, fmt.Sprint(portVec)) || strings.Contains(got, fmt.Sprint(utilVec)) {
+					t.Errorf("%s: cuts surviving the rebind %s: want the port cut %v kept, the utilization cut %v dropped",
+						label, got, portVec, utilVec)
+				}
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("%s: cuts surviving the rebind %s, at workers=1 unpooled %s", label, got, want)
+				}
+			}
+		}
 	}
 }

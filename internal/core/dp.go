@@ -25,9 +25,7 @@ func PlanDP(task *migration.Task, opts Options) (*Plan, error) {
 // polled alongside the MaxStates/Timeout budget, and on cancellation or
 // budget exhaustion the sweep returns an *Interrupted error carrying a
 // resumable Checkpoint (the warmed memo table and satisfiability cache)
-// instead of discarding its work. With Options.Workers > 1 the memo table
-// is filled bottom-up in parallel wavefront layers before the serial
-// sweep; see dpRun.wavefront.
+// instead of discarding its work.
 func PlanDPContext(ctx context.Context, task *migration.Task, opts Options) (*Plan, error) {
 	if err := task.Validate(); err != nil {
 		return nil, err
@@ -80,24 +78,6 @@ func planDP(ctx context.Context, task *migration.Task, opts Options) (*Plan, err
 	}
 	d.targetIdx = targetIdx
 	sp.initLowerBound(startIdx, startLast, startTail)
-	return d.plan()
-}
-
-// plan runs the optional parallel wavefront precompute, then the serial
-// sweep. It is also the resume entry point, so a serial checkpoint resumed
-// with Options.Workers > 1 gets a wavefront over the states its memo does
-// not yet hold (and a parallel checkpoint resumes serially under
-// Workers ≤ 1), with all previously warmed caches honored.
-func (d *dpRun) plan() (*Plan, error) {
-	sp := d.sp
-	// Gate on the EFFECTIVE worker count so the adaptive policy
-	// (Workers == WorkersAdaptive, which is < 2) reaches the wavefront
-	// too; wavefront() re-checks the same condition with its own guards.
-	if sp.effectiveWorkers() > 1 && !sp.degraded {
-		if err := d.wavefront(); err != nil {
-			return nil, d.interrupt(err) // budget/cancel: checkpoint
-		}
-	}
 	return d.sweep()
 }
 
@@ -114,18 +94,6 @@ type dpRun struct {
 	// cycle sentinel, not a final value, and must be evicted before the
 	// memo can serve as a checkpoint.
 	stack []int64
-
-	// Wavefront accounting ledgers (see flushWavefront). wfLedger holds
-	// the keys of memo entries the parallel wavefront valued; wfPruned the
-	// keys skipped by the bound engine (both enumeration-pruned and
-	// serially-pruned). The *Flushed counters are the cumulative amounts
-	// already folded into Metrics, so repeated flushes across resume legs
-	// never double-count.
-	wfLedger         map[int64]struct{}
-	wfPruned         map[int64]struct{}
-	wfCreatedFlushed int
-	wfPoppedFlushed  int
-	wfPrunedFlushed  int
 }
 
 // sweep evaluates the DP at the target over every admissible last action
@@ -156,7 +124,6 @@ func (d *dpRun) sweep() (*Plan, error) {
 			}
 		}
 	}
-	d.flushWavefront()
 	if math.IsInf(bestCost, 1) {
 		return nil, planErrf(ErrInfeasible, "DP table contains no path to target (%d states evaluated)",
 			sp.metrics.StatesPopped)
@@ -183,7 +150,6 @@ func (d *dpRun) interrupt(reason error) error {
 		delete(d.memo, k)
 	}
 	d.stack = d.stack[:0]
-	d.flushWavefront()
 	sp.pause()
 	counts, partial := d.frontierSnapshot()
 	cp := &Checkpoint{
@@ -195,7 +161,7 @@ func (d *dpRun) interrupt(reason error) error {
 	}
 	cp.resume = func(ctx context.Context, opts Options) (*Plan, error) {
 		sp.rebudget(ctx, opts)
-		return d.plan()
+		return d.sweep()
 	}
 	return interruptErrf(reason, cp, "DP stopped after %d states, %d checks",
 		sp.metrics.StatesCreated, sp.metrics.Checks)
@@ -249,14 +215,9 @@ func (d *dpRun) f(vecIdx int32, a migration.ActionType, t int) (float64, error) 
 		// themselves above the incumbent, which never win (or tie) a
 		// predecessor selection on any cell the optimal plan traverses —
 		// so the sweep's plan stays byte-identical to the unpruned one.
-		// Counted as pruned, not created: the serial recursion under
-		// pruning never evaluates the cell.
+		// Counted as pruned, not created: the recursion never evaluates
+		// the cell.
 		d.memo[key] = math.Inf(1)
-		if d.wfPruned == nil {
-			d.wfPruned = make(map[int64]struct{})
-		}
-		d.wfPruned[key] = struct{}{}
-		d.wfPrunedFlushed++
 		sp.metrics.BoundStatesPruned++
 		sp.rec.BoundStatesPruned(1)
 		return math.Inf(1), nil
@@ -284,8 +245,9 @@ func (d *dpRun) f(vecIdx int32, a migration.ActionType, t int) (float64, error) 
 	return best, nil
 }
 
-// compute evaluates the recurrence body for one state on the serial
-// (top-down, memoized) path.
+// compute evaluates the recurrence body for one state (vector vecIdx, last
+// action a, tail t). The per-predecessor consideration order (b ascending,
+// tails ascending, strict <) is the plan tie-breaker.
 func (d *dpRun) compute(vecIdx int32, a migration.ActionType, t int) (float64, prevInfo, error) {
 	sp := d.sp
 	v := sp.vec(vecIdx)
@@ -294,42 +256,10 @@ func (d *dpRun) compute(vecIdx int32, a migration.ActionType, t int) (float64, p
 	}
 	sp.metrics.StatesPopped++
 	sp.rec.StateExpanded()
-	return d.computeWith(v, a, t, d.f,
-		func(predIdx int32, bt migration.ActionType) bool {
-			return sp.feasible(predIdx, bt)
-		},
-		func(vec []uint16) int32 {
-			idx, _ := sp.intern(vec)
-			return idx
-		})
-}
-
-// computeWith evaluates the recurrence body for one state (vector v, last
-// action a, tail t), with the three state-space accesses abstracted so the
-// serial recursion and the parallel wavefront share one implementation:
-// fval values a predecessor state (the serial path recurses via d.f; the
-// wavefront reads the memo, treating a miss as +Inf — misses there are
-// exactly the states the serial recursion would value +Inf), feas resolves
-// a predecessor's satisfiability (lane 0's cached check, or a worker lane's
-// claim-protocol check), and intern maps the predecessor vector to its
-// dense index using a caller-owned keyer scratch.
-//
-// The per-predecessor consideration order (b ascending, tails ascending,
-// strict <) is the plan tie-breaker and must stay identical across both
-// paths — that is the determinism argument for byte-identical plans.
-func (d *dpRun) computeWith(v []uint16, a migration.ActionType, t int,
-	fval func(predIdx int32, bt migration.ActionType, pt int) (float64, error),
-	feas func(predIdx int32, bt migration.ActionType) bool,
-	intern func(vec []uint16) int32,
-) (float64, prevInfo, error) {
-	sp := d.sp
-	if v[a] <= sp.initial[a] {
-		return math.Inf(1), prevInfo{}, nil // a cannot have been the last action
-	}
 
 	pred := append([]uint16(nil), v...)
 	pred[a]--
-	predIdx := intern(pred)
+	predIdx, _ := sp.intern(pred)
 
 	atInitial := true
 	for i := range pred {
@@ -360,10 +290,10 @@ func (d *dpRun) computeWith(v []uint16, a migration.ActionType, t int,
 		if sp.opts.FunnelFactor > 1 {
 			// Funneling makes feasibility depend on the in-flight
 			// block, so it cannot be reused across last-types.
-			return feas(predIdx, bt)
+			return sp.feasible(predIdx, bt)
 		}
 		if predFeasible < 0 {
-			if feas(predIdx, bt) {
+			if sp.feasible(predIdx, bt) {
 				predFeasible = 1
 			} else {
 				predFeasible = 0
@@ -372,7 +302,7 @@ func (d *dpRun) computeWith(v []uint16, a migration.ActionType, t int,
 		return predFeasible == 1
 	}
 	consider := func(bt migration.ActionType, pt int, step float64) error {
-		pc, err := fval(predIdx, bt, pt)
+		pc, err := d.f(predIdx, bt, pt)
 		if err != nil {
 			return err
 		}

@@ -39,14 +39,46 @@ func multiDCBridgeTask(t testing.TB, rng *rand.Rand, nOld, nNew, nDC int) *migra
 	return task
 }
 
+// occupancyDense is the reference occupancy count, sharing nothing with the
+// packed check: per datacenter slot (DC+1, slot 0 the regional pseudo-DC),
+// start from the base topology's active switches and replay every applied
+// block — a drained switch frees its slot, an undrained one takes it.
+func occupancyDense(task *migration.Task, v []uint16) []int32 {
+	t := task.Topo
+	maxDC := -1
+	for i := 0; i < t.NumSwitches(); i++ {
+		if dc := t.Switch(topo.SwitchID(i)).DC; dc > maxDC {
+			maxDC = dc
+		}
+	}
+	occ := make([]int32, maxDC+2)
+	for i := 0; i < t.NumSwitches(); i++ {
+		if s := t.Switch(topo.SwitchID(i)); t.SwitchActive(s.ID) {
+			occ[s.DC+1]++
+		}
+	}
+	for ty := range v {
+		sign := int32(1)
+		if task.Types[ty].Op == migration.Drain {
+			sign = -1
+		}
+		for _, id := range task.BlocksOfType(migration.ActionType(ty))[:v[ty]] {
+			for _, sw := range task.Blocks[id].Switches {
+				occ[t.Switch(sw).DC+1] += sign
+			}
+		}
+	}
+	return occ
+}
+
 // FuzzOccupancyBitset cross-checks the two packed scratch structures
 // against their dense references on randomized fabrics:
 //
-//   - the packed active-switch occupancy (lane.occupancyPacked, one
-//     popcount per budgeted DC over the incrementally maintained bitset)
-//     against the dense per-DC recount (lane.occupancyDense), both as the
-//     final verdict and as exact per-DC counts, across a random walk of
-//     vectors through buildView;
+//   - the packed active-switch occupancy (lane.occupancyOK, one popcount
+//     per budgeted DC over the incrementally maintained bitset) against
+//     the dense per-DC recount (occupancyDense), both as the final verdict
+//     and as exact per-DC counts, across a random walk of vectors through
+//     buildView;
 //   - the 2-bit packed feasTable (16 verdicts per word, CAS-maintained)
 //     against a dense map model across random get/set/claim sequences
 //     spanning multiple chunks.
@@ -81,10 +113,13 @@ func FuzzOccupancyBitset(f *testing.F) {
 		}
 		ln := sp.ln
 		if ln.act == nil {
-			t.Fatal("incremental lane should maintain the packed activity bitset")
+			t.Fatal("a space budget must give the lane its packed activity bitset")
 		}
 
-		occ := make([]int32, len(sp.occBase))
+		populated := map[int]bool{}
+		for i := 0; i < nSw; i++ {
+			populated[task.Topo.Switch(topo.SwitchID(i)).DC] = true
+		}
 		vec := make([]uint16, sp.nTypes)
 		for step := 0; step < 150; step++ {
 			ty := rng.Intn(sp.nTypes)
@@ -95,38 +130,35 @@ func FuzzOccupancyBitset(f *testing.F) {
 			}
 			ln.buildView(vec)
 
-			if packed, dense := ln.occupancyPacked(), ln.occupancyDense(vec); packed != dense {
-				t.Fatalf("step %d vec %v: packed verdict %v != dense %v", step, vec, packed, dense)
-			}
-			// Exact per-DC counts: replay the dense deltas and compare the
-			// popcounts. occCheck entries are built in ascending DC-slot
-			// order over the budgeted slots.
-			copy(occ, sp.occBase)
-			for ty := 0; ty < sp.nTypes; ty++ {
-				blocks := task.BlocksOfType(migration.ActionType(ty))
-				for j := 0; j < int(vec[ty]); j++ {
-					for _, d := range sp.occDelta[blocks[j]] {
-						occ[d.dc] += d.delta
-					}
-				}
-			}
+			// Exact per-DC counts and the verdict they imply. occCheck
+			// entries are in ascending DC order over the budgeted DCs that
+			// hold a switch (an empty DC cannot exceed a budget).
+			occ := occupancyDense(task, vec)
+			dense := true
 			entry := 0
-			for slot, b := range sp.occBudget {
-				if b <= 0 {
+			for dc := -1; dc < nDC; dc++ {
+				b, ok := bud[dc]
+				if !ok || !populated[dc] {
 					continue
+				}
+				if occ[dc+1] > int32(b) {
+					dense = false
 				}
 				e := &sp.occCheck[entry]
 				entry++
-				if e.budget != b {
-					t.Fatalf("occCheck[%d] budget %d != occBudget[%d] %d", entry-1, e.budget, slot, b)
+				if e.budget != int32(b) {
+					t.Fatalf("occCheck[%d] budget %d != DC %d budget %d", entry-1, e.budget, dc, b)
 				}
-				if got, want := int32(ln.act.CountAnd(e.mask)), occ[slot]; got != want {
-					t.Fatalf("step %d vec %v DC slot %d: packed count %d != dense %d",
-						step, vec, slot, got, want)
+				if got, want := int32(ln.act.CountAnd(e.mask)), occ[dc+1]; got != want {
+					t.Fatalf("step %d vec %v DC %d: packed count %d != dense %d",
+						step, vec, dc, got, want)
 				}
 			}
 			if entry != len(sp.occCheck) {
-				t.Fatalf("%d occCheck entries for %d budgeted slots", len(sp.occCheck), entry)
+				t.Fatalf("%d occCheck entries for %d budgeted DCs", len(sp.occCheck), entry)
+			}
+			if packed := ln.occupancyOK(); packed != dense {
+				t.Fatalf("step %d vec %v: packed verdict %v != dense %v", step, vec, packed, dense)
 			}
 		}
 

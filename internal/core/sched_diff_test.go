@@ -3,39 +3,19 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"klotski/internal/sched"
 )
 
-// These differential tests enforce the pool's core contract: routing a
-// plan's parallel phases (DP wavefront layers, A* frontier-warm batches)
-// through a shared sched.Pool — at any pool size, share, steal
-// interleaving, or preemption point — never changes the plan. The serial
-// planners are the reference; everything else must match them byte for
-// byte.
-
-// shuffleHooks installs seeded random delays into both per-plan worker
-// hooks so pool workers and submitters race through claim orders that
-// differ run to run; returns the uninstaller.
-func shuffleHooks(seed int64) func() {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	delay := func(int) {
-		mu.Lock()
-		d := time.Duration(rng.Intn(150)) * time.Microsecond
-		mu.Unlock()
-		time.Sleep(d)
-	}
-	parallelTestHook = delay
-	batchTestHook = delay
-	return func() { parallelTestHook = nil; batchTestHook = nil }
-}
+// These differential tests enforce the pool's contract with a plan: the
+// search never runs on the pool, and routing the post-planning audit's
+// replay spans through a shared sched.Pool — at any pool size, share or
+// preemption point — never changes the plan. The pool-less planners are
+// the reference; everything else must match them byte for byte.
 
 func samePlan(t *testing.T, label string, got, want *Plan) {
 	t.Helper()
@@ -48,10 +28,9 @@ func samePlan(t *testing.T, label string, got, want *Plan) {
 	}
 }
 
-// TestSchedPoolByteIdentity races both planners through pools of size
-// {1,2,4,GOMAXPROCS} with static and adaptive lane policies under
-// shuffled interleavings, and demands the serial planner's exact output
-// every time.
+// TestSchedPoolByteIdentity runs both planners attached to pools of size
+// {1,2,4,GOMAXPROCS} with fixed and pool-share audit lanes, and demands
+// the pool-less planner's exact output — and a passed audit — every time.
 func TestSchedPoolByteIdentity(t *testing.T) {
 	task := bridgeTask(t, 4, 4, 100, 100, 150, 0)
 	opts := Options{Alpha: 0.2}
@@ -65,7 +44,6 @@ func TestSchedPoolByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer shuffleHooks(7)()
 	for _, pw := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		pool := sched.NewPool(pw, nil)
 		for _, lanes := range []int{2, WorkersAdaptive} {
@@ -82,6 +60,9 @@ func TestSchedPoolByteIdentity(t *testing.T) {
 				t.Fatalf("pool=%d lanes=%d astar: %v", pw, lanes, err)
 			}
 			samePlan(t, "astar", p, refA)
+			if p.Audit == nil || !p.Audit.Passed {
+				t.Fatalf("pool=%d lanes=%d astar: audit did not run on the pool: %+v", pw, lanes, p.Audit)
+			}
 
 			p, err = PlanDPContext(context.Background(), task, o)
 			if err != nil {
@@ -107,7 +88,6 @@ func TestSchedCheckpointResumeAcrossClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer shuffleHooks(11)()
 	pool1 := sched.NewPool(2, nil)
 	c1, err := pool1.Register("leg1", sched.ClientOptions{})
 	if err != nil {
@@ -181,36 +161,4 @@ func TestSchedPreemptedClientStillPlans(t *testing.T) {
 	}
 	samePlan(t, "preempted", p, ref)
 	victim.Close()
-}
-
-// TestLaneScratchShapes pins the scratch-pool plumbing: acquired buffers
-// carry exactly the shapes the lanes rebuild into, the same fabric shape
-// maps to the same sync.Pool, and release is idempotent.
-func TestLaneScratchShapes(t *testing.T) {
-	task := bridgeTask(t, 3, 3, 100, 100, 150, 0)
-	sp, err := newSpace(task, Options{Alpha: 0.2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := sp.scratchShape()
-	if shape.key != 2*sp.nTypes {
-		t.Fatalf("scratch key size = %d, want %d", shape.key, 2*sp.nTypes)
-	}
-	if scratchPoolFor(shape) != scratchPoolFor(shape) {
-		t.Fatal("same shape resolved to different pools")
-	}
-
-	base := len(sp.scratches) // newSpace's own lanes may already hold some
-	scr := sp.acquireScratch()
-	if len(scr.key) != shape.key {
-		t.Fatalf("acquired key buffer len %d, want %d", len(scr.key), shape.key)
-	}
-	if len(sp.scratches) != base+1 {
-		t.Fatalf("space tracks %d scratches, want %d", len(sp.scratches), base+1)
-	}
-	sp.releaseScratch()
-	if sp.scratches != nil {
-		t.Fatal("releaseScratch left the scratch list non-nil")
-	}
-	sp.releaseScratch() // double release must be harmless
 }

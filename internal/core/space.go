@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"klotski/internal/bound"
@@ -19,18 +17,14 @@ import (
 	"klotski/internal/topo"
 )
 
-// space is the shared search-state machinery used by both planners: vector
+// space is the search-state machinery shared by both planners: vector
 // interning for the compact topology representation, the satisfiability
 // cache (efficient satisfiability checking, §4.2), and the heuristic.
 //
-// The space itself holds only immutable task precompute (totals, unit
-// costs, occupancy deltas, the key packing layout) and the two concurrent
-// tables every lane shares — the striped intern table and the per-vector
-// satisfiability cache. All per-check mutable state (scratch view,
-// evaluator, occupancy scratch) lives in lanes: the
-// planner goroutine owns lane 0 (sp.ln), and parallel batches fork
-// additional worker lanes that check vectors concurrently against the
-// shared tables.
+// It holds the immutable task precompute (totals, unit costs, occupancy
+// masks, the key packing layout), the intern table and per-vector verdict
+// table, and one check lane with everything a check mutates. A space, and
+// so a plan, lives on one goroutine.
 type space struct {
 	task *migration.Task
 	opts Options
@@ -41,17 +35,15 @@ type space struct {
 	units   []float64
 
 	// Vector interning and the satisfiability cache. Every distinct V gets
-	// a dense index from the striped intern table; feasT holds one atomic
-	// verdict per index. key carries the immutable packing layout; lanes
-	// copy it with private scratch.
+	// a dense index from the intern table; feasT holds one verdict per
+	// index. key carries the packing layout and the encode scratch.
 	key   keyer
 	vt    *vecTable
 	feasT *feasTable
 
 	// feasF is the funneling-regime cache, keyed by (vector, last): with
 	// FunnelFactor > 1 a verdict depends on the in-flight block, not the
-	// vector alone. Parallel batching is disabled under funneling, so this
-	// map is only ever touched by the planner goroutine.
+	// vector alone.
 	feasF map[int64]int8
 
 	demands *demand.Set
@@ -65,7 +57,7 @@ type space struct {
 	// function of the vector.
 	scales []float64
 
-	// ln is lane 0: the planner goroutine's own check lane.
+	// ln is the check lane: view, evaluator and occupancy bitset.
 	ln *lane
 
 	metrics  Metrics
@@ -85,43 +77,13 @@ type space struct {
 	stopErr       error
 	priorElapsed  time.Duration
 
-	// Space/power budget precompute. Occupancy arrays are dense, indexed by
-	// DC+1 (regional switches carry DC -1); per-check scratch is per-lane.
-	occBase   []int32
-	occDelta  [][]dcDelta // nil when SpaceBudget is nil
-	occBudget []int32     // 0 means unconstrained
-
-	// Packed-occupancy precompute: actBase is the active-switch bitset of
-	// the base topology, and occCheck lists the budget-constrained DCs with
-	// their switch-membership masks. Lanes mirror actBase incrementally
-	// alongside their view and answer the occupancy check with one popcount
-	// per constrained DC instead of a dense per-DC recount; the dense scratch
-	// path remains as the reference (and the DisableIncrementalView path).
+	// Space/power budget precompute, nil when SpaceBudget is nil: actBase
+	// is the active-switch bitset of the base topology, and occCheck lists
+	// the budget-constrained DCs with their switch-membership masks. The
+	// lane mirrors actBase incrementally alongside its view and answers the
+	// occupancy check with one popcount per constrained DC.
 	actBase  routing.Bitset
 	occCheck []occMaskEntry
-
-	// adaptive, when non-nil, is the runtime worker policy selected by
-	// Options.Workers == WorkersAdaptive; it owns the effective lane count
-	// and the warming on/off decision.
-	adaptive *adaptivePolicy
-
-	// contention counts cross-worker collisions on satisfiability-cache
-	// claims; folded together with the intern table's count into
-	// Metrics.ShardContention.
-	contention atomic.Int64
-	contFolded int
-
-	// specPending tracks batched verdicts not yet consumed by the serial
-	// search — the speculative-waste ledger. nil unless an A* frontier
-	// warmer is active, so serial runs pay nothing.
-	specPending map[int32]struct{}
-
-	// degraded latches after a worker-lane panic: every parallel path (DP
-	// wavefront, A* frontier warmer) is retired for the remainder of the
-	// run — including resume legs — and the planners finish serially,
-	// which produces byte-identical plans. Only the planner goroutine
-	// writes it, between parallel phases.
-	degraded bool
 
 	// bd is the attached lower-bound engine — nil unless Options.Bound
 	// matches this task shape and the configuration is one the engine's
@@ -135,19 +97,6 @@ type space struct {
 	bdCutsBase  int
 	bdHitsBase  int
 	bdCrossBase int
-
-	// scratches tracks the pooled per-lane scratch bundles (keyer buffer,
-	// occupancy scratch, activity bitset) this space acquired, so
-	// finishPlan can return them to the shape-keyed pool when the run
-	// completes. Appended only by the planner goroutine (lanes are always
-	// built between parallel phases).
-	scratches []*laneScratch
-}
-
-// dcDelta is one block's occupancy change in one datacenter (index DC+1).
-type dcDelta struct {
-	dc    int32
-	delta int32
 }
 
 // occMaskEntry is one budget-constrained datacenter's packed occupancy
@@ -230,10 +179,7 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 			sp.scales[k] = task.Forecast.ScaleAt(k)
 		}
 	}
-	sp.ln = sp.newLane(eval, sp.rec, &sp.metrics)
-	if opts.Workers == WorkersAdaptive {
-		sp.adaptive = newAdaptivePolicy(sp)
-	}
+	sp.ln = sp.newLane(eval)
 	// No plan yet: the incumbent is +Inf until a planner completes (or a
 	// target push improves it), and the global lower bound starts at 0.
 	sp.incumbent = math.Inf(1)
@@ -352,16 +298,6 @@ func (sp *space) boundDemandSig() uint64 {
 	return h
 }
 
-// effectiveWorkers is the worker count the parallel paths should size to:
-// the adaptive policy's current lane count when the policy is active, the
-// static Options.Workers knob otherwise.
-func (sp *space) effectiveWorkers() int {
-	if sp.adaptive != nil {
-		return sp.adaptive.lanes
-	}
-	return sp.opts.Workers
-}
-
 // demandScaleAt returns the forecasted demand multiplier for a state with
 // the given number of finished actions; 0 means "unscaled" downstream.
 func (sp *space) demandScaleAt(finished int) float64 {
@@ -430,15 +366,14 @@ func (k *keyer) keyStr(vec []uint16) string {
 }
 
 // intern returns the dense index for vec, creating it if new. The returned
-// bool is true when the vector was already known. Called from the planner
-// goroutine; it uses lane 0's keyer scratch.
+// bool is true when the vector was already known.
 func (sp *space) intern(vec []uint16) (int32, bool) {
-	return sp.vt.intern(&sp.ln.key, vec)
+	return sp.vt.intern(&sp.key, vec)
 }
 
 // lookup returns the dense index for vec without creating it.
 func (sp *space) lookup(vec []uint16) (int32, bool) {
-	return sp.vt.lookup(&sp.ln.key, vec)
+	return sp.vt.lookup(&sp.key, vec)
 }
 
 // vec returns the interned vector at idx. The returned slice aliases
@@ -668,23 +603,12 @@ func (sp *space) rebudget(ctx context.Context, opts Options) {
 	sp.ctx = ctx
 	sp.opts.MaxStates = opts.MaxStates
 	sp.opts.Timeout = opts.Timeout
-	// Workers is verdict-neutral (plans are identical at any worker count),
-	// so a resume leg may change it freely — a serial checkpoint can resume
-	// under a parallel planner and vice versa, including switching the
-	// adaptive policy on or off. A policy that shut parallelism off during
-	// an earlier leg starts the new leg fresh: the counters it acted on
-	// described the old budget envelope. The scheduler client is adopted
-	// for the same reason: a preempted leg resumes under a freshly
-	// registered client (the old one was closed to release its
-	// reservation), and pool attachment is as verdict-neutral as the
-	// worker count.
+	// Workers and Sched only size and place the post-planning audit, so a
+	// resume leg may change them freely; the scheduler client in particular
+	// is adopted because a preempted leg resumes under a freshly registered
+	// one (the old client was closed to release its reservation).
 	sp.opts.Workers = opts.Workers
 	sp.opts.Sched = opts.Sched
-	if opts.Workers == WorkersAdaptive {
-		sp.adaptive = newAdaptivePolicy(sp)
-	} else {
-		sp.adaptive = nil
-	}
 	sp.budgetBase = sp.metrics.StatesCreated
 	sp.deadline = time.Time{}
 	if opts.Timeout > 0 {
@@ -707,11 +631,9 @@ func (sp *space) pause() {
 // action type that produced this state; it matters only when funneling
 // headroom is enabled (the in-flight block determines which circuits need
 // headroom), in which case the verdict lives in the (vector, last)-keyed
-// funneling cache instead of the per-vector table.
-//
-// Called only from the planner goroutine (lane 0). Parallel batches join
-// before control returns to the search loop, so a feasClaimed entry is
-// never observed here.
+// funneling cache instead of the per-vector table. An infeasible verdict is
+// learned by the bound engine once, at its fresh check, with the provenance
+// (structural or demand-dependent) the check reported.
 func (sp *space) feasible(vecIdx int32, last migration.ActionType) bool {
 	if sp.opts.FunnelFactor > 1 && last >= 0 {
 		ck := sp.extKey(vecIdx, last)
@@ -737,21 +659,10 @@ func (sp *space) feasible(vecIdx int32, last migration.ActionType) bool {
 		case feasYes:
 			sp.metrics.CacheHits++
 			sp.rec.CacheHit()
-			sp.consumeSpec(vecIdx)
 			return true
 		case feasNo:
 			sp.metrics.CacheHits++
 			sp.rec.CacheHit()
-			sp.consumeSpec(vecIdx)
-			if sp.bd != nil {
-				// Learned idempotently on the hit path too, so serial and
-				// warmed runs observe identical cut evolution: the warmer
-				// resolves verdicts on worker lanes (which never touch the
-				// engine), and the serial search then learns them here — at
-				// the same point in its deterministic visit sequence where
-				// an unwarmed run would have learned from a fresh check.
-				sp.bd.Learn(sp.vec(vecIdx), false)
-			}
 			return false
 		}
 		sp.metrics.CacheMisses++
@@ -769,139 +680,34 @@ func (sp *space) feasible(vecIdx int32, last migration.ActionType) bool {
 	return ok
 }
 
-// consumeSpec marks a speculatively-batched verdict as used by the serial
-// search; whatever remains in the ledger at finalization was wasted work.
-func (sp *space) consumeSpec(vecIdx int32) {
-	if sp.specPending != nil {
-		delete(sp.specPending, vecIdx)
-	}
-}
-
-// feasibleOn resolves the non-funneling verdict for vecIdx on a worker
-// lane, cooperating with other workers through the satisfiability table's
-// claim protocol so every vector is checked exactly once. Returns feasYes
-// or feasNo.
-//
-// Cache accounting mirrors the serial feasible(): a verdict answered from
-// the table (including one another worker just resolved) is a hit, and a
-// won claim — whose owner runs the evaluator — is a miss. The counts
-// accumulate in the lane's private Metrics and fold into the shared ones
-// after the batch joins, so the hit-rate metric means the same thing
-// whether a planner consults the cache serially or from worker lanes.
-func (sp *space) feasibleOn(ln *lane, vecIdx int32) int8 {
-	for {
-		switch v := sp.feasT.get(vecIdx); v {
-		case feasYes, feasNo:
-			ln.m.CacheHits++
-			return v
-		case feasClaimed:
-			// Another worker is mid-check on this vector; yield and re-poll.
-			runtime.Gosched()
-		default:
-			if !sp.feasT.claim(vecIdx) {
-				// Lost the claim race to another worker.
-				sp.contention.Add(1)
-				continue
-			}
-			ln.m.CacheMisses++
-			return sp.checkClaimed(ln, vecIdx)
-		}
-	}
-}
-
-// checkClaimed runs the check for a freshly-claimed cache entry and commits
-// the verdict. If the check unwinds (a worker panic is rethrown by the
-// batch coordinator) the claim is released back to unknown so no other
-// worker wedges spinning on feasClaimed.
-func (sp *space) checkClaimed(ln *lane, vecIdx int32) (res int8) {
-	committed := false
-	defer func() {
-		if !committed {
-			sp.feasT.set(vecIdx, 0)
-		}
-	}()
-	res = feasNo
-	if ln.check(sp.vt.vec(vecIdx), NoLast, false) {
-		res = feasYes
-	}
-	sp.feasT.set(vecIdx, res)
-	committed = true
-	return res
-}
-
-// degradeToSerial contains a worker-lane panic: the event is counted, the
-// degradation is recorded, and the degraded latch permanently retires the
-// parallel paths for this run. The serial planners produce byte-identical
-// plans, so correctness is unaffected — only wall-clock time.
-func (sp *space) degradeToSerial() {
-	sp.degraded = true
-	sp.metrics.LanePanics++
-	sp.rec.LanePanicDegraded()
-}
-
-// precomputeOccupancy derives per-block space-occupancy deltas: draining a
-// switch frees its slot (the hardware is decommissioned and removed);
-// undraining a switch requires its slot from that step on.
+// precomputeOccupancy builds the packed occupancy check: draining a switch
+// frees its slot (the hardware is decommissioned and removed), undraining
+// one requires its slot from that step on, so a DC's occupancy is the
+// number of its switches that are active.
 func (sp *space) precomputeOccupancy() {
-	t := sp.task
-	maxDC := -1
-	for i := 0; i < t.Topo.NumSwitches(); i++ {
-		if dc := t.Topo.Switch(topo.SwitchID(i)).DC; dc > maxDC {
-			maxDC = dc
-		}
-	}
-	nDC := maxDC + 2 // slot 0 holds the regional pseudo-DC (-1)
-	sp.occBase = make([]int32, nDC)
-	for i := 0; i < t.Topo.NumSwitches(); i++ {
-		s := t.Topo.Switch(topo.SwitchID(i))
-		if t.Topo.SwitchActive(s.ID) {
-			sp.occBase[s.DC+1]++
-		}
-	}
-	sp.occBudget = make([]int32, nDC)
-	for dc, b := range sp.opts.SpaceBudget {
-		if dc+1 >= 0 && dc+1 < nDC && b > 0 {
-			sp.occBudget[dc+1] = int32(b)
-		}
-	}
-	sp.actBase = routing.NewBitset(t.Topo.NumSwitches())
-	for i := 0; i < t.Topo.NumSwitches(); i++ {
-		if t.Topo.SwitchActive(topo.SwitchID(i)) {
+	t := sp.task.Topo
+	n := t.NumSwitches()
+	sp.actBase = routing.NewBitset(n)
+	masks := make(map[int]routing.Bitset)
+	for i := 0; i < n; i++ {
+		s := t.Switch(topo.SwitchID(i))
+		if t.SwitchActive(s.ID) {
 			sp.actBase.Set(i)
 		}
-	}
-	for dcSlot, b := range sp.occBudget {
-		if b <= 0 {
-			continue
-		}
-		e := occMaskEntry{budget: b, mask: routing.NewBitset(t.Topo.NumSwitches())}
-		for i := 0; i < t.Topo.NumSwitches(); i++ {
-			if t.Topo.Switch(topo.SwitchID(i)).DC+1 == dcSlot {
-				e.mask.Set(i)
+		if sp.opts.SpaceBudget[s.DC] > 0 {
+			if masks[s.DC] == nil {
+				masks[s.DC] = routing.NewBitset(n)
 			}
+			masks[s.DC].Set(i)
 		}
-		sp.occCheck = append(sp.occCheck, e)
 	}
-	sp.occDelta = make([][]dcDelta, len(t.Blocks))
-	for i := range t.Blocks {
-		b := &t.Blocks[i]
-		var d []dcDelta
-		sign := int32(1)
-		if t.Types[b.Type].Op == migration.Drain {
-			sign = -1
-		}
-	blockSwitches:
-		for _, sw := range b.Switches {
-			dc := int32(t.Topo.Switch(sw).DC + 1)
-			for k := range d {
-				if d[k].dc == dc {
-					d[k].delta += sign
-					continue blockSwitches
-				}
-			}
-			d = append(d, dcDelta{dc: dc, delta: sign})
-		}
-		sp.occDelta[i] = d
+	dcs := make([]int, 0, len(masks))
+	for dc := range masks {
+		dcs = append(dcs, dc)
+	}
+	sort.Ints(dcs)
+	for _, dc := range dcs {
+		sp.occCheck = append(sp.occCheck, occMaskEntry{budget: int32(sp.opts.SpaceBudget[dc]), mask: masks[dc]})
 	}
 }
 
@@ -983,43 +789,13 @@ func certGap(incumbent, lb float64) (inc, lower, gap float64) {
 	return incumbent, lb, (incumbent - lb) / incumbent
 }
 
-// sealBound finalizes the engine after a successful run: every infeasible
-// verdict the run resolved — including ones committed by worker lanes,
-// which never reach the serial Learn hook — is imported as a cut, then
-// the plan's optimal cost is sealed as the incumbent for this basis. The
-// next run over the same bound problem prunes against the sealed tables.
-// Interrupted and infeasible runs seal nothing: their search state is
-// incomplete and their cost is not an incumbent.
-func (sp *space) sealBound(p *Plan) {
-	if sp.bd == nil {
-		return
-	}
-	for i, n := int32(0), int32(sp.vt.len()); i < n; i++ {
-		if sp.feasT.get(i) == feasNo {
-			sp.bd.Learn(sp.vt.vec(i), false)
-		}
-	}
-	sp.bd.Seal(p.Cost)
-}
-
 // elapsedMetrics finalizes and returns the metrics for a finished run,
 // accumulating planning time across resumed legs (the wall-clock gap
-// between interruption and resumption is not counted). Shard contention is
-// folded as a delta so that an interrupted run's checkpoint metrics and the
-// final metrics never double-count; speculative waste is a point-in-time
-// gauge of batched-but-unconsumed verdicts. The optimality certificate
-// (incumbent, global lower bound, relative gap) and the bound engine's
-// effectiveness counters are stamped here so every exit path — success,
-// interruption, checkpoint — reports them consistently.
+// between interruption and resumption is not counted). The optimality
+// certificate (incumbent, global lower bound, relative gap) and the bound
+// engine's effectiveness counters are stamped here so every exit path —
+// success, interruption, checkpoint — reports them consistently.
 func (sp *space) elapsedMetrics() Metrics {
-	cont := int(sp.contention.Load() + sp.vt.contention.Load())
-	if d := cont - sp.contFolded; d > 0 {
-		sp.metrics.ShardContention += d
-		sp.rec.ShardContention(d)
-		sp.contFolded = cont
-	}
-	sp.metrics.SpeculativeWaste = len(sp.specPending)
-	sp.rec.SpeculativeWaste(len(sp.specPending))
 	if sp.bd != nil {
 		cl := sp.bd.CutsLearned() - sp.bdCutsBase
 		ch := sp.bd.CutHits() - sp.bdHitsBase

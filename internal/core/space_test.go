@@ -1,42 +1,43 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-
-	"klotski/internal/migration"
 )
 
 // TestIncrementalViewMatchesRebuild cross-checks the incremental
-// delta-application view builder against the from-scratch rebuild: both
-// must judge every state identically, so both planner variants must find
-// identical costs and equal plans.
+// delta-application view builder against the from-scratch rebuild at the
+// verdict level: over a random walk of vectors (so deltas apply and revert
+// blocks of both types, under port and space budgets) a lane that keeps its
+// view and one that rebuilds it for every check must judge every state
+// alike.
 func TestIncrementalViewMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		nOld := 2 + rng.Intn(3)
 		nNew := 2 + rng.Intn(3)
 		task := bridgeTask(t, nOld, nNew, 1, 0.8+rng.Float64(), 0.5+rng.Float64(), 2*nOld+1+rng.Intn(3))
-		for _, planner := range []func(*migration.Task, Options) (*Plan, error){PlanAStar, PlanDP} {
-			inc, errInc := planner(task, Options{})
-			reb, errReb := planner(task, Options{DisableIncrementalView: true})
-			if (errInc == nil) != (errReb == nil) {
-				t.Fatalf("trial %d: feasibility disagreement: %v vs %v", trial, errInc, errReb)
+		opts := Options{SpaceBudget: map[int]int{0: nOld + 2 + rng.Intn(nNew)}}
+		inc, err := newSpace(task, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reb, err := newSpace(task, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := make([]uint16, inc.nTypes)
+		for step := 0; step < 60; step++ {
+			ty := rng.Intn(inc.nTypes)
+			if rng.Intn(2) == 0 && vec[ty] < inc.totals[ty] {
+				vec[ty]++
+			} else if vec[ty] > 0 {
+				vec[ty]--
 			}
-			if errInc != nil {
-				continue
-			}
-			if math.Abs(inc.Cost-reb.Cost) > 1e-9 {
-				t.Fatalf("trial %d: incremental cost %v != rebuild cost %v", trial, inc.Cost, reb.Cost)
-			}
-			if len(inc.Sequence) != len(reb.Sequence) {
-				t.Fatalf("trial %d: sequence lengths differ", trial)
-			}
-			for i := range inc.Sequence {
-				if inc.Sequence[i] != reb.Sequence[i] {
-					t.Fatalf("trial %d: plans diverge at step %d", trial, i)
-				}
+			a := inc.ln.check(vec, NoLast, false)
+			reb.ln.curVec = nil // force the first-build path
+			if b := reb.ln.check(vec, NoLast, false); a != b {
+				t.Fatalf("trial %d step %d: vector %v incremental verdict %v != rebuild %v", trial, step, vec, a, b)
 			}
 		}
 	}
@@ -51,7 +52,7 @@ func TestIncrementalViewExactState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := newSpace(task, Options{DisableIncrementalView: true})
+	ref, err := newSpace(task, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,7 @@ func TestIncrementalViewExactState(t *testing.T) {
 			vec[ty]--
 		}
 		sp.ln.buildView(vec)
+		ref.ln.curVec = nil // force the first-build path
 		ref.ln.buildView(vec)
 		if !sp.ln.view.Equal(ref.ln.view) {
 			t.Fatalf("step %d: incremental view diverged at vector %v", step, vec)
@@ -72,46 +74,46 @@ func TestIncrementalViewExactState(t *testing.T) {
 	}
 }
 
-// TestPlanDPParallelMatchesSerial verifies the parallel precheck changes
-// nothing but wall-clock: identical costs and sequences on randomized
-// tasks, across worker counts.
+// TestPlanDPParallelMatchesSerial pins that Options.Workers never reaches
+// the DP search: identical costs, sequences and effort counters on
+// randomized tasks at every worker setting, and settings below
+// WorkersAdaptive are rejected.
 func TestPlanDPParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		task := bridgeTask(t, 2+rng.Intn(3), 2+rng.Intn(3), 1, 0.8+rng.Float64(),
 			0.5+rng.Float64(), 0)
 		serial, errS := PlanDP(task, Options{})
-		for _, workers := range []int{0, 2, 4} {
-			par, errP := PlanDPParallel(task, Options{}, workers)
+		for _, workers := range []int{WorkersAdaptive, 2, 4} {
+			par, errP := PlanDP(task, Options{Workers: workers})
 			if (errS == nil) != (errP == nil) {
 				t.Fatalf("trial %d workers %d: error disagreement %v vs %v", trial, workers, errS, errP)
 			}
 			if errS != nil {
 				continue
 			}
-			if math.Abs(par.Cost-serial.Cost) > 1e-9 {
-				t.Fatalf("trial %d workers %d: cost %v vs %v", trial, workers, par.Cost, serial.Cost)
-			}
-			for i := range par.Sequence {
-				if par.Sequence[i] != serial.Sequence[i] {
-					t.Fatalf("trial %d workers %d: sequences diverge", trial, workers)
-				}
+			samePlan(t, "dp", par, serial)
+			sm, pm := serial.Metrics, par.Metrics
+			sm.PlanningTime, pm.PlanningTime = 0, 0
+			if sm != pm {
+				t.Fatalf("trial %d workers %d: metrics %+v vs serial %+v", trial, workers, pm, sm)
 			}
 		}
 	}
 }
 
-// TestPlanDPParallelOnFunneling falls back to lazy checking (prechecking is
-// incompatible with block-dependent feasibility) but must still agree.
+// TestPlanDPParallelOnFunneling is the same under funneling headroom, where
+// verdicts are keyed by (vector, last).
 func TestPlanDPParallelOnFunneling(t *testing.T) {
 	task := bridgeTask(t, 3, 3, 1, 1, 1.1, 0)
 	opts := Options{Theta: 0.8, FunnelFactor: 1.1}
 	serial, errS := PlanDP(task, opts)
-	par, errP := PlanDPParallel(task, opts, 4)
+	opts.Workers = 4
+	par, errP := PlanDP(task, opts)
 	if (errS == nil) != (errP == nil) {
 		t.Fatalf("error disagreement: %v vs %v", errS, errP)
 	}
-	if errS == nil && math.Abs(par.Cost-serial.Cost) > 1e-9 {
-		t.Fatalf("cost %v vs %v", par.Cost, serial.Cost)
+	if errS == nil {
+		samePlan(t, "dp", par, serial)
 	}
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // TestRunAdaptiveWorkersMatchesSerial pins the control loop's
-// replayability contract under the adaptive worker policy: planning with
-// Workers=WorkersAdaptive (including every replan — each replan resolves
-// a fresh policy) must execute the exact action sequence of a serial run,
-// fault for fault, because adaptive decisions are verdict-neutral and
-// never reach plan content.
+// replayability contract across Workers settings: with
+// Workers=WorkersAdaptive every plan and replan is audited on GOMAXPROCS
+// replay lanes (pinned to 4 here) instead of one, and the loop must execute
+// the exact action sequence of a Workers=0 run, fault for fault, because the
+// setting never reaches plan content.
 func TestRunAdaptiveWorkersMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

@@ -29,7 +29,7 @@ type CampaignOptions struct {
 	// Pool, when non-nil, runs the campaign's seeds concurrently under
 	// the shared scheduler pool: each seed registers a client (admission
 	// control throttles concurrency to the pool's worker budget) and its
-	// run's planners submit their parallel phases through it. Each seed's
+	// run's plans are audited on the pool's workers. Each seed's
 	// run is fully determined by its seed (own world, own rng, no-op
 	// sleeper) and outcomes are folded in ascending seed order, so the
 	// CampaignReport is byte-identical to the serial campaign's.

@@ -18,12 +18,13 @@ import (
 // worker pool.
 //
 // A production operator rarely plans one fabric at a time; campaigns plan
-// dozens, and the naive approach — one fully parallel planner per fabric —
-// oversubscribes the host N-fold while the serial approach idles it.
-// Fleet admits each member to the shared sched.Pool (blocking when the
-// pool's reservations are full), hands the member's planner a pool client
-// to run its parallel phases through, and aggregates the per-member plans
-// and certificates into one report.
+// dozens, and the naive approach — every fabric's planner and audit lanes
+// started at once — oversubscribes the host N-fold while planning them
+// one after another idles it. Fleet admits each member to the shared
+// sched.Pool (blocking when the pool's reservations are full), so at most
+// a worker budget's worth of serial searches run at a time, hands the
+// member's planner a pool client to run its audit spans through, and
+// aggregates the per-member plans and certificates into one report.
 //
 // Preemption: when a higher-priority member's admission preempts a
 // running plan, the victim's pool client's Preempted channel closes; the

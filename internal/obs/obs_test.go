@@ -47,7 +47,6 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	rec.CacheHit()
 	rec.CacheMiss()
 	rec.CheckObserved(time.Millisecond)
-	rec.ChecksAdded(3)
 	rec.OpenList(9)
 	rec.PlanCompleted()
 	rec.PlanInterrupted()
@@ -149,7 +148,6 @@ func TestRecorderAndSnapshot(t *testing.T) {
 	rec.CacheHit()
 	rec.CacheMiss()
 	rec.CheckObserved(2 * time.Millisecond)
-	rec.ChecksAdded(10)
 	rec.OpenList(42)
 	sp := rec.Span("astar.run")
 	rec.Span("check").End()
@@ -159,8 +157,8 @@ func TestRecorderAndSnapshot(t *testing.T) {
 	if s.Counters[MetricStatesCreated] != 2 || s.Counters[MetricStatesExpanded] != 1 {
 		t.Errorf("state counters: %+v", s.Counters)
 	}
-	if s.Counters[MetricChecks] != 11 {
-		t.Errorf("checks = %d, want 11", s.Counters[MetricChecks])
+	if s.Counters[MetricChecks] != 1 {
+		t.Errorf("checks = %d, want 1", s.Counters[MetricChecks])
 	}
 	if s.Counters[MetricCacheHits] != 3 || s.Counters[MetricCacheMisses] != 1 {
 		t.Errorf("cache counters: %+v", s.Counters)

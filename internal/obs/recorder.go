@@ -26,11 +26,6 @@ const (
 	MetricDriftReplans       = "ctrl.drift_replans"
 	MetricTelemetryFaults    = "ctrl.telemetry_faults"
 	MetricDegradedRuns       = "ctrl.degraded_runs"
-	MetricBatchedChecks      = "planner.batched_boundary_checks"
-	MetricWorkerChecks       = "planner.worker_checks"
-	MetricShardContention    = "planner.shard_contention"
-	MetricSpeculativeWaste   = "planner.speculative_waste"
-	MetricSpeculativeStates  = "planner.states_speculative"
 	MetricOptimalityGap      = "planner.optimality_gap"
 	MetricBoundCutsLearned   = "bound.cuts_learned"
 	MetricBoundCutHits       = "bound.cut_hits"
@@ -38,10 +33,6 @@ const (
 	MetricGapSkips           = "ctrl.gap_skips"
 	MetricAuditSteps         = "audit.steps_checked"
 	MetricAuditFailures      = "audit.failures"
-	MetricLanePanics         = "planner.lane_panics_degraded"
-	MetricAdaptiveDecisions  = "planner.adaptive_decisions"
-	MetricAdaptiveLanes      = "planner.adaptive_lanes"
-	MetricAdaptiveWarmOffs   = "planner.adaptive_warm_offs"
 	MetricSchedSteals        = "sched.steals"
 	MetricSchedPreemptions   = "sched.preemptions"
 	MetricSchedQueueWait     = "sched.queue_wait_ns"
@@ -82,11 +73,6 @@ type Recorder struct {
 	driftReplans     *Counter
 	telemetryFaults  *Counter
 	degradedRuns     *Counter
-	batchedChecks    *Counter
-	workerChecks     *Counter
-	shardContention  *Counter
-	specWaste        *Gauge
-	specStates       *Gauge
 	boundCuts        *Counter
 	boundCutHits     *Counter
 	boundPruned      *Counter
@@ -94,10 +80,6 @@ type Recorder struct {
 	gapBits          atomic.Uint64 // float64 bits of the last certified gap
 	auditSteps       *Counter
 	auditFailures    *Counter
-	lanePanics       *Counter
-	adaptiveDecns    *Counter
-	adaptiveLanes    *Gauge
-	adaptiveWarmOffs *Counter
 	schedSteals      *Counter
 	schedPreemptions *Counter
 	schedQueueWait   *Counter
@@ -137,21 +119,12 @@ func NewRecorder(reg *Registry) *Recorder {
 		driftReplans:     reg.Counter(MetricDriftReplans),
 		telemetryFaults:  reg.Counter(MetricTelemetryFaults),
 		degradedRuns:     reg.Counter(MetricDegradedRuns),
-		batchedChecks:    reg.Counter(MetricBatchedChecks),
-		workerChecks:     reg.Counter(MetricWorkerChecks),
-		shardContention:  reg.Counter(MetricShardContention),
-		specWaste:        reg.Gauge(MetricSpeculativeWaste),
-		specStates:       reg.Gauge(MetricSpeculativeStates),
 		boundCuts:        reg.Counter(MetricBoundCutsLearned),
 		boundCutHits:     reg.Counter(MetricBoundCutHits),
 		boundPruned:      reg.Counter(MetricBoundStatesPruned),
 		gapSkips:         reg.Counter(MetricGapSkips),
 		auditSteps:       reg.Counter(MetricAuditSteps),
 		auditFailures:    reg.Counter(MetricAuditFailures),
-		lanePanics:       reg.Counter(MetricLanePanics),
-		adaptiveDecns:    reg.Counter(MetricAdaptiveDecisions),
-		adaptiveLanes:    reg.Gauge(MetricAdaptiveLanes),
-		adaptiveWarmOffs: reg.Counter(MetricAdaptiveWarmOffs),
 		schedSteals:      reg.Counter(MetricSchedSteals),
 		schedPreemptions: reg.Counter(MetricSchedPreemptions),
 		schedQueueWait:   reg.Counter(MetricSchedQueueWait),
@@ -207,24 +180,6 @@ func (r *Recorder) StateExpanded() {
 	r.statesExpanded.Inc()
 }
 
-// StatesCreatedAdded counts n search states at once — used for bulk
-// accounting after a parallel wavefront layer merges.
-func (r *Recorder) StatesCreatedAdded(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.statesCreated.Add(int64(n))
-}
-
-// StatesExpandedAdded counts n expanded states at once — the bulk
-// counterpart of StateExpanded.
-func (r *Recorder) StatesExpandedAdded(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.statesExpanded.Add(int64(n))
-}
-
 // CacheHit counts one satisfiability-cache hit.
 func (r *Recorder) CacheHit() {
 	if r == nil {
@@ -241,24 +196,6 @@ func (r *Recorder) CacheMiss() {
 	r.cacheMisses.Inc()
 }
 
-// CacheHitsAdded counts n satisfiability-cache hits at once — used for
-// bulk accounting when worker-lane counters fold after a parallel batch.
-func (r *Recorder) CacheHitsAdded(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.cacheHits.Add(int64(n))
-}
-
-// CacheMissesAdded counts n satisfiability-cache misses at once — the
-// bulk counterpart of CacheMiss.
-func (r *Recorder) CacheMissesAdded(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.cacheMisses.Add(int64(n))
-}
-
 // CheckObserved counts one satisfiability check and records its latency.
 func (r *Recorder) CheckObserved(d time.Duration) {
 	if r == nil {
@@ -266,15 +203,6 @@ func (r *Recorder) CheckObserved(d time.Duration) {
 	}
 	r.checks.Inc()
 	r.checkLatency.ObserveDuration(d)
-}
-
-// ChecksAdded counts n satisfiability checks without latency samples —
-// used for bulk accounting after parallel prechecks.
-func (r *Recorder) ChecksAdded(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.checks.Add(int64(n))
 }
 
 // OpenList records the current open-list size.
@@ -353,54 +281,6 @@ func (r *Recorder) DegradedRun() {
 	r.degradedRuns.Inc()
 }
 
-// BatchedChecks counts n boundary checks resolved by a parallel batch
-// instead of the lazy serial path.
-func (r *Recorder) BatchedChecks(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.batchedChecks.Add(int64(n))
-}
-
-// WorkerChecks counts n satisfiability checks executed on parallel worker
-// lanes (a subset of planner.checks).
-func (r *Recorder) WorkerChecks(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.workerChecks.Add(int64(n))
-}
-
-// ShardContention counts n cross-worker collisions on the striped intern
-// table and verdict-claim CAS.
-func (r *Recorder) ShardContention(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.shardContention.Add(int64(n))
-}
-
-// SpeculativeWaste records the current number of speculatively batched
-// verdicts the serial search never consumed. A gauge, not a counter: it is
-// set at checkpoint and finalization time and later consumption can shrink
-// it.
-func (r *Recorder) SpeculativeWaste(n int) {
-	if r == nil || n < 0 {
-		return
-	}
-	r.specWaste.Set(int64(n))
-}
-
-// StatesSpeculative records the current number of wavefront-valued DP
-// cells the serial recursion never evaluates (excluded from the
-// states-created/expanded counters). A gauge: re-flushed per leg.
-func (r *Recorder) StatesSpeculative(n int) {
-	if r == nil || n < 0 {
-		return
-	}
-	r.specStates.Set(int64(n))
-}
-
 // BoundCutsLearnedAdded counts n new infeasibility cuts recorded by the
 // lower-bound engine.
 func (r *Recorder) BoundCutsLearnedAdded(n int) {
@@ -463,35 +343,6 @@ func (r *Recorder) AuditFailure() {
 		return
 	}
 	r.auditFailures.Inc()
-}
-
-// LanePanicDegraded counts one worker-lane panic that the planner contained
-// by retiring its parallel paths and finishing the run serially.
-func (r *Recorder) LanePanicDegraded() {
-	if r == nil {
-		return
-	}
-	r.lanePanics.Inc()
-}
-
-// AdaptiveDecision traces one adaptive worker-policy decision (including
-// the initial resolve): the decision counter increments and the gauge
-// records the effective lane count the policy settled on.
-func (r *Recorder) AdaptiveDecision(lanes int) {
-	if r == nil {
-		return
-	}
-	r.adaptiveDecns.Inc()
-	r.adaptiveLanes.Set(int64(lanes))
-}
-
-// AdaptiveWarmOff counts one adaptive-policy decision to disable A*
-// speculative frontier warming (observed speculative waste too high).
-func (r *Recorder) AdaptiveWarmOff() {
-	if r == nil {
-		return
-	}
-	r.adaptiveWarmOffs.Inc()
 }
 
 // SchedSteal counts one shared-pool worker claiming work from a plan it

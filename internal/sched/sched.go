@@ -1,31 +1,32 @@
 // Package sched implements the process-wide worker pool shared by
-// concurrent planning runs: a second scheduling tier above the per-plan
-// worker lanes of internal/core.
+// concurrent planning runs: admission control over whole plans, and the
+// workers their audits run on.
 //
 // # Why a shared pool
 //
-// Each plan's adaptive policy sizes its lanes from GOMAXPROCS, which is
-// correct for one plan but oversubscribes the host N-fold when N plans
-// run concurrently — or idles most cores while one straggler holds them
-// all. The pool replaces per-plan goroutine spawning with a fixed set of
-// workers that any registered plan's task batches can draw on: a plan
-// blocked on serial work donates its capacity to the others, and a plan
-// with a wide parallel phase soaks up whatever is idle.
+// A plan is one serial search followed by an audit that replays the plan
+// on several lanes. Sizing those lanes from GOMAXPROCS is correct for one
+// plan but oversubscribes the host N-fold when N plans run concurrently,
+// and starting N searches at once does the same. The pool admits plans
+// against a fixed worker budget (a registration reserves its minimum
+// share and blocks, or preempts, when the budget is spent) and replaces
+// per-plan goroutine spawning with a fixed set of workers that any
+// registered plan's task batches can draw on: a plan busy searching
+// donates its share to the others, and a plan auditing soaks up whatever
+// is idle.
 //
 // # Task model
 //
-// The unit of submission is a batch: a slice of independent closures
-// (one DP wavefront layer's strided shards, one A* frontier-warm batch,
-// one incremental-audit span set) executed by Client.Run, which blocks
-// until all of them finish. Workers claim tasks from a batch through an
-// atomic cursor, so a batch is drained cooperatively by however many
-// workers reach it — and always by the submitting goroutine itself,
-// which guarantees progress at any share, including zero. Because the
-// callers' closures only write worker-private result slots (or commit
-// idempotent verdicts through the satisfiability cache's claim
-// protocol), executing them on pool workers at any interleaving is
-// byte-identical to executing them on per-plan goroutines: the pool
-// changes where work runs, never what is computed.
+// The unit of submission is a batch: a slice of independent closures (one
+// incremental-audit span set) executed by Client.Run, which blocks until
+// all of them finish. Workers claim tasks from a batch through an atomic
+// cursor, so a batch is drained cooperatively by however many workers
+// reach it — and always by the submitting goroutine itself, which
+// guarantees progress at any share, including zero. Because the callers'
+// closures only write worker-private result slots, executing them on pool
+// workers at any interleaving is byte-identical to executing them on
+// per-plan goroutines: the pool changes where work runs, never what is
+// computed.
 //
 // # Shares, stealing, preemption
 //
@@ -277,8 +278,8 @@ func (p *Pool) rebalanceLocked() {
 func (c *Client) Preempted() <-chan struct{} { return c.preempted }
 
 // Share returns the client's current share — the number of pool workers
-// that may serve it concurrently (0 while preempted). Plans seed their
-// lane counts from it.
+// that may serve it concurrently (0 while preempted). Plans size their
+// audit lanes from it.
 func (c *Client) Share() int {
 	c.pool.mu.Lock()
 	defer c.pool.mu.Unlock()

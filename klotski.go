@@ -215,46 +215,20 @@ func CompletionLowerBound(task *Task, counts []int, last ActionType, alpha float
 	return core.CompletionLowerBound(task, counts, last, alpha, maxRun)
 }
 
-// WorkersAdaptive, assigned to Options.Workers, selects the adaptive
-// worker policy: lane counts start at the runtime's parallelism and are
-// resized at run time from observed shard-contention, speculative-waste,
-// and cache hit-rate counters (A* speculative warming is switched off when
-// it mispredicts). Decisions are traced through the observability registry
-// (planner.adaptive_decisions, planner.adaptive_lanes,
-// planner.adaptive_warm_offs) and never change plan content: plans stay
-// byte-identical to the serial planner's for any counter history.
+// WorkersAdaptive, assigned to Options.Workers, sizes the incremental
+// audit's replay lanes from the run's share of its scheduler pool
+// (Options.Sched), or from GOMAXPROCS when no pool is attached.
 const WorkersAdaptive = core.WorkersAdaptive
 
 // PlanAStar finds a minimum-cost safe migration plan with the A* search
-// planner (paper §4.4) — the production configuration. Set Options.Workers
-// > 1 to resolve satisfiability checks on concurrent worker lanes, or to
-// WorkersAdaptive to let the runtime counters size them; the emitted plan
-// is byte-identical at every worker setting.
+// planner (paper §4.4) — the production configuration. The search is
+// serial; Options.Workers sizes only the post-planning audit, so the plan
+// and its effort metrics are identical at every setting.
 func PlanAStar(task *Task, opts Options) (*Plan, error) { return core.PlanAStar(task, opts) }
 
-// PlanAStarParallel is PlanAStar with batch-expansion frontier warming: at
-// each expansion the feasibility verdicts the search needs next (the
-// expanded node, its successors, and the top of the open heap) are resolved
-// concurrently on per-worker evaluator forks and committed into the shared
-// satisfiability cache (0 workers picks GOMAXPROCS, WorkersAdaptive the
-// adaptive policy). Plans and costs are byte-identical to PlanAStar.
-// Equivalent to setting Options.Workers.
-func PlanAStarParallel(task *Task, opts Options, workers int) (*Plan, error) {
-	return core.PlanAStarParallel(task, opts, workers)
-}
-
-// PlanDP finds a minimum-cost safe plan with the DP-based planner (§4.3).
-// Set Options.Workers > 1 to compute the DP table in parallel wavefront
-// layers; the emitted plan is byte-identical at every worker count.
+// PlanDP finds a minimum-cost safe plan with the DP-based planner (§4.3),
+// serial like PlanAStar.
 func PlanDP(task *Task, opts Options) (*Plan, error) { return core.PlanDP(task, opts) }
-
-// PlanDPParallel is PlanDP with the memo table computed bottom-up in
-// parallel wavefront layers across the given number of workers (0 picks
-// GOMAXPROCS, WorkersAdaptive the adaptive policy). Plans and costs are
-// byte-identical to PlanDP. Equivalent to setting Options.Workers.
-func PlanDPParallel(task *Task, opts Options, workers int) (*Plan, error) {
-	return core.PlanDPParallel(task, opts, workers)
-}
 
 // PlanMRC plans greedily by maximizing minimum residual capacity — the
 // MRC baseline of the evaluation (§6.1). Plans are safe but not optimal.
@@ -294,20 +268,9 @@ func PlanAStarContext(ctx context.Context, task *Task, opts Options) (*Plan, err
 	return core.PlanAStarContext(ctx, task, opts)
 }
 
-// PlanAStarParallelContext is PlanAStarParallel with cooperative
-// cancellation.
-func PlanAStarParallelContext(ctx context.Context, task *Task, opts Options, workers int) (*Plan, error) {
-	return core.PlanAStarParallelContext(ctx, task, opts, workers)
-}
-
 // PlanDPContext is PlanDP with cooperative cancellation.
 func PlanDPContext(ctx context.Context, task *Task, opts Options) (*Plan, error) {
 	return core.PlanDPContext(ctx, task, opts)
-}
-
-// PlanDPParallelContext is PlanDPParallel with cooperative cancellation.
-func PlanDPParallelContext(ctx context.Context, task *Task, opts Options, workers int) (*Plan, error) {
-	return core.PlanDPParallelContext(ctx, task, opts, workers)
 }
 
 // PlanMRCContext is PlanMRC with cooperative cancellation. The baselines

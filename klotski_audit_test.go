@@ -17,9 +17,13 @@ import (
 // (reordering, injecting, or dropping actions) must be caught at the exact
 // offending step.
 
-// auditPlanners is the planner matrix the audit must agree with: the
-// serial A*, the batched-parallel A*, the DP planner and its parallel
-// wavefront.
+func withWorkers(o klotski.Options, w int) klotski.Options {
+	o.Workers = w
+	return o
+}
+
+// auditPlanners is the planner matrix the audit must agree with: A* and
+// DP, each with the audit on one lane and on four.
 func auditPlanners(task *klotski.Task, opts klotski.Options) []struct {
 	name string
 	plan func() (*klotski.Plan, error)
@@ -29,9 +33,9 @@ func auditPlanners(task *klotski.Task, opts klotski.Options) []struct {
 		plan func() (*klotski.Plan, error)
 	}{
 		{"astar", func() (*klotski.Plan, error) { return klotski.PlanAStar(task, opts) }},
-		{"astar-parallel", func() (*klotski.Plan, error) { return klotski.PlanAStarParallel(task, opts, 4) }},
+		{"astar-parallel", func() (*klotski.Plan, error) { return klotski.PlanAStar(task, withWorkers(opts, 4)) }},
 		{"dp", func() (*klotski.Plan, error) { return klotski.PlanDP(task, opts) }},
-		{"dp-parallel", func() (*klotski.Plan, error) { return klotski.PlanDPParallel(task, opts, 4) }},
+		{"dp-parallel", func() (*klotski.Plan, error) { return klotski.PlanDP(task, withWorkers(opts, 4)) }},
 	}
 }
 

@@ -127,10 +127,10 @@ func assertBoundedByteIdentical(t *testing.T, task *klotski.Task, opts klotski.O
 		plan func(o klotski.Options, w int) (*klotski.Plan, error)
 	}{
 		{"astar", refA, func(o klotski.Options, w int) (*klotski.Plan, error) {
-			return klotski.PlanAStarParallel(task, o, w)
+			return klotski.PlanAStar(task, withWorkers(o, w))
 		}},
 		{"dp", refD, func(o klotski.Options, w int) (*klotski.Plan, error) {
-			return klotski.PlanDPParallel(task, o, w)
+			return klotski.PlanDP(task, withWorkers(o, w))
 		}},
 	}
 	for _, p := range planners {
@@ -479,10 +479,10 @@ func TestCheckpointGapRestoredAcrossResume(t *testing.T) {
 	}
 }
 
-// TestDPAccountingSerialMatchesParallel pins satellite semantics: the
-// parallel DP wavefront accounts states under the serial planner's
-// definition, so states/op is comparable across worker counts, with
-// purely speculative wavefront work reported separately.
+// TestDPAccountingSerialMatchesParallel pins that the DP planner's effort
+// accounting does not depend on Options.Workers, at the benchmark's scale
+// too: suite E × 0.25 is the plan-large fabric, whose 1432 states/op the
+// bench guard's baseline records.
 func TestDPAccountingSerialMatchesParallel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -497,25 +497,16 @@ func TestDPAccountingSerialMatchesParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			serial.Metrics.PlanningTime = 0
 			for _, w := range []int{2, 4} {
-				par, err := klotski.PlanDPParallel(s.Task, klotski.Options{}, w)
+				par, err := klotski.PlanDP(s.Task, klotski.Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameSequence(t, fmt.Sprintf("w=%d", w), serial, par)
-				if par.Metrics.StatesCreated != serial.Metrics.StatesCreated {
-					t.Errorf("w=%d: StatesCreated %d != serial %d",
-						w, par.Metrics.StatesCreated, serial.Metrics.StatesCreated)
-				}
-				if par.Metrics.StatesPopped != serial.Metrics.StatesPopped {
-					t.Errorf("w=%d: StatesPopped %d != serial %d",
-						w, par.Metrics.StatesPopped, serial.Metrics.StatesPopped)
-				}
-				if par.Metrics.SpeculativeStates < 0 {
-					t.Errorf("w=%d: negative SpeculativeStates %d", w, par.Metrics.SpeculativeStates)
-				}
-				if serial.Metrics.SpeculativeStates != 0 {
-					t.Errorf("serial DP reported speculative states: %d", serial.Metrics.SpeculativeStates)
+				par.Metrics.PlanningTime = 0
+				if par.Metrics != serial.Metrics {
+					t.Errorf("w=%d: metrics %+v, at Workers 0 %+v", w, par.Metrics, serial.Metrics)
 				}
 			}
 		})

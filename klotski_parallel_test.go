@@ -1,6 +1,7 @@
 package klotski_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,12 +12,12 @@ import (
 	"klotski"
 )
 
-// Parallel-planner differential testing: Options.Workers must change
-// wall-clock behavior only. The frontier-warming A* and the wavefront DP
-// commit exactly the states the serial searches commit, in the same order,
-// against the same deterministic satisfiability verdicts — so plans must be
-// byte-identical and costs exactly equal (not approximately: the same
-// floating-point operations in the same order) at every worker count.
+// Worker-invariance testing: both planners are serial searches, and
+// Options.Workers and Options.Sched size and place only the post-planning
+// audit. So at every worker setting, attached to a pool or not, a plan must
+// be the same plan document byte for byte — the same floating-point
+// operations in the same order — found with the same effort: every Metrics
+// field but the wall clock.
 
 func parallelWorkerCounts() []int {
 	counts := []int{1, 2, 4}
@@ -26,54 +27,96 @@ func parallelWorkerCounts() []int {
 	return counts
 }
 
-// assertParallelMatchesSerial plans the task serially and at each worker
-// count with both planners, requiring byte-identical sequences and exactly
-// equal costs.
-func assertParallelMatchesSerial(t *testing.T, task *klotski.Task, opts klotski.Options) {
+// assertWorkerInvariant plans the task with both planners at Workers 0 and
+// no pool, then at each worker setting under each pool size (0 = no pool),
+// requiring identical plan-document bytes and identical Metrics apart from
+// PlanningTime.
+func assertWorkerInvariant(t *testing.T, task *klotski.Task, opts klotski.Options, workers, poolSizes []int) {
 	t.Helper()
 	planners := []struct {
 		name string
-		plan func(o klotski.Options) (*klotski.Plan, error)
-	}{
-		{"astar", func(o klotski.Options) (*klotski.Plan, error) { return klotski.PlanAStar(task, o) }},
-		{"dp", func(o klotski.Options) (*klotski.Plan, error) { return klotski.PlanDP(task, o) }},
-	}
+		plan func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
+	}{{"astar", klotski.PlanAStar}, {"dp", klotski.PlanDP}}
 	for _, p := range planners {
-		serial, errS := p.plan(opts)
-		for _, w := range parallelWorkerCounts() {
-			po := opts
-			po.Workers = w
-			par, errP := p.plan(po)
-			if (errS == nil) != (errP == nil) {
-				t.Fatalf("%s workers=%d: feasibility disagreement: serial=%v parallel=%v",
-					p.name, w, errS, errP)
+		ref, errR := p.plan(task, opts)
+		var want []byte
+		if errR == nil {
+			want = planBytes(t, task, ref, opts)
+			ref.Metrics.PlanningTime = 0
+		}
+		for _, ps := range poolSizes {
+			var pool *klotski.WorkerPool
+			if ps > 0 {
+				pool = klotski.NewWorkerPool(ps, nil)
 			}
-			if errS != nil {
-				if !errors.Is(errP, klotski.ErrInfeasible) {
-					t.Fatalf("%s workers=%d: unexpected parallel error: %v", p.name, w, errP)
+			for _, w := range workers {
+				label := fmt.Sprintf("%s workers=%d pool=%d", p.name, w, ps)
+				o := opts
+				o.Workers = w
+				if pool != nil {
+					c, err := pool.Register(label, klotski.PoolClientOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Sched = c
 				}
-				continue
-			}
-			if par.Cost != serial.Cost {
-				t.Fatalf("%s workers=%d: cost differs: serial=%v parallel=%v",
-					p.name, w, serial.Cost, par.Cost)
-			}
-			if len(par.Sequence) != len(serial.Sequence) {
-				t.Fatalf("%s workers=%d: sequence length differs: serial=%d parallel=%d",
-					p.name, w, len(serial.Sequence), len(par.Sequence))
-			}
-			for i := range par.Sequence {
-				if par.Sequence[i] != serial.Sequence[i] {
-					t.Fatalf("%s workers=%d: sequences diverge at step %d: serial=%v parallel=%v",
-						p.name, w, i, serial.Sequence, par.Sequence)
+				got, err := p.plan(task, o)
+				if o.Sched != nil {
+					o.Sched.Close()
 				}
+				if errR != nil {
+					if !errors.Is(errR, klotski.ErrInfeasible) || !errors.Is(err, klotski.ErrInfeasible) {
+						t.Fatalf("%s: %v, at Workers 0 without a pool: %v", label, err, errR)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v, Workers 0 without a pool plans fine", label, err)
+				}
+				if b := planBytes(t, task, got, opts); !bytes.Equal(b, want) {
+					t.Fatalf("%s: plan differs:\n%s\nwant:\n%s", label, b, want)
+				}
+				got.Metrics.PlanningTime = 0
+				if got.Metrics != ref.Metrics {
+					t.Fatalf("%s: metrics %+v, at Workers 0 without a pool %+v", label, got.Metrics, ref.Metrics)
+				}
+			}
+			if pool != nil {
+				pool.Close()
 			}
 		}
 	}
 }
 
+// randomHGRIDFabric draws one random HGRID V1→V2 scenario.
+func randomHGRIDFabric(rng *rand.Rand, name string) klotski.HGRIDScenarioParams {
+	return klotski.HGRIDScenarioParams{
+		Region: klotski.RegionParams{
+			Name: name,
+			DCs: []klotski.FabricParams{{
+				Pods:        1 + rng.Intn(2),
+				RSWPerPod:   2,
+				Planes:      4,
+				SSWPerPlane: 1 + rng.Intn(2),
+				FSWUplinks:  1,
+			}},
+			HGRID: klotski.HGRIDParams{
+				Grids:        2 + rng.Intn(3),
+				FADUPerGrid:  1 + rng.Intn(2),
+				FAUUPerGrid:  1,
+				SSWDownlinks: 1,
+			},
+			EBs: 2, DRs: 1, EBBs: 1,
+		},
+		Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
+		V2GridFactor:      1 + rng.Intn(2),
+		V2CapFactor:       0.5 + 0.5*rng.Float64(),
+		PortHeadroomGrids: 1,
+	}
+}
+
 func TestParallelMatchesSerialTiny(t *testing.T) {
-	assertParallelMatchesSerial(t, buildTinyTask(t), klotski.Options{})
+	assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, parallelWorkerCounts(), []int{0})
 }
 
 func TestParallelMatchesSerialSuites(t *testing.T) {
@@ -83,41 +126,15 @@ func TestParallelMatchesSerialSuites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertParallelMatchesSerial(t, s.Task, klotski.Options{})
+			assertWorkerInvariant(t, s.Task, klotski.Options{}, parallelWorkerCounts(), []int{0})
 		})
 	}
 }
 
-// TestParallelPathsEngage pins that the parallel machinery actually runs on
-// a production-shaped fabric (rather than silently gating itself off):
-// the DP wavefront must execute its checks on worker lanes, and the A*
-// frontier warmer must resolve batched verdicts.
-func TestParallelPathsEngage(t *testing.T) {
-	s, err := klotski.Suite("C", 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := klotski.Options{Workers: 4}
-	dp, err := klotski.PlanDP(s.Task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.Metrics.WorkerChecks == 0 {
-		t.Error("parallel DP executed no checks on worker lanes; wavefront did not engage")
-	}
-	astar, err := klotski.PlanAStar(s.Task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if astar.Metrics.BatchedChecks == 0 {
-		t.Error("parallel A* resolved no batched verdicts; frontier warmer did not engage")
-	}
-}
-
 // TestParallelMatchesSerialRandomFabrics is the seeded property test: draw
-// random HGRID V1→V2 fabrics and require byte-identical plans between the
-// serial and parallel planners at every worker count. The seed is fixed,
-// so a failure reproduces.
+// random HGRID V1→V2 fabrics, a third of them under a run cap, and require
+// worker invariance at every worker count. The seed is fixed, so a failure
+// reproduces.
 func TestParallelMatchesSerialRandomFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test over generated fabrics")
@@ -125,29 +142,7 @@ func TestParallelMatchesSerialRandomFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	const cases = 20
 	for i := 0; i < cases; i++ {
-		p := klotski.HGRIDScenarioParams{
-			Region: klotski.RegionParams{
-				Name: fmt.Sprintf("parprop-%d", i),
-				DCs: []klotski.FabricParams{{
-					Pods:        1 + rng.Intn(2),
-					RSWPerPod:   2,
-					Planes:      4,
-					SSWPerPlane: 1 + rng.Intn(2),
-					FSWUplinks:  1,
-				}},
-				HGRID: klotski.HGRIDParams{
-					Grids:        2 + rng.Intn(3),
-					FADUPerGrid:  1 + rng.Intn(2),
-					FAUUPerGrid:  1,
-					SSWDownlinks: 1,
-				},
-				EBs: 2, DRs: 1, EBBs: 1,
-			},
-			Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
-			V2GridFactor:      1 + rng.Intn(2),
-			V2CapFactor:       0.5 + 0.5*rng.Float64(),
-			PortHeadroomGrids: 1,
-		}
+		p := randomHGRIDFabric(rng, fmt.Sprintf("parprop-%d", i))
 		theta := 0.65 + 0.2*rng.Float64()
 		maxRun := rng.Intn(3) // exercise the tail dimension in a third of cases
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
@@ -155,18 +150,52 @@ func TestParallelMatchesSerialRandomFabrics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}
-			assertParallelMatchesSerial(t, s.Task,
-				klotski.Options{Theta: theta, MaxRunLength: maxRun, MaxStates: 500_000})
+			assertWorkerInvariant(t, s.Task,
+				klotski.Options{Theta: theta, MaxRunLength: maxRun, MaxStates: 500_000},
+				parallelWorkerCounts(), []int{0})
+		})
+	}
+}
+
+// TestMetricsWorkerInvariant crosses every kind of Options.Workers value
+// (default, one, several, pool-share) with no pool, a one-worker pool and a
+// four-worker pool, on the tiny task, suites A–C and six seeded random
+// fabrics.
+func TestMetricsWorkerInvariant(t *testing.T) {
+	workers := []int{0, 1, 2, 4, klotski.WorkersAdaptive}
+	pools := []int{0, 1, 4}
+	t.Run("Tiny", func(t *testing.T) {
+		assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, workers, pools)
+	})
+	for _, name := range []string{"A", "B", "C"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := klotski.Suite(name, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertWorkerInvariant(t, s.Task, klotski.Options{}, workers, pools)
+		})
+	}
+	rng := rand.New(rand.NewSource(20261003))
+	for i := 0; i < 6; i++ {
+		p := randomHGRIDFabric(rng, fmt.Sprintf("workerinv-%d", i))
+		theta := 0.65 + 0.2*rng.Float64()
+		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
+			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			if err != nil {
+				t.Fatalf("generating fabric: %v", err)
+			}
+			assertWorkerInvariant(t, s.Task, klotski.Options{Theta: theta, MaxStates: 500_000}, workers, pools)
 		})
 	}
 }
 
 // TestCheckpointCrossWorkerResume asserts checkpoint compatibility across
-// worker counts: a search interrupted under a serial planner resumes under
-// a parallel one and vice versa, producing the exact plan an uninterrupted
-// serial run produces. For the DP direction it also pins that the resumed
-// leg honors the warmed satisfiability cache — the combined run checks no
-// vector a fresh parallel run would not have checked.
+// worker settings: a search interrupted under one Workers value resumes
+// under another (the resumed leg's value is the one its audit runs with),
+// producing the exact plan an uninterrupted run produces. It also pins that
+// the resumed leg honors the checkpoint's satisfiability cache — the legs
+// together run exactly the checks of an uninterrupted search.
 func TestCheckpointCrossWorkerResume(t *testing.T) {
 	s, err := klotski.Suite("C", 0.1)
 	if err != nil {
@@ -183,10 +212,6 @@ func TestCheckpointCrossWorkerResume(t *testing.T) {
 		ref, err := plan(name, klotski.Options{})
 		if err != nil {
 			t.Fatalf("%s reference plan: %v", name, err)
-		}
-		freshPar, err := plan(name, klotski.Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s parallel reference plan: %v", name, err)
 		}
 		for _, dir := range []struct {
 			label         string
@@ -218,15 +243,9 @@ func TestCheckpointCrossWorkerResume(t *testing.T) {
 							i, got.Sequence, ref.Sequence)
 					}
 				}
-				if name == "dp" && dir.second == 4 {
-					// Warmed-cache property: verdicts survive the checkpoint,
-					// and the claim protocol checks each vector at most once,
-					// so the combined legs cannot out-check a fresh parallel
-					// run (which checks the wavefront's full needed set).
-					if got.Metrics.Checks > freshPar.Metrics.Checks {
-						t.Errorf("resumed run re-checked cached vectors: %d checks > fresh parallel %d",
-							got.Metrics.Checks, freshPar.Metrics.Checks)
-					}
+				if got.Metrics.Checks != ref.Metrics.Checks {
+					t.Errorf("interrupted and resumed legs ran %d checks, an uninterrupted search %d",
+						got.Metrics.Checks, ref.Metrics.Checks)
 				}
 			})
 		}
