@@ -36,8 +36,7 @@ type space struct {
 
 	// Vector interning and the satisfiability cache. Every distinct V gets
 	// a dense index from the intern table; feasT holds one verdict per
-	// index. key carries the packing layout and the encode scratch.
-	key   keyer
+	// index.
 	vt    *vecTable
 	feasT *feasTable
 
@@ -156,8 +155,7 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 			sp.initial[i] = uint16(c)
 		}
 	}
-	sp.key = newKeyer(sp.totals)
-	sp.vt = newVecTable(sp.nTypes, sp.key.fits64)
+	sp.vt = newVecTable(sp.totals)
 	sp.feasT = &feasTable{}
 	if opts.FunnelFactor > 1 {
 		sp.feasF = make(map[int64]int8, 1024)
@@ -368,12 +366,12 @@ func (k *keyer) keyStr(vec []uint16) string {
 // intern returns the dense index for vec, creating it if new. The returned
 // bool is true when the vector was already known.
 func (sp *space) intern(vec []uint16) (int32, bool) {
-	return sp.vt.intern(&sp.key, vec)
+	return sp.vt.intern(vec)
 }
 
 // lookup returns the dense index for vec without creating it.
 func (sp *space) lookup(vec []uint16) (int32, bool) {
-	return sp.vt.lookup(&sp.key, vec)
+	return sp.vt.lookup(vec)
 }
 
 // vec returns the interned vector at idx. The returned slice aliases
