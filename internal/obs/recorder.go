@@ -46,6 +46,7 @@ const (
 	MetricServeDrains           = "serve.drains"
 	MetricServeDeadlineExpiries = "serve.deadline_expiries"
 	MetricServeSerialDegrades   = "serve.serial_degrades"
+	MetricServePlannerPanics    = "serve.planner_panics"
 
 	TraceName = "planner"
 )
@@ -92,6 +93,7 @@ type Recorder struct {
 	serveDrains     *Counter
 	serveDeadlines  *Counter
 	serveSerialDegr *Counter
+	servePanics     *Counter
 }
 
 // NewRecorder returns a recorder publishing into reg (nil selects the
@@ -136,6 +138,7 @@ func NewRecorder(reg *Registry) *Recorder {
 		serveDrains:      reg.Counter(MetricServeDrains),
 		serveDeadlines:   reg.Counter(MetricServeDeadlineExpiries),
 		serveSerialDegr:  reg.Counter(MetricServeSerialDegrades),
+		servePanics:      reg.Counter(MetricServePlannerPanics),
 	}
 	hits, misses := r.cacheHits, r.cacheMisses
 	reg.Derived(MetricCacheHitRate, func() float64 {
@@ -443,6 +446,15 @@ func (r *Recorder) SerialDegrade() {
 		return
 	}
 	r.serveSerialDegr.Inc()
+}
+
+// PlannerPanic counts one job failed because its planning or audit call
+// panicked; the daemon contains the panic and keeps serving.
+func (r *Recorder) PlannerPanic() {
+	if r == nil {
+		return
+	}
+	r.servePanics.Inc()
 }
 
 // Span starts a named timed region in the recorder's trace stream. On a

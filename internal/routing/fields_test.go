@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,12 @@ import (
 )
 
 // The check keeps its distance fields between calls and repairs them around
-// the switches syncUp rebuilt. These tests drive it through upHarness
-// (upstate_test.go), which after every evaluator call holds every retained
-// field against a fresh fork's full traversal, entry by entry, and every
-// answer against a fresh evaluator's; what they add is the sequences, and
+// the switches syncUp rebuilt, and beside them keeps the next-hop masks its
+// sweeps found. These tests drive it through upHarness (upstate_test.go),
+// which after every evaluator call holds every retained field against a fresh
+// fork's full traversal, entry by entry, every valid retained mask against
+// that field and the view, arc by arc, and every answer against a fresh
+// evaluator's in both split modes; what they add is the sequences, and
 // assertions on which way each check came by its fields.
 
 // ladder is a fabric on which one flipped circuit moves a known part of a
@@ -301,7 +304,7 @@ func TestFieldsFollowView(t *testing.T) {
 
 	// Random sequences on meshes large enough for single drains to fall
 	// under the cut-over.
-	var repaired, traversed, gaveUp int
+	var repaired, traversed, gaveUp, masks int
 	for seed := int64(1); seed <= 6; seed++ {
 		h := newMeshHarness(t, seed, 96, 20)
 		rng := rand.New(rand.NewSource(seed * 104729))
@@ -327,10 +330,11 @@ func TestFieldsFollowView(t *testing.T) {
 				}
 			}
 		}
+		masks += h.masksHeld
 	}
-	t.Logf("random sequences: %d checks repaired, %d traversed, %d gave up and traversed", repaired, traversed, gaveUp)
-	if repaired < 100 || traversed < 100 {
-		t.Fatalf("random sequences took one way too seldom: %d repaired, %d traversed", repaired, traversed)
+	t.Logf("random sequences: %d checks repaired, %d traversed, %d gave up and traversed; %d retained next-hop masks held against the view", repaired, traversed, gaveUp, masks)
+	if repaired < 100 || traversed < 100 || masks < 10000 {
+		t.Fatalf("random sequences took one way too seldom: %d repaired, %d traversed, %d masks held", repaired, traversed, masks)
 	}
 }
 
@@ -346,6 +350,11 @@ func FuzzFieldsFollowView(f *testing.F) {
 	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 7, opTrace, 0, 2, opToggleCircuit, 0, 90, opDriftRate, 200, 1, opDemandDelta, 0, 0, opEvaluate, 0, 0})
 	f.Add([]byte{opCheck, 0, 0, opOtherView, 0, 0, opToggleCircuit, 0, 3, opCheck, 0, 0, opOtherView, 0, 0, opCheck, 0, 0, opCopyFrom, 0, 0, opCheck, 0, 0})
 	f.Add([]byte{opCheck, 0, 0, opFork, 0, 0, opToggleHubCircuit, 0, 6, opCheck, 0, 0, opFork, 0, 1, opCheck, 0, 0, opReset, 0, 0, opEvaluate, 0, 0})
+	// Next-hop masks kept from the second check on: read back after a rate
+	// drifted, dropped around two repairs, behind a port rejection and a trace,
+	// and wholesale by a far jump and by a fork's own first traversal.
+	f.Add([]byte{opEvaluate, 0, 0, opEvaluate, 0, 0, opDriftRate, 90, 4, opCheck, 0, 0, opToggleCircuit, 1, 34, opEvaluate, 0, 0, opToggleCircuit, 0, 77, opTrace, 0, 1, opCheck, 0, 0, opToggleCircuit, 1, 34, opEvaluate, 0, 0})
+	f.Add([]byte{opCheck, 0, 0, opCheck, 0, 0, opToggleHubCircuit, 0, 3, opCheck, 0, 0, opReset, 0, 0, opToggleSwitch, 0, 50, opToggleSwitch, 0, 60, opToggleSwitch, 0, 70, opEvaluate, 0, 0, opFork, 0, 2, opEvaluate, 0, 0, opToggleCircuit, 0, 12, opEvaluate, 0, 0, opFork, 0, 0, opEvaluate, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 600 {
 			script = script[:600]
@@ -353,6 +362,214 @@ func FuzzFieldsFollowView(f *testing.F) {
 		h := newMeshHarness(t, 3, 96, 20)
 		for ; len(script) >= 3; script = script[3:] {
 			h.do(script[0], int(script[1])<<8|int(script[2]))
+		}
+	})
+}
+
+// refLoads holds the loads of e's most recent call against ReferenceLoads —
+// Bellman-Ford and a top-down recursion that share no table with the
+// evaluator, the static arc.back numbers included, which every fork the harness
+// compares against does share.
+func (h *upHarness) refLoads(what string, e *Evaluator, v *topo.View, split SplitMode) {
+	h.t.Helper()
+	want, _ := ReferenceLoads(h.tp, v, h.ds, split)
+	for _, c := range h.allCk {
+		ab, ba := e.CircuitLoad(c)
+		if got := ab + ba; math.Abs(got-want[c]) > 1e-9*(1+want[c]) {
+			h.t.Fatalf("%s, split %v: circuit %d carries %v, the reference places %v", what, split, c, got, want[c])
+		}
+	}
+}
+
+// tail hangs a chain of n switches off switch at, each with a demand to dst of
+// its own, so that a fabric of a few switches is large enough for two rebuilt
+// ones to fall under the repair's cut-over and for a traversal to visit enough
+// arcs to leave the repair a budget.
+func tail(tp *topo.Topology, ds *demand.Set, at, dst topo.SwitchID, n int) []topo.SwitchID {
+	var sw []topo.SwitchID
+	for i := 0; i < n; i++ {
+		s := tp.AddSwitch(topo.Switch{Name: fmt.Sprintf("tail%d", i), Role: topo.RoleFSW})
+		tp.AddCircuit(at, s, 100)
+		ds.Add(demand.Demand{Name: fmt.Sprintf("tail%d", i), Src: s, Dst: dst, Rate: 0.25})
+		sw, at = append(sw, s), s
+	}
+	return sw
+}
+
+// TestHopSetsFollowFields scripts the three cases in which a retained next-hop
+// mask is the only thing that can go wrong; upHarness holds every valid mask
+// and every load after each step, and the scripts add what the harness cannot
+// know: that the case is the one meant, and the loads of an implementation
+// that shares nothing with the evaluator.
+func TestHopSetsFollowFields(t *testing.T) {
+	// A repair moves the entry of a neighbour of y while y itself is neither
+	// rebuilt nor written: y forwards over x1 and x2, d–a1 goes down two hops
+	// beyond x1, x1 is now farther from d than y is, and y keeps its distance
+	// by x2. Nothing says so at y but its neighbour's entry.
+	t.Run("neighbour", func(t *testing.T) {
+		tp := topo.New("kite")
+		add := func(name string) topo.SwitchID {
+			return tp.AddSwitch(topo.Switch{Name: name, Role: topo.RoleFSW})
+		}
+		d, a1, b1, x1, x2, y, src := add("d"), add("a1"), add("b1"), add("x1"), add("x2"), add("y"), add("src")
+		da1 := tp.AddCircuit(d, a1, 100)
+		tp.AddCircuit(d, b1, 100)
+		tp.AddCircuit(a1, x1, 100)
+		tp.AddCircuit(b1, x2, 100)
+		yx1 := tp.AddCircuit(y, x1, 100)
+		tp.AddCircuit(y, x2, 100)
+		tp.AddCircuit(src, y, 100)
+		ds := &demand.Set{}
+		ds.Add(demand.Demand{Name: "main", Src: src, Dst: d, Rate: 8})
+		sw := append([]topo.SwitchID{d, a1, b1, x1, x2, y, src}, tail(tp, ds, d, d, 40)...)
+		spare := tp.AddCircuit(sw[20], sw[21], 100) // a second circuit along the tail, drained at first: it moves no entry
+		h := newHarnessOn(t, tp, sw, sw[:2], ds, CheckOpts{Theta: 0.9})
+		l := &ladder{h: h}
+		e, v := h.evals[0], h.views[0]
+		v.DrainCircuit(spare)
+		l.check(opEvaluate, viaTraverse, "first check")
+		v.UndrainCircuit(spare)
+		l.check(opEvaluate, viaRepair, "first repair: the masks are kept from here on")
+		n := len(e.ports)
+		if e.trav.hopValid == nil || e.trav.hopValid[int(y)] == 0 {
+			t.Fatal("no next-hop mask retained at y after a repaired check")
+		}
+		distY, reused := e.trav.dist[y], e.HopSetsReused
+		v.DrainCircuit(da1)
+		l.check(opEvaluate, viaRepair, "d–a1 down")
+		if e.trav.dist[y] != distY || e.trav.dist[x1] != distY+1 {
+			t.Fatalf("y at %d (was %d), x1 at %d: want y unmoved and x1 one beyond it", e.trav.dist[y], distY, e.trav.dist[x1])
+		}
+		if e.HopSetsReused == reused {
+			t.Fatal("the repaired check read no retained mask back")
+		}
+		h.refLoads("d–a1 down", e, v, SplitCapacityWeighted) // the harness's second call was in the other mode
+		if ab, ba := e.CircuitLoad(yx1); ab+ba != 0 {
+			t.Fatalf("y still forwards %v over x1, which is farther from d than y", ab+ba)
+		}
+		v.UndrainCircuit(da1)
+		l.check(opCheck, viaRepair, "d–a1 up again")
+		if ab, ba := e.CircuitLoad(yx1); ab+ba != 4 {
+			t.Fatalf("y forwards %v over x1, want half of 8", ab+ba)
+		}
+		if len(e.trav.hopValid) != n*len(e.trav.kept) {
+			t.Fatalf("%d validity bytes for %d fields of %d switches", len(e.trav.hopValid), len(e.trav.kept), n)
+		}
+	})
+
+	// Two circuits between the same pair of switches, of unequal capacity:
+	// each arc's inflow bit must be the one of its own circuit's reverse arc,
+	// not of the first arc that leads back to the same switch.
+	t.Run("twins", func(t *testing.T) {
+		tp := topo.New("twins")
+		add := func(name string) topo.SwitchID {
+			return tp.AddSwitch(topo.Switch{Name: name, Role: topo.RoleFSW})
+		}
+		d, w, u, src := add("d"), add("w"), add("u"), add("src")
+		tp.AddCircuit(d, w, 100)
+		thin := tp.AddCircuit(u, w, 10)
+		tp.AddCircuit(src, u, 100)
+		wide := tp.AddCircuit(w, u, 30) // the other way round, and later in both adjacencies
+		ds := &demand.Set{}
+		ds.Add(demand.Demand{Name: "main", Src: src, Dst: d, Rate: 8})
+		sw := append([]topo.SwitchID{d, w, u, src}, tail(tp, ds, d, d, 40)...)
+		for _, split := range []SplitMode{SplitEqual, SplitCapacityWeighted} {
+			h := newHarnessOn(t, tp, sw, sw[:2], ds, CheckOpts{Theta: 0.95, Split: split})
+			l := &ladder{h: h}
+			e, v := h.evals[0], h.views[0]
+			other := SplitCapacityWeighted - split
+			carried := func(what string, thinWant, wideWant float64) {
+				t.Helper()
+				h.refLoads(what, e, v, other)
+				ab, ba := e.CircuitLoad(thin)
+				cd, dc := e.CircuitLoad(wide)
+				if ab+ba != thinWant || cd+dc != wideWant {
+					t.Fatalf("%s, split %v: the twins carry %v and %v, want %v and %v", what, other, ab+ba, cd+dc, thinWant, wideWant)
+				}
+			}
+			both := [2][2]float64{{4, 4}, {2, 6}}[other] // by the mode of the harness's second call
+			l.check(opEvaluate, viaTraverse, "both twins up")
+			carried("both twins up", both[0], both[1])
+			v.DrainCircuit(thin)
+			l.check(opEvaluate, viaRepair, "thin twin down")
+			carried("thin twin down", 0, 8)
+			v.UndrainCircuit(thin)
+			v.DrainCircuit(wide)
+			l.check(opCheck, viaRepair, "wide twin down instead")
+			carried("wide twin down instead", 8, 0)
+			v.UndrainCircuit(wide)
+			l.check(opEvaluate, viaRepair, "both up again")
+			carried("both up again", both[0], both[1])
+		}
+	})
+
+	// More destination groups than one batch carries, on an evaluator that
+	// keeps masks: a narrow demand set gets it to repair, and to allocate the
+	// slab, at the width of the wide set's fields; from then on each batch of
+	// the wide set overwrites what the other stored, every check traverses, no
+	// mask is ever read back, and every load still holds.
+	t.Run("second batch", func(t *testing.T) {
+		h := newMeshHarness(t, 5, 96, 400)
+		wide := h.ds
+		if dsts, _ := wide.DestinationIndex(); len(dsts) <= batchWidth {
+			t.Fatalf("%d destination groups, want more than one batch", len(dsts))
+		}
+		narrow := &demand.Set{}
+		for _, d := range wide.Demands[:20] {
+			narrow.Add(d)
+		}
+		e := h.evals[0]
+		h.do(opEvaluate, 0)
+		h.ds = narrow
+		h.do(opEvaluate, 0)
+		for i := 0; e.trav.hopValid == nil; i++ {
+			if i == 20 {
+				t.Fatal("twenty single circuit flips and no check repaired")
+			}
+			h.do(opToggleCircuit, 290+17*i)
+			h.do(opEvaluate, 0)
+		}
+		if got, want := len(e.trav.hopValid), batchWidth*len(e.ports); got != want {
+			t.Fatalf("slab allocated for %d (field, switch) pairs, want the batch's %d", got, want)
+		}
+		held := h.masksHeld
+		if held == 0 {
+			t.Fatal("no retained mask verified on the narrow set")
+		}
+		h.ds = wide
+		for i := 0; i < 6; i++ {
+			h.do(opToggleCircuit, 17*i)
+			reused := e.HopSetsReused
+			h.do(opEvaluate, 0)
+			if h.last.repaired || !h.last.traversed {
+				t.Fatalf("two batches: check %d repaired=%v traversed=%v", i, h.last.repaired, h.last.traversed)
+			}
+			if e.HopSetsReused != reused {
+				t.Fatalf("two batches: check %d read %d retained masks back", i, e.HopSetsReused-reused)
+			}
+		}
+		if h.masksHeld == held {
+			t.Fatal("no retained mask of the wide set's last batch verified")
+		}
+
+		// The other way round: the slab is allocated at the narrow set's width,
+		// the wide set's fields outgrow it, and it goes with the fields it was
+		// shaped like.
+		h = newMeshHarness(t, 5, 96, 400)
+		e = h.evals[0]
+		h.ds = narrow
+		h.do(opEvaluate, 0)
+		for i := 0; e.trav.hopValid == nil; i++ {
+			if i == 20 {
+				t.Fatal("twenty single circuit flips and no check repaired")
+			}
+			h.do(opToggleCircuit, 290+17*i)
+			h.do(opEvaluate, 0)
+		}
+		h.ds = wide
+		h.do(opEvaluate, 0)
+		if e.trav.hopValid != nil {
+			t.Fatalf("a slab of %d validity bytes outlived the %d-entry fields it was allocated beside", len(e.trav.hopValid), len(e.trav.dist))
 		}
 	})
 }

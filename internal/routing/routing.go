@@ -52,21 +52,40 @@
 //     its static arcs in place; only a switch with a down arc is scanned
 //     through its mask. Same arcs, same order;
 //  3. places each group's flow with a sweep that visits only the switches
-//     carrying that group's flow, so its cost is the degree sum of those
-//     switches, not of the fabric.
+//     carrying that group's flow, farthest first. A visited switch adds up
+//     what its upstream neighbours marked for it — each of them, when it was
+//     visited, set the bit of the arc it forwards over in the receiver's own
+//     words — then divides the sum over its next hops and marks those in
+//     turn, so placing flow looks at the arcs that carry it and at no others.
+//     Which arcs of a switch are next hops is a function of (the group's
+//     distance field, the up state) alone, the two things steps 1 and 2
+//     already keep and bring up to date in place, so the check keeps that
+//     too: one mask per (field, switch), found by one scan of the switch's up
+//     arcs the first time the switch carries the group's flow and read back
+//     afterwards. The masks are dropped by the code that outdates them and by
+//     nothing else: a traversal drops the batch's, the repair drops those of
+//     the switches step 1 rebuilt and, per field, those of the neighbours of
+//     every entry it writes. On a planner lane of a large fabric five
+//     (group, switch) visits in six read their mask back and a search
+//     classifies a sixth of the arcs its sweeps would otherwise scan. The
+//     masks are allocated by the first check that finds its fields kept from
+//     the one before, so an evaluator whose checks all traverse — a small
+//     fabric, a fork's first check — holds none and stores nothing.
 //
 // Summation-order contract. Every load the evaluator reports is a function
 // of (adjacency order, up state, demands, distance field) and of nothing
 // else — in particular not of the order in which a traversal happened to
 // reach switches, nor of which other destinations shared its batch. The
 // sweep guarantees it by construction: a switch's inflow is its seeded
-// demand rates in demand order, plus the shares pulled from its upstream
-// neighbours in the switch's own adjacency order; each directional circuit
-// load of a group is assigned exactly once; and totals are folded group by
-// group in ascending destination order. This is what lets a check that
-// repaired its fields and one that traversed, on whatever evaluator and after
-// whatever earlier views, report bitwise identical loads, and what makes the
-// reported Violation a deterministic function of (view, demands, options).
+// demand rates in demand order, plus the shares of its upstream neighbours
+// in the switch's own adjacency order, whatever order they were marked in;
+// each directional circuit load of a group is assigned exactly once; and
+// totals are folded group by group in ascending destination order. This is
+// what lets a check that repaired its fields and one that traversed, one that
+// read its next hops back and one that scanned for them, on whatever
+// evaluator and after whatever earlier views, report bitwise identical loads,
+// and what makes the reported Violation a deterministic function of (view,
+// demands, options).
 package routing
 
 import (
@@ -249,6 +268,9 @@ type Evaluator struct {
 	ArcVisits            int // arcs scanned by the distance traversals and tested by the repairs
 	ArcVisitsInPlace     int // … of which at switches with every arc up, ranged over in place
 	UpRebuilds           int // switch up masks rebuilt to follow a view
+	SweepArcTests        int // arcs classified as next hop or not, while building next-hop masks
+	HopSetsBuilt         int // next-hop masks the sweeps built, one scan of a switch's up arcs each
+	HopSetsReused        int // … and retained ones they read back instead
 }
 
 // NewEvaluator returns an evaluator for views over t.
@@ -272,16 +294,21 @@ func NewEvaluator(t *topo.Topology) *Evaluator {
 		e.wordOff[i+1] = e.wordOff[i] + (deg+63)/64
 	}
 	e.arcs = make([]arc, 0, e.arcOff[n])
+	bitOf := make([]int32, 2*m) // by directional load index: the mask bit of the arc that carries it
 	for i := 0; i < n; i++ {
 		u := topo.SwitchID(i)
-		for _, cid := range t.Switch(u).Circuits() {
+		for j, cid := range t.Switch(u).Circuits() {
 			ck := t.Circuit(cid)
 			dir := int32(0)
 			if ck.B == u { // flow from u travels B→A
 				dir = 1
 			}
 			e.arcs = append(e.arcs, arc{other: int32(ck.Other(u)), metric: ck.Metric, li: 2*int32(cid) + dir})
+			bitOf[2*int32(cid)+dir] = e.wordOff[i]<<6 + int32(j)
 		}
+	}
+	for i := range e.arcs {
+		e.arcs[i].back = bitOf[e.arcs[i].li^1]
 	}
 	e.initScratch()
 	return e
@@ -390,6 +417,7 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 	for lo := 0; lo < len(dsts); lo += batchWidth {
 		hi := min(lo+batchWidth, len(dsts))
 		fields := e.batchDistances(swActive, dsts[lo:hi])
+		live := 0 // the field under the sweep: the batch numbers its fields in order, inactive destinations left out
 		for gi := lo; gi < hi; gi++ {
 			group := byDst[gi]
 			dist := fields[gi-lo]
@@ -419,7 +447,8 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 				}
 				e.seed(dist, d.Src, d.Rate)
 			}
-			lis, vals := e.sweep(dist, dsts[gi], opts.Split)
+			lis, vals := e.sweep(live, dist, dsts[gi], opts.Split)
+			live++
 
 			// Fold the group's contribution into the totals and check the
 			// utilization bound on every circuit it loaded. A group loads a

@@ -71,10 +71,10 @@ func (e *Evaluator) Trace(v *topo.View, src, dst topo.SwitchID) (*PathDAG, error
 		for k, bw := range words {
 			for ; bw != 0; bw &= bw - 1 {
 				a := &arcs[k<<6+bits.TrailingZeros64(bw)]
-				w := topo.SwitchID(a.other)
-				if dist[w] != dist[u]-a.metric {
+				if !a.nextHop(dist, dist[u]) {
 					continue
 				}
+				w := topo.SwitchID(a.other)
 				dag.NextHops[u] = append(dag.NextHops[u], topo.CircuitID(a.li>>1))
 				if !seen[w] {
 					seen[w] = true

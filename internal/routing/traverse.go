@@ -25,23 +25,30 @@ import (
 //     once per destination.
 //   - sweep places one destination group's flow over its distance field. It
 //     visits only the switches that carry flow, level by level from the
-//     sources toward the destination, and each switch sums its inflow by
-//     pulling from its upstream neighbours in its own adjacency order. No
-//     float sum depends on the order in which switches were reached, so the
-//     placement is a function of (adjacency order, up state, demands,
-//     distance field) alone — see the summation-order contract in the
-//     package comment.
+//     sources toward the destination. A visited switch sums its inflow from
+//     the arcs its upstream neighbours marked for it (tr.in), in its own
+//     adjacency order, then splits it over its next hops and marks those in
+//     turn. No float sum depends on the order in which switches were
+//     reached, so the placement is a function of (adjacency order, up state,
+//     demands, distance field) alone — see the summation-order contract in
+//     the package comment. Which arcs are next hops is a function of
+//     (distance field, up state) alone, so beside the retained fields the
+//     check keeps the next-hop mask of every (field, switch) it has visited,
+//     found by one scan of the switch's up arcs (arc.nextHop) and read back
+//     from then on, and the code that moves a field or the up state — the
+//     traversal, the repair — is the code that drops the masks it outdates.
 
 // batchWidth is the number of destinations one traversal carries: the bits
 // of a mask word.
 const batchWidth = 64
 
 // arc is one directed arc of the adjacency: a circuit as seen from one
-// endpoint. 12 bytes, so a switch's arcs share cache lines.
+// endpoint. 16 bytes, four to a cache line.
 type arc struct {
 	other  int32 // peer endpoint
 	metric int32
 	li     int32 // directional load index for flow from this endpoint toward other; the circuit is li>>1
+	back   int32 // the bit the reverse arc — same circuit, seen from other — occupies in a mask shaped like upBits
 }
 
 // level is one distance level of a traversal in flight: the switches queued
@@ -70,16 +77,6 @@ const maxPooledLevels = 32
 
 // flipped is an arc whose up state may have changed between two checks.
 type flipped struct{ x, y, metric int32 }
-
-// flowNode is the sweep state of one flow-carrying switch.
-type flowNode struct {
-	f float64 // seeded rate until the switch is visited, then its total inflow
-	// What each next hop draws from f. ECMP: the equal share f/count, divided
-	// once here rather than once per arc. WCMP: the capacity sum, for the
-	// per-arc f·cap/weight.
-	per float64
-	sw  int32
-}
 
 // traversal is the scratch of the two primitives. Everything is allocated on
 // first use and sized to what the checks actually touch.
@@ -110,12 +107,30 @@ type traversal struct {
 	down, up []flipped
 	unset    []int32
 
-	// Sweep: slot[s] is 1+index of s in nodes, 0 while s carries no flow of
-	// the current group. nodes doubles as the visit log that beginGroup
-	// resets from.
-	slot  []int32
-	nodes []flowNode
-	hops  []int32 // next-hop switches of the switch being visited
+	// Next-hop masks retained beside the fields: hopSets holds, for field k and
+	// switch x, a mask shaped like x's up words (field k's run starts at
+	// k·|upBits|) of the up arcs of x that lead one step closer in field k, and
+	// hopValid[k·n+x] says whether that mask stands for field k and the up
+	// state as they are. Both are shaped like dist and are nil until a check
+	// first finds the fields of the check before it fit to keep (repairFields):
+	// an evaluator that only ever traverses keeps no mask.
+	hopSets  []uint64
+	hopValid []uint8
+
+	// Sweep. A switch is in the current group's flow set iff its stamp is
+	// group; flow is its seeded rate until it is visited and its total inflow
+	// from then on, per what each of its next hops draws from that — ECMP: the
+	// equal share flow/count, divided once rather than once per arc; WCMP: the
+	// capacity sum, for the per-arc flow·cap/per. in is shaped like upBits: a
+	// visited switch sets, for each next hop, the bit of the reverse arc in the
+	// hop's own words, and the hop clears its words as it pulls, so in is
+	// all-zero between sweeps.
+	stamp []uint16
+	group uint16
+	flow  []float64
+	per   []float64
+	in    []uint64
+	hops  []int32 // repairField: tight children of the entry being judged
 	lis   []int32 // the group's contribution: directional load indices …
 	vals  []float64
 }
@@ -453,13 +468,15 @@ func (q *levelQueue) push(lv *level, w, nd int32, cand uint64, last []int32) *le
 // computes them afresh. Either way the result is the fields' one definition,
 // the metric-shortest distances over the up arcs, so nothing downstream can
 // tell which ran. Rates never enter a field: the key is (destinations, up
-// state) by content.
+// state) by content. A traversal computes every field of the batch anew, so
+// it also drops every next-hop mask kept beside them.
 func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]int32 {
 	tr := &e.trav
 	n := len(e.ports)
 	if len(tr.dist) < len(dsts)*n {
 		tr.dist = make([]int32, len(dsts)*n)
 		tr.kept = tr.kept[:0]
+		tr.hopSets, tr.hopValid = nil, nil // shaped like dist: the next repair allocates them anew
 	}
 	tr.fields, tr.live, tr.dsts = tr.fields[:0], tr.live[:0], tr.dsts[:0]
 	for _, dst := range dsts {
@@ -480,6 +497,7 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 	if e.nMarked*repairCutover > n || !slices.Equal(tr.dsts, tr.kept) || !e.repairFields() {
 		tr.kept = append(tr.kept[:0], tr.dsts...)
 		clear(tr.dist[:len(tr.live)*n])
+		clear(tr.hopValid) // every field of the batch is computed anew
 		before := e.ArcVisits
 		e.distances(tr.dsts, tr.live)
 		tr.keptVisits = e.ArcVisits - before
@@ -504,11 +522,24 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 // end: in tr.down those that are down now, in tr.up those that are up. The
 // marked switches come from one pass over the flag bytes: a list kept by
 // rebuildSwitch would grow to the whole fabric on every fork's first check.
+//
+// This is also where the next-hop masks come to be and where two of the three
+// things that outdate one are seen. A call means the fields of the check
+// before are being kept, so masks beside them will be read again: the first
+// call allocates them, shaped like dist. A mask of switch x depends on x's up
+// arcs, on x's entry and on the entries of x's up neighbours. The up arcs can
+// only have changed at a marked switch: the masks of every marked switch go,
+// in every field, here. The entries change in repairField, field by field.
 func (e *Evaluator) repairFields() bool {
+	tr := &e.trav
+	n := len(e.ports)
+	if tr.hopValid == nil {
+		tr.hopSets = make([]uint64, len(tr.dist)/n*len(e.upBits))
+		tr.hopValid = make([]uint8, len(tr.dist))
+	}
 	if e.nMarked == 0 {
 		return true
 	}
-	tr := &e.trav
 	tr.marked, tr.down, tr.up = tr.marked[:0], tr.down[:0], tr.up[:0]
 	for s, f := range e.swFlags {
 		if f&swMarked != 0 {
@@ -517,6 +548,10 @@ func (e *Evaluator) repairFields() bool {
 	}
 	visits := 0
 	for _, x := range tr.marked {
+		// The up arcs of x may have changed: its next hops in every field.
+		for k := range tr.kept {
+			tr.hopValid[k*n+int(x)] = 0
+		}
 		words, arcs := e.upWords(x)
 		for j := range arcs {
 			a := &arcs[j]
@@ -540,7 +575,7 @@ func (e *Evaluator) repairFields() bool {
 	written, ok := 0, visits <= budget
 	for k := 0; ok && k < len(tr.kept); k++ {
 		var v, w int
-		v, w, ok = e.repairField(tr.live[k], budget-visits)
+		v, w, ok = e.repairField(tr.live[k], tr.hopValid[k*n:(k+1)*n], budget-visits)
 		visits += v
 		written += w
 	}
@@ -575,7 +610,17 @@ func (e *Evaluator) repairFields() bool {
 // Distances are integers, so the result equals a fresh traversal's entry for
 // entry. It returns the arcs it tested and the entries it wrote, and false as
 // soon as the former exceed budget.
-func (e *Evaluator) repairField(dist []int32, budget int) (visits, written int, ok bool) {
+//
+// valid holds the field's next-hop mask flags. Phase 2 scans every up arc of
+// every entry the repair wrote — un-set ones as it looks for their best
+// standing neighbour, lowered ones as it relaxes on from them — and clears the
+// flag at the far end of each: the neighbours are whose masks the entry was
+// part of. The written entry's own mask needs no clearing of its own: an entry
+// moves only if an arc of its switch changed state, and then the switch is
+// marked, or if a neighbour's entry moved, and then the neighbour's scan
+// clears it. A repair that gives up leaves flags behind that the traversal
+// after it clears wholesale.
+func (e *Evaluator) repairField(dist []int32, valid []uint8, budget int) (visits, written int, ok bool) {
 	tr := &e.trav
 	q := &tr.levels
 	q.drain() // flow levels an early exit left queued, or a repair that gave up
@@ -654,6 +699,7 @@ func (e *Evaluator) repairField(dist []int32, budget int) (visits, written int, 
 			visits += bits.OnesCount64(bw)
 			for ; bw != 0; bw &= bw - 1 {
 				a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+				valid[a.other] = 0
 				if o := dist[a.other]; o != 0 && (d == 0 || o+a.metric < d) {
 					d = o + a.metric
 				}
@@ -677,6 +723,7 @@ func (e *Evaluator) repairField(dist []int32, budget int) (visits, written int, 
 				visits += bits.OnesCount64(bw)
 				for ; bw != 0; bw &= bw - 1 {
 					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
+					valid[a.other] = 0
 					if o := dist[a.other]; o == 0 || d+a.metric < o {
 						dist[a.other] = d + a.metric
 						q.add(d+a.metric, a.other)
@@ -690,106 +737,155 @@ func (e *Evaluator) repairField(dist []int32, budget int) (visits, written int, 
 	return visits, written, visits <= budget
 }
 
-// beginGroup resets the sweep scratch for a new destination group. The reset
-// happens here, at the start, rather than after a sweep: a check that exits
-// between seeding and sweeping leaves marks behind, and the next group —
-// whichever call it belongs to — must not see them.
+// beginGroup starts a new destination group's flow set. Membership is by
+// stamp, so whatever an earlier group left behind — a check may exit between
+// seeding and sweeping — is out of the set without being visited; the stamps
+// are cleared when the 16-bit group number wraps, once in 65 535 groups.
 func (e *Evaluator) beginGroup() {
 	tr := &e.trav
-	if tr.slot == nil {
-		tr.slot = make([]int32, len(e.ports))
+	if tr.stamp == nil {
+		n := len(e.ports)
+		tr.stamp = make([]uint16, n)
+		tr.flow = make([]float64, n)
+		tr.per = make([]float64, n)
+		tr.in = make([]uint64, len(e.upBits))
 	}
-	for i := range tr.nodes {
-		tr.slot[tr.nodes[i].sw] = 0
+	if tr.group++; tr.group == 0 {
+		clear(tr.stamp)
+		tr.group = 1
 	}
-	tr.nodes = tr.nodes[:0]
 	tr.levels.drain()
 	tr.lis, tr.vals = tr.lis[:0], tr.vals[:0]
 }
 
-// enqueue adds switch s to the current group's flow set, queued at its
-// distance level, and returns its node index. A switch already in the set
-// keeps its place.
-func (tr *traversal) enqueue(dist []int32, s int32) int32 {
-	if k := tr.slot[s]; k != 0 {
-		return k - 1
-	}
-	tr.nodes = append(tr.nodes, flowNode{sw: s})
-	k := int32(len(tr.nodes))
-	tr.slot[s] = k
-	tr.levels.add(dist[s], s)
-	return k - 1
-}
-
-// seed adds rate to the inflow of source switch src of the current group.
+// seed adds rate to the inflow of source switch src of the current group,
+// which src joins, queued at its distance level, if it is not in it yet.
 func (e *Evaluator) seed(dist []int32, src topo.SwitchID, rate float64) {
 	tr := &e.trav
-	k := tr.enqueue(dist, int32(src)) // may grow nodes: index only afterwards
-	tr.nodes[k].f += rate
+	if tr.stamp[src] != tr.group {
+		tr.stamp[src] = tr.group
+		tr.flow[src] = 0
+		tr.levels.add(dist[src], int32(src))
+	}
+	tr.flow[src] += rate
 }
 
+// nextHop reports whether a, an up arc of a switch at distance dx in the field
+// dist, leads exactly its metric closer to the destination. It is the
+// package's one definition of where a switch forwards.
+func (a *arc) nextHop(dist []int32, dx int32) bool { return dist[a.other] == dx-a.metric }
+
 // sweep propagates the seeded inflow of the current group toward dst over
-// the distance field dist and returns the group's contribution as aligned
-// (directional load index, value) slices, valid until the next beginGroup.
-// Each directional index appears at most once.
+// dist, which is field k of the batch, and returns the group's contribution
+// as aligned (directional load index, value) slices, valid until the next
+// beginGroup. Each directional index appears at most once.
 //
 // Levels are visited from the farthest source inward. A visited switch x
-// first pulls: for every up arc, in adjacency order, whose peer w is
-// upstream (dist[w] = dist[x] + metric) and carries flow, w's share over
-// that arc is emitted as the arc's load and added to x's inflow. Every such
-// w lies at a strictly larger distance and is final by then. x then weighs
-// its own next hops (dist[peer] = dist[x] − metric) and queues them. The
-// seeded rate enters the sum first, the pulled shares follow in adjacency
-// order: the inflow of x is the same float sum however x was reached.
-func (e *Evaluator) sweep(dist []int32, dst topo.SwitchID, split SplitMode) ([]int32, []float64) {
+// first pulls: for every set bit of its words of tr.in, ascending — its
+// adjacency order — the upstream peer's share over that arc is emitted as the
+// arc's load and added to x's inflow, and the words are cleared. A bit is set
+// by a peer w at dist[x] + metric that carries flow, when w was visited; every
+// such w lies at a strictly larger distance and is final by then. The seeded
+// rate enters the sum first and the pulled shares follow in adjacency order:
+// the inflow of x is the same float sum however x was reached. x then pushes:
+// it weighs its next hops, lets the unseen ones join in adjacency order, and
+// sets on each the bit of the arc back to x (arc.back).
+//
+// The next hops of x are the bits of the mask the batch retains for (k, x)
+// where that is valid. Where it is not, or nothing is retained, they are found
+// among x's up arcs by one scan (arc.nextHop), in the pass that pushes over
+// them, and kept if the batch keeps masks. Pulling scans nothing, so the arcs
+// a sweep classifies are the up arcs of the switches it had no valid mask for.
+func (e *Evaluator) sweep(k int, dist []int32, dst topo.SwitchID, split SplitMode) ([]int32, []float64) {
 	tr := &e.trav
 	wcmp := split == SplitCapacityWeighted
+	n := len(e.ports)
+	var sets []uint64
+	var valid []uint8
+	if tr.hopValid != nil {
+		sets = tr.hopSets[k*len(e.upBits) : (k+1)*len(e.upBits)]
+		valid = tr.hopValid[k*n : (k+1)*n]
+	}
+	in, flow, per, stamp, group := tr.in, tr.flow, tr.per, tr.stamp, tr.group
+	lis, vals := tr.lis, tr.vals
+	built, reused, tests := 0, 0, 0
 	q := &tr.levels
 	for len(q.active) > 0 {
 		top := len(q.active) - 1
 		lv := q.active[top]
 		q.active = q.active[:top]
+		var next *level // the level the previous hop joined at
 		for _, x := range lv.sw {
-			dx := dist[x]
-			nx := tr.slot[x] - 1
-			f := tr.nodes[nx].f
-			hops := tr.hops[:0]
-			weight := 0.0
-			words, arcs := e.upWords(x)
-			for k, bw := range words {
+			lo, hi := e.wordOff[x], e.wordOff[x+1]
+			arcs := e.arcs[e.arcOff[x]:e.arcOff[x+1]]
+			f := flow[x]
+			for i, bw := range in[lo:hi] {
+				if bw == 0 {
+					continue
+				}
+				in[int(lo)+i] = 0
 				for ; bw != 0; bw &= bw - 1 {
-					a := &arcs[k<<6+bits.TrailingZeros64(bw)]
-					switch dist[a.other] - dx {
-					case a.metric: // upstream: pull its share over this arc
-						k := tr.slot[a.other]
-						if k == 0 {
-							continue
-						}
-						w := &tr.nodes[k-1]
-						if w.f == 0 {
-							continue
-						}
-						share := w.per
-						if wcmp {
-							share = w.f * e.caps[a.li>>1] / w.per
-						}
-						f += share
-						tr.lis = append(tr.lis, a.li^1)
-						tr.vals = append(tr.vals, share)
-					case -a.metric: // next hop
-						hops = append(hops, a.other)
-						if wcmp {
-							weight += e.caps[a.li>>1]
-						} else {
-							weight++
-						}
+					a := &arcs[i<<6+bits.TrailingZeros64(bw)]
+					share := per[a.other]
+					if wcmp {
+						share = flow[a.other] * e.caps[a.li>>1] / share
 					}
+					f += share
+					lis = append(lis, a.li^1)
+					vals = append(vals, share)
 				}
 			}
-			tr.hops = hops[:0]
-			tr.nodes[nx].f = f
+			flow[x] = f
 			if f == 0 || x == int32(dst) {
 				continue
+			}
+
+			// Read the next hops back, or find them among the up arcs and keep
+			// them where the batch keeps masks.
+			scan := valid == nil || valid[x] == 0
+			keep := scan && valid != nil
+			cand := e.upBits[lo:hi]
+			if scan {
+				built++
+			} else {
+				reused++
+				cand = sets[lo:hi]
+			}
+			dx := dist[x]
+			weight := 0.0
+			for i, bw := range cand {
+				if scan {
+					tests += bits.OnesCount64(bw)
+				}
+				var hops uint64
+				for ; bw != 0; bw &= bw - 1 {
+					j := bits.TrailingZeros64(bw)
+					a := &arcs[i<<6+j]
+					if scan && !a.nextHop(dist, dx) {
+						continue
+					}
+					hops |= 1 << j
+					if wcmp {
+						weight += e.caps[a.li>>1]
+					} else {
+						weight++
+					}
+					if w := a.other; stamp[w] != group {
+						stamp[w] = group
+						flow[w] = 0
+						if d := dist[w]; next == nil || next.d != d {
+							next = q.at(d)
+						}
+						next.sw = append(next.sw, w)
+					}
+					in[a.back>>6] |= 1 << (a.back & 63)
+				}
+				if keep {
+					sets[int(lo)+i] = hops
+				}
+			}
+			if keep {
+				valid[x] = 1
 			}
 			if weight == 0 {
 				// A settled switch other than dst has a tight arc toward
@@ -797,17 +893,16 @@ func (e *Evaluator) sweep(dist []int32, dst topo.SwitchID, split SplitMode) ([]i
 				panic("routing: internal error: flow stranded at switch with no next hop")
 			}
 			if wcmp {
-				tr.nodes[nx].per = weight
+				per[x] = weight
 			} else {
-				tr.nodes[nx].per = f / weight
-			}
-			for _, w := range hops {
-				if tr.slot[w] == 0 {
-					tr.enqueue(dist, w)
-				}
+				per[x] = f / weight
 			}
 		}
 		q.release(lv)
 	}
-	return tr.lis, tr.vals
+	tr.lis, tr.vals = lis, vals
+	e.HopSetsBuilt += built
+	e.HopSetsReused += reused
+	e.SweepArcTests += tests
+	return lis, vals
 }

@@ -54,6 +54,7 @@ func placeGroups(e *Evaluator, v *topo.View, ds *demand.Set, split SplitMode, gr
 	e.syncUp(v)
 	fields := e.batchDistances(swActive, batch)
 	out := make(map[int]placement, len(groups))
+	live := 0
 	for i, gi := range groups {
 		if fields[i] == nil {
 			out[gi] = placement{}
@@ -66,7 +67,8 @@ func placeGroups(e *Evaluator, v *topo.View, ds *demand.Set, split SplitMode, gr
 				e.seed(fields[i], d.Src, d.Rate)
 			}
 		}
-		lis, vals := e.sweep(fields[i], dsts[gi], split)
+		lis, vals := e.sweep(live, fields[i], dsts[gi], split)
+		live++
 		out[gi] = placement{
 			dist: append([]int32(nil), fields[i]...),
 			lis:  append([]int32(nil), lis...),
@@ -250,5 +252,24 @@ func TestLevelScratchIgnoresMetricSpread(t *testing.T) {
 	}
 	if limit := 3 * 12 * n; kept > limit {
 		t.Errorf("levels keep %d bytes after a check, more than three pairs per switch (%d)", kept, limit)
+	}
+}
+
+// TestFlowSetStampWraps puts the 16-bit group number one short of wrapping
+// around: the groups of the next check take the numbers the first check's
+// groups stamped their flow sets with, and must not find anything in theirs.
+func TestFlowSetStampWraps(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tp, view, ds := meshCase(rng)
+	e := NewEvaluator(tp)
+	opts := CheckOpts{Theta: 0.9}
+	e.Evaluate(view, ds, opts)
+	if e.trav.group < 3 {
+		t.Fatalf("the fixture swept %d groups, want several", e.trav.group)
+	}
+	e.trav.group = math.MaxUint16
+	compareWithFresh(t, "after the group number wrapped", e, tp, view, ds, opts)
+	if e.trav.group == 0 || e.trav.group > uint16(len(ds.Demands)) {
+		t.Fatalf("group number %d after the wrap", e.trav.group)
 	}
 }

@@ -13,12 +13,14 @@ import (
 
 // upHarness drives long-lived evaluators through arbitrary sequences of view
 // mutations and evaluator calls, and after every call holds the evaluator's
-// up state, its retained distance fields and its answer against things that
-// share none of the state under test: the view's own accessors (for the mask,
-// the flags and the counts), a fresh fork's full traversal (for the fields,
-// entry by entry), and a fresh fork of the root evaluator whose all-up flags
-// have been stripped, so that it bit-walks every switch (for violations and
-// loads).
+// up state, its retained distance fields, its retained next-hop masks and its
+// answer against things that share none of the state under test: the view's
+// own accessors (for the mask, the flags and the counts), a fresh fork's full
+// traversal (for the fields, entry by entry), that traversal and the view's
+// accessors again (for every next-hop mask the evaluator holds valid, arc by
+// arc), and a fresh fork of the root evaluator whose all-up flags have been
+// stripped, so that it bit-walks every switch and retains nothing (for
+// violations and loads, in both split modes).
 type upHarness struct {
 	t     testing.TB
 	tp    *topo.Topology
@@ -36,6 +38,8 @@ type upHarness struct {
 	step  int
 	last  pathTaken // of the most recent check
 	viol  Violation // its answer
+
+	masksHeld int // valid retained next-hop masks verified so far
 }
 
 // pathTaken says how a check came by its distance fields.
@@ -236,11 +240,19 @@ func (h *upHarness) verifyState(call string, e *Evaluator, v *topo.View) {
 	if got := e.portViolation(); got != want {
 		h.t.Fatalf("step %d, after %s: port violation %v, want %v (the lowest-numbered of %d offenders)", h.step, call, got, want, over)
 	}
+	for i, w := range e.trav.in {
+		if w != 0 {
+			h.t.Fatalf("step %d, after %s: word %d of the sweep's inflow marks is %#x between two sweeps", h.step, call, i, w)
+		}
+	}
 	h.verifyFields(call, e, v)
 }
 
 // verifyFields holds every retained distance field of e against a full
-// traversal by a fresh fork on the same view, entry by entry. With no switch
+// traversal by a fresh fork on the same view, entry by entry, and every
+// next-hop mask e holds valid beside it against the fresh field and the view,
+// arc by arc: bit j of (field, switch) is set iff the switch's j-th circuit is
+// up and its far end lies the circuit's metric closer. With no switch
 // marked as rebuilt the fields claim to be in step with the up state, which
 // verifyState has just held against v — whichever call left them so: a check
 // that traversed or repaired, or a Trace that was not to touch them. With
@@ -262,6 +274,27 @@ func (h *upHarness) verifyFields(call string, e *Evaluator, v *topo.View) {
 		for s, d := range e.trav.dist[k*n : (k+1)*n] {
 			if d != want[s] {
 				h.t.Fatalf("step %d, after %s: retained field of destination %d has %d at switch %d, a fresh traversal %d (both +1, 0 = unreachable)", h.step, call, dst, d, s, want[s])
+			}
+		}
+		if e.trav.hopValid == nil {
+			continue
+		}
+		for _, s := range h.sw {
+			if e.trav.hopValid[k*n+int(s)] == 0 {
+				continue
+			}
+			h.masksHeld++
+			got := e.trav.hopSets[k*len(e.upBits):][e.wordOff[s]:e.wordOff[s+1]]
+			cks := h.tp.Switch(s).Circuits()
+			for j := 0; j < 64*len(got); j++ {
+				hop := false
+				if j < len(cks) {
+					ck := h.tp.Circuit(cks[j])
+					hop = v.CircuitUp(ck.ID) && want[ck.Other(s)] == want[s]-ck.Metric
+				}
+				if got[j>>6]>>(j&63)&1 != 0 != hop {
+					h.t.Fatalf("step %d, after %s: retained next-hop mask of destination %d at switch %d has bit %d = %v, the field and the view say %v", h.step, call, dst, s, j, !hop, hop)
+				}
 			}
 		}
 	}
@@ -327,6 +360,31 @@ func (h *upHarness) verifyAnswer(call string, e *Evaluator, v *topo.View, viol V
 	if w.ArcVisitsInPlace != 0 {
 		h.t.Fatalf("step %d: the reference evaluator ranged over %d arcs in place", h.step, w.ArcVisitsInPlace)
 	}
+	h.sameLoads(call, e, w)
+
+	// The other split mode on the same evaluator: a check of an unchanged view,
+	// so it keeps its fields and whatever next-hop masks it retains, which do
+	// not depend on the mode. Left out after a port rejection, which placed
+	// nothing and must go on reading zero loads.
+	if !e.placed {
+		return
+	}
+	other := h.opts
+	other.Split = SplitCapacityWeighted - h.opts.Split
+	call += ", then Evaluate in the other split mode"
+	res2, viol2 := e.Evaluate(v, h.ds, other)
+	wantRes2, wantViol2 := w.Evaluate(v, h.ds, other)
+	if viol2 != wantViol2 || !reflect.DeepEqual(res2, wantRes2) {
+		h.t.Fatalf("step %d: %s gives %+v, %v; a fresh evaluator %+v, %v", h.step, call, res2, viol2, wantRes2, wantViol2)
+	}
+	h.verifyState(call, e, v)
+	h.sameLoads(call, e, w)
+}
+
+// sameLoads holds every directional load of e's most recent call against w's,
+// bit for bit.
+func (h *upHarness) sameLoads(call string, e, w *Evaluator) {
+	h.t.Helper()
 	for _, c := range h.allCk {
 		ab, ba := e.CircuitLoad(c)
 		wab, wba := w.CircuitLoad(c)

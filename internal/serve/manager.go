@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -545,6 +547,16 @@ func (m *Manager) runJob(j *Job) {
 	j.transition(StatePlanning, record{State: recPlanning})
 
 	plan, err := m.planLegs(ctx, j, task, opts, client)
+	var pp *plannerPanic
+	if errors.As(err, &pp) {
+		// Terminal whatever else is going on — a drain included: a job that
+		// stayed PLANNING on disk would be replayed into the same panic by
+		// every restart.
+		log.Printf("serve: job %s: %v\n%s", j.ID, pp, pp.stack)
+		m.cfg.Recorder.PlannerPanic()
+		j.transition(StateFailed, record{State: recFailed, Detail: pp.Error()})
+		return
+	}
 	if err != nil {
 		m.finish(j, err, ctx)
 		return
@@ -594,6 +606,35 @@ func (m *Manager) finish(j *Job, planErr error, ctx context.Context) {
 	default:
 		j.transition(StateFailed, record{State: recFailed, Detail: fmt.Sprintf("planning stopped: %v", cause)})
 	}
+}
+
+// plannerPanic is a panic raised inside a planning or audit call and
+// contained by runLeg: the job fails, the daemon keeps serving.
+type plannerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *plannerPanic) Error() string { return fmt.Sprintf("panic: %v", p.value) }
+
+// runLeg runs one planning leg — the fault-injection hook, then the planner
+// from the job's request or from its last checkpoint — and returns a panic
+// raised anywhere inside it as a *plannerPanic error.
+func (m *Manager) runLeg(ctx context.Context, j *Job, leg int, cp *core.Checkpoint, task *migration.Task, opts core.Options) (plan *core.Plan, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			plan, err = nil, &plannerPanic{value: v, stack: debug.Stack()}
+		}
+	}()
+	if m.planHook != nil {
+		if err := m.planHook(j.ID, leg); err != nil {
+			return nil, err
+		}
+	}
+	if cp != nil {
+		return core.Resume(ctx, cp, opts)
+	}
+	return planOnce(ctx, j.Req.Planner, task, opts)
 }
 
 // planOnce dispatches the first leg to the requested planner.
@@ -649,18 +690,6 @@ func (m *Manager) planLegs(ctx context.Context, j *Job, task *migration.Task, op
 			legOpts.Workers = 1
 		}
 
-		if m.planHook != nil {
-			if herr := m.planHook(j.ID, leg); herr != nil {
-				if errors.Is(herr, sim.ErrTransient) && retries < m.cfg.maxRetries() {
-					retries++
-					m.cfg.sleep(ctrl.Backoff(base, maxBo, retries, rng))
-					leg--
-					continue
-				}
-				return nil, herr
-			}
-		}
-
 		// A preemption cancels only this leg's context, so the planner
 		// checkpoints without tearing down the job.
 		legCtx := ctx
@@ -677,13 +706,7 @@ func (m *Manager) planLegs(ctx context.Context, j *Job, task *migration.Task, op
 			}(client)
 		}
 
-		var plan *core.Plan
-		var err error
-		if cp != nil {
-			plan, err = core.Resume(legCtx, cp, legOpts)
-		} else {
-			plan, err = planOnce(legCtx, j.Req.Planner, task, legOpts)
-		}
+		plan, err := m.runLeg(legCtx, j, leg, cp, task, legOpts)
 		close(legDone)
 		if cancelLeg != nil {
 			cancelLeg()

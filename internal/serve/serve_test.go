@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,4 +464,86 @@ func TestEmptyJournalRemoved(t *testing.T) {
 		t.Errorf("next job ID %s, want job-000008 (IDs allocate past the removed journal)", j.ID)
 	}
 	waitTerminal(t, j)
+}
+
+// TestPlannerPanicFailsJobNotDaemon poisons one job: its second planning leg
+// panics inside runLeg, where the planner and its audit run. The daemon must
+// turn that into the job's FAILED terminal record — not die, which at the
+// parent of this test it did, taking every other tenant's job with it and
+// re-running the journaled job into the same panic after each restart — give
+// the job's pool share back, plan the next job to DONE, and after a restart
+// hold both jobs as they ended, planning nothing again.
+func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	m := newManager(t, dir, func(c *Config) {
+		c.Recorder = obs.NewRecorder(reg)
+		c.PoolWorkers = 1
+	})
+	defer func() { m.Close() }()
+
+	var armed atomic.Bool
+	armed.Store(true)
+	m.planHook = func(id string, leg int) error {
+		if armed.Load() && leg == 1 {
+			panic("poisoned fabric")
+		}
+		return nil
+	}
+	rq := testRequest()
+	rq.MinShare = 1 // the whole pool: the next job is admitted only if this share comes back
+	poisoned, err := m.Submit(rq)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st := waitTerminal(t, poisoned)
+	if st.State != StateFailed || st.Detail != "panic: poisoned fabric" {
+		t.Fatalf("poisoned job finished %s (%q), want FAILED with the panic's message", st.State, st.Detail)
+	}
+	if st.Legs == 0 {
+		t.Fatal("the poisoned job failed before journaling a checkpoint; the restart below would prove nothing")
+	}
+	if got := reg.Snapshot().Counters[obs.MetricServePlannerPanics]; got != 1 {
+		t.Errorf("planner_panics = %d, want 1", got)
+	}
+
+	armed.Store(false)
+	healthy, err := m.Submit(rq)
+	if err != nil {
+		t.Fatalf("Submit after the panic: %v", err)
+	}
+	if st := waitTerminal(t, healthy); st.State != StateDone || st.Serial {
+		t.Fatalf("job after the panic finished %s (%q), serial=%v; want DONE on the pool", st.State, st.Detail, st.Serial)
+	}
+	wantPlan, err := healthy.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m.Close()
+	replanned := 0
+	m = newManager(t, dir, func(c *Config) {
+		c.LegHook = func(string, int) error { replanned++; return nil }
+	})
+	if got := len(m.Jobs()); got != 2 {
+		t.Fatalf("%d jobs after the restart, want both", got)
+	}
+	j, err := m.Job(poisoned.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateFailed || st.Detail != "panic: poisoned fabric" {
+		t.Errorf("poisoned job after the restart is %s (%q), want FAILED as it ended", st.State, st.Detail)
+	}
+	j, err = m.Job(healthy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotPlan, err := j.Plan(); err != nil || !bytes.Equal(gotPlan, wantPlan) {
+		t.Errorf("healthy job's plan after the restart: err %v, same bytes %v", err, bytes.Equal(gotPlan, wantPlan))
+	}
+	m.Close() // waits for anything the restart relaunched
+	if replanned != 0 {
+		t.Errorf("the restart ran %d planning legs, want none", replanned)
+	}
 }
