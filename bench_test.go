@@ -494,32 +494,38 @@ func TestEvaluatorFootprintSuiteE(t *testing.T) {
 // fabrics every step is past the repair's cut-over, every check traverses, and
 // nothing may be kept or read back: the benchmark's daemon-burst workload runs
 // exactly these and must not see the mechanism. On suite E × 0.25, the
-// plan-large search, the counts that describe the up state and the fields are
-// the ones measured before the masks existed — the masks ride on the repair,
-// they do not change it — the sweeps classify under 2.0 M arcs where the pull
-// sweep scanned 10.63 M, and four (group, switch) visits in five read their
-// mask back.
+// plan-large search, the planner makes 1014 checks and its lane answers 522 of
+// them on the port budgets and 92 on the capacity cuts before routing. The
+// evaluator sees the other 400, so its up state and fields move only between
+// routed states: it traversed 756 fields and rebuilt 26 896 switches when it
+// saw all 1014. The sweeps classify under 2.0 M arcs where the pull sweep
+// scanned 10.63 M, and four (group, switch) visits in five read their mask
+// back.
 func TestHopSetsFollowRepairs(t *testing.T) {
-	search := func(name string) *klotski.Evaluator {
+	search := func(name string) (*klotski.Evaluator, klotski.Metrics) {
 		t.Helper()
 		s, err := klotski.Suite(name, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ev := klotski.NewEvaluator(s.Task.Topo)
-		if _, err := klotski.PlanAStar(s.Task, klotski.Options{SkipAudit: true, Evaluator: ev}); err != nil {
+		p, err := klotski.PlanAStar(s.Task, klotski.Options{SkipAudit: true, Evaluator: ev})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return ev
+		return ev, p.Metrics
 	}
 	for _, name := range []string{"A", "B", "C", "D"} {
-		if ev := search(name); ev.FieldRepairs != 0 || ev.HopSetsReused != 0 || ev.HopSetsBuilt == 0 {
+		if ev, _ := search(name); ev.FieldRepairs != 0 || ev.HopSetsReused != 0 || ev.HopSetsBuilt == 0 {
 			t.Errorf("suite %s: %d fields repaired, %d next-hop masks read back, %d built; want none, none, some", name, ev.FieldRepairs, ev.HopSetsReused, ev.HopSetsBuilt)
 		}
 	}
-	ev := search("E")
+	ev, m := search("E")
+	if got, want := [3]int{m.Checks, m.PortRejects, m.CutRejects}, [3]int{1014, 522, 92}; got != want {
+		t.Errorf("suite E: checks, port rejections, cut rejections = %v, want %v", got, want)
+	}
 	got := [6]int{ev.Checks, ev.BFSes, ev.FieldRepairs, ev.FieldEntriesRepaired, ev.ArcVisits, ev.UpRebuilds}
-	if want := [6]int{1014, 756, 6132, 92280, 3170870, 26896}; got != want {
+	if want := [6]int{400, 546, 5054, 79980, 2366280, 11868}; got != want {
 		t.Errorf("suite E: checks, fields traversed, fields repaired, entries repaired, arc visits, switches rebuilt = %v, want %v", got, want)
 	}
 	share := float64(ev.HopSetsReused) / float64(ev.HopSetsReused+ev.HopSetsBuilt)

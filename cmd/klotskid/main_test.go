@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -84,22 +83,20 @@ var (
 )
 
 // startDaemon launches klotskid as a child process over dir and waits
-// for its listen line(s).
+// for its listen line(s). exec copies the child's stderr into d.stderr and
+// cmd.Wait returns only once that copy has reached EOF, so after Wait the
+// buffer holds every line the child wrote.
 func startDaemon(t *testing.T, dir string, extra ...string) *daemon {
 	t.Helper()
 	args := []string{"-test.run=TestHelperProcess", "--", "-addr", "127.0.0.1:0", "-dir", dir}
 	args = append(args, extra...)
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "KLOTSKID_HELPER=1")
-	stderrPipe, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := &lockedBuffer{}
+	d := &daemon{cmd: cmd, stderr: &lockedBuffer{}}
+	cmd.Stderr = d.stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd, stderr: buf}
 	t.Cleanup(func() {
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -111,31 +108,16 @@ func startDaemon(t *testing.T, dir string, extra ...string) *daemon {
 			wantOps = true
 		}
 	}
-	ready := make(chan struct{})
-	go func() {
-		sc := bufio.NewScanner(io.TeeReader(stderrPipe, buf))
-		for sc.Scan() {
-			line := sc.Text()
-			if m := listenRe.FindStringSubmatch(line); m != nil {
-				d.url = m[1]
-			}
-			if m := opsRe.FindStringSubmatch(line); m != nil {
-				d.opsURL = m[1]
-			}
-			if d.url != "" && (!wantOps || d.opsURL != "") {
-				select {
-				case <-ready:
-				default:
-					close(ready)
-				}
-			}
+	waitFor(t, "the daemon's listen lines", 30*time.Second, func() bool {
+		out := d.stderr.String()
+		if m := listenRe.FindStringSubmatch(out); m != nil {
+			d.url = m[1]
 		}
-	}()
-	select {
-	case <-ready:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon never listened; stderr:\n%s", d.stderr.String())
-	}
+		if m := opsRe.FindStringSubmatch(out); m != nil {
+			d.opsURL = m[1]
+		}
+		return d.url != "" && (!wantOps || d.opsURL != "")
+	})
 	return d
 }
 

@@ -264,8 +264,14 @@ type Metrics struct {
 	StatesPopped  int           // states expanded from the queue / DP table
 	Checks        int           // satisfiability checks actually executed
 	CacheHits     int           // checks answered from the equivalent-state cache
-	CacheMisses   int           // checks that missed the cache and ran the evaluator
+	CacheMisses   int           // checks that missed the cache
 	PlanningTime  time.Duration // wall clock
+
+	// Checks the lane answered before routing (lane.go): a switch over its
+	// port budget, or a capacity cut whose crossing demand exceeds θ × its
+	// up capacity. The evaluator is called for the remaining checks only.
+	PortRejects int
+	CutRejects  int
 
 	// Always zero: bench/ still reads the two (ROADMAP item 4 drops them).
 	GroupInvalidations int

@@ -84,6 +84,11 @@ type space struct {
 	actBase  routing.Bitset
 	occCheck []occMaskEntry
 
+	// The lane's pre-routing verdicts (lane.go): every switch's port budget,
+	// nil when no switch has one, and the task's capacity-cut family.
+	ports []int32
+	cuts  cutFamily
+
 	// bd is the attached lower-bound engine — nil unless Options.Bound
 	// matches this task shape and the configuration is one the engine's
 	// cut model covers (no funneling, no run cap). incumbent/lowerBound
@@ -177,6 +182,8 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 			sp.scales[k] = task.Forecast.ScaleAt(k)
 		}
 	}
+	sp.precomputePorts()
+	sp.precomputeCuts()
 	sp.ln = sp.newLane(eval)
 	// No plan yet: the incumbent is +Inf until a planner completes (or a
 	// target push improves it), and the global lower bound starts at 0.

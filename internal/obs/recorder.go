@@ -17,6 +17,8 @@ const (
 	MetricCacheMisses        = "planner.cache_misses"
 	MetricCacheHitRate       = "planner.cache_hit_rate"
 	MetricCheckLatency       = "planner.check_latency_seconds"
+	MetricPortRejects        = "planner.port_rejects"
+	MetricCutRejects         = "planner.cut_rejects"
 	MetricOpenListSize       = "planner.open_list_size"
 	MetricPlansCompleted     = "planner.plans_completed"
 	MetricPlansInterrupted   = "planner.plans_interrupted"
@@ -66,6 +68,8 @@ type Recorder struct {
 	cacheHits        *Counter
 	cacheMisses      *Counter
 	checkLatency     *Histogram
+	portRejects      *Counter
+	cutRejects       *Counter
 	openList         *Gauge
 	plansCompleted   *Counter
 	plansInterrupted *Counter
@@ -114,6 +118,8 @@ func NewRecorder(reg *Registry) *Recorder {
 		cacheHits:        reg.Counter(MetricCacheHits),
 		cacheMisses:      reg.Counter(MetricCacheMisses),
 		checkLatency:     reg.Histogram(MetricCheckLatency, nil),
+		portRejects:      reg.Counter(MetricPortRejects),
+		cutRejects:       reg.Counter(MetricCutRejects),
 		openList:         reg.Gauge(MetricOpenListSize),
 		plansCompleted:   reg.Counter(MetricPlansCompleted),
 		plansInterrupted: reg.Counter(MetricPlansInterrupted),
@@ -209,6 +215,24 @@ func (r *Recorder) CheckObserved(d time.Duration) {
 	}
 	r.checks.Inc()
 	r.checkLatency.ObserveDuration(d)
+}
+
+// PortReject counts one check the planner's lane answered "over a port
+// budget" without routing it.
+func (r *Recorder) PortReject() {
+	if r == nil {
+		return
+	}
+	r.portRejects.Inc()
+}
+
+// CutReject counts one check the planner's lane answered "a capacity cut is
+// overloaded" without routing it.
+func (r *Recorder) CutReject() {
+	if r == nil {
+		return
+	}
+	r.cutRejects.Inc()
 }
 
 // OpenList records the current open-list size.

@@ -197,8 +197,9 @@ type CheckOpts struct {
 	DemandScale float64
 }
 
-// scale returns the effective demand multiplier for the check.
-func (o CheckOpts) scale() float64 {
+// Scale returns the effective demand multiplier for the check: DemandScale,
+// or 1 when that is zero (or negative).
+func (o CheckOpts) Scale() float64 {
 	if o.DemandScale <= 0 {
 		return 1
 	}
@@ -398,7 +399,7 @@ func (e *Evaluator) run(v *topo.View, ds *demand.Set, opts CheckOpts, earlyExit 
 func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, theta float64, earlyExit bool, res *Result, pending Violation) Violation {
 	clear(e.load)
 	e.setFunnel(opts)
-	scale := opts.scale()
+	scale := opts.Scale()
 
 	firstViol := pending
 	record := func(viol Violation) bool {
