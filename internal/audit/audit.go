@@ -123,6 +123,11 @@ type Step struct {
 	// MaxUtil is the highest circuit utilization observed in this state.
 	MaxUtil float64
 
+	// PlacedMaxUtil is MaxUtil at the task's base demand, without the
+	// forecast's growth up to this state (equal to MaxUtil without a
+	// forecast): the figure a plan document reports for the state.
+	PlacedMaxUtil float64
+
 	// Violation is the routing violation when !OK (zero for occupancy
 	// failures, which are described by Detail).
 	Violation routing.Violation
@@ -158,6 +163,15 @@ type Report struct {
 	// verification. The auditor itself does not compute it; audits
 	// invoked directly leave it 0.
 	Gap float64
+
+	// Split is the traffic-splitting policy the states were routed under.
+	Split routing.SplitMode
+
+	// Start lists the blocks already executed when the replay began: the
+	// canonical prefix InitialCounts names, or Executed in FreeOrder mode.
+	// Empty when the replay started from the base state, or when sequence
+	// validation failed and nothing was replayed.
+	Start []int
 
 	// Steps holds one record per audited boundary state, in replay order.
 	// Sequence-validation failures abort before the replay, leaving it
@@ -202,9 +216,11 @@ func Verify(task *migration.Task, seq []int, cfg Config) (*Report, error) {
 		}
 	}()
 
+	rep.Split = cfg.Split
 	if !validateSequence(task, seq, &cfg, rep) {
 		return rep, nil
 	}
+	rep.Start = startBlocks(task, &cfg)
 	if cfg.Mode == ModeIncremental {
 		replayIncremental(task, seq, &cfg, rep)
 	} else {
@@ -280,6 +296,18 @@ func validateSequence(task *migration.Task, seq []int, cfg *Config, rep *Report)
 	return true
 }
 
+// startBlocks lists the blocks executed before the replay's first state.
+func startBlocks(task *migration.Task, cfg *Config) []int {
+	if cfg.FreeOrder {
+		return append([]int(nil), cfg.Executed...)
+	}
+	var start []int
+	for ty, c := range cfg.InitialCounts {
+		start = append(start, task.BlocksOfType(migration.ActionType(ty))[:c]...)
+	}
+	return start
+}
+
 // replay executes the sequence on a fresh view with a fresh serial
 // evaluator, checking the initial state, every run boundary, and the final
 // state.
@@ -341,7 +369,7 @@ func replay(task *migration.Task, seq []int, cfg *Config, rep *Report) {
 		if res.MaxUtil > rep.WorstUtil {
 			rep.WorstUtil = res.MaxUtil
 		}
-		step := Step{Index: idx, Block: block, OK: true, MaxUtil: res.MaxUtil}
+		step := Step{Index: idx, Block: block, OK: true, MaxUtil: res.MaxUtil, PlacedMaxUtil: res.PlacedMaxUtil}
 		if !viol.OK() {
 			step.OK = false
 			step.Violation = viol

@@ -182,7 +182,7 @@ func replayIncremental(task *migration.Task, seq []int, cfg *Config, rep *Report
 		if r.res.MaxUtil > rep.WorstUtil {
 			rep.WorstUtil = r.res.MaxUtil
 		}
-		step := Step{Index: b.idx, Block: b.block, OK: true, MaxUtil: r.res.MaxUtil}
+		step := Step{Index: b.idx, Block: b.block, OK: true, MaxUtil: r.res.MaxUtil, PlacedMaxUtil: r.res.PlacedMaxUtil}
 		if !r.viol.OK() {
 			step.OK = false
 			step.Violation = r.viol

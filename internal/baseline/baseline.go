@@ -197,20 +197,8 @@ func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options
 	return &core.Plan{
 		Task:     task,
 		Sequence: seq,
-		Runs:     runsOf(task, seq),
+		Runs:     core.RunsOf(task, seq, 0),
 		Cost:     core.SequenceCost(task, seq, opts.Alpha, initialLast),
 		Metrics:  metrics,
 	}, nil
-}
-
-func runsOf(t *migration.Task, seq []int) []core.Run {
-	var runs []core.Run
-	for _, id := range seq {
-		ty := t.Blocks[id].Type
-		if len(runs) == 0 || runs[len(runs)-1].Type != ty {
-			runs = append(runs, core.Run{Type: ty})
-		}
-		runs[len(runs)-1].Blocks = append(runs[len(runs)-1].Blocks, id)
-	}
-	return runs
 }

@@ -324,7 +324,7 @@ func (j *janusRun) search(initial []byte, initialLast migration.ActionType, star
 			return &core.Plan{
 				Task:     task,
 				Sequence: seq,
-				Runs:     runsOf(task, seq),
+				Runs:     core.RunsOf(task, seq, 0),
 				Cost:     it.g,
 				Metrics:  j.metrics,
 			}, nil

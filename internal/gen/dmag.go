@@ -79,7 +79,8 @@ func DMAGScenario(name string, p DMAGParams) (*Scenario, error) {
 	// path lengths for the shaping evaluation); the FAUU-EB layer is this
 	// scenario's narrow waist.
 	ds := BuildDemands(r, p.Demand)
-	if _, err := ShapeLayerCapacities(t, &ds, dmagShape); err != nil {
+	_, baseMax, err := ShapeLayerCapacities(t, &ds, dmagShape)
+	if err != nil {
 		return nil, err
 	}
 
@@ -142,5 +143,5 @@ func DMAGScenario(name string, p DMAGParams) (*Scenario, error) {
 
 	desc := fmt.Sprintf("DMAG: insert %d MAs between FAUUs and %d EBs, decommission %d direct circuit groups",
 		p.MAPerEB*len(r.EBSw), len(r.EBSw), len(r.EBSw))
-	return finishScenario(name, desc, r, task, p.Demand, ds)
+	return finishScenario(name, desc, r, task, p.Demand, ds, baseMax)
 }

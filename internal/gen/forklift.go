@@ -62,7 +62,8 @@ func ForkliftScenario(name string, p ForkliftParams) (*Scenario, error) {
 	// Shape capacities before mirroring so new-generation circuits copy
 	// the shaped values.
 	ds := BuildDemands(r, p.Demand)
-	if _, err := ShapeLayerCapacities(t, &ds, forkliftShape); err != nil {
+	_, baseMax, err := ShapeLayerCapacities(t, &ds, forkliftShape)
+	if err != nil {
 		return nil, err
 	}
 
@@ -128,5 +129,5 @@ func ForkliftScenario(name string, p ForkliftParams) (*Scenario, error) {
 
 	desc := fmt.Sprintf("SSW forklift in DC %d: replace %d planes × %d spines (cap ×%.2g)",
 		d, planes, len(r.SSWs[d][0]), p.NewCapFactor)
-	return finishScenario(name, desc, r, task, p.Demand, ds)
+	return finishScenario(name, desc, r, task, p.Demand, ds, baseMax)
 }

@@ -290,7 +290,7 @@ func TestShapeLayerCapacities(t *testing.T) {
 	})
 	ds := BuildDemands(r, DemandSpec{})
 	targets := map[string]float64{"SSW-FADU": 1.0, "FSW-SSW": 0.5}
-	peaks, err := ShapeLayerCapacities(r.Topo, &ds, targets)
+	peaks, _, err := ShapeLayerCapacities(r.Topo, &ds, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +316,52 @@ func TestShapeLayerCapacities(t *testing.T) {
 	}
 }
 
+// TestShapedCalibrationMatchesCalibrate: the shaped builders calibrate demand
+// from the placement shaping routed, and must land on exactly what Calibrate
+// computes by routing the finished topology again. The shortcut rests on
+// everything a builder adds after shaping (switches, and circuits on them)
+// being down in the base state, which is asserted here against a fresh
+// region: the shaping pass routes the region as BuildRegion built it.
+func TestShapedCalibrationMatchesCalibrate(t *testing.T) {
+	spec := DemandSpec{}
+	spec.setDefaults()
+	for _, name := range SuiteNames() {
+		for _, scale := range []float64{0.25, 0.5} {
+			s := buildSuite(t, name, scale)
+			tp := s.Task.Topo
+			fresh := BuildRegion(s.Region.Params).Topo
+			view := tp.NewView()
+			for i := 0; i < tp.NumSwitches(); i++ {
+				id := topo.SwitchID(i)
+				if want := i < fresh.NumSwitches() && fresh.SwitchActive(id); view.SwitchActive(id) != want {
+					t.Errorf("%s×%g: switch %s active = %v in the base state, want %v",
+						name, scale, tp.Switch(id).Name, view.SwitchActive(id), want)
+				}
+			}
+			for c := fresh.NumCircuits(); c < tp.NumCircuits(); c++ {
+				if view.CircuitUp(topo.CircuitID(c)) {
+					t.Errorf("%s×%g: circuit %d, added after shaping, is up in the base state", name, scale, c)
+				}
+			}
+
+			want, _, err := Calibrate(tp, BuildDemands(s.Region, spec), spec.BaseUtil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.Task.Demands.Demands
+			if len(got) != len(want.Demands) {
+				t.Fatalf("%s×%g: %d demands, Calibrate gives %d", name, scale, len(got), len(want.Demands))
+			}
+			for i, d := range got {
+				w := want.Demands[i]
+				if d.Name != w.Name || d.Src != w.Src || d.Dst != w.Dst || math.Float64bits(d.Rate) != math.Float64bits(w.Rate) {
+					t.Errorf("%s×%g: demand %d = %+v, Calibrate gives %+v", name, scale, i, d, w)
+				}
+			}
+		}
+	}
+}
+
 func TestShapeRejectsBadTarget(t *testing.T) {
 	r := BuildRegion(RegionParams{
 		Name:  "shape-bad",
@@ -323,7 +369,7 @@ func TestShapeRejectsBadTarget(t *testing.T) {
 		HGRID: HGRIDParams{Grids: 4, FADUPerGrid: 1, FAUUPerGrid: 1},
 	})
 	ds := BuildDemands(r, DemandSpec{})
-	if _, err := ShapeLayerCapacities(r.Topo, &ds, map[string]float64{"SSW-FADU": -1}); err == nil {
+	if _, _, err := ShapeLayerCapacities(r.Topo, &ds, map[string]float64{"SSW-FADU": -1}); err == nil {
 		t.Error("negative target should error")
 	}
 }

@@ -84,7 +84,8 @@ func HGRIDScenario(name string, p HGRIDScenarioParams) (*Scenario, error) {
 	// real traffic; shaping then makes the SSW-FADU layer the region's
 	// narrow waist (see shape.go).
 	ds := BuildDemands(r, p.Demand)
-	if _, err := ShapeLayerCapacities(t, &ds, hgridShape); err != nil {
+	_, baseMax, err := ShapeLayerCapacities(t, &ds, hgridShape)
+	if err != nil {
 		return nil, err
 	}
 
@@ -198,7 +199,7 @@ func HGRIDScenario(name string, p HGRIDScenarioParams) (*Scenario, error) {
 
 	desc := fmt.Sprintf("HGRID V1→V2: replace %d v1 grids with %d v2 grids (cap ×%.2g per link)",
 		g1, g2, p.V2CapFactor)
-	return finishScenario(name, desc, r, task, p.Demand, ds)
+	return finishScenario(name, desc, r, task, p.Demand, ds, baseMax)
 }
 
 // buildSplitRoleBlocks interns four action types — drain/undrain ×

@@ -127,17 +127,25 @@ func Calibrate(t *topo.Topology, ds demand.Set, targetUtil float64) (demand.Set,
 	if viol.Kind == routing.ViolationUnreachable || res.Unreachable > 0 {
 		return demand.Set{}, 0, fmt.Errorf("gen: base topology cannot route demands: %s", viol)
 	}
-	if res.MaxUtil <= 0 {
-		return demand.Set{}, 0, fmt.Errorf("gen: base topology carries no load; cannot calibrate")
-	}
-	return ds.Scaled(targetUtil / res.MaxUtil), res.MaxUtil, nil
+	return calibrateTo(ds, res.MaxUtil, targetUtil)
 }
 
-// finishScenario validates the task, calibrates the (already built,
-// already shaping-evaluated) demands, and wraps everything into a Scenario.
-func finishScenario(name, desc string, r *Region, task *migration.Task, spec DemandSpec, ds demand.Set) (*Scenario, error) {
+// calibrateTo is Calibrate given the base state's maximum utilization.
+func calibrateTo(ds demand.Set, baseMax, targetUtil float64) (demand.Set, float64, error) {
+	if baseMax <= 0 {
+		return demand.Set{}, 0, fmt.Errorf("gen: base topology carries no load; cannot calibrate")
+	}
+	return ds.Scaled(targetUtil / baseMax), baseMax, nil
+}
+
+// finishScenario validates the task, calibrates the (already built) demands
+// and wraps everything into a Scenario. baseMax is the base state's maximum
+// utilization that ShapeLayerCapacities measured: everything a builder adds
+// after shaping is down in the base state, so routing the finished topology
+// again would place the same loads.
+func finishScenario(name, desc string, r *Region, task *migration.Task, spec DemandSpec, ds demand.Set, baseMax float64) (*Scenario, error) {
 	spec.setDefaults()
-	ds, _, err := Calibrate(r.Topo, ds, spec.BaseUtil)
+	ds, _, err := calibrateTo(ds, baseMax, spec.BaseUtil)
 	if err != nil {
 		return nil, err
 	}

@@ -31,18 +31,22 @@ func LayerOf(t *topo.Topology, c *topo.Circuit) string {
 // ShapeLayerCapacities rescales every circuit's capacity so that each
 // layer's peak utilization under the given demands (in the base activity
 // state) equals targets[layer]. Layers missing from targets keep their
-// capacities. It returns the per-layer peak utilizations after shaping.
+// capacities. It returns the per-layer peak utilizations after shaping, and
+// the base state's maximum circuit utilization after shaping: what
+// Calibrate would measure on t, re-read from the loads shaping placed (they
+// do not depend on capacity) at the new capacities, in Evaluate's circuit
+// order and with its strict comparison.
 //
 // Targets are utilizations at the current demand level; global demand
 // calibration afterwards preserves their ratios, so in practice they read
 // as "relative tightness": the layer with the highest target becomes the
 // binding layer of the generated region.
-func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]float64) (map[string]float64, error) {
+func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]float64) (map[string]float64, float64, error) {
 	eval := routing.NewEvaluator(t)
 	view := t.NewView()
 	res, viol := eval.Evaluate(view, ds, routing.CheckOpts{Theta: 1e9})
 	if viol.Kind == routing.ViolationUnreachable || res.Unreachable > 0 {
-		return nil, fmt.Errorf("gen: cannot shape capacities: %s", viol)
+		return nil, 0, fmt.Errorf("gen: cannot shape capacities: %s", viol)
 	}
 
 	peak := make(map[string]float64)
@@ -61,18 +65,26 @@ func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]f
 	scale := make(map[string]float64)
 	for layer, target := range targets {
 		if target <= 0 {
-			return nil, fmt.Errorf("gen: non-positive shaping target for layer %s", layer)
+			return nil, 0, fmt.Errorf("gen: non-positive shaping target for layer %s", layer)
 		}
 		if p := peak[layer]; p > 0 {
 			scale[layer] = p / target
 		}
 	}
 	out := make(map[string]float64)
+	baseMax := 0.0
 	for c := 0; c < t.NumCircuits(); c++ {
-		ck := t.Circuit(topo.CircuitID(c))
+		cid := topo.CircuitID(c)
+		ck := t.Circuit(cid)
 		layer := LayerOf(t, ck)
 		if f, ok := scale[layer]; ok {
 			t.SetCapacity(ck.ID, ck.Capacity*f)
+		}
+		if view.CircuitUp(cid) {
+			ab, ba := eval.CircuitLoad(cid)
+			if u := (ab + ba) / ck.Capacity; u > baseMax {
+				baseMax = u
+			}
 		}
 	}
 	for layer, p := range peak {
@@ -82,7 +94,7 @@ func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]f
 			out[layer] = p
 		}
 	}
-	return out, nil
+	return out, baseMax, nil
 }
 
 // layerCapacity returns the capacity of the first base-active circuit whose

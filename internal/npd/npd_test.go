@@ -2,6 +2,7 @@ package npd
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,16 +242,37 @@ func TestBuildPlanDocumentFrom(t *testing.T) {
 	if len(pd.Phases) != len(rest.Runs) {
 		t.Fatalf("phases %d != runs %d", len(pd.Phases), len(rest.Runs))
 	}
-	// The first snapshot must reflect the executed prefix: compare its
-	// switch count against a full-plan document's corresponding phase.
+	// Every snapshot must reflect the executed prefix: a resumed phase shows
+	// the network state of the full document's phase that ends at the same
+	// sequence position. Both plans are canonical, so equal positions are
+	// equal states once the remainders agree.
+	if !slices.Equal(rest.Sequence, full.Sequence[k:]) {
+		t.Fatalf("resumed plan %v does not continue the full plan %v", rest.Sequence, full.Sequence)
+	}
 	fullDoc, err := BuildPlanDocument(s.Task, full, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = fullDoc
+	fullAt := map[int]Phase{}
+	pos := 0
+	for _, ph := range fullDoc.Phases {
+		pos += len(ph.Blocks)
+		fullAt[pos] = ph
+	}
+	pos = k
 	for _, ph := range pd.Phases {
+		pos += len(ph.Blocks)
 		if ph.MaxUtilization > 0.75+1e-9 {
 			t.Errorf("resumed phase %d exceeds theta: %v", ph.Index, ph.MaxUtilization)
+		}
+		want, ok := fullAt[pos]
+		if !ok {
+			t.Errorf("resumed phase %d ends at position %d, where no full phase ends", ph.Index, pos)
+			continue
+		}
+		if ph.ActiveSwitches != want.ActiveSwitches || ph.UpCircuits != want.UpCircuits ||
+			ph.CapacityTbps != want.CapacityTbps || ph.MaxUtilization != want.MaxUtilization {
+			t.Errorf("resumed phase %d (position %d) = %+v, full phase %d = %+v", ph.Index, pos, ph, want.Index, want)
 		}
 	}
 }

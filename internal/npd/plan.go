@@ -2,9 +2,12 @@ package npd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
+	"klotski/internal/audit"
 	"klotski/internal/core"
 	"klotski/internal/migration"
 	"klotski/internal/routing"
@@ -39,8 +42,8 @@ type Phase struct {
 	MaxUtilization float64 `json:"maxUtilization"`
 }
 
-// BuildPlanDocument converts a plan into its phase document, evaluating the
-// network snapshot after every run.
+// BuildPlanDocument converts a plan into its phase document: the network
+// snapshot after every run.
 func BuildPlanDocument(task *migration.Task, plan *core.Plan, opts core.Options) (*PlanDocument, error) {
 	return BuildPlanDocumentFrom(task, nil, plan, opts)
 }
@@ -48,7 +51,17 @@ func BuildPlanDocument(task *migration.Task, plan *core.Plan, opts core.Options)
 // BuildPlanDocumentFrom builds the phase document for a plan that resumes a
 // partially executed migration: executed lists the block IDs already
 // operated, which are applied before the first phase snapshot.
+//
+// The document routes nothing itself. Every run ends in a state the plan's
+// audit routed (a run boundary or the final state), and a phase's
+// maxUtilization is that audit step's PlacedMaxUtil, routed under
+// opts.Split. The steps come from plan.Audit when it covers this document
+// (see reportCovers), else from a fresh audit of the plan against task.
 func BuildPlanDocumentFrom(task *migration.Task, executed []int, plan *core.Plan, opts core.Options) (*PlanDocument, error) {
+	utils, err := runEndUtils(task, executed, plan, opts)
+	if err != nil {
+		return nil, err
+	}
 	theta := opts.Theta
 	if theta <= 0 {
 		theta = 0.75
@@ -61,7 +74,6 @@ func BuildPlanDocumentFrom(task *migration.Task, executed []int, plan *core.Plan
 		Alpha:   opts.Alpha,
 		Actions: len(plan.Sequence),
 	}
-	eval := routing.NewEvaluator(task.Topo)
 	view := task.Topo.NewView()
 	for _, id := range executed {
 		task.Apply(view, id)
@@ -82,14 +94,90 @@ func BuildPlanDocumentFrom(task *migration.Task, executed []int, plan *core.Plan
 		ph.ActiveSwitches = st.Switches
 		ph.UpCircuits = st.Circuits
 		ph.CapacityTbps = st.Capacity
-		res, viol := eval.Evaluate(view, &task.Demands, routing.CheckOpts{Theta: 1e9, Split: opts.Split})
-		if viol.Kind == routing.ViolationUnreachable {
-			return nil, fmt.Errorf("npd: phase %d leaves demands unreachable: %s", i+1, viol)
-		}
-		ph.MaxUtilization = res.MaxUtil
+		ph.MaxUtilization = utils[i]
 		doc.Phases = append(doc.Phases, ph)
 	}
 	return doc, nil
+}
+
+// runEndUtils returns, per run of plan, the PlacedMaxUtil of the audit step
+// at the state the run ends in. When plan.Audit does not cover the document
+// it audits the plan again, on the serial reference engine and outside the
+// plan's recorder and pool; a plan that fails that audit has no document.
+//
+// The re-audit replays from the exact executed blocks in free order, which
+// checks every type change and so every run end, whatever order the plan
+// operates its blocks in. Only a run split under MaxRunLength (two runs of
+// one type in a row) needs the canonical replay, the one that checks forced
+// splits; the planners that split runs keep canonical order.
+func runEndUtils(task *migration.Task, executed []int, plan *core.Plan, opts core.Options) ([]float64, error) {
+	if reportCovers(task, executed, plan, opts.Split) {
+		if utils := placedUtils(plan, plan.Audit); utils != nil {
+			return utils, nil
+		}
+	}
+	freeOrder := true
+	for i := 1; i < len(plan.Runs); i++ {
+		if plan.Runs[i].Type == plan.Runs[i-1].Type {
+			freeOrder = false
+		}
+	}
+	opts.InitialCounts, opts.InitialLast = nil, core.NoLast
+	opts.AuditSerial, opts.Sched, opts.Recorder = true, nil, nil
+	rep, err := core.AuditResumed(task, plan.Sequence, executed, opts, freeOrder)
+	if err != nil {
+		return nil, fmt.Errorf("npd: auditing the plan: %w", err)
+	}
+	if !rep.Passed {
+		return nil, fmt.Errorf("npd: plan fails its audit at step %d: %s", rep.FailStep, rep.Reason)
+	}
+	utils := placedUtils(plan, rep)
+	if utils == nil {
+		return nil, errors.New("npd: a run of the plan does not end at an audited state")
+	}
+	return utils, nil
+}
+
+// reportCovers reports whether plan.Audit routed the states this document
+// renders: it passed, it audited plan.Task, which shares task's topology and
+// demand set (a forecast copy does), it routed under split, and it started
+// from the executed blocks.
+func reportCovers(task *migration.Task, executed []int, plan *core.Plan, split routing.SplitMode) bool {
+	rep, pt := plan.Audit, plan.Task
+	if rep == nil || !rep.Passed || rep.Split != split || pt == nil || pt.Topo != task.Topo ||
+		len(pt.Demands.Demands) != len(task.Demands.Demands) ||
+		(len(task.Demands.Demands) > 0 && &pt.Demands.Demands[0] != &task.Demands.Demands[0]) {
+		return false
+	}
+	// Applying the same blocks in any order leaves the same state.
+	start, done := slices.Clone(rep.Start), slices.Clone(executed)
+	slices.Sort(start)
+	slices.Sort(done)
+	return slices.Equal(start, done)
+}
+
+// placedUtils reads, for each run of plan, the PlacedMaxUtil of rep's step at
+// the sequence position where the run ends. It returns nil when a run ends
+// where rep has no step for this sequence.
+func placedUtils(plan *core.Plan, rep *audit.Report) []float64 {
+	seq := plan.Sequence
+	utils := make([]float64, len(plan.Runs))
+	pos, k := 0, 0
+	for i, run := range plan.Runs {
+		pos += len(run.Blocks)
+		next := -1
+		if pos < len(seq) {
+			next = seq[pos]
+		}
+		for k < len(rep.Steps) && rep.Steps[k].Index < pos {
+			k++
+		}
+		if k == len(rep.Steps) || rep.Steps[k].Index != pos || rep.Steps[k].Block != next {
+			return nil
+		}
+		utils[i] = rep.Steps[k].PlacedMaxUtil
+	}
+	return utils
 }
 
 // EncodePlan writes a plan document as indented JSON.

@@ -60,6 +60,12 @@ func (p Planner) PlanContext(ctx context.Context, task *migration.Task, opts cor
 	return nil, fmt.Errorf("pipeline: unknown planner %q", p)
 }
 
+// isBaseline reports whether p is an evaluation baseline: its plans are not
+// bound to canonical within-type order and ignore Options.MaxRunLength.
+func (p Planner) isBaseline() bool {
+	return p == PlannerMRC || p == PlannerJanus
+}
+
 // Config parameterizes a pipeline run.
 type Config struct {
 	Planner Planner
@@ -218,13 +224,18 @@ func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*c
 		broken := firstUnsafeStep(ftask, plan, executed, cfg)
 		if broken < 0 {
 			// Safe under growth end to end. Re-assemble the full plan.
+			// Runs and cost follow the run cap as the planner's own do: the
+			// core planners split runs at the cap, the baselines ignore it.
 			full := append(append([]int(nil), executed...), plan.Sequence...)
-			cost := core.SequenceCost(ftask, full, cfg.Options.Alpha, core.NoLast)
+			maxRun := cfg.Options.MaxRunLength
+			if cfg.Planner.isBaseline() {
+				maxRun = 0
+			}
 			return &core.Plan{
 				Task:     ftask,
 				Sequence: full,
-				Runs:     runsOf(ftask, full),
-				Cost:     cost,
+				Runs:     core.RunsOf(ftask, full, maxRun),
+				Cost:     core.SequenceCostCapped(ftask, full, cfg.Options.Alpha, core.NoLast, maxRun, 0),
 				Metrics:  plan.Metrics,
 			}, replans, nil
 		}
@@ -297,18 +308,6 @@ func countsOf(task *migration.Task, seq []int) []int {
 	return counts
 }
 
-func runsOf(task *migration.Task, seq []int) []core.Run {
-	var runs []core.Run
-	for _, id := range seq {
-		ty := task.Blocks[id].Type
-		if len(runs) == 0 || runs[len(runs)-1].Type != ty {
-			runs = append(runs, core.Run{Type: ty})
-		}
-		runs[len(runs)-1].Blocks = append(runs[len(runs)-1].Blocks, id)
-	}
-	return runs
-}
-
 // audit independently re-verifies the plan (§7.2 "we add extra audits and
 // safety checks to Klotski's plans during operation") with the pristine
 // serial replay engine of internal/audit, attaching the structured report.
@@ -320,8 +319,7 @@ func audit(task *migration.Task, plan *core.Plan, cfg Config) error {
 		opts := cfg.Options
 		opts.InitialCounts = nil
 		opts.InitialLast = core.NoLast
-		freeOrder := cfg.Planner == PlannerMRC || cfg.Planner == PlannerJanus
-		rep, err := core.AuditSequence(task, plan.Sequence, opts, freeOrder)
+		rep, err := core.AuditSequence(task, plan.Sequence, opts, cfg.Planner.isBaseline())
 		if err != nil {
 			return err
 		}

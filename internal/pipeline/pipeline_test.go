@@ -3,6 +3,8 @@ package pipeline
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,6 +127,56 @@ func TestForecastZeroGrowthNoReplan(t *testing.T) {
 	}
 	if res.Replans != 0 {
 		t.Errorf("zero growth should not replan, got %d", res.Replans)
+	}
+}
+
+// TestForecastKeepsRunCap: a plan reassembled under a growth forecast keeps
+// its planner's run rule in its runs and its cost: the core planners split
+// runs at the cap, the baselines ignore it. With growth too small to change
+// any verdict, it is the capped plan without growth, phase for phase.
+func TestForecastKeepsRunCap(t *testing.T) {
+	for _, c := range []struct {
+		pl     Planner
+		suite  string // a fabric the planner can plan at scale 0.25
+		maxRun int    // below the baseline's longest run
+	}{{PlannerAStar, "E", 2}, {PlannerMRC, "E", 2}, {PlannerJanus, "D", 1}} {
+		pl, maxRun := c.pl, c.maxRun
+		s, err := gen.Suite(c.suite, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runCap := maxRun
+		if pl.isBaseline() {
+			runCap = 0
+		}
+		capped := Config{Planner: pl, Options: core.Options{MaxRunLength: maxRun}}
+		want, err := RunTask(s.Task, capped)
+		if err != nil {
+			t.Fatalf("%s: %v", pl, err)
+		}
+		if pl.isBaseline() && !slices.ContainsFunc(want.Plan.Runs, func(r core.Run) bool { return len(r.Blocks) > maxRun }) {
+			t.Fatalf("%s: no run is longer than the cap, so the case cannot tell the run rules apart", pl)
+		}
+		grown := capped
+		grown.Forecast = demand.Forecast{GrowthPerStep: 1e-6}
+		got, err := RunTask(s.Task, grown)
+		if err != nil {
+			t.Fatalf("%s under growth: %v", pl, err)
+		}
+		seq := got.Plan.Sequence
+		if !reflect.DeepEqual(got.Plan.Runs, core.RunsOf(s.Task, seq, runCap)) {
+			t.Errorf("%s: runs %v do not follow the run cap %d", pl, got.Plan.Runs, runCap)
+		}
+		if c := core.SequenceCostCapped(s.Task, seq, 0, core.NoLast, runCap, 0); got.Plan.Cost != c {
+			t.Errorf("%s: cost %g, the cost of its sequence under run cap %d is %g", pl, got.Plan.Cost, runCap, c)
+		}
+		if !slices.Equal(seq, want.Plan.Sequence) {
+			t.Fatalf("%s: growth %g changed the sequence", pl, grown.Forecast.GrowthPerStep)
+		}
+		if got.Plan.Cost != want.Plan.Cost || !reflect.DeepEqual(got.Document.Phases, want.Document.Phases) {
+			t.Errorf("%s under growth: cost %g in %d phases; without: cost %g in %d phases",
+				pl, got.Plan.Cost, len(got.Document.Phases), want.Plan.Cost, len(want.Document.Phases))
+		}
 	}
 }
 

@@ -210,6 +210,7 @@ func (o CheckOpts) Scale() float64 {
 type Result struct {
 	MaxUtil        float64        // highest circuit utilization observed
 	MaxUtilCircuit topo.CircuitID // circuit achieving MaxUtil
+	PlacedMaxUtil  float64        // MaxUtil of the same loads at demand scale 1; equal to MaxUtil when the scale is 1
 	MinResidual    float64        // lowest spare fraction (1 - util) over up circuits that carry load or could
 	Unreachable    int            // number of demands with no path
 	TotalLoad      float64        // sum of per-circuit loads (Tbps·hops)
@@ -517,6 +518,14 @@ func (e *Evaluator) fillResult(v *topo.View, scale float64, res *Result) {
 		if resid := 1 - util; resid < res.MinResidual {
 			res.MinResidual = resid
 		}
+		if scale != 1 {
+			if u := (e.load[2*c] + e.load[2*c+1]) / ck.Capacity; u > res.PlacedMaxUtil {
+				res.PlacedMaxUtil = u
+			}
+		}
+	}
+	if scale == 1 {
+		res.PlacedMaxUtil = res.MaxUtil
 	}
 	if math.IsInf(res.MinResidual, 1) {
 		res.MinResidual = 0
