@@ -39,7 +39,9 @@
 // outages, circuit flaps, demand surges, transient action failures) and
 // executes the migration with the fault-tolerant control loop — retries,
 // backoff, and replanning — reporting completion rate and worst-case
-// boundary utilization to stderr.
+// boundary utilization to stderr. Every run starts from the printed plan;
+// with -resume, or when forecast integration replanned, the campaign plans
+// the untouched task once itself.
 //
 // With -drift-threshold > 0 the chaos controller additionally observes
 // demand telemetry before each run, replans when observed drift exceeds
@@ -269,7 +271,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, res.Campaign)
 	}
 	if *chaos > 0 {
-		rep, err := klotski.ChaosCampaign(ctx, res.Task, klotski.ChaosCampaignOptions{
+		campaign := klotski.ChaosCampaignOptions{
 			Seeds: *chaos,
 			Seed:  *chaosSeed,
 			// Telemetry faults are only drawn when the drift loop consuming
@@ -281,7 +283,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				GapSkipThreshold: *gapSkip,
 				DemandMargin:     *demandMargin,
 			},
-		})
+		}
+		if *resume == "" && res.Replans == 0 {
+			// The printed plan is the untouched task planned from the empty
+			// prefix, which is where every run starts: no run plans it again.
+			campaign.Run.Plan = res.Plan
+		}
+		rep, err := klotski.ChaosCampaign(ctx, res.Task, campaign)
 		if err != nil {
 			return fmt.Errorf("chaos campaign: %w", err)
 		}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -183,6 +184,50 @@ func TestRunChaosCampaign(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "chaos campaign over 2 seeds") {
 		t.Errorf("missing chaos campaign report: %s", errBuf.String())
+	}
+}
+
+// TestChaosCampaignLinesPinned pins the campaign lines of the four chaos
+// seeds the replan-chaos benchmark uses, with its flags, on
+// testdata/E-SSW.json (topogen -suite E-SSW -scale 0.25). The lines were
+// taken when every run still planned the untouched task for itself; every
+// run now starts from the printed plan, and the lines must not move. The
+// stats snapshot shows the mechanism: one search for the printed plan and
+// one per replan, none per run.
+func TestChaosCampaignLinesPinned(t *testing.T) {
+	pinned := map[string]string{
+		"3":  "chaos campaign over 4 seeds: 100% completed, 3 retries, 10 replans, 0 boundary violations, peak util 0.497 (worst seed 3); drift: 0 drift replans, 0 gap skips, 5 telemetry faults, 0 degraded runs",
+		"5":  "chaos campaign over 4 seeds: 100% completed, 3 retries, 8 replans, 0 boundary violations, peak util 0.497 (worst seed 5); drift: 0 drift replans, 0 gap skips, 6 telemetry faults, 1 degraded runs",
+		"7":  "chaos campaign over 4 seeds: 100% completed, 5 retries, 5 replans, 0 boundary violations, peak util 0.511 (worst seed 9); drift: 0 drift replans, 0 gap skips, 4 telemetry faults, 1 degraded runs",
+		"13": "chaos campaign over 4 seeds: 100% completed, 4 retries, 9 replans, 0 boundary violations, peak util 0.497 (worst seed 13); drift: 0 drift replans, 0 gap skips, 4 telemetry faults, 1 degraded runs",
+	}
+	replans := regexp.MustCompile(`, (\d+) replans,`)
+	// -stats-out records into the process-wide registry, which every run
+	// in this process adds to: count the searches of one run as a delta.
+	searches := func() int64 {
+		return klotski.DefaultObsRegistry().Snapshot().Spans["planner.astar.run"].Count
+	}
+	for seed, want := range pinned {
+		dir := t.TempDir()
+		var out, errBuf bytes.Buffer
+		args := []string{"-npd", filepath.Join("testdata", "E-SSW.json"), "-workers", "1",
+			"-chaos", "4", "-chaos-faults", "4", "-chaos-seed", seed, "-drift-threshold", "0.05",
+			"-o", filepath.Join(dir, "plan.json"), "-stats-out", filepath.Join(dir, "stats.json")}
+		before := searches()
+		if err := run(context.Background(), args, &out, &errBuf); err != nil {
+			t.Fatalf("seed %s: %v (stderr: %s)", seed, err, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), want+"\n") {
+			t.Errorf("seed %s: stderr\n%s\nlacks the pinned line\n%s", seed, errBuf.String(), want)
+			continue
+		}
+		n, err := strconv.ParseInt(replans.FindStringSubmatch(want)[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := searches() - before; got != 1+n {
+			t.Errorf("seed %s: %d searches, want 1 for the printed plan and %d for the replans", seed, got, n)
+		}
 	}
 }
 

@@ -43,13 +43,76 @@ func PlanMRC(task *migration.Task, opts core.Options) (*core.Plan, error) {
 // PlanMRCContext is PlanMRC with cooperative cancellation: the context and
 // the Options.Timeout/MaxStates budget are checked at every greedy step,
 // and overruns wrap core.ErrBudget exactly like the core planners'.
+// Options.InitialCounts, when set, names the canonical prefix already
+// executed; PlanMRCFrom resumes from any executed block set.
 func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options) (*core.Plan, error) {
-	if task.TopologyChanging {
-		return nil, core.ErrUnsupported
-	}
-	if err := task.Validate(); err != nil {
+	if err := checkTask(task); err != nil {
 		return nil, err
 	}
+	done, last := canonicalStart(task, opts)
+	return planMRC(ctx, task, done, last, opts)
+}
+
+// PlanMRCFrom plans the remainder of a migration whose executed blocks are
+// listed in the order they were operated. MRC plans are free-order, so a
+// prefix of one is a block set that per-type counts cannot name; this entry
+// point takes the blocks themselves and ignores Options.InitialCounts and
+// InitialLast.
+func PlanMRCFrom(ctx context.Context, task *migration.Task, executed []int, opts core.Options) (*core.Plan, error) {
+	if err := checkTask(task); err != nil {
+		return nil, err
+	}
+	last, err := executedStart(task, executed)
+	if err != nil {
+		return nil, err
+	}
+	return planMRC(ctx, task, executed, last, opts)
+}
+
+// checkTask rejects the tasks neither baseline can plan.
+func checkTask(task *migration.Task) error {
+	if task.TopologyChanging {
+		return core.ErrUnsupported
+	}
+	return task.Validate()
+}
+
+// canonicalStart lists the blocks Options.InitialCounts names — the first
+// InitialCounts[t] blocks of each type t — with the run's last type.
+func canonicalStart(task *migration.Task, opts core.Options) ([]int, migration.ActionType) {
+	if opts.InitialCounts == nil {
+		return nil, core.NoLast
+	}
+	var done []int
+	for ty := 0; ty < task.NumTypes() && ty < len(opts.InitialCounts); ty++ {
+		blocks := task.BlocksOfType(migration.ActionType(ty))
+		done = append(done, blocks[:min(max(opts.InitialCounts[ty], 0), len(blocks))]...)
+	}
+	return done, opts.InitialLast
+}
+
+// executedStart validates an executed block list and returns the type of
+// its last block (core.NoLast when nothing was executed).
+func executedStart(task *migration.Task, executed []int) (migration.ActionType, error) {
+	seen := make([]bool, len(task.Blocks))
+	for _, id := range executed {
+		if id < 0 || id >= len(task.Blocks) {
+			return core.NoLast, fmt.Errorf("baseline: executed prefix references invalid block %d", id)
+		}
+		if seen[id] {
+			return core.NoLast, fmt.Errorf("baseline: executed prefix lists block %q twice", task.Blocks[id].Name)
+		}
+		seen[id] = true
+	}
+	if len(executed) == 0 {
+		return core.NoLast, nil
+	}
+	return task.Blocks[executed[len(executed)-1]].Type, nil
+}
+
+// planMRC runs the greedy from the state after the done blocks, with
+// initialLast the type of the run in progress.
+func planMRC(ctx context.Context, task *migration.Task, done []int, initialLast migration.ActionType, opts core.Options) (*core.Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -74,37 +137,22 @@ func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options
 	span := rec.Span("mrc.plan")
 	defer span.End()
 
-	counts := make([]int, task.NumTypes())
-	if opts.InitialCounts != nil {
-		copy(counts, opts.InitialCounts)
-	}
-
 	// MRC is not bound by Klotski's canonical within-type ordering: at
 	// every step it evaluates every remaining block as a candidate (the
 	// paper's "preprocess all available action combinations", and the main
 	// reason it measures 7.1–262.6× slower than Klotski-A*).
-	done := make([]bool, len(task.Blocks))
-	remaining := 0
+	isDone := make([]bool, len(task.Blocks))
 	view := task.Topo.NewView()
-	for ty := 0; ty < task.NumTypes(); ty++ {
-		blocks := task.BlocksOfType(migration.ActionType(ty))
-		for j := range blocks {
-			if j < counts[ty] {
-				done[blocks[j]] = true
-				task.Apply(view, blocks[j])
-			} else {
-				remaining++
-			}
-		}
+	for _, id := range done {
+		isDone[id] = true
+		task.Apply(view, id)
 	}
+	remaining := len(task.Blocks) - len(done)
 
 	var seq []int
 	metrics := core.Metrics{}
 	copts := routing.CheckOpts{Theta: theta, Split: opts.Split}
-	last := core.NoLast
-	if opts.InitialCounts != nil {
-		last = opts.InitialLast
-	}
+	last := initialLast
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("baseline: MRC cancelled after %d steps: %w", len(seq), err)
@@ -131,7 +179,7 @@ func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options
 		bestResidual := math.Inf(-1)
 		bestBlock := -1
 		for blockID := range task.Blocks {
-			if done[blockID] {
+			if isDone[blockID] {
 				continue
 			}
 			at := task.Blocks[blockID].Type
@@ -179,7 +227,7 @@ func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options
 		}
 		task.Apply(view, bestBlock)
 		seq = append(seq, bestBlock)
-		done[bestBlock] = true
+		isDone[bestBlock] = true
 		last = task.Blocks[bestBlock].Type
 		remaining--
 		metrics.StatesPopped++
@@ -190,10 +238,6 @@ func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options
 		return nil, core.ErrInfeasible
 	}
 	metrics.PlanningTime = time.Since(start)
-	initialLast := core.NoLast
-	if opts.InitialCounts != nil {
-		initialLast = opts.InitialLast
-	}
 	return &core.Plan{
 		Task:     task,
 		Sequence: seq,

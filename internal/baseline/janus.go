@@ -40,13 +40,33 @@ func PlanJanus(task *migration.Task, opts core.Options) (*core.Plan, error) {
 // PlanJanusContext is PlanJanus with cooperative cancellation: the context
 // is polled alongside the MaxStates/Timeout budget in the search loop, and
 // budget overruns wrap core.ErrBudget exactly like the core planners'.
+// Options.InitialCounts, when set, names the canonical prefix already
+// executed; PlanJanusFrom resumes from any executed block set.
 func PlanJanusContext(ctx context.Context, task *migration.Task, opts core.Options) (*core.Plan, error) {
-	if task.TopologyChanging {
-		return nil, core.ErrUnsupported
-	}
-	if err := task.Validate(); err != nil {
+	if err := checkTask(task); err != nil {
 		return nil, err
 	}
+	done, last := canonicalStart(task, opts)
+	return planJanus(ctx, task, done, last, opts)
+}
+
+// PlanJanusFrom plans the remainder of a migration whose executed blocks
+// are listed in the order they were operated, ignoring
+// Options.InitialCounts and InitialLast (see PlanMRCFrom).
+func PlanJanusFrom(ctx context.Context, task *migration.Task, executed []int, opts core.Options) (*core.Plan, error) {
+	if err := checkTask(task); err != nil {
+		return nil, err
+	}
+	last, err := executedStart(task, executed)
+	if err != nil {
+		return nil, err
+	}
+	return planJanus(ctx, task, executed, last, opts)
+}
+
+// planJanus searches from the state after the done blocks, with
+// initialLast the type of the run in progress.
+func planJanus(ctx context.Context, task *migration.Task, done []int, initialLast migration.ActionType, opts core.Options) (*core.Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -71,27 +91,7 @@ func PlanJanusContext(ctx context.Context, task *migration.Task, opts core.Optio
 	if err := j.checkClassEncoding(); err != nil {
 		return nil, err
 	}
-
-	initial := make([]byte, len(j.classMembers))
-	if opts.InitialCounts != nil {
-		// Executed blocks are canonical prefixes per type; translate to
-		// per-class counts.
-		for ty := range opts.InitialCounts {
-			blocks := task.BlocksOfType(migration.ActionType(ty))
-			for k := 0; k < opts.InitialCounts[ty]; k++ {
-				initial[j.classOf[blocks[k]]]++
-			}
-		}
-	}
-	initialLast := core.NoLast
-	if opts.InitialCounts != nil {
-		initialLast = opts.InitialLast
-	}
-	plan, err := j.search(initial, initialLast, start)
-	if err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return j.search(j.startAt(done), initialLast, start)
 }
 
 // janusRun carries the search machinery.
@@ -105,8 +105,9 @@ type janusRun struct {
 	view     *topo.View
 	ctx      context.Context
 
-	classOf      []int   // block → symmetry class
-	classMembers [][]int // class → member block IDs, ascending
+	// classMembers lists each symmetry class's block IDs: the executed
+	// ones first, then the rest, each part ascending (see startAt).
+	classMembers [][]int
 
 	metrics core.Metrics
 	rec     *obs.Recorder
@@ -120,7 +121,6 @@ type janusRun struct {
 func (j *janusRun) classify() {
 	t := j.task
 	sigs := make(map[string]int)
-	j.classOf = make([]int, len(t.Blocks))
 	for i := range t.Blocks {
 		sig := blockSignature(t, &t.Blocks[i])
 		id, ok := sigs[sig]
@@ -129,7 +129,6 @@ func (j *janusRun) classify() {
 			sigs[sig] = id
 			j.classMembers = append(j.classMembers, nil)
 		}
-		j.classOf[i] = id
 		j.classMembers[id] = append(j.classMembers[id], i)
 	}
 	for _, m := range j.classMembers {
@@ -147,6 +146,27 @@ func (j *janusRun) checkClassEncoding() error {
 		}
 	}
 	return nil
+}
+
+// startAt moves the done blocks to the front of their symmetry classes and
+// returns the per-class counts that name them, so that a state's counts
+// keep meaning "the first counts[c] members of class c are done". With no
+// done blocks, or a canonical prefix, every class keeps its ascending order.
+func (j *janusRun) startAt(done []int) []byte {
+	isDone := make([]bool, len(j.task.Blocks))
+	for _, id := range done {
+		isDone[id] = true
+	}
+	initial := make([]byte, len(j.classMembers))
+	for c, members := range j.classMembers {
+		sort.SliceStable(members, func(a, b int) bool { return isDone[members[a]] && !isDone[members[b]] })
+		for _, id := range members {
+			if isDone[id] {
+				initial[c]++
+			}
+		}
+	}
+	return initial
 }
 
 func blockSignature(t *migration.Task, b *migration.Block) string {

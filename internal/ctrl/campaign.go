@@ -6,7 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"klotski/internal/core"
 	"klotski/internal/migration"
+	"klotski/internal/pipeline"
 	"klotski/internal/sched"
 	"klotski/internal/sim"
 )
@@ -20,10 +22,13 @@ type CampaignOptions struct {
 	// Schedule parameterizes the per-run fault draw.
 	Schedule sim.ScheduleOptions
 
-	// Run is the per-run controller configuration. Plan and Journal are
-	// ignored (each run plans for its own drifted world and campaigns do
-	// not journal); Sleep defaults to a no-op so thousands of simulated
-	// retries do not wall-clock sleep.
+	// Run is the per-run controller configuration. Every run starts from
+	// the plan of the untouched task, made once per campaign: Run.Plan
+	// when it is that plan (its audit passed, started from no executed
+	// block, and covers every action), otherwise planned here as a run
+	// would plan it. Journal is ignored (campaigns do not journal); Sleep
+	// defaults to a no-op so thousands of simulated retries do not
+	// wall-clock sleep.
 	Run Options
 
 	// Pool, when non-nil, runs the campaign's seeds concurrently under
@@ -78,11 +83,11 @@ func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (
 		ctx = context.Background()
 	}
 	runOpts := opts.Run
-	runOpts.Plan = nil
 	runOpts.Journal = nil
 	if runOpts.Sleep == nil {
 		runOpts.Sleep = func(time.Duration) {}
 	}
+	runOpts.Plan = pristinePlan(ctx, task, runOpts.Plan, runOpts.Config, opts.Pool)
 
 	rep := &CampaignReport{Seeds: opts.Seeds, WorstSeed: opts.Seed}
 	if opts.Pool != nil {
@@ -145,6 +150,36 @@ func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (
 	}
 	rep.CompletionRate = float64(rep.Completed) / float64(rep.Seeds)
 	return rep, nil
+}
+
+// pristinePlan returns the plan every run of the campaign starts from.
+// sim.RandomSchedule draws no fault before the first action, so a run's
+// first Poll leaves its world untouched, and the run would plan the task
+// from the empty prefix: a pure function of the task and the config. The
+// caller's plan is used when it is that plan (audit passed from no
+// executed block, every action covered). Otherwise the task is planned
+// here, once, through the same calls a run makes. The result is nil when
+// that planning fails, and each run then plans for itself. Run still
+// checks the shared plan against its own world, so a schedule with a fault
+// at step 0 replans as before.
+func pristinePlan(ctx context.Context, task *migration.Task, given *core.Plan, cfg pipeline.Config, pool *sched.Pool) *core.Plan {
+	if given != nil && given.Audit != nil && given.Audit.Passed &&
+		len(given.Audit.Start) == 0 && len(given.Sequence) == task.NumActions() {
+		return given
+	}
+	if pool != nil {
+		client, err := pool.Register("campaign-plan", sched.ClientOptions{})
+		if err != nil {
+			return nil
+		}
+		defer client.Close()
+		cfg.Options.Sched = client
+	}
+	p, err := pipeline.ReplanContext(ctx, task, nil, nil, cfg)
+	if err != nil || ensureAudited(p, nil, cfg) != nil {
+		return nil
+	}
+	return p
 }
 
 // fold merges one seed's outcome into the report, in ascending seed

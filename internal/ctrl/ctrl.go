@@ -24,7 +24,10 @@ type Options struct {
 	Config pipeline.Config
 
 	// Plan, when non-nil, is the (audited) plan to execute. When nil, Run
-	// plans from the world's executed prefix first.
+	// plans from the world's executed prefix first. Run also plans afresh,
+	// as if Plan were nil, when Plan was made for another world: its audit
+	// did not start from world.Executed(), or Run's first Poll fired a
+	// fault.
 	Plan *core.Plan
 
 	// MaxRetries bounds transient-failure retries per action (default 4).
@@ -158,11 +161,13 @@ type Outcome struct {
 //
 //	plan → execute one block → observe → (retry | replan | continue)
 //
-// Before every action it polls the world; if the environment epoch moved
-// (outage, flap, surge) the remaining plan is rebuilt from the executed
-// prefix against the world's real topology and demands. Transient action
-// failures are retried with capped exponential backoff and jitter. Every
-// action is journaled before and after execution when a Journal is set.
+// It executes Options.Plan when that plan still fits the world, and
+// otherwise plans first. Before every action it polls the world; if the
+// environment epoch moved (outage, flap, surge) the remaining plan is
+// rebuilt from the executed prefix against the world's real topology and
+// demands. Transient action failures are retried with capped exponential
+// backoff and jitter. Every action is journaled before and after execution
+// when a Journal is set.
 func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Options) (*Outcome, error) {
 	opts = opts.withDefaults()
 	if ctx == nil {
@@ -194,8 +199,14 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 		}
 	}
 
+	epoch := world.Epoch()
 	lastEpoch := world.Poll()
 	plan := opts.Plan
+	if plan != nil && (lastEpoch != epoch || !startsAt(plan, world.Executed())) {
+		// The caller's plan was made for a world that is gone: a fault
+		// fired at the first poll, or the plan continues another prefix.
+		plan = nil
+	}
 	if plan == nil {
 		var err error
 		plan, err = replanFromWorld(ctx, task, world, opts.Config, nil)
@@ -470,6 +481,30 @@ func ensureAudited(p *core.Plan, executed []int, cfg pipeline.Config) error {
 			p.Audit.FailStep, p.Audit.Reason)
 	}
 	return nil
+}
+
+// startsAt reports whether the plan's audit began from the executed block
+// set. A plan without an audit qualifies: ensureAudited audits it from
+// there.
+func startsAt(p *core.Plan, executed []int) bool {
+	if p.Audit == nil {
+		return true
+	}
+	if len(p.Audit.Start) != len(executed) {
+		return false
+	}
+	// A canonical audit lists its start type by type, not in the order
+	// the blocks were operated, so compare the sets.
+	in := make(map[int]bool, len(executed))
+	for _, id := range executed {
+		in[id] = true
+	}
+	for _, id := range p.Audit.Start {
+		if !in[id] {
+			return false
+		}
+	}
+	return true
 }
 
 // gapSkipCheck reports whether the remaining plan may keep executing

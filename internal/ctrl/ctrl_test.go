@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -320,6 +321,47 @@ func TestRunRefusesTamperedPlan(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "audit failed") {
 		t.Fatalf("refusal should cite the audit: %v", err)
+	}
+}
+
+// TestRunReplansStalePrebuiltPlan: a prebuilt plan made for a world that is
+// gone must not be executed. With both spares down at step 0, the pipeline's
+// drain-first plan would leave no bridge up; a world whose first block was
+// already operated is not where the plan's audit began. Either way the run
+// must be the one Run makes with no plan at all.
+func TestRunReplansStalePrebuiltPlan(t *testing.T) {
+	task, spares := loopTask(t)
+	res, err := pipeline.RunTask(task, pipeline.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := map[string]func() *sim.World{
+		"fault at step 0": func() *sim.World {
+			return sim.NewWorld(task, sim.Schedule{
+				{Step: 0, Kind: sim.FaultSwitchDown, Switch: spares[0]},
+				{Step: 0, Kind: sim.FaultSwitchDown, Switch: spares[1]},
+			}, 1)
+		},
+		"other prefix": func() *sim.World {
+			w := sim.NewWorld(task, nil, 1)
+			w.Preapply(res.Plan.Sequence[:1])
+			return w
+		},
+	}
+	for name, world := range worlds {
+		t.Run(name, func(t *testing.T) {
+			want, wantErr := Run(context.Background(), task, world(), Options{Sleep: noSleep})
+			got, gotErr := Run(context.Background(), task, world(), Options{Plan: res.Plan, Sleep: noSleep})
+			if errString(gotErr) != errString(wantErr) {
+				t.Fatalf("error %v, want %v", gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("outcome with the stale plan %+v, want %+v", got, want)
+			}
+			if !got.Completed || got.BoundaryViolations != 0 {
+				t.Fatalf("completed=%v with %d boundary violations", got.Completed, got.BoundaryViolations)
+			}
+		})
 	}
 }
 

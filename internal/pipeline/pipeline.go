@@ -66,6 +66,26 @@ func (p Planner) isBaseline() bool {
 	return p == PlannerMRC || p == PlannerJanus
 }
 
+// planFrom plans the remainder of a migration after the executed blocks,
+// listed in the order they were operated. The core planners resume from
+// per-type counts, which name exactly the executed set because their plans
+// keep canonical within-type order. A baseline's plan does not, so the
+// baselines resume from the blocks themselves.
+func (p Planner) planFrom(ctx context.Context, task *migration.Task, executed []int, opts core.Options) (*core.Plan, error) {
+	switch p {
+	case PlannerMRC:
+		return baseline.PlanMRCFrom(ctx, task, executed, opts)
+	case PlannerJanus:
+		return baseline.PlanJanusFrom(ctx, task, executed, opts)
+	}
+	opts.InitialCounts = countsOf(task, executed)
+	opts.InitialLast = core.NoLast
+	if len(executed) > 0 {
+		opts.InitialLast = task.Blocks[executed[len(executed)-1]].Type
+	}
+	return p.PlanContext(ctx, task, opts)
+}
+
 // Config parameterizes a pipeline run.
 type Config struct {
 	Planner Planner
@@ -243,14 +263,8 @@ func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*c
 		// re-plan the remainder. The counts are absolute, so the replan's
 		// boundary checks keep sampling the forecast at global horizons.
 		executed = append(executed, plan.Sequence[:broken]...)
-		opts := cfg.Options
-		opts.InitialCounts = countsOf(ftask, executed)
-		opts.InitialLast = core.NoLast
-		if len(executed) > 0 {
-			opts.InitialLast = ftask.Blocks[executed[len(executed)-1]].Type
-		}
 		replans++
-		plan, err = cfg.Planner.PlanContext(ctx, ftask, opts)
+		plan, err = cfg.Planner.planFrom(ctx, ftask, executed, cfg.Options)
 		if err != nil {
 			return nil, replans, fmt.Errorf("pipeline: replanning under forecast after %d steps: %w",
 				len(executed), err)
@@ -349,13 +363,7 @@ func ReplanContext(ctx context.Context, task *migration.Task, executed []int, ne
 		// checks sample demand at each state's (absolute) horizon too.
 		planTask = planTask.WithForecast(cfg.Forecast)
 	}
-	opts := cfg.Options
-	opts.InitialCounts = countsOf(task, executed)
-	opts.InitialLast = core.NoLast
-	if len(executed) > 0 {
-		opts.InitialLast = task.Blocks[executed[len(executed)-1]].Type
-	}
-	return cfg.Planner.PlanContext(ctx, planTask, opts)
+	return cfg.Planner.planFrom(ctx, planTask, executed, cfg.Options)
 }
 
 // ReplanAfterOutage continues a partially executed migration after

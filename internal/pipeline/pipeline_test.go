@@ -207,6 +207,85 @@ func TestReplanContinuesFromPrefix(t *testing.T) {
 	}
 }
 
+// TestBaselineReplanResumesFromExecutedSet: a baseline plan is free-order,
+// so a prefix of it is a set of blocks that per-type counts may not name.
+// At every resume point of an MRC and a Janus plan on suites A–D, the
+// replan must operate exactly the blocks not yet executed, and pass its
+// free-order audit from exactly the executed set. MRC's greedy is
+// memoryless, so its replan is the rest of its own plan; Janus is optimal
+// from there, so its replan costs no more than that rest.
+func TestBaselineReplanResumesFromExecutedSet(t *testing.T) {
+	nonCanonical := 0
+	for _, suite := range []string{"A", "B", "C", "D"} {
+		s, err := gen.Suite(suite, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := s.Task
+		for _, planner := range []Planner{PlannerMRC, PlannerJanus} {
+			cfg := Config{Planner: planner}
+			res, err := RunTask(task, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", suite, planner, err)
+			}
+			seq := res.Plan.Sequence
+			for n := 1; n < len(seq); n++ {
+				executed := seq[:n]
+				if !namesCanonicalPrefix(task, executed) {
+					nonCanonical++
+				}
+				re, err := Replan(task, executed, nil, cfg)
+				if err != nil {
+					t.Fatalf("%s %s after %d: %v", suite, planner, n, err)
+				}
+				all := append(slices.Clone(executed), re.Sequence...)
+				slices.Sort(all)
+				blocks := make([]int, len(task.Blocks))
+				for i := range blocks {
+					blocks[i] = i
+				}
+				if !slices.Equal(all, blocks) {
+					t.Fatalf("%s %s after %d: replan %v does not operate exactly the %d blocks left after %v",
+						suite, planner, n, re.Sequence, task.NumActions()-n, executed)
+				}
+				rep, err := core.AuditResumed(task, re.Sequence, executed, cfg.Options, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Passed || !slices.Equal(rep.Start, executed) {
+					t.Fatalf("%s %s after %d: free-order audit from %v: %s", suite, planner, n, rep.Start, rep)
+				}
+				last := task.Blocks[executed[n-1]].Type
+				switch {
+				case planner == PlannerMRC && !slices.Equal(re.Sequence, seq[n:]):
+					t.Errorf("%s MRC after %d: replan %v, rest of the plan %v", suite, n, re.Sequence, seq[n:])
+				case planner == PlannerJanus && re.Cost > core.SequenceCost(task, seq[n:], 0, last)+1e-9:
+					t.Errorf("%s Janus after %d: replan costs %g, more than the rest of the plan", suite, n, re.Cost)
+				}
+			}
+		}
+	}
+	if nonCanonical == 0 {
+		t.Fatal("every resume point is a canonical prefix; the test cannot tell a block set from counts")
+	}
+}
+
+// namesCanonicalPrefix reports whether the executed blocks are the first
+// blocks of each type, the set per-type counts name.
+func namesCanonicalPrefix(task *migration.Task, executed []int) bool {
+	counts := make([]int, task.NumTypes())
+	for _, id := range executed {
+		counts[task.Blocks[id].Type]++
+	}
+	for _, id := range executed {
+		ty := task.Blocks[id].Type
+		if !slices.Contains(task.BlocksOfType(ty)[:counts[ty]], id) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestReplanWithNewDemands(t *testing.T) {
 	s := buildScenario(t)
 	full, err := core.PlanAStar(s.Task, core.Options{})

@@ -614,6 +614,8 @@ type (
 	// JournalEntry is one journal record (begin, done, or replan).
 	JournalEntry = ctrl.Entry
 	// ChaosCampaignOptions parameterizes a Monte Carlo chaos campaign.
+	// Its Run.Plan, when it is the audited plan of the untouched task, is
+	// where every run starts (see ChaosCampaign).
 	ChaosCampaignOptions = ctrl.CampaignOptions
 	// ChaosCampaignReport aggregates a chaos campaign's outcomes.
 	ChaosCampaignReport = ctrl.CampaignReport
@@ -630,7 +632,11 @@ func RunControlLoop(ctx context.Context, task *Task, world *World, opts ControlO
 // schedules and aggregates completion rate, retries, replans, and
 // boundary-violation counts. Set ChaosCampaignOptions.Pool to run the
 // seeds concurrently under a shared worker pool; the report stays
-// byte-identical to the serial campaign's.
+// byte-identical to the serial campaign's. Every run starts from the plan
+// of the untouched task: set Run.Plan to the audited plan RunPipeline
+// returned and the campaign does not plan it again; otherwise the campaign
+// plans it once. Run.Plan is ignored unless its audit passed from no
+// executed block and it covers every action.
 func ChaosCampaign(ctx context.Context, task *Task, opts ChaosCampaignOptions) (*ChaosCampaignReport, error) {
 	return ctrl.Campaign(ctx, task, opts)
 }
