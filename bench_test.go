@@ -423,15 +423,23 @@ func BenchmarkCheckPortReject(b *testing.B) {
 // DESIGN.md, "Satisfiability checker"). The bounds are what keep
 // op_rss_mb_p50 flat: the batched traversal has to replace the old scratch,
 // not sit beside it. The third row adds the first check that repairs its
-// fields, one block on: that is where the retained next-hop masks and the
-// repair's lists are allocated, and the row is pinned to what they measure
-// (arithmetic in DESIGN.md, "The next-hop sets follow the fields") so that
-// neither can grow unnoticed.
+// fields, one block on: that is where the retained next-hop masks, the
+// retained placement beside them and the repair's lists are allocated, and
+// the row is pinned to what they measure (arithmetic in DESIGN.md, "The
+// next-hop sets follow the fields" and "Placement follows the fields") so
+// that none of them can grow unnoticed.
 func TestEvaluatorFootprintSuiteE(t *testing.T) {
 	const (
-		parentNew    = 642536 // NewEvaluator + first Check at the parent commit
-		parentFork   = 301256 // Fork + first Check at the parent commit
-		repairedFork = 461000 // Fork + first Check + first repaired Check: 460 008 as measured here, 460 088 under the race detector
+		parentNew  = 642536 // NewEvaluator + first Check at the parent commit
+		parentFork = 301256 // Fork + first Check at the parent commit
+		// Fork + first Check + first repaired Check: 641 208 as measured here.
+		// That is the 460 008 of the next-hop masks' step, plus 512 for the
+		// evaluator's placement bookkeeping, plus the retained placement:
+		// 14 fields × 1236 switches of float64 shares (138 432 bytes, 139 264
+		// as a large object) and of uint16 flow-set stamps (34 608, 40 960),
+		// 14 group numbers (32), and per demand the source and rate it was
+		// seeded with (34 × 4 → 144, 34 × 8 → 288).
+		repairedFork = 642500
 	)
 	s, err := klotski.Suite("E", 0.25)
 	if err != nil {
@@ -532,6 +540,42 @@ func TestHopSetsFollowRepairs(t *testing.T) {
 	t.Logf("suite E: %d arcs classified, %d masks built, %d read back (%.4f)", ev.SweepArcTests, ev.HopSetsBuilt, ev.HopSetsReused, share)
 	if ev.SweepArcTests > 2_000_000 || share < 0.80 {
 		t.Errorf("suite E: %d arcs classified and %.4f of visits read back, want at most 2.0 M and at least 0.80", ev.SweepArcTests, share)
+	}
+}
+
+// TestPlacementRepairsPinned holds the retained placement to where it pays,
+// in the planners' own counts. The DP search on suite E-SSW × 0.25 — the
+// primary plan of the benchmark's fleet-mixed workload — routes 243 of its 289
+// checks; one block moves a tenth of its flow or less, and most routed checks
+// are answered from the retained placement. On suite E × 0.25, the plan-large
+// search, every block re-places more than half of the flow, so the gate stays
+// closed and nothing is tried: the sweeps run as before.
+func TestPlacementRepairsPinned(t *testing.T) {
+	for _, c := range []struct {
+		fabric, planner string
+		run             func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
+		want            [6]int // routed checks, repairs, fallbacks, switches re-placed, loads re-summed, plan checks
+	}{
+		{"E-SSW", "dp", klotski.PlanDP, [6]int{243, 189, 8, 50550, 40995, 289}},
+		{"E", "astar", klotski.PlanAStar, [6]int{400, 0, 0, 0, 0, 1014}},
+	} {
+		s, err := klotski.Suite(c.fabric, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := klotski.NewEvaluator(s.Task.Topo)
+		p, err := c.run(s.Task, klotski.Options{SkipAudit: true, Evaluator: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [6]int{ev.Checks, ev.PlacementRepairs, ev.PlacementFallbacks, ev.SwitchesReplaced, ev.LoadsResummed, p.Metrics.Checks}
+		t.Logf("suite %s %s: routed checks, repairs, fallbacks, switches re-placed, loads re-summed, checks = %v", c.fabric, c.planner, got)
+		if got != c.want {
+			t.Errorf("suite %s %s: routed checks, repairs, fallbacks, switches re-placed, loads re-summed, checks = %v, want %v", c.fabric, c.planner, got, c.want)
+		}
+		if m := p.Metrics; m.PlacementRepairs != ev.PlacementRepairs || m.PlacementFallbacks != ev.PlacementFallbacks {
+			t.Errorf("suite %s %s: the plan's metrics count %d repairs and %d fallbacks, its evaluator %d and %d", c.fabric, c.planner, m.PlacementRepairs, m.PlacementFallbacks, ev.PlacementRepairs, ev.PlacementFallbacks)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package audit
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"klotski/internal/migration"
 	"klotski/internal/routing"
@@ -141,21 +143,32 @@ func replayIncremental(task *migration.Task, seq []int, cfg *Config, rep *Report
 		workers = len(bs)
 	}
 	if workers == 1 {
-		replayLane(task, seq, cfg, theta, bs, results)
+		runLane(0, task, seq, cfg, theta, bs, results)
 	} else {
 		// Contiguous segments, balanced to within one boundary. Each lane
 		// re-applies its prefix once and then replays its blocks; results land
 		// in disjoint slices of the shared results array, so the tasks are
-		// order-independent and safe to hand to any runner.
+		// order-independent and safe to hand to any runner. A lane runs on a
+		// goroutine no caller frame encloses — a pool worker, or one of ours —
+		// so it keeps its panic instead of raising it, and Verify raises the
+		// lowest lane's again on its own goroutine once all have returned.
 		var tasks []func()
+		var panics []*LanePanic
 		for w := 0; w < workers; w++ {
 			lo := w * len(bs) / workers
 			hi := (w + 1) * len(bs) / workers
 			if lo == hi {
 				continue
 			}
+			lane := len(tasks)
+			panics = append(panics, nil)
 			tasks = append(tasks, func() {
-				replayLane(task, seq, cfg, theta, bs[lo:hi], results[lo:hi])
+				defer func() {
+					if v := recover(); v != nil {
+						panics[lane] = &LanePanic{Lane: lane, Value: v, Stack: debug.Stack()}
+					}
+				}()
+				runLane(lane, task, seq, cfg, theta, bs[lo:hi], results[lo:hi])
 			})
 		}
 		if cfg.Runner != nil {
@@ -170,6 +183,11 @@ func replayIncremental(task *migration.Task, seq []int, cfg *Config, rep *Report
 				}(t)
 			}
 			wg.Wait()
+		}
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
 		}
 	}
 
@@ -200,6 +218,42 @@ func replayIncremental(task *migration.Task, seq []int, cfg *Config, rep *Report
 		rep.Steps = append(rep.Steps, step)
 	}
 	rep.Passed = true
+}
+
+// LanePanic is a panic raised inside a lane of the lane engine, carried to
+// the goroutine that called Verify and raised there again, so that whatever
+// contains a panic of the caller's — klotskid's planning leg — contains this
+// one too.
+type LanePanic struct {
+	Lane  int    // the lane, numbered from 0 in boundary order
+	Value any    // what the lane panicked with
+	Stack []byte // the lane's stack at the panic
+}
+
+func (p *LanePanic) Error() string { return fmt.Sprintf("audit lane %d: %v", p.Lane, p.Value) }
+
+// laneHook, when set, runs at the start of every lane with the lane's number:
+// a seam for tests that make a lane fail. SetLaneHook sets it.
+var laneHook atomic.Pointer[func(lane int)]
+
+// SetLaneHook installs f to run at the start of every lane of the lane
+// engine, with the lane's number; nil removes it. It exists for tests that
+// make a lane panic, in this package and in the packages that plan through
+// it.
+func SetLaneHook(f func(lane int)) {
+	if f == nil {
+		laneHook.Store(nil)
+		return
+	}
+	laneHook.Store(&f)
+}
+
+// runLane runs lane number lane: the hook, then replayLane.
+func runLane(lane int, task *migration.Task, seq []int, cfg *Config, theta float64, bs []boundary, results []boundaryResult) {
+	if h := laneHook.Load(); h != nil {
+		(*h)(lane)
+	}
+	replayLane(task, seq, cfg, theta, bs, results)
 }
 
 // replayLane evaluates one contiguous run of boundaries on a fresh view and

@@ -273,6 +273,12 @@ type Metrics struct {
 	PortRejects int
 	CutRejects  int
 
+	// Routed checks the evaluator answered from the placement it retained
+	// from the check before, brought up to date, and routed checks that tried
+	// to and ran the full sweeps after all (routing/placement.go).
+	PlacementRepairs   int
+	PlacementFallbacks int
+
 	// Always zero: bench/ still reads the two (ROADMAP item 4 drops them).
 	GroupInvalidations int
 	GroupsReused       int

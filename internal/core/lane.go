@@ -66,6 +66,10 @@ type lane struct {
 	// sums are exact however many flips they follow.
 	cutCap [maxCuts]int64
 
+	// placeBase holds the evaluator's placement counters when the lane was
+	// made: the plan's are what they gained since.
+	placeBase [2]int
+
 	// structRejected reports whether the most recent failing check was
 	// rejected by the occupancy budget or by a switch's port budget — both
 	// demand-independent (structural) verdicts the bound engine keeps
@@ -83,7 +87,8 @@ var laneRejectHook func(ln *lane, copts routing.CheckOpts, port bool)
 // newLane builds the space's check lane around eval (the caller's
 // Options.Evaluator, or a fresh one).
 func (sp *space) newLane(eval *routing.Evaluator) *lane {
-	ln := &lane{sp: sp, eval: eval, view: sp.task.Topo.NewView()}
+	ln := &lane{sp: sp, eval: eval, view: sp.task.Topo.NewView(),
+		placeBase: [2]int{eval.PlacementRepairs, eval.PlacementFallbacks}}
 	if sp.actBase != nil {
 		ln.act = routing.NewBitset(sp.task.Topo.NumSwitches())
 	}

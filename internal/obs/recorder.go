@@ -19,6 +19,8 @@ const (
 	MetricCheckLatency       = "planner.check_latency_seconds"
 	MetricPortRejects        = "planner.port_rejects"
 	MetricCutRejects         = "planner.cut_rejects"
+	MetricPlacementRepairs   = "planner.placement_repairs"
+	MetricPlacementFallbacks = "planner.placement_fallbacks"
 	MetricOpenListSize       = "planner.open_list_size"
 	MetricPlansCompleted     = "planner.plans_completed"
 	MetricPlansInterrupted   = "planner.plans_interrupted"
@@ -70,6 +72,8 @@ type Recorder struct {
 	checkLatency     *Histogram
 	portRejects      *Counter
 	cutRejects       *Counter
+	placeRepairs     *Counter
+	placeFallbacks   *Counter
 	openList         *Gauge
 	plansCompleted   *Counter
 	plansInterrupted *Counter
@@ -120,6 +124,8 @@ func NewRecorder(reg *Registry) *Recorder {
 		checkLatency:     reg.Histogram(MetricCheckLatency, nil),
 		portRejects:      reg.Counter(MetricPortRejects),
 		cutRejects:       reg.Counter(MetricCutRejects),
+		placeRepairs:     reg.Counter(MetricPlacementRepairs),
+		placeFallbacks:   reg.Counter(MetricPlacementFallbacks),
 		openList:         reg.Gauge(MetricOpenListSize),
 		plansCompleted:   reg.Counter(MetricPlansCompleted),
 		plansInterrupted: reg.Counter(MetricPlansInterrupted),
@@ -233,6 +239,16 @@ func (r *Recorder) CutReject() {
 		return
 	}
 	r.cutRejects.Inc()
+}
+
+// Placements counts routed checks the planner's evaluator answered from its
+// retained placement, and those that tried to and ran the full sweeps.
+func (r *Recorder) Placements(repairs, fallbacks int) {
+	if r == nil {
+		return
+	}
+	r.placeRepairs.Add(int64(repairs))
+	r.placeFallbacks.Add(int64(fallbacks))
 }
 
 // OpenList records the current open-list size.

@@ -40,13 +40,22 @@ type upHarness struct {
 	viol  Violation // its answer
 
 	masksHeld int // valid retained next-hop masks verified so far
+
+	// oneMode leaves out the further call in the other split mode after each
+	// check, which would leave every placement the evaluator retains in the
+	// mode the next check does not ask for; dsAlt is the demand set
+	// opSwapDemands trades h.ds for, built on first use.
+	oneMode bool
+	dsAlt   *demand.Set
 }
 
-// pathTaken says how a check came by its distance fields.
+// pathTaken says how a check came by its distance fields, and whether it
+// answered from the retained placement or tried to and fell back.
 type pathTaken struct {
 	traversed, repaired bool
 	gaveUp              bool // traversed after a repair ran out of budget
 	visits, entries     int
+	retained, fellBack  bool
 }
 
 // newUpHarness builds a random mesh of 24 switches — three rebuilt switches
@@ -111,14 +120,24 @@ const (
 	opCheckDelta  // Check through the forward bench/ still calls
 	opDemandDelta // likewise, through CheckDemandDelta
 	opTrace
-	upOps
+	upOps // the operations above: the random walks of the up state draw from them
+
+	opSwapDemands // another demand set is checked from now on, the two taking turns
+	opScale       // the demand scale changes: none, or between 0.5 and 1.5
+	opTheta       // the bound changes, between 0.3 and 0.93
+	opSplit       // ECMP and WCMP trade places
+	opFunnel      // funneling headroom on (the operand picks the circuits) or off
+	opFarJump     // a dozen circuits flip at once
+	opFlipRate    // one demand's rate doubles or halves in place, exactly
+	opMoveSource  // one demand's source moves in place, to the source of another
+	allOps
 )
 
 // do runs one operation. op selects it, arg picks its operand.
 func (h *upHarness) do(op byte, arg int) {
 	h.step++
 	e, v := h.evals[h.ev], h.views[h.v]
-	switch op % upOps {
+	switch op % allOps {
 	case opToggleSwitch:
 		s := h.sw[arg%len(h.sw)]
 		v.SetSwitchActive(s, !v.SwitchActive(s))
@@ -179,6 +198,53 @@ func (h *upHarness) do(op byte, arg int) {
 		want, wantErr := h.bitWalker(v).Trace(v, d.Src, d.Dst)
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			h.t.Fatalf("step %d: Trace(%d→%d) = %v, %v; a fresh evaluator gives %v, %v", h.step, d.Src, d.Dst, got, gotErr, want, wantErr)
+		}
+	case opSwapDemands:
+		if h.dsAlt == nil {
+			alt := h.ds.Clone()
+			alt.Demands = alt.Demands[1:]
+			for i := range alt.Demands {
+				alt.Demands[i].Rate *= 0.9
+			}
+			h.dsAlt = &alt
+		}
+		h.ds, h.dsAlt = h.dsAlt, h.ds
+	case opScale:
+		h.opts.DemandScale = 0
+		if arg%4 != 0 {
+			h.opts.DemandScale = 0.5 + float64(arg&0xff)/256
+		}
+	case opTheta:
+		h.opts.Theta = 0.3 + float64(arg%64)/100
+	case opSplit:
+		h.opts.Split = SplitCapacityWeighted - h.opts.Split
+	case opFunnel:
+		if h.opts.FunnelFactor > 1 {
+			h.opts.FunnelFactor, h.opts.FunnelCircuits = 0, nil
+			break
+		}
+		h.opts.FunnelFactor = 2
+		for i := 0; i < 4; i++ {
+			h.opts.FunnelCircuits = append(h.opts.FunnelCircuits, h.allCk[(arg+37*i)%len(h.allCk)])
+		}
+	case opFarJump:
+		for i := 0; i < 12; i++ {
+			c := h.allCk[(7*arg+131*i)%len(h.allCk)]
+			v.SetCircuitActive(c, !v.CircuitActive(c))
+		}
+	case opFlipRate:
+		// Both ways exact, so a rate comes back bit for bit to a value an
+		// earlier placement was seeded with.
+		if d := &h.ds.Demands[arg%h.ds.Len()]; arg&0x100 == 0 {
+			d.Rate *= 2
+		} else {
+			d.Rate /= 2
+		}
+	case opMoveSource:
+		// The destination, and so the demand's group, stays.
+		d, o := &h.ds.Demands[arg%h.ds.Len()], h.ds.Demands[(arg>>8)%h.ds.Len()]
+		if o.Src != d.Dst {
+			d.Src = o.Src
 		}
 	}
 }
@@ -346,6 +412,8 @@ func (h *upHarness) verifyAnswer(call string, e *Evaluator, v *topo.View, viol V
 		gaveUp:    traversed && visits != w.ArcVisits,
 		visits:    visits,
 		entries:   e.FieldEntriesRepaired - before.FieldEntriesRepaired,
+		retained:  e.PlacementRepairs > before.PlacementRepairs,
+		fellBack:  e.PlacementFallbacks > before.PlacementFallbacks,
 	}
 	switch excess := visits - w.ArcVisits; {
 	case h.last.traversed && h.last.repaired:
@@ -365,8 +433,8 @@ func (h *upHarness) verifyAnswer(call string, e *Evaluator, v *topo.View, viol V
 	// The other split mode on the same evaluator: a check of an unchanged view,
 	// so it keeps its fields and whatever next-hop masks it retains, which do
 	// not depend on the mode. Left out after a port rejection, which placed
-	// nothing and must go on reading zero loads.
-	if !e.placed {
+	// nothing and must go on reading zero loads, and in one-mode scripts.
+	if !e.placed || h.oneMode {
 		return
 	}
 	other := h.opts

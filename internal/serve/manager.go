@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"klotski/internal/audit"
 	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/ctrl"
@@ -647,11 +648,17 @@ func (p *plannerPanic) Error() string { return fmt.Sprintf("panic: %v", p.value)
 
 // runLeg runs one planning leg — the fault-injection hook, then the planner
 // from the job's request or from its last checkpoint — and returns a panic
-// raised anywhere inside it as a *plannerPanic error.
+// raised anywhere inside it as a *plannerPanic error. That includes a panic
+// in one of the audit's lanes, which run on pool workers: the audit raises it
+// again on this goroutine, carrying the lane's own stack.
 func (m *Manager) runLeg(ctx context.Context, j *Job, leg int, cp *core.Checkpoint, task *migration.Task, opts core.Options) (plan *core.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			plan, err = nil, &plannerPanic{value: v, stack: debug.Stack()}
+			stack := debug.Stack()
+			if lp, ok := v.(*audit.LanePanic); ok {
+				stack = lp.Stack
+			}
+			plan, err = nil, &plannerPanic{value: v, stack: stack}
 		}
 	}()
 	if m.planHook != nil {
