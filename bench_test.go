@@ -638,8 +638,8 @@ func BenchmarkPlannerGuard(b *testing.B) {
 // 2.5× the micro-guard's scale, where the search (not fixed setup cost)
 // dominates ns/op. cmd/benchguard enforces one relation over it in
 // addition to the absolute baseline: the audited defaults must not exceed
-// their NoAudit twins beyond -max-audit-overhead (the incremental parallel
-// audit engine's job). Every entry keeps the recorder wired so states/op
+// their NoAudit twins beyond -max-audit-overhead, the share of a plan the
+// serial post-planning audit may take. Every entry keeps the recorder wired so states/op
 // stays guarded at this scale too.
 //
 // The Bounded twins share one lower-bound engine across all b.N
@@ -694,12 +694,13 @@ func BenchmarkPlannerGuardLarge(b *testing.B) {
 // ns/op of one full fleet is the makespan cmd/benchguard's
 // -max-fleet-excess relation holds against both alternatives:
 //
-//   - Sequential: one plan at a time, its audit on GOMAXPROCS lanes — the
-//     pre-fleet deployment shape. The shared pool must beat it by
-//     overlapping the plans' searches.
-//   - Naive: all 8 plans at once, each spawning its own audit lanes — the
-//     unadmitted shape the pool exists to replace.
-//   - Fleet: all 8 plans admitted to one shared work-stealing pool.
+//   - Sequential: one plan at a time, search and audit serial on one
+//     goroutine — the pre-fleet deployment shape. The shared pool must beat
+//     it by overlapping the plans.
+//   - Naive: all 8 plans started at once with no admission — the
+//     oversubscribed shape the pool exists to replace.
+//   - Fleet: all 8 plans admitted to one shared admission pool of
+//     GOMAXPROCS workers, at most that many planning at a time.
 //
 // Cut sharing is off so every member's search effort is deterministic
 // (cross-plan imports make states-expanded arrival-order dependent), and
@@ -715,7 +716,7 @@ func BenchmarkFleetGuard(b *testing.B) {
 		}
 		tasks[i] = s.Task
 	}
-	opts := klotski.Options{Workers: klotski.WorkersAdaptive}
+	opts := klotski.Options{}
 
 	b.Run("Sequential", func(b *testing.B) {
 		b.ReportAllocs()

@@ -22,14 +22,14 @@
 // machine speed, sensitive only to the ratios the design promises:
 //
 //   - The audited defaults (AStar/DP) must not exceed their NoAudit twins
-//     by more than -max-audit-overhead: the incremental parallel audit
-//     engine keeps the safety replay a small fraction of planning.
-//   - The fleet guard fixture's shared-pool entry (FleetGuard/Fleet) must
-//     not exceed the same run's sequential and naive-concurrent entries by
-//     more than -max-fleet-excess: the shared pool's admission has to beat
-//     planning the fleet one at a time AND starting every plan at once (on
-//     a single CPU all three shapes resolve to near-serial execution and
-//     tie).
+//     by more than -max-audit-overhead: the serial safety replay must stay
+//     a small fraction of planning.
+//   - The fleet guard fixture's pooled entry (FleetGuard/Fleet) must not
+//     exceed the same run's sequential and naive-concurrent entries by more
+//     than -max-fleet-excess: admitting serial plans through the shared
+//     admission pool has to beat planning the fleet one at a time AND
+//     starting every plan at once (on a single CPU all three shapes resolve
+//     to near-serial execution and tie).
 //   - With -min-prune-ratio r > 0, the bound-pruned entries
 //     (AStarBounded/DPBounded) must come in at least r below their
 //     unpruned twins in states/op — the lower-bound engine must actually
@@ -124,8 +124,8 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "BENCH_planner.json", "baseline file to compare against")
 	maxSlowdown := fs.Float64("max-slowdown", 0.30, "maximum tolerated fractional growth per guarded metric")
-	maxAuditOverhead := fs.Float64("max-audit-overhead", 0.15, "maximum tolerated ns/op excess of the large fixture's audited entries over their NoAudit twins")
-	maxFleetExcess := fs.Float64("max-fleet-excess", 0.10, "maximum tolerated ns/op excess of the fleet fixture's shared-pool entry over the sequential and naive-concurrent entries")
+	maxAuditOverhead := fs.Float64("max-audit-overhead", 0.15, "maximum tolerated ns/op excess of the large fixture's audited entries over their NoAudit twins (what the serial audit may cost)")
+	maxFleetExcess := fs.Float64("max-fleet-excess", 0.10, "maximum tolerated ns/op excess of the fleet fixture's admission-pool entry over the sequential and naive-concurrent entries")
 	minPruneRatio := fs.Float64("min-prune-ratio", 0, "minimum required fractional states/op reduction of the large fixture's Bounded entries vs their unpruned twins (0 = off; needs a warm engine, i.e. -benchtime well above 1x)")
 	update := fs.Bool("update", false, "rewrite the baseline from the current run instead of comparing")
 	if err := fs.Parse(args); err != nil {

@@ -65,9 +65,9 @@
 // resuming restores and can only tighten it.
 //
 // With -fleet, instead of planning one NPD document, a manifest of fleet
-// members ({"members":[{"name","npd","planner","priority","min_share",
-// "max_share"}]}) is planned concurrently under one shared work-stealing
-// worker pool sized by -fleet-workers (0 = GOMAXPROCS). Higher-priority
+// members ({"members":[{"name","npd","planner","priority","min_share"}]})
+// is planned concurrently under one shared admission pool whose worker
+// budget -fleet-workers sets (0 = GOMAXPROCS). Higher-priority
 // members preempt lower-priority ones mid-search (the victim checkpoints
 // and later resumes, producing the identical plan); members planning the
 // same fabric structure share learned lower-bound cuts unless
@@ -132,11 +132,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		alpha   = fs.Float64("alpha", 0, "within-run marginal cost α of f_cost(x)=1+α(x−1)")
 		growth  = fs.Float64("growth", 0, "forecasted demand growth per migration step (e.g. 0.002)")
 		maxRun  = fs.Int("maxrun", 0, "maintenance-window cap: max same-type actions per run (0 = unlimited)")
-		workers = fs.Int("workers", -1, "replay lanes of the post-planning audit (-1 = the plan's pool share under -fleet, else GOMAXPROCS; 0 or 1 = one lane); the search is serial and the plan identical at any setting")
+		workers = fs.Int("workers", -1, "deprecated and ignored: the search and its audit are serial")
 		timeout = fs.Duration("timeout", 5*time.Minute, "planning time budget")
 
-		auditSerial = fs.Bool("audit-serial", false, "run the post-planning audit on the serial reference engine instead of the incremental parallel one (slower, same verdicts)")
-		verbose     = fs.Bool("v", false, "print the plan's runs and phase snapshots to stderr")
+		verbose = fs.Bool("v", false, "print the plan's runs and phase snapshots to stderr")
 
 		gap    = fs.Bool("gap", false, "print the plan's certified optimality certificate (incumbent cost, proven lower bound, relative gap) to stderr")
 		gapMax = fs.Float64("gap-max", -1, "exit non-zero when the certified relative optimality gap exceeds this value (e.g. 0 demands a proven-optimal plan; -1 = off)")
@@ -155,8 +154,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		gapSkip        = fs.Float64("gap-skip", 0, "skip drift replans when the remaining plan re-audits safe and its cost is certified within this relative gap of the completion lower bound (0 = off)")
 		demandMargin   = fs.Float64("demand-margin", 1.25, "degraded-mode demand envelope multiplier when telemetry is unusable")
 
-		fleetPath    = fs.String("fleet", "", "plan a fleet: JSON manifest of members ({\"members\":[{\"name\",\"npd\",\"planner\",\"priority\",\"min_share\",\"max_share\"}]}) planned concurrently under one shared worker pool")
-		fleetWorkers = fs.Int("fleet-workers", 0, "shared pool worker budget for -fleet (0 = GOMAXPROCS)")
+		fleetPath    = fs.String("fleet", "", "plan a fleet: JSON manifest of members ({\"members\":[{\"name\",\"npd\",\"planner\",\"priority\",\"min_share\"}]}) planned concurrently under one shared admission pool")
+		fleetWorkers = fs.Int("fleet-workers", 0, "how many -fleet members plan at once, the pool's worker budget (0 = GOMAXPROCS)")
 		fleetNoCuts  = fs.Bool("fleet-no-shared-cuts", false, "disable cross-member structural-cut sharing in -fleet runs")
 		fleetCkptDir = fs.String("fleet-checkpoint-dir", "", "on interrupted fleet planning (SIGINT, SIGTERM, -timeout), seal every interrupted member's best safe partial sequence into this directory (<member>.ckpt.json)")
 
@@ -197,7 +196,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	cfgOpts := klotski.Options{
 		Theta: *theta, Alpha: *alpha, Timeout: *timeout, MaxRunLength: *maxRun,
-		Workers: *workers, AuditSerial: *auditSerial, Recorder: rec,
+		Workers: *workers, Recorder: rec,
 	}
 	if *fleetPath != "" {
 		return runFleet(ctx, *fleetPath, *fleetWorkers, *fleetNoCuts, *fleetCkptDir, cfgOpts, *outPath, stdout, stderr, rec)
@@ -329,7 +328,6 @@ type fleetManifestMember struct {
 	Planner  string `json:"planner,omitempty"`  // astar (default) or dp
 	Priority int    `json:"priority,omitempty"` // higher preempts lower
 	MinShare int    `json:"min_share,omitempty"`
-	MaxShare int    `json:"max_share,omitempty"`
 }
 
 // fleetMemberOut is one member's row in the emitted fleet report.
@@ -413,7 +411,6 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 			Options:  opts,
 			Priority: m.Priority,
 			MinShare: m.MinShare,
-			MaxShare: m.MaxShare,
 		}
 	}
 

@@ -2,15 +2,11 @@
 // layer (paper §7.2, "extra audits and safety checks"): every plan the
 // planners emit is replayed step-by-step against a fresh topo.View and a
 // fresh routing.Evaluator — none of the planner's satisfiability caches,
-// search-state interning, or parallel lanes in the loop — and every
-// boundary state is re-checked for reachability, capacity, and occupancy.
-//
-// Two replay engines produce that verdict. ModeSerial walks the sequence
-// once, evaluating and accounting boundary by boundary, and is the pristine
-// reference. ModeIncremental (see incremental.go) enumerates the boundaries
-// up front and can split their evaluation over parallel lanes; it is
-// differential-tested byte-identical to the serial engine, Report for
-// Report, including failure steps under tampering.
+// search-state interning, or retained evaluator state in the loop — and
+// every boundary state is re-checked for reachability, capacity, and
+// occupancy. One serial replay produces that verdict, on the caller's
+// goroutine: it walks the sequence once, evaluating and accounting boundary
+// by boundary.
 //
 // The package deliberately does NOT import internal/core: it re-derives
 // the boundary semantics (canonical ordering, run splits, funneling
@@ -80,28 +76,6 @@ type Config struct {
 	// (an interrupted plan prefix, e.g. from a checkpoint). The state
 	// after the last step is still checked as a run boundary.
 	AllowPartial bool
-
-	// Mode selects the replay engine: ModeSerial (zero value) is the
-	// single-pass pristine reference; ModeIncremental evaluates the
-	// boundaries apart from the verdict assembly and may fan out across
-	// Workers lanes. Both produce byte-identical Reports
-	// (differential-tested); the lane engine exists to make the mandatory
-	// audit cheap, not to change its answers.
-	Mode Mode
-
-	// Workers is the lane count for ModeIncremental; 0 or 1 replays on a
-	// single lane. Ignored by ModeSerial. The verdict is identical at any
-	// worker count.
-	Workers int
-
-	// Runner, when non-nil, executes ModeIncremental's lane closures
-	// instead of one goroutine per lane — the hook through which a shared
-	// scheduler pool runs audit spans as stealable tasks. The closures
-	// write disjoint result segments and Runner must not return until all
-	// have run, so any execution order or interleaving yields the same
-	// Report. Kept a plain func type to preserve this package's
-	// import-free independence from the planner and scheduler.
-	Runner func(tasks []func())
 
 	// Recorder optionally streams audit counters (states checked,
 	// failures) into an observability registry; nil is a no-op.
@@ -221,11 +195,7 @@ func Verify(task *migration.Task, seq []int, cfg Config) (*Report, error) {
 		return rep, nil
 	}
 	rep.Start = startBlocks(task, &cfg)
-	if cfg.Mode == ModeIncremental {
-		replayIncremental(task, seq, &cfg, rep)
-	} else {
-		replay(task, seq, &cfg, rep)
-	}
+	replay(task, seq, &cfg, rep)
 	return rep, nil
 }
 

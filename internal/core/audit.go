@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
 
 	"klotski/internal/audit"
 	"klotski/internal/migration"
@@ -14,16 +13,11 @@ import (
 // caught before the plan could reach an operator.
 var ErrAudit = errors.New("core: plan failed independent audit")
 
-// auditConfig maps planner options onto the independent auditor's
-// configuration. The planner's own fast-path state (its caches, its shared
-// Evaluator) deliberately does not cross this boundary: the auditor builds
-// all of its state from the task alone. The audit defaults to the
-// auditor's OWN parallel lane engine (audit.ModeIncremental), which is
-// differential-tested byte-identical to the serial reference —
-// Options.AuditSerial forces the reference engine. This is the one place
-// Options.Workers and Options.Sched act: Workers counts the replay lanes
-// (WorkersAdaptive resolves to the pool share, else GOMAXPROCS) and Sched
-// runs their spans as pool tasks.
+// auditConfig maps the planner options' constraint set and resume state
+// onto the independent auditor's configuration. The planner's own
+// fast-path state (its caches, its shared Evaluator) deliberately does not
+// cross this boundary: the auditor builds all of its state from the task
+// alone.
 func auditConfig(opts *Options) audit.Config {
 	cfg := audit.Config{
 		Theta:        opts.Theta,
@@ -33,24 +27,6 @@ func auditConfig(opts *Options) audit.Config {
 		SpaceBudget:  opts.SpaceBudget,
 		Recorder:     opts.Recorder,
 		InitialLast:  audit.NoLast,
-	}
-	if !opts.AuditSerial {
-		cfg.Mode = audit.ModeIncremental
-		cfg.Workers = opts.Workers
-		if opts.Workers == WorkersAdaptive {
-			cfg.Workers = runtime.GOMAXPROCS(0)
-			if c := opts.Sched; c != nil {
-				if s := c.Share(); s >= 1 {
-					cfg.Workers = s
-				}
-			}
-		}
-		if c := opts.Sched; c != nil {
-			// Audit spans become stealable pool tasks; the client's Run
-			// joins its batch before returning, which is exactly the
-			// barrier the disjoint-segment protocol needs.
-			cfg.Runner = c.Run
-		}
 	}
 	if opts.InitialCounts != nil {
 		cfg.InitialCounts = opts.InitialCounts

@@ -35,10 +35,10 @@
 // Each planner is one serial search on one goroutine, as in the paper's
 // Algorithms 1 and 2: a plan owns a single check lane (view, evaluator,
 // occupancy bitset), and a satisfiability check costs what differs from
-// the previous check on that lane. Parallelism lives above and below a
-// plan — across plans on the shared internal/sched pool, and inside the
-// post-planning audit's replay lanes — never inside a search (DESIGN.md,
-// "In-plan parallel search: tried and not kept").
+// the previous check on that lane, and the post-planning audit replays the
+// plan on the same goroutine. Concurrency lives above a plan — callers
+// admitted to an internal/sched pool run whole plans side by side — never
+// inside one (DESIGN.md, "In-plan parallel search: tried and not kept").
 package core
 
 import (
@@ -52,7 +52,6 @@ import (
 	"klotski/internal/migration"
 	"klotski/internal/obs"
 	"klotski/internal/routing"
-	"klotski/internal/sched"
 	"klotski/internal/topo"
 )
 
@@ -75,9 +74,9 @@ var (
 // reconstruction.
 const NoLast migration.ActionType = -1
 
-// WorkersAdaptive, assigned to Options.Workers, sizes the audit's replay
-// lanes from the run's share of its scheduler pool, or from GOMAXPROCS
-// when no pool is attached, instead of a fixed count.
+// WorkersAdaptive is the lowest value Options.Workers accepts.
+//
+// Deprecated: Options.Workers is ignored; the audit replays on one lane.
 const WorkersAdaptive = -1
 
 // Options parameterizes a planning run. The zero value gives the paper's
@@ -129,12 +128,10 @@ type Options struct {
 	// unconstrained.
 	SpaceBudget map[int]int
 
-	// Workers sizes the incremental audit's replay lanes (see auditConfig):
-	// 0 or 1 replays on one lane, n > 1 on n lanes, WorkersAdaptive (-1) on
-	// the client's pool share when Options.Sched is attached and GOMAXPROCS
-	// otherwise. The search itself is serial at every setting, so the plan
-	// and every Metrics field but PlanningTime are identical whatever the
-	// value. Values below WorkersAdaptive are rejected.
+	// Workers is ignored: the search and its audit are serial. Values below
+	// WorkersAdaptive are still rejected.
+	//
+	// Deprecated: planning does the same work at every value.
 	Workers int
 
 	// MaxStates caps the number of states the planner may create. 0 means
@@ -162,11 +159,9 @@ type Options struct {
 	// should not.
 	SkipAudit bool
 
-	// AuditSerial forces the post-planning audit onto the serial reference
-	// engine. The default replays the plan with the parallel lane engine
-	// (audit.ModeIncremental), which is differential-tested byte-identical
-	// to the serial reference. Set AuditSerial when certifying a release
-	// build against the pristine reference path.
+	// AuditSerial is ignored: the audit has one engine, the serial replay.
+	//
+	// Deprecated: every audit is serial.
 	AuditSerial bool
 
 	// Evaluator optionally supplies a routing evaluator to reuse across
@@ -195,18 +190,6 @@ type Options struct {
 	// replans — that reuse is where the pruning power comes from — but it
 	// is not safe for concurrent planner runs.
 	Bound *bound.Engine
-
-	// Sched optionally attaches the run to a shared worker pool
-	// (internal/sched): the incremental audit's replay spans are submitted
-	// to the pool as stealable tasks instead of spawning per-plan
-	// goroutines, so N concurrent plans share one worker budget instead of
-	// oversubscribing the host N-fold, and WorkersAdaptive sizes the audit
-	// lanes from the client's pool share. Admission, shares and priority
-	// preemption of whole plans are the pool's business (ctrl.PlanFleet,
-	// klotskid); the search never runs on it. Plans stay byte-identical at
-	// any pool size, share, or steal interleaving. nil keeps the audit's
-	// per-plan goroutines.
-	Sched *sched.Client
 }
 
 // validate rejects option combinations that would silently produce
@@ -232,7 +215,7 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: negative InitialRunLength %d", o.InitialRunLength)
 	}
 	if o.Workers < WorkersAdaptive {
-		return fmt.Errorf("core: Workers %d invalid (0 or 1 selects one audit lane, %d sizes them from the pool share)", o.Workers, WorkersAdaptive)
+		return fmt.Errorf("core: Workers %d below %d", o.Workers, WorkersAdaptive)
 	}
 	return nil
 }

@@ -2,16 +2,13 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"klotski/internal/demand"
 	"klotski/internal/migration"
 	"klotski/internal/routing"
-	"klotski/internal/sched"
 	"klotski/internal/topo"
 )
 
@@ -823,9 +820,8 @@ func TestOptionsValidation(t *testing.T) {
 // demands are, so its cut must survive a demand-only rebind of the bound
 // engine, while a state rejected on utilization must be forgotten and
 // re-proved. The evaluator answers ports first. Checked on the space
-// directly, then through both planners at every Workers setting with and
-// without a scheduler client: the cuts a plan leaves behind, and which of
-// them outlive the rebind, must not depend on either.
+// directly, then through both planners: the cuts a plan leaves behind must
+// split the same way across the rebind.
 func TestPortCutSurvivesDemandRebind(t *testing.T) {
 	// Two old bridges up, two new ones down, src budgeted for three ports,
 	// θ = 0.7 on unit-capacity bridges carrying 1.2.
@@ -861,55 +857,31 @@ func TestPortCutSurvivesDemandRebind(t *testing.T) {
 		t.Error("utilization cut survived a demand rebind")
 	}
 
-	pool := sched.NewPool(2, nil)
-	defer pool.Close()
 	for _, pl := range []struct {
 		name string
 		plan func(*migration.Task, Options) (*Plan, error)
 	}{{"dp", PlanDP}, {"astar", PlanAStar}} {
-		var want map[[2]uint16]bool
-		for _, workers := range []int{1, 2, WorkersAdaptive} {
-			for _, pooled := range []bool{false, true} {
-				label := fmt.Sprintf("%s workers=%d pooled=%v", pl.name, workers, pooled)
-				o := Options{Theta: 0.7, Workers: workers}
-				o.Bound = NewBoundEngine(task, o)
-				if pooled {
-					c, err := pool.Register(label, sched.ClientOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.Sched = c
-				}
-				_, err := pl.plan(task, o)
-				if pooled {
-					o.Sched.Close() // frees the reservation for the next registration
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if _, err := newSpace(drifted, o); err != nil {
-					t.Fatal(err)
-				}
-				// The cuts still known after the rebind, probed over the
-				// whole 3 × 3 lattice (the engine is discarded afterwards).
-				kept := map[[2]uint16]bool{}
-				for d := uint16(0); d <= 2; d++ {
-					for u := uint16(0); u <= 2; u++ {
-						if !o.Bound.Learn([]uint16{d, u}, false) {
-							kept[[2]uint16{d, u}] = true
-						}
-					}
-				}
-				if !kept[[2]uint16{0, 2}] || kept[[2]uint16{1, 0}] {
-					t.Errorf("%s: cuts surviving the rebind %v: want the port cut %v kept, the utilization cut %v dropped",
-						label, kept, portVec, utilVec)
-				}
-				if want == nil {
-					want = kept
-				} else if !reflect.DeepEqual(kept, want) {
-					t.Errorf("%s: cuts surviving the rebind %v, at workers=1 unpooled %v", label, kept, want)
+		o := Options{Theta: 0.7}
+		o.Bound = NewBoundEngine(task, o)
+		if _, err := pl.plan(task, o); err != nil {
+			t.Fatalf("%s: %v", pl.name, err)
+		}
+		if _, err := newSpace(drifted, o); err != nil {
+			t.Fatal(err)
+		}
+		// The cuts still known after the rebind, probed over the whole
+		// 3 × 3 lattice (the engine is discarded afterwards).
+		kept := map[[2]uint16]bool{}
+		for d := uint16(0); d <= 2; d++ {
+			for u := uint16(0); u <= 2; u++ {
+				if !o.Bound.Learn([]uint16{d, u}, false) {
+					kept[[2]uint16{d, u}] = true
 				}
 			}
+		}
+		if !kept[[2]uint16{0, 2}] || kept[[2]uint16{1, 0}] {
+			t.Errorf("%s: cuts surviving the rebind %v: want the port cut %v kept, the utilization cut %v dropped",
+				pl.name, kept, portVec, utilVec)
 		}
 	}
 }

@@ -608,12 +608,6 @@ func (sp *space) rebudget(ctx context.Context, opts Options) {
 	sp.ctx = ctx
 	sp.opts.MaxStates = opts.MaxStates
 	sp.opts.Timeout = opts.Timeout
-	// Workers and Sched only size and place the post-planning audit, so a
-	// resume leg may change them freely; the scheduler client in particular
-	// is adopted because a preempted leg resumes under a freshly registered
-	// one (the old client was closed to release its reservation).
-	sp.opts.Workers = opts.Workers
-	sp.opts.Sched = opts.Sched
 	sp.budgetBase = sp.metrics.StatesCreated
 	sp.deadline = time.Time{}
 	if opts.Timeout > 0 {

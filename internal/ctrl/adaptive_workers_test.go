@@ -3,7 +3,6 @@ package ctrl
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"klotski/internal/core"
@@ -11,15 +10,10 @@ import (
 )
 
 // TestRunAdaptiveWorkersMatchesSerial pins the control loop's
-// replayability contract across Workers settings: with
-// Workers=WorkersAdaptive every plan and replan is audited on GOMAXPROCS
-// replay lanes (pinned to 4 here) instead of one, and the loop must execute
-// the exact action sequence of a Workers=0 run, fault for fault, because the
-// setting never reaches plan content.
+// replayability contract across Workers settings: the deprecated field is
+// ignored, so a run at Workers=WorkersAdaptive must execute the exact action
+// sequence of a Workers=0 run, fault for fault. It goes with the field.
 func TestRunAdaptiveWorkersMatchesSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
 	for _, seed := range []int64{3, 11} {
 		run := func(workers int) (*Outcome, error) {
 			task, _ := loopTask(t)

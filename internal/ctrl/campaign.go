@@ -32,9 +32,8 @@ type CampaignOptions struct {
 	Run Options
 
 	// Pool, when non-nil, runs the campaign's seeds concurrently under
-	// the shared scheduler pool: each seed registers a client (admission
-	// control throttles concurrency to the pool's worker budget) and its
-	// run's plans are audited on the pool's workers. Each seed's
+	// the shared scheduler pool: each seed registers a client, so admission
+	// control throttles concurrency to the pool's worker budget. Each seed's
 	// run is fully determined by its seed (own world, own rng, no-op
 	// sleeper) and outcomes are folded in ascending seed order, so the
 	// CampaignReport is byte-identical to the serial campaign's.
@@ -114,7 +113,6 @@ func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (
 				world := sim.NewWorld(task, schedule, seed)
 				ro := runOpts
 				ro.Seed = seed
-				ro.Config.Options.Sched = client
 				outs[s], errs[s] = Run(ctx, task, world, ro)
 			}(s)
 		}
@@ -173,7 +171,6 @@ func pristinePlan(ctx context.Context, task *migration.Task, given *core.Plan, c
 			return nil
 		}
 		defer client.Close()
-		cfg.Options.Sched = client
 	}
 	p, err := pipeline.ReplanContext(ctx, task, nil, nil, cfg)
 	if err != nil || ensureAudited(p, nil, cfg) != nil {

@@ -79,7 +79,7 @@ func TestCampaignSharesPristinePlan(t *testing.T) {
 	for _, name := range []string{"E-SSW", "C"} {
 		t.Run(name, func(t *testing.T) {
 			task := suiteTask(t, name)
-			cfg := pipeline.Config{Options: core.Options{Workers: 1}}
+			cfg := pipeline.Config{Options: core.Options{}}
 			res, err := pipeline.RunTask(task, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -136,7 +136,7 @@ func TestCampaignSharesPristinePlan(t *testing.T) {
 // pristine plan, however many seeds it runs.
 func TestCampaignPlansPristineOnce(t *testing.T) {
 	task := suiteTask(t, "E-SSW")
-	res, err := pipeline.RunTask(task, pipeline.Config{Options: core.Options{Workers: 1}})
+	res, err := pipeline.RunTask(task, pipeline.Config{Options: core.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCampaignPlansPristineOnce(t *testing.T) {
 	for _, p := range plans {
 		for _, pooled := range []bool{false, true} {
 			reg := obs.NewRegistry()
-			opts := benchCampaign(pipeline.Config{Options: core.Options{Workers: 1, Recorder: obs.NewRecorder(reg)}})
+			opts := benchCampaign(pipeline.Config{Options: core.Options{Recorder: obs.NewRecorder(reg)}})
 			opts.Run.Plan = p.plan
 			if pooled {
 				opts.Pool = pool

@@ -15,26 +15,25 @@ import (
 )
 
 // Fleet-scale planning: N fabrics planned concurrently under one shared
-// worker pool.
+// admission pool.
 //
 // A production operator rarely plans one fabric at a time; campaigns plan
-// dozens, and the naive approach — every fabric's planner and audit lanes
-// started at once — oversubscribes the host N-fold while planning them
-// one after another idles it. Fleet admits each member to the shared
-// sched.Pool (blocking when the pool's reservations are full), so at most
-// a worker budget's worth of serial searches run at a time, hands the
-// member's planner a pool client to run its audit spans through, and
-// aggregates the per-member plans and certificates into one report.
+// dozens, and the naive approach — every fabric's planner started at once
+// — oversubscribes the host N-fold while planning them one after another
+// idles it. Fleet admits each member to the shared sched.Pool (blocking
+// when the pool's reservations are full), so at most a worker budget's
+// worth of serial plans run at a time, and aggregates the per-member plans
+// and certificates into one report.
 //
 // Preemption: when a higher-priority member's admission preempts a
 // running plan, the victim's pool client's Preempted channel closes; the
 // member's watcher cancels the planning context, the planner checkpoints
 // through the existing *core.Interrupted machinery, the client is closed
 // (releasing its reservation to the preemptor), and the member blocks in
-// re-registration until capacity frees, then resumes the checkpoint under
-// a fresh client. Because plans are byte-identical at any worker count,
-// share, or interruption point, a preempted-and-resumed member produces
-// exactly the plan an undisturbed run would have.
+// re-registration until capacity frees, then resumes the checkpoint.
+// Because plans are byte-identical at any interruption point, a
+// preempted-and-resumed member produces exactly the plan an undisturbed
+// run would have.
 
 // fleetTestPlanHook, when non-nil, runs in planMember immediately before
 // each planning leg (the preemption watcher is already armed). Tests use
@@ -49,17 +48,15 @@ type FleetMember struct {
 	Task *migration.Task
 
 	// Planner selects the planning algorithm ("" = A*); Options are the
-	// member's planning options. Options.Sched is overwritten with the
-	// member's pool client; Options.Bound, when nil and cut sharing is on,
-	// receives a store-attached engine.
+	// member's planning options. Options.Bound, when nil and cut sharing is
+	// on, receives a store-attached engine.
 	Planner Planner
 	Options core.Options
 
-	// Priority orders pool preemption (higher preempts lower); MinShare /
-	// MaxShare bound the member's worker share (see sched.ClientOptions).
+	// Priority orders pool preemption (higher preempts lower); MinShare is
+	// the member's worker reservation (see sched.ClientOptions).
 	Priority int
 	MinShare int
-	MaxShare int
 }
 
 // Planner mirrors pipeline.Planner's dispatch for the planners that
@@ -85,7 +82,7 @@ func (p Planner) plan(ctx context.Context, task *migration.Task, opts core.Optio
 
 // FleetOptions parameterizes a fleet run.
 type FleetOptions struct {
-	// Pool is the shared worker pool. Required.
+	// Pool is the shared admission pool. Required.
 	Pool *sched.Pool
 
 	// NoSharedCuts disables the fleet-wide bound.Store. With sharing on
@@ -188,9 +185,7 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 	defer func() { rep.Elapsed = time.Since(start) }()
 	admit := func() (*sched.Client, error) {
 		w := time.Now()
-		c, err := fo.Pool.Register(m.Name, sched.ClientOptions{
-			Priority: m.Priority, MinShare: m.MinShare, MaxShare: m.MaxShare,
-		})
+		c, err := fo.Pool.Register(m.Name, sched.ClientOptions{Priority: m.Priority, MinShare: m.MinShare})
 		rep.Wait += time.Since(w)
 		if err == nil {
 			fo.Recorder.FleetPlanAdmitted()
@@ -213,8 +208,6 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 
 	var cp *core.Checkpoint
 	for {
-		copts.Sched = client
-
 		// Watch for preemption while the planner runs: the pool closes
 		// Preempted, the watcher cancels the planning context, and the
 		// planner checkpoints cooperatively.
@@ -240,7 +233,7 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 		// burning the leg: the planner would otherwise run on an already-
 		// cancelled context (or, on a small fabric, finish before noticing
 		// it). There is no new checkpoint to take, so the member just gives
-		// its workers back and queues for re-admission — or finishes
+		// its reservation back and queues for re-admission — or finishes
 		// clientless past the starvation cap.
 		if client != nil {
 			select {
@@ -251,7 +244,6 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 				rep.Preemptions++
 				if rep.Preemptions >= fo.MaxPreemptions {
 					client = nil
-					copts.Sched = nil
 					continue
 				}
 				if client, err = admit(); err != nil {
@@ -299,10 +291,9 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 		rep.Preemptions++
 		cp = intr.Checkpoint
 		if rep.Preemptions >= fo.MaxPreemptions {
-			// Starvation guard: finish the leg without a pool client (the
-			// classic per-plan goroutines), byte-identically.
+			// Starvation guard: finish the leg without a pool client,
+			// byte-identically.
 			client = nil
-			copts.Sched = nil
 			continue
 		}
 		client, err = admit()

@@ -29,12 +29,12 @@ func TestFleetByteIdentity(t *testing.T) {
 
 	pool := sched.NewPool(4, nil)
 	defer pool.Close()
-	opts := core.Options{Alpha: 0.2, Workers: core.WorkersAdaptive}
+	opts := core.Options{Alpha: 0.2}
 	members := []FleetMember{
 		{Name: "a1", Task: task, Planner: PlannerAStar, Options: opts},
 		{Name: "d1", Task: task, Planner: PlannerDP, Options: opts},
 		{Name: "a2", Task: task, Planner: PlannerAStar, Options: opts, MinShare: 2},
-		{Name: "d2", Task: task, Planner: PlannerDP, Options: opts, MaxShare: 1},
+		{Name: "d2", Task: task, Planner: PlannerDP, Options: opts},
 	}
 	rep, err := Fleet(context.Background(), members, FleetOptions{Pool: pool})
 	if err != nil {
@@ -93,7 +93,7 @@ func TestFleetForcedPreemption(t *testing.T) {
 	go func() {
 		done <- planMember(context.Background(), FleetMember{
 			Name: "victim", Task: task, Planner: PlannerAStar,
-			Options: core.Options{Alpha: 0.2, Workers: core.WorkersAdaptive},
+			Options: core.Options{Alpha: 0.2},
 		}, fo, nil)
 	}()
 	<-started
@@ -152,7 +152,7 @@ func TestFleetMaxPreemptionsFallsBack(t *testing.T) {
 	go func() {
 		done <- planMember(context.Background(), FleetMember{
 			Name: "victim", Task: task, Planner: PlannerAStar,
-			Options: core.Options{Alpha: 0.2, Workers: core.WorkersAdaptive},
+			Options: core.Options{Alpha: 0.2},
 		}, fo, nil)
 	}()
 	<-started
@@ -224,7 +224,7 @@ func TestCampaignPoolMatchesSerial(t *testing.T) {
 		Seed:     100,
 		Schedule: sim.ScheduleOptions{Faults: 3},
 		Run: Options{
-			Config: pipeline.Config{Options: core.Options{Workers: core.WorkersAdaptive}},
+			Config: pipeline.Config{Options: core.Options{}},
 		},
 	}
 	serial, err := Campaign(context.Background(), task, base)

@@ -102,8 +102,8 @@ func BuildPlanDocumentFrom(task *migration.Task, executed []int, plan *core.Plan
 
 // runEndUtils returns, per run of plan, the PlacedMaxUtil of the audit step
 // at the state the run ends in. When plan.Audit does not cover the document
-// it audits the plan again, on the serial reference engine and outside the
-// plan's recorder and pool; a plan that fails that audit has no document.
+// it audits the plan again, outside the plan's recorder; a plan that fails
+// that audit has no document.
 //
 // The re-audit replays from the exact executed blocks in free order, which
 // checks every type change and so every run end, whatever order the plan
@@ -123,7 +123,7 @@ func runEndUtils(task *migration.Task, executed []int, plan *core.Plan, opts cor
 		}
 	}
 	opts.InitialCounts, opts.InitialLast = nil, core.NoLast
-	opts.AuditSerial, opts.Sched, opts.Recorder = true, nil, nil
+	opts.Recorder = nil
 	rep, err := core.AuditResumed(task, plan.Sequence, executed, opts, freeOrder)
 	if err != nil {
 		return nil, fmt.Errorf("npd: auditing the plan: %w", err)

@@ -138,7 +138,7 @@ func TestPlanDocumentMatchesReference(t *testing.T) {
 					if growth != 0 {
 						planTask = base.WithForecast(demand.Forecast{GrowthPerStep: growth})
 					}
-					opts := core.Options{Split: split, MaxRunLength: maxRun, Workers: 1}
+					opts := core.Options{Split: split, MaxRunLength: maxRun}
 					for _, pl := range planners {
 						name := fmt.Sprintf("%s/%s/split%d/maxrun%d/growth%g", fabric, pl.name, split, maxRun, growth)
 						full, err := pl.run(planTask, opts)

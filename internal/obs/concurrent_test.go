@@ -3,14 +3,13 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestRegistryConcurrentPlans hammers one registry from many concurrent
 // "plans" — each with its own Recorder, as fleet planning does — and
 // checks the snapshot totals equal the per-plan sums exactly. Run under
-// -race this also proves the recorder paths the shared scheduler hits
-// from every pool worker are data-race free.
+// -race this also proves the recorder paths concurrent plans and the
+// shared admission pool hit are data-race free.
 func TestRegistryConcurrentPlans(t *testing.T) {
 	reg := NewRegistry()
 	const plans = 8
@@ -23,9 +22,7 @@ func TestRegistryConcurrentPlans(t *testing.T) {
 		go func(rec *Recorder) {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				rec.SchedSteal()
 				rec.SchedPreemption()
-				rec.SchedQueueWait(3 * time.Nanosecond)
 				rec.FleetPlanAdmitted()
 				rec.BoundCrossHitsAdded(2)
 				rec.StateCreated()
@@ -38,9 +35,7 @@ func TestRegistryConcurrentPlans(t *testing.T) {
 
 	s := reg.Snapshot()
 	want := map[string]int64{
-		MetricSchedSteals:        plans * each,
 		MetricSchedPreemptions:   plans * each,
-		MetricSchedQueueWait:     plans * each * 3,
 		MetricFleetPlansAdmitted: plans * each,
 		MetricBoundCrossHits:     plans * each * 2,
 		MetricStatesCreated:      plans * each,

@@ -8,8 +8,8 @@
 // a *Recorder (usually nil); when observability is off the per-event cost
 // is a single nil check, so the search kernel pays nothing for the
 // instrumentation it does not use. All instruments are safe for concurrent
-// use — updates are atomic, so concurrent plans, the audit's replay lanes
-// and a live /debug/vars reader never race one another.
+// use — updates are atomic, so concurrent plans and a live /debug/vars
+// reader never race one another.
 package obs
 
 import (

@@ -37,9 +37,7 @@ const (
 	MetricGapSkips           = "ctrl.gap_skips"
 	MetricAuditSteps         = "audit.steps_checked"
 	MetricAuditFailures      = "audit.failures"
-	MetricSchedSteals        = "sched.steals"
 	MetricSchedPreemptions   = "sched.preemptions"
-	MetricSchedQueueWait     = "sched.queue_wait_ns"
 	MetricFleetPlansAdmitted = "fleet.plans_admitted"
 	MetricBoundCrossHits     = "bound.cross_plan_cut_hits"
 
@@ -54,6 +52,14 @@ const (
 	MetricServeJournalSyncs     = "serve.journal_syncs"
 
 	TraceName = "planner"
+)
+
+// Counters of the pool's retired task path. Nothing increments them.
+//
+// Deprecated: the pool runs no tasks, so nothing is stolen or queued.
+const (
+	MetricSchedSteals    = "sched.steals"
+	MetricSchedQueueWait = "sched.queue_wait_ns"
 )
 
 // Recorder is the typed hot-path façade the planners and control loop
@@ -90,9 +96,7 @@ type Recorder struct {
 	gapBits          atomic.Uint64 // float64 bits of the last certified gap
 	auditSteps       *Counter
 	auditFailures    *Counter
-	schedSteals      *Counter
 	schedPreemptions *Counter
-	schedQueueWait   *Counter
 	fleetAdmitted    *Counter
 	boundCrossHits   *Counter
 
@@ -141,9 +145,7 @@ func NewRecorder(reg *Registry) *Recorder {
 		gapSkips:         reg.Counter(MetricGapSkips),
 		auditSteps:       reg.Counter(MetricAuditSteps),
 		auditFailures:    reg.Counter(MetricAuditFailures),
-		schedSteals:      reg.Counter(MetricSchedSteals),
 		schedPreemptions: reg.Counter(MetricSchedPreemptions),
-		schedQueueWait:   reg.Counter(MetricSchedQueueWait),
 		fleetAdmitted:    reg.Counter(MetricFleetPlansAdmitted),
 		boundCrossHits:   reg.Counter(MetricBoundCrossHits),
 		serveActive:      reg.Gauge(MetricServeJobsActive),
@@ -391,32 +393,13 @@ func (r *Recorder) AuditFailure() {
 	r.auditFailures.Inc()
 }
 
-// SchedSteal counts one shared-pool worker claiming work from a plan it
-// was not previously serving (work stealing across concurrent plans).
-func (r *Recorder) SchedSteal() {
-	if r == nil {
-		return
-	}
-	r.schedSteals.Inc()
-}
-
 // SchedPreemption counts one lower-priority plan forced by the shared
-// pool to checkpoint so a higher-priority plan could claim its workers.
+// pool to checkpoint so a higher-priority plan could take its reservation.
 func (r *Recorder) SchedPreemption() {
 	if r == nil {
 		return
 	}
 	r.schedPreemptions.Inc()
-}
-
-// SchedQueueWait accumulates the time one submitted task batch waited
-// before any pool worker first claimed from it (the submitter's own help
-// does not count — it starts immediately).
-func (r *Recorder) SchedQueueWait(d time.Duration) {
-	if r == nil || d <= 0 {
-		return
-	}
-	r.schedQueueWait.Add(d.Nanoseconds())
 }
 
 // FleetPlanAdmitted counts one fleet member admitted to the shared pool

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"klotski/internal/audit"
 	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/ctrl"
@@ -487,7 +486,6 @@ func (m *Manager) prepare(j *Job, doc *npd.Document) (*migration.Task, core.Opti
 	}
 	opts := m.cfg.Options
 	opts.MaxStates = 0
-	opts.Sched = nil
 	opts.Bound = nil
 	opts.Timeout = 0
 	if j.Req.Theta > 0 {
@@ -519,7 +517,6 @@ func (m *Manager) admit(ctx context.Context, j *Job) (client *sched.Client, seri
 		c, err := m.pool.Register(j.ID, sched.ClientOptions{
 			Priority: j.Req.Priority,
 			MinShare: j.Req.MinShare,
-			MaxShare: j.Req.MaxShare,
 		})
 		ch <- res{c, err}
 	}()
@@ -648,17 +645,12 @@ func (p *plannerPanic) Error() string { return fmt.Sprintf("panic: %v", p.value)
 
 // runLeg runs one planning leg — the fault-injection hook, then the planner
 // from the job's request or from its last checkpoint — and returns a panic
-// raised anywhere inside it as a *plannerPanic error. That includes a panic
-// in one of the audit's lanes, which run on pool workers: the audit raises it
-// again on this goroutine, carrying the lane's own stack.
+// raised anywhere inside it as a *plannerPanic error. That includes the
+// post-planning audit, which replays on this goroutine.
 func (m *Manager) runLeg(ctx context.Context, j *Job, leg int, cp *core.Checkpoint, task *migration.Task, opts core.Options) (plan *core.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			stack := debug.Stack()
-			if lp, ok := v.(*audit.LanePanic); ok {
-				stack = lp.Stack
-			}
-			plan, err = nil, &plannerPanic{value: v, stack: stack}
+			plan, err = nil, &plannerPanic{value: v, stack: debug.Stack()}
 		}
 	}()
 	if m.planHook != nil {
@@ -717,13 +709,6 @@ func (m *Manager) planLegs(ctx context.Context, j *Job, task *migration.Task, op
 		legOpts := opts
 		legOpts.MaxStates = legStates
 		legOpts.Bound = engine
-		if client != nil {
-			legOpts.Sched = client
-			legOpts.Workers = core.WorkersAdaptive
-		} else {
-			legOpts.Sched = nil
-			legOpts.Workers = 1
-		}
 
 		// A preemption cancels only this leg's context, so the planner
 		// checkpoints without tearing down the job.

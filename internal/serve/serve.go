@@ -2,10 +2,9 @@
 // long-lived daemon that operators submit migration requests to (the
 // paper's §5 EDP-Lite production pipeline runs this way, not as a
 // one-shot CLI). A request carries an NPD document plus planning options;
-// the service answers with a job ID and plans in the background on the
-// shared internal/sched worker pool, with per-job priority, [min,max]
-// worker shares, admission control, and preemption through the planner's
-// checkpoint/resume machinery.
+// the service answers with a job ID and plans in the background, admitted
+// by the shared internal/sched pool with per-job priority and minimum
+// share, and preempted through the planner's checkpoint/resume machinery.
 //
 // # Durability model
 //
@@ -41,8 +40,8 @@
 //
 // The planners' checkpoints resume through an in-memory closure, so a
 // restarted process cannot continue the literal search data structures.
-// It does not need to: plans are byte-identical at every worker count,
-// interruption pattern, and pool interleaving, so re-running the
+// It does not need to: plans are byte-identical at every interruption
+// pattern and admission order, so re-running the
 // journaled request IS resuming — the final plan and certified gap are
 // the ones the uninterrupted run would have produced. The journal makes
 // that replay exactly-once at the job level (no job lost, none
@@ -123,13 +122,11 @@ type Request struct {
 	Alpha  float64 `json:"alpha,omitempty"`
 	MaxRun int     `json:"max_run,omitempty"`
 
-	// Priority / MinShare / MaxShare parameterize the job's pool
-	// registration (see sched.ClientOptions): higher-priority
-	// submissions preempt lower-priority jobs, which checkpoint and
-	// re-admit.
+	// Priority / MinShare parameterize the job's pool registration (see
+	// sched.ClientOptions): higher-priority submissions preempt
+	// lower-priority jobs, which checkpoint and re-admit.
 	Priority int `json:"priority,omitempty"`
 	MinShare int `json:"min_share,omitempty"`
-	MaxShare int `json:"max_share,omitempty"`
 
 	// DeadlineMS, when positive, bounds the job's total planning time
 	// in milliseconds; an expired deadline fails the job.
@@ -161,7 +158,7 @@ func (rq *Request) validate() error {
 	if rq.MaxRun < 0 || rq.LegStates < 0 || rq.DeadlineMS < 0 {
 		return errors.New("negative budget")
 	}
-	if rq.MinShare < 0 || rq.MaxShare < 0 {
+	if rq.MinShare < 0 {
 		return errors.New("negative share")
 	}
 	return nil
@@ -221,10 +218,10 @@ type Config struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 
-	// Options seeds every job's planning options (theta, alpha, audit
-	// mode, …); per-request fields override it. Budget and scheduling
-	// fields (MaxStates, Workers, Sched, Bound) are managed per leg by
-	// the service and ignored here.
+	// Options seeds every job's planning options (theta, alpha, …);
+	// per-request fields override it. The budget fields (MaxStates,
+	// Timeout) and Bound are managed per leg by the service and ignored
+	// here.
 	Options core.Options
 
 	// Recorder receives the serve.* instruments (nil-safe).

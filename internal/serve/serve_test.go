@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"klotski/internal/audit"
 	"klotski/internal/obs"
 	"klotski/internal/sim"
 )
@@ -469,12 +467,13 @@ func TestEmptyJournalRemoved(t *testing.T) {
 }
 
 // TestPlannerPanicFailsJobNotDaemon poisons one job: its second planning leg
-// panics inside runLeg, where the planner and its audit run. The daemon must
-// turn that into the job's FAILED terminal record — not die, which at the
-// parent of this test it did, taking every other tenant's job with it and
-// re-running the journaled job into the same panic after each restart — give
-// the job's pool share back, plan the next job to DONE, and after a restart
-// hold both jobs as they ended, planning nothing again.
+// panics inside runLeg, where the planner and its audit run on the leg's own
+// goroutine, so a panic in either is raised in the same frame. The daemon
+// must turn that into the job's FAILED terminal record — not die, which at
+// one time it did, taking every other tenant's job with it and re-running
+// the journaled job into the same panic after each restart — give the job's
+// pool reservation back, plan the next job to DONE, and after a restart hold
+// both jobs as they ended, planning nothing again.
 func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
@@ -493,7 +492,7 @@ func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
 		return nil
 	}
 	rq := testRequest()
-	rq.MinShare = 1 // the whole pool: the next job is admitted only if this share comes back
+	rq.MinShare = 1 // the whole pool: the next job is admitted only if this reservation comes back
 	poisoned, err := m.Submit(rq)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -547,54 +546,5 @@ func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
 	m.Close() // waits for anything the restart relaunched
 	if replanned != 0 {
 		t.Errorf("the restart ran %d planning legs, want none", replanned)
-	}
-}
-
-// TestAuditLanePanicFailsJobNotDaemon poisons the post-planning audit of one
-// job in a lane other than the first. Every leg runs its audit's lanes as
-// tasks of the shared pool, on its workers, outside any frame of runLeg:
-// at the parent of this test the panic killed the daemon. The audit must
-// raise it again in runLeg, the job must end FAILED with it, and the manager
-// must plan the next job to DONE.
-func TestAuditLanePanicFailsJobNotDaemon(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := newManager(t, t.TempDir(), func(c *Config) {
-		c.Recorder = obs.NewRecorder(reg)
-		c.PoolWorkers = 2
-	})
-	defer m.Close()
-
-	var armed, poisoned atomic.Bool
-	armed.Store(true)
-	audit.SetLaneHook(func(lane int) {
-		if lane > 0 && armed.Load() {
-			poisoned.Store(true)
-			panic("poisoned audit lane")
-		}
-	})
-	defer audit.SetLaneHook(nil)
-
-	j, err := m.Submit(testRequest())
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	st := waitTerminal(t, j)
-	if !poisoned.Load() {
-		t.Fatalf("the job's audit ran no lane but the first (job %s, %q): nothing was poisoned", st.State, st.Detail)
-	}
-	if st.State != StateFailed || !strings.Contains(st.Detail, "panic") || !strings.Contains(st.Detail, "poisoned audit lane") {
-		t.Fatalf("poisoned job finished %s (%q), want FAILED with the lane's panic", st.State, st.Detail)
-	}
-	if got := reg.Snapshot().Counters[obs.MetricServePlannerPanics]; got != 1 {
-		t.Errorf("planner_panics = %d, want 1", got)
-	}
-
-	armed.Store(false)
-	next, err := m.Submit(testRequest())
-	if err != nil {
-		t.Fatalf("Submit after the panic: %v", err)
-	}
-	if st := waitTerminal(t, next); st.State != StateDone {
-		t.Fatalf("job after the panic finished %s (%q), want DONE", st.State, st.Detail)
 	}
 }

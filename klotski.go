@@ -215,15 +215,14 @@ func CompletionLowerBound(task *Task, counts []int, last ActionType, alpha float
 	return core.CompletionLowerBound(task, counts, last, alpha, maxRun)
 }
 
-// WorkersAdaptive, assigned to Options.Workers, sizes the incremental
-// audit's replay lanes from the run's share of its scheduler pool
-// (Options.Sched), or from GOMAXPROCS when no pool is attached.
+// WorkersAdaptive is the lowest value Options.Workers accepts.
+//
+// Deprecated: Options.Workers is ignored; the audit replays on one lane.
 const WorkersAdaptive = core.WorkersAdaptive
 
 // PlanAStar finds a minimum-cost safe migration plan with the A* search
-// planner (paper §4.4) — the production configuration. The search is
-// serial; Options.Workers sizes only the post-planning audit, so the plan
-// and its effort metrics are identical at every setting.
+// planner (paper §4.4) — the production configuration. The search and its
+// post-planning audit run serially on the calling goroutine.
 func PlanAStar(task *Task, opts Options) (*Plan, error) { return core.PlanAStar(task, opts) }
 
 // PlanDP finds a minimum-cost safe plan with the DP-based planner (§4.3),
@@ -286,8 +285,8 @@ func PlanJanusContext(ctx context.Context, task *Task, opts Options) (*Plan, err
 
 // Independent plan auditing: a defense-in-depth verifier that replays a
 // sequence step by step against a pristine serial evaluator, sharing none
-// of the planners' fast paths (caches, retained evaluator state, worker
-// lanes). Every planner runs it automatically as a post-pass unless
+// of the planners' fast paths (caches, retained evaluator state). Every
+// planner runs it automatically as a post-pass unless
 // Options.SkipAudit is set; Plan.Audit carries the report.
 type (
 	// AuditReport is the structured result of an independent plan audit.
@@ -631,7 +630,7 @@ func RunControlLoop(ctx context.Context, task *Task, world *World, opts ControlO
 // ChaosCampaign runs the control loop against many seeded random fault
 // schedules and aggregates completion rate, retries, replans, and
 // boundary-violation counts. Set ChaosCampaignOptions.Pool to run the
-// seeds concurrently under a shared worker pool; the report stays
+// seeds concurrently under a shared admission pool; the report stays
 // byte-identical to the serial campaign's. Every run starts from the plan
 // of the untouched task: set Run.Plan to the audited plan RunPipeline
 // returned and the campaign does not plan it again; otherwise the campaign
@@ -641,16 +640,18 @@ func ChaosCampaign(ctx context.Context, task *Task, opts ChaosCampaignOptions) (
 	return ctrl.Campaign(ctx, task, opts)
 }
 
-// Fleet-scale planning: a process-wide work-stealing worker pool shared
-// by concurrent plans, with admission control and priority preemption.
+// Fleet-scale planning: a process-wide admission pool shared by concurrent
+// plans, with priority preemption.
 type (
-	// WorkerPool is the shared pool. Plans attach via Options.Sched
-	// (a registered PoolClient); every plan stays byte-identical to its
-	// serial result at any pool size, share, or preemption point.
+	// WorkerPool is the shared admission pool. A caller registers a
+	// PoolClient before it plans and closes it after; the pool decides only
+	// when a plan may run, never what it computes, so every plan stays
+	// byte-identical to its unpooled result at any pool size or preemption
+	// point.
 	WorkerPool = sched.Pool
-	// PoolClient is one plan's handle on the pool.
+	// PoolClient is one plan's admission on the pool.
 	PoolClient = sched.Client
-	// PoolClientOptions sets a registration's priority and share bounds.
+	// PoolClientOptions sets a registration's priority and minimum share.
 	PoolClientOptions = sched.ClientOptions
 	// FleetMember is one fabric's planning job in a fleet run.
 	FleetMember = ctrl.FleetMember
@@ -674,8 +675,8 @@ const (
 	FleetPlannerDP    = ctrl.PlannerDP
 )
 
-// NewWorkerPool starts a shared planning worker pool (0 workers selects
-// GOMAXPROCS). Close it when the fleet is done.
+// NewWorkerPool returns a shared admission pool with the given worker
+// budget (0 selects GOMAXPROCS). Close it when the fleet is done.
 func NewWorkerPool(workers int, rec *ObsRecorder) *WorkerPool {
 	return sched.NewPool(workers, rec)
 }

@@ -10,7 +10,7 @@ import (
 
 // TestPlanFleetFacade drives fleet planning entirely through the public
 // API: several members over the same fabric planned concurrently under
-// one shared worker pool, every plan byte-identical to its solo serial
+// one shared admission pool, every plan byte-identical to its solo serial
 // reference, aggregate accounting consistent, and the sched/fleet
 // counters visible through the facade's observability registry.
 func TestPlanFleetFacade(t *testing.T) {
@@ -29,7 +29,7 @@ func TestPlanFleetFacade(t *testing.T) {
 	pool := klotski.NewWorkerPool(4, rec)
 	defer pool.Close()
 
-	opts := klotski.Options{Workers: klotski.WorkersAdaptive}
+	opts := klotski.Options{}
 	members := []klotski.FleetMember{
 		{Name: "a1", Task: task, Planner: klotski.FleetPlannerAStar, Options: opts},
 		{Name: "d1", Task: task, Planner: klotski.FleetPlannerDP, Options: opts},

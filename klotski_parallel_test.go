@@ -12,12 +12,12 @@ import (
 	"klotski"
 )
 
-// Worker-invariance testing: both planners are serial searches, and
-// Options.Workers and Options.Sched size and place only the post-planning
-// audit. So at every worker setting, attached to a pool or not, a plan must
-// be the same plan document byte for byte — the same floating-point
-// operations in the same order — found with the same effort: every Metrics
-// field but the wall clock.
+// Worker-invariance testing: both planners and their audits are serial,
+// and the deprecated Options.Workers is ignored. So at every worker setting
+// a plan must be the same plan document byte for byte — the same
+// floating-point operations in the same order — found with the same
+// effort: every Metrics field but the wall clock. These tests go with the
+// Workers field.
 
 func parallelWorkerCounts() []int {
 	counts := []int{1, 2, 4}
@@ -27,11 +27,10 @@ func parallelWorkerCounts() []int {
 	return counts
 }
 
-// assertWorkerInvariant plans the task with both planners at Workers 0 and
-// no pool, then at each worker setting under each pool size (0 = no pool),
-// requiring identical plan-document bytes and identical Metrics apart from
-// PlanningTime.
-func assertWorkerInvariant(t *testing.T, task *klotski.Task, opts klotski.Options, workers, poolSizes []int) {
+// assertWorkerInvariant plans the task with both planners at Workers 0,
+// then at each worker setting, requiring identical plan-document bytes and
+// identical Metrics apart from PlanningTime.
+func assertWorkerInvariant(t *testing.T, task *klotski.Task, opts klotski.Options, workers []int) {
 	t.Helper()
 	planners := []struct {
 		name string
@@ -44,45 +43,26 @@ func assertWorkerInvariant(t *testing.T, task *klotski.Task, opts klotski.Option
 			want = planBytes(t, task, ref, opts)
 			ref.Metrics.PlanningTime = 0
 		}
-		for _, ps := range poolSizes {
-			var pool *klotski.WorkerPool
-			if ps > 0 {
-				pool = klotski.NewWorkerPool(ps, nil)
+		for _, w := range workers {
+			label := fmt.Sprintf("%s workers=%d", p.name, w)
+			o := opts
+			o.Workers = w
+			got, err := p.plan(task, o)
+			if errR != nil {
+				if !errors.Is(errR, klotski.ErrInfeasible) || !errors.Is(err, klotski.ErrInfeasible) {
+					t.Fatalf("%s: %v, at Workers 0: %v", label, err, errR)
+				}
+				continue
 			}
-			for _, w := range workers {
-				label := fmt.Sprintf("%s workers=%d pool=%d", p.name, w, ps)
-				o := opts
-				o.Workers = w
-				if pool != nil {
-					c, err := pool.Register(label, klotski.PoolClientOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.Sched = c
-				}
-				got, err := p.plan(task, o)
-				if o.Sched != nil {
-					o.Sched.Close()
-				}
-				if errR != nil {
-					if !errors.Is(errR, klotski.ErrInfeasible) || !errors.Is(err, klotski.ErrInfeasible) {
-						t.Fatalf("%s: %v, at Workers 0 without a pool: %v", label, err, errR)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s: %v, Workers 0 without a pool plans fine", label, err)
-				}
-				if b := planBytes(t, task, got, opts); !bytes.Equal(b, want) {
-					t.Fatalf("%s: plan differs:\n%s\nwant:\n%s", label, b, want)
-				}
-				got.Metrics.PlanningTime = 0
-				if got.Metrics != ref.Metrics {
-					t.Fatalf("%s: metrics %+v, at Workers 0 without a pool %+v", label, got.Metrics, ref.Metrics)
-				}
+			if err != nil {
+				t.Fatalf("%s: %v, Workers 0 plans fine", label, err)
 			}
-			if pool != nil {
-				pool.Close()
+			if b := planBytes(t, task, got, opts); !bytes.Equal(b, want) {
+				t.Fatalf("%s: plan differs:\n%s\nwant:\n%s", label, b, want)
+			}
+			got.Metrics.PlanningTime = 0
+			if got.Metrics != ref.Metrics {
+				t.Fatalf("%s: metrics %+v, at Workers 0 %+v", label, got.Metrics, ref.Metrics)
 			}
 		}
 	}
@@ -116,7 +96,7 @@ func randomHGRIDFabric(rng *rand.Rand, name string) klotski.HGRIDScenarioParams 
 }
 
 func TestParallelMatchesSerialTiny(t *testing.T) {
-	assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, parallelWorkerCounts(), []int{0})
+	assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, parallelWorkerCounts())
 }
 
 func TestParallelMatchesSerialSuites(t *testing.T) {
@@ -126,7 +106,7 @@ func TestParallelMatchesSerialSuites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertWorkerInvariant(t, s.Task, klotski.Options{}, parallelWorkerCounts(), []int{0})
+			assertWorkerInvariant(t, s.Task, klotski.Options{}, parallelWorkerCounts())
 		})
 	}
 }
@@ -152,20 +132,18 @@ func TestParallelMatchesSerialRandomFabrics(t *testing.T) {
 			}
 			assertWorkerInvariant(t, s.Task,
 				klotski.Options{Theta: theta, MaxRunLength: maxRun, MaxStates: 500_000},
-				parallelWorkerCounts(), []int{0})
+				parallelWorkerCounts())
 		})
 	}
 }
 
-// TestMetricsWorkerInvariant crosses every kind of Options.Workers value
-// (default, one, several, pool-share) with no pool, a one-worker pool and a
-// four-worker pool, on the tiny task, suites A–C and six seeded random
-// fabrics.
+// TestMetricsWorkerInvariant covers every kind of Options.Workers value
+// (default, one, several, the lowest accepted) on the tiny task, suites A–C
+// and six seeded random fabrics.
 func TestMetricsWorkerInvariant(t *testing.T) {
 	workers := []int{0, 1, 2, 4, klotski.WorkersAdaptive}
-	pools := []int{0, 1, 4}
 	t.Run("Tiny", func(t *testing.T) {
-		assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, workers, pools)
+		assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, workers)
 	})
 	for _, name := range []string{"A", "B", "C"} {
 		t.Run(name, func(t *testing.T) {
@@ -173,7 +151,7 @@ func TestMetricsWorkerInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertWorkerInvariant(t, s.Task, klotski.Options{}, workers, pools)
+			assertWorkerInvariant(t, s.Task, klotski.Options{}, workers)
 		})
 	}
 	rng := rand.New(rand.NewSource(20261003))
@@ -185,15 +163,14 @@ func TestMetricsWorkerInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}
-			assertWorkerInvariant(t, s.Task, klotski.Options{Theta: theta, MaxStates: 500_000}, workers, pools)
+			assertWorkerInvariant(t, s.Task, klotski.Options{Theta: theta, MaxStates: 500_000}, workers)
 		})
 	}
 }
 
 // TestCheckpointCrossWorkerResume asserts checkpoint compatibility across
 // worker settings: a search interrupted under one Workers value resumes
-// under another (the resumed leg's value is the one its audit runs with),
-// producing the exact plan an uninterrupted run produces. It also pins that
+// under another, producing the exact plan an uninterrupted run produces. It also pins that
 // the resumed leg honors the checkpoint's satisfiability cache — the legs
 // together run exactly the checks of an uninterrupted search.
 func TestCheckpointCrossWorkerResume(t *testing.T) {
