@@ -5,12 +5,10 @@
 package klotski_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"klotski"
@@ -579,6 +577,64 @@ func TestPlacementRepairsPinned(t *testing.T) {
 	}
 }
 
+// TestSearchEffortPinned pins how hard each Klotski planner searches, in
+// counts that are exact on any host: an algorithmic regression moves them
+// where a slower host moves only the clock. Suite C × benchScale is the small
+// fabric; suite E × 0.25 is the fabric of the benchmark's plan-large
+// workload, searched cold and then warm: a second run on the bound engine
+// the cold run sealed, the shape of a drift replan. A fresh engine prunes
+// nothing, so the cold counts are the unbounded search's. Warm pruning must
+// keep the warm search to at most four fifths of the cold one's states.
+func TestSearchEffortPinned(t *testing.T) {
+	// effort is a search's effort in the planner's own counts: states
+	// expanded (the recorder's planner.states_expanded), checks made, and
+	// checks answered from and missed by the equivalent-state cache.
+	type effort [4]int
+	for _, c := range []struct {
+		fabric, planner string
+		scale           float64
+		run             func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
+		cold, warm      effort // warm is zero where no warm run is made
+	}{
+		{"C", "astar", benchScale, klotski.PlanAStar, effort{23, 22, 0, 22}, effort{}},
+		{"C", "dp", benchScale, klotski.PlanDP, effort{25, 25, 1, 25}, effort{}},
+		{"E", "astar", 0.25, klotski.PlanAStar, effort{1181, 1014, 164, 1014}, effort{513, 346, 164, 346}},
+		{"E", "dp", 0.25, klotski.PlanDP, effort{1432, 1089, 333, 1089}, effort{572, 376, 186, 376}},
+	} {
+		s, err := klotski.Suite(c.fabric, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := klotski.Options{SkipAudit: true}
+		if c.warm != (effort{}) {
+			opts.Bound = klotski.NewBoundEngine(s.Task, opts)
+		}
+		plan := func() effort {
+			t.Helper()
+			p, err := c.run(s.Task, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := p.Metrics
+			return effort{m.StatesPopped, m.Checks, m.CacheHits, m.CacheMisses}
+		}
+		cold := plan()
+		if cold != c.cold {
+			t.Errorf("suite %s × %g %s cold: states expanded, checks, cache hits, misses = %v, want %v", c.fabric, c.scale, c.planner, cold, c.cold)
+		}
+		if c.warm == (effort{}) {
+			continue
+		}
+		warm := plan()
+		if warm != c.warm {
+			t.Errorf("suite %s × %g %s warm: states expanded, checks, cache hits, misses = %v, want %v", c.fabric, c.scale, c.planner, warm, c.warm)
+		}
+		if 5*warm[0] > 4*cold[0] {
+			t.Errorf("suite %s × %g %s: the warm search expands %d states, more than four fifths of the cold one's %d", c.fabric, c.scale, c.planner, warm[0], cold[0])
+		}
+	}
+}
+
 // BenchmarkEndToEndPipeline measures the full EDP-Lite path: scenario →
 // plan → audit → phase document.
 func BenchmarkEndToEndPipeline(b *testing.B) {
@@ -587,221 +643,5 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 		if _, err := klotski.RunPipelineTask(s.Task, klotski.PipelineConfig{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPlannerGuard is the regression-guard fixture consumed by
-// cmd/benchguard (see scripts/benchguard.sh): both Klotski planners on
-// suite C with a live recorder, reporting search-effort metrics alongside
-// ns/op so the guard can tell "got slower" apart from "explores more
-// states" — an algorithmic regression moves states/op, a constant-factor
-// one moves only ns/op.
-// The audited cases run the default path — plan plus the independent
-// post-planning audit — and the NoAudit twins isolate the planner, so the
-// committed baseline pins both the search and the audit replay's
-// overhead. The audit replays the plan on a pristine evaluator (one full
-// evaluation per run boundary), so its cost is linear in plan length and
-// independent of search effort; on this deliberately tiny fixture (a
-// ~23-state search) it is a large fraction of ns/op, while at the
-// experiment scales (0.25–1.0) the search dominates.
-func BenchmarkPlannerGuard(b *testing.B) {
-	s := buildSuite(b, "C")
-	for _, pl := range []plannerCase{
-		{"AStar", klotski.PlanAStar, klotski.Options{}},
-		{"DP", klotski.PlanDP, klotski.Options{}},
-		{"AStarNoAudit", klotski.PlanAStar, klotski.Options{SkipAudit: true}},
-		{"DPNoAudit", klotski.PlanDP, klotski.Options{SkipAudit: true}},
-	} {
-		b.Run(pl.name, func(b *testing.B) {
-			reg := klotski.NewObsRegistry()
-			opts := pl.opts
-			opts.Recorder = klotski.NewObsRecorder(reg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pl.run(s.Task, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			snap := reg.Snapshot()
-			b.ReportMetric(float64(snap.Counters["planner.states_expanded"])/float64(b.N), "states/op")
-			hits := snap.Counters["planner.cache_hits"]
-			if total := hits + snap.Counters["planner.cache_misses"]; total > 0 {
-				b.ReportMetric(float64(hits)/float64(total), "hit-rate")
-			}
-		})
-	}
-}
-
-// BenchmarkPlannerGuardLarge is the relational guard fixture: suite E at
-// 2.5× the micro-guard's scale, where the search (not fixed setup cost)
-// dominates ns/op. cmd/benchguard enforces one relation over it in
-// addition to the absolute baseline: the audited defaults must not exceed
-// their NoAudit twins beyond -max-audit-overhead, the share of a plan the
-// serial post-planning audit may take. Every entry keeps the recorder wired so states/op
-// stays guarded at this scale too.
-//
-// The Bounded twins share one lower-bound engine across all b.N
-// iterations, the deployment shape of the drift loop: iteration 1 runs
-// cold (learning cuts and sealing the exact cost-to-go store) and every
-// later iteration prunes against the sealed store, at byte-identical
-// plans. Their states/op is therefore the b.N-average of one cold and
-// b.N−1 warm searches — run them with -benchtime well above 1x (the
-// scripts/benchguard.sh default is 30x) or the cold iteration dominates
-// and the -min-prune-ratio relation cannot hold.
-func BenchmarkPlannerGuardLarge(b *testing.B) {
-	s, err := klotski.Suite("E", 0.25)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pl := range []struct {
-		name    string
-		run     func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
-		opts    klotski.Options
-		bounded bool // share a warm lower-bound engine across iterations
-	}{
-		{"AStar", klotski.PlanAStar, klotski.Options{}, false},
-		{"DP", klotski.PlanDP, klotski.Options{}, false},
-		{"AStarBounded", klotski.PlanAStar, klotski.Options{}, true},
-		{"DPBounded", klotski.PlanDP, klotski.Options{}, true},
-		{"AStarNoAudit", klotski.PlanAStar, klotski.Options{SkipAudit: true}, false},
-		{"DPNoAudit", klotski.PlanDP, klotski.Options{SkipAudit: true}, false},
-	} {
-		b.Run(pl.name, func(b *testing.B) {
-			opts := pl.opts
-			if pl.bounded {
-				opts.Bound = klotski.NewBoundEngine(s.Task, opts)
-			}
-			reg := klotski.NewObsRegistry()
-			opts.Recorder = klotski.NewObsRecorder(reg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pl.run(s.Task, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			snap := reg.Snapshot()
-			b.ReportMetric(float64(snap.Counters["planner.states_expanded"])/float64(b.N), "states/op")
-		})
-	}
-}
-
-// BenchmarkFleetGuard is the fleet-throughput guard fixture: 8
-// PlannerGuard-sized fabrics planned to completion three ways, and the
-// ns/op of one full fleet is the makespan cmd/benchguard's
-// -max-fleet-excess relation holds against both alternatives:
-//
-//   - Sequential: one plan at a time, search and audit serial on one
-//     goroutine — the pre-fleet deployment shape. The shared pool must beat
-//     it by overlapping the plans.
-//   - Naive: all 8 plans started at once with no admission — the
-//     oversubscribed shape the pool exists to replace.
-//   - Fleet: all 8 plans admitted to one shared admission pool of
-//     GOMAXPROCS workers, at most that many planning at a time.
-//
-// Cut sharing is off so every member's search effort is deterministic
-// (cross-plan imports make states-expanded arrival-order dependent), and
-// the pool is built outside the timed region — it is process-lifetime
-// infrastructure, not per-fleet cost.
-func BenchmarkFleetGuard(b *testing.B) {
-	const fleetSize = 8
-	tasks := make([]*klotski.Task, fleetSize)
-	for i := range tasks {
-		s, err := klotski.Suite("C", benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tasks[i] = s.Task
-	}
-	opts := klotski.Options{}
-
-	b.Run("Sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, task := range tasks {
-				if _, err := klotski.PlanAStar(task, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("Naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			errs := make([]error, fleetSize)
-			for j := range tasks {
-				wg.Add(1)
-				go func(j int) {
-					defer wg.Done()
-					_, errs[j] = klotski.PlanAStar(tasks[j], opts)
-				}(j)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("Fleet", func(b *testing.B) {
-		pool := klotski.NewWorkerPool(0, nil)
-		defer pool.Close()
-		members := make([]klotski.FleetMember, fleetSize)
-		for j := range tasks {
-			members[j] = klotski.FleetMember{
-				Name:    fmt.Sprintf("fabric-%d", j),
-				Task:    tasks[j],
-				Options: opts,
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep, err := klotski.PlanFleet(context.Background(), members, klotski.FleetOptions{
-				Pool:         pool,
-				NoSharedCuts: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Failed != 0 {
-				b.Fatalf("fleet run failed: %s", rep)
-			}
-		}
-	})
-}
-
-// BenchmarkCheckDemandDelta is the demand-side evaluator micro-benchmark:
-// one demand rate drifts per iteration and the state is re-verified on the
-// same view. Rates enter no distance field, so the check keeps its fields
-// and pays for the sweeps alone. full runs on suite C at the bench scale;
-// fullLarge on the end-to-end benchmark's fabric (suite E × 0.25).
-func BenchmarkCheckDemandDelta(b *testing.B) {
-	large, err := klotski.Suite("E", 0.25)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		suffix string
-		s      *klotski.Scenario
-	}{{"", buildSuite(b, "C")}, {"Large", large}} {
-		tp := c.s.Task.Topo
-		b.Run("full"+c.suffix, func(b *testing.B) {
-			ds := c.s.Task.Demands.Clone()
-			eval := klotski.NewEvaluator(tp)
-			view := tp.NewView()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				di := i % len(ds.Demands)
-				ds.Demands[di].Rate *= 1.0001
-				eval.Check(view, &ds, klotski.CheckOpts{})
-			}
-		})
 	}
 }

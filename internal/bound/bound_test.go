@@ -6,7 +6,7 @@ import (
 )
 
 // tiny returns a fresh 2-type engine over a 3×3 lattice (totals [2,2]),
-// unit costs, α=0 — the same shape as the planner guard fixtures.
+// unit costs, α=0 — the same shape as the planners' pinned search-effort fabrics.
 func tiny() *Engine {
 	e := New([]uint16{2, 2}, []float64{1, 1}, 0)
 	e.Bind(1, 1)

@@ -262,7 +262,7 @@ type Metrics struct {
 	PlacementRepairs   int
 	PlacementFallbacks int
 
-	// Always zero: bench/ still reads the two (ROADMAP item 4 drops them).
+	// Always zero: bench/ still reads the two (ROADMAP item 5(g) drops them).
 	GroupInvalidations int
 	GroupsReused       int
 

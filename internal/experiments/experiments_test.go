@@ -7,8 +7,33 @@ import (
 	"time"
 )
 
-// testCfg keeps experiment tests fast: tiny topologies, short budgets.
-var testCfg = Config{Scale: 0.1, Timeout: time.Minute}
+// testCfg keeps experiment tests fast: tiny topologies, short budgets. At
+// scale 0.1 no planner but Janus creates more than 13 590 states in any
+// figure (Fig. 11's 4× case, DP), so a 50 000-state cap changes no outcome
+// and no note; it only brings Janus to its cross on E and E-SSW — the
+// paper's 24-hour cap — in milliseconds instead of seconds.
+var testCfg = Config{Scale: 0.1, Timeout: time.Minute, MaxStates: 50_000}
+
+// janusCrossesOnBudget requires Janus to end as a budget cross on the named
+// cases, the paper's cross on its largest HGRID and SSW runs.
+func janusCrossesOnBudget(t *testing.T, rows []CaseResult, cases ...string) {
+	t.Helper()
+	for _, want := range cases {
+		found := false
+		for _, row := range rows {
+			if row.Case != want {
+				continue
+			}
+			found = true
+			if o, _ := row.Outcome(PlannerJanus); o.Note != "budget" {
+				t.Errorf("%s: Janus should end as a budget cross, got %+v", want, o)
+			}
+		}
+		if !found {
+			t.Errorf("no %s row", want)
+		}
+	}
+}
 
 func TestFig8ShapesMatchPaper(t *testing.T) {
 	if testing.Short() {
@@ -64,6 +89,7 @@ func TestFig8ShapesMatchPaper(t *testing.T) {
 			t.Errorf("E: %s (%v) faster than Klotski-A* (%v)", name, o.Time, astar.Time)
 		}
 	}
+	janusCrossesOnBudget(t, rows, "E")
 }
 
 func TestFig9Crosses(t *testing.T) {
@@ -91,6 +117,7 @@ func TestFig9Crosses(t *testing.T) {
 			t.Errorf("E-DMAG: %s should plan, got %+v", name, o)
 		}
 	}
+	janusCrossesOnBudget(t, rows, "E", "E-SSW")
 }
 
 func TestFig10AblationsOptimalAndSlower(t *testing.T) {

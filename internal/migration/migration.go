@@ -170,7 +170,7 @@ func (t *Task) BlocksOfType(a ActionType) []int {
 	return byType[a]
 }
 
-// Touched returns the block, for its Switches and Circuits: bench/ still calls it (ROADMAP item 4 drops it).
+// Touched returns the block, for its Switches and Circuits: bench/ still calls it (ROADMAP item 5(g) drops it).
 func (t *Task) Touched(blockID int) *Block { return &t.Blocks[blockID] }
 
 // Counts returns the number of blocks per action type — the target vector

@@ -7,7 +7,7 @@ import (
 )
 
 // Instrument names published by Recorder into its registry. Exported so
-// snapshot consumers (the bench guard, tests, dashboards) can reference
+// snapshot consumers (bench/, tests, dashboards) can reference
 // them without string drift.
 const (
 	MetricStatesCreated      = "planner.states_created"

@@ -371,12 +371,12 @@ func (e *Evaluator) Check(v *topo.View, ds *demand.Set, opts CheckOpts) Violatio
 // is nil otherwise.
 var checkHook func(e *Evaluator, v *topo.View, ds *demand.Set, opts CheckOpts, viol Violation)
 
-// CheckDelta is Check, touched sets ignored: bench/ still calls it (ROADMAP item 4 drops it).
+// CheckDelta is Check, touched sets ignored: bench/ still calls it (ROADMAP item 5(g) drops it).
 func (e *Evaluator) CheckDelta(v *topo.View, _ []topo.SwitchID, _ []topo.CircuitID, ds *demand.Set, opts CheckOpts) Violation {
 	return e.Check(v, ds, opts)
 }
 
-// CheckDemandDelta is Check, changed indices ignored: bench/ still calls it (ROADMAP item 4 drops it).
+// CheckDemandDelta is Check, changed indices ignored: bench/ still calls it (ROADMAP item 5(g) drops it).
 func (e *Evaluator) CheckDemandDelta(v *topo.View, _ []int32, ds *demand.Set, opts CheckOpts) Violation {
 	return e.Check(v, ds, opts)
 }

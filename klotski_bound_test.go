@@ -481,8 +481,8 @@ func TestCheckpointGapRestoredAcrossResume(t *testing.T) {
 
 // TestDPAccountingSerialMatchesParallel pins that the DP planner's effort
 // accounting does not depend on Options.Workers, at the benchmark's scale
-// too: suite E × 0.25 is the plan-large fabric, whose 1432 states/op the
-// bench guard's baseline records.
+// too: suite E × 0.25 is the plan-large fabric, whose 1432 states expanded
+// TestSearchEffortPinned pins.
 func TestDPAccountingSerialMatchesParallel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
