@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/core"
 	"klotski/internal/experiments"
 	"klotski/internal/routing"
 )
@@ -292,6 +293,81 @@ func BenchmarkCheckSuiteE(b *testing.B) {
 	reportHopSets(b, eval, &base, checks)
 }
 
+// BenchmarkLiftedCheckSuiteE sets the lifted check against the full one on
+// the walk of BenchmarkCheckSuiteE — suite E walked block by block along the
+// plan A* returns — at scale 0.25 (the plan-large fabric) and at paper scale.
+// full is the evaluator's Check per state, lifted the quotient's (the lane's
+// routing.Quotient, core.LiftedQuotient) with the full Check where it is not
+// sure; one iteration is one walk, and both report ns/check. lifted also
+// reports quotient-arcvisits/check, the quotient arcs its distance traversals
+// scanned, and unsure/check, the share it left to the full Check; build is
+// one partition build.
+func BenchmarkLiftedCheckSuiteE(b *testing.B) {
+	for _, scale := range []float64{0.25, 1} {
+		s, err := klotski.Suite("E", scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := klotski.PlanAStar(s.Task, klotski.Options{SkipAudit: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		view := s.Task.Topo.NewView()
+		walk := func(check func()) {
+			view.Reset()
+			for _, blk := range plan.Sequence {
+				s.Task.Apply(view, blk)
+				check()
+			}
+		}
+		ds := &s.Task.Demands
+		b.Run(fmt.Sprintf("x%g/full", scale), func(b *testing.B) {
+			eval := klotski.NewEvaluator(s.Task.Topo)
+			check := func() { eval.Check(view, ds, klotski.CheckOpts{}) }
+			walk(check)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				walk(check)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(plan.Sequence)), "ns/check")
+		})
+		b.Run(fmt.Sprintf("x%g/lifted", scale), func(b *testing.B) {
+			q, ok := core.LiftedQuotient(s.Task)
+			if !ok {
+				b.Fatal("the quotient build declined")
+			}
+			eval := klotski.NewEvaluator(s.Task.Topo)
+			unsure := 0
+			check := func() {
+				if _, sure := q.Check(view, ds, klotski.CheckOpts{}, nil); !sure {
+					unsure++
+					eval.Check(view, ds, klotski.CheckOpts{})
+				}
+			}
+			walk(check)
+			checks, visits, unsure0 := q.Checks, q.ArcVisits, unsure
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				walk(check)
+			}
+			n := float64(q.Checks - checks)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/check")
+			b.ReportMetric(float64(q.ArcVisits-visits)/n, "quotient-arcvisits/check")
+			b.ReportMetric(float64(unsure-unsure0)/n, "unsure/check")
+		})
+		b.Run(fmt.Sprintf("x%g/build", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := core.LiftedQuotient(s.Task); !ok {
+					b.Fatal("the quotient build declined")
+				}
+			}
+		})
+	}
+}
+
 // reportHopSets reports what the flow sweeps of eval did since base, over the
 // given number of checks: the arcs they classified, and the share of their
 // (group, switch) visits served by a retained next-hop mask.
@@ -502,13 +578,13 @@ func TestEvaluatorFootprintSuiteE(t *testing.T) {
 // exactly these and must not see the mechanism. On suite E × 0.25, the
 // plan-large search, the planner makes 1014 checks and its lane answers 522 of
 // them on the port budgets and 92 on the capacity cuts before routing. The
-// evaluator sees the other 400, so its up state and fields move only between
-// routed states: it traversed 756 fields and rebuilt 26 896 switches when it
-// saw all 1014. The sweeps classify under 2.0 M arcs where the pull sweep
-// scanned 10.63 M, and four (group, switch) visits in five read their mask
-// back.
+// evaluator routes the first 32 of the other 400; then the lane's gate opens
+// and the lifted check answers the remaining 368 from the fabric's quotient,
+// 429 switch classes and 1278 circuit classes. The same search on the full
+// evaluator alone is pinned by TestHopSetsFollowRepairsFullPath in
+// internal/core.
 func TestHopSetsFollowRepairs(t *testing.T) {
-	search := func(name string) (*klotski.Evaluator, klotski.Metrics) {
+	search := func(name string) (*klotski.Scenario, *klotski.Evaluator, klotski.Metrics) {
 		t.Helper()
 		s, err := klotski.Suite(name, 0.25)
 		if err != nil {
@@ -519,25 +595,28 @@ func TestHopSetsFollowRepairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev, p.Metrics
+		return s, ev, p.Metrics
 	}
 	for _, name := range []string{"A", "B", "C", "D"} {
-		if ev, _ := search(name); ev.FieldRepairs != 0 || ev.HopSetsReused != 0 || ev.HopSetsBuilt == 0 {
-			t.Errorf("suite %s: %d fields repaired, %d next-hop masks read back, %d built; want none, none, some", name, ev.FieldRepairs, ev.HopSetsReused, ev.HopSetsBuilt)
+		if _, ev, m := search(name); ev.FieldRepairs != 0 || ev.HopSetsReused != 0 || ev.HopSetsBuilt == 0 || m.LiftedChecks+m.LiftedFallbacks != 0 {
+			t.Errorf("suite %s: %d fields repaired, %d next-hop masks read back, %d built, %d checks lifted; want none, none, some, none", name, ev.FieldRepairs, ev.HopSetsReused, ev.HopSetsBuilt, m.LiftedChecks+m.LiftedFallbacks)
 		}
 	}
-	ev, m := search("E")
+	s, ev, m := search("E")
 	if got, want := [3]int{m.Checks, m.PortRejects, m.CutRejects}, [3]int{1014, 522, 92}; got != want {
 		t.Errorf("suite E: checks, port rejections, cut rejections = %v, want %v", got, want)
 	}
 	got := [6]int{ev.Checks, ev.BFSes, ev.FieldRepairs, ev.FieldEntriesRepaired, ev.ArcVisits, ev.UpRebuilds}
-	if want := [6]int{400, 546, 5054, 79980, 2366280, 11868}; got != want {
+	if want := [6]int{32, 56, 392, 7254, 248842, 2859}; got != want {
 		t.Errorf("suite E: checks, fields traversed, fields repaired, entries repaired, arc visits, switches rebuilt = %v, want %v", got, want)
 	}
-	share := float64(ev.HopSetsReused) / float64(ev.HopSetsReused+ev.HopSetsBuilt)
-	t.Logf("suite E: %d arcs classified, %d masks built, %d read back (%.4f)", ev.SweepArcTests, ev.HopSetsBuilt, ev.HopSetsReused, share)
-	if ev.SweepArcTests > 2_000_000 || share < 0.80 {
-		t.Errorf("suite E: %d arcs classified and %.4f of visits read back, want at most 2.0 M and at least 0.80", ev.SweepArcTests, share)
+	q, ok := core.LiftedQuotient(s.Task)
+	if !ok {
+		t.Fatal("suite E: the quotient build declined")
+	}
+	sw, ck := q.Classes()
+	if lifted, want := [4]int{m.LiftedChecks, m.LiftedFallbacks, sw, ck}, [4]int{368, 0, 429, 1278}; lifted != want {
+		t.Errorf("suite E: lifted checks, lifted fallbacks, switch classes, circuit classes = %v, want %v", lifted, want)
 	}
 }
 
@@ -545,17 +624,22 @@ func TestHopSetsFollowRepairs(t *testing.T) {
 // in the planners' own counts. The DP search on suite E-SSW × 0.25 — the
 // primary plan of the benchmark's fleet-mixed workload — routes 243 of its 289
 // checks; one block moves a tenth of its flow or less, and most routed checks
-// are answered from the retained placement. On suite E × 0.25, the plan-large
-// search, every block re-places more than half of the flow, so the gate stays
-// closed and nothing is tried: the sweeps run as before.
+// are answered from the retained placement, which keeps the lifted check's
+// gate shut. On suite E × 0.25, the plan-large search, every block re-places
+// more than half of the flow, so the placement's gate stays closed and nothing
+// is tried: the evaluator routes 32 checks with the sweeps, and then the
+// lifted check's gate opens and it answers the other 368. The same search on
+// the full evaluator alone is pinned by TestPlacementRepairsPinnedFullPath in
+// internal/core.
 func TestPlacementRepairsPinned(t *testing.T) {
 	for _, c := range []struct {
 		fabric, planner string
 		run             func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
 		want            [6]int // routed checks, repairs, fallbacks, switches re-placed, loads re-summed, plan checks
+		lifted          [2]int // lifted checks, lifted fallbacks
 	}{
-		{"E-SSW", "dp", klotski.PlanDP, [6]int{243, 189, 8, 50550, 40995, 289}},
-		{"E", "astar", klotski.PlanAStar, [6]int{400, 0, 0, 0, 0, 1014}},
+		{"E-SSW", "dp", klotski.PlanDP, [6]int{243, 189, 8, 50550, 40995, 289}, [2]int{0, 0}},
+		{"E", "astar", klotski.PlanAStar, [6]int{32, 0, 0, 0, 0, 1014}, [2]int{368, 0}},
 	} {
 		s, err := klotski.Suite(c.fabric, 0.25)
 		if err != nil {
@@ -573,6 +657,9 @@ func TestPlacementRepairsPinned(t *testing.T) {
 		}
 		if m := p.Metrics; m.PlacementRepairs != ev.PlacementRepairs || m.PlacementFallbacks != ev.PlacementFallbacks {
 			t.Errorf("suite %s %s: the plan's metrics count %d repairs and %d fallbacks, its evaluator %d and %d", c.fabric, c.planner, m.PlacementRepairs, m.PlacementFallbacks, ev.PlacementRepairs, ev.PlacementFallbacks)
+		}
+		if lifted := [2]int{p.Metrics.LiftedChecks, p.Metrics.LiftedFallbacks}; lifted != c.lifted {
+			t.Errorf("suite %s %s: lifted checks and fallbacks = %v, want %v", c.fabric, c.planner, lifted, c.lifted)
 		}
 	}
 }

@@ -262,6 +262,12 @@ type Metrics struct {
 	PlacementRepairs   int
 	PlacementFallbacks int
 
+	// Routed checks the lifted check answered from the quotient of the
+	// fabric, and those it was not sure of and left to the full evaluator
+	// (lift.go).
+	LiftedChecks    int
+	LiftedFallbacks int
+
 	// Always zero: bench/ still reads the two (ROADMAP item 5(g) drops them).
 	GroupInvalidations int
 	GroupsReused       int
@@ -474,7 +480,8 @@ func unitCost(t *migration.Task, a migration.ActionType) float64 {
 // funnelCircuits lists the up circuits that survive next to the circuits a
 // block takes down — the circuits onto which traffic funnels while the
 // block's elements drain asynchronously (§2.2). For an undrain block the
-// set is empty: adding capacity does not funnel traffic.
+// set is empty: adding capacity does not funnel traffic. The lane asks once
+// per block (space.funnelOf).
 func funnelCircuits(t *migration.Task, blockID int) []topo.CircuitID {
 	b := &t.Blocks[blockID]
 	if t.Types[b.Type].Op != migration.Drain {

@@ -22,7 +22,9 @@ import (
 // the port budgets (Eq. 6), then the capacity cuts, then routing. The first
 // three come from state that buildView moves by deltas as it flips elements,
 // so the evaluator is called only for states that need routing, and its
-// retained up state and fields move only between routed states.
+// retained up state and fields move only between routed states. Once the
+// lifted check's gate opens (lift.go), routing asks the quotient of the
+// fabric first and the evaluator only when the quotient is not sure.
 //
 //   - Ports: the up-degree of every switch and how many are over budget. A
 //     switch over budget is exactly the evaluator's port violation, and is
@@ -69,6 +71,13 @@ type lane struct {
 	// placeBase holds the evaluator's placement counters when the lane was
 	// made: the plan's are what they gained since.
 	placeBase [2]int
+
+	// The lifted check (lift.go): routed counts the checks the full evaluator
+	// answered, liftDecided whether the gate has been read, and lift is the
+	// quotient when it opened.
+	routed      int
+	liftDecided bool
+	lift        *lifted
 
 	// structRejected reports whether the most recent failing check was
 	// rejected by the occupancy budget or by a switch's port budget — both
@@ -125,11 +134,11 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 		}
 		copts.DemandScale = sp.demandScaleAt(finished)
 	}
+	funnelBlock := -1
 	if funneling {
-		blocks := sp.task.BlocksOfType(last)
-		blockID := blocks[int(v[last])-1]
+		funnelBlock = sp.task.BlocksOfType(last)[int(v[last])-1]
 		copts.FunnelFactor = sp.opts.FunnelFactor
-		copts.FunnelCircuits = funnelCircuits(sp.task, blockID)
+		copts.FunnelCircuits = sp.funnelOf(funnelBlock)
 	}
 	switch {
 	case ln.nOver > 0:
@@ -140,6 +149,10 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 		sp.metrics.CutRejects++
 		sp.rec.CutReject()
 	default:
+		if ok, sure := ln.liftedCheck(copts, funnelBlock); sure {
+			return ok
+		}
+		ln.routed++
 		return ln.eval.Check(ln.view, sp.demands, copts).OK()
 	}
 	if laneRejectHook != nil {

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"klotski/internal/demand"
+	"klotski/internal/gen"
+	"klotski/internal/migration"
+	"klotski/internal/routing"
+	"klotski/internal/topo"
+)
+
+// setLiftForce overrides the lifted check's gate for the rest of the test.
+func setLiftForce(t *testing.T, force int) {
+	t.Helper()
+	liftForce = force
+	t.Cleanup(func() { liftForce = liftShipped })
+}
+
+// liftAudit holds every verdict the lifted check is sure of to the full
+// check's while it is installed as liftedHook, on one fresh evaluator per
+// topology that follows the views it is handed by content. The hook runs on
+// the planner's goroutine, and the test plans one task at a time.
+type liftAudit struct {
+	evals    map[*topo.Topology]*routing.Evaluator
+	lifted   int
+	rejected int
+	disagree []string
+}
+
+func (a *liftAudit) install(t *testing.T) {
+	a.evals = map[*topo.Topology]*routing.Evaluator{}
+	liftedHook = a.check
+	t.Cleanup(func() { liftedHook = nil })
+}
+
+func (a *liftAudit) check(ln *lane, copts routing.CheckOpts, ok bool) {
+	tp := ln.view.Topology()
+	ev := a.evals[tp]
+	if ev == nil {
+		ev = routing.NewEvaluator(tp)
+		a.evals[tp] = ev
+	}
+	a.lifted++
+	if !ok {
+		a.rejected++
+	}
+	if want := ev.Check(ln.view, ln.sp.demands, copts); want.OK() != ok {
+		a.disagree = append(a.disagree, fmt.Sprintf("%s at %v: lifted %v, the full check %v", tp.Name, ln.curVec, ok, want))
+	}
+}
+
+// outageReplan is the replan the control loop makes after an outage outside
+// every block, as ctrl's withOutages builds it: the task over a clone of its
+// topology with the first up circuit no block operates, and whose ends no
+// block operates, taken down, resumed after the first half of plan's
+// sequence.
+func outageReplan(t *testing.T, task *migration.Task, plan *Plan) (*migration.Task, Options) {
+	t.Helper()
+	tp := task.Topo
+	operatedSw := make([]bool, tp.NumSwitches())
+	operatedCk := make([]bool, tp.NumCircuits())
+	for _, b := range task.Blocks {
+		for _, s := range b.Switches {
+			operatedSw[s] = true
+		}
+		for _, c := range b.Circuits {
+			operatedCk[c] = true
+		}
+	}
+	down := topo.NoCircuit
+	for c := 0; c < tp.NumCircuits() && down == topo.NoCircuit; c++ {
+		ck := tp.Circuit(topo.CircuitID(c))
+		if tp.CircuitUp(ck.ID) && !operatedCk[c] && !operatedSw[ck.A] && !operatedSw[ck.B] {
+			down = ck.ID
+		}
+	}
+	if down == topo.NoCircuit {
+		t.Fatalf("%s: every circuit touches a block", task.Name)
+	}
+	clone := tp.Clone()
+	clone.SetCircuitActive(down, false)
+	replan := task.WithTopology(clone)
+	counts := make([]int, task.NumTypes())
+	last := NoLast
+	for _, id := range plan.Sequence[:len(plan.Sequence)/2] {
+		last = task.Blocks[id].Type
+		counts[last]++
+	}
+	return replan, Options{InitialCounts: counts, InitialLast: last}
+}
+
+// TestLiftedChecksAgreeWithChecker holds every verdict the lifted check is
+// sure of to a fresh full evaluator's: over every suite fabric at ×0.25 with
+// the gate held open, under both planners and under ECMP, WCMP, funneling
+// headroom and a demand growth forecast, plus the replan after an outage
+// outside every block; and at paper scale with the gate as shipped, on every
+// plan it opens on: E under A* and DP, E-DMAG under DP. Every configuration
+// must see a lifted verdict, and the run a lifted rejection: a seam that sees
+// nothing checks nothing.
+func TestLiftedChecksAgreeWithChecker(t *testing.T) {
+	var a liftAudit
+	a.install(t)
+	type variant struct {
+		name string
+		opts Options
+		grow float64
+	}
+	variants := []variant{
+		{"ecmp", Options{}, 0},
+		{"wcmp", Options{Split: routing.SplitCapacityWeighted}, 0},
+		{"funnel2", Options{FunnelFactor: 2}, 0},
+		{"forecast", Options{}, 0.004},
+	}
+	planners := []struct {
+		name string
+		run  func(*migration.Task, Options) (*Plan, error)
+	}{{"astar", PlanAStar}, {"dp", PlanDP}}
+	run := func(label string, task *migration.Task, opts Options, plan func(*migration.Task, Options) (*Plan, error)) *Plan {
+		t.Helper()
+		opts.SkipAudit = true
+		opts.MaxStates = 200_000
+		before, rejected := a.lifted, a.rejected
+		p, err := plan(task, opts)
+		var m Metrics
+		if p != nil {
+			m = p.Metrics
+		}
+		t.Logf("%s: %v; %d checks, %d lifted (%d rejections), %d fallbacks", label, err, m.Checks, a.lifted-before, a.rejected-rejected, m.LiftedFallbacks)
+		switch {
+		case a.lifted == before:
+			t.Errorf("%s: no lifted verdict", label)
+		case p != nil && m.LiftedChecks != a.lifted-before:
+			t.Errorf("%s: metrics count %d lifted checks, the hook saw %d", label, m.LiftedChecks, a.lifted-before)
+		}
+		return p
+	}
+
+	setLiftForce(t, liftOpen)
+	for _, name := range gen.SuiteNames() {
+		s, err := gen.Suite(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			task := s.Task
+			if v.grow != 0 {
+				task = task.WithForecast(demand.Forecast{GrowthPerStep: v.grow})
+			}
+			for _, pl := range planners {
+				p := run(fmt.Sprintf("%s×0.25 %s %s", name, v.name, pl.name), task, v.opts, pl.run)
+				if v.name == "ecmp" && pl.name == "astar" && p != nil {
+					replan, opts := outageReplan(t, task, p)
+					run(fmt.Sprintf("%s×0.25 outage replan astar", name), replan, opts, PlanAStar)
+				}
+			}
+		}
+	}
+
+	if !testing.Short() {
+		// Paper scale with the gate as shipped: every plan the gate opens on.
+		liftForce = liftShipped
+		for _, c := range []struct {
+			fabric, planner string
+			run             func(*migration.Task, Options) (*Plan, error)
+		}{{"E", "astar", PlanAStar}, {"E", "dp", PlanDP}, {"E-DMAG", "dp", PlanDP}} {
+			s, err := gen.Suite(c.fabric, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(fmt.Sprintf("%s×1 ecmp %s, gate as shipped", c.fabric, c.planner), s.Task, Options{}, c.run)
+		}
+	}
+	for _, d := range a.disagree {
+		t.Error(d)
+	}
+	if a.rejected == 0 {
+		t.Fatalf("%d lifted verdicts and no rejection among them", a.lifted)
+	}
+	t.Logf("%d lifted verdicts, %d rejections, %d disagreements", a.lifted, a.rejected, len(a.disagree))
+}

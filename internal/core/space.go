@@ -89,6 +89,10 @@ type space struct {
 	ports []int32
 	cuts  cutFamily
 
+	// funnels holds each block's funnel set once the lane first asked
+	// for it (funnelOf); nil until then.
+	funnels [][]topo.CircuitID
+
 	// bd is the attached lower-bound engine — nil unless Options.Bound
 	// matches this task shape and the configuration is one the engine's
 	// cut model covers (no funneling, no run cap). incumbent/lowerBound

@@ -21,6 +21,8 @@ const (
 	MetricCutRejects         = "planner.cut_rejects"
 	MetricPlacementRepairs   = "planner.placement_repairs"
 	MetricPlacementFallbacks = "planner.placement_fallbacks"
+	MetricLiftedChecks       = "planner.lifted_checks"
+	MetricLiftedFallbacks    = "planner.lifted_fallbacks"
 	MetricOpenListSize       = "planner.open_list_size"
 	MetricPlansCompleted     = "planner.plans_completed"
 	MetricPlansInterrupted   = "planner.plans_interrupted"
@@ -80,6 +82,8 @@ type Recorder struct {
 	cutRejects       *Counter
 	placeRepairs     *Counter
 	placeFallbacks   *Counter
+	liftedChecks     *Counter
+	liftedFallbacks  *Counter
 	openList         *Gauge
 	plansCompleted   *Counter
 	plansInterrupted *Counter
@@ -130,6 +134,8 @@ func NewRecorder(reg *Registry) *Recorder {
 		cutRejects:       reg.Counter(MetricCutRejects),
 		placeRepairs:     reg.Counter(MetricPlacementRepairs),
 		placeFallbacks:   reg.Counter(MetricPlacementFallbacks),
+		liftedChecks:     reg.Counter(MetricLiftedChecks),
+		liftedFallbacks:  reg.Counter(MetricLiftedFallbacks),
 		openList:         reg.Gauge(MetricOpenListSize),
 		plansCompleted:   reg.Counter(MetricPlansCompleted),
 		plansInterrupted: reg.Counter(MetricPlansInterrupted),
@@ -251,6 +257,16 @@ func (r *Recorder) Placements(repairs, fallbacks int) {
 	}
 	r.placeRepairs.Add(int64(repairs))
 	r.placeFallbacks.Add(int64(fallbacks))
+}
+
+// Lifted counts routed checks the planner's lane answered from the quotient
+// of the fabric, and those it left to the full evaluator.
+func (r *Recorder) Lifted(checks, fallbacks int) {
+	if r == nil {
+		return
+	}
+	r.liftedChecks.Add(int64(checks))
+	r.liftedFallbacks.Add(int64(fallbacks))
 }
 
 // OpenList records the current open-list size.

@@ -1,0 +1,727 @@
+package routing
+
+import (
+	"math"
+	"math/bits"
+
+	"klotski/internal/demand"
+	"klotski/internal/topo"
+)
+
+// The lifted check. A Quotient is an equitable partition of a topology's
+// switches — every member of a class has, for every circuit colour and every
+// class, as many circuits of that colour into that class as any other member —
+// that respects the colours its caller gives. The caller colours whatever a
+// view may set apart: the block that operates an element and its base
+// activity, so that every view a planner reaches is constant on every class,
+// and each demand endpoint by its own identity, so that sources and
+// destinations are singletons. Capacity, metric and port budget are colours
+// too. Then metric distances to a destination are constant on each class, so
+// is a switch's next-hop count, and, by induction over the distance levels
+// from the farthest source inward, so is the flow a switch forwards and the
+// load every circuit of one circuit class carries in each direction. Routing
+// one representative per class, with each quotient arc weighted by its
+// multiplicity, yields the load every member carries.
+//
+// The quotient's float sums multiply where the fabric's add, and group terms
+// differently, so they may differ from the fabric's in the last ulps. Check
+// therefore answers only where no circuit class lies within a relative
+// liftMargin of its bound, and says when it is not sure; the caller then asks
+// the full evaluator. Reachability and the port budgets are integer answers
+// and need no margin.
+
+// liftMargin is the relative distance from its bound within which a circuit
+// class's utilization leaves Check unsure: the lane's cutMargin, orders of
+// magnitude above the float error of either placement.
+const liftMargin = 1e-9
+
+// Quotient routes one representative per class of an equitable partition of
+// a topology (NewQuotient). It keeps per-check scratch and is not safe for
+// concurrent use.
+type Quotient struct {
+	classOf   []int32    // per switch: its class
+	rep       []int32    // per class: its lowest-numbered member
+	tight     [][2]int32 // (class, port budget) of every class whose members have more circuits than ports
+	ckClassOf []int32    // per circuit: its circuit class
+	ckSize    []int32    // per circuit class: its members
+	ckEnds    []int32    // per circuit class: its representative's circuit and endpoints, three entries each
+	caps      []float64
+
+	// Adjacency over classes: the arcs of class x are arcs[arcOff[x]:arcOff[x+1]],
+	// one per circuit class between x and another class, and its loops are
+	// loops[loopOff[x]:loopOff[x+1]], one per circuit class within x. A loop
+	// never carries flow — both ends lie at one distance — and counts only
+	// toward the port budget.
+	arcOff, loopOff []int32
+	arcs            []qarc
+	loops           []qarc
+
+	// By directional index li (qarc.li): the circuits of the class at each
+	// member of the sending class. mult[li^1] is the arc's back-multiplicity,
+	// mult[li]·|sender|/|receiver|.
+	mult []float64
+
+	// Stats counters for the lifetime of the quotient.
+	Checks    int // number of Check calls
+	ArcVisits int // quotient arcs scanned by the distance traversals
+
+	// Check scratch, allocated on the first check.
+	active  []bool
+	up      []bool
+	funnel  []bool
+	settled []uint64
+	last    []int32
+	levels  levelQueue
+	dist    []int32 // one field per destination, len(rep) entries each
+	stamp   []uint16
+	group   uint16
+	flow    []float64
+	load    []float64
+	touched []int32
+	hops    []int32
+}
+
+// qarc is a quotient arc: the circuits of one circuit class seen from the
+// members of one class.
+type qarc struct {
+	other  int32 // the class at the far end
+	metric int32 // the circuits' metric
+	li     int32 // 2·(circuit class) + direction: flow from this class toward other
+}
+
+// NewQuotient returns the coarsest equitable partition of t's switches that
+// refines the colouring swColour, with circuits coloured by ckColour. Both
+// are caller-given non-negative integers; a circuit's class is its colour and
+// the classes of its two endpoints.
+//
+// Refinement is 1-WL colour refinement: each round, a switch's new class is
+// its class together with the multiset of (circuit colour, neighbour class)
+// pairs over its circuits, hashed commutatively and numbered densely in order
+// of first appearance. It stops when a round splits no class. A hash collision
+// could only merge classes, so the result is verified afterwards: every
+// member's multiset of circuit classes must equal its representative's, and
+// NewQuotient returns false when one does not. It also returns false when the
+// colours do not fit the topology.
+func NewQuotient(t *topo.Topology, swColour, ckColour []int32) (*Quotient, bool) {
+	n, m := t.NumSwitches(), t.NumCircuits()
+	if len(swColour) != n || len(ckColour) != m || n == 0 {
+		return nil, false
+	}
+	for _, c := range swColour {
+		if c < 0 {
+			return nil, false
+		}
+	}
+	for _, c := range ckColour {
+		if c < 0 {
+			return nil, false
+		}
+	}
+	cls, nc := refine(t, swColour, ckColour)
+	return partitioned(t, cls, nc, ckColour)
+}
+
+// refine returns the classes of colour refinement and their number.
+func refine(t *topo.Topology, swColour, ckColour []int32) ([]int32, int) {
+	n := t.NumSwitches()
+	// The far end of every circuit of every switch, in one flat run aligned
+	// with the switches' circuit lists.
+	far := make([]int32, 0, 2*t.NumCircuits())
+	for s := 0; s < n; s++ {
+		for _, c := range t.Switch(topo.SwitchID(s)).Circuits() {
+			o := t.Circuit(c).A
+			if o == topo.SwitchID(s) {
+				o = t.Circuit(c).B
+			}
+			far = append(far, int32(o))
+		}
+	}
+	var tab pairTable
+	cls := make([]int32, n)
+	next := make([]int32, n)
+	for s, c := range swColour {
+		cls[s] = tab.id(uint64(c), 0)
+	}
+	for k := tab.n; ; k = tab.n {
+		tab.reset()
+		i := 0
+		for s := range next {
+			var h uint64
+			for _, c := range t.Switch(topo.SwitchID(s)).Circuits() {
+				h += mix64(uint64(ckColour[c])<<32 | uint64(cls[far[i]]))
+				i++
+			}
+			next[s] = tab.id(uint64(cls[s]), h)
+		}
+		cls, next = next, cls
+		if tab.n == k {
+			return cls, int(k)
+		}
+	}
+}
+
+// partitioned builds the quotient of t over the switch classes cls, numbered
+// 0..nc-1, and reports false when the partition is not equitable.
+func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32) (*Quotient, bool) {
+	m := t.NumCircuits()
+	q := &Quotient{classOf: cls, rep: make([]int32, nc)}
+	for i := range q.rep {
+		q.rep[i] = -1
+	}
+	for s, x := range cls {
+		if q.rep[x] < 0 {
+			q.rep[x] = int32(s)
+			// Only a class with more circuits than ports can ever be over.
+			if sw := t.Switch(topo.SwitchID(s)); sw.Ports > 0 && len(sw.Circuits()) > sw.Ports {
+				q.tight = append(q.tight, [2]int32{x, int32(sw.Ports)})
+			}
+		}
+	}
+
+	// Circuit classes: (lower endpoint class, higher endpoint class, colour),
+	// numbered in that order. Three stable counting sorts, colour first, line
+	// the circuits up by key, and the classes are the runs.
+	ends := func(c int32) (x, y int32) {
+		ck := t.Circuit(topo.CircuitID(c))
+		x, y = cls[ck.A], cls[ck.B]
+		return min(x, y), max(x, y)
+	}
+	colours := int32(0)
+	for _, c := range ckColour {
+		colours = max(colours, c+1)
+	}
+	order, buf := make([]int32, m), make([]int32, m)
+	for c := range order {
+		order[c] = int32(c)
+	}
+	cnt := make([]int32, max(nc, int(colours))+1)
+	for _, key := range []func(c int32) int32{
+		func(c int32) int32 { return ckColour[c] },
+		func(c int32) int32 { _, y := ends(c); return y },
+		func(c int32) int32 { x, _ := ends(c); return x },
+	} {
+		clear(cnt)
+		for _, c := range order {
+			cnt[key(c)+1]++
+		}
+		for i := 1; i < len(cnt); i++ {
+			cnt[i] += cnt[i-1]
+		}
+		for _, c := range order {
+			k := key(c)
+			buf[cnt[k]] = c
+			cnt[k]++
+		}
+		order, buf = buf, order
+	}
+	q.ckClassOf = buf // the spare run, no longer read
+	ncc := int32(0)
+	for i, c := range order {
+		if i > 0 {
+			p := order[i-1]
+			px, py := ends(p)
+			if x, y := ends(c); x != px || y != py || ckColour[c] != ckColour[p] {
+				ncc++
+			}
+		}
+		q.ckClassOf[c] = ncc
+	}
+	if m > 0 {
+		ncc++
+	}
+	q.ckSize = make([]int32, ncc)
+	q.ckEnds = make([]int32, 3*ncc)
+	q.caps = make([]float64, ncc)
+	for c, k := range q.ckClassOf {
+		if q.ckSize[k] == 0 {
+			ck := t.Circuit(topo.CircuitID(c))
+			q.ckEnds[3*k], q.ckEnds[3*k+1], q.ckEnds[3*k+2] = int32(c), int32(ck.A), int32(ck.B)
+			q.caps[k] = ck.Capacity
+		}
+		q.ckSize[k]++
+	}
+	if !q.equitable(t) {
+		return nil, false
+	}
+	q.buildArcs(t)
+	return q, true
+}
+
+// equitable reports whether every switch has its representative's multiset
+// of circuit classes. A circuit class fixes the far end's class, so this is
+// the partition's equitability over (circuit colour, neighbour class) pairs.
+// cnt holds the representative's counts while its members are compared, each
+// member decrementing and then restoring them.
+func (q *Quotient) equitable(t *topo.Topology) bool {
+	cnt := make([]int32, len(q.ckSize))
+	// Members in class order: a counting sort.
+	start := make([]int32, len(q.rep)+1)
+	for _, x := range q.classOf {
+		start[x+1]++
+	}
+	for x := range q.rep {
+		start[x+1] += start[x]
+	}
+	order := make([]int32, len(q.classOf))
+	fill := append([]int32(nil), start[:len(q.rep)]...)
+	for s, x := range q.classOf {
+		order[fill[x]] = int32(s)
+		fill[x]++
+	}
+	for x, r := range q.rep {
+		rc := t.Switch(topo.SwitchID(r)).Circuits()
+		for _, c := range rc {
+			cnt[q.ckClassOf[c]]++
+		}
+		for _, s := range order[start[x]+1 : start[x+1]] {
+			sc := t.Switch(topo.SwitchID(s)).Circuits()
+			if len(sc) != len(rc) {
+				return false
+			}
+			fits := true
+			for _, c := range sc {
+				k := q.ckClassOf[c]
+				cnt[k]--
+				fits = fits && cnt[k] >= 0
+			}
+			for _, c := range sc {
+				cnt[q.ckClassOf[c]]++
+			}
+			if !fits {
+				return false
+			}
+		}
+		for _, c := range rc {
+			cnt[q.ckClassOf[c]] = 0
+		}
+	}
+	return true
+}
+
+// buildArcs lays out the quotient adjacency from each representative's
+// circuits: per circuit class incident to it, one arc (or loop) whose
+// multiplicity is how many of the representative's circuits are in it.
+func (q *Quotient) buildArcs(t *topo.Topology) {
+	nc := len(q.rep)
+	mult := make([]float64, 2*len(q.ckSize))
+	q.arcOff = make([]int32, nc+1)
+	q.loopOff = make([]int32, nc+1)
+	loops := 0
+	for k := range q.ckSize {
+		if e := q.ckEnds[3*k+1:]; q.classOf[e[0]] == q.classOf[e[1]] {
+			loops++
+		}
+	}
+	q.arcs = make([]qarc, 0, 2*(len(q.ckSize)-loops))
+	q.loops = make([]qarc, 0, loops)
+	for x, r := range q.rep {
+		for _, c := range t.Switch(topo.SwitchID(r)).Circuits() {
+			k := q.ckClassOf[c]
+			o := q.classOf[t.Circuit(c).Other(topo.SwitchID(r))]
+			li := 2 * k
+			if o < int32(x) {
+				li++
+			}
+			if mult[li] == 0 {
+				if o == int32(x) {
+					q.loops = append(q.loops, qarc{other: o, metric: t.Circuit(c).Metric, li: li})
+				} else {
+					q.arcs = append(q.arcs, qarc{other: o, metric: t.Circuit(c).Metric, li: li})
+				}
+			}
+			mult[li]++
+		}
+		q.arcOff[x+1] = int32(len(q.arcs))
+		q.loopOff[x+1] = int32(len(q.loops))
+	}
+	q.mult = mult
+}
+
+// ClassOf returns the class of switch s.
+func (q *Quotient) ClassOf(s topo.SwitchID) int32 { return q.classOf[s] }
+
+// CircuitClassOf returns the circuit class of circuit c.
+func (q *Quotient) CircuitClassOf(c topo.CircuitID) int32 { return q.ckClassOf[c] }
+
+// Classes returns the number of switch classes and of circuit classes.
+func (q *Quotient) Classes() (switches, circuits int) { return len(q.rep), len(q.ckSize) }
+
+// Arcs returns the quotient's directed arcs, two per circuit class: the
+// counterpart of a fabric's two per circuit.
+func (q *Quotient) Arcs() int { return 2 * len(q.ckSize) }
+
+// CircuitClasses returns the circuit classes the circuits cs make up, and
+// false when they are not a union of whole classes. Duplicates in cs count
+// once.
+func (q *Quotient) CircuitClasses(cs []topo.CircuitID) ([]int32, bool) {
+	seen := make([]uint64, (len(q.ckClassOf)+63)/64)
+	cnt := make([]int32, len(q.ckSize))
+	var out []int32
+	for _, c := range cs {
+		if seen[c>>6]>>(c&63)&1 != 0 {
+			continue
+		}
+		seen[c>>6] |= 1 << (c & 63)
+		k := q.ckClassOf[c]
+		if cnt[k] == 0 {
+			out = append(out, k)
+		}
+		cnt[k]++
+	}
+	for _, k := range out {
+		if cnt[k] != q.ckSize[k] {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// Check answers what Evaluator.Check's OK would for the view, the demands and
+// the options, routing the quotient instead of the fabric, and reports
+// whether it is sure. funnel lists the circuit classes held to
+// Theta/FunnelFactor when the factor is above 1 (CircuitClasses);
+// opts.FunnelCircuits is not read. It is not sure, and the caller must ask
+// the full evaluator, when the demands have more than 64 destinations or a
+// rate that is negative or not finite, and when a circuit class's utilization
+// lies within a relative liftMargin of its bound. The answer is exact only
+// when the view is constant on every class and every demand endpoint is a
+// class of its own; Check takes both from the caller's colours and verifies
+// neither.
+//
+// One bit-parallel traversal over classes computes every destination's
+// distance field, merging a class's pending pairs as the evaluator's does;
+// then one sweep per destination group, in ascending group order, places the
+// group's flow from the farthest source class inward. A class at distance d
+// splits its inflow over the up arcs toward distance d − metric: by the
+// multiplicities under ECMP, by multiplicity × capacity under WCMP. Each
+// circuit of the arc's class carries one share, and each member of the far
+// class receives back-multiplicity shares.
+func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []int32) (ok, sure bool) {
+	q.Checks++
+	theta := opts.Theta
+	if theta <= 0 {
+		theta = 0.75
+	}
+	dsts, byDst := ds.DestinationIndex()
+	if len(dsts) > batchWidth {
+		return false, false
+	}
+	for i := range ds.Demands {
+		d := &ds.Demands[i]
+		if !(d.Rate >= 0) || math.IsInf(d.Rate, 1) {
+			return false, false
+		}
+	}
+	q.sync(v)
+	if !q.portsFit() {
+		return false, true
+	}
+
+	// One field per destination; nothing routes to an inactive one.
+	nc := len(q.rep)
+	if need := len(dsts) * nc; len(q.dist) < need {
+		q.dist = make([]int32, need)
+	}
+	for _, dst := range dsts {
+		if !q.active[q.classOf[dst]] {
+			return false, true
+		}
+	}
+	clear(q.dist[:len(dsts)*nc])
+	q.distances(dsts)
+
+	if opts.FunnelFactor > 1 {
+		for _, k := range funnel {
+			q.funnel[k] = true
+		}
+		defer func() {
+			for _, k := range funnel {
+				q.funnel[k] = false
+			}
+		}()
+	}
+	bound := func(k int32) float64 {
+		if q.funnel[k] && opts.FunnelFactor > 1 {
+			return theta / opts.FunnelFactor
+		}
+		return theta
+	}
+	scale := opts.Scale()
+	wcmp := opts.Split == SplitCapacityWeighted
+	clear(q.load)
+	for gi, group := range byDst {
+		field := q.dist[gi*nc : (gi+1)*nc]
+		dc := q.classOf[dsts[gi]]
+		q.beginGroup()
+		for _, di := range group {
+			d := &ds.Demands[di]
+			x := q.classOf[d.Src]
+			if !q.active[x] || field[x] == 0 {
+				return false, true // unreachable
+			}
+			if q.stamp[x] != q.group {
+				q.stamp[x] = q.group
+				q.flow[x] = 0
+				q.levels.add(field[x], x)
+			}
+			q.flow[x] += d.Rate
+		}
+		q.sweep(field, dc, wcmp)
+		// Loads only grow: a class surely over its bound now stays over.
+		for _, li := range q.touched {
+			k := li >> 1
+			if util := (q.load[2*k] + q.load[2*k+1]) * scale / q.caps[k]; util > bound(k)*(1+liftMargin) {
+				return false, true
+			}
+		}
+	}
+	sure = true
+	for k := range q.caps {
+		if !q.up[k] {
+			continue
+		}
+		b := bound(int32(k))
+		if util := (q.load[2*k] + q.load[2*k+1]) * scale / q.caps[k]; !(util <= b*(1-liftMargin)) {
+			if util > b*(1+liftMargin) {
+				return false, true
+			}
+			sure = false // within the margin, or not a number
+		}
+	}
+	return sure, sure
+}
+
+// sync reads the up state of the view off the representatives, allocating
+// the check scratch on the first call.
+func (q *Quotient) sync(v *topo.View) {
+	nc, ncc := len(q.rep), len(q.ckSize)
+	if q.active == nil {
+		q.active = make([]bool, nc)
+		q.up = make([]bool, ncc)
+		q.funnel = make([]bool, ncc)
+		q.settled = make([]uint64, nc)
+		q.last = make([]int32, nc)
+		q.stamp = make([]uint16, nc)
+		q.flow = make([]float64, nc)
+		q.load = make([]float64, 2*ncc)
+	}
+	sw, ck := v.Activity()
+	for x, r := range q.rep {
+		q.active[x] = sw[r]
+	}
+	for k := range q.up {
+		e := q.ckEnds[3*k : 3*k+3]
+		q.up[k] = ck[e[0]] && sw[e[1]] && sw[e[2]]
+	}
+}
+
+// portsFit reports whether every active class's up-degree — its up arcs and
+// loops weighted by multiplicity — is within its port budget.
+func (q *Quotient) portsFit() bool {
+	for _, xp := range q.tight {
+		x, p := xp[0], xp[1]
+		if !q.active[x] {
+			continue
+		}
+		deg := 0.0
+		for _, a := range q.arcs[q.arcOff[x]:q.arcOff[x+1]] {
+			if q.up[a.li>>1] {
+				deg += q.mult[a.li]
+			}
+		}
+		for _, a := range q.loops[q.loopOff[x]:q.loopOff[x+1]] {
+			if q.up[a.li>>1] {
+				deg += q.mult[a.li]
+			}
+		}
+		if deg > float64(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// distances computes the fields of dsts, all active and each a class of its
+// own, into q.dist over the up quotient arcs: the evaluator's traversal over
+// classes instead of switches, a class's pending pairs merged per level.
+func (q *Quotient) distances(dsts []topo.SwitchID) {
+	settled, last, dist, nc := q.settled, q.last, q.dist, int32(len(q.rep))
+	arcs, off, up := q.arcs, q.arcOff, q.up
+	clear(settled)
+	lq := &q.levels
+	lq.drain()
+	lv := lq.at(0)
+	for i, d := range dsts {
+		lv.sw = append(lv.sw, q.classOf[d])
+		lv.mask = append(lv.mask, 1<<uint(i))
+	}
+	visits := 0
+	for len(lq.active) > 0 {
+		lv := lq.pop()
+		d := lv.d
+		var next *level
+		for j, w := range lv.sw {
+			fm := lv.mask[j] &^ settled[w]
+			if fm == 0 {
+				continue
+			}
+			settled[w] |= fm
+			for b := fm; b != 0; b &= b - 1 {
+				dist[int32(bits.TrailingZeros64(b))*nc+w] = d + 1
+			}
+			ws := arcs[off[w]:off[w+1]]
+			visits += len(ws)
+			for i := range ws {
+				a := &ws[i]
+				cand := fm &^ settled[a.other]
+				if cand == 0 || !up[a.li>>1] {
+					continue
+				}
+				// Merge into the peer's pending pair at the level the last
+				// push used, when it has one there; push otherwise.
+				nd := d + a.metric
+				if next != nil && next.d == nd {
+					if p := int(last[a.other]); p < len(next.sw) && next.sw[p] == a.other {
+						next.mask[p] |= cand
+						continue
+					}
+				}
+				next = lq.push(next, a.other, nd, cand, last)
+			}
+		}
+		lq.release(lv)
+	}
+	q.ArcVisits += visits
+}
+
+// beginGroup starts a destination group's flow set: membership is by stamp,
+// cleared when the 16-bit group number wraps.
+func (q *Quotient) beginGroup() {
+	if q.group++; q.group == 0 {
+		clear(q.stamp)
+		q.group = 1
+	}
+	q.levels.drain()
+	q.touched = q.touched[:0]
+}
+
+// sweep places the seeded flow of the current group over field toward the
+// destination class dc, farthest level first, adding each circuit class's
+// per-circuit share to its directional load and listing the loads it touched.
+func (q *Quotient) sweep(field []int32, dc int32, wcmp bool) {
+	arcs, off, up, mult, caps := q.arcs, q.arcOff, q.up, q.mult, q.caps
+	flow, stamp, load, group := q.flow, q.stamp, q.load, q.group
+	hops, touched := q.hops, q.touched
+	lq := &q.levels
+	for len(lq.active) > 0 {
+		top := len(lq.active) - 1
+		lv := lq.active[top]
+		lq.active = lq.active[:top]
+		var next *level
+		for _, x := range lv.sw {
+			f := flow[x]
+			if f == 0 || x == dc {
+				continue
+			}
+			// One scan finds the next hops and their weight; the pushes go
+			// over those alone.
+			dx := field[x]
+			lo := off[x]
+			weight := 0.0
+			hops = hops[:0]
+			for i, a := range arcs[lo:off[x+1]] {
+				if field[a.other] == dx-a.metric && up[a.li>>1] {
+					hops = append(hops, lo+int32(i))
+					if wcmp {
+						weight += mult[a.li] * caps[a.li>>1]
+					} else {
+						weight += mult[a.li]
+					}
+				}
+			}
+			if weight == 0 {
+				panic("routing: internal error: lifted flow stranded at a class with no next hop")
+			}
+			for _, i := range hops {
+				a := &arcs[i]
+				share := f / weight // per circuit of the class
+				if wcmp {
+					share = f * caps[a.li>>1] / weight
+				}
+				load[a.li] += share
+				touched = append(touched, a.li)
+				w := a.other
+				if stamp[w] != group {
+					stamp[w] = group
+					flow[w] = 0
+					if d := field[w]; next == nil || next.d != d {
+						next = lq.at(d)
+					}
+					next.sw = append(next.sw, w)
+				}
+				flow[w] += share * mult[a.li^1]
+			}
+		}
+		lq.release(lv)
+	}
+	q.hops, q.touched = hops, touched
+}
+
+// mix64 is the splitmix64 finalizer: the per-pair hash whose sum is a
+// switch's refinement signature.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// pairTable numbers distinct key pairs densely in order of first appearance:
+// an open-addressed table that doubles when half full, so it holds a few
+// entries per class and nothing per switch.
+type pairTable struct {
+	keys [][2]uint64
+	ids  []int32 // id+1; 0 is empty
+	n    int32
+}
+
+func (p *pairTable) reset() {
+	clear(p.ids)
+	p.n = 0
+}
+
+func (p *pairTable) id(a, b uint64) int32 {
+	if 2*(int(p.n)+1) > len(p.ids) {
+		p.grow()
+	}
+	mask := uint64(len(p.ids) - 1)
+	for i := mix64(a^mix64(b)) & mask; ; i = (i + 1) & mask {
+		if p.ids[i] == 0 {
+			p.keys[i] = [2]uint64{a, b}
+			p.n++
+			p.ids[i] = p.n
+			return p.n - 1
+		}
+		if p.keys[i] == [2]uint64{a, b} {
+			return p.ids[i] - 1
+		}
+	}
+}
+
+func (p *pairTable) grow() {
+	keys, ids := p.keys, p.ids
+	size := max(64, 2*len(ids))
+	p.keys, p.ids = make([][2]uint64, size), make([]int32, size)
+	mask := uint64(size - 1)
+	for j, id := range ids {
+		if id == 0 {
+			continue
+		}
+		k := keys[j]
+		i := mix64(k[0]^mix64(k[1])) & mask
+		for p.ids[i] != 0 {
+			i = (i + 1) & mask
+		}
+		p.keys[i], p.ids[i] = k, id
+	}
+}
