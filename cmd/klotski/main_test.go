@@ -17,6 +17,7 @@ import (
 
 	"klotski"
 	"klotski/internal/npd"
+	"klotski/internal/obs"
 )
 
 const testNPD = `{
@@ -411,7 +412,7 @@ func TestRunDebugAddr(t *testing.T) {
 // profile index.
 func TestServeDebug(t *testing.T) {
 	reg := klotski.DefaultObsRegistry()
-	klotski.NewObsRecorder(reg).StateCreated()
+	klotski.NewObsRecorder(reg).Add(obs.StatesCreated, 1)
 	var errBuf bytes.Buffer
 	stop, err := serveDebug("127.0.0.1:0", reg, &errBuf)
 	if err != nil {

@@ -184,9 +184,9 @@ func Verify(task *migration.Task, seq []int, cfg Config) (*Report, error) {
 
 	rep := &Report{FailStep: -1}
 	defer func() {
-		cfg.Recorder.AuditSteps(rep.StatesChecked)
+		cfg.Recorder.Add(obs.AuditSteps, rep.StatesChecked)
 		if !rep.Passed {
-			cfg.Recorder.AuditFailure()
+			cfg.Recorder.Add(obs.AuditFailures, 1)
 		}
 	}()
 

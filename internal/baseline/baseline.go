@@ -25,6 +25,7 @@ import (
 
 	"klotski/internal/core"
 	"klotski/internal/migration"
+	"klotski/internal/obs"
 	"klotski/internal/routing"
 )
 
@@ -174,7 +175,8 @@ func planMRC(ctx context.Context, task *migration.Task, done []int, initialLast 
 			metrics.Checks++
 			checkStart := time.Now()
 			boundaryOK = eval.Check(view, &task.Demands, copts).OK()
-			rec.CheckObserved(time.Since(checkStart))
+			rec.Add(obs.Checks, 1)
+			rec.Observe(obs.CheckLatency, time.Since(checkStart))
 		}
 		bestResidual := math.Inf(-1)
 		bestBlock := -1
@@ -195,8 +197,9 @@ func planMRC(ctx context.Context, task *migration.Task, done []int, initialLast 
 			res, viol := eval.Evaluate(view, &task.Demands, copts)
 			metrics.Checks++
 			metrics.StatesCreated++
-			rec.CheckObserved(time.Since(evalStart))
-			rec.StateCreated()
+			rec.Add(obs.Checks, 1)
+			rec.Observe(obs.CheckLatency, time.Since(evalStart))
+			rec.Add(obs.StatesCreated, 1)
 			task.Revert(view, blockID)
 			score := res.MinResidual
 			if at == last {
@@ -231,7 +234,7 @@ func planMRC(ctx context.Context, task *migration.Task, done []int, initialLast 
 		last = task.Blocks[bestBlock].Type
 		remaining--
 		metrics.StatesPopped++
-		rec.StateExpanded()
+		rec.Add(obs.StatesExpanded, 1)
 	}
 	// The final state ends the last run and must itself be safe.
 	if viol := eval.Check(view, &task.Demands, copts); !viol.OK() {

@@ -259,7 +259,10 @@ func (j *janusRun) feasible(counts []byte) bool {
 	j.metrics.Checks++
 	if j.rec.Enabled() {
 		checkStart := time.Now()
-		defer func() { j.rec.CheckObserved(time.Since(checkStart)) }()
+		defer func() {
+			j.rec.Add(obs.Checks, 1)
+			j.rec.Observe(obs.CheckLatency, time.Since(checkStart))
+		}()
 	}
 	j.view.Reset()
 	for c, n := range counts {
@@ -290,7 +293,7 @@ func (j *janusRun) search(initial []byte, initialLast migration.ActionType, star
 		nodes[key] = &nodeInfo{g: g, prevKey: prevKey, prevBlock: prevBlock}
 		idx++
 		j.metrics.StatesCreated++
-		j.rec.StateCreated()
+		j.rec.Add(obs.StatesCreated, 1)
 		heap.Push(&pq, janusItem{key: key, g: g, last: last, idx: idx})
 	}
 	startKey := j.key(initial, initialLast)
@@ -326,8 +329,8 @@ func (j *janusRun) search(initial []byte, initialLast migration.ActionType, star
 		node.closed = true
 		j.metrics.StatesPopped++
 		if j.rec.Enabled() {
-			j.rec.StateExpanded()
-			j.rec.OpenList(pq.Len())
+			j.rec.Add(obs.StatesExpanded, 1)
+			j.rec.Set(obs.OpenListSize, float64(pq.Len()))
 		}
 		counts := j.countsOfKey(it.key)
 

@@ -5,6 +5,7 @@ import (
 	"context"
 
 	"klotski/internal/migration"
+	"klotski/internal/obs"
 )
 
 // PlanAStar finds a minimum-cost safe migration plan with the A* search
@@ -92,7 +93,7 @@ func (s *astarSearch) push(vecIdx int32, last migration.ActionType, tail int, g 
 	}
 	s.best[k] = g
 	sp.metrics.StatesCreated++
-	sp.rec.StateCreated()
+	sp.rec.Add(obs.StatesCreated, 1)
 	s.front.observe(sp, vecIdx, last, tail)
 	if g < sp.incumbent && sp.isTarget(vecIdx) {
 		// Anytime incumbent: reaching the target with a cheaper g tightens
@@ -142,18 +143,18 @@ func (s *astarSearch) run() (*Plan, error) {
 			// the order the surviving states are pushed in — the plan stays
 			// byte-identical to the unpruned search's).
 			sp.metrics.BoundStatesPruned++
-			sp.rec.BoundStatesPruned(1)
+			sp.rec.Add(obs.BoundStatesPruned, 1)
 			continue
 		}
 		sp.metrics.StatesPopped++
 		if sp.rec.Enabled() {
-			sp.rec.StateExpanded()
-			sp.rec.OpenList(s.pq.Len())
+			sp.rec.Add(obs.StatesExpanded, 1)
+			sp.rec.Set(obs.OpenListSize, float64(s.pq.Len()))
 		}
 
 		if sp.isTarget(it.vecIdx) {
 			seq := sp.reconstruct(s.prev, it.vecIdx, it.last, int(it.tail))
-			sp.rec.PlanCompleted()
+			sp.rec.Add(obs.PlansCompleted, 1)
 			sp.incumbent = it.g
 			sp.lowerBound = it.g // popped target g is provably optimal
 			return sp.finishPlan(&Plan{
@@ -210,7 +211,7 @@ func (s *astarSearch) run() (*Plan, error) {
 // interrupt packages the live search into a resumable checkpoint.
 func (s *astarSearch) interrupt(reason error) error {
 	sp := s.sp
-	sp.rec.PlanInterrupted()
+	sp.rec.Add(obs.PlansInterrupted, 1)
 	sp.pause()
 	counts, partial := s.front.snapshot(sp, s.prev)
 	cp := &Checkpoint{

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"klotski/internal/migration"
+	"klotski/internal/obs"
 )
 
 // PlanDP finds a minimum-cost safe migration plan with the DP-based planner
@@ -129,7 +130,7 @@ func (d *dpRun) sweep() (*Plan, error) {
 			sp.metrics.StatesPopped)
 	}
 	seq := sp.reconstruct(d.prev, d.targetIdx, bestLast, bestTail)
-	sp.rec.PlanCompleted()
+	sp.rec.Add(obs.PlansCompleted, 1)
 	// The DP optimum is exact: the certificate closes with gap 0.
 	sp.incumbent, sp.lowerBound = bestCost, bestCost
 	return sp.finishPlan(&Plan{
@@ -145,7 +146,7 @@ func (d *dpRun) sweep() (*Plan, error) {
 // DP table into a resumable checkpoint.
 func (d *dpRun) interrupt(reason error) error {
 	sp := d.sp
-	sp.rec.PlanInterrupted()
+	sp.rec.Add(obs.PlansInterrupted, 1)
 	for _, k := range d.stack {
 		delete(d.memo, k)
 	}
@@ -219,11 +220,11 @@ func (d *dpRun) f(vecIdx int32, a migration.ActionType, t int) (float64, error) 
 		// the cell.
 		d.memo[key] = math.Inf(1)
 		sp.metrics.BoundStatesPruned++
-		sp.rec.BoundStatesPruned(1)
+		sp.rec.Add(obs.BoundStatesPruned, 1)
 		return math.Inf(1), nil
 	}
 	sp.metrics.StatesCreated++
-	sp.rec.StateCreated()
+	sp.rec.Add(obs.StatesCreated, 1)
 	if err := sp.interrupted(); err != nil {
 		return 0, err
 	}
@@ -255,7 +256,7 @@ func (d *dpRun) compute(vecIdx int32, a migration.ActionType, t int) (float64, p
 		return math.Inf(1), prevInfo{}, nil // a cannot have been the last action
 	}
 	sp.metrics.StatesPopped++
-	sp.rec.StateExpanded()
+	sp.rec.Add(obs.StatesExpanded, 1)
 
 	pred := append([]uint16(nil), v...)
 	pred[a]--

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"klotski/internal/migration"
+	"klotski/internal/obs"
 	"klotski/internal/routing"
 	"klotski/internal/topo"
 )
@@ -117,7 +118,10 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 	var checkStart time.Time
 	if sp.rec.Enabled() {
 		checkStart = time.Now()
-		defer func() { sp.rec.CheckObserved(time.Since(checkStart)) }()
+		defer func() {
+			sp.rec.Add(obs.Checks, 1)
+			sp.rec.Observe(obs.CheckLatency, time.Since(checkStart))
+		}()
 	}
 	ln.buildView(v)
 
@@ -143,11 +147,11 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 	switch {
 	case ln.nOver > 0:
 		sp.metrics.PortRejects++
-		sp.rec.PortReject()
+		sp.rec.Add(obs.PortRejects, 1)
 		ln.structRejected = true
 	case ln.cutOverloaded(copts.Scale(), copts.Theta):
 		sp.metrics.CutRejects++
-		sp.rec.CutReject()
+		sp.rec.Add(obs.CutRejects, 1)
 	default:
 		if ok, sure := ln.liftedCheck(copts, funnelBlock); sure {
 			return ok

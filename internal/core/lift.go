@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"klotski/internal/migration"
+	"klotski/internal/obs"
 	"klotski/internal/routing"
 	"klotski/internal/topo"
 )
@@ -82,11 +83,11 @@ func (ln *lane) liftedCheck(copts routing.CheckOpts, funnelBlock int) (ok, sure 
 	}
 	if !sure {
 		sp.metrics.LiftedFallbacks++
-		sp.rec.Lifted(0, 1)
+		sp.rec.Add(obs.LiftedFallbacks, 1)
 		return false, false
 	}
 	sp.metrics.LiftedChecks++
-	sp.rec.Lifted(1, 0)
+	sp.rec.Add(obs.LiftedChecks, 1)
 	if liftedHook != nil {
 		liftedHook(ln, copts, ok)
 	}

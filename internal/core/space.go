@@ -643,11 +643,11 @@ func (sp *space) feasible(vecIdx int32, last migration.ActionType) bool {
 		if !sp.opts.DisableCache {
 			if f, ok := sp.feasF[ck]; ok {
 				sp.metrics.CacheHits++
-				sp.rec.CacheHit()
+				sp.rec.Add(obs.CacheHits, 1)
 				return f == feasYes
 			}
 			sp.metrics.CacheMisses++
-			sp.rec.CacheMiss()
+			sp.rec.Add(obs.CacheMisses, 1)
 		}
 		ok := sp.ln.check(sp.vec(vecIdx), last, true)
 		res := feasNo
@@ -661,15 +661,15 @@ func (sp *space) feasible(vecIdx int32, last migration.ActionType) bool {
 		switch sp.feasT.get(vecIdx) {
 		case feasYes:
 			sp.metrics.CacheHits++
-			sp.rec.CacheHit()
+			sp.rec.Add(obs.CacheHits, 1)
 			return true
 		case feasNo:
 			sp.metrics.CacheHits++
-			sp.rec.CacheHit()
+			sp.rec.Add(obs.CacheHits, 1)
 			return false
 		}
 		sp.metrics.CacheMisses++
-		sp.rec.CacheMiss()
+		sp.rec.Add(obs.CacheMisses, 1)
 	}
 	ok := sp.ln.check(sp.vec(vecIdx), last, false)
 	res := feasNo
@@ -804,20 +804,21 @@ func (sp *space) elapsedMetrics() Metrics {
 		cl := sp.bd.CutsLearned() - sp.bdCutsBase
 		ch := sp.bd.CutHits() - sp.bdHitsBase
 		cx := sp.bd.CrossHits() - sp.bdCrossBase
-		sp.rec.BoundCutsLearnedAdded(cl - sp.metrics.BoundCutsLearned)
-		sp.rec.BoundCutHitsAdded(ch - sp.metrics.BoundCutHits)
-		sp.rec.BoundCrossHitsAdded(cx - sp.metrics.BoundCrossHits)
+		sp.rec.Add(obs.BoundCutsLearned, cl-sp.metrics.BoundCutsLearned)
+		sp.rec.Add(obs.BoundCutHits, ch-sp.metrics.BoundCutHits)
+		sp.rec.Add(obs.BoundCrossHits, cx-sp.metrics.BoundCrossHits)
 		sp.metrics.BoundCutsLearned = cl
 		sp.metrics.BoundCutHits = ch
 		sp.metrics.BoundCrossHits = cx
 	}
 	repairs := sp.ln.eval.PlacementRepairs - sp.ln.placeBase[0]
 	fallbacks := sp.ln.eval.PlacementFallbacks - sp.ln.placeBase[1]
-	sp.rec.Placements(repairs-sp.metrics.PlacementRepairs, fallbacks-sp.metrics.PlacementFallbacks)
+	sp.rec.Add(obs.PlacementRepairs, repairs-sp.metrics.PlacementRepairs)
+	sp.rec.Add(obs.PlacementFallbacks, fallbacks-sp.metrics.PlacementFallbacks)
 	sp.metrics.PlacementRepairs, sp.metrics.PlacementFallbacks = repairs, fallbacks
 	sp.metrics.IncumbentCost, sp.metrics.LowerBound, sp.metrics.OptimalityGap =
 		certGap(sp.incumbent, sp.lowerBound)
-	sp.rec.OptimalityGap(sp.metrics.OptimalityGap)
+	sp.rec.Set(obs.OptimalityGap, sp.metrics.OptimalityGap)
 	m := sp.metrics
 	m.PlanningTime = sp.priorElapsed + time.Since(sp.started)
 	return m

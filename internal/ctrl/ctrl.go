@@ -227,7 +227,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			return fmt.Errorf("ctrl: replan budget (%d) exhausted: %s", opts.MaxReplans, reason)
 		}
 		out.Replans++
-		rec.Replan()
+		rec.Add(obs.Replans, 1)
 		if opts.Journal != nil {
 			if err := opts.Journal.Append(Entry{Seq: len(world.Executed()), Op: "replan", Detail: reason}); err != nil {
 				return err
@@ -282,7 +282,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 				break
 			}
 			out.TelemetryFaults++
-			rec.TelemetryFault()
+			rec.Add(obs.TelemetryFaults, 1)
 			if attempt >= opts.ObserveRetries {
 				break
 			}
@@ -335,7 +335,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			}
 			if gapSkipCheck(task, world, opts.Config, opts.GapSkipThreshold, remaining[idx:], obsSet, rf) {
 				out.GapSkips++
-				rec.GapSkip()
+				rec.Add(obs.GapSkips, 1)
 				// The plan was certified against the observation; make it
 				// the new drift reference so the same drift does not re-run
 				// the certificate at every boundary.
@@ -355,7 +355,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			return err
 		}
 		out.DriftReplans++
-		rec.DriftReplan()
+		rec.Add(obs.DriftReplans, 1)
 		if haveRefit {
 			assumedF = refit
 		}
@@ -409,7 +409,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 				break
 			}
 			out.Retries++
-			rec.Retry()
+			rec.Add(obs.Retries, 1)
 			opts.Sleep(backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
 			attempt++
 		}
@@ -434,11 +434,11 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			}
 			if !ok {
 				out.BoundaryViolations++
-				rec.BoundaryViolation()
+				rec.Add(obs.BoundaryViolations, 1)
 			}
 			if degraded {
 				out.DegradedRuns++
-				rec.DegradedRun()
+				rec.Add(obs.DegradedRuns, 1)
 			}
 			// Drift check before committing to the next run; the final
 			// boundary has no next run to replan for.

@@ -188,7 +188,7 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 		c, err := fo.Pool.Register(m.Name, sched.ClientOptions{Priority: m.Priority, MinShare: m.MinShare})
 		rep.Wait += time.Since(w)
 		if err == nil {
-			fo.Recorder.FleetPlanAdmitted()
+			fo.Recorder.Add(obs.FleetPlansAdmitted, 1)
 		}
 		return c, err
 	}

@@ -22,12 +22,12 @@ func TestRegistryConcurrentPlans(t *testing.T) {
 		go func(rec *Recorder) {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				rec.SchedPreemption()
-				rec.FleetPlanAdmitted()
-				rec.BoundCrossHitsAdded(2)
-				rec.StateCreated()
-				rec.StateExpanded()
-				rec.CacheHit()
+				rec.Add(SchedPreemptions, 1)
+				rec.Add(FleetPlansAdmitted, 1)
+				rec.Add(BoundCrossHits, 2)
+				rec.Add(StatesCreated, 1)
+				rec.Add(StatesExpanded, 1)
+				rec.Add(CacheHits, 1)
 			}
 		}(rec)
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"net/http"
 	"net/http/pprof"
@@ -38,12 +37,13 @@ func (r *Registry) PublishExpvar(name string) {
 // built on those snapshots reads a live daemon unchanged. The root path
 // serves the same snapshot for tools that want stats without a path.
 func (r *Registry) DebugHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, req *http.Request) {
+	stats := func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		r.WriteJSON(w)
-	})
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/stats", stats)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -54,10 +54,7 @@ func (r *Registry) DebugHandler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot())
+		stats(w, req)
 	})
 	return mux
 }

@@ -3,7 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,62 +17,41 @@ import (
 
 func TestCounterGauge(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
+	rec := NewRecorder(reg)
+	rec.Add(StatesCreated, 1)
+	rec.Add(StatesCreated, 4)
+	if got := reg.Snapshot().Counters[MetricStatesCreated]; got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	if reg.Counter("c") != c {
-		t.Error("Counter is not get-or-create")
+	gauge := func() GaugeSnapshot { return reg.Snapshot().Gauges[MetricOpenListSize] }
+	rec.Set(OpenListSize, 7)
+	rec.Set(OpenListSize, 3)
+	if g := gauge(); g.Value != 3 || g.Max != 7 {
+		t.Errorf("gauge value/max = %d/%d, want 3/7", g.Value, g.Max)
 	}
-	g := reg.Gauge("g")
-	g.Set(7)
-	g.Set(3)
-	if g.Value() != 3 || g.Max() != 7 {
-		t.Errorf("gauge value/max = %d/%d, want 3/7", g.Value(), g.Max())
-	}
-	g.Add(6)
-	g.Add(-2)
-	if g.Value() != 7 || g.Max() != 9 {
-		t.Errorf("gauge value/max after Add = %d/%d, want 7/9", g.Value(), g.Max())
+	rec.Add(OpenListSize, 6)
+	rec.Add(OpenListSize, -2)
+	if g := gauge(); g.Value != 7 || g.Max != 9 {
+		t.Errorf("gauge value/max after Add = %d/%d, want 7/9", g.Value, g.Max)
 	}
 }
 
 func TestNilInstrumentsNoOp(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
 	var tr *Trace
 	var rec *Recorder
 	var reg *Registry
-	c.Inc()
-	c.Add(2)
-	g.Set(1)
-	g.Add(1)
-	h.Observe(1)
-	h.ObserveDuration(time.Second)
 	tr.StartSpan("x").End()
-	rec.StateCreated()
-	rec.StateExpanded()
-	rec.CacheHit()
-	rec.CacheMiss()
-	rec.CheckObserved(time.Millisecond)
-	rec.OpenList(9)
-	rec.PlanCompleted()
-	rec.PlanInterrupted()
-	rec.Retry()
-	rec.Replan()
-	rec.BoundaryViolation()
+	for id := Instrument(0); id < NumInstruments; id++ {
+		rec.Add(id, 1)
+		rec.Set(id, 1)
+		rec.Observe(id, time.Millisecond)
+	}
 	rec.Span("x").End()
 	if rec.Enabled() {
 		t.Error("nil recorder reports enabled")
 	}
-	if reg.Counter("x") != nil || reg.Gauge("x") != nil || reg.Histogram("x", nil) != nil || reg.Trace("x", 0) != nil {
-		t.Error("nil registry should hand out nil instruments")
-	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("nil instruments should read zero")
+	if reg.Trace("x", 0) != nil {
+		t.Error("nil registry should hand out a nil trace")
 	}
 	if s := reg.Snapshot(); s.Counters != nil {
 		t.Error("nil registry snapshot should be zero")
@@ -77,15 +61,15 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 func TestHistogram(t *testing.T) {
 	h := newHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 2, 3, 50, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if got := h.Sum(); got != 1055.5 {
-		t.Errorf("sum = %v", got)
+		h.observe(v)
 	}
 	s := h.snapshot()
+	if s.Count != 5 {
+		t.Errorf("count = %d", s.Count)
+	}
+	if s.Sum != 1055.5 {
+		t.Errorf("sum = %v", s.Sum)
+	}
 	if s.Overflow != 1 {
 		t.Errorf("overflow = %d, want 1", s.Overflow)
 	}
@@ -96,12 +80,12 @@ func TestHistogram(t *testing.T) {
 		}
 	}
 	// Median of {0.5, 2, 3, 50, 1000} falls in the (1,10] bucket.
-	if got := h.Quantile(0.5); got != 10 {
-		t.Errorf("p50 = %v, want 10", got)
+	if s.P50 != 10 {
+		t.Errorf("p50 = %v, want 10", s.P50)
 	}
 	// p99 lands in overflow, reported as the largest finite bound.
-	if got := h.Quantile(0.99); got != 100 {
-		t.Errorf("p99 = %v, want 100", got)
+	if s.P99 != 100 {
+		t.Errorf("p99 = %v, want 100", s.P99)
 	}
 }
 
@@ -113,16 +97,13 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.Observe(1.5)
+				h.observe(1.5)
 			}
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("count = %d, want 8000", h.Count())
-	}
-	if got := h.Sum(); got != 12000 {
-		t.Errorf("sum = %v, want 12000", got)
+	if s := h.snapshot(); s.Count != 8000 || s.Sum != 12000 {
+		t.Errorf("count/sum = %d/%v, want 8000/12000", s.Count, s.Sum)
 	}
 }
 
@@ -146,15 +127,13 @@ func TestTraceRingEviction(t *testing.T) {
 func TestRecorderAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(reg)
-	rec.StateCreated()
-	rec.StateCreated()
-	rec.StateExpanded()
-	rec.CacheHit()
-	rec.CacheHit()
-	rec.CacheHit()
-	rec.CacheMiss()
-	rec.CheckObserved(2 * time.Millisecond)
-	rec.OpenList(42)
+	rec.Add(StatesCreated, 2)
+	rec.Add(StatesExpanded, 1)
+	rec.Add(CacheHits, 3)
+	rec.Add(CacheMisses, 1)
+	rec.Add(Checks, 1)
+	rec.Observe(CheckLatency, 2*time.Millisecond)
+	rec.Set(OpenListSize, 42)
 	sp := rec.Span("astar.run")
 	rec.Span("check").End()
 	sp.End()
@@ -195,10 +174,96 @@ func TestRecorderAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestTwoRecordersShareOptimalityGap holds the gap at registry level: a
+// second recorder on the registry must not hide the gap the first set.
+func TestTwoRecordersShareOptimalityGap(t *testing.T) {
+	reg := NewRegistry()
+	a := NewRecorder(reg)
+	b := NewRecorder(reg)
+	a.Set(OptimalityGap, 0.25)
+	if got := reg.Snapshot().Derived[MetricOptimalityGap]; got != 0.25 {
+		t.Errorf("gap = %v after a second recorder, want 0.25", got)
+	}
+	b.Set(OptimalityGap, 0.5)
+	if got := reg.Snapshot().Derived[MetricOptimalityGap]; got != 0.5 {
+		t.Errorf("gap = %v, want the last one set, 0.5", got)
+	}
+}
+
+// TestInstrumentTable holds every instrument to one declaration: names are
+// unique, every exported Metric* name but the deprecated ones is declared,
+// and each instrument appears in a snapshot under its declared kind only.
+func TestInstrumentTable(t *testing.T) {
+	declared := map[string]Instrument{}
+	for id := Instrument(0); id < NumInstruments; id++ {
+		if id.Name() == "" {
+			t.Errorf("instrument %d has no declaration", id)
+		}
+		if prev, dup := declared[id.Name()]; dup {
+			t.Errorf("instruments %d and %d are both named %q", prev, id, id.Name())
+		}
+		declared[id.Name()] = id
+	}
+
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, f := range pkgs["obs"].Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST || strings.Contains(gd.Doc.Text(), "Deprecated:") {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, n := range vs.Names {
+					if !strings.HasPrefix(n.Name, "Metric") {
+						continue
+					}
+					name, err := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exported[name] = true
+					if _, ok := declared[name]; !ok {
+						t.Errorf("%s = %q is exported but not declared", n.Name, name)
+					}
+				}
+			}
+		}
+	}
+	for name := range declared {
+		if !exported[name] {
+			t.Errorf("instrument %q has no exported Metric* name", name)
+		}
+	}
+
+	s := NewRegistry().Snapshot()
+	for id := Instrument(0); id < NumInstruments; id++ {
+		_, c := s.Counters[id.Name()]
+		_, g := s.Gauges[id.Name()]
+		_, h := s.Histograms[id.Name()]
+		_, d := s.Derived[id.Name()]
+		in := map[Kind]bool{KindCounter: c, KindGauge: g, KindHistogram: h, KindDerived: d}
+		for k, ok := range in {
+			if ok != (k == id.Kind()) {
+				t.Errorf("%s (%v) in the snapshot's %v map: %v", id.Name(), id.Kind(), k, ok)
+			}
+		}
+	}
+	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Derived); n != int(NumInstruments) {
+		t.Errorf("snapshot has %d instruments, table declares %d", n, NumInstruments)
+	}
+}
+
 func TestDebugHandler(t *testing.T) {
 	reg := NewRegistry()
-	rec := NewRecorder(reg)
-	rec.StateCreated()
+	NewRecorder(reg).Add(StatesCreated, 1)
 	reg.PublishExpvar("klotski-test")
 	reg.PublishExpvar("klotski-test") // duplicate publish must not panic
 
@@ -207,6 +272,7 @@ func TestDebugHandler(t *testing.T) {
 
 	for path, want := range map[string]string{
 		"/debug/vars":   "klotski-test",
+		"/debug/stats":  MetricStatesCreated,
 		"/":             MetricStatesCreated,
 		"/debug/pprof/": "goroutine",
 	} {

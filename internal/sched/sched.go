@@ -152,7 +152,7 @@ func (p *Pool) preemptLocked(prio, need int) bool {
 		close(victim.preempted)
 		need -= victim.min
 		did = true
-		p.rec.SchedPreemption()
+		p.rec.Add(obs.SchedPreemptions, 1)
 	}
 	return did
 }

@@ -10,11 +10,6 @@ import (
 	"klotski/internal/obs"
 )
 
-// counter reads a named counter from reg, tolerating absence as zero.
-func counter(reg *obs.Registry, name string) int64 {
-	return reg.Counter(name).Value()
-}
-
 func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		for _, n := range []int{0, 1, 2, 7, 64} {
@@ -120,7 +115,7 @@ func TestPreemptionEvictsLowerPriority(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("hi never admitted")
 	}
-	if got := counter(reg, obs.MetricSchedPreemptions); got != 1 {
+	if got := reg.Snapshot().Counters[obs.MetricSchedPreemptions]; got != 1 {
 		t.Fatalf("sched.preemptions = %d, want 1", got)
 	}
 	low.Close()

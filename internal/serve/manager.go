@@ -21,6 +21,7 @@ import (
 	"klotski/internal/ctrl"
 	"klotski/internal/migration"
 	"klotski/internal/npd"
+	"klotski/internal/obs"
 	"klotski/internal/sched"
 	"klotski/internal/sim"
 )
@@ -175,7 +176,7 @@ func (j *Job) appendLocked(recs ...record) error {
 		return err
 	}
 	j.seq += len(recs)
-	j.m.cfg.Recorder.JournalSync()
+	j.m.cfg.Recorder.Add(obs.ServeJournalSyncs, 1)
 	return nil
 }
 
@@ -254,7 +255,7 @@ func (j *Job) endLocked() {
 		j.cancelRun(errJobEnded)
 	}
 	j.Req.NPD = nil
-	j.m.cfg.Recorder.JobsActiveAdd(-1)
+	j.m.cfg.Recorder.Add(obs.ServeJobsActive, -1)
 }
 
 // Manager owns the job table, the shared worker pool, and the state
@@ -357,8 +358,8 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	m.insertLocked(j)
 	m.mu.Unlock()
 
-	m.cfg.Recorder.JobSubmitted()
-	m.cfg.Recorder.JobsActiveAdd(1)
+	m.cfg.Recorder.Add(obs.ServeJobsSubmitted, 1)
+	m.cfg.Recorder.Add(obs.ServeJobsActive, 1)
 	go m.runJob(j, doc)
 	return j, nil
 }
@@ -444,7 +445,7 @@ func (m *Manager) Drain() {
 	if already {
 		return
 	}
-	m.cfg.Recorder.ServeDrain()
+	m.cfg.Recorder.Add(obs.ServeDrains, 1)
 	m.cancelRun(errDrainStop)
 	m.wg.Wait()
 }
@@ -533,7 +534,7 @@ func (m *Manager) admit(ctx context.Context, j *Job) (client *sched.Client, seri
 		}
 		return r.c, false
 	case <-timer:
-		m.cfg.Recorder.SerialDegrade()
+		m.cfg.Recorder.Add(obs.ServeSerialDegrades, 1)
 	case <-ctx.Done():
 	}
 	go func() { // release a registration that lands after we stopped waiting
@@ -580,7 +581,7 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 		// stayed PLANNING on disk would be replayed into the same panic by
 		// every restart.
 		log.Printf("serve: job %s: %v\n%s", j.ID, pp, pp.stack)
-		m.cfg.Recorder.PlannerPanic()
+		m.cfg.Recorder.Add(obs.ServePlannerPanics, 1)
 		j.transition(record{State: recFailed, Detail: pp.Error()})
 		return
 	}
@@ -625,7 +626,7 @@ func (m *Manager) finish(j *Job, planErr error, ctx context.Context) {
 	case errors.Is(cause, errUserCancel):
 		j.transition(record{State: recCancelled, Detail: "cancelled by client"})
 	case errors.Is(cause, context.DeadlineExceeded):
-		m.cfg.Recorder.DeadlineExpiry()
+		m.cfg.Recorder.Add(obs.ServeDeadlineExpiries, 1)
 		j.transition(record{State: recFailed, Detail: "deadline expired"})
 	case planErr != nil:
 		j.transition(record{State: recFailed, Detail: planErr.Error()})
@@ -885,8 +886,8 @@ func (m *Manager) recover() error {
 			j.Req.NPD = nil
 			continue
 		}
-		m.cfg.Recorder.JobsActiveAdd(1)
-		m.cfg.Recorder.JobRecovered()
+		m.cfg.Recorder.Add(obs.ServeJobsActive, 1)
+		m.cfg.Recorder.Add(obs.ServeJobsRecovered, 1)
 		if j.state == StateAudited {
 			// The plan is durable; only the done record was lost.
 			j.transition(record{State: recDone})

@@ -693,15 +693,15 @@ func PlanFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*
 // unless FleetOptions.NoSharedCuts is set).
 func NewBoundStore() *BoundStore { return bound.NewStore() }
 
-// Observability: typed instruments, a process-wide registry with expvar
-// and JSON-snapshot export, ring-buffered span traces, and the nil-safe
-// Recorder the planners accept via Options.Recorder.
+// Observability: a declared table of instruments, a process-wide registry
+// with expvar and JSON-snapshot export, ring-buffered span traces, and the
+// nil-safe Recorder the planners accept via Options.Recorder.
 type (
 	// ObsRecorder is the typed hot-path recorder; a nil *ObsRecorder is
 	// the no-op default.
 	ObsRecorder = obs.Recorder
-	// ObsRegistry is a namespace of counters, gauges, histograms, derived
-	// values, and trace streams.
+	// ObsRegistry holds one of each declared instrument (counters, gauges,
+	// histograms, derived values) and the trace streams.
 	ObsRegistry = obs.Registry
 	// ObsSnapshot is a point-in-time JSON-marshalable registry export.
 	ObsSnapshot = obs.Snapshot
