@@ -300,8 +300,12 @@ func BenchmarkCheckSuiteE(b *testing.B) {
 // routing.Quotient, core.LiftedQuotient) with the full Check where it is not
 // sure; one iteration is one walk, and both report ns/check. lifted also
 // reports quotient-arcvisits/check, the quotient arcs its distance traversals
-// scanned, and unsure/check, the share it left to the full Check; build is
-// one partition build.
+// scanned and its field repairs tested; unsure/check, the share it left to
+// the full Check; repaired-share, the part of the distance fields it used
+// that were the previous check's, repaired, rather than traversed afresh; and
+// hoplist-reuse-share, the part of its sweeps' (group, class) visits that
+// read a retained next-hop list back instead of scanning the class's arcs.
+// build is one partition build.
 func BenchmarkLiftedCheckSuiteE(b *testing.B) {
 	for _, scale := range []float64{0.25, 1} {
 		s, err := klotski.Suite("E", scale)
@@ -346,16 +350,20 @@ func BenchmarkLiftedCheckSuiteE(b *testing.B) {
 				}
 			}
 			walk(check)
-			checks, visits, unsure0 := q.Checks, q.ArcVisits, unsure
+			base, unsure0 := *q, unsure
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				walk(check)
 			}
-			n := float64(q.Checks - checks)
+			n := float64(q.Checks - base.Checks)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/check")
-			b.ReportMetric(float64(q.ArcVisits-visits)/n, "quotient-arcvisits/check")
+			b.ReportMetric(float64(q.ArcVisits-base.ArcVisits)/n, "quotient-arcvisits/check")
 			b.ReportMetric(float64(unsure-unsure0)/n, "unsure/check")
+			repairs := float64(q.FieldRepairs - base.FieldRepairs)
+			b.ReportMetric(repairs/(repairs+float64(q.FieldsTraversed-base.FieldsTraversed)), "repaired-share")
+			reused := float64(q.HopListsReused - base.HopListsReused)
+			b.ReportMetric(reused/(reused+float64(q.HopListsBuilt-base.HopListsBuilt)), "hoplist-reuse-share")
 		})
 		b.Run(fmt.Sprintf("x%g/build", scale), func(b *testing.B) {
 			b.ReportAllocs()
@@ -580,7 +588,8 @@ func TestEvaluatorFootprintSuiteE(t *testing.T) {
 // them on the port budgets and 92 on the capacity cuts before routing. The
 // evaluator routes the first 32 of the other 400; then the lane's gate opens
 // and the lifted check answers the remaining 368 from the fabric's quotient,
-// 429 switch classes and 1278 circuit classes. The same search on the full
+// 429 switch classes and 1278 circuit classes, repairing the fields of the
+// check before from its second on. The same search on the full
 // evaluator alone is pinned by TestHopSetsFollowRepairsFullPath in
 // internal/core.
 func TestHopSetsFollowRepairs(t *testing.T) {
@@ -617,6 +626,12 @@ func TestHopSetsFollowRepairs(t *testing.T) {
 	sw, ck := q.Classes()
 	if lifted, want := [4]int{m.LiftedChecks, m.LiftedFallbacks, sw, ck}, [4]int{368, 0, 429, 1278}; lifted != want {
 		t.Errorf("suite E: lifted checks, lifted fallbacks, switch classes, circuit classes = %v, want %v", lifted, want)
+	}
+	// The first lifted check traverses the 14 destination fields; each of the
+	// other 367 repairs them (TestLiftedFieldsFollowRepairs in internal/core
+	// pins the quotient's own counts).
+	if got, want := m.LiftedFieldRepairs, 367*14; got != want {
+		t.Errorf("suite E: lifted field repairs = %d, want %d", got, want)
 	}
 }
 

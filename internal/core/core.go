@@ -264,9 +264,11 @@ type Metrics struct {
 
 	// Routed checks the lifted check answered from the quotient of the
 	// fabric, and those it was not sure of and left to the full evaluator
-	// (lift.go).
-	LiftedChecks    int
-	LiftedFallbacks int
+	// (lift.go); and the distance fields it repaired from the check before
+	// instead of traversing the quotient (routing.Quotient.FieldRepairs).
+	LiftedChecks       int
+	LiftedFallbacks    int
+	LiftedFieldRepairs int
 
 	// Always zero: bench/ still reads the two (ROADMAP item 5(g) drops them).
 	GroupInvalidations int

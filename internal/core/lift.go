@@ -79,7 +79,12 @@ func (ln *lane) liftedCheck(copts routing.CheckOpts, funnelBlock int) (ok, sure 
 		funnel, fits = lf.funnelClasses(sp, funnelBlock)
 	}
 	if fits {
+		repaired := lf.q.FieldRepairs
 		ok, sure = lf.q.Check(ln.view, sp.demands, copts, funnel)
+		if n := lf.q.FieldRepairs - repaired; n > 0 {
+			sp.metrics.LiftedFieldRepairs += n
+			sp.rec.Add(obs.LiftedFieldRepairs, n)
+		}
 	}
 	if !sure {
 		sp.metrics.LiftedFallbacks++

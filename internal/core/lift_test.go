@@ -180,3 +180,34 @@ func TestLiftedChecksAgreeWithChecker(t *testing.T) {
 	}
 	t.Logf("%d lifted verdicts, %d rejections, %d disagreements", a.lifted, a.rejected, len(a.disagree))
 }
+
+// TestLiftedFieldsFollowRepairs holds the lane's quotient to what it keeps
+// between checks, in its own counts over the plan-large A* search (suite E ×
+// 0.25, the gate as shipped): its first check traverses the 14 destination
+// fields, and every later one repairs them around the circuit classes its
+// block flipped and reads most of its next-hop lists back. The plan's
+// metrics carry the repairs (planner.lifted_field_repairs).
+func TestLiftedFieldsFollowRepairs(t *testing.T) {
+	var q *routing.Quotient
+	liftedHook = func(ln *lane, _ routing.CheckOpts, _ bool) { q = ln.lift.q }
+	t.Cleanup(func() { liftedHook = nil })
+	s, err := gen.Suite("E", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PlanAStar(s.Task, Options{SkipAudit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q == nil {
+		t.Fatal("suite E: no lifted check")
+	}
+	got := [6]int{q.Checks, q.FieldsTraversed, q.FieldRepairs, q.ArcVisits, q.HopListsBuilt, q.HopListsReused}
+	t.Logf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v", got)
+	if want := [6]int{368, 14, 5138, 1035920, 46313, 565715}; got != want {
+		t.Errorf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v, want %v", got, want)
+	}
+	if m := p.Metrics; m.LiftedFieldRepairs != q.FieldRepairs {
+		t.Errorf("suite E: the plan's metrics count %d lifted field repairs, the quotient %d", m.LiftedFieldRepairs, q.FieldRepairs)
+	}
+}

@@ -22,6 +22,7 @@ const (
 	MetricPlacementFallbacks = "planner.placement_fallbacks"
 	MetricLiftedChecks       = "planner.lifted_checks"
 	MetricLiftedFallbacks    = "planner.lifted_fallbacks"
+	MetricLiftedFieldRepairs = "planner.lifted_field_repairs"
 	MetricOpenListSize       = "planner.open_list_size"
 	MetricPlansCompleted     = "planner.plans_completed"
 	MetricPlansInterrupted   = "planner.plans_interrupted"
@@ -105,6 +106,10 @@ const (
 	// LiftedFallbacks counts checks the quotient was unsure of and left to
 	// the full evaluator.
 	LiftedFallbacks
+	// LiftedFieldRepairs counts distance fields the lifted check kept from
+	// the check before and repaired around the circuit classes that changed,
+	// instead of traversing the quotient again.
+	LiftedFieldRepairs
 	// OpenListSize is the size of the search's open list.
 	OpenListSize
 	// PlansCompleted counts planner runs that returned a plan.
@@ -208,6 +213,7 @@ var table = [NumInstruments]decl{
 	PlacementFallbacks:    {name: MetricPlacementFallbacks},
 	LiftedChecks:          {name: MetricLiftedChecks},
 	LiftedFallbacks:       {name: MetricLiftedFallbacks},
+	LiftedFieldRepairs:    {name: MetricLiftedFieldRepairs},
 	OpenListSize:          {name: MetricOpenListSize, kind: KindGauge},
 	PlansCompleted:        {name: MetricPlansCompleted},
 	PlansInterrupted:      {name: MetricPlansInterrupted},

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"klotski/internal/demand"
 	"klotski/internal/topo"
@@ -36,8 +37,12 @@ import (
 const liftMargin = 1e-9
 
 // Quotient routes one representative per class of an equitable partition of
-// a topology (NewQuotient). It keeps per-check scratch and is not safe for
-// concurrent use.
+// a topology (NewQuotient). Between checks it keeps the distance fields of the
+// last check's destinations with the up state they are exact over, and beside
+// each field the next-hop list of every class a sweep visited: while the
+// destinations stay the same, a check repairs the fields around the circuit
+// classes that flipped and reads the lists back instead of traversing and
+// scanning again. It is not safe for concurrent use.
 type Quotient struct {
 	classOf   []int32    // per switch: its class
 	rep       []int32    // per class: its lowest-numbered member
@@ -46,6 +51,7 @@ type Quotient struct {
 	ckSize    []int32    // per circuit class: its members
 	ckEnds    []int32    // per circuit class: its representative's circuit and endpoints, three entries each
 	caps      []float64
+	metric    []int32 // per circuit class: its circuits' metric
 
 	// Adjacency over classes: the arcs of class x are arcs[arcOff[x]:arcOff[x+1]],
 	// one per circuit class between x and another class, and its loops are
@@ -62,8 +68,12 @@ type Quotient struct {
 	mult []float64
 
 	// Stats counters for the lifetime of the quotient.
-	Checks    int // number of Check calls
-	ArcVisits int // quotient arcs scanned by the distance traversals
+	Checks          int // number of Check calls
+	ArcVisits       int // quotient arcs scanned by the distance traversals and tested by the repairs
+	FieldsTraversed int // distance fields computed by a traversal
+	FieldRepairs    int // … and retained fields brought up to date by a repair instead
+	HopListsBuilt   int // next-hop lists the sweeps built, one scan of a class's arcs each
+	HopListsReused  int // … and retained ones they read back instead
 
 	// Check scratch, allocated on the first check.
 	active  []bool
@@ -72,13 +82,32 @@ type Quotient struct {
 	settled []uint64
 	last    []int32
 	levels  levelQueue
-	dist    []int32 // one field per destination, len(rep) entries each
 	stamp   []uint16
 	group   uint16
 	flow    []float64
 	load    []float64
 	touched []int32
-	hops    []int32
+
+	// What a check keeps for the next. dist holds one field per destination
+	// of kept, len(rep) entries each, exact over keptUp: the up state of the
+	// last check that traversed or repaired them. Beside field f, the next
+	// hops of class x are the arc indices
+	// hopArcs[f·len(arcs)+arcOff[x]:][:hopLen[f·len(rep)+x]], in arc order,
+	// and hopOK[f·len(rep)+x] says whether that list stands for field f and
+	// the up state as they are.
+	kept    []topo.SwitchID
+	keptUp  []bool
+	dist    []int32
+	hopArcs []int32
+	hopLen  []int32
+	hopOK   []bool
+
+	// Repair scratch: the quotient arcs of the circuit classes that went down
+	// and came up since keptUp, each from its lower class; the entries of the
+	// field under repair that lost their support; the tight children of the
+	// entry being judged.
+	wentDown, cameUp []flipped
+	unset, kids      []int32
 }
 
 // qarc is a quotient arc: the circuits of one circuit class seen from the
@@ -232,11 +261,12 @@ func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32) (*Quot
 	q.ckSize = make([]int32, ncc)
 	q.ckEnds = make([]int32, 3*ncc)
 	q.caps = make([]float64, ncc)
+	q.metric = make([]int32, ncc)
 	for c, k := range q.ckClassOf {
 		if q.ckSize[k] == 0 {
 			ck := t.Circuit(topo.CircuitID(c))
 			q.ckEnds[3*k], q.ckEnds[3*k+1], q.ckEnds[3*k+2] = int32(c), int32(ck.A), int32(ck.B)
-			q.caps[k] = ck.Capacity
+			q.caps[k], q.metric[k] = ck.Capacity, ck.Metric
 		}
 		q.ckSize[k]++
 	}
@@ -388,14 +418,16 @@ func (q *Quotient) CircuitClasses(cs []topo.CircuitID) ([]int32, bool) {
 // class of its own; Check takes both from the caller's colours and verifies
 // neither.
 //
-// One bit-parallel traversal over classes computes every destination's
-// distance field, merging a class's pending pairs as the evaluator's does;
-// then one sweep per destination group, in ascending group order, places the
-// group's flow from the farthest source class inward. A class at distance d
-// splits its inflow over the up arcs toward distance d − metric: by the
-// multiplicities under ECMP, by multiplicity × capacity under WCMP. Each
-// circuit of the arc's class carries one share, and each member of the far
-// class receives back-multiplicity shares.
+// The destinations' distance fields are those the check before kept,
+// repaired around the circuit classes that flipped since (fields), or, on
+// the first check and whenever the destinations change, computed by one
+// bit-parallel traversal over classes that merges a class's pending pairs as
+// the evaluator's does. Then one sweep per destination group, in ascending
+// group order, places the group's flow from the farthest source class
+// inward. A class at distance d splits its inflow over the up arcs toward
+// distance d − metric: by the multiplicities under ECMP, by multiplicity ×
+// capacity under WCMP. Each circuit of the arc's class carries one share, and
+// each member of the far class receives back-multiplicity shares.
 func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []int32) (ok, sure bool) {
 	q.Checks++
 	theta := opts.Theta
@@ -417,18 +449,14 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 		return false, true
 	}
 
-	// One field per destination; nothing routes to an inactive one.
-	nc := len(q.rep)
-	if need := len(dsts) * nc; len(q.dist) < need {
-		q.dist = make([]int32, need)
-	}
+	// Nothing routes to an inactive destination. Like a port rejection, this
+	// leaves the kept fields as they are, exact over keptUp.
 	for _, dst := range dsts {
 		if !q.active[q.classOf[dst]] {
 			return false, true
 		}
 	}
-	clear(q.dist[:len(dsts)*nc])
-	q.distances(dsts)
+	q.fields(dsts)
 
 	if opts.FunnelFactor > 1 {
 		for _, k := range funnel {
@@ -448,6 +476,7 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 	}
 	scale := opts.Scale()
 	wcmp := opts.Split == SplitCapacityWeighted
+	nc := len(q.rep)
 	clear(q.load)
 	for gi, group := range byDst {
 		field := q.dist[gi*nc : (gi+1)*nc]
@@ -466,7 +495,7 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 			}
 			q.flow[x] += d.Rate
 		}
-		q.sweep(field, dc, wcmp)
+		q.sweep(gi, field, dc, wcmp)
 		// Loads only grow: a class surely over its bound now stays over.
 		for _, li := range q.touched {
 			k := li >> 1
@@ -498,6 +527,7 @@ func (q *Quotient) sync(v *topo.View) {
 	if q.active == nil {
 		q.active = make([]bool, nc)
 		q.up = make([]bool, ncc)
+		q.keptUp = make([]bool, ncc)
 		q.funnel = make([]bool, ncc)
 		q.settled = make([]uint64, nc)
 		q.last = make([]int32, nc)
@@ -541,6 +571,192 @@ func (q *Quotient) portsFit() bool {
 	return true
 }
 
+// fields brings dist to the exact distance fields of dsts, all active and
+// each a class of its own, over the up state, and keptUp with them. When the
+// fields kept are those of dsts, it diffs the up state against keptUp and
+// repairs each field around the circuit classes that flipped (repairField);
+// otherwise — the first check, another demand set — one traversal computes
+// them afresh and drops every next-hop list. Either way the result is the
+// fields' one definition, the metric-shortest distances over the up arcs.
+//
+// A next-hop list of class x depends on the up state of x's arcs, on x's
+// entry and on the entries of x's neighbours. A flipped circuit class drops
+// the lists at both its ends in every field, here; an entry a repair writes
+// drops its own and its neighbours' lists in its field (repairField). A loop
+// is never a next hop and lies on no path, so a flipped loop changes
+// nothing.
+func (q *Quotient) fields(dsts []topo.SwitchID) {
+	nc := len(q.rep)
+	q.levels.drain() // flow levels an early exit left queued, for either path
+	if !slices.Equal(dsts, q.kept) {
+		if need := len(dsts) * nc; len(q.dist) < need {
+			q.dist = make([]int32, need)
+			q.hopArcs = make([]int32, len(dsts)*len(q.arcs))
+			q.hopLen = make([]int32, need)
+			q.hopOK = make([]bool, need)
+		}
+		q.kept = append(q.kept[:0], dsts...)
+		copy(q.keptUp, q.up)
+		clear(q.dist[:len(dsts)*nc])
+		clear(q.hopOK)
+		q.distances(dsts)
+		q.FieldsTraversed += len(dsts)
+		return
+	}
+	q.wentDown, q.cameUp = q.wentDown[:0], q.cameUp[:0]
+	for k, u := range q.up {
+		if u == q.keptUp[k] {
+			continue
+		}
+		q.keptUp[k] = u
+		e := q.ckEnds[3*k : 3*k+3]
+		x, y := q.classOf[e[1]], q.classOf[e[2]]
+		if x == y {
+			continue
+		}
+		for f := range dsts {
+			q.hopOK[f*nc+int(x)], q.hopOK[f*nc+int(y)] = false, false
+		}
+		fl := flipped{min(x, y), max(x, y), q.metric[k]}
+		if u {
+			q.cameUp = append(q.cameUp, fl)
+		} else {
+			q.wentDown = append(q.wentDown, fl)
+		}
+	}
+	if len(q.wentDown)+len(q.cameUp) == 0 {
+		return
+	}
+	for f := range dsts {
+		q.repairField(q.dist[f*nc:(f+1)*nc], q.hopOK[f*nc:(f+1)*nc])
+	}
+	q.FieldRepairs += len(dsts)
+}
+
+// repairField makes field, the exact distance field of a destination class
+// over keptUp as it stood, the exact field over the up state, given in
+// q.wentDown and q.cameUp the quotient arc of every circuit class that
+// flipped in between. It is Evaluator.repairField over classes, in the same
+// two phases over the level queue in ascending distance:
+//
+//  1. Un-set what lost its support. An entry stands while its class has an
+//     up arc to a standing entry at its distance minus the arc's metric; the
+//     candidates are the far ends of the tight arcs that went down and the
+//     tight children of every entry un-set. The destination class holds the
+//     least entry, so it is neither (metrics are at least 1): it always
+//     stands.
+//  2. Relax outward, label-setting: across the arcs that came up and into
+//     each un-set entry from its best standing neighbour, then on from every
+//     entry a relaxation lowered.
+//
+// Distances are integers, so the result equals a traversal's entry for
+// entry. Phase 2 scans the arcs of every entry the repair wrote, at its final
+// value, and drops the next-hop lists of that entry and of every neighbour in
+// valid, the field's run of hopOK. The arcs the repair tests count toward
+// ArcVisits.
+func (q *Quotient) repairField(field []int32, valid []bool) {
+	arcs, off, up := q.arcs, q.arcOff, q.up
+	lq := &q.levels
+	visits := len(q.wentDown) + len(q.cameUp)
+	for _, f := range q.wentDown {
+		switch dx, dy := field[f.x], field[f.y]; {
+		case dx == 0 || dy == 0:
+		case dx == dy+f.metric:
+			lq.add(dx, f.x)
+		case dy == dx+f.metric:
+			lq.add(dy, f.y)
+		}
+	}
+	unset := q.unset[:0]
+	for len(lq.active) > 0 {
+		lv := lq.pop()
+		d := lv.d
+		for _, x := range lv.sw {
+			if field[x] != d { // un-set already, through another pair of this level
+				continue
+			}
+			// One scan finds x a standing parent, and stops, or gathers the
+			// tight children to judge after x.
+			standing, kids := false, q.kids[:0]
+		scan:
+			for _, a := range arcs[off[x]:off[x+1]] {
+				visits++
+				if !up[a.li>>1] {
+					continue
+				}
+				switch o := field[a.other]; o {
+				case 0:
+				case d - a.metric:
+					standing = true
+					break scan
+				case d + a.metric:
+					kids = append(kids, a.other)
+				}
+			}
+			q.kids = kids[:0]
+			if standing {
+				continue
+			}
+			field[x] = 0
+			unset = append(unset, x)
+			for _, c := range kids {
+				lq.add(field[c], c)
+			}
+		}
+		lq.release(lv)
+	}
+	q.unset = unset
+
+	for _, f := range q.cameUp {
+		switch dx, dy := field[f.x], field[f.y]; {
+		case dx != 0 && (dy == 0 || dx+f.metric < dy):
+			field[f.y] = dx + f.metric
+			lq.add(dx+f.metric, f.y)
+		case dy != 0 && (dx == 0 || dy+f.metric < dx):
+			field[f.x] = dy + f.metric
+			lq.add(dy+f.metric, f.x)
+		}
+	}
+	for _, x := range unset {
+		d := field[x]
+		valid[x] = false
+		for _, a := range arcs[off[x]:off[x+1]] {
+			visits++
+			valid[a.other] = false
+			if o := field[a.other]; o != 0 && up[a.li>>1] && (d == 0 || o+a.metric < d) {
+				d = o + a.metric
+			}
+		}
+		if d != field[x] {
+			field[x] = d
+			lq.add(d, x)
+		}
+	}
+	for len(lq.active) > 0 {
+		lv := lq.pop()
+		d := lv.d
+		for _, x := range lv.sw {
+			if field[x] != d { // lowered further since it was queued
+				continue
+			}
+			valid[x] = false
+			for _, a := range arcs[off[x]:off[x+1]] {
+				visits++
+				valid[a.other] = false
+				if !up[a.li>>1] {
+					continue
+				}
+				if o := field[a.other]; o == 0 || d+a.metric < o {
+					field[a.other] = d + a.metric
+					lq.add(d+a.metric, a.other)
+				}
+			}
+		}
+		lq.release(lv)
+	}
+	q.ArcVisits += visits
+}
+
 // distances computes the fields of dsts, all active and each a class of its
 // own, into q.dist over the up quotient arcs: the evaluator's traversal over
 // classes instead of switches, a class's pending pairs merged per level.
@@ -549,7 +765,6 @@ func (q *Quotient) distances(dsts []topo.SwitchID) {
 	arcs, off, up := q.arcs, q.arcOff, q.up
 	clear(settled)
 	lq := &q.levels
-	lq.drain()
 	lv := lq.at(0)
 	for i, d := range dsts {
 		lv.sw = append(lv.sw, q.classOf[d])
@@ -605,13 +820,21 @@ func (q *Quotient) beginGroup() {
 	q.touched = q.touched[:0]
 }
 
-// sweep places the seeded flow of the current group over field toward the
-// destination class dc, farthest level first, adding each circuit class's
-// per-circuit share to its directional load and listing the loads it touched.
-func (q *Quotient) sweep(field []int32, dc int32, wcmp bool) {
+// sweep places the seeded flow of the current group over field, the group's
+// field fi, toward the destination class dc, farthest level first, adding
+// each circuit class's per-circuit share to its directional load and listing
+// the loads it touched. The next hops of a class are its retained list where
+// that is valid; where it is not, one scan of the class's arcs finds them and
+// keeps them. Either way the weight is summed over them in arc order, so
+// every float sum is the one a scan would make.
+func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) {
 	arcs, off, up, mult, caps := q.arcs, q.arcOff, q.up, q.mult, q.caps
 	flow, stamp, load, group := q.flow, q.stamp, q.load, q.group
-	hops, touched := q.hops, q.touched
+	nc := len(q.rep)
+	hopArcs := q.hopArcs[fi*len(arcs) : (fi+1)*len(arcs)]
+	hopLen, valid := q.hopLen[fi*nc:(fi+1)*nc], q.hopOK[fi*nc:(fi+1)*nc]
+	touched := q.touched
+	built, reused := 0, 0
 	lq := &q.levels
 	for len(lq.active) > 0 {
 		top := len(lq.active) - 1
@@ -623,20 +846,28 @@ func (q *Quotient) sweep(field []int32, dc int32, wcmp bool) {
 			if f == 0 || x == dc {
 				continue
 			}
-			// One scan finds the next hops and their weight; the pushes go
-			// over those alone.
-			dx := field[x]
 			lo := off[x]
-			weight := 0.0
-			hops = hops[:0]
-			for i, a := range arcs[lo:off[x+1]] {
-				if field[a.other] == dx-a.metric && up[a.li>>1] {
-					hops = append(hops, lo+int32(i))
-					if wcmp {
-						weight += mult[a.li] * caps[a.li>>1]
-					} else {
-						weight += mult[a.li]
+			if valid[x] {
+				reused++
+			} else {
+				dx, n := field[x], lo
+				for i, a := range arcs[lo:off[x+1]] {
+					if field[a.other] == dx-a.metric && up[a.li>>1] {
+						hopArcs[n] = lo + int32(i)
+						n++
 					}
+				}
+				hopLen[x], valid[x] = n-lo, true
+				built++
+			}
+			hops := hopArcs[lo : lo+hopLen[x]]
+			weight := 0.0
+			for _, i := range hops {
+				li := arcs[i].li
+				if wcmp {
+					weight += mult[li] * caps[li>>1]
+				} else {
+					weight += mult[li]
 				}
 			}
 			if weight == 0 {
@@ -664,7 +895,9 @@ func (q *Quotient) sweep(field []int32, dc int32, wcmp bool) {
 		}
 		lq.release(lv)
 	}
-	q.hops, q.touched = hops, touched
+	q.touched = touched
+	q.HopListsBuilt += built
+	q.HopListsReused += reused
 }
 
 // mix64 is the splitmix64 finalizer: the per-pair hash whose sum is a
