@@ -256,12 +256,6 @@ type Metrics struct {
 	PortRejects int
 	CutRejects  int
 
-	// Routed checks the evaluator answered from the placement it retained
-	// from the check before, brought up to date, and routed checks that tried
-	// to and ran the full sweeps after all (routing/placement.go).
-	PlacementRepairs   int
-	PlacementFallbacks int
-
 	// Routed checks the lifted check answered from the quotient of the
 	// fabric, and those it was not sure of and left to the full evaluator
 	// (lift.go); and the distance fields it repaired from the check before

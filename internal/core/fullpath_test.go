@@ -54,14 +54,15 @@ func TestHopSetsFollowRepairsFullPath(t *testing.T) {
 	}
 }
 
-// TestPlacementRepairsPinnedFullPath holds the retained placement to where it
-// does not pay: on the plan-large A* search every block re-places more than
-// half of the flow, so the placement's gate stays closed and nothing is
-// tried; the sweeps route all 400 checks.
-func TestPlacementRepairsPinnedFullPath(t *testing.T) {
+// TestRoutedChecksPinnedFullPath pins what the full evaluator's sweeps do on
+// the plan-large A* search when they route every check the lane does not
+// answer before routing: 400 of the 1014, each with a sweep per destination
+// group that builds the next-hop masks it finds outdated and reads the
+// others back.
+func TestRoutedChecksPinnedFullPath(t *testing.T) {
 	ev, p := fullPathSearch(t, PlanAStar)
-	got := [6]int{ev.Checks, ev.PlacementRepairs, ev.PlacementFallbacks, ev.SwitchesReplaced, ev.LoadsResummed, p.Metrics.Checks}
-	if want := [6]int{400, 0, 0, 0, 0, 1014}; got != want {
-		t.Errorf("suite E astar: routed checks, repairs, fallbacks, switches re-placed, loads re-summed, checks = %v, want %v", got, want)
+	got := [5]int{ev.Checks, ev.SweepArcTests, ev.HopSetsBuilt, ev.HopSetsReused, p.Metrics.Checks}
+	if want := [5]int{400, 1575590, 147232, 879435, 1014}; got != want {
+		t.Errorf("suite E astar: routed checks, arcs classified, masks built, masks read back, checks = %v, want %v", got, want)
 	}
 }

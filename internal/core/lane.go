@@ -69,14 +69,8 @@ type lane struct {
 	// sums are exact however many flips they follow.
 	cutCap [maxCuts]int64
 
-	// placeBase holds the evaluator's placement counters when the lane was
-	// made: the plan's are what they gained since.
-	placeBase [2]int
-
-	// The lifted check (lift.go): routed counts the checks the full evaluator
-	// answered, liftDecided whether the gate has been read, and lift is the
-	// quotient when it opened.
-	routed      int
+	// The lifted check (lift.go): liftDecided is whether the gate has been
+	// read, and lift is the quotient when it opened.
 	liftDecided bool
 	lift        *lifted
 
@@ -97,8 +91,7 @@ var laneRejectHook func(ln *lane, copts routing.CheckOpts, port bool)
 // newLane builds the space's check lane around eval (the caller's
 // Options.Evaluator, or a fresh one).
 func (sp *space) newLane(eval *routing.Evaluator) *lane {
-	ln := &lane{sp: sp, eval: eval, view: sp.task.Topo.NewView(),
-		placeBase: [2]int{eval.PlacementRepairs, eval.PlacementFallbacks}}
+	ln := &lane{sp: sp, eval: eval, view: sp.task.Topo.NewView()}
 	if sp.actBase != nil {
 		ln.act = routing.NewBitset(sp.task.Topo.NumSwitches())
 	}
@@ -156,7 +149,6 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 		if ok, sure := ln.liftedCheck(copts, funnelBlock); sure {
 			return ok
 		}
-		ln.routed++
 		return ln.eval.Check(ln.view, sp.demands, copts).OK()
 	}
 	if laneRejectHook != nil {

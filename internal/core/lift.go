@@ -9,30 +9,30 @@ import (
 	"klotski/internal/topo"
 )
 
-// The lifted check behind the lane's routed branch. Once a lane has routed
-// liftAfter checks on the full evaluator it decides, once, whether to route
-// the quotient of the task's fabric instead (routing.Quotient): when the
-// evaluator's retained placement answered fewer than half of those checks and
-// the quotient has at most 1/liftArcShare of the fabric's directed arcs. From
-// then on a routed check asks the quotient first and the full evaluator only
-// when the quotient is not sure. The search reads nothing of a routed check
-// but its verdict, which the quotient's equals; the audit, plan documents and
-// every reported utilization stay on the full evaluator. DESIGN.md, "Lifted
+// The lifted check behind the lane's routed branch. At its first routed check
+// a lane decides, once, whether to route the quotient of the task's fabric
+// instead of the fabric (routing.Quotient): it builds the quotient under a
+// quota of 1/liftArcShare of the fabric's circuits as circuit classes, and
+// lifts if and only if the build succeeds. The quotient's size alone decides,
+// because a routed check costs about the arcs it scans: a quotient with more
+// than a quarter of the fabric's saves too little per check to pay for its
+// build, and a build the quota refuses stops at the refinement round whose
+// circuit classes pass the quota, so a small fabric pays microseconds for
+// asking. From then on a routed check asks the quotient first and the full
+// evaluator only when the quotient is not sure. The search reads nothing of a routed check but its
+// verdict, which the quotient's equals; the audit, plan documents and every
+// reported utilization stay on the full evaluator. DESIGN.md, "Lifted
 // satisfiability check", has the argument and the readings the gate is
 // fitted on.
 
-// liftAfter is the number of routed checks a lane makes on the full evaluator
-// before it decides whether to lift: enough to amortize building the
-// partition, and a reading of how often the retained placement answers.
-const liftAfter = 32
-
-// liftArcShare: the quotient must have at most 1/liftArcShare of the
-// fabric's directed arcs for a lifted check to pay.
+// liftArcShare: the quotient may have at most 1/liftArcShare of the fabric's
+// circuits as circuit classes, and so of its directed arcs as quotient arcs,
+// for a lifted check to pay.
 const liftArcShare = 4
 
 // Gate overrides for tests (liftForce). liftShipped is the gate as described
-// above; liftOpen lifts from a lane's first routed check whatever the gate
-// would read; liftShut never lifts.
+// above; liftOpen lifts from a lane's first routed check whenever the
+// quotient builds, at any size; liftShut never lifts.
 const (
 	liftShipped = iota
 	liftOpen
@@ -62,9 +62,6 @@ type lifted struct {
 // funnel set copts holds to θ/F, or -1.
 func (ln *lane) liftedCheck(copts routing.CheckOpts, funnelBlock int) (ok, sure bool) {
 	if !ln.liftDecided {
-		if liftForce == liftShipped && ln.routed < liftAfter {
-			return false, false
-		}
 		ln.liftDecided = true
 		ln.lift = ln.openLift()
 	}
@@ -99,27 +96,31 @@ func (ln *lane) liftedCheck(copts routing.CheckOpts, funnelBlock int) (ok, sure 
 	return ok, true
 }
 
-// openLift reads the gate and, when it opens, builds the quotient: nil when
-// the lane stays on the full evaluator.
+// openLift reads the gate: the quotient when the build succeeds under the
+// gate's quota, nil when the lane stays on the full evaluator.
 func (ln *lane) openLift() *lifted {
-	sp := ln.sp
-	if liftForce == liftShut ||
-		liftForce == liftShipped && 2*(ln.eval.PlacementRepairs-ln.placeBase[0]) >= ln.routed {
+	quota := ln.sp.task.Topo.NumCircuits()
+	switch liftForce {
+	case liftShut:
 		return nil
+	case liftShipped:
+		quota /= liftArcShare
 	}
-	q, ok := LiftedQuotient(sp.task)
-	if !ok || liftForce == liftShipped && liftArcShare*q.Arcs() > 2*sp.task.Topo.NumCircuits() {
+	q, ok := LiftedQuotient(ln.sp.task, quota)
+	if !ok {
 		return nil
 	}
 	return &lifted{q: q}
 }
 
 // LiftedQuotient returns the quotient a lane's lifted check routes for the
-// task: the coarsest equitable partition of its fabric under liftColours. It
-// is false when the build declines (routing.NewQuotient).
-func LiftedQuotient(task *migration.Task) (*routing.Quotient, bool) {
+// task: the coarsest equitable partition of its fabric under liftColours,
+// built under a quota of circuit classes. It is false when the build declines
+// (routing.NewQuotient); a quota of task.Topo.NumCircuits() lets it build at
+// any size.
+func LiftedQuotient(task *migration.Task, quota int) (*routing.Quotient, bool) {
 	sw, ck := liftColours(task, 0)
-	return routing.NewQuotient(task.Topo, sw, ck)
+	return routing.NewQuotient(task.Topo, sw, ck, quota)
 }
 
 // funnelClasses returns the circuit classes of the block's funnel set, and

@@ -140,7 +140,7 @@ func TestQuotientKeepsColours(t *testing.T) {
 
 		for _, drop := range []colourKind{0, c.drop} {
 			sw, ck := liftColours(s.task, drop)
-			q, ok := routing.NewQuotient(s.task.Topo, sw, ck)
+			q, ok := routing.NewQuotient(s.task.Topo, sw, ck, s.task.Topo.NumCircuits())
 			if !ok {
 				t.Fatalf("%s (dropped %b): the build refused refinement's own partition", c.name, drop)
 			}

@@ -96,9 +96,9 @@ func outageReplan(t *testing.T, task *migration.Task, plan *Plan) (*migration.Ta
 // the gate held open, under both planners and under ECMP, WCMP, funneling
 // headroom and a demand growth forecast, plus the replan after an outage
 // outside every block; and at paper scale with the gate as shipped, on every
-// plan it opens on: E under A* and DP, E-DMAG under DP. Every configuration
-// must see a lifted verdict, and the run a lifted rejection: a seam that sees
-// nothing checks nothing.
+// plan it opens on: C, E, E-DMAG and E-SSW under A* and DP. Every
+// configuration must see a lifted verdict, and the run a lifted rejection: a
+// seam that sees nothing checks nothing.
 func TestLiftedChecksAgreeWithChecker(t *testing.T) {
 	var a liftAudit
 	a.install(t)
@@ -161,15 +161,14 @@ func TestLiftedChecksAgreeWithChecker(t *testing.T) {
 	if !testing.Short() {
 		// Paper scale with the gate as shipped: every plan the gate opens on.
 		liftForce = liftShipped
-		for _, c := range []struct {
-			fabric, planner string
-			run             func(*migration.Task, Options) (*Plan, error)
-		}{{"E", "astar", PlanAStar}, {"E", "dp", PlanDP}, {"E-DMAG", "dp", PlanDP}} {
-			s, err := gen.Suite(c.fabric, 1)
+		for _, fabric := range []string{"C", "E", "E-DMAG", "E-SSW"} {
+			s, err := gen.Suite(fabric, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run(fmt.Sprintf("%s×1 ecmp %s, gate as shipped", c.fabric, c.planner), s.Task, Options{}, c.run)
+			for _, pl := range planners {
+				run(fmt.Sprintf("%s×1 ecmp %s, gate as shipped", fabric, pl.name), s.Task, Options{}, pl.run)
+			}
 		}
 	}
 	for _, d := range a.disagree {
@@ -183,9 +182,10 @@ func TestLiftedChecksAgreeWithChecker(t *testing.T) {
 
 // TestLiftedFieldsFollowRepairs holds the lane's quotient to what it keeps
 // between checks, in its own counts over the plan-large A* search (suite E ×
-// 0.25, the gate as shipped): its first check traverses the 14 destination
-// fields, and every later one repairs them around the circuit classes its
-// block flipped and reads most of its next-hop lists back. The plan's
+// 0.25, the gate as shipped, so the quotient answers all 400 routed checks):
+// its first check traverses the 14 destination fields, and every later one
+// repairs them around the circuit classes its block flipped and reads most of
+// its next-hop lists back. The plan's
 // metrics carry the repairs (planner.lifted_field_repairs).
 func TestLiftedFieldsFollowRepairs(t *testing.T) {
 	var q *routing.Quotient
@@ -204,7 +204,7 @@ func TestLiftedFieldsFollowRepairs(t *testing.T) {
 	}
 	got := [6]int{q.Checks, q.FieldsTraversed, q.FieldRepairs, q.ArcVisits, q.HopListsBuilt, q.HopListsReused}
 	t.Logf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v", got)
-	if want := [6]int{368, 14, 5138, 1035920, 46313, 565715}; got != want {
+	if want := [6]int{400, 14, 5586, 1287698, 53820, 614481}; got != want {
 		t.Errorf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v, want %v", got, want)
 	}
 	if m := p.Metrics; m.LiftedFieldRepairs != q.FieldRepairs {

@@ -797,8 +797,7 @@ func certGap(incumbent, lb float64) (inc, lower, gap float64) {
 // between interruption and resumption is not counted). The optimality
 // certificate (incumbent, global lower bound, relative gap) and the bound
 // engine's effectiveness counters are stamped here so every exit path —
-// success, interruption, checkpoint — reports them consistently, and so are
-// the lane evaluator's placement counters.
+// success, interruption, checkpoint — reports them consistently.
 func (sp *space) elapsedMetrics() Metrics {
 	if sp.bd != nil {
 		cl := sp.bd.CutsLearned() - sp.bdCutsBase
@@ -811,11 +810,6 @@ func (sp *space) elapsedMetrics() Metrics {
 		sp.metrics.BoundCutHits = ch
 		sp.metrics.BoundCrossHits = cx
 	}
-	repairs := sp.ln.eval.PlacementRepairs - sp.ln.placeBase[0]
-	fallbacks := sp.ln.eval.PlacementFallbacks - sp.ln.placeBase[1]
-	sp.rec.Add(obs.PlacementRepairs, repairs-sp.metrics.PlacementRepairs)
-	sp.rec.Add(obs.PlacementFallbacks, fallbacks-sp.metrics.PlacementFallbacks)
-	sp.metrics.PlacementRepairs, sp.metrics.PlacementFallbacks = repairs, fallbacks
 	sp.metrics.IncumbentCost, sp.metrics.LowerBound, sp.metrics.OptimalityGap =
 		certGap(sp.incumbent, sp.lowerBound)
 	sp.rec.Set(obs.OptimalityGap, sp.metrics.OptimalityGap)

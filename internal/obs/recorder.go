@@ -18,8 +18,6 @@ const (
 	MetricCheckLatency       = "planner.check_latency_seconds"
 	MetricPortRejects        = "planner.port_rejects"
 	MetricCutRejects         = "planner.cut_rejects"
-	MetricPlacementRepairs   = "planner.placement_repairs"
-	MetricPlacementFallbacks = "planner.placement_fallbacks"
 	MetricLiftedChecks       = "planner.lifted_checks"
 	MetricLiftedFallbacks    = "planner.lifted_fallbacks"
 	MetricLiftedFieldRepairs = "planner.lifted_field_repairs"
@@ -92,16 +90,10 @@ const (
 	// overloaded" (its crossing demand over θ × its up capacity) without
 	// routing them.
 	CutRejects
-	// PlacementRepairs counts routed checks the evaluator answered from its
-	// retained placement.
-	PlacementRepairs
-	// PlacementFallbacks counts routed checks that tried the retained
-	// placement and ran the full sweeps.
-	PlacementFallbacks
 	// LiftedChecks counts routed checks the lane answered by routing the
 	// quotient of the fabric, one switch per symmetry class. The lane turns
-	// to it once it has routed 32 checks and the retained placement has not
-	// paid.
+	// to it at its first routed check when the quotient has at most a quarter
+	// of the fabric's circuits as circuit classes.
 	LiftedChecks
 	// LiftedFallbacks counts checks the quotient was unsure of and left to
 	// the full evaluator.
@@ -209,8 +201,6 @@ var table = [NumInstruments]decl{
 	CheckLatency:          {name: MetricCheckLatency, kind: KindHistogram, bounds: timeBuckets},
 	PortRejects:           {name: MetricPortRejects},
 	CutRejects:            {name: MetricCutRejects},
-	PlacementRepairs:      {name: MetricPlacementRepairs},
-	PlacementFallbacks:    {name: MetricPlacementFallbacks},
 	LiftedChecks:          {name: MetricLiftedChecks},
 	LiftedFallbacks:       {name: MetricLiftedFallbacks},
 	LiftedFieldRepairs:    {name: MetricLiftedFieldRepairs},

@@ -355,6 +355,12 @@ func FuzzFieldsFollowView(f *testing.F) {
 	// and wholesale by a far jump and by a fork's own first traversal.
 	f.Add([]byte{opEvaluate, 0, 0, opEvaluate, 0, 0, opDriftRate, 90, 4, opCheck, 0, 0, opToggleCircuit, 1, 34, opEvaluate, 0, 0, opToggleCircuit, 0, 77, opTrace, 0, 1, opCheck, 0, 0, opToggleCircuit, 1, 34, opEvaluate, 0, 0})
 	f.Add([]byte{opCheck, 0, 0, opCheck, 0, 0, opToggleHubCircuit, 0, 3, opCheck, 0, 0, opReset, 0, 0, opToggleSwitch, 0, 50, opToggleSwitch, 0, 60, opToggleSwitch, 0, 70, opEvaluate, 0, 0, opFork, 0, 2, opEvaluate, 0, 0, opToggleCircuit, 0, 12, opEvaluate, 0, 0, opFork, 0, 0, opEvaluate, 0, 0})
+	// Kept fields and masks under what a view flip does not move: a rate
+	// doubled in place and halved back, a source moved, the bound, the scale,
+	// funneling and the split changing, a demand set swapped in and out, and a
+	// far jump and back.
+	f.Add([]byte{opEvaluate, 0, 0, opToggleCircuit, 0, 3, opEvaluate, 0, 0, opFlipRate, 0, 2, opCheck, 0, 0, opFlipRate, 1, 2, opEvaluate, 0, 0, opMoveSource, 3, 1, opCheck, 0, 0, opTheta, 0, 50, opCheck, 0, 0, opScale, 0, 77, opEvaluate, 0, 0, opFunnel, 0, 9, opCheck, 0, 0, opFunnel, 0, 0, opSplit, 0, 0, opEvaluate, 0, 0})
+	f.Add([]byte{opCheck, 0, 0, opToggleCircuit, 0, 12, opCheck, 0, 0, opSwapDemands, 0, 0, opCheck, 0, 0, opCheck, 0, 0, opSwapDemands, 0, 0, opEvaluate, 0, 0, opFarJump, 0, 5, opCheck, 0, 0, opFarJump, 0, 5, opEvaluate, 0, 0, opCheck, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 600 {
 			script = script[:600]

@@ -131,7 +131,15 @@ type qarc struct {
 // member's multiset of circuit classes must equal its representative's, and
 // NewQuotient returns false when one does not. It also returns false when the
 // colours do not fit the topology.
-func NewQuotient(t *topo.Topology, swColour, ckColour []int32) (*Quotient, bool) {
+//
+// quota caps the circuit classes: NewQuotient returns false when the partition
+// would have more than quota of them, and finds out early. Refinement only
+// splits classes, so the number of distinct (colour, lower class, higher
+// class) keys the circuits make under a round's classes never falls from one
+// round to the next, and under the last round's it is the number of circuit
+// classes; the build declines as soon as a round's count passes quota. A
+// caller that wants the partition whatever its size passes t.NumCircuits().
+func NewQuotient(t *topo.Topology, swColour, ckColour []int32, quota int) (*Quotient, bool) {
 	n, m := t.NumSwitches(), t.NumCircuits()
 	if len(swColour) != n || len(ckColour) != m || n == 0 {
 		return nil, false
@@ -146,12 +154,16 @@ func NewQuotient(t *topo.Topology, swColour, ckColour []int32) (*Quotient, bool)
 			return nil, false
 		}
 	}
-	cls, nc := refine(t, swColour, ckColour)
-	return partitioned(t, cls, nc, ckColour)
+	cls, nc, ok := refine(t, swColour, ckColour, quota)
+	if !ok {
+		return nil, false
+	}
+	return partitioned(t, cls, nc, ckColour, quota)
 }
 
-// refine returns the classes of colour refinement and their number.
-func refine(t *topo.Topology, swColour, ckColour []int32) ([]int32, int) {
+// refine returns the classes of colour refinement and their number, and false
+// as soon as a round's classes make more than quota circuit keys.
+func refine(t *topo.Topology, swColour, ckColour []int32, quota int) ([]int32, int, bool) {
 	n := t.NumSwitches()
 	// The far end of every circuit of every switch, in one flat run aligned
 	// with the switches' circuit lists.
@@ -165,7 +177,7 @@ func refine(t *topo.Topology, swColour, ckColour []int32) ([]int32, int) {
 			far = append(far, int32(o))
 		}
 	}
-	var tab pairTable
+	var tab, keys pairTable
 	cls := make([]int32, n)
 	next := make([]int32, n)
 	for s, c := range swColour {
@@ -184,14 +196,34 @@ func refine(t *topo.Topology, swColour, ckColour []int32) ([]int32, int) {
 		}
 		cls, next = next, cls
 		if tab.n == k {
-			return cls, int(k)
+			return cls, int(k), true
+		}
+		if !keysFit(t, cls, ckColour, quota, &keys) {
+			return nil, 0, false
 		}
 	}
 }
 
+// keysFit reports whether the circuits make at most quota distinct (colour,
+// lower class, higher class) keys under the switch classes cls, counting in
+// keys and stopping at the first key past quota.
+func keysFit(t *topo.Topology, cls, ckColour []int32, quota int, keys *pairTable) bool {
+	keys.reset()
+	for c, colour := range ckColour {
+		ck := t.Circuit(topo.CircuitID(c))
+		x, y := cls[ck.A], cls[ck.B]
+		keys.id(uint64(colour), uint64(min(x, y))<<32|uint64(max(x, y)))
+		if int(keys.n) > quota {
+			return false
+		}
+	}
+	return true
+}
+
 // partitioned builds the quotient of t over the switch classes cls, numbered
-// 0..nc-1, and reports false when the partition is not equitable.
-func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32) (*Quotient, bool) {
+// 0..nc-1, and reports false when the partition is not equitable or has more
+// than quota circuit classes.
+func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota int) (*Quotient, bool) {
 	m := t.NumCircuits()
 	q := &Quotient{classOf: cls, rep: make([]int32, nc)}
 	for i := range q.rep {
@@ -257,6 +289,9 @@ func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32) (*Quot
 	}
 	if m > 0 {
 		ncc++
+	}
+	if int(ncc) > quota {
+		return nil, false
 	}
 	q.ckSize = make([]int32, ncc)
 	q.ckEnds = make([]int32, 3*ncc)
@@ -375,10 +410,6 @@ func (q *Quotient) CircuitClassOf(c topo.CircuitID) int32 { return q.ckClassOf[c
 
 // Classes returns the number of switch classes and of circuit classes.
 func (q *Quotient) Classes() (switches, circuits int) { return len(q.rep), len(q.ckSize) }
-
-// Arcs returns the quotient's directed arcs, two per circuit class: the
-// counterpart of a fabric's two per circuit.
-func (q *Quotient) Arcs() int { return 2 * len(q.ckSize) }
 
 // CircuitClasses returns the circuit classes the circuits cs make up, and
 // false when they are not a union of whole classes. Duplicates in cs count

@@ -33,12 +33,12 @@ func TestQuotientRejectsNonEquitable(t *testing.T) {
 		{"A merged with B (far ends)", []int32{0, 1, 2, 1, 3, 4}, 5},
 		{"X with Z and A with Y, H and B apart (far ends)", []int32{0, 1, 2, 3, 1, 0}, 4},
 	} {
-		if _, ok := partitioned(tp, c.cls, c.nc, ck); ok {
+		if _, ok := partitioned(tp, c.cls, c.nc, ck, tp.NumCircuits()); ok {
 			t.Errorf("%s: the build accepted a partition that is not equitable", c.name)
 		}
 	}
-	cls, nc := refine(tp, make([]int32, tp.NumSwitches()), ck)
-	q, ok := partitioned(tp, cls, nc, ck)
+	cls, nc, _ := refine(tp, make([]int32, tp.NumSwitches()), ck, tp.NumCircuits())
+	q, ok := partitioned(tp, cls, nc, ck, tp.NumCircuits())
 	if !ok {
 		t.Fatal("the build refused refinement's own partition")
 	}
@@ -279,9 +279,17 @@ func FuzzQuotientCheck(f *testing.F) {
 		ds := p.demands(rng)
 
 		sw, ck := fuzzColours(tp, p.swBlock, p.ckBlock, &ds)
-		q, ok := NewQuotient(tp, sw, ck)
+		q, ok := NewQuotient(tp, sw, ck, tp.NumCircuits())
 		if !ok {
 			t.Fatal("the build refused refinement's own partition")
+		}
+		// A quota declines the build exactly when the partition has more
+		// circuit classes than it allows.
+		_, ncc := q.Classes()
+		for _, quota := range []int{ncc - 1, ncc, rng.Intn(tp.NumCircuits() + 1)} {
+			if _, ok := NewQuotient(tp, sw, ck, quota); ok != (ncc <= quota) {
+				t.Fatalf("%d circuit classes: the build under a quota of %d returned %v", ncc, quota, ok)
+			}
 		}
 		ev := NewEvaluator(tp)
 		for trial := 0; trial < 12; trial++ {
@@ -350,7 +358,7 @@ func FuzzQuotientRetained(f *testing.F) {
 		}
 		// Every endpoint of either set is a class of its own.
 		sw, ck := fuzzColours(tp, p.swBlock, p.ckBlock, &both)
-		q, ok := NewQuotient(tp, sw, ck)
+		q, ok := NewQuotient(tp, sw, ck, tp.NumCircuits())
 		if !ok {
 			t.Fatal("the build refused refinement's own partition")
 		}
@@ -386,7 +394,7 @@ func FuzzQuotientRetained(f *testing.F) {
 				}
 			}
 			opts := CheckOpts{Split: SplitMode(rng.Intn(2)), Theta: []float64{0.25, 0.5, 1, 2, 4}[rng.Intn(5)]}
-			fresh, _ := NewQuotient(tp, sw, ck)
+			fresh, _ := NewQuotient(tp, sw, ck, tp.NumCircuits())
 			wantOK, wantSure := fresh.Check(v, ds, opts, nil)
 			gotOK, gotSure := q.Check(v, ds, opts, nil)
 			if gotOK != wantOK || gotSure != wantSure {

@@ -10,8 +10,7 @@
 //
 // Cost model. Demands are grouped by destination (typically tens of groups
 // even when the set has hundreds of entries), and a full check does three
-// things (traverse.go), or four when it keeps what the check before placed
-// (placement.go):
+// things (traverse.go):
 //
 //  1. brings the up state in step with the view: one bit per arc in each
 //     switch's adjacency order, plus, per switch, whether every arc is up
@@ -66,24 +65,10 @@
 //     afterwards. The masks are dropped by the code that outdates them and by
 //     nothing else: a traversal drops the batch's, the repair drops those of
 //     the switches step 1 rebuilt and, per field, those of the neighbours of
-//     every entry it writes. Beside each mask the sweep leaves, in place, the
-//     switch's share and a stamp saying it forwarded, and it counts the
-//     forwarding switches whose placement it changed: the retained placement
-//     of step 4. The masks and the placement are allocated by the first check
-//     that finds its fields kept from the one before, so an evaluator whose
-//     checks all traverse — a small fabric, a fork's first check — holds none
-//     and stores nothing;
-//  4. when the routed check before it changed at most a quarter of the
-//     placement, answers from the retained placement instead of the sweeps
-//     of step 3: it re-places, in descending distance, only the (field,
-//     switch) pairs whose mask was outdated, whose seeds changed or whose
-//     senders changed, sums again only the directional loads whose
-//     contribution changed, and answers when no circuit ends over its bound
-//     and every demand is reachable. The answer is the sweeps' bit for bit;
-//     any other case runs them. On the DP search of suite E-SSW × 0.25 189 of
-//     243 routed checks are answered this way, re-placing about a tenth of
-//     the forwarding switches; on suite E a block re-places more than half,
-//     and the sweeps run every time.
+//     every entry it writes. The masks are allocated by the first check that
+//     finds its fields kept from the one before, so an evaluator whose checks
+//     all traverse — a small fabric, a fork's first check — holds none and
+//     stores nothing.
 //
 // A lifted check (quotient.go) does steps 1 to 3 on the quotient of the
 // fabric instead: one representative per class of an equitable partition
@@ -116,11 +101,10 @@
 // each directional circuit load of a group is assigned exactly once; and
 // totals are folded group by group in ascending destination order. This is
 // what lets a check that repaired its fields and one that traversed, one that
-// read its next hops back and one that scanned for them, one that answered
-// from its retained placement and one that swept, on whatever evaluator and
-// after whatever earlier views, report bitwise identical loads, and what
-// makes the reported Violation a deterministic function of (view, demands,
-// options).
+// read its next hops back and one that scanned for them, on whatever
+// evaluator and after whatever earlier views, report bitwise identical loads,
+// and what makes the reported Violation a deterministic function of (view,
+// demands, options).
 package routing
 
 import (
@@ -308,10 +292,6 @@ type Evaluator struct {
 	SweepArcTests        int // arcs classified as next hop or not, while building next-hop masks
 	HopSetsBuilt         int // next-hop masks the sweeps built, one scan of a switch's up arcs each
 	HopSetsReused        int // … and retained ones they read back instead
-	PlacementRepairs     int // checks answered from the retained placement, brought up to date
-	PlacementFallbacks   int // … and checks that tried it and ran the sweeps after all
-	SwitchesReplaced     int // (field, switch) placements those tries redid
-	LoadsResummed        int // directional loads they summed again from the retained placement
 }
 
 // NewEvaluator returns an evaluator for views over t.
@@ -446,23 +426,9 @@ func (e *Evaluator) run(v *topo.View, ds *demand.Set, opts CheckOpts, earlyExit 
 }
 
 func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, theta float64, earlyExit bool, res *Result, pending Violation) Violation {
+	clear(e.load)
 	e.setFunnel(opts)
 	scale := opts.Scale()
-	swActive, _ := v.Activity()
-	dsts, byDst := ds.DestinationIndex()
-
-	// One batch: its fields first, then the retained placement, which answers
-	// when the check passes and a few switches' flow moved (placement.go).
-	single := len(dsts) <= batchWidth
-	var fields [][]int32
-	if single {
-		fields = e.batchDistances(swActive, dsts)
-		if viol, ok := e.placeRetained(v, ds, dsts, byDst, opts, theta, res, pending); ok {
-			return viol
-		}
-	}
-	clear(e.load)
-	pl := e.beginPlacement(ds, opts.Split, single)
 
 	firstViol := pending
 	record := func(viol Violation) bool {
@@ -476,20 +442,17 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 	// batches of up to batchWidth: one multi-destination traversal yields
 	// every distance field of the batch, then each group is seeded, swept
 	// and folded into the totals in ascending group order.
+	swActive, _ := v.Activity()
+	dsts, byDst := ds.DestinationIndex()
 	for lo := 0; lo < len(dsts); lo += batchWidth {
 		hi := min(lo+batchWidth, len(dsts))
-		if !single {
-			fields = e.batchDistances(swActive, dsts[lo:hi])
-		}
+		fields := e.batchDistances(swActive, dsts[lo:hi])
 		live := 0 // the field under the sweep: the batch numbers its fields in order, inactive destinations left out
 		for gi := lo; gi < hi; gi++ {
 			group := byDst[gi]
 			dist := fields[gi-lo]
 			if dist == nil { // destination inactive: nothing routes to it
 				for _, di := range group {
-					if pl != nil {
-						pl.seedSrc[di] = -1
-					}
 					if res != nil {
 						res.Unreachable++
 					}
@@ -500,13 +463,10 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 				continue
 			}
 
-			e.beginGroup(live)
+			e.beginGroup()
 			for _, di := range group {
 				d := ds.Demands[di]
 				if !swActive[d.Src] || dist[d.Src] == 0 {
-					if pl != nil {
-						pl.seedSrc[di] = -1
-					}
 					if res != nil {
 						res.Unreachable++
 					}
@@ -514,9 +474,6 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 						return firstViol
 					}
 					continue
-				}
-				if pl != nil {
-					pl.seedSrc[di], pl.seedRate[di] = int32(d.Src), d.Rate
 				}
 				e.seed(dist, d.Src, d.Rate)
 			}
@@ -544,9 +501,6 @@ func (e *Evaluator) evalDemands(v *topo.View, ds *demand.Set, opts CheckOpts, th
 				return firstViol
 			}
 		}
-	}
-	if pl != nil && len(e.trav.live) > 0 && !pl.wrapped {
-		pl.ok = true // every kept field placed, the loads their full totals
 	}
 
 	if res != nil {

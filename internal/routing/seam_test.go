@@ -16,13 +16,16 @@ import (
 // TestRoutedChecksAgreeWithFreshEvaluator holds every check a planner routes
 // to a fresh evaluator's answer for the same view, demands and options: the
 // violation, and every directional load bit for bit. The planner's evaluator
-// follows its lane from one routed state to the next, repairing its fields,
-// reading its next-hop masks back and answering from its retained placement;
-// the fresh one traverses, builds and sweeps. Both planners, on the fabrics
-// where placements are retained (E-SSW, E-DMAG) and where they are not (E,
-// whose gate stays closed, and C, which never keeps a field), under ECMP,
-// WCMP and a demand growth forecast. The run must answer checks from the
-// retained placement: a seam that never sees one checks nothing.
+// follows its lane from one routed state to the next, repairing its fields
+// and reading its next-hop masks back; the fresh one traverses, builds and
+// sweeps. Both planners, under ECMP, WCMP and a demand growth forecast, on
+// E-SSW, E-DMAG and E, and on C, which never keeps a field. The quotients of
+// the first three are small enough for the lane to route them instead of the
+// fabric, so the test gives each circuit a capacity of its own, larger by a
+// relative 2^-40 per circuit index: every circuit is then a class of its own,
+// the lane's gate stays shut and the evaluator routes every check the lane
+// does not answer before routing. The run must repair fields: a seam that
+// never sees a repaired field checks nothing.
 func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 	variants := []struct {
 		name string
@@ -38,13 +41,18 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 		run  func(*migration.Task, core.Options) (*core.Plan, error)
 	}{{"astar", core.PlanAStar}, {"dp", core.PlanDP}}
 	t.Cleanup(func() { routing.SetCheckHook(nil) })
-	retained := 0
+	repaired := 0
 	for _, fabric := range []string{"E-SSW", "E-DMAG", "E", "C"} {
 		s, err := gen.Suite(fabric, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp := s.Task.Topo
+		tp := s.Task.Topo.Clone()
+		for c := 0; c < tp.NumCircuits(); c++ {
+			id := topo.CircuitID(c)
+			tp.SetCapacity(id, tp.Circuit(id).Capacity*(1+0x1p-40*float64(c)))
+		}
+		base := s.Task.WithTopology(tp)
 		root := routing.NewEvaluator(tp)
 		for _, v := range variants {
 			for _, pl := range planners {
@@ -70,27 +78,29 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 						}
 					}
 				})
-				task := s.Task
+				task := base
 				if v.grow != 0 {
 					task = task.WithForecast(demand.Forecast{GrowthPerStep: v.grow})
 				}
 				opts := v.opts
 				opts.SkipAudit, opts.Evaluator = true, ev
-				_, err := pl.run(task, opts)
+				p, err := pl.run(task, opts)
 				routing.SetCheckHook(nil)
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", fabric, v.name, pl.name, err)
 				}
-				t.Logf("%s %s %s: %d routed checks, %d answered from the retained placement, %d fell back",
-					fabric, v.name, pl.name, checks, ev.PlacementRepairs, ev.PlacementFallbacks)
+				t.Logf("%s %s %s: %d routed checks, %d fields repaired", fabric, v.name, pl.name, checks, ev.FieldRepairs)
+				if checks == 0 || p.Metrics.LiftedChecks+p.Metrics.LiftedFallbacks != 0 {
+					t.Errorf("%s %s %s: %d routed checks, %d lifted; want some and none", fabric, v.name, pl.name, checks, p.Metrics.LiftedChecks+p.Metrics.LiftedFallbacks)
+				}
 				for _, d := range disagree {
 					t.Errorf("%s %s %s, %s", fabric, v.name, pl.name, d)
 				}
-				retained += ev.PlacementRepairs
+				repaired += ev.FieldRepairs
 			}
 		}
 	}
-	if retained == 0 {
-		t.Fatal("no routed check was answered from the retained placement: the seam held nothing of it")
+	if repaired == 0 {
+		t.Fatal("no routed check repaired its fields: the seam held nothing of them")
 	}
 }

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 
@@ -118,32 +117,15 @@ type traversal struct {
 	hopSets  []uint64
 	hopValid []uint8
 
-	// The placement retained beside the masks (placement.go), allocated with
-	// them and shaped like dist: perK is per (field, switch) what per is for
-	// the sweep, and the sweep of field k writes it in place of per; in stampK
-	// field k's sweep stamps every switch that forwards with its group number,
-	// kept in groupK[k], so that a switch forwarded in the field's last
-	// placement iff its stamp there is groupK[k]; flowK is the switch's inflow,
-	// kept under WCMP only (nil until a WCMP sweep finds the masks kept). pl is
-	// the bookkeeping that says whether and for what they hold a placement.
-	perK   []float64
-	flowK  []float64
-	stampK []uint16
-	groupK []uint16
-	pl     retained
-
 	// Sweep. A switch is in the current group's flow set iff its stamp is
-	// group (and it forwards in a retained placement iff its stamp in carry,
-	// the field's run of stampK, is); flow is its seeded rate until it is
-	// visited and its total inflow from then on, per what each of its next
-	// hops draws from that — ECMP: the equal share flow/count, divided once
-	// rather than once per arc; WCMP: the capacity sum, for the per-arc
-	// flow·cap/per. in is shaped like upBits: a
+	// group; flow is its seeded rate until it is visited and its total inflow
+	// from then on, per what each of its next hops draws from that — ECMP: the
+	// equal share flow/count, divided once rather than once per arc; WCMP: the
+	// capacity sum, for the per-arc flow·cap/per. in is shaped like upBits: a
 	// visited switch sets, for each next hop, the bit of the reverse arc in the
 	// hop's own words, and the hop clears its words as it pulls, so in is
 	// all-zero between sweeps.
 	stamp []uint16
-	carry []uint16
 	group uint16
 	flow  []float64
 	per   []float64
@@ -494,10 +476,7 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 	if len(tr.dist) < len(dsts)*n {
 		tr.dist = make([]int32, len(dsts)*n)
 		tr.kept = tr.kept[:0]
-		// Shaped like dist: the next repair allocates them anew.
-		tr.hopSets, tr.hopValid = nil, nil
-		tr.perK, tr.flowK, tr.stampK, tr.groupK = nil, nil, nil, nil
-		tr.pl.ok = false
+		tr.hopSets, tr.hopValid = nil, nil // shaped like dist: the next repair allocates them anew
 	}
 	tr.fields, tr.live, tr.dsts = tr.fields[:0], tr.live[:0], tr.dsts[:0]
 	for _, dst := range dsts {
@@ -519,7 +498,6 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 		tr.kept = append(tr.kept[:0], tr.dsts...)
 		clear(tr.dist[:len(tr.live)*n])
 		clear(tr.hopValid) // every field of the batch is computed anew
-		tr.pl.ok = false   // and so is every placement over them
 		before := e.ArcVisits
 		e.distances(tr.dsts, tr.live)
 		tr.keptVisits = e.ArcVisits - before
@@ -548,20 +526,16 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 // This is also where the next-hop masks come to be and where two of the three
 // things that outdate one are seen. A call means the fields of the check
 // before are being kept, so masks beside them will be read again: the first
-// call allocates them, shaped like dist, and the retained placement with them
-// (placement.go). A mask of switch x depends on x's up arcs, on x's entry and
-// on the entries of x's up neighbours. The up arcs can only have changed at a
-// marked switch: the masks of every marked switch go, in every field, here.
-// The entries change in repairField, field by field.
+// call allocates them, shaped like dist. A mask of switch x depends on x's up
+// arcs, on x's entry and on the entries of x's up neighbours. The up arcs can
+// only have changed at a marked switch: the masks of every marked switch go,
+// in every field, here. The entries change in repairField, field by field.
 func (e *Evaluator) repairFields() bool {
 	tr := &e.trav
 	n := len(e.ports)
 	if tr.hopValid == nil {
 		tr.hopSets = make([]uint64, len(tr.dist)/n*len(e.upBits))
 		tr.hopValid = make([]uint8, len(tr.dist))
-		tr.perK = make([]float64, len(tr.dist))
-		tr.stampK = make([]uint16, len(tr.dist))
-		tr.groupK = make([]uint16, len(tr.dist)/n)
 	}
 	if e.nMarked == 0 {
 		return true
@@ -763,16 +737,14 @@ func (e *Evaluator) repairField(dist []int32, valid []uint8, budget int) (visits
 	return visits, written, visits <= budget
 }
 
-// beginGroup starts a new destination group's flow set, to be placed over
-// field k of the batch (k < 0: over no retained field). Membership is by
+// beginGroup starts a new destination group's flow set. Membership is by
 // stamp, so whatever an earlier group left behind — a check may exit between
 // seeding and sweeping — is out of the set without being visited; the stamps
-// are cleared when the 16-bit group number wraps, once in 65 535 groups, and
-// the retained placement, whose carry they are, goes with them.
-func (e *Evaluator) beginGroup(k int) {
+// are cleared when the 16-bit group number wraps, once in 65 535 groups.
+func (e *Evaluator) beginGroup() {
 	tr := &e.trav
-	n := len(e.ports)
 	if tr.stamp == nil {
+		n := len(e.ports)
 		tr.stamp = make([]uint16, n)
 		tr.flow = make([]float64, n)
 		tr.per = make([]float64, n)
@@ -780,15 +752,7 @@ func (e *Evaluator) beginGroup(k int) {
 	}
 	if tr.group++; tr.group == 0 {
 		clear(tr.stamp)
-		clear(tr.stampK)
-		clear(tr.pl.dirty)
-		tr.pl.ok, tr.pl.wrapped = false, true
 		tr.group = 1
-	}
-	tr.carry = nil
-	if k >= 0 && tr.stampK != nil && !tr.pl.parked {
-		tr.carry = tr.stampK[k*n : (k+1)*n]
-		tr.groupK[k] = tr.group
 	}
 	tr.levels.drain()
 	tr.lis, tr.vals = tr.lis[:0], tr.vals[:0]
@@ -832,38 +796,19 @@ func (a *arc) nextHop(dist []int32, dx int32) bool { return dist[a.other] == dx-
 // among x's up arcs by one scan (arc.nextHop), in the pass that pushes over
 // them, and kept if the batch keeps masks. Pulling scans nothing, so the arcs
 // a sweep classifies are the up arcs of the switches it had no valid mask for.
-//
-// Where the batch keeps masks and the placement is not parked, the sweep
-// keeps the placement too: beginGroup gave it field k's run of stampK as
-// carry, per is field k's run of the slab, each forwarding switch is stamped
-// in carry, and under WCMP its inflow is stored beside its weight. Comparing
-// what it writes with what was there, the sweep counts the forwarding
-// switches whose mask it had to build or whose placement changed, against
-// those that forward: what the gate of the retained placement reads.
 func (e *Evaluator) sweep(k int, dist []int32, dst topo.SwitchID, split SplitMode) ([]int32, []float64) {
 	tr := &e.trav
 	wcmp := split == SplitCapacityWeighted
 	n := len(e.ports)
 	var sets []uint64
 	var valid []uint8
-	var flowK []float64
-	per := tr.per
 	if tr.hopValid != nil {
 		sets = tr.hopSets[k*len(e.upBits) : (k+1)*len(e.upBits)]
 		valid = tr.hopValid[k*n : (k+1)*n]
 	}
-	if tr.carry != nil {
-		per = tr.perK[k*n : (k+1)*n]
-		if wcmp {
-			if tr.flowK == nil {
-				tr.flowK = make([]float64, len(tr.perK))
-			}
-			flowK = tr.flowK[k*n : (k+1)*n]
-		}
-	}
-	in, flow, stamp, carry, group := tr.in, tr.flow, tr.stamp, tr.carry, tr.group
+	in, flow, per, stamp, group := tr.in, tr.flow, tr.per, tr.stamp, tr.group
 	lis, vals := tr.lis, tr.vals
-	built, reused, tests, changed := 0, 0, 0, 0
+	built, reused, tests := 0, 0, 0
 	q := &tr.levels
 	for len(q.active) > 0 {
 		top := len(q.active) - 1
@@ -873,7 +818,7 @@ func (e *Evaluator) sweep(k int, dist []int32, dst topo.SwitchID, split SplitMod
 		for _, x := range lv.sw {
 			lo, hi := e.wordOff[x], e.wordOff[x+1]
 			arcs := e.arcs[e.arcOff[x]:e.arcOff[x+1]]
-			f, was := flow[x], per[x] // the share x had, loaded while it pulls
+			f := flow[x]
 			for i, bw := range in[lo:hi] {
 				if bw == 0 {
 					continue
@@ -947,27 +892,13 @@ func (e *Evaluator) sweep(k int, dist []int32, dst topo.SwitchID, split SplitMod
 				// dst by construction of the distance field.
 				panic("routing: internal error: flow stranded at switch with no next hop")
 			}
-			p := weight
-			if !wcmp {
-				p = f / weight
+			if wcmp {
+				per[x] = weight
+			} else {
+				per[x] = f / weight
 			}
-			if carry != nil {
-				carry[x] = group
-				if scan || math.Float64bits(was) != math.Float64bits(p) ||
-					wcmp && math.Float64bits(flowK[x]) != math.Float64bits(f) {
-					changed++
-				}
-				if wcmp {
-					flowK[x] = f
-				}
-			}
-			per[x] = p
 		}
 		q.release(lv)
-	}
-	if carry != nil {
-		tr.pl.replaced += changed
-		tr.pl.carrying += built + reused // every switch that forwards built its mask or read it back
 	}
 	tr.lis, tr.vals = lis, vals
 	e.HopSetsBuilt += built

@@ -60,7 +60,7 @@ func placeGroups(e *Evaluator, v *topo.View, ds *demand.Set, split SplitMode, gr
 			out[gi] = placement{}
 			continue
 		}
-		e.beginGroup(live)
+		e.beginGroup()
 		for _, di := range byDst[gi] {
 			d := ds.Demands[di]
 			if swActive[d.Src] && fields[i][d.Src] != 0 {

@@ -41,21 +41,14 @@ type upHarness struct {
 
 	masksHeld int // valid retained next-hop masks verified so far
 
-	// oneMode leaves out the further call in the other split mode after each
-	// check, which would leave every placement the evaluator retains in the
-	// mode the next check does not ask for; dsAlt is the demand set
-	// opSwapDemands trades h.ds for, built on first use.
-	oneMode bool
-	dsAlt   *demand.Set
+	dsAlt *demand.Set // the demand set opSwapDemands trades h.ds for, built on first use
 }
 
-// pathTaken says how a check came by its distance fields, and whether it
-// answered from the retained placement or tried to and fell back.
+// pathTaken says how a check came by its distance fields.
 type pathTaken struct {
 	traversed, repaired bool
 	gaveUp              bool // traversed after a repair ran out of budget
 	visits, entries     int
-	retained, fellBack  bool
 }
 
 // newUpHarness builds a random mesh of 24 switches — three rebuilt switches
@@ -234,7 +227,7 @@ func (h *upHarness) do(op byte, arg int) {
 		}
 	case opFlipRate:
 		// Both ways exact, so a rate comes back bit for bit to a value an
-		// earlier placement was seeded with.
+		// earlier check placed.
 		if d := &h.ds.Demands[arg%h.ds.Len()]; arg&0x100 == 0 {
 			d.Rate *= 2
 		} else {
@@ -412,8 +405,6 @@ func (h *upHarness) verifyAnswer(call string, e *Evaluator, v *topo.View, viol V
 		gaveUp:    traversed && visits != w.ArcVisits,
 		visits:    visits,
 		entries:   e.FieldEntriesRepaired - before.FieldEntriesRepaired,
-		retained:  e.PlacementRepairs > before.PlacementRepairs,
-		fellBack:  e.PlacementFallbacks > before.PlacementFallbacks,
 	}
 	switch excess := visits - w.ArcVisits; {
 	case h.last.traversed && h.last.repaired:
@@ -433,8 +424,8 @@ func (h *upHarness) verifyAnswer(call string, e *Evaluator, v *topo.View, viol V
 	// The other split mode on the same evaluator: a check of an unchanged view,
 	// so it keeps its fields and whatever next-hop masks it retains, which do
 	// not depend on the mode. Left out after a port rejection, which placed
-	// nothing and must go on reading zero loads, and in one-mode scripts.
-	if !e.placed || h.oneMode {
+	// nothing and must go on reading zero loads.
+	if !e.placed {
 		return
 	}
 	other := h.opts
