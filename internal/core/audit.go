@@ -85,6 +85,11 @@ func AuditResumed(task *migration.Task, seq, executed []int, opts Options, freeO
 	return audit.Verify(task, seq, cfg)
 }
 
+// planHook, when set, is called with the space of every plan that reaches
+// finishPlan, before the audit. Tests set it to read what the search left in
+// the space's lane; it is nil otherwise.
+var planHook func(sp *space)
+
 // finishPlan runs the opt-out post-planning audit on a freshly
 // reconstructed plan. Every planner success path funnels through here, so
 // resumed runs (ResumePlan re-enters the same paths) are covered too. The
@@ -92,6 +97,9 @@ func AuditResumed(task *migration.Task, seq, executed []int, opts Options, freeO
 // nothing with the search that produced it; a failure turns the "success"
 // into ErrAudit — a wrong plan must never look like a right one.
 func (sp *space) finishPlan(p *Plan) (*Plan, error) {
+	if planHook != nil {
+		planHook(sp)
+	}
 	// A completed run's optimal cost is the incumbent the next run over the
 	// same bound problem prunes against. Interrupted and infeasible runs
 	// never reach here and seal nothing.

@@ -165,7 +165,9 @@ type Options struct {
 	AuditSerial bool
 
 	// Evaluator optionally supplies a routing evaluator to reuse across
-	// planning runs over the same topology. When nil a fresh one is built.
+	// planning runs over the same topology. When nil the planner builds one
+	// at its first routed check the lifted check does not answer, and a plan
+	// whose lifted check answers every routed check builds none.
 	// Whatever up state and distance fields it carries over from earlier
 	// checks follow the next view by content, so plans are byte-identical
 	// to a fresh evaluator's. The post-planning audit never uses it: audits

@@ -13,11 +13,12 @@ import (
 
 // lane is the complete mutable state of a satisfiability check: the
 // scratch topology view, the routing evaluator with its retained up state
-// and distance fields, the packed occupancy bitset, and the counts behind
-// the two verdicts the lane answers before routing. A space owns exactly one
-// (space.ln), on the planner's goroutine, so consecutive checks are
-// neighbours on one evaluator and each costs what differs from the one
-// before.
+// and distance fields (the caller's, or one built at the first routed check
+// the lifted check does not answer), the packed occupancy bitset, and the
+// counts behind the two verdicts the lane answers before routing. A space
+// owns exactly one (space.ln), on the planner's goroutine, so consecutive
+// checks are neighbours on one evaluator and each costs what differs from
+// the one before.
 //
 // Lane verdicts before routing. A check answers, in order: occupancy, then
 // the port budgets (Eq. 6), then the capacity cuts, then routing. The first
@@ -88,8 +89,9 @@ type lane struct {
 // it is nil otherwise.
 var laneRejectHook func(ln *lane, copts routing.CheckOpts, port bool)
 
-// newLane builds the space's check lane around eval (the caller's
-// Options.Evaluator, or a fresh one).
+// newLane builds the space's check lane around eval, the caller's
+// Options.Evaluator; when it is nil the lane builds its own at the first
+// routed check the quotient does not answer.
 func (sp *space) newLane(eval *routing.Evaluator) *lane {
 	ln := &lane{sp: sp, eval: eval, view: sp.task.Topo.NewView()}
 	if sp.actBase != nil {
@@ -148,6 +150,9 @@ func (ln *lane) check(v []uint16, last migration.ActionType, funneling bool) boo
 	default:
 		if ok, sure := ln.liftedCheck(copts, funnelBlock); sure {
 			return ok
+		}
+		if ln.eval == nil {
+			ln.eval = routing.NewEvaluator(sp.task.Topo)
 		}
 		return ln.eval.Check(ln.view, sp.demands, copts).OK()
 	}

@@ -185,8 +185,12 @@ func TestLiftedChecksAgreeWithChecker(t *testing.T) {
 // 0.25, the gate as shipped, so the quotient answers all 400 routed checks):
 // its first check traverses the 14 destination fields, and every later one
 // repairs them around the circuit classes its block flipped and reads most of
-// its next-hop lists back. The plan's
-// metrics carry the repairs (planner.lifted_field_repairs).
+// its next-hop lists back. A check that finds a circuit class over its bound
+// ends at the share that takes the class over its ceiling, in the middle of
+// its sweep, so the lists the rest of that sweep would have read back are not
+// read: 610 770 where ending after the group's whole sweep read 614 481. The
+// lists built, the fields and the repairs do not move. The plan's metrics
+// carry the repairs (planner.lifted_field_repairs).
 func TestLiftedFieldsFollowRepairs(t *testing.T) {
 	var q *routing.Quotient
 	liftedHook = func(ln *lane, _ routing.CheckOpts, _ bool) { q = ln.lift.q }
@@ -204,10 +208,43 @@ func TestLiftedFieldsFollowRepairs(t *testing.T) {
 	}
 	got := [6]int{q.Checks, q.FieldsTraversed, q.FieldRepairs, q.ArcVisits, q.HopListsBuilt, q.HopListsReused}
 	t.Logf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v", got)
-	if want := [6]int{400, 14, 5586, 1287698, 53820, 614481}; got != want {
+	if want := [6]int{400, 14, 5586, 1287698, 53820, 610770}; got != want {
 		t.Errorf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v, want %v", got, want)
 	}
 	if m := p.Metrics; m.LiftedFieldRepairs != q.FieldRepairs {
 		t.Errorf("suite E: the plan's metrics count %d lifted field repairs, the quotient %d", m.LiftedFieldRepairs, q.FieldRepairs)
+	}
+}
+
+// TestLaneEvaluatorOnFirstUse holds a lane to building its evaluator at the
+// first routed check the quotient does not answer, and not before: after A*
+// and DP on every suite fabric × 0.25, the lanes on E, E-SSW and E-DMAG, whose
+// quotient answers every routed check, hold none, and the lanes on A–D, whose
+// gate declines, hold one.
+func TestLaneEvaluatorOnFirstUse(t *testing.T) {
+	var ln *lane
+	planHook = func(sp *space) { ln = sp.ln }
+	t.Cleanup(func() { planHook = nil })
+	lifts := map[string]bool{"E": true, "E-SSW": true, "E-DMAG": true}
+	for _, name := range gen.SuiteNames() {
+		s, err := gen.Suite(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range []struct {
+			name string
+			run  func(*migration.Task, Options) (*Plan, error)
+		}{{"astar", PlanAStar}, {"dp", PlanDP}} {
+			ln = nil
+			p, err := pl.run(s.Task, Options{SkipAudit: true})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pl.name, err)
+			}
+			m := p.Metrics
+			t.Logf("%s %s: %d checks, %d lifted, %d fallbacks, evaluator built %v", name, pl.name, m.Checks, m.LiftedChecks, m.LiftedFallbacks, ln.eval != nil)
+			if built := ln.eval != nil; built == lifts[name] {
+				t.Errorf("%s %s: the lane's evaluator built %v, want %v", name, pl.name, built, !lifts[name])
+			}
+		}
 	}
 }

@@ -169,10 +169,6 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 	if opts.FunnelFactor > 1 {
 		sp.feasF = make(map[int64]int8, 1024)
 	}
-	eval := opts.Evaluator
-	if eval == nil {
-		eval = routing.NewEvaluator(task.Topo)
-	}
 	if opts.SpaceBudget != nil {
 		sp.precomputeOccupancy()
 	}
@@ -188,7 +184,7 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 	}
 	sp.precomputePorts()
 	sp.precomputeCuts()
-	sp.ln = sp.newLane(eval)
+	sp.ln = sp.newLane(opts.Evaluator)
 	// No plan yet: the incumbent is +Inf until a planner completes (or a
 	// target push improves it), and the global lower bound starts at 0.
 	sp.incumbent = math.Inf(1)

@@ -39,10 +39,14 @@ const liftMargin = 1e-9
 // Quotient routes one representative per class of an equitable partition of
 // a topology (NewQuotient). Between checks it keeps the distance fields of the
 // last check's destinations with the up state they are exact over, and beside
-// each field the next-hop list of every class a sweep visited: while the
+// each field the next-hop list of every class a sweep visited with the
+// list's weight under the split mode of the last check that swept: while the
 // destinations stay the same, a check repairs the fields around the circuit
-// classes that flipped and reads the lists back instead of traversing and
-// scanning again. It is not safe for concurrent use.
+// classes that flipped and reads the lists and weights back instead of
+// traversing, scanning and summing again. It also keeps a load ceiling per
+// circuit class for the last check's θ and demand scale, so that a sweep
+// tests each load as it grows and the check ends at the first class surely
+// over its bound. It is not safe for concurrent use.
 type Quotient struct {
 	classOf   []int32    // per switch: its class
 	rep       []int32    // per class: its lowest-numbered member
@@ -86,21 +90,31 @@ type Quotient struct {
 	group   uint16
 	flow    []float64
 	load    []float64
-	touched []int32
+
+	// ceil is, per circuit class, the load ceiling θ·(1+liftMargin)·cap/scale
+	// for the θ and demand scale it was last computed for, ceilTheta and
+	// ceilScale: the circuit class is surely over its bound once the loads of
+	// its two directions together pass it. During a check each funnel class
+	// holds its ceiling at θ/FunnelFactor instead.
+	ceil                 []float64
+	ceilTheta, ceilScale float64
 
 	// What a check keeps for the next. dist holds one field per destination
 	// of kept, len(rep) entries each, exact over keptUp: the up state of the
 	// last check that traversed or repaired them. Beside field f, the next
-	// hops of class x are the arc indices
-	// hopArcs[f·len(arcs)+arcOff[x]:][:hopLen[f·len(rep)+x]], in arc order,
-	// and hopOK[f·len(rep)+x] says whether that list stands for field f and
-	// the up state as they are.
+	// hops of class x are hops[f·len(arcs)+arcOff[x]:][:hopLen[f·len(rep)+x]],
+	// in arc order, their weight is hopW[f·len(rep)+x] — Σ mult under ECMP,
+	// Σ mult·cap under WCMP (hopWCMP), summed in that order — and
+	// hopOK[f·len(rep)+x] says whether that list stands for field f, the up
+	// state and the split mode as they are.
 	kept    []topo.SwitchID
 	keptUp  []bool
 	dist    []int32
-	hopArcs []int32
+	hops    []hop
 	hopLen  []int32
+	hopW    []float64
 	hopOK   []bool
+	hopWCMP bool
 
 	// Repair scratch: the quotient arcs of the circuit classes that went down
 	// and came up since keptUp, each from its lower class; the entries of the
@@ -117,6 +131,10 @@ type qarc struct {
 	metric int32 // the circuits' metric
 	li     int32 // 2·(circuit class) + direction: flow from this class toward other
 }
+
+// hop is a next hop kept beside a field: the directional index of its quotient
+// arc and the class at the arc's far end.
+type hop struct{ li, other int32 }
 
 // NewQuotient returns the coarsest equitable partition of t's switches that
 // refines the colouring swColour, with circuits coloured by ckColour. Both
@@ -458,13 +476,18 @@ func (q *Quotient) CircuitClasses(cs []topo.CircuitID) ([]int32, bool) {
 // inward. A class at distance d splits its inflow over the up arcs toward
 // distance d − metric: by the multiplicities under ECMP, by multiplicity ×
 // capacity under WCMP. Each circuit of the arc's class carries one share, and
-// each member of the far class receives back-multiplicity shares.
+// each member of the far class receives back-multiplicity shares. Loads only
+// grow, so the check ends at the first share that takes a circuit class's two
+// directions together over its ceiling; otherwise a final pass holds every
+// up circuit class's utilization to its bound and margins.
 func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []int32) (ok, sure bool) {
 	q.Checks++
 	theta := opts.Theta
 	if theta <= 0 {
 		theta = 0.75
 	}
+	scale := opts.Scale()
+	q.setCeilings(theta, scale)
 	dsts, byDst := ds.DestinationIndex()
 	if len(dsts) > batchWidth {
 		return false, false
@@ -488,14 +511,22 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 		}
 	}
 	q.fields(dsts)
+	wcmp := opts.Split == SplitCapacityWeighted
+	if wcmp != q.hopWCMP { // the kept weights are sums under the other split mode
+		clear(q.hopOK)
+		q.hopWCMP = wcmp
+	}
 
 	if opts.FunnelFactor > 1 {
+		b := theta / opts.FunnelFactor
 		for _, k := range funnel {
 			q.funnel[k] = true
+			q.ceil[k] = q.ceiling(b, k, scale)
 		}
 		defer func() {
 			for _, k := range funnel {
 				q.funnel[k] = false
+				q.ceil[k] = q.ceiling(theta, k, scale)
 			}
 		}()
 	}
@@ -505,8 +536,6 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 		}
 		return theta
 	}
-	scale := opts.Scale()
-	wcmp := opts.Split == SplitCapacityWeighted
 	nc := len(q.rep)
 	clear(q.load)
 	for gi, group := range byDst {
@@ -526,13 +555,8 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 			}
 			q.flow[x] += d.Rate
 		}
-		q.sweep(gi, field, dc, wcmp)
-		// Loads only grow: a class surely over its bound now stays over.
-		for _, li := range q.touched {
-			k := li >> 1
-			if util := (q.load[2*k] + q.load[2*k+1]) * scale / q.caps[k]; util > bound(k)*(1+liftMargin) {
-				return false, true
-			}
+		if q.sweep(gi, field, dc, wcmp) {
+			return false, true
 		}
 	}
 	sure = true
@@ -549,6 +573,28 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 		}
 	}
 	return sure, sure
+}
+
+// ceiling returns circuit class k's load ceiling under the bound b and the
+// demand scale.
+func (q *Quotient) ceiling(b float64, k int32, scale float64) float64 {
+	return b * (1 + liftMargin) * q.caps[k] / scale
+}
+
+// setCeilings brings every circuit class's ceiling to θ and the demand scale,
+// allocating them on the first call; it recomputes them only when either
+// changed.
+func (q *Quotient) setCeilings(theta, scale float64) {
+	if q.ceil != nil && theta == q.ceilTheta && scale == q.ceilScale {
+		return
+	}
+	if q.ceil == nil {
+		q.ceil = make([]float64, len(q.caps))
+	}
+	q.ceilTheta, q.ceilScale = theta, scale
+	for k := range q.ceil {
+		q.ceil[k] = q.ceiling(theta, int32(k), scale)
+	}
 }
 
 // sync reads the up state of the view off the representatives, allocating
@@ -622,8 +668,9 @@ func (q *Quotient) fields(dsts []topo.SwitchID) {
 	if !slices.Equal(dsts, q.kept) {
 		if need := len(dsts) * nc; len(q.dist) < need {
 			q.dist = make([]int32, need)
-			q.hopArcs = make([]int32, len(dsts)*len(q.arcs))
+			q.hops = make([]hop, len(dsts)*len(q.arcs))
 			q.hopLen = make([]int32, need)
+			q.hopW = make([]float64, need)
 			q.hopOK = make([]bool, need)
 		}
 		q.kept = append(q.kept[:0], dsts...)
@@ -848,30 +895,31 @@ func (q *Quotient) beginGroup() {
 		q.group = 1
 	}
 	q.levels.drain()
-	q.touched = q.touched[:0]
 }
 
 // sweep places the seeded flow of the current group over field, the group's
 // field fi, toward the destination class dc, farthest level first, adding
-// each circuit class's per-circuit share to its directional load and listing
-// the loads it touched. The next hops of a class are its retained list where
-// that is valid; where it is not, one scan of the class's arcs finds them and
-// keeps them. Either way the weight is summed over them in arc order, so
-// every float sum is the one a scan would make.
-func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) {
-	arcs, off, up, mult, caps := q.arcs, q.arcOff, q.up, q.mult, q.caps
+// each circuit class's per-circuit share to its directional load. It reports
+// whether a share took a circuit class's two directions together over its
+// ceiling, and stops there: that class is surely over its bound. The next
+// hops of a class and their weight are its retained list where that is valid;
+// where it is not, one scan of the class's arcs finds the hops, sums their
+// weight in arc order and keeps both, so every float sum is the one a scan
+// would make.
+func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) (over bool) {
+	arcs, off, up, mult, caps, ceil := q.arcs, q.arcOff, q.up, q.mult, q.caps, q.ceil
 	flow, stamp, load, group := q.flow, q.stamp, q.load, q.group
-	nc := len(q.rep)
-	hopArcs := q.hopArcs[fi*len(arcs) : (fi+1)*len(arcs)]
-	hopLen, valid := q.hopLen[fi*nc:(fi+1)*nc], q.hopOK[fi*nc:(fi+1)*nc]
-	touched := q.touched
+	nc, na := len(q.rep), len(arcs)
+	hops := q.hops[fi*na : (fi+1)*na]
+	hopLen, hopW, valid := q.hopLen[fi*nc:(fi+1)*nc], q.hopW[fi*nc:(fi+1)*nc], q.hopOK[fi*nc:(fi+1)*nc]
 	built, reused := 0, 0
 	lq := &q.levels
-	for len(lq.active) > 0 {
+	for len(lq.active) > 0 && !over {
 		top := len(lq.active) - 1
 		lv := lq.active[top]
 		lq.active = lq.active[:top]
 		var next *level
+	classes:
 		for _, x := range lv.sw {
 			f := flow[x]
 			if f == 0 || x == dc {
@@ -881,38 +929,32 @@ func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) {
 			if valid[x] {
 				reused++
 			} else {
-				dx, n := field[x], lo
-				for i, a := range arcs[lo:off[x+1]] {
+				dx, n, weight := field[x], lo, 0.0
+				for _, a := range arcs[lo:off[x+1]] {
 					if field[a.other] == dx-a.metric && up[a.li>>1] {
-						hopArcs[n] = lo + int32(i)
+						hops[n] = hop{a.li, a.other}
 						n++
+						if wcmp {
+							weight += mult[a.li] * caps[a.li>>1]
+						} else {
+							weight += mult[a.li]
+						}
 					}
 				}
-				hopLen[x], valid[x] = n-lo, true
+				hopLen[x], hopW[x], valid[x] = n-lo, weight, true
 				built++
 			}
-			hops := hopArcs[lo : lo+hopLen[x]]
-			weight := 0.0
-			for _, i := range hops {
-				li := arcs[i].li
-				if wcmp {
-					weight += mult[li] * caps[li>>1]
-				} else {
-					weight += mult[li]
-				}
-			}
+			weight := hopW[x]
 			if weight == 0 {
 				panic("routing: internal error: lifted flow stranded at a class with no next hop")
 			}
-			for _, i := range hops {
-				a := &arcs[i]
-				share := f / weight // per circuit of the class
+			share := f / weight // per circuit of the class, under ECMP
+			for _, h := range hops[lo : lo+hopLen[x]] {
 				if wcmp {
-					share = f * caps[a.li>>1] / weight
+					share = f * caps[h.li>>1] / weight
 				}
-				load[a.li] += share
-				touched = append(touched, a.li)
-				w := a.other
+				load[h.li] += share
+				w := h.other
 				if stamp[w] != group {
 					stamp[w] = group
 					flow[w] = 0
@@ -921,14 +963,18 @@ func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) {
 					}
 					next.sw = append(next.sw, w)
 				}
-				flow[w] += share * mult[a.li^1]
+				flow[w] += share * mult[h.li^1]
+				if load[h.li]+load[h.li^1] > ceil[h.li>>1] {
+					over = true
+					break classes
+				}
 			}
 		}
 		lq.release(lv)
 	}
-	q.touched = touched
 	q.HopListsBuilt += built
 	q.HopListsReused += reused
+	return over
 }
 
 // mix64 is the splitmix64 finalizer: the per-pair hash whose sum is a

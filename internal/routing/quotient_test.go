@@ -333,16 +333,22 @@ func FuzzQuotientCheck(f *testing.F) {
 
 // FuzzQuotientRetained runs one long-lived quotient through a random script
 // of views and requires it to answer every step as a quotient built afresh
-// for that step does, and to keep exactly what a fresh one computes: after
+// for that step does, and to keep exactly what a fresh one computes
+// (retainedMismatch): after every step each ceiling is the step's, and after
 // every step that reached the fields, each kept field equals a fresh
 // traversal's, each next-hop list it holds valid equals a fresh scan of the
-// class's arcs, and every load is the fresh one bit for bit. The script mixes
-// one-block steps, multi-block jumps, re-checks of the same view, a
-// destination going inactive for a step and coming back, port-rejected states
-// between checks (every element up), and swaps between two demand sets so
-// that the destinations change.
+// class's arcs and its weight a fresh sum under the step's split mode, every
+// load is the fresh one bit for bit, and at most one circuit class is over its
+// ceiling. The script mixes one-block steps, multi-block jumps, re-checks of
+// the same view, a destination going inactive for a step and coming back,
+// port-rejected states between checks (every element up), and swaps between
+// two demand sets so that the destinations change; each step draws its split
+// mode and θ, and now and then a demand scale and a funnel set of whole
+// circuit classes. Seed #6 is there for the sweep's ceiling test: with it
+// holding one direction's load alone, seeds #4 and #6 see a check run on past
+// its first class over.
 func FuzzQuotientRetained(f *testing.F) {
-	for _, seed := range []int64{1, 2, 3, 7, 42, 20261017} {
+	for _, seed := range []int64{1, 2, 3, 7, 42, 20261017, 10} {
 		f.Add(seed, uint8(seed))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
@@ -394,13 +400,29 @@ func FuzzQuotientRetained(f *testing.F) {
 				}
 			}
 			opts := CheckOpts{Split: SplitMode(rng.Intn(2)), Theta: []float64{0.25, 0.5, 1, 2, 4}[rng.Intn(5)]}
+			if rng.Intn(3) == 0 {
+				opts.DemandScale = 0.5 + rng.Float64()
+			}
+			var funnel []int32
+			if rng.Intn(3) == 0 {
+				opts.FunnelFactor = 2
+				for c := 0; c < tp.NumCircuits(); c++ {
+					if k := q.CircuitClassOf(topo.CircuitID(c)); k%3 == int32(step%3) {
+						opts.FunnelCircuits = append(opts.FunnelCircuits, topo.CircuitID(c))
+					}
+				}
+				var whole bool
+				if funnel, whole = q.CircuitClasses(opts.FunnelCircuits); !whole {
+					t.Fatal("a union of circuit classes is not one")
+				}
+			}
 			fresh, _ := NewQuotient(tp, sw, ck, tp.NumCircuits())
-			wantOK, wantSure := fresh.Check(v, ds, opts, nil)
-			gotOK, gotSure := q.Check(v, ds, opts, nil)
+			wantOK, wantSure := fresh.Check(v, ds, opts, funnel)
+			gotOK, gotSure := q.Check(v, ds, opts, funnel)
 			if gotOK != wantOK || gotSure != wantSure {
 				t.Fatalf("step %d (op %d): retained (%v, %v), fresh (%v, %v)", step, op, gotOK, gotSure, wantOK, wantSure)
 			}
-			if msg := q.retainedMismatch(fresh); msg != "" {
+			if msg := q.retainedMismatch(fresh, opts, funnel); msg != "" {
 				t.Fatalf("step %d (op %d): %s", step, op, msg)
 			}
 		}

@@ -70,26 +70,28 @@
 //     all traverse — a small fabric, a fork's first check — holds none and
 //     stores nothing.
 //
-// A lifted check (quotient.go) does steps 1 to 3 on the quotient of the
-// fabric instead: one representative per class of an equitable partition
-// whose colours every view a planner reaches respects, each quotient arc
-// weighted by its multiplicity. Per check it reads the up state of every
-// class and circuit class off the representatives, repairs the distance
-// fields of the check before around the circuit classes that flipped — its
-// first check, and one whose destinations changed, runs one bit-parallel
-// traversal over the classes instead — and runs one sweep per destination
-// group over the classes that carry its flow, reading back each class's
-// next-hop list where the list it kept still stands. Its cost is that of the
-// full steps over a fabric as small as the quotient: on suite E × 0.25 the
-// 1 236 switches and 11 672 directed arcs become 429 classes and 2 556
-// quotient arcs, at × 1 the 10 028 switches and 142 592 arcs become 738 and
-// 4 800; a traversal scans 5.8 k and 8.5 k quotient arcs where the fabric's
-// scans 29 k and 84 k, and a repair along a plan tests about 2.7 k and 5.6 k. Building the partition costs O(circuits) per
-// refinement round, five rounds on suite E (the last splits nothing), about
-// 1.4 ms at × 0.25 and 13 ms at × 1 on a 2-vCPU host. The quotient's
-// float sums differ from the fabric's in the last ulps, so it says when a
-// circuit class lies too near its bound to be sure, and its caller then runs
-// the full check.
+// A lifted check (quotient.go) does steps 1 to 3 on the quotient of the fabric
+// instead: one representative per class of an equitable partition whose
+// colours every view a planner reaches respects, each quotient arc weighted by
+// its multiplicity. Per check it reads the up state of every class and circuit
+// class off the representatives, repairs the distance fields of the check
+// before around the circuit classes that flipped — its first check, and one
+// whose destinations changed, runs one bit-parallel traversal over the classes
+// instead — and runs one sweep per destination group over the classes that
+// carry its flow, reading back each class's next-hop list and the list's
+// weight where the ones it kept still stand. Each share a sweep adds is tested
+// against a per-circuit-class load ceiling, θ·(1+margin)·capacity/scale, kept
+// between checks, and the check ends at the first class over it. Its cost is
+// that of the full steps over a fabric as small as the quotient: on suite
+// E × 0.25 the 1 236 switches and 11 672 directed arcs become 429 classes and
+// 2 556 quotient arcs, at × 1 the 10 028 switches and 142 592 arcs become 738
+// and 4 800; a traversal scans 5.8 k and 8.5 k quotient arcs where the
+// fabric's scans 29 k and 84 k, and a repair along a plan tests about 2.7 k
+// and 5.6 k. Building the partition costs O(circuits) per refinement round,
+// five rounds on suite E (the last splits nothing), about 1.4 ms at × 0.25 and
+// 13 ms at × 1 on a 2-vCPU host. The quotient's float sums differ from the
+// fabric's in the last ulps, so it says when a circuit class lies too near its
+// bound to be sure, and its caller then runs the full check.
 //
 // Summation-order contract. Every load the evaluator reports is a function
 // of (adjacency order, up state, demands, distance field) and of nothing
