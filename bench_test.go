@@ -497,20 +497,22 @@ func BenchmarkCheckPortReject(b *testing.B) {
 
 // TestEvaluatorFootprintSuiteE bounds what an evaluator costs a process on
 // the benchmark's large fabric, in bytes allocated: NewEvaluator plus the
-// first Check (which sizes every piece of traversal scratch), and — what a
-// planner lane, a fleet member or a daemon job actually pays — Fork plus the
-// first Check. Neither may exceed what the per-destination evaluator this
-// one replaced allocated for the same calls. The two parent figures come
-// from this very function run in a checkout of the parent commit (recipe in
-// DESIGN.md, "Satisfiability checker"). The bounds are what keep
-// op_rss_mb_p50 flat: the batched traversal has to replace the old scratch,
-// not sit beside it. The third row adds the first check that repairs its
-// fields, one block on: that is where the retained next-hop masks and the
-// repair's lists are allocated, and the row is pinned to what they measure so
-// that neither can grow unnoticed, and nothing can come to sit beside them.
+// first Check (which sizes every piece of traversal scratch) on a topology of
+// a fresh shape, which builds the adjacency, and Fork plus the first Check.
+// Neither may exceed what the per-destination evaluator this one replaced
+// allocated for the same calls. The two parent figures come from this very
+// function run in a checkout of the parent commit (recipe in DESIGN.md,
+// "Satisfiability checker"). The bounds are what keep op_rss_mb_p50 flat: the
+// batched traversal has to replace the old scratch, not sit beside it. Once
+// the shape keeps its adjacency, NewEvaluator is a Fork, and what a replan,
+// an audit or a world over a clone pays for it is held to the Fork's bound.
+// The last row adds the first check that repairs its fields, one block on:
+// that is where the retained next-hop masks and the repair's lists are
+// allocated, and the row is pinned to what they measure so that neither can
+// grow unnoticed, and nothing can come to sit beside them.
 func TestEvaluatorFootprintSuiteE(t *testing.T) {
 	const (
-		parentNew  = 642536 // NewEvaluator + first Check at the parent commit
+		parentNew  = 642536 // NewEvaluator + first Check, fresh shape, at the parent commit
 		parentFork = 301256 // Fork + first Check at the parent commit
 		// Fork + first Check + first repaired Check: 460 008 as measured here
 		// (460 088 under the race detector), held to a kilobyte over. That is
@@ -543,23 +545,38 @@ func TestEvaluatorFootprintSuiteE(t *testing.T) {
 		}
 		s.Task.Revert(next, blk)
 	}
+	// reshaped returns a copy of the fabric whose shape no evaluator has
+	// been built for: a structural setter that changes nothing.
+	reshaped := func() *klotski.Topology {
+		tp := s.Task.Topo.Clone()
+		tp.SetCapacity(0, tp.Circuit(0).Capacity)
+		return tp
+	}
+	newEvaluator := func(tp *klotski.Topology) *klotski.Evaluator { return klotski.NewEvaluator(tp) }
+	fork := func(*klotski.Topology) *klotski.Evaluator { return root.Fork() }
 	for _, c := range []struct {
 		name   string
-		make   func() *klotski.Evaluator
+		make   func(*klotski.Topology) *klotski.Evaluator
+		fresh  bool // make gets a topology of a fresh shape
 		repair bool
 		bound  uint64
 	}{
-		{"NewEvaluator + first Check", func() *klotski.Evaluator { return klotski.NewEvaluator(s.Task.Topo) }, false, parentNew},
-		{"Fork + first Check", root.Fork, false, parentFork},
-		{"Fork + first Check + first repaired Check", root.Fork, true, repairedFork},
+		{"NewEvaluator + first Check, fresh shape", newEvaluator, true, false, parentNew},
+		{"NewEvaluator + first Check", newEvaluator, false, false, parentFork},
+		{"Fork + first Check", fork, false, false, parentFork},
+		{"Fork + first Check + first repaired Check", fork, false, true, repairedFork},
 	} {
 		// TotalAlloc is process-wide; the smallest of a few runs is the run
 		// no other goroutine allocated during.
 		best := uint64(math.MaxUint64)
 		var before, after runtime.MemStats
 		for i := 0; i < 5; i++ {
+			tp := s.Task.Topo
+			if c.fresh {
+				tp = reshaped()
+			}
 			runtime.ReadMemStats(&before)
-			e := c.make()
+			e := c.make(tp)
 			viol := e.Check(view, &s.Task.Demands, klotski.CheckOpts{})
 			if c.repair {
 				e.Check(next, &s.Task.Demands, klotski.CheckOpts{})

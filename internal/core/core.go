@@ -165,13 +165,15 @@ type Options struct {
 	AuditSerial bool
 
 	// Evaluator optionally supplies a routing evaluator to reuse across
-	// planning runs over the same topology. When nil the planner builds one
-	// at its first routed check the lifted check does not answer, and a plan
-	// whose lifted check answers every routed check builds none.
-	// Whatever up state and distance fields it carries over from earlier
-	// checks follow the next view by content, so plans are byte-identical
-	// to a fresh evaluator's. The post-planning audit never uses it: audits
-	// run on a fresh evaluator by construction.
+	// planning runs over the same topology. When nil the planner makes one
+	// (routing.NewEvaluator) at its first routed check the lifted check does
+	// not answer, and a plan whose lifted check answers every routed check
+	// makes none. The static adjacency is kept per topology shape either
+	// way, so what reusing an evaluator saves is its check scratch and the
+	// up state and distance fields it carries over from earlier checks;
+	// those follow the next view by content, so plans are byte-identical to
+	// a fresh evaluator's. The post-planning audit never uses it: audits run
+	// on a fresh fork, with no state carried over, by construction.
 	Evaluator *routing.Evaluator
 
 	// Recorder optionally streams planner events (states, checks, cache

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"klotski/internal/demand"
 	"klotski/internal/topo"
@@ -48,28 +49,7 @@ const liftMargin = 1e-9
 // tests each load as it grows and the check ends at the first class surely
 // over its bound. It is not safe for concurrent use.
 type Quotient struct {
-	classOf   []int32    // per switch: its class
-	rep       []int32    // per class: its lowest-numbered member
-	tight     [][2]int32 // (class, port budget) of every class whose members have more circuits than ports
-	ckClassOf []int32    // per circuit: its circuit class
-	ckSize    []int32    // per circuit class: its members
-	ckEnds    []int32    // per circuit class: its representative's circuit and endpoints, three entries each
-	caps      []float64
-	metric    []int32 // per circuit class: its circuits' metric
-
-	// Adjacency over classes: the arcs of class x are arcs[arcOff[x]:arcOff[x+1]],
-	// one per circuit class between x and another class, and its loops are
-	// loops[loopOff[x]:loopOff[x+1]], one per circuit class within x. A loop
-	// never carries flow — both ends lie at one distance — and counts only
-	// toward the port budget.
-	arcOff, loopOff []int32
-	arcs            []qarc
-	loops           []qarc
-
-	// By directional index li (qarc.li): the circuits of the class at each
-	// member of the sending class. mult[li^1] is the arc's back-multiplicity,
-	// mult[li]·|sender|/|receiver|.
-	mult []float64
+	partition
 
 	// Stats counters for the lifetime of the quotient.
 	Checks          int // number of Check calls
@@ -124,6 +104,34 @@ type Quotient struct {
 	unset, kids      []int32
 }
 
+// partition is what a quotient derives from its topology's structure and the
+// colours alone: the classes, the circuit classes and the adjacency over
+// classes. Checks only read it, so every quotient of one build shares it.
+type partition struct {
+	classOf   []int32    // per switch: its class
+	rep       []int32    // per class: its lowest-numbered member
+	tight     [][2]int32 // (class, port budget) of every class whose members have more circuits than ports
+	ckClassOf []int32    // per circuit: its circuit class
+	ckSize    []int32    // per circuit class: its members
+	ckEnds    []int32    // per circuit class: its representative's circuit and endpoints, three entries each
+	caps      []float64
+	metric    []int32 // per circuit class: its circuits' metric
+
+	// Adjacency over classes: the arcs of class x are arcs[arcOff[x]:arcOff[x+1]],
+	// one per circuit class between x and another class, and its loops are
+	// loops[loopOff[x]:loopOff[x+1]], one per circuit class within x. A loop
+	// never carries flow — both ends lie at one distance — and counts only
+	// toward the port budget.
+	arcOff, loopOff []int32
+	arcs            []qarc
+	loops           []qarc
+
+	// By directional index li (qarc.li): the circuits of the class at each
+	// member of the sending class. mult[li^1] is the arc's back-multiplicity,
+	// mult[li]·|sender|/|receiver|.
+	mult []float64
+}
+
 // qarc is a quotient arc: the circuits of one circuit class seen from the
 // members of one class.
 type qarc struct {
@@ -157,6 +165,16 @@ type hop struct{ li, other int32 }
 // round to the next, and under the last round's it is the number of circuit
 // classes; the build declines as soon as a round's count passes quota. A
 // caller that wants the partition whatever its size passes t.NumCircuits().
+//
+// t's shape (topo.Shape) keeps two builds, each with the colours and quota it
+// was made for, compared exactly: the first the shape saw and the latest. A
+// replan after an outage clones the topology and changes only activity, and a
+// replan returns to the pristine colouring when no outage is in force or
+// repeats the latest outage set; a declined build is kept like any other. On
+// a match NewQuotient returns the kept partition with fresh check state and
+// zeroed counters, which answers every check as a fresh build would: the
+// partition is a function of the structure, the colours and the quota, and
+// checks only read it.
 func NewQuotient(t *topo.Topology, swColour, ckColour []int32, quota int) (*Quotient, bool) {
 	n, m := t.NumSwitches(), t.NumCircuits()
 	if len(swColour) != n || len(ckColour) != m || n == 0 {
@@ -172,11 +190,66 @@ func NewQuotient(t *topo.Topology, swColour, ckColour []int32, quota int) (*Quot
 			return nil, false
 		}
 	}
-	cls, nc, ok := refine(t, swColour, ckColour, quota)
-	if !ok {
+	kept := t.Shape().Derived(quotientsKey{}, func() any { return new(quotients) }).(*quotients)
+	if b := kept.find(swColour, ckColour, quota); b != nil {
+		return b.fork()
+	}
+	b := &build{swColour: slices.Clone(swColour), ckColour: slices.Clone(ckColour), quota: quota}
+	if cls, nc, ok := refine(t, swColour, ckColour, quota); ok {
+		b.p, b.ok = partitioned(t, cls, nc, ckColour, quota)
+	}
+	kept.keep(b)
+	return b.fork()
+}
+
+// quotientsKey keys a shape's quotients on it.
+type quotientsKey struct{}
+
+// quotients is what a shape keeps of NewQuotient's builds: the first and the
+// latest.
+type quotients struct {
+	mu            sync.Mutex
+	first, latest *build
+}
+
+// build is one NewQuotient build: its colours and quota, and its partition
+// when it did not decline.
+type build struct {
+	swColour, ckColour []int32
+	quota              int
+	p                  partition
+	ok                 bool
+}
+
+// find returns the kept build for the colours and the quota, or nil.
+func (qs *quotients) find(swColour, ckColour []int32, quota int) *build {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	for _, b := range [...]*build{qs.first, qs.latest} {
+		if b != nil && b.quota == quota && slices.Equal(b.swColour, swColour) && slices.Equal(b.ckColour, ckColour) {
+			return b
+		}
+	}
+	return nil
+}
+
+// keep makes b the latest build, and the first when there is none.
+func (qs *quotients) keep(b *build) {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	if qs.first == nil {
+		qs.first = b
+	}
+	qs.latest = b
+}
+
+// fork returns a quotient of the build's partition with fresh check state,
+// and false when the build declined.
+func (b *build) fork() (*Quotient, bool) {
+	if !b.ok {
 		return nil, false
 	}
-	return partitioned(t, cls, nc, ckColour, quota)
+	return &Quotient{partition: b.p}, true
 }
 
 // refine returns the classes of colour refinement and their number, and false
@@ -238,12 +311,12 @@ func keysFit(t *topo.Topology, cls, ckColour []int32, quota int, keys *pairTable
 	return true
 }
 
-// partitioned builds the quotient of t over the switch classes cls, numbered
-// 0..nc-1, and reports false when the partition is not equitable or has more
+// partitioned builds the partition of t over the switch classes cls,
+// numbered 0..nc-1, and reports false when it is not equitable or has more
 // than quota circuit classes.
-func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota int) (*Quotient, bool) {
+func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota int) (partition, bool) {
 	m := t.NumCircuits()
-	q := &Quotient{classOf: cls, rep: make([]int32, nc)}
+	q := &partition{classOf: cls, rep: make([]int32, nc)}
 	for i := range q.rep {
 		q.rep[i] = -1
 	}
@@ -309,7 +382,7 @@ func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota 
 		ncc++
 	}
 	if int(ncc) > quota {
-		return nil, false
+		return partition{}, false
 	}
 	q.ckSize = make([]int32, ncc)
 	q.ckEnds = make([]int32, 3*ncc)
@@ -324,10 +397,10 @@ func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota 
 		q.ckSize[k]++
 	}
 	if !q.equitable(t) {
-		return nil, false
+		return partition{}, false
 	}
 	q.buildArcs(t)
-	return q, true
+	return *q, true
 }
 
 // equitable reports whether every switch has its representative's multiset
@@ -335,7 +408,7 @@ func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota 
 // the partition's equitability over (circuit colour, neighbour class) pairs.
 // cnt holds the representative's counts while its members are compared, each
 // member decrementing and then restoring them.
-func (q *Quotient) equitable(t *topo.Topology) bool {
+func (q *partition) equitable(t *topo.Topology) bool {
 	cnt := make([]int32, len(q.ckSize))
 	// Members in class order: a counting sort.
 	start := make([]int32, len(q.rep)+1)
@@ -384,7 +457,7 @@ func (q *Quotient) equitable(t *topo.Topology) bool {
 // buildArcs lays out the quotient adjacency from each representative's
 // circuits: per circuit class incident to it, one arc (or loop) whose
 // multiplicity is how many of the representative's circuits are in it.
-func (q *Quotient) buildArcs(t *topo.Topology) {
+func (q *partition) buildArcs(t *topo.Topology) {
 	nc := len(q.rep)
 	mult := make([]float64, 2*len(q.ckSize))
 	q.arcOff = make([]int32, nc+1)

@@ -38,10 +38,11 @@ func TestQuotientRejectsNonEquitable(t *testing.T) {
 		}
 	}
 	cls, nc, _ := refine(tp, make([]int32, tp.NumSwitches()), ck, tp.NumCircuits())
-	q, ok := partitioned(tp, cls, nc, ck, tp.NumCircuits())
+	p, ok := partitioned(tp, cls, nc, ck, tp.NumCircuits())
 	if !ok {
 		t.Fatal("the build refused refinement's own partition")
 	}
+	q := &Quotient{partition: p}
 	if sw, _ := q.Classes(); sw != 3 || q.ClassOf(s[0]) != q.ClassOf(s[5]) || q.ClassOf(s[1]) != q.ClassOf(s[4]) || q.ClassOf(s[2]) != q.ClassOf(s[3]) {
 		t.Errorf("refinement of a path of six: %d classes %v, want X=Z, A=Y, H=B", sw, cls)
 	}

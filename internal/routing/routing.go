@@ -296,11 +296,29 @@ type Evaluator struct {
 	HopSetsReused        int // … and retained ones they read back instead
 }
 
-// NewEvaluator returns an evaluator for views over t.
+// NewEvaluator returns an evaluator for views over t: a Fork of the static
+// adjacency t's shape keeps (topo.Shape), built at the shape's first
+// NewEvaluator, with t as its topology. Every evaluator of one structure
+// shares that adjacency and owns its check scratch, so a replan, an audit or
+// a world over a clone pays for the scratch alone, and answers as an
+// evaluator built from nothing would: the adjacency is a function of the
+// structure, and checks only read it.
 func NewEvaluator(t *topo.Topology) *Evaluator {
+	base := t.Shape().Derived(adjacencyKey{}, func() any { return newAdjacency(t) }).(*Evaluator)
+	e := base.Fork()
+	e.t = t
+	return e
+}
+
+// adjacencyKey keys the evaluator's static adjacency on a topology's shape.
+type adjacencyKey struct{}
+
+// newAdjacency returns an evaluator holding t's static adjacency, capacities
+// and port budgets, and no topology or check scratch: the base NewEvaluator
+// forks.
+func newAdjacency(t *topo.Topology) *Evaluator {
 	n, m := t.NumSwitches(), t.NumCircuits()
 	e := &Evaluator{
-		t:       t,
 		caps:    make([]float64, m),
 		ports:   make([]int32, n),
 		arcOff:  make([]int32, n+1),
@@ -333,7 +351,6 @@ func NewEvaluator(t *topo.Topology) *Evaluator {
 	for i := range e.arcs {
 		e.arcs[i].back = bitOf[e.arcs[i].li^1]
 	}
-	e.initScratch()
 	return e
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,7 +179,9 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 // TestTornCheckpointFileIgnored damages the sealed checkpoint envelope
 // in every way a crash can (truncation, bit flip, garbage) alongside a
 // mid-planning journal prefix: recovery must ignore the damaged envelope
-// and still replay to the identical plan.
+// and still replay to the identical plan. The recovered job resumes as soon
+// as the manager opens, and its next leg seals a fresh, valid envelope, so
+// the job's first leg is held until the damaged one has been asked for.
 func TestTornCheckpointFileIgnored(t *testing.T) {
 	journal, wantPlan, _ := undisturbedRun(t)
 	bounds := sim.RecordBoundaries(journal)
@@ -204,11 +207,18 @@ func TestTornCheckpointFileIgnored(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, "job-000000.ckpt"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			m := newManager(t, dir, nil)
+			held := make(chan struct{})
+			var once sync.Once
+			release := func() { once.Do(func() { close(held) }) }
+			m := newManager(t, dir, func(c *Config) {
+				c.LegHook = func(string, int) error { <-held; return nil }
+			})
 			defer m.Close()
+			defer release()
 			if _, err := m.CheckpointEnvelope("job-000000"); err == nil && name != "valid" {
 				t.Errorf("damaged checkpoint (%s) served as valid", name)
 			}
+			release()
 			jobs := m.Jobs()
 			if len(jobs) != 1 {
 				t.Fatalf("%d jobs recovered", len(jobs))

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Role identifies the layer and function of a switch in the DCN.
@@ -166,11 +168,82 @@ type Topology struct {
 
 	swActive []bool
 	ckActive []bool
+
+	shape *Shape // the structure's identity; nil only before the zero value's first element
+
+	// shapeSeen says the shape has been handed out, by Shape or by Clone, so
+	// that a structural setter must give the topology a fresh one. Until then
+	// nobody can tell the shape a setter keeps from a fresh one, and building
+	// a topology element by element allocates a single shape.
+	shapeSeen atomic.Bool
+}
+
+// Shape is the identity of a topology's structure: its switches with their
+// port budgets and its circuits with their endpoints, capacities and metrics,
+// everything but the activity flags. New assigns a topology one and Clone
+// shares it; every structural setter (AddSwitch, AddCircuit, SetCapacity,
+// SetMetric, SetPorts) gives its topology a fresh one, while the activity
+// setters keep it. (A setter keeps a shape that has not been handed out yet:
+// no one can tell it from a fresh one.) Two topologies of one shape therefore
+// have the same structure, and what is derived from the structure alone is
+// kept on the shape (Derived) and built once for all of them: it lives as long
+// as any topology of the shape does, and a setter retires it for its
+// topology.
+type Shape struct {
+	mu      sync.Mutex
+	derived map[any]any
+}
+
+// Derived returns the artefact the shape keeps under key, calling build to
+// make it when it keeps none. build must derive the artefact from the
+// structure alone, and callers must treat what it returns as read-only. Two
+// concurrent first requests may both build; the first stored is kept and
+// returned to both. A nil shape keeps nothing and returns build's result.
+func (s *Shape) Derived(key any, build func() any) any {
+	if s == nil {
+		return build()
+	}
+	s.mu.Lock()
+	v, ok := s.derived[key]
+	s.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = build()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if kept, ok := s.derived[key]; ok {
+		return kept
+	}
+	if s.derived == nil {
+		s.derived = make(map[any]any)
+	}
+	s.derived[key] = v
+	return v
 }
 
 // New returns an empty named topology.
 func New(name string) *Topology {
-	return &Topology{Name: name, byName: make(map[string]SwitchID)}
+	return &Topology{Name: name, byName: make(map[string]SwitchID), shape: new(Shape)}
+}
+
+// Shape returns the identity of the topology's structure. It allocates
+// nothing and writes only an atomic flag, so any number of goroutines may call
+// it while none mutates the topology.
+func (t *Topology) Shape() *Shape {
+	if !t.shapeSeen.Load() {
+		t.shapeSeen.Store(true)
+	}
+	return t.shape
+}
+
+// reshape follows a structural change: the topology gets a fresh shape unless
+// its shape has not been handed out.
+func (t *Topology) reshape() {
+	if t.shape == nil || t.shapeSeen.Load() {
+		t.shape = new(Shape)
+		t.shapeSeen.Store(false)
+	}
 }
 
 // AddSwitch adds a switch and returns its assigned ID. The ID and incident
@@ -193,6 +266,7 @@ func (t *Topology) AddSwitch(s Switch) SwitchID {
 	t.switches = append(t.switches, s)
 	t.swActive = append(t.swActive, true)
 	t.byName[s.Name] = id
+	t.reshape()
 	return id
 }
 
@@ -210,6 +284,7 @@ func (t *Topology) AddCircuit(a, b SwitchID, capacity float64) CircuitID {
 	t.ckActive = append(t.ckActive, true)
 	t.switches[a].circuits = append(t.switches[a].circuits, id)
 	t.switches[b].circuits = append(t.switches[b].circuits, id)
+	t.reshape()
 	return id
 }
 
@@ -217,6 +292,7 @@ func (t *Topology) AddCircuit(a, b SwitchID, capacity float64) CircuitID {
 // capacity shaping after the wiring is known.
 func (t *Topology) SetCapacity(id CircuitID, capacity float64) {
 	t.circuits[id].Capacity = capacity
+	t.reshape()
 }
 
 // SetMetric reassigns a circuit's routing metric (must be ≥ 1).
@@ -225,6 +301,7 @@ func (t *Topology) SetMetric(id CircuitID, metric int32) {
 		panic(fmt.Sprintf("topo: metric %d < 1 on circuit %d", metric, id))
 	}
 	t.circuits[id].Metric = metric
+	t.reshape()
 }
 
 func (t *Topology) validSwitch(id SwitchID) bool {
@@ -268,6 +345,7 @@ func (t *Topology) SwitchByName(name string) (*Switch, bool) {
 // after wiring, when the final degree is known.
 func (t *Topology) SetPorts(id SwitchID, ports int) {
 	t.switches[id].Ports = ports
+	t.reshape()
 }
 
 // SetSwitchActive sets the base activity of a switch (whether it carries
@@ -409,10 +487,13 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the topology, including base activity.
+// Clone returns a deep copy of the topology, including base activity. The
+// copy shares the topology's shape until a structural setter gives it its
+// own.
 func (t *Topology) Clone() *Topology {
 	nt := &Topology{
 		Name:     t.Name,
+		shape:    t.shape,
 		switches: make([]Switch, len(t.switches)),
 		circuits: append([]Circuit(nil), t.circuits...),
 		byName:   make(map[string]SwitchID, len(t.byName)),
@@ -426,6 +507,9 @@ func (t *Topology) Clone() *Topology {
 	for k, v := range t.byName {
 		nt.byName[k] = v
 	}
+	// Both hold the shape now: a setter on either must replace it.
+	t.shapeSeen.Store(true)
+	nt.shapeSeen.Store(true)
 	return nt
 }
 
