@@ -361,7 +361,7 @@ func BenchmarkLiftedCheckSuiteE(b *testing.B) {
 			b.ReportMetric(float64(q.ArcVisits-base.ArcVisits)/n, "quotient-arcvisits/check")
 			b.ReportMetric(float64(unsure-unsure0)/n, "unsure/check")
 			repairs := float64(q.FieldRepairs - base.FieldRepairs)
-			b.ReportMetric(repairs/(repairs+float64(q.FieldsTraversed-base.FieldsTraversed)), "repaired-share")
+			b.ReportMetric(repairs/(repairs+float64(q.BFSes-base.BFSes)), "repaired-share")
 			reused := float64(q.HopListsReused - base.HopListsReused)
 			b.ReportMetric(reused/(reused+float64(q.HopListsBuilt-base.HopListsBuilt)), "hoplist-reuse-share")
 		})
@@ -603,8 +603,9 @@ func TestEvaluatorFootprintSuiteE(t *testing.T) {
 // them on the port budgets and 92 on the capacity cuts before routing. The
 // lane's gate opens at the first of the other 400, and the lifted check
 // answers all of them from the fabric's quotient, 429 switch classes and 1278
-// circuit classes, repairing the fields of the check before from its second
-// on: the caller's evaluator routes nothing. The same search on the full
+// circuit classes, on the evaluator's engine: it repairs the fields of the
+// check before wherever the evaluator would, and the caller's evaluator routes
+// nothing. The same search on the full
 // evaluator alone is pinned by TestHopSetsFollowRepairsFullPath and
 // TestRoutedChecksPinnedFullPath in internal/core.
 func TestHopSetsFollowRepairs(t *testing.T) {
@@ -641,10 +642,11 @@ func TestHopSetsFollowRepairs(t *testing.T) {
 	if lifted, want := [4]int{m.LiftedChecks, m.LiftedFallbacks, sw, ck}, [4]int{400, 0, 429, 1278}; lifted != want {
 		t.Errorf("suite E: lifted checks, lifted fallbacks, switch classes, circuit classes = %v, want %v", lifted, want)
 	}
-	// The first lifted check traverses the 14 destination fields; each of the
-	// other 399 repairs them (TestLiftedFieldsFollowRepairs in internal/core
-	// pins the quotient's own counts).
-	if got, want := m.LiftedFieldRepairs, 399*14; got != want {
+	// 41 lifted checks traverse the 14 destination fields, under the
+	// evaluator's cut-over and budget, and the other 359 repair them
+	// (TestLiftedFieldsFollowRepairs in internal/core pins the quotient's own
+	// counts).
+	if got, want := m.LiftedFieldRepairs, 359*14; got != want {
 		t.Errorf("suite E: lifted field repairs = %d, want %d", got, want)
 	}
 }
@@ -653,8 +655,8 @@ func TestHopSetsFollowRepairs(t *testing.T) {
 // on the DP search on suite E-SSW × 0.25, the primary plan of the benchmark's
 // fleet-mixed workload. The lane routes 243 of its 289 checks, and its gate
 // opens at the first: the quotient answers all 243 and the caller's evaluator
-// routes none. The first lifted check traverses the 14 destination fields,
-// and each of the other 242 repairs them.
+// routes none. 18 lifted checks traverse the 14 destination fields, under the
+// evaluator's cut-over and budget, and the other 225 repair them.
 func TestLiftedChecksPinned(t *testing.T) {
 	s, err := klotski.Suite("E-SSW", 0.25)
 	if err != nil {
@@ -668,7 +670,7 @@ func TestLiftedChecksPinned(t *testing.T) {
 	m := p.Metrics
 	got := [5]int{m.Checks, ev.Checks, m.LiftedChecks, m.LiftedFallbacks, m.LiftedFieldRepairs}
 	t.Logf("suite E-SSW dp: checks, routed on the evaluator, lifted, lifted fallbacks, lifted field repairs = %v", got)
-	if want := [5]int{289, 0, 243, 0, 242 * 14}; got != want {
+	if want := [5]int{289, 0, 243, 0, 225 * 14}; got != want {
 		t.Errorf("suite E-SSW dp: checks, routed on the evaluator, lifted, lifted fallbacks, lifted field repairs = %v, want %v", got, want)
 	}
 }

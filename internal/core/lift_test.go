@@ -182,15 +182,13 @@ func TestLiftedChecksAgreeWithChecker(t *testing.T) {
 
 // TestLiftedFieldsFollowRepairs holds the lane's quotient to what it keeps
 // between checks, in its own counts over the plan-large A* search (suite E ×
-// 0.25, the gate as shipped, so the quotient answers all 400 routed checks):
-// its first check traverses the 14 destination fields, and every later one
-// repairs them around the circuit classes its block flipped and reads most of
-// its next-hop lists back. A check that finds a circuit class over its bound
-// ends at the share that takes the class over its ceiling, in the middle of
-// its sweep, so the lists the rest of that sweep would have read back are not
-// read: 610 770 where ending after the group's whole sweep read 614 481. The
-// lists built, the fields and the repairs do not move. The plan's metrics
-// carry the repairs (planner.lifted_field_repairs).
+// 0.25, the gate as shipped, so the quotient answers all 400 routed checks).
+// Its fields come from the evaluator's engine under the evaluator's repair
+// policy: 41 checks traverse the 14 destination fields — the first, 39 whose
+// step rebuilt more than a sixteenth of the 429 classes, and one whose repair
+// gave up — and the other 359 repair them around the classes their block
+// rebuilt and read most of their next-hop lists back. The plan's metrics carry
+// the repairs (planner.lifted_field_repairs).
 func TestLiftedFieldsFollowRepairs(t *testing.T) {
 	var q *routing.Quotient
 	liftedHook = func(ln *lane, _ routing.CheckOpts, _ bool) { q = ln.lift.q }
@@ -206,9 +204,9 @@ func TestLiftedFieldsFollowRepairs(t *testing.T) {
 	if q == nil {
 		t.Fatal("suite E: no lifted check")
 	}
-	got := [6]int{q.Checks, q.FieldsTraversed, q.FieldRepairs, q.ArcVisits, q.HopListsBuilt, q.HopListsReused}
+	got := [6]int{q.Checks, q.BFSes, q.FieldRepairs, q.ArcVisits, q.HopListsBuilt, q.HopListsReused}
 	t.Logf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v", got)
-	if want := [6]int{400, 14, 5586, 1287698, 53820, 610770}; got != want {
+	if want := [6]int{400, 574, 5026, 580284, 103448, 561142}; got != want {
 		t.Errorf("suite E: checks, fields traversed, fields repaired, arc visits, next-hop lists built, read back = %v, want %v", got, want)
 	}
 	if m := p.Metrics; m.LiftedFieldRepairs != q.FieldRepairs {

@@ -194,30 +194,6 @@ func TestStrictSymmetryDistinguishesRolesAndGenerations(t *testing.T) {
 	}
 }
 
-func TestRefinedSymmetryBlocks(t *testing.T) {
-	// Two symmetric stars: leaves of star 1 and star 2 are structurally
-	// equivalent under refinement even though they have different
-	// neighbors (strict symmetry would separate them).
-	tp := topo.New("wl")
-	var leaves []topo.SwitchID
-	for s := 0; s < 2; s++ {
-		hub := tp.AddSwitch(topo.Switch{Name: "hub" + string(rune('0'+s)), Role: topo.RoleSSW})
-		for i := 0; i < 3; i++ {
-			l := tp.AddSwitch(topo.Switch{Name: "leaf" + string(rune('0'+s)) + string(rune('0'+i)), Role: topo.RoleFADU})
-			tp.AddCircuit(hub, l, 1)
-			leaves = append(leaves, l)
-		}
-	}
-	refined := RefinedSymmetryBlocks(tp, leaves, 0)
-	if len(refined) != 1 || len(refined[0]) != 6 {
-		t.Fatalf("refined blocks = %v, want one block of 6", refined)
-	}
-	strict := StrictSymmetryBlocks(tp, leaves)
-	if len(strict) != 2 {
-		t.Fatalf("strict blocks = %v, want two blocks of 3", strict)
-	}
-}
-
 func TestMaxSymmetryBlockSize(t *testing.T) {
 	task, _ := swapTask(t)
 	// old0/old1 are symmetric, new0/new1 are symmetric: max block = 2.

@@ -42,68 +42,6 @@ func strictSignature(t *topo.Topology, id topo.SwitchID) string {
 	return fmt.Sprintf("%s/g%d|%s", s.Role, s.Generation, strings.Join(parts, ","))
 }
 
-// RefinedSymmetryBlocks partitions the given switches by iterated color
-// refinement (1-WL) over the full topology: switches start with a color
-// derived from (role, generation, port budget, activity) and are repeatedly
-// re-colored by the sorted multiset of (neighbor color, circuit capacity)
-// pairs until the partition stabilizes or iters rounds elapse.
-//
-// Refined blocks are coarser than strict blocks when equivalent positions
-// connect to distinct but symmetric neighbors — the structural symmetry
-// that topology generators produce. It is used by tests and by the
-// operation-block policies as a locality sanity check; the Janus baseline
-// uses StrictSymmetryBlocks per the original system's definition.
-func RefinedSymmetryBlocks(t *topo.Topology, switches []topo.SwitchID, iters int) [][]topo.SwitchID {
-	if iters <= 0 {
-		iters = 8
-	}
-	n := t.NumSwitches()
-	color := make([]int, n)
-	palette := make(map[string]int)
-	intern := func(sig string) int {
-		if c, ok := palette[sig]; ok {
-			return c
-		}
-		c := len(palette)
-		palette[sig] = c
-		return c
-	}
-	for i := 0; i < n; i++ {
-		s := t.Switch(topo.SwitchID(i))
-		color[i] = intern(fmt.Sprintf("init|%s|g%d|p%d|a%v", s.Role, s.Generation, s.Ports, t.SwitchActive(s.ID)))
-	}
-	next := make([]int, n)
-	for round := 0; round < iters; round++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			s := t.Switch(topo.SwitchID(i))
-			parts := make([]string, 0, len(s.Circuits()))
-			for _, cid := range s.Circuits() {
-				c := t.Circuit(cid)
-				parts = append(parts, fmt.Sprintf("%d@%g", color[c.Other(s.ID)], c.Capacity))
-			}
-			sort.Strings(parts)
-			nc := intern(fmt.Sprintf("%d|%s", color[i], strings.Join(parts, ",")))
-			next[i] = nc
-		}
-		for i := 0; i < n; i++ {
-			if next[i] != color[i] {
-				changed = true
-			}
-			color[i] = next[i]
-		}
-		if !changed {
-			break
-		}
-	}
-	groups := make(map[string][]topo.SwitchID)
-	for _, id := range switches {
-		key := fmt.Sprintf("%d", color[id])
-		groups[key] = append(groups[key], id)
-	}
-	return sortedBlocks(groups)
-}
-
 func sortedBlocks(groups map[string][]topo.SwitchID) [][]topo.SwitchID {
 	blocks := make([][]topo.SwitchID, 0, len(groups))
 	for _, g := range groups {

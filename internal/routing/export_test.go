@@ -35,20 +35,21 @@ func (q *Quotient) retainedMismatch(fresh *Quotient, opts CheckOpts, funnel []in
 			return fmt.Sprintf("circuit class %d: ceiling %v kept, θ(1+liftMargin)·cap/scale is %v", k, q.ceil[k], want)
 		}
 	}
-	if len(fresh.kept) == 0 {
+	kept := q.trav.kept
+	if len(fresh.trav.kept) == 0 {
 		return ""
 	}
-	if !slices.Equal(q.kept, fresh.kept) || !slices.Equal(q.keptUp, q.up) {
-		return fmt.Sprintf("the fields kept are those of %v over another up state, want those of %v over the current one", q.kept, fresh.kept)
+	if !slices.Equal(kept, fresh.trav.kept) || q.nMarked != 0 {
+		return fmt.Sprintf("the fields kept are those of %v with %d classes rebuilt since, want those of %v over the current up state", kept, q.nMarked, fresh.trav.kept)
 	}
 	nc, na := len(q.rep), len(q.arcs)
-	for f := range q.kept {
-		field := q.dist[f*nc : (f+1)*nc]
-		if want := fresh.dist[f*nc : (f+1)*nc]; !slices.Equal(field, want) {
+	for f := range kept {
+		field := q.trav.dist[f*nc : (f+1)*nc]
+		if want := fresh.trav.dist[f*nc : (f+1)*nc]; !slices.Equal(field, want) {
 			return fmt.Sprintf("field %d is %v, a traversal gives %v", f, field, want)
 		}
 		for x := range q.rep {
-			if !q.hopOK[f*nc+x] {
+			if q.trav.hopValid[f*nc+x] == 0 {
 				continue
 			}
 			var scan []hop

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -38,38 +37,33 @@ import (
 const liftMargin = 1e-9
 
 // Quotient routes one representative per class of an equitable partition of
-// a topology (NewQuotient). Between checks it keeps the distance fields of the
-// last check's destinations with the up state they are exact over, and beside
-// each field the next-hop list of every class a sweep visited with the
-// list's weight under the split mode of the last check that swept: while the
-// destinations stay the same, a check repairs the fields around the circuit
-// classes that flipped and reads the lists and weights back instead of
-// traversing, scanning and summing again. It also keeps a load ceiling per
-// circuit class for the last check's θ and demand scale, so that a sweep
-// tests each load as it grows and the check ends at the first class surely
-// over its bound. It is not safe for concurrent use.
+// a topology (NewQuotient). Its distance fields come from the evaluator's
+// engine (traverse.go), run over the partition's adjacency: the classes are
+// its switches and the circuit classes between two classes its circuits.
+// Between checks the engine keeps the fields of the last check's destinations
+// and, while they stay the same, repairs them around the classes that flipped
+// instead of traversing again, under the evaluator's cut-over and budget.
+// Beside each field the quotient keeps the next-hop list of every class a
+// sweep visited with the list's weight under the split mode of the last check
+// that swept, read back while the engine's validity byte for it stands. It
+// also keeps a load ceiling per circuit class for the last check's θ and
+// demand scale, so that a sweep tests each load as it grows and the check ends
+// at the first class surely over its bound. It is not safe for concurrent use.
 type Quotient struct {
 	partition
+	engine // a fork of the partition's adjacency
 
-	// Stats counters for the lifetime of the quotient.
-	Checks          int // number of Check calls
-	ArcVisits       int // quotient arcs scanned by the distance traversals and tested by the repairs
-	FieldsTraversed int // distance fields computed by a traversal
-	FieldRepairs    int // … and retained fields brought up to date by a repair instead
-	HopListsBuilt   int // next-hop lists the sweeps built, one scan of a class's arcs each
-	HopListsReused  int // … and retained ones they read back instead
+	// Stats counters for the lifetime of the quotient, beside the engine's
+	// (BFSes, FieldRepairs, ArcVisits, …).
+	Checks         int // number of Check calls
+	HopListsBuilt  int // next-hop lists the sweeps built, one scan of a class's arcs each
+	HopListsReused int // … and retained ones they read back instead
 
 	// Check scratch, allocated on the first check.
-	active  []bool
-	up      []bool
-	funnel  []bool
-	settled []uint64
-	last    []int32
-	levels  levelQueue
-	stamp   []uint16
-	group   uint16
-	flow    []float64
-	load    []float64
+	active []bool          // per class: its representative's activity
+	up     []bool          // per circuit class: its representative circuit's up state
+	funnel []bool          // per circuit class
+	dstCls []topo.SwitchID // the check's destinations as classes
 
 	// ceil is, per circuit class, the load ceiling θ·(1+liftMargin)·cap/scale
 	// for the θ and demand scale it was last computed for, ceilTheta and
@@ -79,29 +73,16 @@ type Quotient struct {
 	ceil                 []float64
 	ceilTheta, ceilScale float64
 
-	// What a check keeps for the next. dist holds one field per destination
-	// of kept, len(rep) entries each, exact over keptUp: the up state of the
-	// last check that traversed or repaired them. Beside field f, the next
-	// hops of class x are hops[f·len(arcs)+arcOff[x]:][:hopLen[f·len(rep)+x]],
-	// in arc order, their weight is hopW[f·len(rep)+x] — Σ mult under ECMP,
-	// Σ mult·cap under WCMP (hopWCMP), summed in that order — and
-	// hopOK[f·len(rep)+x] says whether that list stands for field f, the up
+	// Beside field f of the engine, the next hops of class x are
+	// hops[f·len(arcs)+arcOff[x]:][:hopLen[f·len(rep)+x]], in arc order, and
+	// their weight is hopW[f·len(rep)+x] — Σ mult under ECMP, Σ mult·cap under
+	// WCMP (hopWCMP), summed in that order. The engine's validity byte
+	// hopValid[f·len(rep)+x] says whether that list stands for field f, the up
 	// state and the split mode as they are.
-	kept    []topo.SwitchID
-	keptUp  []bool
-	dist    []int32
 	hops    []hop
 	hopLen  []int32
 	hopW    []float64
-	hopOK   []bool
 	hopWCMP bool
-
-	// Repair scratch: the quotient arcs of the circuit classes that went down
-	// and came up since keptUp, each from its lower class; the entries of the
-	// field under repair that lost their support; the tight children of the
-	// entry being judged.
-	wentDown, cameUp []flipped
-	unset, kids      []int32
 }
 
 // partition is what a quotient derives from its topology's structure and the
@@ -114,30 +95,22 @@ type partition struct {
 	ckClassOf []int32    // per circuit: its circuit class
 	ckSize    []int32    // per circuit class: its members
 	ckEnds    []int32    // per circuit class: its representative's circuit and endpoints, three entries each
-	caps      []float64
-	metric    []int32 // per circuit class: its circuits' metric
 
-	// Adjacency over classes: the arcs of class x are arcs[arcOff[x]:arcOff[x+1]],
-	// one per circuit class between x and another class, and its loops are
+	// adj is the adjacency over classes in the engine's form, with no up
+	// state: the arcs of class x, one per circuit class between x and another
+	// class, and the circuit classes' capacities. It carries no port budget;
+	// portsFit answers that. Every quotient forks it. The loops of class x are
 	// loops[loopOff[x]:loopOff[x+1]], one per circuit class within x. A loop
 	// never carries flow — both ends lie at one distance — and counts only
 	// toward the port budget.
-	arcOff, loopOff []int32
-	arcs            []qarc
-	loops           []qarc
+	adj     engine
+	loopOff []int32
+	loops   []arc
 
-	// By directional index li (qarc.li): the circuits of the class at each
+	// By directional index li (arc.li): the circuits of the class at each
 	// member of the sending class. mult[li^1] is the arc's back-multiplicity,
 	// mult[li]·|sender|/|receiver|.
 	mult []float64
-}
-
-// qarc is a quotient arc: the circuits of one circuit class seen from the
-// members of one class.
-type qarc struct {
-	other  int32 // the class at the far end
-	metric int32 // the circuits' metric
-	li     int32 // 2·(circuit class) + direction: flow from this class toward other
 }
 
 // hop is a next hop kept beside a field: the directional index of its quotient
@@ -249,7 +222,7 @@ func (b *build) fork() (*Quotient, bool) {
 	if !b.ok {
 		return nil, false
 	}
-	return &Quotient{partition: b.p}, true
+	return &Quotient{partition: b.p, engine: b.p.adj.fork()}, true
 }
 
 // refine returns the classes of colour refinement and their number, and false
@@ -386,13 +359,12 @@ func partitioned(t *topo.Topology, cls []int32, nc int, ckColour []int32, quota 
 	}
 	q.ckSize = make([]int32, ncc)
 	q.ckEnds = make([]int32, 3*ncc)
-	q.caps = make([]float64, ncc)
-	q.metric = make([]int32, ncc)
+	q.adj.caps = make([]float64, ncc)
 	for c, k := range q.ckClassOf {
 		if q.ckSize[k] == 0 {
 			ck := t.Circuit(topo.CircuitID(c))
 			q.ckEnds[3*k], q.ckEnds[3*k+1], q.ckEnds[3*k+2] = int32(c), int32(ck.A), int32(ck.B)
-			q.caps[k], q.metric[k] = ck.Capacity, ck.Metric
+			q.adj.caps[k] = ck.Capacity
 		}
 		q.ckSize[k]++
 	}
@@ -460,7 +432,10 @@ func (q *partition) equitable(t *topo.Topology) bool {
 func (q *partition) buildArcs(t *topo.Topology) {
 	nc := len(q.rep)
 	mult := make([]float64, 2*len(q.ckSize))
-	q.arcOff = make([]int32, nc+1)
+	adj := &q.adj
+	adj.arcOff = make([]int32, nc+1)
+	adj.wordOff = make([]int32, nc+1)
+	adj.ports = make([]int32, nc)
 	q.loopOff = make([]int32, nc+1)
 	loops := 0
 	for k := range q.ckSize {
@@ -468,8 +443,8 @@ func (q *partition) buildArcs(t *topo.Topology) {
 			loops++
 		}
 	}
-	q.arcs = make([]qarc, 0, 2*(len(q.ckSize)-loops))
-	q.loops = make([]qarc, 0, loops)
+	adj.arcs = make([]arc, 0, 2*(len(q.ckSize)-loops))
+	q.loops = make([]arc, 0, loops)
 	for x, r := range q.rep {
 		for _, c := range t.Switch(topo.SwitchID(r)).Circuits() {
 			k := q.ckClassOf[c]
@@ -479,15 +454,17 @@ func (q *partition) buildArcs(t *topo.Topology) {
 				li++
 			}
 			if mult[li] == 0 {
+				a := arc{other: o, metric: t.Circuit(c).Metric, li: li}
 				if o == int32(x) {
-					q.loops = append(q.loops, qarc{other: o, metric: t.Circuit(c).Metric, li: li})
+					q.loops = append(q.loops, a)
 				} else {
-					q.arcs = append(q.arcs, qarc{other: o, metric: t.Circuit(c).Metric, li: li})
+					adj.arcs = append(adj.arcs, a)
 				}
 			}
 			mult[li]++
 		}
-		q.arcOff[x+1] = int32(len(q.arcs))
+		adj.arcOff[x+1] = int32(len(adj.arcs))
+		adj.wordOff[x+1] = adj.wordOff[x] + (adj.arcOff[x+1]-adj.arcOff[x]+63)/64
 		q.loopOff[x+1] = int32(len(q.loops))
 	}
 	q.mult = mult
@@ -540,19 +517,17 @@ func (q *Quotient) CircuitClasses(cs []topo.CircuitID) ([]int32, bool) {
 // class of its own; Check takes both from the caller's colours and verifies
 // neither.
 //
-// The destinations' distance fields are those the check before kept,
-// repaired around the circuit classes that flipped since (fields), or, on
-// the first check and whenever the destinations change, computed by one
-// bit-parallel traversal over classes that merges a class's pending pairs as
-// the evaluator's does. Then one sweep per destination group, in ascending
-// group order, places the group's flow from the farthest source class
-// inward. A class at distance d splits its inflow over the up arcs toward
-// distance d − metric: by the multiplicities under ECMP, by multiplicity ×
-// capacity under WCMP. Each circuit of the arc's class carries one share, and
-// each member of the far class receives back-multiplicity shares. Loads only
-// grow, so the check ends at the first share that takes a circuit class's two
-// directions together over its ceiling; otherwise a final pass holds every
-// up circuit class's utilization to its bound and margins.
+// The destinations' distance fields come from the engine (batchDistances),
+// repaired or traversed over classes as the evaluator's are over switches.
+// Then one sweep per destination group, in ascending group order, places the
+// group's flow from the farthest source class inward. A class at distance d
+// splits its inflow over the up arcs toward distance d − metric: by the
+// multiplicities under ECMP, by multiplicity × capacity under WCMP. Each
+// circuit of the arc's class carries one share, and each member of the far
+// class receives back-multiplicity shares. Loads only grow, so the check ends
+// at the first share that takes a circuit class's two directions together
+// over its ceiling; otherwise a final pass holds every up circuit class's
+// utilization to its bound and margins.
 func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []int32) (ok, sure bool) {
 	q.Checks++
 	theta := opts.Theta
@@ -577,18 +552,19 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 	}
 
 	// Nothing routes to an inactive destination. Like a port rejection, this
-	// leaves the kept fields as they are, exact over keptUp.
+	// leaves the kept fields as they are, and the engine's marks say how far
+	// behind.
+	q.dstCls = q.dstCls[:0]
 	for _, dst := range dsts {
-		if !q.active[q.classOf[dst]] {
+		x := q.classOf[dst]
+		if !q.active[x] {
 			return false, true
 		}
+		q.dstCls = append(q.dstCls, topo.SwitchID(x))
 	}
-	q.fields(dsts)
+	fields := q.batchDistances(q.active, q.dstCls)
 	wcmp := opts.Split == SplitCapacityWeighted
-	if wcmp != q.hopWCMP { // the kept weights are sums under the other split mode
-		clear(q.hopOK)
-		q.hopWCMP = wcmp
-	}
+	q.keepHops(wcmp)
 
 	if opts.FunnelFactor > 1 {
 		b := theta / opts.FunnelFactor
@@ -609,11 +585,9 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 		}
 		return theta
 	}
-	nc := len(q.rep)
 	clear(q.load)
 	for gi, group := range byDst {
-		field := q.dist[gi*nc : (gi+1)*nc]
-		dc := q.classOf[dsts[gi]]
+		field := fields[gi]
 		q.beginGroup()
 		for _, di := range group {
 			d := &ds.Demands[di]
@@ -621,14 +595,9 @@ func (q *Quotient) Check(v *topo.View, ds *demand.Set, opts CheckOpts, funnel []
 			if !q.active[x] || field[x] == 0 {
 				return false, true // unreachable
 			}
-			if q.stamp[x] != q.group {
-				q.stamp[x] = q.group
-				q.flow[x] = 0
-				q.levels.add(field[x], x)
-			}
-			q.flow[x] += d.Rate
+			q.seed(field, topo.SwitchID(x), d.Rate)
 		}
-		if q.sweep(gi, field, dc, wcmp) {
+		if q.sweep(gi, field, q.dstCls[gi], wcmp) {
 			return false, true
 		}
 	}
@@ -670,20 +639,13 @@ func (q *Quotient) setCeilings(theta, scale float64) {
 	}
 }
 
-// sync reads the up state of the view off the representatives, allocating
-// the check scratch on the first call.
+// sync reads the up state of the view off the representatives and brings the
+// engine's in step with it, allocating the check scratch on the first call.
 func (q *Quotient) sync(v *topo.View) {
-	nc, ncc := len(q.rep), len(q.ckSize)
 	if q.active == nil {
-		q.active = make([]bool, nc)
-		q.up = make([]bool, ncc)
-		q.keptUp = make([]bool, ncc)
-		q.funnel = make([]bool, ncc)
-		q.settled = make([]uint64, nc)
-		q.last = make([]int32, nc)
-		q.stamp = make([]uint16, nc)
-		q.flow = make([]float64, nc)
-		q.load = make([]float64, 2*ncc)
+		q.active = make([]bool, len(q.rep))
+		q.up = make([]bool, len(q.ckSize))
+		q.funnel = make([]bool, len(q.ckSize))
 	}
 	sw, ck := v.Activity()
 	for x, r := range q.rep {
@@ -693,6 +655,13 @@ func (q *Quotient) sync(v *topo.View) {
 		e := q.ckEnds[3*k : 3*k+3]
 		q.up[k] = ck[e[0]] && sw[e[1]] && sw[e[2]]
 	}
+	q.syncUp(q.active, q.up, q.circuitEnds)
+}
+
+// circuitEnds returns the classes at the two ends of circuit class k.
+func (q *Quotient) circuitEnds(k int) (x, y int32) {
+	e := q.ckEnds[3*k+1 : 3*k+3]
+	return q.classOf[e[0]], q.classOf[e[1]]
 }
 
 // portsFit reports whether every active class's up-degree — its up arcs and
@@ -721,253 +690,22 @@ func (q *Quotient) portsFit() bool {
 	return true
 }
 
-// fields brings dist to the exact distance fields of dsts, all active and
-// each a class of its own, over the up state, and keptUp with them. When the
-// fields kept are those of dsts, it diffs the up state against keptUp and
-// repairs each field around the circuit classes that flipped (repairField);
-// otherwise — the first check, another demand set — one traversal computes
-// them afresh and drops every next-hop list. Either way the result is the
-// fields' one definition, the metric-shortest distances over the up arcs.
-//
-// A next-hop list of class x depends on the up state of x's arcs, on x's
-// entry and on the entries of x's neighbours. A flipped circuit class drops
-// the lists at both its ends in every field, here; an entry a repair writes
-// drops its own and its neighbours' lists in its field (repairField). A loop
-// is never a next hop and lies on no path, so a flipped loop changes
-// nothing.
-func (q *Quotient) fields(dsts []topo.SwitchID) {
-	nc := len(q.rep)
-	q.levels.drain() // flow levels an early exit left queued, for either path
-	if !slices.Equal(dsts, q.kept) {
-		if need := len(dsts) * nc; len(q.dist) < need {
-			q.dist = make([]int32, need)
-			q.hops = make([]hop, len(dsts)*len(q.arcs))
-			q.hopLen = make([]int32, need)
-			q.hopW = make([]float64, need)
-			q.hopOK = make([]bool, need)
-		}
-		q.kept = append(q.kept[:0], dsts...)
-		copy(q.keptUp, q.up)
-		clear(q.dist[:len(dsts)*nc])
-		clear(q.hopOK)
-		q.distances(dsts)
-		q.FieldsTraversed += len(dsts)
-		return
+// keepHops gives the next-hop lists room beside the engine's fields, with the
+// validity bytes, on the first check and whenever the fields grew; otherwise
+// it drops every list when the split mode changed, since the kept weights are
+// sums under the other.
+func (q *Quotient) keepHops(wcmp bool) {
+	tr := &q.trav
+	if tr.hopValid == nil {
+		nc := len(q.rep)
+		tr.hopValid = make([]uint8, len(tr.dist))
+		q.hops = make([]hop, len(tr.dist)/nc*len(q.arcs))
+		q.hopLen = make([]int32, len(tr.dist))
+		q.hopW = make([]float64, len(tr.dist))
+	} else if wcmp != q.hopWCMP {
+		clear(tr.hopValid)
 	}
-	q.wentDown, q.cameUp = q.wentDown[:0], q.cameUp[:0]
-	for k, u := range q.up {
-		if u == q.keptUp[k] {
-			continue
-		}
-		q.keptUp[k] = u
-		e := q.ckEnds[3*k : 3*k+3]
-		x, y := q.classOf[e[1]], q.classOf[e[2]]
-		if x == y {
-			continue
-		}
-		for f := range dsts {
-			q.hopOK[f*nc+int(x)], q.hopOK[f*nc+int(y)] = false, false
-		}
-		fl := flipped{min(x, y), max(x, y), q.metric[k]}
-		if u {
-			q.cameUp = append(q.cameUp, fl)
-		} else {
-			q.wentDown = append(q.wentDown, fl)
-		}
-	}
-	if len(q.wentDown)+len(q.cameUp) == 0 {
-		return
-	}
-	for f := range dsts {
-		q.repairField(q.dist[f*nc:(f+1)*nc], q.hopOK[f*nc:(f+1)*nc])
-	}
-	q.FieldRepairs += len(dsts)
-}
-
-// repairField makes field, the exact distance field of a destination class
-// over keptUp as it stood, the exact field over the up state, given in
-// q.wentDown and q.cameUp the quotient arc of every circuit class that
-// flipped in between. It is Evaluator.repairField over classes, in the same
-// two phases over the level queue in ascending distance:
-//
-//  1. Un-set what lost its support. An entry stands while its class has an
-//     up arc to a standing entry at its distance minus the arc's metric; the
-//     candidates are the far ends of the tight arcs that went down and the
-//     tight children of every entry un-set. The destination class holds the
-//     least entry, so it is neither (metrics are at least 1): it always
-//     stands.
-//  2. Relax outward, label-setting: across the arcs that came up and into
-//     each un-set entry from its best standing neighbour, then on from every
-//     entry a relaxation lowered.
-//
-// Distances are integers, so the result equals a traversal's entry for
-// entry. Phase 2 scans the arcs of every entry the repair wrote, at its final
-// value, and drops the next-hop lists of that entry and of every neighbour in
-// valid, the field's run of hopOK. The arcs the repair tests count toward
-// ArcVisits.
-func (q *Quotient) repairField(field []int32, valid []bool) {
-	arcs, off, up := q.arcs, q.arcOff, q.up
-	lq := &q.levels
-	visits := len(q.wentDown) + len(q.cameUp)
-	for _, f := range q.wentDown {
-		switch dx, dy := field[f.x], field[f.y]; {
-		case dx == 0 || dy == 0:
-		case dx == dy+f.metric:
-			lq.add(dx, f.x)
-		case dy == dx+f.metric:
-			lq.add(dy, f.y)
-		}
-	}
-	unset := q.unset[:0]
-	for len(lq.active) > 0 {
-		lv := lq.pop()
-		d := lv.d
-		for _, x := range lv.sw {
-			if field[x] != d { // un-set already, through another pair of this level
-				continue
-			}
-			// One scan finds x a standing parent, and stops, or gathers the
-			// tight children to judge after x.
-			standing, kids := false, q.kids[:0]
-		scan:
-			for _, a := range arcs[off[x]:off[x+1]] {
-				visits++
-				if !up[a.li>>1] {
-					continue
-				}
-				switch o := field[a.other]; o {
-				case 0:
-				case d - a.metric:
-					standing = true
-					break scan
-				case d + a.metric:
-					kids = append(kids, a.other)
-				}
-			}
-			q.kids = kids[:0]
-			if standing {
-				continue
-			}
-			field[x] = 0
-			unset = append(unset, x)
-			for _, c := range kids {
-				lq.add(field[c], c)
-			}
-		}
-		lq.release(lv)
-	}
-	q.unset = unset
-
-	for _, f := range q.cameUp {
-		switch dx, dy := field[f.x], field[f.y]; {
-		case dx != 0 && (dy == 0 || dx+f.metric < dy):
-			field[f.y] = dx + f.metric
-			lq.add(dx+f.metric, f.y)
-		case dy != 0 && (dx == 0 || dy+f.metric < dx):
-			field[f.x] = dy + f.metric
-			lq.add(dy+f.metric, f.x)
-		}
-	}
-	for _, x := range unset {
-		d := field[x]
-		valid[x] = false
-		for _, a := range arcs[off[x]:off[x+1]] {
-			visits++
-			valid[a.other] = false
-			if o := field[a.other]; o != 0 && up[a.li>>1] && (d == 0 || o+a.metric < d) {
-				d = o + a.metric
-			}
-		}
-		if d != field[x] {
-			field[x] = d
-			lq.add(d, x)
-		}
-	}
-	for len(lq.active) > 0 {
-		lv := lq.pop()
-		d := lv.d
-		for _, x := range lv.sw {
-			if field[x] != d { // lowered further since it was queued
-				continue
-			}
-			valid[x] = false
-			for _, a := range arcs[off[x]:off[x+1]] {
-				visits++
-				valid[a.other] = false
-				if !up[a.li>>1] {
-					continue
-				}
-				if o := field[a.other]; o == 0 || d+a.metric < o {
-					field[a.other] = d + a.metric
-					lq.add(d+a.metric, a.other)
-				}
-			}
-		}
-		lq.release(lv)
-	}
-	q.ArcVisits += visits
-}
-
-// distances computes the fields of dsts, all active and each a class of its
-// own, into q.dist over the up quotient arcs: the evaluator's traversal over
-// classes instead of switches, a class's pending pairs merged per level.
-func (q *Quotient) distances(dsts []topo.SwitchID) {
-	settled, last, dist, nc := q.settled, q.last, q.dist, int32(len(q.rep))
-	arcs, off, up := q.arcs, q.arcOff, q.up
-	clear(settled)
-	lq := &q.levels
-	lv := lq.at(0)
-	for i, d := range dsts {
-		lv.sw = append(lv.sw, q.classOf[d])
-		lv.mask = append(lv.mask, 1<<uint(i))
-	}
-	visits := 0
-	for len(lq.active) > 0 {
-		lv := lq.pop()
-		d := lv.d
-		var next *level
-		for j, w := range lv.sw {
-			fm := lv.mask[j] &^ settled[w]
-			if fm == 0 {
-				continue
-			}
-			settled[w] |= fm
-			for b := fm; b != 0; b &= b - 1 {
-				dist[int32(bits.TrailingZeros64(b))*nc+w] = d + 1
-			}
-			ws := arcs[off[w]:off[w+1]]
-			visits += len(ws)
-			for i := range ws {
-				a := &ws[i]
-				cand := fm &^ settled[a.other]
-				if cand == 0 || !up[a.li>>1] {
-					continue
-				}
-				// Merge into the peer's pending pair at the level the last
-				// push used, when it has one there; push otherwise.
-				nd := d + a.metric
-				if next != nil && next.d == nd {
-					if p := int(last[a.other]); p < len(next.sw) && next.sw[p] == a.other {
-						next.mask[p] |= cand
-						continue
-					}
-				}
-				next = lq.push(next, a.other, nd, cand, last)
-			}
-		}
-		lq.release(lv)
-	}
-	q.ArcVisits += visits
-}
-
-// beginGroup starts a destination group's flow set: membership is by stamp,
-// cleared when the 16-bit group number wraps.
-func (q *Quotient) beginGroup() {
-	if q.group++; q.group == 0 {
-		clear(q.stamp)
-		q.group = 1
-	}
-	q.levels.drain()
+	q.hopWCMP = wcmp
 }
 
 // sweep places the seeded flow of the current group over field, the group's
@@ -979,14 +717,15 @@ func (q *Quotient) beginGroup() {
 // where it is not, one scan of the class's arcs finds the hops, sums their
 // weight in arc order and keeps both, so every float sum is the one a scan
 // would make.
-func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) (over bool) {
+func (q *Quotient) sweep(fi int, field []int32, dc topo.SwitchID, wcmp bool) (over bool) {
 	arcs, off, up, mult, caps, ceil := q.arcs, q.arcOff, q.up, q.mult, q.caps, q.ceil
-	flow, stamp, load, group := q.flow, q.stamp, q.load, q.group
+	tr := &q.trav
+	flow, stamp, load, group := tr.flow, tr.stamp, q.load, tr.group
 	nc, na := len(q.rep), len(arcs)
 	hops := q.hops[fi*na : (fi+1)*na]
-	hopLen, hopW, valid := q.hopLen[fi*nc:(fi+1)*nc], q.hopW[fi*nc:(fi+1)*nc], q.hopOK[fi*nc:(fi+1)*nc]
+	hopLen, hopW, valid := q.hopLen[fi*nc:(fi+1)*nc], q.hopW[fi*nc:(fi+1)*nc], tr.hopValid[fi*nc:(fi+1)*nc]
 	built, reused := 0, 0
-	lq := &q.levels
+	lq := &tr.levels
 	for len(lq.active) > 0 && !over {
 		top := len(lq.active) - 1
 		lv := lq.active[top]
@@ -995,16 +734,16 @@ func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) (over bool)
 	classes:
 		for _, x := range lv.sw {
 			f := flow[x]
-			if f == 0 || x == dc {
+			if f == 0 || x == int32(dc) {
 				continue
 			}
 			lo := off[x]
-			if valid[x] {
+			if valid[x] != 0 {
 				reused++
 			} else {
 				dx, n, weight := field[x], lo, 0.0
 				for _, a := range arcs[lo:off[x+1]] {
-					if field[a.other] == dx-a.metric && up[a.li>>1] {
+					if a.nextHop(field, dx) && up[a.li>>1] {
 						hops[n] = hop{a.li, a.other}
 						n++
 						if wcmp {
@@ -1014,7 +753,7 @@ func (q *Quotient) sweep(fi int, field []int32, dc int32, wcmp bool) (over bool)
 						}
 					}
 				}
-				hopLen[x], hopW[x], valid[x] = n-lo, weight, true
+				hopLen[x], hopW[x], valid[x] = n-lo, weight, 1
 				built++
 			}
 			weight := hopW[x]

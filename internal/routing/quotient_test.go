@@ -42,7 +42,7 @@ func TestQuotientRejectsNonEquitable(t *testing.T) {
 	if !ok {
 		t.Fatal("the build refused refinement's own partition")
 	}
-	q := &Quotient{partition: p}
+	q := newQuotient(p)
 	if sw, _ := q.Classes(); sw != 3 || q.ClassOf(s[0]) != q.ClassOf(s[5]) || q.ClassOf(s[1]) != q.ClassOf(s[4]) || q.ClassOf(s[2]) != q.ClassOf(s[3]) {
 		t.Errorf("refinement of a path of six: %d classes %v, want X=Z, A=Y, H=B", sw, cls)
 	}

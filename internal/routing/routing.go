@@ -70,26 +70,28 @@
 //     all traverse — a small fabric, a fork's first check — holds none and
 //     stores nothing.
 //
-// A lifted check (quotient.go) does steps 1 to 3 on the quotient of the fabric
-// instead: one representative per class of an equitable partition whose
-// colours every view a planner reaches respects, each quotient arc weighted by
-// its multiplicity. Per check it reads the up state of every class and circuit
-// class off the representatives, repairs the distance fields of the check
-// before around the circuit classes that flipped — its first check, and one
-// whose destinations changed, runs one bit-parallel traversal over the classes
-// instead — and runs one sweep per destination group over the classes that
-// carry its flow, reading back each class's next-hop list and the list's
-// weight where the ones it kept still stand. Each share a sweep adds is tested
-// against a per-circuit-class load ceiling, θ·(1+margin)·capacity/scale, kept
-// between checks, and the check ends at the first class over it. Its cost is
-// that of the full steps over a fabric as small as the quotient: on suite
-// E × 0.25 the 1 236 switches and 11 672 directed arcs become 429 classes and
-// 2 556 quotient arcs, at × 1 the 10 028 switches and 142 592 arcs become 738
-// and 4 800; a traversal scans 5.8 k and 8.5 k quotient arcs where the
-// fabric's scans 29 k and 84 k, and a repair along a plan tests about 2.7 k
-// and 5.6 k. Building the partition costs O(circuits) per refinement round,
-// five rounds on suite E (the last splits nothing), about 1.4 ms at × 0.25 and
-// 13 ms at × 1 on a 2-vCPU host. The quotient's float sums differ from the
+// One engine, two sweeps. Steps 1 and 2 are the distance-field engine
+// (traverse.go: the up-state diff and rebuild, the traversal, the field
+// repair and its policy), and the package has no other. A lifted check
+// (quotient.go) runs the same engine over the quotient of the fabric instead:
+// one representative per class of an equitable partition whose colours every
+// view a planner reaches respects, the classes as the engine's switches and
+// the circuit classes between two classes as its circuits. Per check it reads
+// the activity of every class and circuit class off the representatives and
+// hands those flags to the engine, which repairs or traverses the fields as
+// it does for the evaluator, under the same cut-over and budget. Only step 3
+// is the quotient's own, because its arithmetic differs: its sweep pushes
+// each class's inflow over its next hops weighted by multiplicity, reading
+// back each class's next-hop list and the list's weight where the engine's
+// validity byte for it stands, and tests each share it adds against a
+// per-circuit-class load ceiling, θ·(1+margin)·capacity/scale, kept between
+// checks; the check ends at the first class over it. Its cost is that of the
+// full steps over a fabric as small as the quotient: on suite E × 0.25 the
+// 1 236 switches and 11 672 directed arcs become 429 classes and 2 556
+// quotient arcs, at × 1 the 10 028 switches and 142 592 arcs become 738 and
+// 4 800. Building the partition costs O(circuits) per refinement round, five
+// rounds on suite E (the last splits nothing), about 1.4 ms at × 0.25 and 13
+// ms at × 1 on a 2-vCPU host. The quotient's float sums differ from the
 // fabric's in the last ulps, so it says when a circuit class lies too near its
 // bound to be sure, and its caller then runs the full check.
 //
@@ -244,38 +246,12 @@ type Result struct {
 type Evaluator struct {
 	t *topo.Topology
 
-	// Immutable precompute, shared by forks. Static CSR adjacency: arcs of
-	// switch s are arcs[arcOff[s]:arcOff[s+1]], in the switch's Circuits()
-	// order — the adjacency order every float sum of a sweep follows.
-	arcs    []arc
-	arcOff  []int32
-	wordOff []int32   // switch s owns upBits[wordOff[s]:wordOff[s+1]]
-	caps    []float64 // per-circuit capacity
-	ports   []int32   // per-switch port budget, 0 = unconstrained
-
-	// Up state of the view last synced (syncUp): one bit per static arc, each
-	// switch's bits starting on a word of its own (see upWords), so no
-	// traversal ever tests a per-circuit flag; per switch, whether all its
-	// arcs are up and whether it is over its port budget (swFlags), and how
-	// many switches are over (nOver). swFlags' swActive bits and seenCk are
-	// the evaluator's own copy of the activity flags all of that was derived
-	// from: syncUp diffs the next view against them and rebuilds only the
-	// switches the difference reaches. All-zero is the all-drained view and
-	// its up state at once, so a fresh evaluator is in sync by construction.
-	upBits  []uint64
-	swFlags []uint8
-	nOver   int
-	nMarked int // switches flagged swMarked: rebuilt since the retained distance fields were last in step
-	seenCk  []bool
-
-	// Traversal scratch (traverse.go), allocated on first use and per Fork.
-	trav traversal
-
-	// Per-circuit directional load, cleared per call that places anything.
-	// load[2c] is flow A→B on circuit c; load[2c+1] is flow B→A. placed is
-	// false while load still holds an earlier call's values because the most
-	// recent one was rejected on the port constraint before placing.
-	load   []float64
+	// The fabric's static adjacency, shared by forks, with the up state, the
+	// retained distance fields and the directional loads of this evaluator
+	// (traverse.go). The loads are cleared per call that places anything;
+	// placed is false while they still hold an earlier call's values because
+	// the most recent one was rejected on the port constraint before placing.
+	engine
 	placed bool
 
 	// Per-circuit funneling flag for the current call; nil until a funneled
@@ -283,17 +259,13 @@ type Evaluator struct {
 	funnel    []bool
 	funnelSet bool
 
-	// Stats counters for the lifetime of the evaluator.
-	Checks               int // number of Check/Evaluate calls
-	BFSes                int // per-destination distance fields computed by a full traversal
-	FieldRepairs         int // … and retained fields brought up to date by a repair instead
-	FieldEntriesRepaired int // entries those repairs wrote: un-set, re-set or lowered
-	ArcVisits            int // arcs scanned by the distance traversals and tested by the repairs
-	ArcVisitsInPlace     int // … of which at switches with every arc up, ranged over in place
-	UpRebuilds           int // switch up masks rebuilt to follow a view
-	SweepArcTests        int // arcs classified as next hop or not, while building next-hop masks
-	HopSetsBuilt         int // next-hop masks the sweeps built, one scan of a switch's up arcs each
-	HopSetsReused        int // … and retained ones they read back instead
+	// Stats counters for the lifetime of the evaluator, beside the engine's
+	// (BFSes, FieldRepairs, FieldEntriesRepaired, ArcVisits, ArcVisitsInPlace,
+	// UpRebuilds).
+	Checks        int // number of Check/Evaluate calls
+	SweepArcTests int // arcs classified as next hop or not, while building next-hop masks
+	HopSetsBuilt  int // next-hop masks the sweeps built, one scan of a switch's up arcs each
+	HopSetsReused int // … and retained ones they read back instead
 }
 
 // NewEvaluator returns an evaluator for views over t: a Fork of the static
@@ -318,12 +290,12 @@ type adjacencyKey struct{}
 // forks.
 func newAdjacency(t *topo.Topology) *Evaluator {
 	n, m := t.NumSwitches(), t.NumCircuits()
-	e := &Evaluator{
+	e := &Evaluator{engine: engine{
 		caps:    make([]float64, m),
 		ports:   make([]int32, n),
 		arcOff:  make([]int32, n+1),
 		wordOff: make([]int32, n+1),
-	}
+	}}
 	for c := 0; c < m; c++ {
 		e.caps[c] = t.Circuit(topo.CircuitID(c)).Capacity
 	}
@@ -354,14 +326,6 @@ func newAdjacency(t *topo.Topology) *Evaluator {
 	return e
 }
 
-// initScratch allocates the per-evaluator mutable state every check needs.
-func (e *Evaluator) initScratch() {
-	e.upBits = make([]uint64, e.wordOff[len(e.ports)])
-	e.swFlags = make([]uint8, len(e.ports))
-	e.seenCk = make([]bool, len(e.caps))
-	e.load = make([]float64, 2*len(e.caps))
-}
-
 // Fork returns an independent evaluator over the same topology that shares
 // e's immutable precompute — the static CSR adjacency, its offsets, and the
 // per-circuit capacities and per-switch port budgets — while owning fresh
@@ -370,9 +334,19 @@ func (e *Evaluator) initScratch() {
 // per-worker evaluators, costing a handful of scratch allocations instead of
 // an adjacency rebuild.
 func (e *Evaluator) Fork() *Evaluator {
-	f := &Evaluator{t: e.t, arcs: e.arcs, arcOff: e.arcOff, wordOff: e.wordOff, caps: e.caps, ports: e.ports}
-	f.initScratch()
-	return f
+	return &Evaluator{t: e.t, engine: e.fork()}
+}
+
+// sync brings the engine's up state in step with the view.
+func (e *Evaluator) sync(v *topo.View) {
+	sw, ck := v.Activity()
+	e.syncUp(sw, ck, e.circuitEnds)
+}
+
+// circuitEnds returns the endpoints of circuit c.
+func (e *Evaluator) circuitEnds(c int) (a, b int32) {
+	ck := e.t.Circuit(topo.CircuitID(c))
+	return int32(ck.A), int32(ck.B)
 }
 
 // Check verifies the demand and port constraints on the view and returns
@@ -433,7 +407,7 @@ func (e *Evaluator) run(v *topo.View, ds *demand.Set, opts CheckOpts, earlyExit 
 	// Bring the up arcs in step with the view; every traversal below reads
 	// them. Port constraints (Eq. 6) fall out of the same pass: the number of
 	// up circuits on a switch must not exceed its physical port budget.
-	e.syncUp(v)
+	e.sync(v)
 	pending := e.portViolation()
 	e.placed = !earlyExit || pending.OK()
 	if !e.placed {

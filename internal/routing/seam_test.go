@@ -26,6 +26,13 @@ import (
 // the lane's gate stays shut and the evaluator routes every check the lane
 // does not answer before routing. The run must repair fields: a seam that
 // never sees a repaired field checks nothing.
+//
+// A second column asks every routed state of the quotient of the task, built
+// with no quota (core.LiftedQuotient): with a capacity per circuit it is the
+// discrete partition, and one quotient follows the run, keeping its fields as
+// the lane's would. Every verdict it is sure of must equal the evaluator's,
+// so both clients of the one distance-field engine answer the same states;
+// the test reports how many it was not sure of, and requires some it was.
 func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 	variants := []struct {
 		name string
@@ -41,7 +48,7 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 		run  func(*migration.Task, core.Options) (*core.Plan, error)
 	}{{"astar", core.PlanAStar}, {"dp", core.PlanDP}}
 	t.Cleanup(func() { routing.SetCheckHook(nil) })
-	repaired := 0
+	repaired, lifted := 0, 0
 	for _, fabric := range []string{"E-SSW", "E-DMAG", "E", "C"} {
 		s, err := gen.Suite(fabric, 0.25)
 		if err != nil {
@@ -56,8 +63,16 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 		root := routing.NewEvaluator(tp)
 		for _, v := range variants {
 			for _, pl := range planners {
+				task := base
+				if v.grow != 0 {
+					task = task.WithForecast(demand.Forecast{GrowthPerStep: v.grow})
+				}
+				q, ok := core.LiftedQuotient(task, tp.NumCircuits())
+				if !ok {
+					t.Fatalf("%s %s %s: the quotient build declined with no quota", fabric, v.name, pl.name)
+				}
 				ev := routing.NewEvaluator(tp)
-				checks := 0
+				checks, unsure := 0, 0
 				var disagree []string
 				routing.SetCheckHook(func(e *routing.Evaluator, view *topo.View, ds *demand.Set, opts routing.CheckOpts, viol routing.Violation) {
 					if e != ev {
@@ -69,6 +84,16 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 						disagree = append(disagree, fmt.Sprintf("check %d: %v, a fresh evaluator %v", checks, viol, want))
 						return
 					}
+					var funnel []int32
+					whole := true
+					if opts.FunnelFactor > 1 {
+						funnel, whole = q.CircuitClasses(opts.FunnelCircuits)
+					}
+					if ok, sure := q.Check(view, ds, opts, funnel); !whole || !sure {
+						unsure++
+					} else if ok != viol.OK() {
+						disagree = append(disagree, fmt.Sprintf("check %d: the quotient says %v, the evaluator %v", checks, ok, viol))
+					}
 					for c := 0; c < tp.NumCircuits(); c++ {
 						ab, ba := ev.CircuitLoad(topo.CircuitID(c))
 						wab, wba := fresh.CircuitLoad(topo.CircuitID(c))
@@ -78,10 +103,6 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 						}
 					}
 				})
-				task := base
-				if v.grow != 0 {
-					task = task.WithForecast(demand.Forecast{GrowthPerStep: v.grow})
-				}
 				opts := v.opts
 				opts.SkipAudit, opts.Evaluator = true, ev
 				p, err := pl.run(task, opts)
@@ -89,7 +110,7 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", fabric, v.name, pl.name, err)
 				}
-				t.Logf("%s %s %s: %d routed checks, %d fields repaired", fabric, v.name, pl.name, checks, ev.FieldRepairs)
+				t.Logf("%s %s %s: %d routed checks, %d fields repaired; the quotient unsure of %d, %d fields repaired", fabric, v.name, pl.name, checks, ev.FieldRepairs, unsure, q.FieldRepairs)
 				if checks == 0 || p.Metrics.LiftedChecks+p.Metrics.LiftedFallbacks != 0 {
 					t.Errorf("%s %s %s: %d routed checks, %d lifted; want some and none", fabric, v.name, pl.name, checks, p.Metrics.LiftedChecks+p.Metrics.LiftedFallbacks)
 				}
@@ -97,10 +118,14 @@ func TestRoutedChecksAgreeWithFreshEvaluator(t *testing.T) {
 					t.Errorf("%s %s %s, %s", fabric, v.name, pl.name, d)
 				}
 				repaired += ev.FieldRepairs
+				lifted += checks - unsure
 			}
 		}
 	}
 	if repaired == 0 {
 		t.Fatal("no routed check repaired its fields: the seam held nothing of them")
+	}
+	if lifted == 0 {
+		t.Fatal("the quotient was sure of no routed state: its column held nothing")
 	}
 }

@@ -30,6 +30,12 @@ func freshEvaluator(tp *topo.Topology) *Evaluator {
 	return e
 }
 
+// newQuotient returns a quotient of the partition with fresh check state, as
+// NewQuotient forks one.
+func newQuotient(p partition) *Quotient {
+	return &Quotient{partition: p, engine: p.adj.fork()}
+}
+
 // sharesPartition reports whether two quotients route one partition.
 func sharesPartition(a, b *Quotient) bool {
 	return &a.classOf[0] == &b.classOf[0] && &a.ckClassOf[0] == &b.ckClassOf[0] && &a.mult[0] == &b.mult[0]
@@ -65,7 +71,7 @@ func shapeScript(p *planted, rng *rand.Rand) ([]*topo.View, []CheckOpts) {
 // differ.
 func quotientAnswersAsFresh(t *testing.T, what string, q *Quotient, fresh partition, ds *demand.Set, views []*topo.View, opts []CheckOpts) {
 	t.Helper()
-	ref := &Quotient{partition: fresh}
+	ref := newQuotient(fresh)
 	for i, v := range views {
 		gotOK, gotSure := q.Check(v, ds, opts[i], nil)
 		wantOK, wantSure := ref.Check(v, ds, opts[i], nil)
@@ -131,7 +137,7 @@ func TestBuildsSharedPerShape(t *testing.T) {
 			switch {
 			case q == q1 || !sharesPartition(q, q1):
 				t.Fatalf("seed %d, %s: NewQuotient did not fork the kept partition", seed, c.name)
-			case !reflect.DeepEqual(*q, Quotient{partition: q.partition}):
+			case !reflect.DeepEqual(*q, *newQuotient(q.partition)):
 				t.Fatalf("seed %d, %s: a fork starts with check state or counters", seed, c.name)
 			}
 			quotientAnswersAsFresh(t, c.name, q, want, &ds, views, opts)
@@ -238,7 +244,7 @@ func TestBuildsSharedConcurrently(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(&Quotient{partition: want}, freshEvaluator(tp))
+	ref := run(newQuotient(want), freshEvaluator(tp))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -46,7 +46,7 @@ func (e *Evaluator) Trace(v *topo.View, src, dst topo.SwitchID) (*PathDAG, error
 		return nil, fmt.Errorf("routing: trace %s -> %s: endpoint inactive",
 			t.Switch(src).Name, t.Switch(dst).Name)
 	}
-	e.syncUp(v)
+	e.sync(v)
 	dist := make([]int32, t.NumSwitches())
 	e.distances([]topo.SwitchID{dst}, [][]int32{dist})
 	if dist[src] == 0 {

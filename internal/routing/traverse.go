@@ -7,14 +7,16 @@ import (
 	"klotski/internal/topo"
 )
 
-// This file holds the evaluator's two traversal primitives — the only code
-// in the package that walks the fabric — and the up state both of them read,
-// which syncUp keeps in step with whatever view is checked and which nothing
-// else writes. The check and Trace both go through them. The check also keeps
-// the fields of its last traversal and, while the next check asks for the same
-// destinations and syncUp rebuilt few switches in between, repairs them around
-// those switches (repairField) instead of traversing again; a repaired field
-// equals the traversed one entry for entry.
+// This file holds the one distance-field engine of the package — the only
+// code that walks an adjacency to find distances — and the up state it reads,
+// which syncUp keeps in step with whatever activity flags it is handed and
+// which nothing else writes. Two checks run on it: the evaluator over the
+// fabric's switches, and the quotient (quotient.go) over its classes, each
+// with a sweep of its own. Both keep the fields of their last traversal and,
+// while the next check asks for the same destinations and syncUp rebuilt few
+// vertices in between, repair them around those vertices (repairField)
+// instead of traversing again; a repaired field equals the traversed one
+// entry for entry.
 //
 //   - distances is one level-synchronous, bit-parallel traversal for up to
 //     batchWidth destinations at once. Each switch carries a 64-bit mask of
@@ -23,32 +25,94 @@ import (
 //     scanned once per distinct level at which any destination settles it,
 //     with all of that level's destinations riding in the mask, instead of
 //     once per destination.
-//   - sweep places one destination group's flow over its distance field. It
-//     visits only the switches that carry flow, level by level from the
-//     sources toward the destination. A visited switch sums its inflow from
-//     the arcs its upstream neighbours marked for it (tr.in), in its own
-//     adjacency order, then splits it over its next hops and marks those in
-//     turn. No float sum depends on the order in which switches were
+//   - sweep, the evaluator's, places one destination group's flow over its
+//     distance field. It visits only the switches that carry flow, level by
+//     level from the sources toward the destination. A visited switch sums
+//     its inflow from the arcs its upstream neighbours marked for it (tr.in),
+//     in its own adjacency order, then splits it over its next hops and marks
+//     those in turn. No float sum depends on the order in which switches were
 //     reached, so the placement is a function of (adjacency order, up state,
 //     demands, distance field) alone — see the summation-order contract in
 //     the package comment. Which arcs are next hops is a function of
 //     (distance field, up state) alone, so beside the retained fields the
 //     check keeps the next-hop mask of every (field, switch) it has visited,
 //     found by one scan of the switch's up arcs (arc.nextHop) and read back
-//     from then on, and the code that moves a field or the up state — the
-//     traversal, the repair — is the code that drops the masks it outdates.
+//     from then on. The validity bytes of those masks (hopValid) belong to
+//     the engine: the code that moves a field or the up state — the
+//     traversal, the repair — drops the ones it outdates, and the quotient's
+//     next-hop lists read the same bytes.
 
 // batchWidth is the number of destinations one traversal carries: the bits
 // of a mask word.
 const batchWidth = 64
 
 // arc is one directed arc of the adjacency: a circuit as seen from one
-// endpoint. 16 bytes, four to a cache line.
+// endpoint. 16 bytes, four to a cache line. In a quotient's adjacency the
+// vertices are classes and the circuits circuit classes.
 type arc struct {
 	other  int32 // peer endpoint
 	metric int32
 	li     int32 // directional load index for flow from this endpoint toward other; the circuit is li>>1
-	back   int32 // the bit the reverse arc — same circuit, seen from other — occupies in a mask shaped like upBits
+	back   int32 // the evaluator's sweep: the bit the reverse arc — same circuit, seen from other — occupies in a mask shaped like upBits; zero in a quotient's
+}
+
+// engine is the distance-field engine: a static adjacency, the up state of
+// the activity flags last synced over it, the retained distance fields and
+// the counters of the work. The adjacency is immutable once built and shared
+// by forks; everything else is per fork. An Evaluator runs one over the
+// fabric's switches, a Quotient one over its classes.
+type engine struct {
+	// Static CSR adjacency: the arcs of switch s are arcs[arcOff[s]:arcOff[s+1]],
+	// in the switch's Circuits() order — the adjacency order every float sum of
+	// the evaluator's sweep follows.
+	arcs    []arc
+	arcOff  []int32
+	wordOff []int32   // switch s owns upBits[wordOff[s]:wordOff[s+1]]
+	caps    []float64 // per circuit: capacity
+	ports   []int32   // per switch: port budget, 0 = unconstrained (always 0 in a quotient's)
+
+	// Up state of the flags last synced (syncUp): one bit per static arc, each
+	// switch's bits starting on a word of its own (see upWords), so no
+	// traversal ever tests a per-circuit flag; per switch, whether all its
+	// arcs are up and whether it is over its port budget (swFlags), and how
+	// many switches are over (nOver). swFlags' swActive bits and seenCk are
+	// the engine's own copy of the activity flags all of that was derived
+	// from: syncUp diffs the next flags against them and rebuilds only the
+	// switches the difference reaches. All-zero is the all-drained view and
+	// its up state at once, so a fresh engine is in sync by construction.
+	upBits  []uint64
+	swFlags []uint8
+	nOver   int
+	nMarked int // switches flagged swMarked: rebuilt since the retained distance fields were last in step
+	seenCk  []bool
+
+	// Traversal scratch, allocated on first use and per fork.
+	trav traversal
+
+	// Per-circuit directional load of the last placement: load[2c] is flow
+	// A→B on circuit c, load[2c+1] flow B→A.
+	load []float64
+
+	// Stats counters for the lifetime of the engine.
+	BFSes                int // per-destination distance fields computed by a full traversal
+	FieldRepairs         int // … and retained fields brought up to date by a repair instead
+	FieldEntriesRepaired int // entries those repairs wrote: un-set, re-set or lowered
+	ArcVisits            int // arcs scanned by the distance traversals and tested by the repairs
+	ArcVisitsInPlace     int // … of which at switches with every arc up, ranged over in place
+	UpRebuilds           int // switch up masks rebuilt to follow the flags
+}
+
+// fork returns an engine over e's static adjacency with fresh up state,
+// scratch and counters.
+func (e *engine) fork() engine {
+	n := len(e.ports)
+	return engine{
+		arcs: e.arcs, arcOff: e.arcOff, wordOff: e.wordOff, caps: e.caps, ports: e.ports,
+		upBits:  make([]uint64, e.wordOff[n]),
+		swFlags: make([]uint8, n),
+		seenCk:  make([]bool, len(e.caps)),
+		load:    make([]float64, 2*len(e.caps)),
+	}
 }
 
 // level is one distance level of a traversal in flight: the switches queued
@@ -107,24 +171,27 @@ type traversal struct {
 	down, up []flipped
 	unset    []int32
 
-	// Next-hop masks retained beside the fields: hopSets holds, for field k and
-	// switch x, a mask shaped like x's up words (field k's run starts at
-	// k·|upBits|) of the up arcs of x that lead one step closer in field k, and
-	// hopValid[k·n+x] says whether that mask stands for field k and the up
-	// state as they are. Both are shaped like dist and are nil until a check
-	// first finds the fields of the check before it fit to keep (repairFields):
-	// an evaluator that only ever traverses keeps no mask.
-	hopSets  []uint64
+	// Next hops retained beside the fields: hopValid[k·n+x] says whether what
+	// is kept of switch x's next hops in field k stands for field k and the up
+	// state as they are. It is shaped like dist; the evaluator allocates it
+	// when a check first finds the fields of the check before it fit to keep
+	// (repairFields), so an evaluator that only ever traverses keeps nothing,
+	// and the quotient on its first check. What it validates is each check's
+	// own: the evaluator's masks in hopSets — for field k and switch x a mask
+	// shaped like x's up words (field k's run starts at k·|upBits|) of the up
+	// arcs of x that lead one step closer in field k — and the quotient's
+	// next-hop lists.
 	hopValid []uint8
+	hopSets  []uint64
 
 	// Sweep. A switch is in the current group's flow set iff its stamp is
 	// group; flow is its seeded rate until it is visited and its total inflow
-	// from then on, per what each of its next hops draws from that — ECMP: the
-	// equal share flow/count, divided once rather than once per arc; WCMP: the
-	// capacity sum, for the per-arc flow·cap/per. in is shaped like upBits: a
-	// visited switch sets, for each next hop, the bit of the reverse arc in the
-	// hop's own words, and the hop clears its words as it pulls, so in is
-	// all-zero between sweeps.
+	// from then on. The evaluator's sweep keeps, per visited switch, what each
+	// of its next hops draws from that — ECMP: the equal share flow/count,
+	// divided once rather than once per arc; WCMP: the capacity sum, for the
+	// per-arc flow·cap/per. in is shaped like upBits: a visited switch sets,
+	// for each next hop, the bit of the reverse arc in the hop's own words, and
+	// the hop clears its words as it pulls, so in is all-zero between sweeps.
 	stamp []uint16
 	group uint16
 	flow  []float64
@@ -135,7 +202,7 @@ type traversal struct {
 	vals  []float64
 }
 
-// Per-switch flags of the up state (Evaluator.swFlags), written by
+// Per-switch flags of the up state (engine.swFlags), written by
 // rebuildSwitch together with the switch's mask words.
 const (
 	// swActive: the switch's activity flag in the view last synced.
@@ -178,24 +245,24 @@ const repairBudget = 2
 // visits them in ascending order, which is the switch's adjacency order —
 // by walking the set bits, or by ranging over arcs when the switch is
 // flagged swAllUp.
-func (e *Evaluator) upWords(s int32) (words []uint64, arcs []arc) {
+func (e *engine) upWords(s int32) (words []uint64, arcs []arc) {
 	return e.upBits[e.wordOff[s]:e.wordOff[s+1]], e.arcs[e.arcOff[s]:e.arcOff[s+1]]
 }
 
 // syncUp makes the up state — mask, per-switch flags and over-budget count —
-// reflect the view, paying for what differs from the state it reflected
-// before. The evaluator keeps its own copy of the activity flags the mask was
-// built from (swActive per switch, seenCk per circuit) and compares the
-// view's flags against it by content, so any view may follow any other (a
-// lane's, the audit's, a Reset or CopyFrom one) with no cooperation from the
-// caller. A switch's words depend on its own flag, its circuits' flags and
-// its neighbours' flags, hence the rebuild set: every switch that flipped,
-// each of its static neighbours, and both endpoints of every circuit that
-// flipped. A fresh evaluator's copy is all-drained, which the zero mask
-// reflects exactly, so its first call is this same diff finding every active
-// element flipped; nothing else ever writes the mask.
-func (e *Evaluator) syncUp(v *topo.View) {
-	sw, ck := v.Activity()
+// reflect the activity flags sw (per switch) and ck (per circuit), paying for
+// what differs from the flags it reflected before; ends gives a circuit's two
+// endpoints. The engine keeps its own copy of the flags the mask was built
+// from (swActive per switch, seenCk per circuit) and compares the new flags
+// against it by content, so any view may follow any other (a lane's, the
+// audit's, a Reset or CopyFrom one) with no cooperation from the caller. A
+// switch's words depend on its own flag, its circuits' flags and its
+// neighbours' flags, hence the rebuild set: every switch that flipped, each
+// of its static neighbours, and both endpoints of every circuit that flipped.
+// A fresh engine's copy is all-drained, which the zero mask reflects exactly,
+// so its first call is this same diff finding every active element flipped;
+// nothing else ever writes the mask.
+func (e *engine) syncUp(sw, ck []bool, ends func(c int) (a, b int32)) {
 	flags := e.swFlags[:len(sw)]
 	stale := false
 	for s, on := range sw {
@@ -215,9 +282,9 @@ func (e *Evaluator) syncUp(v *topo.View) {
 		}
 		seen[c] = on
 		stale = true
-		cc := e.t.Circuit(topo.CircuitID(c))
-		flags[cc.A] |= swStale
-		flags[cc.B] |= swStale
+		a, b := ends(c)
+		flags[a] |= swStale
+		flags[b] |= swStale
 	}
 	if !stale {
 		return
@@ -234,7 +301,7 @@ func (e *Evaluator) syncUp(v *topo.View) {
 // set. It reads the flag arrays and the static arcs' endpoints, never a
 // Circuit struct. The number of up arcs is the switch's up-circuit count for
 // the port constraint (Eq. 6).
-func (e *Evaluator) rebuildSwitch(s int32, sw, ck []bool) {
+func (e *engine) rebuildSwitch(s int32, sw, ck []bool) {
 	e.UpRebuilds++
 	words, arcs := e.upWords(s)
 	clear(words)
@@ -353,7 +420,7 @@ func (q *levelQueue) release(lv *level) {
 // proportional to the pairs pending, never to the fabric times the levels in
 // flight nor to the magnitude of a metric, and one destination costs what a
 // single-source search costs.
-func (e *Evaluator) distances(dsts []topo.SwitchID, fields [][]int32) {
+func (e *engine) distances(dsts []topo.SwitchID, fields [][]int32) {
 	tr := &e.trav
 	e.BFSes += len(dsts)
 	if tr.settled == nil {
@@ -458,25 +525,25 @@ func (q *levelQueue) push(lv *level, w, nd int32, cand uint64, last []int32) *le
 
 // batchDistances returns the distance fields of the active destinations among
 // dsts (at most batchWidth), one per destination and nil where the destination
-// is inactive, held in the evaluator's own batch scratch and valid until the
+// is inactive, held in the engine's own batch scratch and valid until the
 // next call. The fields stay behind as the retained fields of those
 // destinations: when the next call asks for the same active destinations and
 // syncUp has rebuilt no more than 1/repairCutover of the fabric since, the
-// fields are repaired around the rebuilt switches; otherwise — an evaluator's
+// fields are repaired around the rebuilt switches; otherwise — an engine's
 // first check, a destination drained or undrained, another demand set, a
 // second batch, a far jump of the view, a repair that gave up — distances
 // computes them afresh. Either way the result is the fields' one definition,
 // the metric-shortest distances over the up arcs, so nothing downstream can
 // tell which ran. Rates never enter a field: the key is (destinations, up
 // state) by content. A traversal computes every field of the batch anew, so
-// it also drops every next-hop mask kept beside them.
-func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]int32 {
+// it also drops every next hop kept beside them.
+func (e *engine) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]int32 {
 	tr := &e.trav
 	n := len(e.ports)
 	if len(tr.dist) < len(dsts)*n {
 		tr.dist = make([]int32, len(dsts)*n)
 		tr.kept = tr.kept[:0]
-		tr.hopSets, tr.hopValid = nil, nil // shaped like dist: the next repair allocates them anew
+		tr.hopValid, tr.hopSets = nil, nil // shaped like dist: allocated anew when next hops are next kept
 	}
 	tr.fields, tr.live, tr.dsts = tr.fields[:0], tr.live[:0], tr.dsts[:0]
 	for _, dst := range dsts {
@@ -523,18 +590,19 @@ func (e *Evaluator) batchDistances(swActive []bool, dsts []topo.SwitchID) [][]in
 // marked switches come from one pass over the flag bytes: a list kept by
 // rebuildSwitch would grow to the whole fabric on every fork's first check.
 //
-// This is also where the next-hop masks come to be and where two of the three
-// things that outdate one are seen. A call means the fields of the check
-// before are being kept, so masks beside them will be read again: the first
-// call allocates them, shaped like dist. A mask of switch x depends on x's up
-// arcs, on x's entry and on the entries of x's up neighbours. The up arcs can
-// only have changed at a marked switch: the masks of every marked switch go,
-// in every field, here. The entries change in repairField, field by field.
-func (e *Evaluator) repairFields() bool {
+// This is also where the evaluator's next-hop masks come to be and where two
+// of the three things that outdate a kept next hop are seen. A call means the
+// fields of the check before are being kept, so next hops beside them will be
+// read again: the first call allocates their validity bytes, shaped like dist
+// (the evaluator's sweep allocates its masks beside them). The next hops of
+// switch x depend on x's up arcs, on x's entry and on the entries of x's up
+// neighbours. The up arcs can only have changed at a marked switch: the next
+// hops of every marked switch go, in every field, here. The entries change in
+// repairField, field by field.
+func (e *engine) repairFields() bool {
 	tr := &e.trav
 	n := len(e.ports)
 	if tr.hopValid == nil {
-		tr.hopSets = make([]uint64, len(tr.dist)/n*len(e.upBits))
 		tr.hopValid = make([]uint8, len(tr.dist))
 	}
 	if e.nMarked == 0 {
@@ -611,16 +679,16 @@ func (e *Evaluator) repairFields() bool {
 // entry. It returns the arcs it tested and the entries it wrote, and false as
 // soon as the former exceed budget.
 //
-// valid holds the field's next-hop mask flags. Phase 2 scans every up arc of
-// every entry the repair wrote — un-set ones as it looks for their best
-// standing neighbour, lowered ones as it relaxes on from them — and clears the
-// flag at the far end of each: the neighbours are whose masks the entry was
-// part of. The written entry's own mask needs no clearing of its own: an entry
-// moves only if an arc of its switch changed state, and then the switch is
-// marked, or if a neighbour's entry moved, and then the neighbour's scan
-// clears it. A repair that gives up leaves flags behind that the traversal
-// after it clears wholesale.
-func (e *Evaluator) repairField(dist []int32, valid []uint8, budget int) (visits, written int, ok bool) {
+// valid holds the field's run of the validity bytes (hopValid). Phase 2 scans
+// every up arc of every entry the repair wrote — un-set ones as it looks for
+// their best standing neighbour, lowered ones as it relaxes on from them — and
+// clears the byte at the far end of each: the neighbours are whose next hops
+// the entry was part of. The written entry's own next hops need no clearing
+// of their own: an entry moves only if an arc of its switch changed state,
+// and then the switch is marked, or if a neighbour's entry moved, and then
+// the neighbour's scan clears it. A repair that gives up leaves bytes behind
+// that the traversal after it clears wholesale.
+func (e *engine) repairField(dist []int32, valid []uint8, budget int) (visits, written int, ok bool) {
 	tr := &e.trav
 	q := &tr.levels
 	q.drain() // flow levels an early exit left queued, or a repair that gave up
@@ -741,26 +809,22 @@ func (e *Evaluator) repairField(dist []int32, valid []uint8, budget int) (visits
 // stamp, so whatever an earlier group left behind — a check may exit between
 // seeding and sweeping — is out of the set without being visited; the stamps
 // are cleared when the 16-bit group number wraps, once in 65 535 groups.
-func (e *Evaluator) beginGroup() {
+func (e *engine) beginGroup() {
 	tr := &e.trav
 	if tr.stamp == nil {
-		n := len(e.ports)
-		tr.stamp = make([]uint16, n)
-		tr.flow = make([]float64, n)
-		tr.per = make([]float64, n)
-		tr.in = make([]uint64, len(e.upBits))
+		tr.stamp = make([]uint16, len(e.ports))
+		tr.flow = make([]float64, len(e.ports))
 	}
 	if tr.group++; tr.group == 0 {
 		clear(tr.stamp)
 		tr.group = 1
 	}
 	tr.levels.drain()
-	tr.lis, tr.vals = tr.lis[:0], tr.vals[:0]
 }
 
 // seed adds rate to the inflow of source switch src of the current group,
 // which src joins, queued at its distance level, if it is not in it yet.
-func (e *Evaluator) seed(dist []int32, src topo.SwitchID, rate float64) {
+func (e *engine) seed(dist []int32, src topo.SwitchID, rate float64) {
 	tr := &e.trav
 	if tr.stamp[src] != tr.group {
 		tr.stamp[src] = tr.group
@@ -778,7 +842,7 @@ func (a *arc) nextHop(dist []int32, dx int32) bool { return dist[a.other] == dx-
 // sweep propagates the seeded inflow of the current group toward dst over
 // dist, which is field k of the batch, and returns the group's contribution
 // as aligned (directional load index, value) slices, valid until the next
-// beginGroup. Each directional index appears at most once.
+// sweep. Each directional index appears at most once.
 //
 // Levels are visited from the farthest source inward. A visited switch x
 // first pulls: for every set bit of its words of tr.in, ascending — its
@@ -800,14 +864,21 @@ func (e *Evaluator) sweep(k int, dist []int32, dst topo.SwitchID, split SplitMod
 	tr := &e.trav
 	wcmp := split == SplitCapacityWeighted
 	n := len(e.ports)
+	if tr.in == nil {
+		tr.per = make([]float64, n)
+		tr.in = make([]uint64, len(e.upBits))
+	}
 	var sets []uint64
 	var valid []uint8
 	if tr.hopValid != nil {
+		if tr.hopSets == nil { // the masks, beside the validity bytes
+			tr.hopSets = make([]uint64, len(tr.hopValid)/n*len(e.upBits))
+		}
 		sets = tr.hopSets[k*len(e.upBits) : (k+1)*len(e.upBits)]
 		valid = tr.hopValid[k*n : (k+1)*n]
 	}
 	in, flow, per, stamp, group := tr.in, tr.flow, tr.per, tr.stamp, tr.group
-	lis, vals := tr.lis, tr.vals
+	lis, vals := tr.lis[:0], tr.vals[:0]
 	built, reused, tests := 0, 0, 0
 	q := &tr.levels
 	for len(q.active) > 0 {

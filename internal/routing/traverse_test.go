@@ -51,7 +51,7 @@ func placeGroups(e *Evaluator, v *topo.View, ds *demand.Set, split SplitMode, gr
 	for i, gi := range groups {
 		batch[i] = dsts[gi]
 	}
-	e.syncUp(v)
+	e.sync(v)
 	fields := e.batchDistances(swActive, batch)
 	out := make(map[int]placement, len(groups))
 	live := 0

@@ -324,7 +324,7 @@ func (h *upHarness) verifyFields(call string, e *Evaluator, v *topo.View) {
 		return
 	}
 	w := h.root.Fork()
-	w.syncUp(v)
+	w.sync(v)
 	n := len(e.ports)
 	want := make([]int32, n)
 	for k, dst := range e.trav.kept {
@@ -364,7 +364,7 @@ func (h *upHarness) verifyFields(call string, e *Evaluator, v *topo.View) {
 // so the stripped flags stay stripped.
 func (h *upHarness) bitWalker(v *topo.View) *Evaluator {
 	w := h.root.Fork()
-	w.syncUp(v)
+	w.sync(v)
 	for s := range w.swFlags {
 		w.swFlags[s] &^= swAllUp
 	}
