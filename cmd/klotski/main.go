@@ -390,15 +390,9 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.NPD, err)
 		}
-		scenario, err := doc.Scenario()
+		task, _, err := doc.Task()
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.NPD, err)
-		}
-		task := scenario.Task
-		if doc.Migration != nil && doc.Migration.BlockFactor > 0 && doc.Migration.BlockFactor != 1 {
-			if task, err = klotski.Reblock(task, doc.Migration.BlockFactor); err != nil {
-				return fmt.Errorf("%s: %w", m.NPD, err)
-			}
 		}
 		name := m.Name
 		if name == "" {
@@ -680,11 +674,10 @@ func auditDocument(doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPat
 	if err != nil {
 		return err
 	}
-	scenario, err := doc.Scenario()
+	task, _, err := doc.Task()
 	if err != nil {
 		return err
 	}
-	task := scenario.Task
 	seq, err := documentSequence(task, doc.Name, prev)
 	if err != nil {
 		return err
@@ -723,11 +716,10 @@ func replanFromDocument(ctx context.Context, doc *klotski.NPDDocument, cfg klots
 	if err != nil {
 		return nil, err
 	}
-	scenario, err := doc.Scenario()
+	task, scenario, err := doc.Task()
 	if err != nil {
 		return nil, err
 	}
-	task := scenario.Task
 	executed, err := documentSequence(task, doc.Name, prev)
 	if err != nil {
 		return nil, err

@@ -608,3 +608,75 @@ func TestFleetCheckpointName(t *testing.T) {
 		t.Errorf("fleetCheckpointName(east) = %q", got)
 	}
 }
+
+// TestRunBlockFactorAuditAndResume plans suite C × 0.25 re-blocked by a
+// factor of 2 and requires -audit and -resume to rebuild the same
+// re-blocked task: the audit passes, and resuming after two executed
+// actions plans exactly the plan's other blocks.
+func TestRunBlockFactorAuditAndResume(t *testing.T) {
+	s, err := klotski.Suite("C", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := npd.FromRegionParams(s.Name, s.Region.Params)
+	doc.Migration = &npd.MigrationPart{Kind: npd.MigrationHGRID, BlockFactor: 2}
+	dir := t.TempDir()
+	npdPath := filepath.Join(dir, "Cbf.json")
+	f, err := os.Create(npdPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	planPath := filepath.Join(dir, "plan.json")
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-o", planPath}, &out, &errBuf); err != nil {
+		t.Fatalf("planning: %v (stderr: %s)", err, errBuf.String())
+	}
+	if err := run(context.Background(), []string{"-npd", npdPath, "-audit", planPath}, &out, &errBuf); err != nil {
+		t.Fatalf("-audit: %v (stderr: %s)", err, errBuf.String())
+	}
+	if err := run(context.Background(), []string{"-npd", npdPath, "-resume", planPath, "-executed", "2"}, &out, &errBuf); err != nil {
+		t.Fatalf("-resume: %v (stderr: %s)", err, errBuf.String())
+	}
+
+	blocks := func(data []byte) []string {
+		t.Helper()
+		var pd klotski.PlanDocument
+		if err := json.Unmarshal(data, &pd); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, ph := range pd.Phases {
+			names = append(names, ph.Blocks...)
+		}
+		if len(names) != pd.Actions {
+			t.Fatalf("plan document lists %d blocks for %d actions", len(names), pd.Actions)
+		}
+		return names
+	}
+	data, err := os.ReadFile(planPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned, resumed := blocks(data), blocks(out.Bytes())
+	if len(planned) <= 8 {
+		t.Fatalf("%d blocks planned; a block factor of 2 should split suite C's 8", len(planned))
+	}
+	left := make(map[string]bool)
+	for _, b := range planned[2:] {
+		left[b] = true
+	}
+	for _, b := range resumed {
+		if !left[b] {
+			t.Errorf("resumed plan operates block %q, not one of the %d the plan left after two actions", b, len(planned)-2)
+		}
+		delete(left, b)
+	}
+	if len(left) != 0 || len(resumed) != len(planned)-2 {
+		t.Errorf("resumed plan has %d actions, want the plan's last %d", len(resumed), len(planned)-2)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"io"
 
 	"klotski/internal/gen"
+	"klotski/internal/migration"
 	"klotski/internal/topo"
 )
 
@@ -271,9 +272,29 @@ func (d *Document) DemandSpec() gen.DemandSpec {
 	}
 }
 
+// Task builds the migration task the document describes: its scenario, the
+// hardware catalog's port caps, then the migration's block factor. Every
+// consumer that plans, replans or audits a document builds its task here,
+// so a plan's block names are the ones its audit and resume look up. The
+// scenario comes back too; its Task is the one before re-blocking.
+func (d *Document) Task() (*migration.Task, *gen.Scenario, error) {
+	s, err := d.Scenario()
+	if err != nil {
+		return nil, nil, err
+	}
+	task := s.Task
+	if f := d.Migration.BlockFactor; f > 0 && f != 1 {
+		if task, err = migration.Reblock(task, f); err != nil {
+			return nil, nil, err
+		}
+	}
+	return task, s, nil
+}
+
 // Scenario builds the migration scenario the document describes. The
 // document must carry a Migration part. Hardware entries cap the
-// scenario-derived port budgets afterwards.
+// scenario-derived port budgets afterwards. It does not apply the block
+// factor; Task does.
 func (d *Document) Scenario() (*gen.Scenario, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

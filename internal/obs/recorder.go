@@ -50,6 +50,8 @@ const (
 	MetricServeSerialDegrades   = "serve.serial_degrades"
 	MetricServePlannerPanics    = "serve.planner_panics"
 	MetricServeJournalSyncs     = "serve.journal_syncs"
+	MetricServeTaskBuilds       = "serve.task_builds"
+	MetricServeTaskCacheHits    = "serve.task_cache_hits"
 
 	TraceName = "planner"
 )
@@ -176,6 +178,12 @@ const (
 	// ServeJournalSyncs counts fsyncs of a job journal, each of which may
 	// cover several records.
 	ServeJournalSyncs
+	// ServeTaskBuilds counts migration tasks the daemon built for jobs whose
+	// NPD document it had not cached, failed builds included.
+	ServeTaskBuilds
+	// ServeTaskCacheHits counts jobs that planned on a task the daemon had
+	// cached from an earlier job of the same NPD document.
+	ServeTaskCacheHits
 
 	// NumInstruments is the number of declared instruments, not one of them.
 	NumInstruments
@@ -231,6 +239,8 @@ var table = [NumInstruments]decl{
 	ServeSerialDegrades:   {name: MetricServeSerialDegrades},
 	ServePlannerPanics:    {name: MetricServePlannerPanics},
 	ServeJournalSyncs:     {name: MetricServeJournalSyncs},
+	ServeTaskBuilds:       {name: MetricServeTaskBuilds},
+	ServeTaskCacheHits:    {name: MetricServeTaskCacheHits},
 }
 
 func cacheHitRate(r *Registry) float64 {

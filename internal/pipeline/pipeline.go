@@ -135,16 +135,9 @@ func Run(doc *npd.Document, cfg Config) (*Result, error) {
 // RunContext is Run with cooperative cancellation threaded through to the
 // planner (and any forecast-driven replans).
 func RunContext(ctx context.Context, doc *npd.Document, cfg Config) (*Result, error) {
-	scenario, err := doc.Scenario()
+	task, scenario, err := doc.Task()
 	if err != nil {
 		return nil, err
-	}
-	task := scenario.Task
-	if doc.Migration != nil && doc.Migration.BlockFactor > 0 && doc.Migration.BlockFactor != 1 {
-		task, err = migration.Reblock(task, doc.Migration.BlockFactor)
-		if err != nil {
-			return nil, err
-		}
 	}
 	res, err := RunTaskContext(ctx, task, cfg)
 	if err != nil {

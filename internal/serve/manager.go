@@ -264,6 +264,7 @@ type Manager struct {
 	cfg   Config
 	pool  *sched.Pool
 	store *bound.Store
+	tasks *taskCache
 
 	runCtx    context.Context
 	cancelRun context.CancelCauseFunc
@@ -298,6 +299,7 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		pool:     sched.NewPool(cfg.PoolWorkers, cfg.Recorder),
 		store:    bound.NewStore(),
+		tasks:    newTaskCache(taskCacheEntries, taskCacheBytes),
 		jobs:     make(map[string]*Job),
 		planHook: cfg.LegHook,
 	}
@@ -465,25 +467,12 @@ func (m *Manager) Close() {
 	}
 }
 
-// prepare builds the job's migration task and planning options from its
-// NPD document: the one Submit decoded, or for a recovered job (doc nil)
-// the one its journaled request carries.
+// prepare returns the job's migration task and planning options. doc is
+// the NPD document Submit decoded, nil for a recovered job.
 func (m *Manager) prepare(j *Job, doc *npd.Document) (*migration.Task, core.Options, error) {
-	if doc == nil {
-		var err error
-		if doc, err = npd.Decode(bytes.NewReader(j.Req.NPD)); err != nil {
-			return nil, core.Options{}, err
-		}
-	}
-	scenario, err := doc.Scenario()
+	task, err := m.task(j.Req.NPD, doc)
 	if err != nil {
 		return nil, core.Options{}, err
-	}
-	task := scenario.Task
-	if doc.Migration != nil && doc.Migration.BlockFactor > 0 && doc.Migration.BlockFactor != 1 {
-		if task, err = migration.Reblock(task, doc.Migration.BlockFactor); err != nil {
-			return nil, core.Options{}, err
-		}
 	}
 	opts := m.cfg.Options
 	opts.MaxStates = 0
@@ -500,6 +489,29 @@ func (m *Manager) prepare(j *Job, doc *npd.Document) (*migration.Task, core.Opti
 	}
 	opts.Recorder = m.cfg.Recorder
 	return task, opts, nil
+}
+
+// task returns the task built from the NPD bytes raw: the cached one when
+// a job submitted the same bytes before, else one built from doc (decoded
+// from raw when nil) and cached unless the build failed or the task is
+// over the cache's byte bound.
+func (m *Manager) task(raw []byte, doc *npd.Document) (*migration.Task, error) {
+	if task := m.tasks.get(raw); task != nil {
+		m.cfg.Recorder.Add(obs.ServeTaskCacheHits, 1)
+		return task, nil
+	}
+	m.cfg.Recorder.Add(obs.ServeTaskBuilds, 1)
+	if doc == nil {
+		var err error
+		if doc, err = npd.Decode(bytes.NewReader(raw)); err != nil {
+			return nil, err
+		}
+	}
+	task, _, err := doc.Task()
+	if err != nil {
+		return nil, err
+	}
+	return m.tasks.put(raw, task), nil
 }
 
 // admit registers the job on the shared pool, waiting at most AdmitWait.
