@@ -19,6 +19,7 @@ import (
 var (
 	fencedBlock = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```[^\n]*$")
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	rootIdent   = regexp.MustCompile(`\bklotski\.([A-Z]\w*)`)
 )
 
 // fileExts are the extensions that make a quoted name a file; after any other
@@ -94,21 +95,31 @@ func TestDocPathsExist(t *testing.T) {
 	}
 }
 
-// docSpans returns the backticked spans outside code blocks of README.md,
-// DESIGN.md and docs/*.md, by document.
-func docSpans(t *testing.T) map[string][]string {
+// docTexts returns README.md, DESIGN.md and docs/*.md, by document.
+func docTexts(t *testing.T) map[string]string {
 	t.Helper()
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string][]string{}
+	out := map[string]string{}
 	for _, doc := range append([]string{"README.md", "DESIGN.md"}, docs...) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prose := fencedBlock.ReplaceAllString(string(text), "")
+		out[doc] = string(text)
+	}
+	return out
+}
+
+// docSpans returns the backticked spans outside code blocks of README.md,
+// DESIGN.md and docs/*.md, by document.
+func docSpans(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for doc, text := range docTexts(t) {
+		prose := fencedBlock.ReplaceAllString(text, "")
 		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
 			out[doc] = append(out[doc], m[1])
 		}
@@ -302,7 +313,8 @@ func docIdent(span string, pkgs, types map[string]map[string]bool, metrics map[s
 
 // TestDocIdentsExist is the identifier half of TestDocPathsExist: every
 // backticked pkg.Ident, pkg.Type.Member and Type.Member that README.md,
-// DESIGN.md and docs/*.md quote must still be declared (docIdent).
+// DESIGN.md and docs/*.md quote must still be declared (docIdent), and so
+// must every klotski.Ident their code blocks use.
 func TestDocIdentsExist(t *testing.T) {
 	pkgs, types := goDecls(t)
 	metrics := metricNames(t)
@@ -310,6 +322,15 @@ func TestDocIdentsExist(t *testing.T) {
 		for _, span := range spans {
 			if why := docIdent(span, pkgs, types, metrics); why != "" {
 				t.Errorf("%s quotes `%s`: %s", doc, span, why)
+			}
+		}
+	}
+	for doc, text := range docTexts(t) {
+		for _, block := range fencedBlock.FindAllString(text, -1) {
+			for _, m := range rootIdent.FindAllStringSubmatch(block, -1) {
+				if !pkgs["klotski"][m[1]] {
+					t.Errorf("%s uses %s in a code block: package klotski declares no %s", doc, m[0], m[1])
+				}
 			}
 		}
 	}

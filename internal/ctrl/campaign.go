@@ -3,9 +3,11 @@ package ctrl
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
+	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/migration"
 	"klotski/internal/pipeline"
@@ -28,17 +30,23 @@ type CampaignOptions struct {
 	// block, and covers every action), otherwise planned here as a run
 	// would plan it. Journal is ignored (campaigns do not journal); Sleep
 	// defaults to a no-op so thousands of simulated retries do not
-	// wall-clock sleep.
+	// wall-clock sleep. The seeds run concurrently, so a caller's Sleep
+	// and Config.Options.Recorder are called from several goroutines. Its
+	// Config.Options.Evaluator and .Bound plan only the pristine plan: each
+	// worker plans on a fork of the evaluator and on a fresh bound engine,
+	// the engines sharing their structural cuts through one bound.Store.
 	Run Options
 
-	// Pool, when non-nil, runs the campaign's seeds concurrently under
-	// the shared scheduler pool: each seed registers a client, so admission
-	// control throttles concurrency to the pool's worker budget. Each seed's
-	// run is fully determined by its seed (own world, own rng, no-op
-	// sleeper) and outcomes are folded in ascending seed order, so the
-	// CampaignReport is byte-identical to the serial campaign's.
+	// Pool, when non-nil, is a budget the campaign shares with other
+	// plans: each seed registers a client before its run, so admission
+	// control also throttles the campaign to the pool's worker budget.
 	Pool *sched.Pool
 }
+
+// campaignTestRunHook runs as each seed's run starts (true: as the seed is
+// claimed, before another seed can be) and ends (false). Tests use it to
+// count the runs in flight and to cancel a campaign from inside a run.
+var campaignTestRunHook = func(seed int64, start bool) {}
 
 // CampaignReport aggregates a chaos campaign. The paper's safety claim is
 // about plans; this report is about *operations*: how often the closed
@@ -71,9 +79,11 @@ type CampaignReport struct {
 }
 
 // Campaign executes the task once per seed, each run against a fresh
-// world with its own random fault train, and aggregates the outcomes. An
-// individual run failing to complete is campaign data, not an error; only
-// infrastructure failures (e.g. cancellation) abort the campaign.
+// world with its own random fault train, on min(Seeds, GOMAXPROCS)
+// goroutines that take the seeds in ascending order. A run is a pure
+// function of its seed and the outcomes fold in seed order, so the report
+// is the same at any GOMAXPROCS. A run failing to complete is campaign
+// data, not an error; only cancellation or a closed pool aborts.
 func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (*CampaignReport, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 16
@@ -87,67 +97,70 @@ func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (
 		runOpts.Sleep = func(time.Duration) {}
 	}
 	runOpts.Plan = pristinePlan(ctx, task, runOpts.Plan, runOpts.Config, opts.Pool)
+	store := bound.NewStore()
+
+	outs := make([]*Outcome, opts.Seeds)
+	errs := make([]error, opts.Seeds)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	next := 0
+	// claim hands out the next seed until the seeds run out or ctx is done.
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == opts.Seeds || ctx.Err() != nil {
+			return 0, false
+		}
+		campaignTestRunHook(opts.Seed+int64(next), true)
+		next++
+		return next - 1, true
+	}
+	for w := min(opts.Seeds, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ro := runOpts // each worker plans on its own evaluator and engine
+			if o := &ro.Config.Options; o.Evaluator != nil {
+				o.Evaluator = o.Evaluator.Fork()
+			}
+			if o := &ro.Config.Options; o.Bound != nil {
+				o.Bound = core.NewBoundEngine(task, *o)
+				o.Bound.Attach(store)
+			}
+			for s, ok := claim(); ok; s, ok = claim() {
+				outs[s], errs[s] = runSeed(ctx, task, opts, ro, opts.Seed+int64(s))
+				campaignTestRunHook(opts.Seed+int64(s), false)
+			}
+		}()
+	}
+	wg.Wait()
 
 	rep := &CampaignReport{Seeds: opts.Seeds, WorstSeed: opts.Seed}
-	if opts.Pool != nil {
-		// Concurrent mode: every seed's run is a pure function of its
-		// seed, so the runs may execute in any order and any interleaving;
-		// only the FOLD below must stay in ascending seed order to keep
-		// the report byte-identical to the serial campaign's (same sums,
-		// same FailedSeeds order, same strictly-greater WorstSeed rule).
-		outs := make([]*Outcome, opts.Seeds)
-		errs := make([]error, opts.Seeds)
-		var wg sync.WaitGroup
-		for s := 0; s < opts.Seeds; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				seed := opts.Seed + int64(s)
-				client, err := opts.Pool.Register(fmt.Sprintf("campaign-%d", seed), sched.ClientOptions{})
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				defer client.Close()
-				schedule := sim.RandomSchedule(task, seed, opts.Schedule)
-				world := sim.NewWorld(task, schedule, seed)
-				ro := runOpts
-				ro.Seed = seed
-				outs[s], errs[s] = Run(ctx, task, world, ro)
-			}(s)
-		}
-		wg.Wait()
-		for s := 0; s < opts.Seeds; s++ {
-			if outs[s] == nil {
-				// Registration failed (pool closed) or the run never
-				// started: infrastructure, not campaign data.
-				return nil, fmt.Errorf("ctrl: campaign seed %d did not run: %w", opts.Seed+int64(s), errs[s])
-			}
-			if errs[s] != nil && ctx.Err() != nil {
-				return nil, errs[s]
-			}
-			rep.fold(opts.Seed+int64(s), outs[s])
-		}
-		rep.CompletionRate = float64(rep.Completed) / float64(rep.Seeds)
-		return rep, nil
-	}
-	for s := 0; s < opts.Seeds; s++ {
-		if err := ctx.Err(); err != nil {
+	for s, out := range outs {
+		if err := ctx.Err(); err != nil && (out == nil || errs[s] != nil) {
 			return nil, fmt.Errorf("ctrl: campaign cancelled after %d of %d runs: %w", s, opts.Seeds, err)
 		}
-		seed := opts.Seed + int64(s)
-		schedule := sim.RandomSchedule(task, seed, opts.Schedule)
-		world := sim.NewWorld(task, schedule, seed)
-		ro := runOpts
-		ro.Seed = seed
-		out, err := Run(ctx, task, world, ro)
-		if err != nil && ctx.Err() != nil {
-			return nil, err
+		if out == nil { // the pool closed before the seed was admitted
+			return nil, fmt.Errorf("ctrl: campaign seed %d did not run: %w", opts.Seed+int64(s), errs[s])
 		}
-		rep.fold(seed, out)
+		rep.fold(opts.Seed+int64(s), out)
 	}
 	rep.CompletionRate = float64(rep.Completed) / float64(rep.Seeds)
 	return rep, nil
+}
+
+// runSeed runs one seed, once the pool (if any) admits it, on a fresh world.
+func runSeed(ctx context.Context, task *migration.Task, opts CampaignOptions, ro Options, seed int64) (*Outcome, error) {
+	if opts.Pool != nil {
+		client, err := opts.Pool.Register(fmt.Sprintf("campaign-%d", seed), sched.ClientOptions{})
+		if err != nil {
+			return nil, err
+		}
+		defer client.Close()
+	}
+	world := sim.NewWorld(task, sim.RandomSchedule(task, seed, opts.Schedule), seed)
+	ro.Seed = seed
+	return Run(ctx, task, world, ro)
 }
 
 // pristinePlan returns the plan every run of the campaign starts from.
@@ -180,7 +193,7 @@ func pristinePlan(ctx context.Context, task *migration.Task, given *core.Plan, c
 }
 
 // fold merges one seed's outcome into the report, in ascending seed
-// order — the single accumulation path both campaign modes share.
+// order.
 func (r *CampaignReport) fold(seed int64, out *Outcome) {
 	r.TotalRetries += out.Retries
 	r.TotalReplans += out.Replans

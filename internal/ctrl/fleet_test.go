@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"klotski/internal/core"
-	"klotski/internal/pipeline"
 	"klotski/internal/sched"
-	"klotski/internal/sim"
 )
 
 // TestFleetByteIdentity plans several members concurrently under one
@@ -212,35 +210,5 @@ func TestFleetMembersReportElapsed(t *testing.T) {
 func TestFleetRequiresPool(t *testing.T) {
 	if _, err := Fleet(context.Background(), nil, FleetOptions{}); err == nil {
 		t.Fatal("Fleet accepted a nil pool")
-	}
-}
-
-// TestCampaignPoolMatchesSerial runs the same chaos campaign serially and
-// through a shared pool and requires byte-identical reports.
-func TestCampaignPoolMatchesSerial(t *testing.T) {
-	task, _ := loopTask(t)
-	base := CampaignOptions{
-		Seeds:    6,
-		Seed:     100,
-		Schedule: sim.ScheduleOptions{Faults: 3},
-		Run: Options{
-			Config: pipeline.Config{Options: core.Options{}},
-		},
-	}
-	serial, err := Campaign(context.Background(), task, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := sched.NewPool(4, nil)
-	defer pool.Close()
-	pooled := base
-	pooled.Pool = pool
-	rep, err := Campaign(context.Background(), task, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, rep) {
-		t.Fatalf("pooled campaign report diverged from serial:\n%+v\n%+v", serial, rep)
 	}
 }

@@ -629,13 +629,19 @@ func RunControlLoop(ctx context.Context, task *Task, world *World, opts ControlO
 
 // ChaosCampaign runs the control loop against many seeded random fault
 // schedules and aggregates completion rate, retries, replans, and
-// boundary-violation counts. Set ChaosCampaignOptions.Pool to run the
-// seeds concurrently under a shared admission pool; the report stays
-// byte-identical to the serial campaign's. Every run starts from the plan
-// of the untouched task: set Run.Plan to the audited plan RunPipeline
-// returned and the campaign does not plan it again; otherwise the campaign
-// plans it once. Run.Plan is ignored unless its audit passed from no
-// executed block and it covers every action.
+// boundary-violation counts. The seeds run on min(Seeds, GOMAXPROCS)
+// goroutines and their outcomes fold in seed order, so the report is the
+// same at any GOMAXPROCS; Run.Sleep and Run.Config.Options.Recorder are
+// called from several goroutines. Run.Config.Options.Evaluator and .Bound
+// serve one planner at a time, so they plan only the untouched task: each
+// goroutine runs its seeds on a fork of the evaluator and on a fresh bound
+// engine, the engines sharing structural cuts through one cut store. Plans
+// are byte-identical either way. Set ChaosCampaignOptions.Pool to also
+// admit each seed through a shared admission pool. Every run starts from
+// the plan of the untouched task: set Run.Plan to the audited plan
+// RunPipeline returned and the campaign does not plan it again; otherwise
+// the campaign plans it once. Run.Plan is ignored unless its audit passed
+// from no executed block and it covers every action.
 func ChaosCampaign(ctx context.Context, task *Task, opts ChaosCampaignOptions) (*ChaosCampaignReport, error) {
 	return ctrl.Campaign(ctx, task, opts)
 }
