@@ -67,7 +67,8 @@
 // With -fleet, instead of planning one NPD document, a manifest of fleet
 // members ({"members":[{"name","npd","planner","priority","min_share"}]})
 // is planned concurrently under one shared admission pool whose worker
-// budget -fleet-workers sets (0 = GOMAXPROCS). Higher-priority
+// budget -fleet-workers sets (0 = GOMAXPROCS); the budget also bounds
+// how many member documents are built at once. Higher-priority
 // members preempt lower-priority ones mid-search (the victim checkpoints
 // and later resumes, producing the identical plan); members planning the
 // same fabric structure share learned lower-bound cuts unless
@@ -103,6 +104,8 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -355,9 +358,10 @@ type fleetOut struct {
 	MakespanMS  int64            `json:"makespan_ms"`
 }
 
-// runFleet loads every manifest member's NPD scenario, plans the fleet
-// concurrently under a shared pool, prints the one-line summary to
-// stderr, and writes the JSON fleet report to -o (default stdout). Any
+// runFleet builds every manifest member's task from its NPD document,
+// within the pool's worker budget, plans the fleet concurrently under
+// that pool, prints the one-line summary to stderr, and writes the JSON
+// fleet report to -o (default stdout). Any
 // member failure makes the exit status non-zero after the report is
 // written. An interrupted fleet (SIGINT/SIGTERM, -timeout) still writes
 // the report, and — with ckptDir set — first seals every interrupted
@@ -376,40 +380,47 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 		return fmt.Errorf("%s: fleet manifest has no members", manifestPath)
 	}
 
-	members := make([]klotski.FleetMember, len(manifest.Members))
+	// Every member must seal to its own checkpoint file: named members
+	// claim theirs now, unnamed ones once their document names them.
+	files := make(map[string]int, len(manifest.Members))
+	claim := func(i int, name string) error {
+		file := fleetCheckpointName(fleetMemberLabel(i, name))
+		if j, ok := files[file]; ok {
+			return fmt.Errorf("%s: members %d and %d both checkpoint to %s; give them distinct names",
+				manifestPath, min(i, j), max(i, j), file)
+		}
+		files[file] = i
+		return nil
+	}
 	for i, m := range manifest.Members {
 		if m.NPD == "" {
 			return fmt.Errorf("%s: member %d (%q) has no npd path", manifestPath, i, m.Name)
 		}
-		f, err := os.Open(m.NPD)
-		if err != nil {
-			return err
-		}
-		doc, err := klotski.LoadNPD(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", m.NPD, err)
-		}
-		task, _, err := doc.Task()
-		if err != nil {
-			return fmt.Errorf("%s: %w", m.NPD, err)
-		}
-		name := m.Name
-		if name == "" {
-			name = doc.Name
-		}
-		members[i] = klotski.FleetMember{
-			Name:     name,
-			Task:     task,
-			Planner:  klotski.FleetPlanner(m.Planner),
-			Options:  opts,
-			Priority: m.Priority,
-			MinShare: m.MinShare,
+		if m.Name != "" {
+			if err := claim(i, m.Name); err != nil {
+				return err
+			}
 		}
 	}
 
 	pool := klotski.NewWorkerPool(workers, rec)
 	defer pool.Close()
+	members, err := buildFleetMembers(manifest.Members, min(len(manifest.Members), pool.Workers()))
+	if err != nil {
+		return err
+	}
+	for i, m := range manifest.Members {
+		if m.Name == "" {
+			if err := claim(i, members[i].Name); err != nil {
+				return err
+			}
+		}
+		members[i].Planner = klotski.FleetPlanner(m.Planner)
+		members[i].Options = opts
+		members[i].Priority = m.Priority
+		members[i].MinShare = m.MinShare
+	}
+
 	rep, fleetErr := klotski.PlanFleet(ctx, members, klotski.FleetOptions{
 		Pool:         pool,
 		NoSharedCuts: noSharedCuts,
@@ -478,6 +489,61 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 	return nil
 }
 
+// buildFleetMembers decodes and builds every manifest member's task on
+// width goroutines, each taking the next member in turn, and returns the
+// members named and tasked (a member without a name takes its document's).
+// When builds fail, the error is the lowest failing member's: the one a
+// serial build would have returned.
+func buildFleetMembers(manifest []fleetManifestMember, width int) ([]klotski.FleetMember, error) {
+	members := make([]klotski.FleetMember, len(manifest))
+	errs := make([]error, len(manifest))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(manifest) {
+					return
+				}
+				members[i], errs[i] = buildFleetMember(manifest[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return members, nil
+}
+
+// buildFleetMember decodes one manifest member's NPD document and builds
+// its task.
+func buildFleetMember(m fleetManifestMember) (klotski.FleetMember, error) {
+	f, err := os.Open(m.NPD)
+	if err != nil {
+		return klotski.FleetMember{}, err
+	}
+	doc, err := klotski.LoadNPD(f)
+	f.Close()
+	if err != nil {
+		return klotski.FleetMember{}, fmt.Errorf("%s: %w", m.NPD, err)
+	}
+	task, _, err := doc.Task()
+	if err != nil {
+		return klotski.FleetMember{}, fmt.Errorf("%s: %w", m.NPD, err)
+	}
+	name := m.Name
+	if name == "" {
+		name = doc.Name
+	}
+	return klotski.FleetMember{Name: name, Task: task}, nil
+}
+
 // checkpointFleetMembers seals the best safe partial sequence of every
 // interrupted fleet member into dir — one klotski/plan envelope per
 // member, named <member>.ckpt.json — mirroring what -checkpoint does for
@@ -500,10 +566,7 @@ func checkpointFleetMembers(rep *klotski.FleetReport, dir string, opts klotski.O
 		if m.Err == nil || !errors.As(m.Err, &interrupted) {
 			continue
 		}
-		name := m.Name
-		if name == "" {
-			name = fmt.Sprintf("member-%d", i)
-		}
+		name := fleetMemberLabel(i, m.Name)
 		path := filepath.Join(dir, fleetCheckpointName(name))
 		n, werr := writeCheckpoint(path, interrupted, opts)
 		if werr != nil {
@@ -515,6 +578,15 @@ func checkpointFleetMembers(rep *klotski.FleetReport, dir string, opts klotski.O
 		written++
 	}
 	return written
+}
+
+// fleetMemberLabel names fleet member i in checkpoint files and messages:
+// its name, or member-<i> when it has none.
+func fleetMemberLabel(i int, name string) string {
+	if name == "" {
+		return fmt.Sprintf("member-%d", i)
+	}
+	return name
 }
 
 // fleetCheckpointName maps a manifest member name to its checkpoint file

@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -492,16 +494,47 @@ func writeFleetManifest(t *testing.T, names ...string) string {
 	if err := os.WriteFile(npdPath, []byte(testNPD), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var manifest fleetManifest
+	var members []fleetManifestMember
 	for _, name := range names {
-		manifest.Members = append(manifest.Members, fleetManifestMember{Name: name, NPD: npdPath})
+		members = append(members, fleetManifestMember{Name: name, NPD: npdPath})
 	}
-	data, err := json.Marshal(manifest)
+	return writeManifest(t, dir, members)
+}
+
+// writeManifest writes a fleet manifest of the given members into dir.
+func writeManifest(t *testing.T, dir string, members []fleetManifestMember) string {
+	t.Helper()
+	data, err := json.Marshal(fleetManifest{Members: members})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := filepath.Join(dir, "fleet.json")
 	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// writeSuiteNPD writes suite × 0.25 into dir as an NPD document, the way
+// topogen -suite does, and returns its path.
+func writeSuiteNPD(t *testing.T, dir, suite string) string {
+	t.Helper()
+	s, err := klotski.Suite(suite, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := npd.FromRegionParams(s.Name, s.Region.Params)
+	doc.Migration = &npd.MigrationPart{Kind: npd.MigrationHGRID}
+	if suite == "E-SSW" {
+		doc.Migration = &npd.MigrationPart{Kind: npd.MigrationForklift}
+	}
+	p := filepath.Join(dir, suite+".json")
+	f, err := os.Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := doc.Encode(f); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -528,6 +561,103 @@ func TestRunFleet(t *testing.T) {
 	for _, m := range rep.Members {
 		if !m.Completed || m.Actions == 0 {
 			t.Errorf("member %q did not complete: %+v", m.Name, m)
+		}
+	}
+
+	// Member builds run on min(members, pool workers) goroutines, and the
+	// pool's budget defaults to GOMAXPROCS: at 1 they build one after
+	// another, at 2 concurrently, and the report must not tell them apart.
+	dir := t.TempDir()
+	mixed := writeManifest(t, dir, []fleetManifestMember{
+		{Name: "A", NPD: writeSuiteNPD(t, dir, "A"), Planner: "astar"},
+		{Name: "B", NPD: writeSuiteNPD(t, dir, "B"), Planner: "dp"},
+		{NPD: writeSuiteNPD(t, dir, "C"), Planner: "astar"},
+		{Name: "D", NPD: writeSuiteNPD(t, dir, "D"), Planner: "dp"},
+		{Name: "E-SSW", NPD: writeSuiteNPD(t, dir, "E-SSW"), Planner: "dp"},
+	})
+	reports := make(map[int]fleetOut)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		outPath := filepath.Join(dir, fmt.Sprintf("report-%d.json", procs))
+		err := run(context.Background(), []string{"-fleet", mixed, "-o", outPath}, &out, &errBuf)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v (stderr: %s)", procs, err, errBuf.String())
+		}
+		data, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep fleetOut
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		rep.MakespanMS = 0
+		for i := range rep.Members {
+			rep.Members[i].WaitMS, rep.Members[i].ElapsedMS = 0, 0
+		}
+		reports[procs] = rep
+	}
+	if rep := reports[1]; rep.Completed != 5 || rep.Members[2].Name != "C" {
+		t.Fatalf("fleet report at GOMAXPROCS 1: %+v", rep)
+	}
+	if !reflect.DeepEqual(reports[1], reports[2]) {
+		t.Errorf("fleet report at GOMAXPROCS 2 differs from GOMAXPROCS 1:\n%+v\n%+v", reports[2], reports[1])
+	}
+}
+
+// TestRunFleetBuildErrorIsLowestMember: when several members fail to
+// build, the fleet returns the first failing member's error, as a serial
+// build loop would have, and plans and reports nothing.
+func TestRunFleetBuildErrorIsLowestMember(t *testing.T) {
+	dir := t.TempDir()
+	good := writeSuiteNPD(t, dir, "A")
+	missing := filepath.Join(dir, "missing.json")
+	malformed := filepath.Join(dir, "malformed.json")
+	if err := os.WriteFile(malformed, []byte(`{"version": 1, "name": `), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := writeManifest(t, dir, []fleetManifestMember{
+		{Name: "m0", NPD: good}, {Name: "m1", NPD: missing},
+		{Name: "m2", NPD: good}, {Name: "m3", NPD: malformed},
+	})
+	_, want := os.Open(missing)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		outPath := filepath.Join(dir, "report.json")
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), []string{"-fleet", manifest, "-o", outPath}, &out, &errBuf)
+		runtime.GOMAXPROCS(prev)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("GOMAXPROCS %d: error %v, want member 1's %v", procs, err, want)
+		}
+		if _, err := os.Stat(outPath); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("GOMAXPROCS %d: a fleet that failed to build wrote a report (%v)", procs, err)
+		}
+	}
+}
+
+// TestRunFleetRejectsCollidingNames: two members that would seal to the
+// same <name>.ckpt.json are rejected before anything is planned, whether
+// their names are equal, differ only in a flattened path separator, or
+// both default to one document's name.
+func TestRunFleetRejectsCollidingNames(t *testing.T) {
+	for _, names := range [][]string{
+		{"a/b", "a_b"},
+		{"east", "east"},
+		{"", ""},
+		{"cmd-test", "west", ""},
+	} {
+		manifest := writeFleetManifest(t, names...)
+		outPath := filepath.Join(t.TempDir(), "report.json")
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), []string{"-fleet", manifest, "-o", outPath}, &out, &errBuf)
+		last := len(names) - 1
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("members 0 and %d", last)) {
+			t.Errorf("names %q: error %v, want members 0 and %d rejected", names, err, last)
+		}
+		if _, err := os.Stat(outPath); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("names %q: a rejected fleet wrote a report (%v)", names, err)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package gen
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -301,7 +303,7 @@ func TestShapeLayerCapacities(t *testing.T) {
 		cid := topo.CircuitID(c)
 		ck := r.Topo.Circuit(cid)
 		ab, ba := eval.CircuitLoad(cid)
-		layer := LayerOf(r.Topo, ck)
+		layer := layerOf(r.Topo, ck).String()
 		if u := (ab + ba) / ck.Capacity; u > maxPer[layer] {
 			maxPer[layer] = u
 		}
@@ -550,6 +552,48 @@ func TestJointScenario(t *testing.T) {
 				t.Fatalf("inter-region demand %s unroutable: %v", d.Name, err)
 			}
 			break
+		}
+	}
+}
+
+// TestSuiteFabricsPinned pins every generated fabric bit for bit: one
+// FNV-64a hash per suite and scale over every circuit capacity (in circuit
+// ID order), every switch name (in switch ID order) and every demand rate
+// (in demand order). A builder change that moves any capacity, name or rate
+// changes the scenarios every pinned plan is computed on.
+func TestSuiteFabricsPinned(t *testing.T) {
+	want := map[float64]map[string]uint64{
+		0.25: {
+			"A": 0x07d1ca6e03055f59, "B": 0x4dfd84af48e38152, "C": 0xcdabcac1bba66955,
+			"D": 0x5581fa482c67b35a, "E": 0xd50615bbfbc0a665,
+			"E-DMAG": 0x1a054c2e5da5cce9, "E-SSW": 0x27c9cdcffba40e15,
+		},
+		1: {
+			"A": 0xa835ca0f26dd324b, "B": 0xd0b507a53a327f85, "C": 0x43bd25b069c68bfe,
+			"D": 0xdd37d285be9467be, "E": 0x9e5723312167b277,
+			"E-DMAG": 0xbb3f5fd6a9c649b7, "E-SSW": 0xda3341f376e737b1,
+		},
+	}
+	for _, scale := range []float64{0.25, 1} {
+		for _, name := range SuiteNames() {
+			s := buildSuite(t, name, scale)
+			tp := s.Task.Topo
+			h := fnv.New64a()
+			var b [8]byte
+			for c := 0; c < tp.NumCircuits(); c++ {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(tp.Circuit(topo.CircuitID(c)).Capacity))
+				h.Write(b[:])
+			}
+			for i := 0; i < tp.NumSwitches(); i++ {
+				h.Write([]byte(tp.Switch(topo.SwitchID(i)).Name))
+			}
+			for _, d := range s.Task.Demands.Demands {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(d.Rate))
+				h.Write(b[:])
+			}
+			if got := h.Sum64(); got != want[scale][name] {
+				t.Errorf("%s×%g: fabric hash %016x, want %016x", name, scale, got, want[scale][name])
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@
 package gen
 
 import (
-	"fmt"
+	"strconv"
 
 	"klotski/internal/topo"
 )
@@ -175,13 +175,13 @@ func BuildRegion(p RegionParams) *Region {
 	// Backbone boundary, top-down so lower layers can reference it.
 	for i := 0; i < p.EBBs; i++ {
 		r.EBBSw = append(r.EBBSw, t.AddSwitch(topo.Switch{
-			Name: fmt.Sprintf("ebb%d", i), Role: topo.RoleEBB,
+			Name: "ebb" + strconv.Itoa(i), Role: topo.RoleEBB,
 			DC: -1, Pod: -1, Plane: -1, Grid: -1, Generation: 1,
 		}))
 	}
 	for i := 0; i < p.DRs; i++ {
 		id := t.AddSwitch(topo.Switch{
-			Name: fmt.Sprintf("dr%d", i), Role: topo.RoleDR,
+			Name: "dr" + strconv.Itoa(i), Role: topo.RoleDR,
 			DC: -1, Pod: -1, Plane: -1, Grid: -1, Generation: 1,
 		})
 		r.DRSw = append(r.DRSw, id)
@@ -191,7 +191,7 @@ func BuildRegion(p RegionParams) *Region {
 	}
 	for i := 0; i < p.EBs; i++ {
 		id := t.AddSwitch(topo.Switch{
-			Name: fmt.Sprintf("eb%d", i), Role: topo.RoleEB,
+			Name: "eb" + strconv.Itoa(i), Role: topo.RoleEB,
 			DC: -1, Pod: -1, Plane: -1, Grid: -1, Generation: 1,
 		})
 		r.EBSw = append(r.EBSw, id)
@@ -211,13 +211,13 @@ func BuildRegion(p RegionParams) *Region {
 		grid := Grid{}
 		for i := 0; i < h.FADUPerGrid; i++ {
 			grid.FADUs = append(grid.FADUs, t.AddSwitch(topo.Switch{
-				Name: fmt.Sprintf("fadu-v1-g%d-%d", g, i), Role: topo.RoleFADU,
+				Name: "fadu-v1-g" + strconv.Itoa(g) + "-" + strconv.Itoa(i), Role: topo.RoleFADU,
 				DC: -1, Pod: -1, Plane: -1, Grid: g, Generation: h.Generation,
 			}))
 		}
 		for i := 0; i < h.FAUUPerGrid; i++ {
 			id := t.AddSwitch(topo.Switch{
-				Name: fmt.Sprintf("fauu-v1-g%d-%d", g, i), Role: topo.RoleFAUU,
+				Name: "fauu-v1-g" + strconv.Itoa(g) + "-" + strconv.Itoa(i), Role: topo.RoleFAUU,
 				DC: -1, Pod: -1, Plane: -1, Grid: g, Generation: h.Generation,
 			})
 			grid.FAUUs = append(grid.FAUUs, id)
@@ -248,13 +248,14 @@ func (r *Region) buildFabric(d int) {
 	p := r.Params.DCs[d]
 	h := r.Params.HGRID
 	t := r.Topo
+	dc := "d" + strconv.Itoa(d)
 
 	// Spine planes.
 	ssws := make([][]topo.SwitchID, p.Planes)
 	for q := 0; q < p.Planes; q++ {
 		for j := 0; j < p.SSWPerPlane; j++ {
 			id := t.AddSwitch(topo.Switch{
-				Name: fmt.Sprintf("d%d-ssw-q%d-%d", d, q, j), Role: topo.RoleSSW,
+				Name: dc + "-ssw-q" + strconv.Itoa(q) + "-" + strconv.Itoa(j), Role: topo.RoleSSW,
 				DC: d, Pod: -1, Plane: q, Grid: -1, Generation: 1,
 			})
 			ssws[q] = append(ssws[q], id)
@@ -273,10 +274,11 @@ func (r *Region) buildFabric(d int) {
 	// Pods: FSWs and RSWs.
 	var fsws, rsws []topo.SwitchID
 	for pod := 0; pod < p.Pods; pod++ {
+		podName := dc + "-p" + strconv.Itoa(pod)
 		podFSWs := make([]topo.SwitchID, 0, p.FSWPerPod)
 		for i := 0; i < p.FSWPerPod; i++ {
 			id := t.AddSwitch(topo.Switch{
-				Name: fmt.Sprintf("d%d-p%d-fsw%d", d, pod, i), Role: topo.RoleFSW,
+				Name: podName + "-fsw" + strconv.Itoa(i), Role: topo.RoleFSW,
 				DC: d, Pod: pod, Plane: -1, Grid: -1, Generation: 1,
 			})
 			podFSWs = append(podFSWs, id)
@@ -292,7 +294,7 @@ func (r *Region) buildFabric(d int) {
 		}
 		for rk := 0; rk < p.RSWPerPod; rk++ {
 			id := t.AddSwitch(topo.Switch{
-				Name: fmt.Sprintf("d%d-p%d-rsw%d", d, pod, rk), Role: topo.RoleRSW,
+				Name: podName + "-rsw" + strconv.Itoa(rk), Role: topo.RoleRSW,
 				DC: d, Pod: pod, Plane: -1, Grid: -1, Generation: 1,
 			})
 			rsws = append(rsws, id)

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strings"
 
 	"klotski/internal/demand"
 	"klotski/internal/routing"
@@ -18,14 +19,51 @@ import (
 // ECMP placement depends only on topology and metrics — never on capacity —
 // so shaping is exact and does not perturb routing.
 
-// LayerOf returns the canonical layer key of a circuit: the two endpoint
-// roles joined bottom-up, e.g. "SSW-FADU".
-func LayerOf(t *topo.Topology, c *topo.Circuit) string {
+// layer is a circuit's layer as an integer: its endpoint roles ordered
+// bottom-up, lo*NumRoles + hi. Shaping keys every circuit by it, so a
+// layer's name is only made for the targets and the returned peaks.
+type layer int
+
+const numLayers = int(topo.NumRoles) * int(topo.NumRoles)
+
+// layerOf returns the layer of a circuit.
+func layerOf(t *topo.Topology, c *topo.Circuit) layer {
 	ra, rb := t.Switch(c.A).Role, t.Switch(c.B).Role
 	if rb < ra {
 		ra, rb = rb, ra
 	}
-	return ra.String() + "-" + rb.String()
+	return layerBetween(ra, rb)
+}
+
+// layerBetween returns the layer from role lo up to role hi.
+func layerBetween(lo, hi topo.Role) layer {
+	return layer(int(lo)*int(topo.NumRoles) + int(hi))
+}
+
+// String returns the layer's name, e.g. "SSW-FADU".
+func (l layer) String() string {
+	return topo.Role(int(l)/int(topo.NumRoles)).String() + "-" + topo.Role(int(l)%int(topo.NumRoles)).String()
+}
+
+// parseLayer returns the layer a name such as "SSW-FADU" denotes: exactly
+// the layer's String, so a name no circuit's layer has (a misspelt role,
+// or roles top-down) has no layer.
+func parseLayer(name string) (layer, bool) {
+	a, b, _ := strings.Cut(name, "-")
+	ra, rb := roleNamed(a), roleNamed(b)
+	if ra == topo.NumRoles || rb == topo.NumRoles || rb < ra {
+		return 0, false
+	}
+	return layerBetween(ra, rb), true
+}
+
+// roleNamed returns the role whose String is exactly name, or NumRoles.
+func roleNamed(name string) topo.Role {
+	r := topo.Role(0)
+	for r < topo.NumRoles && r.String() != name {
+		r++
+	}
+	return r
 }
 
 // ShapeLayerCapacities rescales every circuit's capacity so that each
@@ -49,7 +87,7 @@ func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]f
 		return nil, 0, fmt.Errorf("gen: cannot shape capacities: %s", viol)
 	}
 
-	peak := make(map[string]float64)
+	var peak [numLayers]float64
 	for c := 0; c < t.NumCircuits(); c++ {
 		cid := topo.CircuitID(c)
 		if !t.CircuitUp(cid) {
@@ -57,27 +95,26 @@ func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]f
 		}
 		ck := t.Circuit(cid)
 		ab, ba := eval.CircuitLoad(cid)
-		if u := (ab + ba) / ck.Capacity; u > peak[LayerOf(t, ck)] {
-			peak[LayerOf(t, ck)] = u
+		if u, l := (ab+ba)/ck.Capacity, layerOf(t, ck); u > peak[l] {
+			peak[l] = u
 		}
 	}
 
-	scale := make(map[string]float64)
-	for layer, target := range targets {
-		if target <= 0 {
-			return nil, 0, fmt.Errorf("gen: non-positive shaping target for layer %s", layer)
+	// scale[l] is 0 for a layer shaping leaves alone.
+	var scale, target [numLayers]float64
+	for name, tg := range targets {
+		if tg <= 0 {
+			return nil, 0, fmt.Errorf("gen: non-positive shaping target for layer %s", name)
 		}
-		if p := peak[layer]; p > 0 {
-			scale[layer] = p / target
+		if l, ok := parseLayer(name); ok && peak[l] > 0 {
+			scale[l], target[l] = peak[l]/tg, tg
 		}
 	}
-	out := make(map[string]float64)
 	baseMax := 0.0
 	for c := 0; c < t.NumCircuits(); c++ {
 		cid := topo.CircuitID(c)
 		ck := t.Circuit(cid)
-		layer := LayerOf(t, ck)
-		if f, ok := scale[layer]; ok {
+		if f := scale[layerOf(t, ck)]; f != 0 {
 			t.SetCapacity(ck.ID, ck.Capacity*f)
 		}
 		if view.CircuitUp(cid) {
@@ -87,11 +124,13 @@ func ShapeLayerCapacities(t *topo.Topology, ds *demand.Set, targets map[string]f
 			}
 		}
 	}
-	for layer, p := range peak {
-		if _, ok := scale[layer]; ok {
-			out[layer] = targets[layer]
-		} else {
-			out[layer] = p
+	out := make(map[string]float64)
+	for l, p := range peak {
+		if scale[l] != 0 {
+			p = target[l]
+		}
+		if p > 0 {
+			out[layer(l).String()] = p
 		}
 	}
 	return out, baseMax, nil

@@ -40,7 +40,10 @@ const (
 	RoleEB           // edge/backbone border router on the backbone side
 	RoleDR           // datacenter router at the DC/backbone boundary
 	RoleEBB          // express backbone router at the WAN core
-	numRoles
+
+	// NumRoles bounds the roles: every Role value in use is below it, so
+	// a per-role table can be a fixed array.
+	NumRoles
 )
 
 var roleNames = [...]string{
@@ -65,7 +68,7 @@ func (r Role) String() string {
 }
 
 // Valid reports whether r is one of the defined switch roles.
-func (r Role) Valid() bool { return r > RoleUnknown && r < numRoles }
+func (r Role) Valid() bool { return r > RoleUnknown && r < NumRoles }
 
 // ParseRole converts a role name such as "SSW" (case-insensitive) back to a
 // Role. It returns an error for unknown names.
@@ -81,8 +84,8 @@ func ParseRole(s string) (Role, error) {
 
 // Roles returns all defined roles in bottom-up layer order.
 func Roles() []Role {
-	rs := make([]Role, 0, numRoles-1)
-	for r := RoleRSW; r < numRoles; r++ {
+	rs := make([]Role, 0, NumRoles-1)
+	for r := RoleRSW; r < NumRoles; r++ {
 		rs = append(rs, r)
 	}
 	return rs
