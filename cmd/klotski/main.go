@@ -738,9 +738,9 @@ func documentSequence(task *klotski.Task, docName string, prev *npd.PlanDocument
 
 // auditDocument independently verifies a plan or checkpoint document
 // against the NPD scenario: the full sequence is replayed on a pristine
-// serial evaluator and every observable boundary state is checked. A
-// checkpoint's partial sequence is audited with its endpoint as the final
-// observable state.
+// serial evaluator and every observable boundary state is checked, under
+// the -growth forecast when one is given. A checkpoint's partial sequence
+// is audited with its endpoint as the final observable state.
 func auditDocument(doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPath string, stderr io.Writer) error {
 	prev, err := readPlanDocument(planPath)
 	if err != nil {
@@ -753,6 +753,9 @@ func auditDocument(doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPat
 	seq, err := documentSequence(task, doc.Name, prev)
 	if err != nil {
 		return err
+	}
+	if cfg.Forecast.GrowthPerStep != 0 {
+		task = task.WithForecast(cfg.Forecast)
 	}
 	opts := cfg.Options
 	if opts.Theta <= 0 {

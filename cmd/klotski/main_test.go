@@ -348,6 +348,36 @@ func TestRunAuditMode(t *testing.T) {
 	}
 }
 
+// TestRunAuditHonoursGrowth: -audit checks the plan against the -growth
+// forecast, as planning does. A plan made without growth is unsafe once
+// demand grows 1% a step; a plan made under that growth passes its audit.
+func TestRunAuditHonoursGrowth(t *testing.T) {
+	npdPath := writeNPD(t)
+	dir := t.TempDir()
+	flat := filepath.Join(dir, "flat.json")
+	grown := filepath.Join(dir, "grown.json")
+	var out, errBuf bytes.Buffer
+	for _, args := range [][]string{
+		{"-npd", npdPath, "-o", flat},
+		{"-npd", npdPath, "-growth", "0.01", "-o", grown},
+		{"-npd", npdPath, "-audit", flat},
+		{"-npd", npdPath, "-growth", "0.01", "-audit", grown},
+	} {
+		errBuf.Reset()
+		if err := run(context.Background(), args, &out, &errBuf); err != nil {
+			t.Fatalf("%v: %v (stderr: %s)", args, err, errBuf.String())
+		}
+	}
+	errBuf.Reset()
+	err := run(context.Background(), []string{"-npd", npdPath, "-growth", "0.01", "-audit", flat}, &out, &errBuf)
+	if err == nil {
+		t.Fatalf("-growth 0.01 -audit accepted a plan made without growth (stderr: %s)", errBuf.String())
+	}
+	if !strings.Contains(err.Error(), "failed at step 6") {
+		t.Errorf("growth verdict should name step 6: %v", err)
+	}
+}
+
 // TestRunAuditRejectsCorruptSealedFile: a sealed document whose payload
 // was altered after sealing must be refused by checksum, not misparsed.
 func TestRunAuditRejectsCorruptSealedFile(t *testing.T) {

@@ -199,6 +199,16 @@ func Verify(task *migration.Task, seq []int, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
+// CheckSequence is Verify's structural audit alone, as an error: no
+// network state is replayed.
+func CheckSequence(task *migration.Task, seq []int, cfg Config) error {
+	rep := &Report{FailStep: -1}
+	if !validateSequence(task, seq, &cfg, rep) {
+		return fmt.Errorf("audit: %s", rep.Reason)
+	}
+	return nil
+}
+
 // fail records the first audit failure and reports false.
 func (r *Report) fail(step int, format string, args ...any) bool {
 	r.Passed = false
@@ -207,7 +217,8 @@ func (r *Report) fail(step int, format string, args ...any) bool {
 	return false
 }
 
-// validateSequence performs the structural audit: every referenced block
+// validateSequence performs the structural audit: a canonical resume may
+// count at most each type's blocks as executed, every referenced block
 // must exist, appear at most once (and not among the already-executed
 // prefix), respect canonical within-type order unless FreeOrder, and —
 // unless AllowPartial — the sequence must finish the migration. This is
@@ -231,6 +242,11 @@ func validateSequence(task *migration.Task, seq []int, cfg *Config, rep *Report)
 		}
 	} else if cfg.InitialCounts != nil {
 		copy(counts, cfg.InitialCounts)
+		for ty, c := range counts {
+			if total := len(task.BlocksOfType(migration.ActionType(ty))); c < 0 || c > total {
+				return rep.fail(0, "resumed after %d of the %d blocks of type %s", c, total, task.Types[ty].Name)
+			}
+		}
 	}
 	for i, id := range seq {
 		if id < 0 || id >= len(task.Blocks) {

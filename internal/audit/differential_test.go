@@ -57,7 +57,45 @@ func verify(t *testing.T, label string, task *migration.Task, seq []int, cfg aud
 	if rep.WorstUtil != worst {
 		t.Fatalf("%s: WorstUtil %v, largest step MaxUtil %v", label, rep.WorstUtil, worst)
 	}
+	verifiersAgree(t, label, task, seq, cfg, rep)
 	return rep
+}
+
+// verifiersAgree holds core's plan checkers to the report on every config
+// they can express (no AllowPartial, no Executed prefix): VerifyPlan, or
+// VerifyPlanFreeOrder in free order, passes iff the report passed and fails
+// with ErrInfeasible iff its last Step failed; on canonical configs,
+// ValidateSequence fails iff the report failed before any Step.
+func verifiersAgree(t *testing.T, label string, task *migration.Task, seq []int, cfg audit.Config, rep *audit.Report) {
+	t.Helper()
+	if cfg.AllowPartial || cfg.Executed != nil {
+		return
+	}
+	opts := core.Options{
+		Theta:            cfg.Theta,
+		Split:            cfg.Split,
+		FunnelFactor:     cfg.FunnelFactor,
+		MaxRunLength:     cfg.MaxRunLength,
+		SpaceBudget:      cfg.SpaceBudget,
+		InitialCounts:    cfg.InitialCounts,
+		InitialLast:      cfg.InitialLast,
+		InitialRunLength: cfg.InitialRunLength,
+	}
+	name, verifyPlan := "VerifyPlan", core.VerifyPlan
+	if cfg.FreeOrder {
+		name, verifyPlan = "VerifyPlanFreeOrder", core.VerifyPlanFreeOrder
+	}
+	err := verifyPlan(task, seq, opts)
+	unsafe := len(rep.Steps) > 0 && !rep.Steps[len(rep.Steps)-1].OK
+	if (err == nil) != rep.Passed || errors.Is(err, core.ErrInfeasible) != unsafe {
+		t.Fatalf("%s: %s returned %v for report %s", label, name, err, rep)
+	}
+	if cfg.FreeOrder {
+		return
+	}
+	if err := core.ValidateSequence(task, seq, cfg.InitialCounts); (err != nil) != (!rep.Passed && len(rep.Steps) == 0) {
+		t.Fatalf("%s: ValidateSequence returned %v for report %s", label, err, rep)
+	}
 }
 
 // baseConfig mirrors core's auditConfig mapping for a planning option set.
@@ -112,6 +150,12 @@ func exerciseFabric(t *testing.T, task *migration.Task, opts core.Options) bool 
 		r := verify(t, "tight-occupancy", task, seq, occ)
 		if r.Passed || !strings.Contains(r.Reason, "space budget exceeded") {
 			t.Fatalf("occupancy budget 1: passed=%v reason=%q", r.Passed, r.Reason)
+		}
+		// The free-order replay applies the budget too.
+		occ.FreeOrder = true
+		r = verify(t, "free-order-tight-occupancy", task, seq, occ)
+		if r.Passed || !strings.Contains(r.Reason, "space budget exceeded") {
+			t.Fatalf("free-order occupancy budget 1: passed=%v reason=%q", r.Passed, r.Reason)
 		}
 	}
 

@@ -430,42 +430,30 @@ func CompletionLowerBound(t *migration.Task, counts []int, last migration.Action
 	return bound.RelaxCapped(units, rem, alpha, int(last), maxRun, maxRun)
 }
 
-// ValidateSequence checks that a block sequence is a permutation of the
-// task's blocks not yet executed (given initialCounts, which may be nil)
-// and that blocks of each type appear in canonical order. Baselines and
-// the execution simulator rely on it.
-func ValidateSequence(t *migration.Task, seq []int, initialCounts []int) error {
-	counts := make([]int, t.NumTypes())
-	if initialCounts != nil {
-		copy(counts, initialCounts)
+// CheckState verifies the single network state given by per-type progress
+// counts (how many blocks of each type have been executed, in canonical
+// order) against the demand, port, and space constraints.
+func CheckState(task *migration.Task, counts []int, opts Options) error {
+	opts.InitialCounts = counts
+	opts.InitialLast = NoLast
+	sp, err := newSpace(task, opts)
+	if err != nil {
+		return err
 	}
-	seen := make(map[int]bool, len(seq))
-	for _, id := range seq {
-		if id < 0 || id >= len(t.Blocks) {
-			return fmt.Errorf("core: sequence references invalid block %d", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("core: block %d appears twice in sequence", id)
-		}
-		seen[id] = true
-		ty := t.Blocks[id].Type
-		ofType := t.BlocksOfType(ty)
-		if counts[ty] >= len(ofType) {
-			return fmt.Errorf("core: too many blocks of type %s in sequence", t.Types[ty].Name)
-		}
-		if want := ofType[counts[ty]]; want != id {
-			return fmt.Errorf("core: block %d of type %s out of canonical order (want %d)",
-				id, t.Types[ty].Name, want)
-		}
-		counts[ty]++
-	}
-	for ty, c := range counts {
-		if c != len(t.BlocksOfType(migration.ActionType(ty))) {
-			return fmt.Errorf("core: sequence incomplete for type %s (%d of %d)",
-				t.Types[ty].Name, c, len(t.BlocksOfType(migration.ActionType(ty))))
-		}
+	idx, _ := sp.intern(sp.initial)
+	if !sp.feasible(idx, NoLast) {
+		return planErrf(ErrInfeasible, "state %v violates constraints", counts)
 	}
 	return nil
+}
+
+// ValidateSequence checks that a block sequence is a permutation of the
+// task's blocks not yet executed (given initialCounts, which may be nil)
+// and that blocks of each type appear in canonical order: the audit's
+// structural check (audit.CheckSequence). The execution simulator relies on
+// it.
+func ValidateSequence(t *migration.Task, seq []int, initialCounts []int) error {
+	return audit.CheckSequence(t, seq, audit.Config{InitialCounts: initialCounts})
 }
 
 // unitCost returns the effective unit cost of an action type.

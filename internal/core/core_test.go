@@ -440,6 +440,13 @@ func TestVerifyPlanRejectsIncompleteAndDisordered(t *testing.T) {
 	if err := VerifyPlan(task, []int{0, 0, 2, 3}, Options{}); err == nil {
 		t.Error("duplicate block should be rejected")
 	}
+	resumed := Options{InitialCounts: []int{-1, 2}, InitialLast: 1}
+	if err := VerifyPlan(task, []int{0, 1}, resumed); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Errorf("negative initial count: want a structural error, got %v", err)
+	}
+	if err := ValidateSequence(task, []int{0, 1}, resumed.InitialCounts); err == nil {
+		t.Error("negative initial count should fail the sequence check")
+	}
 }
 
 func TestSequenceCost(t *testing.T) {

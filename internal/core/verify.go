@@ -4,135 +4,48 @@ import (
 	"fmt"
 
 	"klotski/internal/migration"
-	"klotski/internal/routing"
 )
 
-// VerifyPlanFreeOrder audits a plan that may operate same-type blocks out
-// of canonical order (baseline planners are not bound by Klotski's
-// ordering-agnostic state representation). It checks that the sequence is
-// a complete permutation of the task's blocks and that the initial state,
-// every run boundary, and the final state satisfy the demand and port
-// constraints. Funneling headroom and space budgets, which are defined on
-// the canonical representation, are not applied.
-func VerifyPlanFreeOrder(task *migration.Task, seq []int, opts Options) error {
-	if err := task.Validate(); err != nil {
-		return err
-	}
-	seen := make(map[int]bool, len(seq))
-	for _, id := range seq {
-		if id < 0 || id >= len(task.Blocks) {
-			return fmt.Errorf("core: sequence references invalid block %d", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("core: block %d appears twice in sequence", id)
-		}
-		seen[id] = true
-	}
-	if len(seen) != len(task.Blocks) {
-		return fmt.Errorf("core: sequence covers %d of %d blocks", len(seen), len(task.Blocks))
-	}
-	eval := routing.NewEvaluator(task.Topo)
-	view := task.Topo.NewView()
-	copts := routing.CheckOpts{Theta: opts.theta(), Split: opts.Split}
-	// Boundary checks sample the task's demand forecast at each state's
-	// horizon (finished-action count), matching the canonical-order
-	// planners and the audit replay.
-	if viol := eval.Check(view, &task.Demands, copts); !viol.OK() {
-		return planErrf(ErrInfeasible, "initial state unsafe: %s", viol)
-	}
-	last := NoLast
-	for i, id := range seq {
-		ty := task.Blocks[id].Type
-		if last != NoLast && ty != last {
-			copts.DemandScale = task.Forecast.ScaleAt(i)
-			if viol := eval.Check(view, &task.Demands, copts); !viol.OK() {
-				return planErrf(ErrInfeasible, "unsafe run boundary before step %d (%s): %s",
-					i, task.Blocks[id].Name, viol)
-			}
-		}
-		task.Apply(view, id)
-		last = ty
-	}
-	copts.DemandScale = task.Forecast.ScaleAt(len(seq))
-	if viol := eval.Check(view, &task.Demands, copts); !viol.OK() {
-		return planErrf(ErrInfeasible, "final state unsafe: %s", viol)
-	}
-	return nil
-}
-
-// CheckState verifies the single network state given by per-type progress
-// counts (how many blocks of each type have been executed, in canonical
-// order) against the demand, port, and space constraints.
-func CheckState(task *migration.Task, counts []int, opts Options) error {
-	opts.InitialCounts = counts
-	opts.InitialLast = NoLast
-	sp, err := newSpace(task, opts)
-	if err != nil {
-		return err
-	}
-	idx, _ := sp.intern(sp.initial)
-	if !sp.feasible(idx, NoLast) {
-		return planErrf(ErrInfeasible, "state %v violates constraints", counts)
-	}
-	return nil
-}
-
-// VerifyPlan independently audits a migration plan: the sequence must be a
-// canonical-order permutation of the task's remaining blocks, and the
-// initial state, every run boundary, and the final state must satisfy the
-// demand, port, and (when configured) space constraints.
+// VerifyPlan is the independent audit of internal/audit as an error: the
+// sequence must be a canonical-order permutation of the task's remaining
+// blocks, and the initial state, every run boundary, and the final state
+// must satisfy the demand, port, and (when configured) space constraints.
+// An unsafe state fails with ErrInfeasible; a malformed sequence fails with
+// a plain error.
 //
 // This is the "extra audits and safety checks" layer of the paper's
 // deployment section (§7.2): plans are re-verified before execution and
 // after any out-of-band change, independently of the planner that produced
 // them.
 func VerifyPlan(task *migration.Task, seq []int, opts Options) error {
-	if err := task.Validate(); err != nil {
+	return verify(task, seq, opts, false)
+}
+
+// VerifyPlanFreeOrder is VerifyPlan on the audit's free-order replay, for
+// plans that may operate same-type blocks out of canonical order (baseline
+// planners are not bound by Klotski's ordering-agnostic state
+// representation). The sequence must be a complete permutation of the
+// task's blocks; space budgets apply, while funneling headroom and run-cap
+// splits, which are defined on the canonical representation, do not.
+func VerifyPlanFreeOrder(task *migration.Task, seq []int, opts Options) error {
+	return verify(task, seq, opts, true)
+}
+
+// verify audits seq under opts and reads the verdict off the report: an
+// unsafe state is a failed last Step, a structural fault leaves none.
+func verify(task *migration.Task, seq []int, opts Options, freeOrder bool) error {
+	if err := opts.validate(); err != nil {
 		return err
 	}
-	if err := ValidateSequence(task, seq, opts.InitialCounts); err != nil {
-		return err
-	}
-	sp, err := newSpace(task, opts)
+	rep, err := AuditSequence(task, seq, opts, freeOrder)
 	if err != nil {
 		return err
 	}
-	vec := append([]uint16(nil), sp.initial...)
-	idx, _ := sp.intern(vec)
-	if !sp.feasible(idx, NoLast) {
-		return planErrf(ErrInfeasible, "initial state unsafe")
+	if rep.Passed {
+		return nil
 	}
-	last := NoLast
-	tail := 0
-	if opts.InitialCounts != nil {
-		last = opts.InitialLast
-		tail = opts.InitialRunLength
+	if n := len(rep.Steps); n > 0 && !rep.Steps[n-1].OK {
+		return planErrf(ErrInfeasible, "%s", rep.Reason)
 	}
-	for i, id := range seq {
-		ty := task.Blocks[id].Type
-		_, newTail, needsBoundary := sp.step(last, ty, tail)
-		if needsBoundary && last != NoLast {
-			// Run boundary (type change, or a forced split under
-			// MaxRunLength): the state being left was observed by the
-			// network and must have been safe.
-			if !sp.feasible(idx, last) {
-				return planErrf(ErrInfeasible,
-					"unsafe run boundary before step %d (%s)", i, task.Blocks[id].Name)
-			}
-		}
-		vec[ty]++
-		idx, _ = sp.intern(vec)
-		last = ty
-		tail = newTail
-	}
-	if !sp.feasible(idx, last) {
-		return planErrf(ErrInfeasible, "final state unsafe")
-	}
-	for i, total := range sp.totals {
-		if vec[i] != total {
-			return fmt.Errorf("core: plan leaves %d blocks of type %s unexecuted",
-				int(total)-int(vec[i]), task.Types[i].Name)
-		}
-	}
-	return nil
+	return fmt.Errorf("core: %s", rep.Reason)
 }

@@ -105,12 +105,11 @@ type Hardware struct {
 
 // DemandPart parameterizes the forecasted traffic attached to the region.
 type DemandPart struct {
-	SourcesPerDC  int     `json:"sourcesPerDC,omitempty"`
-	UpWeight      float64 `json:"upWeight,omitempty"`
-	DownWeight    float64 `json:"downWeight,omitempty"`
-	EastWeight    float64 `json:"eastWeight,omitempty"`
-	BaseUtil      float64 `json:"baseUtil,omitempty"`
-	GrowthPerStep float64 `json:"growthPerStep,omitempty"`
+	SourcesPerDC int     `json:"sourcesPerDC,omitempty"`
+	UpWeight     float64 `json:"upWeight,omitempty"`
+	DownWeight   float64 `json:"downWeight,omitempty"`
+	EastWeight   float64 `json:"eastWeight,omitempty"`
+	BaseUtil     float64 `json:"baseUtil,omitempty"`
 }
 
 // Migration kinds accepted in MigrationPart.Kind.

@@ -45,9 +45,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownFields(t *testing.T) {
-	js := `{"version":1,"name":"x","bogus":true}`
-	if _, err := Decode(strings.NewReader(js)); err == nil {
-		t.Error("unknown fields should be rejected")
+	for field, js := range map[string]string{
+		"bogus": `{"version":1,"name":"x","bogus":true}`,
+		// Growth comes only from the planner's forecast (-growth); a
+		// document asking for it must not be planned silently without it.
+		"growthPerStep": `{"version":1,"name":"x","demand":{"baseUtil":0.4,"growthPerStep":0.01}}`,
+	} {
+		_, err := Decode(strings.NewReader(js))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("unknown field %q should be rejected by name, got %v", field, err)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 
 	"klotski/internal/baseline"
@@ -169,14 +169,7 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 	}
 	if !cfg.SkipAudit {
 		auditSpan := rec.Span("pipeline.audit")
-		// Audit against the same task the plan was produced on (including
-		// the demand forecast), so the replay samples the same per-step
-		// demand the planner's boundary checks did.
-		auditTask := task
-		if cfg.Forecast.GrowthPerStep != 0 {
-			auditTask = task.WithForecast(cfg.Forecast)
-		}
-		err := audit(auditTask, plan, cfg)
+		err := audit(task, plan, cfg)
 		auditSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: plan failed audit: %w", err)
@@ -212,34 +205,41 @@ func applyUnitCosts(task *migration.Task, unitCosts map[string]float64) {
 // planWithForecast plans the task under demand growth (§7.1). The planners
 // sample the task's demand forecast at every probed state's horizon
 // (migration.Task.Forecast), so the plan is forecast-safe by construction;
-// the verification walk below remains as an independent safety net — it
-// re-checks every boundary through core.CheckState and re-plans the
-// remainder from the first step where the plan and the forecast disagree.
-// The loop is bounded by the number of actions.
+// the walk below remains as an independent safety net. It audits the whole
+// sequence against the forecast and re-plans the remainder from the audit's
+// first failing step. Every replan lengthens the executed prefix, so the
+// loop ends.
 func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*core.Plan, int, error) {
 	if cfg.Forecast.GrowthPerStep == 0 {
 		plan, err := cfg.Planner.PlanContext(ctx, task, cfg.Options)
 		return plan, 0, err
 	}
 
-	// Time-indexed demand: every boundary check — the planners', this
-	// loop's, and the independent audit's — uses the forecast sampled at
-	// the checked state's finished-action count.
+	// Time-indexed demand: every boundary check — the planners' and the
+	// audit's — uses the forecast sampled at the checked state's
+	// finished-action count.
 	ftask := task.WithForecast(cfg.Forecast)
 	plan, err := cfg.Planner.PlanContext(ctx, ftask, cfg.Options)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	executed := []int(nil)
-	replans := 0
-	for attempt := 0; attempt <= task.NumActions(); attempt++ {
-		broken := firstUnsafeStep(ftask, plan, executed, cfg)
-		if broken < 0 {
-			// Safe under growth end to end. Re-assemble the full plan.
+	// The audit starts from the initial state: it always checks the state it
+	// starts from, and a prefix that ends mid-run is not an observed state.
+	opts := cfg.Options
+	opts.InitialCounts, opts.InitialLast = nil, core.NoLast
+	var executed []int
+	for replans := 0; ; replans++ {
+		full := append(append([]int(nil), executed...), plan.Sequence...)
+		rep := plan.Audit
+		if replans > 0 || rep == nil {
+			if rep, err = core.AuditSequence(ftask, full, opts, cfg.Planner.isBaseline()); err != nil {
+				return nil, replans, err
+			}
+		}
+		if rep.Passed {
 			// Runs and cost follow the run cap as the planner's own do: the
 			// core planners split runs at the cap, the baselines ignore it.
-			full := append(append([]int(nil), executed...), plan.Sequence...)
 			maxRun := cfg.Options.MaxRunLength
 			if cfg.Planner.isBaseline() {
 				maxRun = 0
@@ -250,61 +250,28 @@ func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*c
 				Runs:     core.RunsOf(ftask, full, maxRun),
 				Cost:     core.SequenceCostCapped(ftask, full, cfg.Options.Alpha, core.NoLast, maxRun, 0),
 				Metrics:  plan.Metrics,
+				Audit:    rep,
 			}, replans, nil
 		}
-		// Execute up to (and including) the step before the break, then
-		// re-plan the remainder. The counts are absolute, so the replan's
-		// boundary checks keep sampling the forecast at global horizons.
-		executed = append(executed, plan.Sequence[:broken]...)
-		replans++
+		broken := min(rep.FailStep, len(full)-1)
+		if broken <= len(executed) {
+			cause := core.ErrAudit
+			if n := len(rep.Steps); n > 0 && !rep.Steps[n-1].OK {
+				cause = core.ErrInfeasible
+			}
+			return nil, replans, fmt.Errorf("pipeline: %s plan after %d executed steps fails under forecast: %w: step %d: %s",
+				cmp.Or(cfg.Planner, PlannerAStar), len(executed), cause, rep.FailStep, rep.Reason)
+		}
+		// Execute up to the step the audit failed at, then re-plan the
+		// remainder. The counts are absolute, so the replan's boundary
+		// checks keep sampling the forecast at global horizons.
+		executed = full[:broken]
 		plan, err = cfg.Planner.planFrom(ctx, ftask, executed, cfg.Options)
 		if err != nil {
-			return nil, replans, fmt.Errorf("pipeline: replanning under forecast after %d steps: %w",
+			return nil, replans + 1, fmt.Errorf("pipeline: replanning under forecast after %d steps: %w",
 				len(executed), err)
 		}
 	}
-	return nil, replans, errors.New("pipeline: forecast replanning did not converge")
-}
-
-// firstUnsafeStep verifies the plan's boundaries against the task's demand
-// forecast sampled per step and returns the index (within plan.Sequence) of
-// the first step whose boundary is unsafe, or -1 when the whole plan holds.
-// task must carry the forecast (see planWithForecast).
-func firstUnsafeStep(task *migration.Task, plan *core.Plan, executed []int, cfg Config) int {
-	last := core.NoLast
-	if len(executed) > 0 {
-		last = task.Blocks[executed[len(executed)-1]].Type
-	}
-	for i := range plan.Sequence {
-		// Check the boundary *before* step i when it switches type, and
-		// the final state after the last step; CheckState samples the
-		// forecast at the state's own horizon.
-		ty := task.Blocks[plan.Sequence[i]].Type
-		if last != core.NoLast && ty != last {
-			if !boundarySafe(task, executed, plan.Sequence[:i], cfg.Options) {
-				return i
-			}
-		}
-		last = ty
-	}
-	if !boundarySafe(task, executed, plan.Sequence, cfg.Options) {
-		// The final state itself is unsafe under growth: replanning from
-		// any prefix cannot fix a task whose target no longer fits, but
-		// signal the last step so the caller re-plans and surfaces the
-		// infeasibility with the grown demand attached.
-		return len(plan.Sequence) - 1
-	}
-	return -1
-}
-
-// boundarySafe checks one network state (base executed + prefix applied)
-// against the task's demand forecast at the state's horizon.
-func boundarySafe(task *migration.Task, executed, prefix []int, opts core.Options) bool {
-	seqCounts := countsOf(task, append(append([]int(nil), executed...), prefix...))
-	checkOpts := opts
-	checkOpts.InitialCounts = nil
-	checkOpts.InitialLast = core.NoLast
-	return core.CheckState(task, seqCounts, checkOpts) == nil
 }
 
 func countsOf(task *migration.Task, seq []int) []int {
@@ -318,9 +285,10 @@ func countsOf(task *migration.Task, seq []int) []int {
 // audit independently re-verifies the plan (§7.2 "we add extra audits and
 // safety checks to Klotski's plans during operation") with the pristine
 // serial replay engine of internal/audit, attaching the structured report.
-// Core planners arrive pre-audited (their own post-pass sets Plan.Audit);
-// baseline planners are not bound to canonical within-type order, so they
-// verify free-order here.
+// Core planners arrive pre-audited (their own post-pass sets Plan.Audit),
+// and so does every plan made under a forecast, audited against it by
+// planWithForecast; baseline planners are not bound to canonical
+// within-type order, so they verify free-order here.
 func audit(task *migration.Task, plan *core.Plan, cfg Config) error {
 	if plan.Audit == nil {
 		opts := cfg.Options

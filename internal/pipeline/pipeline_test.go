@@ -180,6 +180,49 @@ func TestForecastKeepsRunCap(t *testing.T) {
 	}
 }
 
+// TestForecastBaselinesFailAtAuditStep: the forecast walk replans a
+// baseline from the audit's first failing step. When that replan cannot
+// get past the step, the run fails once, as infeasible, with the audit's
+// step and reason; a baseline the forecast does not break plans the
+// sequence it plans without replanning.
+func TestForecastBaselinesFailAtAuditStep(t *testing.T) {
+	s, err := gen.Suite("A", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pl     Planner
+		growth float64
+		reason string // the audit's reason, "" for a plan
+		want   []int
+	}{
+		{PlannerMRC, 0.03, "unsafe state before step 5", nil},
+		{PlannerJanus, 0.01, "unsafe state before step 6", nil},
+		{PlannerMRC, 0.02, "", []int{0, 4, 2, 6, 1, 5, 3, 7}},
+	} {
+		res, err := RunTask(s.Task, Config{Planner: c.pl, Forecast: demand.Forecast{GrowthPerStep: c.growth}})
+		if c.reason == "" {
+			if err != nil {
+				t.Fatalf("%s at growth %g: %v", c.pl, c.growth, err)
+			}
+			if !slices.Equal(res.Plan.Sequence, c.want) || res.Replans != 0 {
+				t.Errorf("%s at growth %g: sequence %v after %d replans, want %v after none",
+					c.pl, c.growth, res.Plan.Sequence, res.Replans, c.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("%s at growth %g planned %v", c.pl, c.growth, res.Plan.Sequence)
+		}
+		if !errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrAudit) {
+			t.Errorf("%s at growth %g: %v should be infeasible, not an audit failure", c.pl, c.growth, err)
+		}
+		if !strings.Contains(err.Error(), c.reason) || strings.Contains(err.Error(), "did not converge") {
+			t.Errorf("%s at growth %g: %v should carry the audit's %q", c.pl, c.growth, err, c.reason)
+		}
+	}
+}
+
 func buildScenario(t *testing.T) *gen.Scenario {
 	t.Helper()
 	s, err := gen.TopologyA(0.2)

@@ -114,8 +114,9 @@ func NewExecutor(task *migration.Task) *Executor {
 }
 
 // Execute replays the block sequence and returns the execution report. The
-// sequence must be a valid plan for the task (use core.VerifyPlan first;
-// Execute itself only validates ordering).
+// sequence must be a valid plan for the task (use core.VerifyPlan, the
+// audit's verdict, first; Execute itself only runs the audit's structural
+// check, core.ValidateSequence).
 func (e *Executor) Execute(seq []int, opts Options) (*Report, error) {
 	if err := core.ValidateSequence(e.task, seq, nil); err != nil {
 		return nil, err

@@ -317,14 +317,18 @@ func AuditPartialPlan(task *Task, seq []int, opts Options, freeOrder bool) (*Aud
 	return core.AuditPartial(task, seq, opts, freeOrder)
 }
 
-// VerifyPlan independently audits a plan: canonical ordering plus safety of
-// the initial state, every run boundary, and the final state.
+// VerifyPlan is AuditPlan's verdict as an error: nil when the audit passed,
+// an error wrapping ErrInfeasible when a state is unsafe, and a plain error
+// when the sequence is malformed (out of canonical order, a block missing or
+// repeated).
 func VerifyPlan(task *Task, seq []int, opts Options) error {
 	return core.VerifyPlan(task, seq, opts)
 }
 
-// VerifyPlanFreeOrder audits a plan that may operate same-type blocks out
-// of canonical order (the baseline planners' output).
+// VerifyPlanFreeOrder is VerifyPlan for a plan that may operate same-type
+// blocks out of canonical order (the baseline planners' output): the
+// free-order audit, which applies space budgets but not funneling headroom
+// or run-cap splits.
 func VerifyPlanFreeOrder(task *Task, seq []int, opts Options) error {
 	return core.VerifyPlanFreeOrder(task, seq, opts)
 }
