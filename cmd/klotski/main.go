@@ -111,6 +111,7 @@ import (
 
 	"klotski"
 	"klotski/internal/demand"
+	"klotski/internal/durable"
 	"klotski/internal/npd"
 	"klotski/internal/report"
 )
@@ -688,7 +689,7 @@ func writeCheckpoint(path string, interrupted *klotski.Interrupted, opts klotski
 	doc.Checkpoint.Counts = cp.Counts
 	doc.Checkpoint.Metrics = cp.Metrics
 
-	if err := npd.WriteSealedFile(path, planFormat, &doc); err != nil {
+	if err := durable.WriteSealedFile(path, planFormat, &doc); err != nil {
 		return 0, err
 	}
 	return len(partial), nil
@@ -706,8 +707,8 @@ func readPlanDocument(path string) (*npd.PlanDocument, error) {
 	if err != nil {
 		return nil, err
 	}
-	if npd.IsSealed(data) {
-		payload, err := npd.OpenSealed(planFormat, data)
+	if durable.IsSealed(data) {
+		payload, err := durable.OpenSealed(planFormat, data)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}

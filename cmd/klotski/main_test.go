@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/durable"
 	"klotski/internal/npd"
 	"klotski/internal/obs"
 )
@@ -131,10 +132,10 @@ func TestRunCheckpointOnTimeout(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("checkpoint file not written: %v", rerr)
 	}
-	if !npd.IsSealed(data) {
+	if !durable.IsSealed(data) {
 		t.Fatalf("checkpoint is not in the sealed envelope: %s", data)
 	}
-	payload, serr := npd.OpenSealed("klotski/plan", data)
+	payload, serr := durable.OpenSealed("klotski/plan", data)
 	if serr != nil {
 		t.Fatalf("checkpoint envelope does not verify: %v", serr)
 	}
@@ -392,7 +393,7 @@ func TestRunAuditRejectsCorruptSealedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := npd.Seal("klotski/plan", plain)
+	sealed, err := durable.Seal("klotski/plan", plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +721,7 @@ func TestRunFleetCancelledCheckpointsAllMembers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("member %q checkpoint: %v (stderr: %s)", name, err, errBuf.String())
 		}
-		payload, err := npd.OpenSealed(planFormat, data)
+		payload, err := durable.OpenSealed(planFormat, data)
 		if err != nil {
 			t.Fatalf("member %q checkpoint envelope: %v", name, err)
 		}

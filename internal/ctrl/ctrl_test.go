@@ -231,8 +231,8 @@ func TestCampaignChaos(t *testing.T) {
 	}
 }
 
-// TestJournalTolleratesTruncatedTail: a crash mid-append leaves a partial
-// final line; reading must drop it and keep every complete entry.
+// TestJournalTruncatedTail: a crash mid-append leaves a partial final
+// line; reading must drop it and keep every complete entry.
 func TestJournalTruncatedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, err := NewJournal(path)

@@ -14,41 +14,19 @@
 package ctrl
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
+
+	"klotski/internal/durable"
 )
 
-// journalMagic is the record-envelope format tag. Every journal line is
-//
-//	KJ1 <crc32c-hex8> <entry-json>\n
-//
-// where the CRC32C (Castagnoli) covers the entry JSON bytes exactly as
-// written. The version is part of the magic: a future format bump renames
-// it to KJ2 and old readers fail loudly instead of misparsing.
-const journalMagic = "KJ1"
-
-// castagnoli is the CRC32C table shared by all journal encode/decode.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Journal corruption sentinels, matchable via errors.Is.
-var (
-	// ErrJournalExists means NewJournal found a journal already at the
-	// path. Overwriting a prior campaign's log silently destroys the only
-	// record of what was executed; callers must opt in explicitly via
-	// NewJournalOverwrite (or resume with OpenJournal).
-	ErrJournalExists = errors.New("ctrl: journal already exists")
-
-	// ErrCorrupt means a journal holds a record that is malformed or fails
-	// its checksum somewhere other than the final line — mid-file damage
-	// that truncation during a crash cannot produce, so the log cannot be
-	// trusted for recovery.
-	ErrCorrupt = errors.New("ctrl: journal corrupt")
-)
+// ErrJournalExists means NewJournal found a journal already at the path.
+// Overwriting a prior campaign's log silently destroys the only record of
+// what was executed; callers must opt in explicitly via
+// NewJournalOverwrite (or resume with OpenJournal).
+var ErrJournalExists = errors.New("ctrl: journal already exists")
 
 // Entry is one journal record. Op "begin" is written before an action is
 // issued to the network, "done" after it is observed complete; "replan"
@@ -63,15 +41,13 @@ type Entry struct {
 	Detail  string `json:"detail,omitempty"`  // replan reason
 }
 
-// Journal is a write-ahead log of executed actions: one versioned,
-// CRC32C-checksummed record per line, fsynced per append. On read it
-// distinguishes the two failure modes durable logs actually have: a
-// damaged final record is the signature of a crash mid-append (torn tail)
-// and is dropped, recovering the clean prefix; a damaged record anywhere
-// else is real corruption and fails with ErrCorrupt.
+// Journal is a write-ahead log of executed actions: a durable.Log of
+// Entry records (one KJ1 line each, fsynced per append) and the entries
+// it holds. A damaged final record is the signature of a crash mid-append
+// (torn tail) and is dropped on read; a damaged record anywhere else fails
+// with durable.ErrCorrupt.
 type Journal struct {
-	path    string
-	f       *os.File
+	log     *durable.Log[Entry]
 	entries []Entry
 }
 
@@ -80,204 +56,51 @@ type Journal struct {
 // and must not be clobbered silently. Use NewJournalOverwrite to replace
 // it deliberately, or OpenJournal to resume it.
 func NewJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	log, err := durable.Create[Entry](path)
 	if err != nil {
 		if errors.Is(err, fs.ErrExist) {
 			return nil, fmt.Errorf("%w at %s: pass an explicit overwrite (NewJournalOverwrite) to replace it, or OpenJournal to resume it", ErrJournalExists, path)
 		}
 		return nil, fmt.Errorf("ctrl: creating journal: %w", err)
 	}
-	return &Journal{path: path, f: f}, nil
+	return &Journal{log: log}, nil
 }
 
-// NewJournalOverwrite creates a journal at path, truncating any existing
-// file — the explicit opt-in NewJournal refuses to perform silently.
+// NewJournalOverwrite creates a journal at path, removing any existing
+// file first — the explicit opt-in NewJournal refuses to perform silently.
 func NewJournalOverwrite(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: creating journal: %w", err)
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("ctrl: replacing journal: %w", err)
 	}
-	return &Journal{path: path, f: f}, nil
+	return NewJournal(path)
 }
 
 // OpenJournal opens an existing journal for crash recovery: prior entries
-// are replayed (a torn final line is dropped) and new appends go to the
-// end. The file is truncated to the clean prefix first, so a recovered
-// torn tail is not concatenated with the next append into one giant
-// corrupt line. A missing file is created empty.
+// are replayed (a torn final line is dropped and truncated away) and new
+// appends go to the end. A missing file is created empty.
 func OpenJournal(path string) (*Journal, error) {
-	entries, cleanLen, err := readJournal(path)
+	log, entries, err := durable.Open[Entry](path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return NewJournal(path)
+	}
 	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
-		}
-		entries, cleanLen = nil, 0
+		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: opening journal: %w", err)
-	}
-	if err := f.Truncate(cleanLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ctrl: truncating torn journal tail: %w", err)
-	}
-	if _, err := f.Seek(cleanLen, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ctrl: seeking journal: %w", err)
-	}
-	return &Journal{path: path, f: f, entries: entries}, nil
+	return &Journal{log: log, entries: entries}, nil
 }
 
 // ReadJournal reads a journal file without opening it for appends. A
 // malformed or checksum-failing final line is tolerated (crash
 // mid-append); damage anywhere else fails with an error wrapping
-// ErrCorrupt.
+// durable.ErrCorrupt.
 func ReadJournal(path string) ([]Entry, error) {
-	entries, _, err := readJournal(path)
-	return entries, err
-}
-
-func readJournal(path string) ([]Entry, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ctrl: reading journal: %w", err)
-	}
-	return parseJournal(data)
-}
-
-// parseJournal decodes journal bytes, returning the recovered entries and
-// the byte length of the clean (undamaged) prefix.
-func parseJournal(data []byte) (entries []Entry, cleanLen int64, err error) {
-	cleanLen, err = ParseRecords(data, func(payload []byte) error {
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return fmt.Errorf("unmarshaling record: %w", err)
-		}
-		entries = append(entries, e)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return entries, cleanLen, nil
-}
-
-// ParseRecords walks a KJ1 record stream, calling decode with each
-// verified record payload and returning the byte length of the clean
-// (undamaged) prefix. A record that fails its envelope check, its
-// checksum, or decode is tolerated only as the final record — the torn
-// tail of a crash mid-append, which is silently dropped; damage anywhere
-// else fails with an error wrapping ErrCorrupt. Decoded records are
-// committed in order: decode is never called for a record after a damaged
-// one. This is the shared durable-record walker under the control
-// journal and the serve layer's job journals.
-func ParseRecords(data []byte, decode func(payload []byte) error) (cleanLen int64, err error) {
-	var (
-		pendingErr error
-		offset     int
-		line       int
-	)
-	for offset < len(data) {
-		line++
-		raw := data[offset:]
-		next := len(data)
-		complete := false
-		if nl := bytes.IndexByte(raw, '\n'); nl >= 0 {
-			raw = raw[:nl]
-			next = offset + nl + 1
-			complete = true
-		}
-		if pendingErr != nil {
-			// The damaged record was not the last one: real corruption.
-			return 0, pendingErr
-		}
-		switch payload, derr := decodeRecordLine(raw); {
-		case len(raw) == 0:
-			// Append emits exactly one non-empty line per record, so a
-			// blank line is damage: tolerated at the tail, fatal mid-file.
-			pendingErr = fmt.Errorf("%w: blank record at line %d", ErrCorrupt, line)
-		case derr != nil:
-			pendingErr = fmt.Errorf("%w: line %d: %v", ErrCorrupt, line, derr)
-		case !complete:
-			// The payload decodes but its trailing newline never hit disk:
-			// the append's fsync cannot have completed, so the record was
-			// never durable. Treat it as the torn tail it is.
-			pendingErr = fmt.Errorf("%w: line %d: record missing trailing newline", ErrCorrupt, line)
-		default:
-			if derr := decode(payload); derr != nil {
-				pendingErr = fmt.Errorf("%w: line %d: %v", ErrCorrupt, line, derr)
-				break
-			}
-			cleanLen = int64(next)
-		}
-		offset = next
-	}
-	// A single damaged final record is the torn tail of a crash
-	// mid-append: recover the clean prefix silently.
-	return cleanLen, nil
-}
-
-// EncodeRecord wraps a payload (one JSON document, no raw newlines) in
-// the versioned KJ1 line envelope: magic, CRC32C over the payload bytes
-// exactly as given, payload, newline. The output is a deterministic
-// function of the payload, preserving the byte-identical-journal
-// determinism contract for every journal built on the envelope.
-func EncodeRecord(payload []byte) ([]byte, error) {
-	if bytes.IndexByte(payload, '\n') >= 0 {
-		return nil, fmt.Errorf("ctrl: record payload contains a newline")
-	}
-	line := make([]byte, 0, len(journalMagic)+1+8+1+len(payload)+1)
-	line = append(line, journalMagic...)
-	line = append(line, ' ')
-	line = fmt.Appendf(line, "%08x", crc32.Checksum(payload, castagnoli))
-	line = append(line, ' ')
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// encodeJournalLine renders one control-journal entry in the versioned
-// envelope.
-func encodeJournalLine(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: encoding journal entry: %w", err)
-	}
-	return EncodeRecord(payload)
-}
-
-// decodeRecordLine parses and verifies one envelope line (without its
-// trailing newline), returning the checksummed payload.
-func decodeRecordLine(raw []byte) ([]byte, error) {
-	rest, ok := bytes.CutPrefix(raw, []byte(journalMagic+" "))
-	if !ok {
-		return nil, fmt.Errorf("record does not start with %q (unversioned or torn record)", journalMagic)
-	}
-	if len(rest) < 9 || rest[8] != ' ' {
-		return nil, errors.New("record missing checksum field")
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(rest[:8]), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("unparsable checksum %q", rest[:8])
-	}
-	payload := rest[9:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("checksum mismatch: record says %08x, payload hashes to %08x", want, got)
-	}
-	return payload, nil
+	return durable.Read[Entry](path)
 }
 
 // Append writes one entry and syncs it to stable storage before returning.
 func (j *Journal) Append(e Entry) error {
-	b, err := encodeJournalLine(e)
-	if err != nil {
+	if err := j.log.Append(e); err != nil {
 		return err
-	}
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("ctrl: appending journal entry: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("ctrl: syncing journal: %w", err)
 	}
 	j.entries = append(j.entries, e)
 	return nil
@@ -304,10 +127,5 @@ func (j *Journal) CommittedPrefix() []int {
 
 // Close closes the underlying file.
 func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.log.Close()
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,10 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"klotski/internal/ctrl"
-	"klotski/internal/npd"
+	"klotski/internal/durable"
 	"klotski/internal/obs"
-	"klotski/internal/sim"
 )
 
 // undisturbedRun plans one job to completion, closes the daemon, and
@@ -67,13 +64,13 @@ func recoverFromJournal(t *testing.T, journalBytes []byte) *Manager {
 // duplicating none.
 func TestKillAtEveryRecordBoundary(t *testing.T) {
 	journal, wantPlan, wantGap := undisturbedRun(t)
-	bounds := sim.RecordBoundaries(journal)
+	bounds := durable.RecordBoundaries(journal)
 	if len(bounds) < 6 {
 		t.Fatalf("reference journal has only %d record boundaries", len(bounds))
 	}
 	for i, n := range bounds {
 		t.Run(fmt.Sprintf("boundary-%02d", i), func(t *testing.T) {
-			prefix := sim.Tear(journal, n)
+			prefix := durable.Tear(journal, n)
 			m := recoverFromJournal(t, prefix)
 			defer m.Close()
 			jobs := m.Jobs()
@@ -115,14 +112,14 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 // job must still recover to the identical plan.
 func TestKillMidRecord(t *testing.T) {
 	journal, wantPlan, _ := undisturbedRun(t)
-	bounds := sim.RecordBoundaries(journal)
+	bounds := durable.RecordBoundaries(journal)
 	// Tear inside the record after a mid-planning boundary, at the
 	// first byte, a middle byte, and the last byte before the newline.
 	base := bounds[len(bounds)/2]
 	next := bounds[len(bounds)/2+1]
 	for _, cut := range []int64{base + 1, (base + next) / 2, next - 1} {
 		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
-			m := recoverFromJournal(t, sim.Tear(journal, cut))
+			m := recoverFromJournal(t, durable.Tear(journal, cut))
 			defer m.Close()
 			jobs := m.Jobs()
 			if len(jobs) != 1 {
@@ -149,10 +146,10 @@ func TestKillMidRecord(t *testing.T) {
 // durably, so restarts converge.
 func TestCorruptJournalQuarantined(t *testing.T) {
 	journal, _, _ := undisturbedRun(t)
-	bounds := sim.RecordBoundaries(journal)
+	bounds := durable.RecordBoundaries(journal)
 	// Flip a payload byte of the second record: mid-file damage.
 	off := bounds[1] + 20
-	m := recoverFromJournal(t, sim.FlipByte(journal, off))
+	m := recoverFromJournal(t, durable.FlipByte(journal, off))
 	jobs := m.Jobs()
 	if len(jobs) != 1 {
 		t.Fatalf("%d jobs after corrupt journal, want 1 quarantined", len(jobs))
@@ -184,8 +181,8 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 // the job's first leg is held until the damaged one has been asked for.
 func TestTornCheckpointFileIgnored(t *testing.T) {
 	journal, wantPlan, _ := undisturbedRun(t)
-	bounds := sim.RecordBoundaries(journal)
-	prefix := sim.Tear(journal, bounds[len(bounds)/2]) // mid-planning
+	bounds := durable.RecordBoundaries(journal)
+	prefix := durable.Tear(journal, bounds[len(bounds)/2]) // mid-planning
 
 	// A valid envelope to damage.
 	ckpt, err := writeValidCkpt()
@@ -194,7 +191,7 @@ func TestTornCheckpointFileIgnored(t *testing.T) {
 	}
 	damage := map[string][]byte{
 		"truncated": ckpt[:len(ckpt)/2],
-		"bitflip":   sim.FlipByte(ckpt, int64(len(ckpt)/2)),
+		"bitflip":   durable.FlipByte(ckpt, int64(len(ckpt)/2)),
 		"garbage":   []byte("not json at all"),
 		"empty":     nil,
 	}
@@ -245,7 +242,7 @@ func writeValidCkpt() ([]byte, error) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "x.ckpt")
-	if err := npd.WriteSealedFile(path, ckptFormat, jobCheckpoint{Job: "job-000000", Planner: "astar", Leg: 1}); err != nil {
+	if err := durable.WriteSealedFile(path, ckptFormat, jobCheckpoint{Job: "job-000000", Planner: "astar", Leg: 1}); err != nil {
 		return nil, err
 	}
 	return os.ReadFile(path)
@@ -256,23 +253,16 @@ func writeValidCkpt() ([]byte, error) {
 // journaled plan without replanning.
 func TestAuditedWithoutDone(t *testing.T) {
 	journal, wantPlan, _ := undisturbedRun(t)
-	var recs []record
-	if _, err := ctrl.ParseRecords(journal, func(payload []byte) error {
-		var r record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return err
-		}
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
+	recs, _, err := durable.Parse[record](journal)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if recs[len(recs)-1].State != recDone || recs[len(recs)-2].State != recAudited {
 		t.Fatalf("reference journal does not end audited→done: %s, %s",
 			recs[len(recs)-2].State, recs[len(recs)-1].State)
 	}
-	bounds := sim.RecordBoundaries(journal)
-	prefix := sim.Tear(journal, bounds[len(bounds)-2]) // drop only "done"
+	bounds := durable.RecordBoundaries(journal)
+	prefix := durable.Tear(journal, bounds[len(bounds)-2]) // drop only "done"
 
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
@@ -339,16 +329,13 @@ func TestOneSyncPerTransitionPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var states []string
-	if _, err := ctrl.ParseRecords(journal, func(payload []byte) error {
-		var r record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return err
-		}
-		states = append(states, r.State)
-		return nil
-	}); err != nil {
+	recs, _, err := durable.Parse[record](journal)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var states []string
+	for _, r := range recs {
+		states = append(states, r.State)
 	}
 	if want := []string{recSubmitted, recAdmitted, recPlanning, recAudited, recDone}; fmt.Sprint(states) != fmt.Sprint(want) {
 		t.Fatalf("journal records %v, want %v", states, want)
@@ -359,7 +346,7 @@ func TestOneSyncPerTransitionPair(t *testing.T) {
 
 	// bounds: 0, then the end of submitted, admitted, planning, audited,
 	// done. The coalesced writes are bounds[1:3] and bounds[3:5].
-	bounds := sim.RecordBoundaries(journal)
+	bounds := durable.RecordBoundaries(journal)
 	tears := map[string]int64{
 		"between-admitted-planning": bounds[2],
 		"inside-planning":           (bounds[2] + bounds[3]) / 2,
@@ -368,7 +355,7 @@ func TestOneSyncPerTransitionPair(t *testing.T) {
 	}
 	for name, cut := range tears {
 		t.Run(name, func(t *testing.T) {
-			m := recoverFromJournal(t, sim.Tear(journal, cut))
+			m := recoverFromJournal(t, durable.Tear(journal, cut))
 			defer m.Close()
 			jobs := m.Jobs()
 			if len(jobs) != 1 {
@@ -390,9 +377,9 @@ func TestOneSyncPerTransitionPair(t *testing.T) {
 // holds several admission cycles — and the final plan must still match.
 func TestRepeatedCrashes(t *testing.T) {
 	journal, wantPlan, _ := undisturbedRun(t)
-	bounds := sim.RecordBoundaries(journal)
+	bounds := durable.RecordBoundaries(journal)
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "job-000000.journal"), sim.Tear(journal, bounds[4]), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "job-000000.journal"), durable.Tear(journal, bounds[4]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -433,5 +420,88 @@ func TestRepeatedCrashes(t *testing.T) {
 	}
 	if string(got) != string(wantPlan) {
 		t.Errorf("plan differs after repeated crash/recover cycles")
+	}
+}
+
+// TestCheckpointWriteFailureRecorded: a job whose .ckpt cannot be written
+// (a non-empty directory squats on the path) still plans to the
+// undisturbed run's plan, and each of its checkpoint records says why the
+// envelope is missing.
+func TestCheckpointWriteFailureRecorded(t *testing.T) {
+	_, wantPlan, _ := undisturbedRun(t)
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "job-000000.ckpt", "squat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m := newManager(t, dir, nil)
+	defer m.Close()
+	j, err := m.Submit(testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, j)
+	if st.State != StateDone || st.Legs < 2 {
+		t.Fatalf("finished %s after %d legs (%s), want DONE after ≥ 2", st.State, st.Legs, st.Detail)
+	}
+	if got, err := j.Plan(); err != nil || !bytes.Equal(got, wantPlan) {
+		t.Errorf("plan differs from the undisturbed run (err %v)", err)
+	}
+	recs, err := durable.Read[record](filepath.Join(dir, "job-000000.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts := 0
+	for _, r := range recs {
+		if r.State == recCheckpoint {
+			ckpts++
+			if !strings.Contains(r.Detail, "; envelope not written: ") {
+				t.Errorf("checkpoint record %d does not name the failed write: %q", r.Seq, r.Detail)
+			}
+		}
+	}
+	if ckpts != st.Legs {
+		t.Errorf("%d checkpoint records for %d legs", ckpts, st.Legs)
+	}
+}
+
+// TestFormatFixturesRecover: testdata holds a DONE job's journal and
+// sealed checkpoint as written before the journal moved onto
+// internal/durable. A manager opened over them must load the job DONE
+// with the journaled plan, planning nothing, and serve the checkpoint.
+func TestFormatFixturesRecover(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string][]byte{}
+	for _, name := range []string{"job-000000.journal", "job-000000.ckpt"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
+	}
+	recs, _, err := durable.Parse[record](files["job-000000.journal"])
+	if err != nil || len(recs) < 2 || recs[len(recs)-2].State != recAudited {
+		t.Fatalf("fixture does not end audited→done (%d records): %v", len(recs), err)
+	}
+	m := newManager(t, dir, nil)
+	m.planHook = func(string, int) error {
+		t.Error("a DONE job was planned again")
+		return nil
+	}
+	defer m.Close()
+	j, err := m.Job("job-000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateDone {
+		t.Fatalf("fixture job loaded %s (%s), want DONE", st.State, st.Detail)
+	}
+	if got, err := j.Plan(); err != nil || !bytes.Equal(got, recs[len(recs)-2].Plan) {
+		t.Errorf("loaded plan differs from the journaled one (err %v)", err)
+	}
+	if env, err := m.CheckpointEnvelope("job-000000"); err != nil || !bytes.Equal(env, files["job-000000.ckpt"]) {
+		t.Errorf("checkpoint envelope does not verify: %v", err)
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // NewHandler mounts the planning-as-a-service API on a mux:
 //
-//	POST   /v1/jobs              submit a Request  → 202 {id, state}; 413 over maxRequestBytes
+//	POST   /v1/jobs              submit a Request  → 202 {id, state}; 400 invalid,
+//	                             413 over maxRequestBytes, 503 draining, 500 not journaled
 //	GET    /v1/jobs              list job statuses
 //	GET    /v1/jobs/{id}         one job's status
 //	GET    /v1/jobs/{id}/plan    the audited final plan document
@@ -71,6 +72,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrInvalidRequest):
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrUnknownJob):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrDraining):
@@ -94,11 +97,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.m.Submit(req)
 	if err != nil {
-		if errors.Is(err, ErrDraining) {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.Status())

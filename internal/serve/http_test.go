@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -135,9 +137,20 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("non-object submit: %d, want 400", resp.StatusCode)
 	}
 
-	// A job without a plan yet answers 409 on /plan.
+	// A valid request the daemon cannot journal (a directory squats on
+	// the next job's journal) is the daemon's failure: 500, and the retry,
+	// under the next job ID, is accepted. That job, without a plan yet,
+	// answers 409 on /plan.
 	m.planHook = func(string, int) error { time.Sleep(10 * time.Millisecond); return nil }
-	_, body = postJSON(t, srv.URL+"/v1/jobs", testRequest())
+	if err := os.Mkdir(filepath.Join(m.cfg.Dir, "job-000000.journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, srv.URL+"/v1/jobs", testRequest()); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("unjournaled submit: %d %s, want 500", resp.StatusCode, body)
+	}
+	if resp, body = postJSON(t, srv.URL+"/v1/jobs", testRequest()); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("retried submit: %d %s, want 202", resp.StatusCode, body)
+	}
 	var st Status
 	json.Unmarshal(body, &st)
 	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/plan", nil); code != http.StatusConflict {

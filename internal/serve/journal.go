@@ -1,17 +1,12 @@
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
+import "encoding/json"
 
-	"klotski/internal/ctrl"
-)
-
-// record is one job-journal entry. State names the transition
-// ("submitted", "admitted", "planning", "checkpoint", "audited", "done",
-// "cancelled", "failed"); "checkpoint" is a planning-progress record, not
-// a distinct lifecycle state — it folds back to PLANNING. The submitted
+// record is one job-journal entry; a job's journal is a
+// durable.Log[record]. State names the transition ("submitted",
+// "admitted", "planning", "checkpoint", "audited", "done", "cancelled",
+// "failed"); "checkpoint" is a planning-progress record, not a distinct
+// lifecycle state — it folds back to PLANNING. The submitted
 // record carries the full request so a restarted daemon can replan from
 // the journal alone; the audited record carries the final plan document
 // bytes so a job that reached AUDITED never replans.
@@ -51,95 +46,6 @@ const (
 	recFailed     = "failed"
 )
 
-// jobJournal is one job's write-ahead log: KJ1 records (ctrl's versioned,
-// CRC32C-checksummed line envelope), fsynced per append — one append may
-// carry several records — torn tail dropped on open.
-type jobJournal struct {
-	f *os.File
-}
-
-// createJobJournal creates a fresh journal, refusing to clobber an
-// existing file — a job ID is allocated exactly once.
-func createJobJournal(path string) (*jobJournal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("serve: creating job journal: %w", err)
-	}
-	return &jobJournal{f: f}, nil
-}
-
-// openJobJournal reads an existing journal's records (dropping a torn
-// final record) and opens it for further appends, truncated to the clean
-// prefix. Mid-file damage fails with an error wrapping ctrl.ErrCorrupt.
-func openJobJournal(path string) (*jobJournal, []record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: reading job journal: %w", err)
-	}
-	var recs []record
-	cleanLen, err := ctrl.ParseRecords(data, func(payload []byte) error {
-		var r record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return fmt.Errorf("unmarshaling job record: %w", err)
-		}
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: opening job journal: %w", err)
-	}
-	if err := f.Truncate(cleanLen); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: truncating torn journal tail: %w", err)
-	}
-	if _, err := f.Seek(cleanLen, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: seeking job journal: %w", err)
-	}
-	return &jobJournal{f: f}, recs, nil
-}
-
-// append writes recs in one write and syncs them to stable storage
-// before returning — the caller's in-memory transitions must wait for it.
-// A crash inside the write leaves what a crash inside or between separate
-// appends of the same records would: whole records, then at most a torn
-// one, which open drops.
-func (j *jobJournal) append(recs ...record) error {
-	var buf []byte
-	for _, r := range recs {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("serve: encoding job record: %w", err)
-		}
-		line, err := ctrl.EncodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, line...)
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("serve: appending job record: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("serve: syncing job journal: %w", err)
-	}
-	return nil
-}
-
-// close releases the handle; safe on a nil or closed journal.
-func (j *jobJournal) close() error {
-	if j == nil || j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
 // ckptFormat tags the sealed per-job checkpoint envelope.
 const ckptFormat = "klotski/job-checkpoint"
 
@@ -160,16 +66,4 @@ type jobCheckpoint struct {
 	Gap            float64 `json:"gap"`
 	StatesCreated  int     `json:"states_created"`
 	StatesExpanded int     `json:"states_expanded"`
-}
-
-// removeIfEmptyJournal deletes a journal file that holds zero clean
-// records — the trace of a crash between journal creation and the first
-// durable append, before the submitter was ever acknowledged.
-func removeIfEmptyJournal(path string) bool {
-	info, err := os.Stat(path)
-	if err == nil && info.Size() == 0 {
-		os.Remove(path)
-		return true
-	}
-	return false
 }

@@ -19,6 +19,7 @@ import (
 	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/ctrl"
+	"klotski/internal/durable"
 	"klotski/internal/migration"
 	"klotski/internal/npd"
 	"klotski/internal/obs"
@@ -46,7 +47,7 @@ type Job struct {
 
 	mu      sync.Mutex
 	seq     int // next journal record seq
-	journal *jobJournal
+	journal *durable.Log[record]
 	subs    map[chan Status]struct{}
 
 	state  State
@@ -172,7 +173,7 @@ func (j *Job) appendLocked(recs ...record) error {
 	for i := range recs {
 		recs[i].Seq = j.seq + i
 	}
-	if err := j.journal.append(recs...); err != nil {
+	if err := j.journal.Append(recs...); err != nil {
 		return err
 	}
 	j.seq += len(recs)
@@ -249,7 +250,7 @@ func (j *Job) transition(recs ...record) {
 // record follows a terminal one), its context, and the request's NPD
 // bytes (the submitted record holds them for recovery).
 func (j *Job) endLocked() {
-	j.journal.close()
+	j.journal.Close()
 	j.journal = nil
 	if j.cancelRun != nil { // nil for a job recovery completes unrun
 		j.cancelRun(errJobEnded)
@@ -321,13 +322,13 @@ func (m *Manager) jobPaths(id string) (journal, ckpt string) {
 // right after Submit returns still completes the job after restart.
 func (m *Manager) Submit(req Request) (*Job, error) {
 	if err := req.validate(); err != nil {
-		return nil, fmt.Errorf("serve: invalid request: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	// Reject NPD documents that cannot even decode, so the submitter
 	// learns synchronously.
 	doc, err := npd.Decode(bytes.NewReader(req.NPD))
 	if err != nil {
-		return nil, fmt.Errorf("serve: invalid request: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	if req.Name == "" {
 		req.Name = doc.Name
@@ -370,15 +371,15 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 // failure leaves no file behind.
 func (j *Job) create(reqJSON []byte) error {
 	path, _ := j.m.jobPaths(j.ID)
-	journal, err := createJobJournal(path)
+	journal, err := durable.Create[record](path)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: creating job journal: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.journal = journal
 	if err := j.appendLocked(record{State: recSubmitted, Request: reqJSON}); err != nil {
-		journal.close()
+		journal.Close()
 		os.Remove(path)
 		return err
 	}
@@ -461,7 +462,7 @@ func (m *Manager) Close() {
 	defer m.mu.Unlock()
 	for _, j := range m.order {
 		j.mu.Lock()
-		j.journal.close()
+		j.journal.Close()
 		j.journal = nil
 		j.mu.Unlock()
 	}
@@ -798,8 +799,9 @@ func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
 	j.mu.Lock()
 	leg := j.legs + 1
 	j.mu.Unlock()
+	detail := fmt.Sprintf("checkpoint (%v)", reason)
 	_, ckptPath := m.jobPaths(j.ID)
-	if err := npd.WriteSealedFile(ckptPath, ckptFormat, jobCheckpoint{
+	if err := durable.WriteSealedFile(ckptPath, ckptFormat, jobCheckpoint{
 		Job:            j.ID,
 		Planner:        cp.Planner,
 		Reason:         fmt.Sprint(reason),
@@ -814,8 +816,8 @@ func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
 	}); err != nil {
 		// The journal record below is the durable truth; a failed
 		// envelope write only degrades the checkpoint endpoint, so the
-		// job plans on.
-		_ = err
+		// job plans on, and the record says why.
+		detail += fmt.Sprintf("; envelope not written: %v", err)
 	}
 	j.transition(record{
 		State:          recCheckpoint,
@@ -824,7 +826,7 @@ func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
 		LowerBound:     lb,
 		Gap:            gap,
 		PartialActions: len(cp.Partial),
-		Detail:         fmt.Sprintf("checkpoint (%v)", reason),
+		Detail:         detail,
 	})
 }
 
@@ -839,7 +841,7 @@ func (m *Manager) CheckpointEnvelope(id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := npd.OpenSealed(ckptFormat, data); err != nil {
+	if _, err := durable.OpenSealed(ckptFormat, data); err != nil {
 		return nil, err
 	}
 	return data, nil
@@ -868,21 +870,19 @@ func (m *Manager) recover() error {
 		if n >= m.nextID {
 			m.nextID = n + 1
 		}
-		if removeIfEmptyJournal(path) {
-			continue
-		}
-		journal, recs, err := openJobJournal(path)
+		journal, recs, err := durable.Open[record](path)
 		if err != nil {
-			if errors.Is(err, ctrl.ErrCorrupt) {
+			if errors.Is(err, durable.ErrCorrupt) {
 				m.quarantine(id, n, path, err)
 				continue
 			}
 			return err
 		}
 		if len(recs) == 0 {
-			// Only a torn first record existed; the submitter was never
-			// acknowledged, so the job never existed.
-			journal.close()
+			// No durable record (an empty file, or only a torn first
+			// record): the submitter was never acknowledged, so the job
+			// never existed.
+			journal.Close()
 			os.Remove(path)
 			continue
 		}
@@ -893,7 +893,7 @@ func (m *Manager) recover() error {
 
 		if j.state.Terminal() {
 			// Nothing will run: keep only how the job ended.
-			journal.close()
+			journal.Close()
 			j.journal = nil
 			j.Req.NPD = nil
 			continue
@@ -919,12 +919,12 @@ func (m *Manager) recover() error {
 func (m *Manager) quarantine(id string, num int, path string, cause error) {
 	os.Rename(path, path+".corrupt")
 	j := &Job{ID: id, num: num, m: m, state: StateFailed, detail: fmt.Sprintf("journal corrupt: %v", cause)}
-	if journal, err := createJobJournal(path); err == nil {
+	if journal, err := durable.Create[record](path); err == nil {
 		j.journal = journal
 		j.mu.Lock()
 		j.appendLocked(record{State: recFailed, Detail: j.detail})
 		j.mu.Unlock()
-		journal.close()
+		journal.Close()
 		j.journal = nil
 	}
 	m.mu.Lock()
@@ -935,7 +935,7 @@ func (m *Manager) quarantine(id string, num int, path string, cause error) {
 // foldJob replays a journal's records into a Job. The journal may hold
 // several admission/planning cycles (one per recovery); the fold keeps
 // the latest values.
-func (m *Manager) foldJob(id string, num int, journal *jobJournal, recs []record) *Job {
+func (m *Manager) foldJob(id string, num int, journal *durable.Log[record], recs []record) *Job {
 	j := &Job{ID: id, num: num, m: m, journal: journal, state: StateSubmitted, recovered: true}
 	maxSeq := -1
 	for _, r := range recs {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"klotski/internal/durable"
 	"klotski/internal/obs"
 	"klotski/internal/sim"
 )
@@ -154,8 +155,8 @@ func gaugeOracleRun(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounds := sim.RecordBoundaries(data)
-		if err := os.WriteFile(path, sim.Tear(data, bounds[len(bounds)-2]), 0o644); err != nil {
+		bounds := durable.RecordBoundaries(data)
+		if err := os.WriteFile(path, durable.Tear(data, bounds[len(bounds)-2]), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

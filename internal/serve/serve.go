@@ -86,6 +86,11 @@ func (s State) Terminal() bool {
 
 // Service errors, matchable via errors.Is.
 var (
+	// ErrInvalidRequest means a submission failed validation: a bad
+	// field, or an NPD document that does not decode. Every other Submit
+	// failure is the daemon's, not the request's.
+	ErrInvalidRequest = errors.New("serve: invalid request")
+
 	// ErrDraining means the daemon is shutting down and not accepting
 	// new submissions.
 	ErrDraining = errors.New("serve: draining, not accepting jobs")

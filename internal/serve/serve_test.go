@@ -147,8 +147,8 @@ func TestSubmitValidation(t *testing.T) {
 		{NPD: json.RawMessage(testNPD), DeadlineMS: -1},
 	}
 	for i, rq := range cases {
-		if _, err := m.Submit(rq); err == nil {
-			t.Errorf("case %d: invalid request accepted", i)
+		if _, err := m.Submit(rq); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("case %d: err = %v, want ErrInvalidRequest", i, err)
 		}
 	}
 	if got := len(m.Jobs()); got != 0 {

@@ -53,6 +53,7 @@ import (
 	"klotski/internal/core"
 	"klotski/internal/ctrl"
 	"klotski/internal/demand"
+	"klotski/internal/durable"
 	"klotski/internal/gen"
 	"klotski/internal/migration"
 	"klotski/internal/npd"
@@ -737,7 +738,7 @@ var (
 	// ErrJournalCorrupt means a journal holds damage somewhere other than
 	// its final record — not the torn tail of a crash, so the log cannot
 	// be trusted for recovery.
-	ErrJournalCorrupt = ctrl.ErrCorrupt
+	ErrJournalCorrupt = durable.ErrCorrupt
 )
 
 // NewControlJournal creates a write-ahead journal at path, refusing with
