@@ -23,14 +23,27 @@ type vecTable struct {
 	m64    map[uint64]int32 // when the packed key fits 64 bits
 	mS     map[string]int32 // fallback for wide vectors
 	chunks [][]uint16
+	chunkN int // vectors per chunk: chunkSize, or the whole lattice when smaller
 }
 
+// newVecTable sizes the table to its lattice: every interned vector v has
+// 0 ≤ v[i] ≤ totals[i], so a lattice of fewer than chunkSize vectors fits
+// one chunk of exactly that many. The map hint is the lattice, capped at
+// 1024.
 func newVecTable(totals []uint16) *vecTable {
-	vt := &vecTable{nTypes: len(totals), key: newKeyer(totals)}
+	lattice := 1
+	for _, t := range totals {
+		if lattice *= int(t) + 1; lattice >= chunkSize {
+			lattice = chunkSize
+			break
+		}
+	}
+	vt := &vecTable{nTypes: len(totals), key: newKeyer(totals), chunkN: lattice}
+	hint := min(1024, lattice)
 	if vt.key.fits64 {
-		vt.m64 = make(map[uint64]int32, 1024)
+		vt.m64 = make(map[uint64]int32, hint)
 	} else {
-		vt.mS = make(map[string]int32, 1024)
+		vt.mS = make(map[string]int32, hint)
 	}
 	return vt
 }
@@ -71,7 +84,7 @@ func (vt *vecTable) place(vec []uint16) int32 {
 	idx := vt.n
 	vt.n++
 	if int(idx)&chunkMask == 0 {
-		vt.chunks = append(vt.chunks, make([]uint16, chunkSize*vt.nTypes))
+		vt.chunks = append(vt.chunks, make([]uint16, vt.chunkN*vt.nTypes))
 	}
 	copy(vt.vec(idx), vec)
 	return idx

@@ -25,8 +25,12 @@ import (
 // it to KJ2 and old readers fail loudly instead of misparsing.
 const logMagic = "KJ1"
 
-// castagnoli is the CRC32C table of every checksum in this package.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// crc32c is the CRC32C checksum of every format in this package. The table
+// is made at first use, not at process start: MakeTable builds the
+// Castagnoli table once behind a sync.Once, so later calls only return it.
+func crc32c(data []byte) uint32 {
+	return crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
+}
 
 // ErrCorrupt means a log holds a record that is malformed or fails its
 // checksum somewhere other than the final line — mid-file damage that
@@ -194,7 +198,7 @@ func encode[T any](recs ...T) ([]byte, error) {
 		}
 		buf = append(buf, logMagic...)
 		buf = append(buf, ' ')
-		buf = fmt.Appendf(buf, "%08x", crc32.Checksum(payload, castagnoli))
+		buf = fmt.Appendf(buf, "%08x", crc32c(payload))
 		buf = append(buf, ' ')
 		buf = append(buf, payload...)
 		buf = append(buf, '\n')
@@ -217,7 +221,7 @@ func decodeLine(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("unparsable checksum %q", rest[:8])
 	}
 	payload := rest[9:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got := crc32c(payload); got != want {
 		return nil, fmt.Errorf("checksum mismatch: record says %08x, payload hashes to %08x", want, got)
 	}
 	return payload, nil

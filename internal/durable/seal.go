@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -59,7 +58,7 @@ func sealChecksum(payload []byte) (string, error) {
 	if err := json.Compact(&buf, payload); err != nil {
 		return "", fmt.Errorf("durable: compacting sealed payload: %w", err)
 	}
-	return fmt.Sprintf("%08x", crc32.Checksum(buf.Bytes(), castagnoli)), nil
+	return fmt.Sprintf("%08x", crc32c(buf.Bytes())), nil
 }
 
 // Seal wraps payload (which must be valid JSON) in a versioned,

@@ -90,10 +90,7 @@ func BuildPlanDocumentFrom(task *migration.Task, executed []int, plan *core.Plan
 			ph.Blocks = append(ph.Blocks, task.Blocks[id].Name)
 			ph.SwitchOps += len(task.Blocks[id].Switches)
 		}
-		st := view.Stats()
-		ph.ActiveSwitches = st.Switches
-		ph.UpCircuits = st.Circuits
-		ph.CapacityTbps = st.Capacity
+		ph.ActiveSwitches, ph.UpCircuits, ph.CapacityTbps = view.Up()
 		ph.MaxUtilization = utils[i]
 		doc.Phases = append(doc.Phases, ph)
 	}

@@ -59,7 +59,7 @@ type Job struct {
 	gap            float64
 	partialActions int
 
-	planDoc []byte // final audited plan document (compact JSON)
+	audited bool // the audited record is journaled: Plan reads it there
 	cost    float64
 	actions int
 
@@ -80,7 +80,7 @@ func (j *Job) Status() Status {
 
 func (j *Job) statusLocked() Status {
 	gap := j.gap
-	if j.legs == 0 && !j.state.Terminal() && j.planDoc == nil {
+	if j.legs == 0 && !j.state.Terminal() && !j.audited {
 		gap = 1 // nothing certified yet
 	}
 	return Status{
@@ -102,14 +102,30 @@ func (j *Job) statusLocked() Status {
 }
 
 // Plan returns the job's final audited plan document bytes, or ErrNoPlan
-// until the job reaches AUDITED.
+// until the job reaches AUDITED. A document among the manager's latest
+// is served from memory; any other is read from the last audited record
+// of the job's journal, and Plan fails when that cannot be read.
 func (j *Job) Plan() ([]byte, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.planDoc == nil {
+	audited := j.audited
+	j.mu.Unlock()
+	if !audited {
 		return nil, ErrNoPlan
 	}
-	return append([]byte(nil), j.planDoc...), nil
+	if doc := j.m.recentPlan(j.ID); doc != nil {
+		return append([]byte(nil), doc...), nil
+	}
+	path, _ := j.m.jobPaths(j.ID)
+	recs, err := durable.Read[record](path)
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading the plan of %s: %w", j.ID, err)
+	}
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].State == recAudited {
+			return recs[i].Plan, nil
+		}
+	}
+	return nil, fmt.Errorf("serve: %s: journal holds no audited record", j.ID)
 }
 
 // Subscribe registers a status stream: the current snapshot plus a
@@ -213,7 +229,7 @@ func (j *Job) applyLocked(r record) {
 		j.gap = r.Gap
 		j.partialActions = r.PartialActions
 	case recAudited:
-		j.planDoc = r.Plan
+		j.audited = true
 		j.cost = r.Cost
 		j.actions = r.Actions
 		j.incumbent = r.Incumbent
@@ -276,6 +292,14 @@ type Manager struct {
 	nextID   int
 	draining bool
 
+	// recent holds the latest recentPlans plan documents, a ring written
+	// at nextRecent.
+	recent [recentPlans]struct {
+		id  string
+		doc []byte
+	}
+	nextRecent int
+
 	wg sync.WaitGroup
 
 	// planHook, when non-nil, runs before every planning leg — the
@@ -310,6 +334,34 @@ func Open(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// recentPlans is how many of the latest plan documents stay in memory. A
+// client that follows its job to DONE and fetches the plan right away is
+// served from them instead of the job's journal; with two such clients
+// (daemon-burst) nearly every read comes within two documents. DESIGN.md
+// ("klotskid's per-job cost") has the measurements behind the size.
+const recentPlans = 16
+
+// rememberPlan puts a job's plan document into the ring of recent ones,
+// dropping the oldest.
+func (m *Manager) rememberPlan(id string, doc []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recent[m.nextRecent].id, m.recent[m.nextRecent].doc = id, doc
+	m.nextRecent = (m.nextRecent + 1) % recentPlans
+}
+
+// recentPlan returns the job's document from the ring, or nil.
+func (m *Manager) recentPlan(id string) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, r := range m.recent {
+		if r.id == id {
+			return r.doc
+		}
+	}
+	return nil
 }
 
 // jobPaths returns the journal and checkpoint paths for a job ID.
@@ -616,6 +668,9 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 		j.transition(record{State: recFailed, Detail: fmt.Sprintf("encoding plan document: %v", err)})
 		return
 	}
+	// Remembered first, so the client that sees DONE reads it from memory;
+	// Plan serves it only once the audited record is durable.
+	m.rememberPlan(j.ID, docBytes)
 	j.transition(record{
 		State:      recAudited,
 		Plan:       docBytes,
@@ -715,7 +770,7 @@ func (m *Manager) planLegs(ctx context.Context, j *Job, task *migration.Task, op
 	engine.Attach(m.store)
 
 	base, maxBo := m.cfg.backoffs()
-	rng := rand.New(rand.NewSource(1))
+	var rng *rand.Rand // the backoff jitter, built at the first retry
 	retries := 0
 	var cp *core.Checkpoint
 
@@ -753,6 +808,9 @@ func (m *Manager) planLegs(ctx context.Context, j *Job, task *migration.Task, op
 		if !errors.As(err, &intr) {
 			if errors.Is(err, sim.ErrTransient) && retries < m.cfg.maxRetries() {
 				retries++
+				if rng == nil {
+					rng = rand.New(rand.NewSource(1))
+				}
 				m.cfg.sleep(ctrl.Backoff(base, maxBo, retries, rng))
 				leg--
 				continue

@@ -33,8 +33,10 @@
 // Release at terminal: the moment a job turns DONE, CANCELLED or FAILED
 // it gives back what only a running job needs — its journal handle, its
 // context, and the request's NPD bytes (recovery reads those from the
-// submitted record) — and keeps its status and audited plan, so what a
-// finished job costs the daemon does not depend on how many came before.
+// submitted record) — and keeps its status, so what a finished job costs
+// the daemon does not depend on how many came before. Its audited plan
+// is read back from the journal's audited record; only the manager's
+// latest recentPlans documents stay in memory.
 //
 // # Recovery = deterministic replay
 //

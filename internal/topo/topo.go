@@ -422,17 +422,15 @@ func (t *Topology) statsWith(swUp func(SwitchID) bool, ckUp func(CircuitID) bool
 		TotalCircuits: len(t.circuits),
 		PerRole:       make(map[Role]int),
 	}
+	st.Switches, st.Circuits, st.Capacity = t.upWith(swUp, ckUp)
 	degree := make([]int, len(t.switches))
 	for i := range t.switches {
 		if swUp(SwitchID(i)) {
-			st.Switches++
 			st.PerRole[t.switches[i].Role]++
 		}
 	}
 	for i := range t.circuits {
 		if ckUp(CircuitID(i)) {
-			st.Circuits++
-			st.Capacity += t.circuits[i].Capacity
 			degree[t.circuits[i].A]++
 			degree[t.circuits[i].B]++
 		}
@@ -443,6 +441,24 @@ func (t *Topology) statsWith(swUp func(SwitchID) bool, ckUp func(CircuitID) bool
 		}
 	}
 	return st
+}
+
+// upWith counts the active switches and up circuits and sums the up
+// circuits' capacity in circuit order: the one summation order that Stats
+// and View.Up share, on which plan documents' bytes depend.
+func (t *Topology) upWith(swUp func(SwitchID) bool, ckUp func(CircuitID) bool) (switches, circuits int, capacity float64) {
+	for i := range t.switches {
+		if swUp(SwitchID(i)) {
+			switches++
+		}
+	}
+	for i := range t.circuits {
+		if ckUp(CircuitID(i)) {
+			circuits++
+			capacity += t.circuits[i].Capacity
+		}
+	}
+	return switches, circuits, capacity
 }
 
 // String returns a short human-readable summary.

@@ -370,7 +370,8 @@ func TestViewDrainUndrainRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a view's stats never count a circuit whose endpoint is drained.
+// Property: a view's stats never count a circuit whose endpoint is drained,
+// and Up reads the same three totals as Stats.
 func TestViewStatsConsistency(t *testing.T) {
 	tp, sw, _ := buildDiamond(t)
 	f := func(mask uint8) bool {
@@ -387,7 +388,8 @@ func TestViewStatsConsistency(t *testing.T) {
 				count++
 			}
 		}
-		return st.Circuits == count
+		switches, circuits, capacity := v.Up()
+		return st.Circuits == count && switches == st.Switches && circuits == st.Circuits && capacity == st.Capacity
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -83,6 +83,13 @@ func (v *View) ActiveDegree(id SwitchID) int {
 	return n
 }
 
+// Up counts the view's active switches and up circuits and sums the up
+// circuits' capacity: Stats' Switches, Circuits and Capacity without its
+// per-role and per-port tallies.
+func (v *View) Up() (switches, circuits int, capacity float64) {
+	return v.t.upWith(v.SwitchActive, v.CircuitUp)
+}
+
 // Stats computes summary statistics for the view's activity state.
 func (v *View) Stats() Stats {
 	return v.t.statsWith(v.SwitchActive, v.CircuitUp)
