@@ -397,6 +397,9 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 		if m.NPD == "" {
 			return fmt.Errorf("%s: member %d (%q) has no npd path", manifestPath, i, m.Name)
 		}
+		if !klotski.FleetPlanner(m.Planner).Resumable() {
+			return fmt.Errorf("%s: member %d (%q) has planner %q; -fleet runs \"astar\" or \"dp\"", manifestPath, i, m.Name, m.Planner)
+		}
 		if m.Name != "" {
 			if err := claim(i, m.Name); err != nil {
 				return err

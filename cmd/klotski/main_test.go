@@ -693,6 +693,29 @@ func TestRunFleetRejectsCollidingNames(t *testing.T) {
 	}
 }
 
+// TestRunFleetRejectsUnresumablePlanner: a manifest planner that cannot
+// checkpoint is refused by name before any member's document is read (the
+// documents here do not exist) and before anything is admitted.
+func TestRunFleetRejectsUnresumablePlanner(t *testing.T) {
+	for _, planner := range []string{"mrc", "janus", "DP", "a*"} {
+		dir := t.TempDir()
+		missing := filepath.Join(dir, "missing.json")
+		manifest := writeManifest(t, dir, []fleetManifestMember{
+			{Name: "east", NPD: missing, Planner: "dp"},
+			{Name: "west", NPD: missing, Planner: planner},
+		})
+		outPath := filepath.Join(dir, "report.json")
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), []string{"-fleet", manifest, "-o", outPath}, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`member 1 ("west") has planner %q`, planner)) {
+			t.Errorf("planner %q: error %v, want member 1 named", planner, err)
+		}
+		if _, err := os.Stat(outPath); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("planner %q: a rejected fleet wrote a report (%v)", planner, err)
+		}
+	}
+}
+
 // TestRunFleetCancelledCheckpointsAllMembers: SIGTERM/SIGINT surface as a
 // cancelled context; a fleet run must stop every member at a planner
 // checkpoint, seal ALL of them into -fleet-checkpoint-dir (not just one

@@ -286,7 +286,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			if attempt >= opts.ObserveRetries {
 				break
 			}
-			opts.Sleep(backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
+			opts.Sleep(Backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
 		}
 		if !good {
 			if degraded {
@@ -410,7 +410,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			}
 			out.Retries++
 			rec.Add(obs.Retries, 1)
-			opts.Sleep(backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
+			opts.Sleep(Backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
 			attempt++
 		}
 		if attempt < 0 {
@@ -650,17 +650,9 @@ func driftScore(obs, assumed demand.Set, scale float64) float64 {
 
 // Backoff computes the capped exponential delay for a retry attempt with
 // full jitter in [d/2, d): herds of retrying controllers must not
-// synchronize against a recovering device. Exported so the serve layer's
-// job runners retry transient failures under the same policy the control
-// loop uses.
+// synchronize against a recovering device. klotskid retries transient leg
+// failures under the same policy.
 func Backoff(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	return backoff(base, max, attempt, rng)
-}
-
-// backoff computes the capped exponential delay for a retry attempt with
-// full jitter in [d/2, d): herds of retrying controllers must not
-// synchronize against a recovering device.
-func backoff(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
 	d := base
 	for i := 0; i < attempt && d < max; i++ {
 		d *= 2

@@ -15,32 +15,11 @@ import (
 )
 
 // Fleet-scale planning: N fabrics planned concurrently under one shared
-// admission pool.
-//
-// A production operator rarely plans one fabric at a time; campaigns plan
-// dozens, and the naive approach — every fabric's planner started at once
-// — oversubscribes the host N-fold while planning them one after another
-// idles it. Fleet admits each member to the shared sched.Pool (blocking
-// when the pool's reservations are full), so at most a worker budget's
-// worth of serial plans run at a time, and aggregates the per-member plans
+// admission pool. Starting every planner at once oversubscribes the host
+// N-fold, and planning them one after another idles it; Fleet runs each
+// member through RunLegs admitted to the shared sched.Pool, so at most a
+// worker budget's worth of plans run at a time, and aggregates the plans
 // and certificates into one report.
-//
-// Preemption: when a higher-priority member's admission preempts a
-// running plan, the victim's pool client's Preempted channel closes; the
-// member's watcher cancels the planning context, the planner checkpoints
-// through the existing *core.Interrupted machinery, the client is closed
-// (releasing its reservation to the preemptor), and the member blocks in
-// re-registration until capacity frees, then resumes the checkpoint.
-// Because plans are byte-identical at any interruption point, a
-// preempted-and-resumed member produces exactly the plan an undisturbed
-// run would have.
-
-// fleetTestPlanHook, when non-nil, runs in planMember immediately before
-// each planning leg (the preemption watcher is already armed). Tests use
-// it to hold a member at the starting line until a higher-priority
-// registration has preempted it, making preempt-checkpoint-resume cycles
-// deterministic.
-var fleetTestPlanHook func(name string)
 
 // FleetMember is one fabric's planning job.
 type FleetMember struct {
@@ -57,28 +36,13 @@ type FleetMember struct {
 	// the member's worker reservation (see sched.ClientOptions).
 	Priority int
 	MinShare int
+
+	legHook func(leg int) error // RunLegs' per-leg hook; tests set it
 }
 
-// Planner mirrors pipeline.Planner's dispatch for the planners that
-// support pool attachment and checkpoint resume. Kept local so ctrl does
-// not grow a pipeline dependency for fleet planning.
-type Planner string
-
-// Fleet planner names.
-const (
-	PlannerAStar Planner = "astar"
-	PlannerDP    Planner = "dp"
-)
-
-func (p Planner) plan(ctx context.Context, task *migration.Task, opts core.Options) (*core.Plan, error) {
-	switch p {
-	case PlannerAStar, "":
-		return core.PlanAStarContext(ctx, task, opts)
-	case PlannerDP:
-		return core.PlanDPContext(ctx, task, opts)
-	}
-	return nil, fmt.Errorf("ctrl: unknown fleet planner %q", p)
-}
+// maxFleetPreemptions is the fleet's starvation guard: a member preempted
+// this often finishes without a pool client.
+const maxFleetPreemptions = 16
 
 // FleetOptions parameterizes a fleet run.
 type FleetOptions struct {
@@ -92,10 +56,6 @@ type FleetOptions struct {
 	// deterministic benchmarks switch sharing off.
 	NoSharedCuts bool
 
-	// MaxPreemptions bounds checkpoint-resume cycles per member before
-	// the member finishes without a pool client (default 16).
-	MaxPreemptions int
-
 	// Recorder (nil-safe) receives fleet.plans_admitted and aggregates
 	// the members' planner counters when the members' own options carry
 	// no recorder.
@@ -108,6 +68,7 @@ type FleetMemberReport struct {
 	Plan        *core.Plan
 	Err         error
 	Preemptions int           // checkpoint-resume cycles forced by the pool
+	Admitted    int           // pool admissions, including re-admissions
 	Wait        time.Duration // cumulative admission blocking
 	Elapsed     time.Duration // admission through final plan (or error)
 }
@@ -137,9 +98,6 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.MaxPreemptions <= 0 {
-		opts.MaxPreemptions = 16
-	}
 	var store *bound.Store
 	if !opts.NoSharedCuts {
 		store = bound.NewStore()
@@ -161,7 +119,7 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 	for i := range rep.Members {
 		m := &rep.Members[i]
 		rep.Preemptions += m.Preemptions
-		rep.Admitted += 1 + m.Preemptions
+		rep.Admitted += m.Admitted
 		if m.Err != nil || m.Plan == nil {
 			rep.Failed++
 			continue
@@ -176,132 +134,37 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 	return rep, nil
 }
 
-// planMember runs one member to completion: admit, plan, and — as often
-// as the pool preempts it — checkpoint, re-admit, resume.
+// planMember runs one member through RunLegs, admitted to the fleet's pool
+// until it has been preempted maxFleetPreemptions times.
 func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bound.Store) (rep FleetMemberReport) {
 	rep.Name = m.Name
 	start := time.Now()
-	// rep is the named result so that this write reaches the caller.
-	defer func() { rep.Elapsed = time.Since(start) }()
-	admit := func() (*sched.Client, error) {
-		w := time.Now()
-		c, err := fo.Pool.Register(m.Name, sched.ClientOptions{Priority: m.Priority, MinShare: m.MinShare})
-		rep.Wait += time.Since(w)
-		if err == nil {
-			fo.Recorder.Add(obs.FleetPlansAdmitted, 1)
-		}
-		return c, err
-	}
-
-	copts := m.Options
-	if store != nil && copts.Bound == nil {
-		eng := core.NewBoundEngine(m.Task, copts)
+	opts := m.Options
+	if store != nil && opts.Bound == nil {
+		eng := core.NewBoundEngine(m.Task, opts)
 		eng.Attach(store)
-		copts.Bound = eng
+		opts.Bound = eng
 	}
-
-	client, err := admit()
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-
-	var cp *core.Checkpoint
-	for {
-		// Watch for preemption while the planner runs: the pool closes
-		// Preempted, the watcher cancels the planning context, and the
-		// planner checkpoints cooperatively.
-		pctx := ctx
-		var cancel context.CancelFunc
-		planned := make(chan struct{})
-		if client != nil {
-			pctx, cancel = context.WithCancel(ctx)
-			go func(c *sched.Client) {
-				select {
-				case <-c.Preempted():
-					cancel()
-				case <-planned:
-				}
-			}(client)
-		}
-
-		if fleetTestPlanHook != nil {
-			fleetTestPlanHook(m.Name)
-		}
-
-		// A preemption that lands before the leg starts is honored without
-		// burning the leg: the planner would otherwise run on an already-
-		// cancelled context (or, on a small fabric, finish before noticing
-		// it). There is no new checkpoint to take, so the member just gives
-		// its reservation back and queues for re-admission — or finishes
-		// clientless past the starvation cap.
-		if client != nil {
-			select {
-			case <-client.Preempted():
-				close(planned)
-				cancel()
-				client.Close()
-				rep.Preemptions++
-				if rep.Preemptions >= fo.MaxPreemptions {
-					client = nil
-					continue
-				}
-				if client, err = admit(); err != nil {
-					rep.Err = err
-					return rep
-				}
-				continue
-			default:
+	rep.Plan, rep.Preemptions, rep.Admitted, rep.Err = RunLegs(ctx, Legs{
+		Task:    m.Task,
+		Options: opts,
+		Planner: m.Planner,
+		Leg:     m.legHook,
+		Admit: func(preemptions int) (*sched.Client, error) {
+			if preemptions >= maxFleetPreemptions {
+				return nil, nil
 			}
-		}
-		var plan *core.Plan
-		if cp != nil {
-			plan, err = core.Resume(pctx, cp, copts)
-		} else {
-			plan, err = m.Planner.plan(pctx, m.Task, copts)
-		}
-		close(planned)
-		if cancel != nil {
-			cancel()
-		}
-
-		// Preemption is detected from the channel itself, after the
-		// planner returns — a plan that raced its completion against the
-		// preemption signal is still a finished plan.
-		preempted := false
-		if client != nil {
-			select {
-			case <-client.Preempted():
-				preempted = true
-			default:
+			w := time.Now()
+			c, err := fo.Pool.Register(m.Name, sched.ClientOptions{Priority: m.Priority, MinShare: m.MinShare})
+			rep.Wait += time.Since(w)
+			if err == nil {
+				fo.Recorder.Add(obs.FleetPlansAdmitted, 1)
 			}
-			client.Close()
-		}
-		if err == nil {
-			rep.Plan = plan
-			return rep
-		}
-		var intr *core.Interrupted
-		if !preempted || !errors.As(err, &intr) {
-			// A real failure, an outer cancellation, or a planner that
-			// cannot checkpoint: the member is done.
-			rep.Err = err
-			return rep
-		}
-		rep.Preemptions++
-		cp = intr.Checkpoint
-		if rep.Preemptions >= fo.MaxPreemptions {
-			// Starvation guard: finish the leg without a pool client,
-			// byte-identically.
-			client = nil
-			continue
-		}
-		client, err = admit()
-		if err != nil {
-			rep.Err = err
-			return rep
-		}
-	}
+			return c, err
+		},
+	})
+	rep.Elapsed = time.Since(start)
+	return rep
 }
 
 // String renders a one-line fleet summary.

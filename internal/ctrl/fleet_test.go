@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"klotski/internal/core"
 	"klotski/internal/sched"
@@ -63,9 +62,10 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetForcedPreemption holds a member at the starting line, preempts
-// it with a higher-priority registration, and verifies the checkpoint-
-// readmit-resume cycle completes with the undisturbed serial plan.
+// TestFleetForcedPreemption preempts a member at the starting line with a
+// higher-priority registration and verifies the checkpoint-readmit-resume
+// cycle completes with the undisturbed serial plan, counting both
+// admissions. legs_test.go drives the runner through every other cut.
 func TestFleetForcedPreemption(t *testing.T) {
 	task, _ := loopTask(t)
 	ref, err := core.PlanAStar(task, core.Options{Alpha: 0.2})
@@ -75,56 +75,46 @@ func TestFleetForcedPreemption(t *testing.T) {
 
 	pool := sched.NewPool(1, nil)
 	defer pool.Close()
-	started := make(chan struct{})
-	release := make(chan struct{})
 	var once sync.Once
-	fleetTestPlanHook = func(name string) {
-		once.Do(func() {
-			close(started)
-			<-release
-		})
+	member := FleetMember{
+		Name: "victim", Task: task, Planner: PlannerAStar, Options: core.Options{Alpha: 0.2},
+		legHook: func(int) (err error) {
+			once.Do(func() {
+				// The victim holds the single-worker pool's whole
+				// reservation, so this registration preempts it,
+				// deterministically; closing it frees the pool for the
+				// victim's re-admission.
+				var hi *sched.Client
+				if hi, err = pool.Register("hi", sched.ClientOptions{Priority: 1, MinShare: 1}); err == nil {
+					hi.Close()
+				}
+			})
+			return err
+		},
 	}
-	defer func() { fleetTestPlanHook = nil }()
-
-	fo := &FleetOptions{Pool: pool, MaxPreemptions: 16}
-	done := make(chan FleetMemberReport, 1)
-	go func() {
-		done <- planMember(context.Background(), FleetMember{
-			Name: "victim", Task: task, Planner: PlannerAStar,
-			Options: core.Options{Alpha: 0.2},
-		}, fo, nil)
-	}()
-	<-started
-	// The victim holds the single-worker pool's whole reservation, so this
-	// registration must preempt it — deterministically.
-	hi, err := pool.Register("hi", sched.ClientOptions{Priority: 1, MinShare: 1})
+	rep, err := Fleet(context.Background(), []FleetMember{member}, FleetOptions{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(release)
-	hi.Close() // frees the reservation for the victim's re-admission
-	var rep FleetMemberReport
-	select {
-	case rep = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("preempted member never finished")
+	m := rep.Members[0]
+	if m.Err != nil {
+		t.Fatalf("member error: %v", m.Err)
 	}
-	if rep.Err != nil {
-		t.Fatalf("member error: %v", rep.Err)
+	if m.Preemptions != 1 || rep.Preemptions != 1 || rep.Admitted != 2 {
+		t.Fatalf("preemptions %d (fleet %d), admitted %d; want 1, 1, 2", m.Preemptions, rep.Preemptions, rep.Admitted)
 	}
-	if rep.Preemptions != 1 {
-		t.Fatalf("preemptions = %d, want 1", rep.Preemptions)
-	}
-	if !reflect.DeepEqual(rep.Plan.Sequence, ref.Sequence) || rep.Plan.Cost != ref.Cost {
+	if !reflect.DeepEqual(m.Plan.Sequence, ref.Sequence) || m.Plan.Cost != ref.Cost {
 		t.Fatalf("resumed plan diverged from serial reference:\n got %v (cost %.6f)\nwant %v (cost %.6f)",
-			rep.Plan.Sequence, rep.Plan.Cost, ref.Sequence, ref.Cost)
+			m.Plan.Sequence, m.Plan.Cost, ref.Sequence, ref.Cost)
 	}
 }
 
-// TestFleetMaxPreemptionsFallsBack caps the member at one preemption and
-// keeps the preemptor registered for the whole run: the member must
-// finish its resumed leg without a pool client — and still produce the
-// serial plan.
+// TestFleetMaxPreemptionsFallsBack preempts a member maxFleetPreemptions
+// times and keeps the last preemptor registered for the whole run: the
+// member must finish without a pool client — still with the serial plan —
+// and the report must count only the clients it was given, not one per
+// preemption plus one. A member whose registration fails was never
+// admitted either.
 func TestFleetMaxPreemptionsFallsBack(t *testing.T) {
 	task, _ := loopTask(t)
 	ref, err := core.PlanAStar(task, core.Options{Alpha: 0.2})
@@ -134,52 +124,56 @@ func TestFleetMaxPreemptionsFallsBack(t *testing.T) {
 
 	pool := sched.NewPool(1, nil)
 	defer pool.Close()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	fleetTestPlanHook = func(name string) {
-		once.Do(func() {
-			close(started)
-			<-release
-		})
+	var hi *sched.Client
+	calls := 0
+	member := FleetMember{
+		Name: "victim", Task: task, Planner: PlannerAStar, Options: core.Options{Alpha: 0.2},
+		legHook: func(int) (err error) {
+			if calls++; calls > maxFleetPreemptions {
+				return nil // clientless: nothing left to preempt
+			}
+			if hi, err = pool.Register("hi", sched.ClientOptions{Priority: 1, MinShare: 1}); err == nil && calls < maxFleetPreemptions {
+				hi.Close()
+			}
+			return err
+		},
 	}
-	defer func() { fleetTestPlanHook = nil }()
-
-	fo := &FleetOptions{Pool: pool, MaxPreemptions: 1}
-	done := make(chan FleetMemberReport, 1)
-	go func() {
-		done <- planMember(context.Background(), FleetMember{
-			Name: "victim", Task: task, Planner: PlannerAStar,
-			Options: core.Options{Alpha: 0.2},
-		}, fo, nil)
-	}()
-	<-started
-	hi, err := pool.Register("hi", sched.ClientOptions{Priority: 1, MinShare: 1})
+	rep, err := Fleet(context.Background(), []FleetMember{member}, FleetOptions{Pool: pool})
+	if hi != nil {
+		hi.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hi.Close() // held until the member has finished clientless
-	close(release)
-	var rep FleetMemberReport
-	select {
-	case rep = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("starved member never finished")
+	m := rep.Members[0]
+	if m.Err != nil {
+		t.Fatalf("member error: %v", m.Err)
 	}
-	if rep.Err != nil {
-		t.Fatalf("member error: %v", rep.Err)
+	if m.Preemptions != maxFleetPreemptions {
+		t.Fatalf("preemptions = %d, want %d", m.Preemptions, maxFleetPreemptions)
 	}
-	if rep.Preemptions != 1 {
-		t.Fatalf("preemptions = %d, want 1", rep.Preemptions)
+	// The first admission and one re-admission per preemption but the last.
+	if rep.Admitted != maxFleetPreemptions {
+		t.Errorf("admitted = %d, want %d", rep.Admitted, maxFleetPreemptions)
 	}
-	if !reflect.DeepEqual(rep.Plan.Sequence, ref.Sequence) || rep.Plan.Cost != ref.Cost {
+	if !reflect.DeepEqual(m.Plan.Sequence, ref.Sequence) || m.Plan.Cost != ref.Cost {
 		t.Fatal("clientless fallback plan diverged from serial reference")
+	}
+
+	closed := sched.NewPool(1, nil)
+	closed.Close()
+	rep, err = Fleet(context.Background(), []FleetMember{{Name: "refused", Task: task}}, FleetOptions{Pool: closed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 1 || rep.Admitted != 0 {
+		t.Errorf("refused member: failed %d, admitted %d; want 1, 0", rep.Failed, rep.Admitted)
 	}
 }
 
 // TestFleetMembersReportElapsed pins that every member's report carries its
-// own wall time, whether it completed or failed: planMember sets Elapsed in a
-// deferred write, which once missed the value already copied out.
+// own wall time, whether it completed or failed: planMember once set Elapsed
+// in a deferred write, which missed the value already copied out.
 func TestFleetMembersReportElapsed(t *testing.T) {
 	task, _ := loopTask(t)
 	pool := sched.NewPool(2, nil)

@@ -60,6 +60,12 @@ func (p Planner) PlanContext(ctx context.Context, task *migration.Task, opts cor
 	return nil, fmt.Errorf("pipeline: unknown planner %q", p)
 }
 
+// Resumable reports whether p names a planner that checkpoints and resumes
+// (core.Resume): the default, A* and DP, the ones RunLegs in ctrl runs.
+func (p Planner) Resumable() bool {
+	return p == "" || p == PlannerAStar || p == PlannerDP
+}
+
 // isBaseline reports whether p is an evaluation baseline: its plans are not
 // bound to canonical within-type order and ignore Options.MaxRunLength.
 func (p Planner) isBaseline() bool {

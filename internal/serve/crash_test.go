@@ -272,11 +272,11 @@ func TestAuditedWithoutDone(t *testing.T) {
 	m := newManager(t, dir, func(c *Config) {
 		c.Recorder = obs.NewRecorder(reg)
 		// Any replanning attempt would trip the hook and fail the test.
+		c.LegHook = func(id string, leg int) error {
+			t.Errorf("job with a journaled audited plan replanned (leg %d)", leg)
+			return nil
+		}
 	})
-	m.planHook = func(id string, leg int) error {
-		t.Errorf("job with a journaled audited plan replanned (leg %d)", leg)
-		return nil
-	}
 	defer m.Close()
 	jobs := m.Jobs()
 	if len(jobs) != 1 {
@@ -485,11 +485,12 @@ func TestFormatFixturesRecover(t *testing.T) {
 	if err != nil || len(recs) < 2 || recs[len(recs)-2].State != recAudited {
 		t.Fatalf("fixture does not end audited→done (%d records): %v", len(recs), err)
 	}
-	m := newManager(t, dir, nil)
-	m.planHook = func(string, int) error {
-		t.Error("a DONE job was planned again")
-		return nil
-	}
+	m := newManager(t, dir, func(c *Config) {
+		c.LegHook = func(string, int) error {
+			t.Error("a DONE job was planned again")
+			return nil
+		}
+	})
 	defer m.Close()
 	j, err := m.Job("job-000000")
 	if err != nil {

@@ -119,7 +119,9 @@ func TestHTTPSubmitPollPlan(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	m, srv := newTestServer(t, nil)
+	m, srv := newTestServer(t, func(c *Config) {
+		c.LegHook = func(string, int) error { time.Sleep(10 * time.Millisecond); return nil }
+	})
 
 	if code := getJSON(t, srv.URL+"/v1/jobs/job-999999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job status: %d, want 404", code)
@@ -141,7 +143,6 @@ func TestHTTPErrors(t *testing.T) {
 	// the next job's journal) is the daemon's failure: 500, and the retry,
 	// under the next job ID, is accepted. That job, without a plan yet,
 	// answers 409 on /plan.
-	m.planHook = func(string, int) error { time.Sleep(10 * time.Millisecond); return nil }
 	if err := os.Mkdir(filepath.Join(m.cfg.Dir, "job-000000.journal"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +167,10 @@ func TestHTTPErrors(t *testing.T) {
 // TestHTTPStream reads the NDJSON stream to the end: it must deliver
 // monotonic progress and finish with the terminal snapshot.
 func TestHTTPStream(t *testing.T) {
-	m, srv := newTestServer(t, nil)
 	// Slow the legs down so the stream attaches before the job finishes.
-	m.planHook = func(string, int) error { time.Sleep(10 * time.Millisecond); return nil }
+	_, srv := newTestServer(t, func(c *Config) {
+		c.LegHook = func(string, int) error { time.Sleep(10 * time.Millisecond); return nil }
+	})
 	_, body := postJSON(t, srv.URL+"/v1/jobs", testRequest())
 	var submitted Status
 	if err := json.Unmarshal(body, &submitted); err != nil {
@@ -214,8 +216,9 @@ func TestHTTPStream(t *testing.T) {
 // TestHTTPStreamClientDrop drops the streaming connection mid-plan; the
 // job must be unaffected and finish DONE for other clients.
 func TestHTTPStreamClientDrop(t *testing.T) {
-	m, srv := newTestServer(t, nil)
-	m.planHook = func(string, int) error { time.Sleep(5 * time.Millisecond); return nil }
+	m, srv := newTestServer(t, func(c *Config) {
+		c.LegHook = func(string, int) error { time.Sleep(5 * time.Millisecond); return nil }
+	})
 	_, body := postJSON(t, srv.URL+"/v1/jobs", testRequest())
 	var submitted Status
 	if err := json.Unmarshal(body, &submitted); err != nil {
@@ -258,19 +261,20 @@ func TestHTTPStreamClientDrop(t *testing.T) {
 }
 
 func TestHTTPCancel(t *testing.T) {
-	m, srv := newTestServer(t, nil)
 	blocked := make(chan struct{})
-	m.planHook = func(id string, leg int) error {
-		if leg == 1 {
-			select {
-			case <-blocked:
-			default:
-				close(blocked)
+	m, srv := newTestServer(t, func(c *Config) {
+		c.LegHook = func(id string, leg int) error {
+			if leg == 1 {
+				select {
+				case <-blocked:
+				default:
+					close(blocked)
+				}
+				time.Sleep(10 * time.Millisecond)
 			}
-			time.Sleep(10 * time.Millisecond)
+			return nil
 		}
-		return nil
-	}
+	})
 	_, body := postJSON(t, srv.URL+"/v1/jobs", testRequest())
 	var st Status
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -362,12 +366,14 @@ func TestHTTPServerReadHeaderTimeout(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
+	// The server's header deadline may start at accept, before Dial
+	// returns, so the clock starts before the dial.
+	start := time.Now()
 	slow, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	start := time.Now()
 	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: klotskid\r\n"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -301,11 +301,6 @@ type Manager struct {
 	nextRecent int
 
 	wg sync.WaitGroup
-
-	// planHook, when non-nil, runs before every planning leg — the
-	// fault-injection seam: tests return sim.ErrTransient (retried with
-	// backoff) or hard errors from it.
-	planHook func(jobID string, leg int) error
 }
 
 // Open creates (or reopens) a manager over cfg.Dir, recovering every
@@ -320,13 +315,13 @@ func Open(cfg Config) (*Manager, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating state dir: %w", err)
 	}
+	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:      cfg,
-		pool:     sched.NewPool(cfg.PoolWorkers, cfg.Recorder),
-		store:    bound.NewStore(),
-		tasks:    newTaskCache(taskCacheEntries, taskCacheBytes),
-		jobs:     make(map[string]*Job),
-		planHook: cfg.LegHook,
+		cfg:   cfg,
+		pool:  sched.NewPool(cfg.PoolWorkers, cfg.Recorder),
+		store: bound.NewStore(),
+		tasks: newTaskCache(taskCacheEntries, taskCacheBytes),
+		jobs:  make(map[string]*Job),
 	}
 	m.runCtx, m.cancelRun = context.WithCancelCause(context.Background())
 	if err := m.recover(); err != nil {
@@ -528,9 +523,7 @@ func (m *Manager) prepare(j *Job, doc *npd.Document) (*migration.Task, core.Opti
 		return nil, core.Options{}, err
 	}
 	opts := m.cfg.Options
-	opts.MaxStates = 0
-	opts.Bound = nil
-	opts.Timeout = 0
+	opts.Timeout = 0 // RunLegs budgets each leg in states
 	if j.Req.Theta > 0 {
 		opts.Theta = j.Req.Theta
 	}
@@ -567,47 +560,54 @@ func (m *Manager) task(raw []byte, doc *npd.Document) (*migration.Task, error) {
 	return m.tasks.put(raw, task), nil
 }
 
-// admit registers the job on the shared pool, waiting at most AdmitWait.
-// When admission cannot complete in time — the pool is exhausted by
-// same-or-higher-priority jobs — the job degrades to serial planning
-// instead of queueing indefinitely (the service's liveness contract:
-// admission control shapes capacity, it never wedges a job forever). A
-// registration that completes after the timeout is closed by a janitor.
-func (m *Manager) admit(ctx context.Context, j *Job) (client *sched.Client, serial bool) {
-	type res struct {
-		c   *sched.Client
-		err error
+// admit is the job's Admit for ctrl.RunLegs: it registers the job on the
+// shared pool, waiting at most AdmitWait. A job the pool cannot admit in
+// time degrades to serial planning instead of queueing indefinitely
+// (admission control shapes capacity, it never wedges a job), and a
+// registration that lands later is closed by a janitor. Only the first
+// admission journals the job ADMITTED and PLANNING.
+func (m *Manager) admit(ctx context.Context, j *Job, preemptions int) (*sched.Client, error) {
+	if preemptions > 0 {
+		j.mu.Lock()
+		j.preemptions = preemptions
+		j.mu.Unlock()
 	}
-	ch := make(chan res, 1)
+	got := make(chan *sched.Client)
+	gone := make(chan struct{}) // closed once admit stops waiting
+	defer close(gone)
 	go func() {
-		c, err := m.pool.Register(j.ID, sched.ClientOptions{
-			Priority: j.Req.Priority,
-			MinShare: j.Req.MinShare,
-		})
-		ch <- res{c, err}
+		c, _ := m.pool.Register(j.ID, sched.ClientOptions{Priority: j.Req.Priority, MinShare: j.Req.MinShare})
+		select {
+		case got <- c: // nil when the pool closed: plan serially
+		case <-gone:
+			if c != nil {
+				c.Close()
+			}
+		}
 	}()
 	var timer <-chan time.Time
-	if wait := m.cfg.admitWait(); wait > 0 {
-		t := time.NewTimer(wait)
+	if m.cfg.AdmitWait > 0 {
+		t := time.NewTimer(m.cfg.AdmitWait)
 		defer t.Stop()
 		timer = t.C
 	}
+	var client *sched.Client
 	select {
-	case r := <-ch:
-		if r.err != nil {
-			return nil, true // pool closed: plan serially
-		}
-		return r.c, false
+	case client = <-got:
 	case <-timer:
 		m.cfg.Recorder.Add(obs.ServeSerialDegrades, 1)
 	case <-ctx.Done():
 	}
-	go func() { // release a registration that lands after we stopped waiting
-		if r := <-ch; r.c != nil {
-			r.c.Close()
+	if err := ctx.Err(); err != nil {
+		if client != nil {
+			client.Close()
 		}
-	}()
-	return nil, true
+		return nil, err
+	}
+	if preemptions == 0 {
+		j.transition(record{State: recAdmitted, Serial: client == nil}, record{State: recPlanning})
+	}
+	return client, nil
 }
 
 // runJob is one job's planning loop, from admission to a terminal state
@@ -629,27 +629,20 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 		defer cancel()
 	}
 
-	client, serial := m.admit(ctx, j)
-	if ctx.Err() != nil {
-		if client != nil {
-			client.Close()
-		}
-		m.finish(j, nil, ctx)
-		return
-	}
-	j.transition(record{State: recAdmitted, Serial: serial}, record{State: recPlanning})
-
-	plan, err := m.planLegs(ctx, j, task, opts, client)
-	var pp *plannerPanic
-	if errors.As(err, &pp) {
-		// Terminal whatever else is going on — a drain included: a job that
-		// stayed PLANNING on disk would be replayed into the same panic by
-		// every restart.
-		log.Printf("serve: job %s: %v\n%s", j.ID, pp, pp.stack)
-		m.cfg.Recorder.Add(obs.ServePlannerPanics, 1)
-		j.transition(record{State: recFailed, Detail: pp.Error()})
-		return
-	}
+	// One bound engine lives across all legs of this job, attached to the
+	// manager-wide store so structural cuts flow between tenants (plan
+	// bytes are engine-independent by contract).
+	opts.Bound = core.NewBoundEngine(task, opts)
+	opts.Bound.Attach(m.store)
+	plan, _, _, err := ctrl.RunLegs(ctx, ctrl.Legs{
+		Task:       task,
+		Options:    opts,
+		Planner:    ctrl.Planner(j.Req.Planner),
+		Admit:      func(preemptions int) (*sched.Client, error) { return m.admit(ctx, j, preemptions) },
+		Leg:        m.legHook(j),
+		Checkpoint: func(cp *core.Checkpoint, reason error) { m.journalCheckpoint(j, cp, reason) },
+		LegStates:  cmp.Or(j.Req.LegStates, m.cfg.LegStates),
+	})
 	if err != nil {
 		m.finish(j, err, ctx)
 		return
@@ -682,177 +675,59 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 	}, record{State: recDone})
 }
 
-// finish maps a planning interruption or failure to the job's terminal
+// finish maps the error that ended a job's planning to the job's terminal
 // (or, for drains, non-terminal) state.
 func (m *Manager) finish(j *Job, planErr error, ctx context.Context) {
 	cause := context.Cause(ctx)
+	var lp *ctrl.LegPanic
 	switch {
+	case errors.As(planErr, &lp):
+		// Terminal whatever else is going on — a drain included: a job that
+		// stayed PLANNING on disk would be replayed into the same panic by
+		// every restart.
+		log.Printf("serve: job %s: %v\n%s", j.ID, lp, lp.Stack)
+		m.cfg.Recorder.Add(obs.ServePlannerPanics, 1)
+		j.transition(record{State: recFailed, Detail: lp.Error()})
 	case errors.Is(cause, errDrainStop):
-		// Checkpoint already journaled by planLegs; the job stays
+		// Checkpoint already journaled by the last leg; the job stays
 		// PLANNING on disk and a restarted daemon replays it.
-		return
 	case errors.Is(cause, errUserCancel):
 		j.transition(record{State: recCancelled, Detail: "cancelled by client"})
 	case errors.Is(cause, context.DeadlineExceeded):
 		m.cfg.Recorder.Add(obs.ServeDeadlineExpiries, 1)
 		j.transition(record{State: recFailed, Detail: "deadline expired"})
-	case planErr != nil:
+	default:
 		j.transition(record{State: recFailed, Detail: planErr.Error()})
-	default:
-		j.transition(record{State: recFailed, Detail: fmt.Sprintf("planning stopped: %v", cause)})
 	}
 }
 
-// plannerPanic is a panic raised inside a planning or audit call and
-// contained by runLeg: the job fails, the daemon keeps serving.
-type plannerPanic struct {
-	value any
-	stack []byte
-}
-
-func (p *plannerPanic) Error() string { return fmt.Sprintf("panic: %v", p.value) }
-
-// runLeg runs one planning leg — the fault-injection hook, then the planner
-// from the job's request or from its last checkpoint — and returns a panic
-// raised anywhere inside it as a *plannerPanic error. That includes the
-// post-planning audit, which replays on this goroutine.
-func (m *Manager) runLeg(ctx context.Context, j *Job, leg int, cp *core.Checkpoint, task *migration.Task, opts core.Options) (plan *core.Plan, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			plan, err = nil, &plannerPanic{value: v, stack: debug.Stack()}
-		}
-	}()
-	if m.planHook != nil {
-		if err := m.planHook(j.ID, leg); err != nil {
-			return nil, err
-		}
+// legHook is the job's per-leg hook for ctrl.RunLegs: Config.LegHook,
+// with a sim.ErrTransient from it retried under the ctrl backoff policy,
+// at most MaxRetries times per job.
+func (m *Manager) legHook(j *Job) func(leg int) error {
+	if m.cfg.LegHook == nil {
+		return nil
 	}
-	if cp != nil {
-		return core.Resume(ctx, cp, opts)
-	}
-	return planOnce(ctx, j.Req.Planner, task, opts)
-}
-
-// planOnce dispatches the first leg to the requested planner.
-func planOnce(ctx context.Context, planner string, task *migration.Task, opts core.Options) (*core.Plan, error) {
-	switch planner {
-	case "", "astar":
-		return core.PlanAStarContext(ctx, task, opts)
-	case "dp":
-		return core.PlanDPContext(ctx, task, opts)
-	default:
-		return nil, fmt.Errorf("serve: unknown planner %q", planner)
-	}
-}
-
-// planLegs runs the job's search in legs of LegStates states each,
-// journaling a checkpoint (record + sealed envelope) at every leg
-// boundary, resuming across preemptions (re-admitting, possibly
-// degraded to serial), and retrying transient failures with the ctrl
-// backoff policy. It returns the completed, audited plan or the error
-// that stopped the search (with the last checkpoint already journaled
-// when one exists).
-func (m *Manager) planLegs(ctx context.Context, j *Job, task *migration.Task, opts core.Options, client *sched.Client) (*core.Plan, error) {
-	defer func() {
-		if client != nil {
-			client.Close()
-		}
-	}()
-
-	legStates := m.cfg.legStates()
-	if j.Req.LegStates > 0 {
-		legStates = j.Req.LegStates
-	}
-	// One bound engine lives across all legs and replans of this job,
-	// attached to the manager-wide store so structural cuts flow
-	// between tenants (plan bytes are engine-independent by contract).
-	engine := core.NewBoundEngine(task, opts)
-	engine.Attach(m.store)
-
-	base, maxBo := m.cfg.backoffs()
 	var rng *rand.Rand // the backoff jitter, built at the first retry
 	retries := 0
-	var cp *core.Checkpoint
-
-	for leg := 0; ; leg++ {
-		legOpts := opts
-		legOpts.MaxStates = legStates
-		legOpts.Bound = engine
-
-		// A preemption cancels only this leg's context, so the planner
-		// checkpoints without tearing down the job.
-		legCtx := ctx
-		legDone := make(chan struct{})
-		var cancelLeg context.CancelFunc
-		if client != nil {
-			legCtx, cancelLeg = context.WithCancel(ctx)
-			go func(c *sched.Client) {
-				select {
-				case <-c.Preempted():
-					cancelLeg()
-				case <-legDone:
-				}
-			}(client)
-		}
-
-		plan, err := m.runLeg(legCtx, j, leg, cp, task, legOpts)
-		close(legDone)
-		if cancelLeg != nil {
-			cancelLeg()
-		}
-
-		if err == nil {
-			return plan, nil
-		}
-		var intr *core.Interrupted
-		if !errors.As(err, &intr) {
-			if errors.Is(err, sim.ErrTransient) && retries < m.cfg.maxRetries() {
-				retries++
-				if rng == nil {
-					rng = rand.New(rand.NewSource(1))
-				}
-				m.cfg.sleep(ctrl.Backoff(base, maxBo, retries, rng))
-				leg--
-				continue
+	return func(leg int) error {
+		for {
+			err := m.cfg.LegHook(j.ID, leg)
+			if !errors.Is(err, sim.ErrTransient) || retries >= m.cfg.MaxRetries {
+				return err
 			}
-			return nil, err
-		}
-		cp = intr.Checkpoint
-		m.journalCheckpoint(j, cp, intr.Reason)
-		if ctx.Err() != nil {
-			// Cancelled above the leg: drain, user cancel, or deadline.
-			return nil, err
-		}
-
-		preempted := false
-		if client != nil {
-			select {
-			case <-client.Preempted():
-				preempted = true
-			default:
+			retries++
+			if rng == nil {
+				rng = rand.New(rand.NewSource(1))
 			}
+			m.cfg.Sleep(ctrl.Backoff(m.cfg.BaseBackoff, m.cfg.MaxBackoff, retries, rng))
 		}
-		if preempted {
-			j.mu.Lock()
-			j.preemptions++
-			j.mu.Unlock()
-			client.Close()
-			client, _ = m.admit(ctx, j)
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-		}
-		// Otherwise: plain leg-budget exhaustion — continue with the
-		// same client.
 	}
 }
 
 // journalCheckpoint seals the checkpoint envelope (atomic file) and
 // journals a checkpoint record carrying the anytime certificate.
 func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
-	if cp == nil {
-		return
-	}
 	inc, lb, gap := cp.Gap()
 	j.mu.Lock()
 	leg := j.legs + 1

@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"klotski/internal/core"
+	"klotski/internal/ctrl"
 	"klotski/internal/obs"
 )
 
@@ -151,9 +152,7 @@ func (rq *Request) validate() error {
 	if len(rq.NPD) == 0 {
 		return errors.New("request has no npd document")
 	}
-	switch rq.Planner {
-	case "", "astar", "dp":
-	default:
+	if !ctrl.Planner(rq.Planner).Resumable() {
 		return fmt.Errorf("unknown planner %q (service runs \"astar\" or \"dp\")", rq.Planner)
 	}
 	if rq.Theta < 0 || rq.Theta > 1 {
@@ -245,42 +244,25 @@ type Config struct {
 	LegHook func(jobID string, leg int) error
 }
 
-func (c *Config) legStates() int {
+// withDefaults fills in the documented defaults of unset fields.
+func (c Config) withDefaults() Config {
 	if c.LegStates <= 0 {
-		return 50000
+		c.LegStates = 50000
 	}
-	return c.LegStates
-}
-
-func (c *Config) admitWait() time.Duration {
 	if c.AdmitWait == 0 {
-		return 2 * time.Second
+		c.AdmitWait = 2 * time.Second
 	}
-	return c.AdmitWait
-}
-
-func (c *Config) maxRetries() int {
 	if c.MaxRetries <= 0 {
-		return 4
+		c.MaxRetries = 4
 	}
-	return c.MaxRetries
-}
-
-func (c *Config) backoffs() (base, max time.Duration) {
-	base, max = c.BaseBackoff, c.MaxBackoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
+	if c.BaseBackoff <= 0 {
+		c.BaseBackoff = 50 * time.Millisecond
 	}
-	if max <= 0 {
-		max = 2 * time.Second
+	if c.MaxBackoff <= 0 {
+		c.MaxBackoff = 2 * time.Second
 	}
-	return base, max
-}
-
-func (c *Config) sleep(d time.Duration) {
-	if c.Sleep != nil {
-		c.Sleep(d)
-		return
+	if c.Sleep == nil {
+		c.Sleep = time.Sleep
 	}
-	time.Sleep(d)
+	return c
 }

@@ -158,18 +158,18 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	dir := t.TempDir()
-	m := newManager(t, dir, nil)
-	defer m.Close()
-
 	// Slow the legs down so the cancel lands mid-planning.
 	started := make(chan struct{})
-	m.planHook = func(id string, leg int) error {
-		if leg == 1 {
-			close(started)
-			time.Sleep(20 * time.Millisecond)
+	m := newManager(t, dir, func(c *Config) {
+		c.LegHook = func(id string, leg int) error {
+			if leg == 1 {
+				close(started)
+				time.Sleep(20 * time.Millisecond)
+			}
+			return nil
 		}
-		return nil
-	}
+	})
+	defer m.Close()
 	j, err := m.Submit(testRequest())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -203,13 +203,13 @@ func TestDeadlineExpiry(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newManager(t, t.TempDir(), func(c *Config) {
 		c.Recorder = obs.NewRecorder(reg)
+		c.LegHook = func(id string, leg int) error {
+			time.Sleep(30 * time.Millisecond)
+			return nil
+		}
 	})
 	defer m.Close()
 
-	m.planHook = func(id string, leg int) error {
-		time.Sleep(30 * time.Millisecond)
-		return nil
-	}
 	rq := testRequest()
 	rq.DeadlineMS = 5
 	j, err := m.Submit(rq)
@@ -227,20 +227,19 @@ func TestDeadlineExpiry(t *testing.T) {
 
 func TestTransientRetryBackoff(t *testing.T) {
 	var slept []time.Duration
+	fails := 2
 	m := newManager(t, t.TempDir(), func(c *Config) {
 		c.MaxRetries = 3
 		c.Sleep = func(d time.Duration) { slept = append(slept, d) }
+		c.LegHook = func(id string, leg int) error {
+			if leg == 0 && fails > 0 {
+				fails--
+				return fmt.Errorf("injected: %w", sim.ErrTransient)
+			}
+			return nil
+		}
 	})
 	defer m.Close()
-
-	fails := 2
-	m.planHook = func(id string, leg int) error {
-		if leg == 0 && fails > 0 {
-			fails--
-			return fmt.Errorf("injected: %w", sim.ErrTransient)
-		}
-		return nil
-	}
 	j, err := m.Submit(testRequest())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -263,12 +262,11 @@ func TestTransientRetryExhaustion(t *testing.T) {
 	m := newManager(t, t.TempDir(), func(c *Config) {
 		c.MaxRetries = 2
 		c.Sleep = func(time.Duration) {}
+		c.LegHook = func(id string, leg int) error {
+			return fmt.Errorf("injected: %w", sim.ErrTransient)
+		}
 	})
 	defer m.Close()
-
-	m.planHook = func(id string, leg int) error {
-		return fmt.Errorf("injected: %w", sim.ErrTransient)
-	}
 	j, err := m.Submit(testRequest())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -282,20 +280,21 @@ func TestTransientRetryExhaustion(t *testing.T) {
 func TestDrainCheckpointsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	m := newManager(t, dir, func(c *Config) { c.Recorder = obs.NewRecorder(reg) })
-
 	legged := make(chan struct{})
 	var once bool
-	m.planHook = func(id string, leg int) error {
-		if leg >= 1 && !once {
-			once = true
-			close(legged)
+	m := newManager(t, dir, func(c *Config) {
+		c.Recorder = obs.NewRecorder(reg)
+		c.LegHook = func(id string, leg int) error {
+			if leg >= 1 && !once {
+				once = true
+				close(legged)
+			}
+			if leg >= 1 {
+				time.Sleep(5 * time.Millisecond)
+			}
+			return nil
 		}
-		if leg >= 1 {
-			time.Sleep(5 * time.Millisecond)
-		}
-		return nil
-	}
+	})
 	j, err := m.Submit(testRequest())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -467,30 +466,29 @@ func TestEmptyJournalRemoved(t *testing.T) {
 }
 
 // TestPlannerPanicFailsJobNotDaemon poisons one job: its second planning leg
-// panics inside runLeg, where the planner and its audit run on the leg's own
-// goroutine, so a panic in either is raised in the same frame. The daemon
-// must turn that into the job's FAILED terminal record — not die, which at
-// one time it did, taking every other tenant's job with it and re-running
-// the journaled job into the same panic after each restart — give the job's
-// pool reservation back, plan the next job to DONE, and after a restart hold
-// both jobs as they ended, planning nothing again.
+// panics inside ctrl.RunLegs, where the hook, the planner and its audit run
+// on the job's goroutine, so a panic in any of them is contained alike. The
+// daemon must turn that into the job's FAILED terminal record — not die,
+// which at one time it did, taking every other tenant's job with it and
+// re-running the journaled job into the same panic after each restart —
+// give the job's pool reservation back, plan the next job to DONE, and after
+// a restart hold both jobs as they ended, planning nothing again.
 func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
+	var armed atomic.Bool
+	armed.Store(true)
 	m := newManager(t, dir, func(c *Config) {
 		c.Recorder = obs.NewRecorder(reg)
 		c.PoolWorkers = 1
+		c.LegHook = func(id string, leg int) error {
+			if armed.Load() && leg == 1 {
+				panic("poisoned fabric")
+			}
+			return nil
+		}
 	})
 	defer func() { m.Close() }()
-
-	var armed atomic.Bool
-	armed.Store(true)
-	m.planHook = func(id string, leg int) error {
-		if armed.Load() && leg == 1 {
-			panic("poisoned fabric")
-		}
-		return nil
-	}
 	rq := testRequest()
 	rq.MinShare = 1 // the whole pool: the next job is admitted only if this reservation comes back
 	poisoned, err := m.Submit(rq)

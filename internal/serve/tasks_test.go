@@ -161,16 +161,17 @@ func TestTaskCacheBounds(t *testing.T) {
 	t.Run("recovered", func(t *testing.T) {
 		dir := t.TempDir()
 		doc := compactNPD(t, []byte(testNPD))
-		m := newManager(t, dir, nil)
 		legged := make(chan struct{})
 		var once sync.Once
-		m.planHook = func(_ string, leg int) error {
-			if leg >= 1 {
-				once.Do(func() { close(legged) })
-				time.Sleep(5 * time.Millisecond)
+		m := newManager(t, dir, func(c *Config) {
+			c.LegHook = func(_ string, leg int) error {
+				if leg >= 1 {
+					once.Do(func() { close(legged) })
+					time.Sleep(5 * time.Millisecond)
+				}
+				return nil
 			}
-			return nil
-		}
+		})
 		j, err := m.Submit(Request{NPD: doc})
 		if err != nil {
 			t.Fatal(err)
