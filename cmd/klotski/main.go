@@ -638,29 +638,16 @@ func serveDebug(addr string, reg *klotski.ObsRegistry, stderr io.Writer) (func()
 
 // writeCheckpoint renders the interrupted search's best partial sequence
 // as a plan document so the -resume/-executed flow accepts it, with the
-// planner's interruption details under an extra "checkpoint" key.
-//
-// The search only verifies states at run boundaries, but an operator who
-// executes the partial sequence and pauses there makes its endpoint an
-// observable network state — so the partial is first trimmed to the
-// longest prefix whose paused state satisfies the constraints.
+// planner's interruption details under an extra "checkpoint" key. The
+// partial is the checkpoint's SafePartial: trimmed to the longest prefix
+// whose paused state satisfies the constraints.
 func writeCheckpoint(path string, interrupted *klotski.Interrupted, opts klotski.Options) (int, error) {
 	cp := interrupted.Checkpoint
 	if cp == nil {
 		return 0, fmt.Errorf("planner returned no checkpoint")
 	}
 	task := cp.Task()
-	partial := append([]int(nil), cp.Partial...)
-	for len(partial) > 0 {
-		counts := make([]int, len(task.Types))
-		for _, b := range partial {
-			counts[task.Blocks[b].Type]++
-		}
-		if klotski.CheckState(task, counts, opts) == nil {
-			break
-		}
-		partial = partial[:len(partial)-1]
-	}
+	partial := cp.SafePartial(opts)
 	pd := &klotski.PlanDocument{
 		Version: npd.Version,
 		Task:    task.Name,
@@ -768,7 +755,7 @@ func auditDocument(doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPat
 	if opts.Alpha == 0 {
 		opts.Alpha = prev.Alpha
 	}
-	freeOrder := cfg.Planner == klotski.PlannerMRC || cfg.Planner == klotski.PlannerJanus
+	freeOrder := cfg.Planner.FreeOrder()
 	var rep *klotski.AuditReport
 	if len(seq) < task.NumActions() {
 		rep, err = klotski.AuditPartialPlan(task, seq, opts, freeOrder)

@@ -379,6 +379,33 @@ func TestRunAuditHonoursGrowth(t *testing.T) {
 	}
 }
 
+// TestRunSimulateFollowsGrowth: -simulate replays the plan at the demand
+// the -growth forecast gives each state, as planning and -audit check it.
+// At 0.5% a step the plan made under growth, replayed at base demand, peaks
+// exactly where the flat plan does; only the grown demand lifts its peak.
+func TestRunSimulateFollowsGrowth(t *testing.T) {
+	npdPath := writeNPD(t)
+	peak := regexp.MustCompile(`campaign over 4 seeds: peak util [0-9.]+–([0-9.]+) `)
+	peaks := make([]float64, 2)
+	for i, growth := range []string{"0", "0.005"} {
+		var out, errBuf bytes.Buffer
+		if err := run(context.Background(), []string{"-npd", npdPath, "-simulate", "4", "-growth", growth}, &out, &errBuf); err != nil {
+			t.Fatalf("-growth %s: %v (stderr: %s)", growth, err, errBuf.String())
+		}
+		m := peak.FindStringSubmatch(errBuf.String())
+		if m == nil {
+			t.Fatalf("-growth %s: no campaign line in %s", growth, errBuf.String())
+		}
+		var err error
+		if peaks[i], err = strconv.ParseFloat(m[1], 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if peaks[1] <= peaks[0] {
+		t.Errorf("-simulate under -growth 0.005 peaks at %v, not above the flat replay's %v", peaks[1], peaks[0])
+	}
+}
+
 // TestRunAuditRejectsCorruptSealedFile: a sealed document whose payload
 // was altered after sealing must be refused by checksum, not misparsed.
 func TestRunAuditRejectsCorruptSealedFile(t *testing.T) {

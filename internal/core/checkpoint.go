@@ -33,6 +33,29 @@ type Checkpoint struct {
 // Task returns the migration task the checkpointed search is planning.
 func (cp *Checkpoint) Task() *migration.Task { return cp.task }
 
+// SafePartial returns the longest prefix of Partial whose paused endpoint
+// satisfies the constraints under opts (CheckState). The search verifies
+// states only at run boundaries — A* pushes run extensions unchecked, and
+// Partial reaches the most advanced pushed state — but an operator who
+// executes the partial sequence and pauses there makes its endpoint an
+// observable network state. Counts stays the frontier's. opts.Bound is not
+// consulted, so the search's bound engine is left as it was.
+func (cp *Checkpoint) SafePartial(opts Options) []int {
+	task := cp.task
+	opts.Bound = nil
+	counts := make([]int, task.NumTypes())
+	copy(counts, opts.InitialCounts)
+	for _, b := range cp.Partial {
+		counts[task.Blocks[b].Type]++
+	}
+	partial := cp.Partial
+	for len(partial) > 0 && CheckState(task, counts, opts) != nil {
+		counts[task.Blocks[partial[len(partial)-1]].Type]--
+		partial = partial[:len(partial)-1]
+	}
+	return partial
+}
+
 // Gap returns the interrupted search's anytime optimality certificate:
 // the best incumbent cost found so far (0 when no complete plan has been
 // seen yet), the global lower bound proven so far, and the certified
@@ -47,10 +70,14 @@ func (cp *Checkpoint) Gap() (incumbent, lowerBound, gap float64) {
 // (counted from the resumption, not cumulatively), and ctx cancels it
 // cooperatively. All other options are taken from the original run — they
 // shaped the cached search state and cannot change mid-search. A resumed
-// search continues exactly where it stopped: no state is re-expanded, no
-// satisfiability check is repeated, and the eventual plan is identical to
-// what an uninterrupted run would have produced. Resuming may itself be
-// interrupted again, returning a further *Interrupted checkpoint.
+// search continues where it stopped: A* re-expands no state; DP recomputes
+// the recursion path that was in flight at the interruption (evicted, as
+// its entries held no final value) while every finalized memo entry
+// answers at once, and each DP leg finalizes at least one entry before its
+// state budget may stop it. No satisfiability check is repeated, and the
+// eventual plan is identical to what an uninterrupted run would have
+// produced. Resuming may itself be interrupted again, returning a further
+// *Interrupted checkpoint.
 func Resume(ctx context.Context, cp *Checkpoint, opts Options) (*Plan, error) {
 	if cp == nil || cp.resume == nil {
 		return nil, fmt.Errorf("core: nil or non-resumable checkpoint")

@@ -95,6 +95,14 @@ type dpRun struct {
 	// cycle sentinel, not a final value, and must be evicted before the
 	// memo can serve as a checkpoint.
 	stack []int64
+
+	// progressed is set once the current leg has finalized a memo entry.
+	// Until then the state budget cannot stop the leg: an interruption
+	// evicts the in-flight path, so a leg that finalized nothing would
+	// leave the next leg exactly where it began, and legs whose budget is
+	// below the recursion depth would never finish. The context still
+	// stops a leg at once.
+	progressed bool
 }
 
 // sweep evaluates the DP at the target over every admissible last action
@@ -162,6 +170,7 @@ func (d *dpRun) interrupt(reason error) error {
 	}
 	cp.resume = func(ctx context.Context, opts Options) (*Plan, error) {
 		sp.rebudget(ctx, opts)
+		d.progressed = false
 		return d.sweep()
 	}
 	return interruptErrf(reason, cp, "DP stopped after %d states, %d checks",
@@ -225,7 +234,13 @@ func (d *dpRun) f(vecIdx int32, a migration.ActionType, t int) (float64, error) 
 	}
 	sp.metrics.StatesCreated++
 	sp.rec.Add(obs.StatesCreated, 1)
-	if err := sp.interrupted(); err != nil {
+	var err error
+	if d.progressed {
+		err = sp.interrupted()
+	} else {
+		err = sp.polled()
+	}
+	if err != nil {
 		return 0, err
 	}
 	// Seed the memo to guard against cycles (none exist — every step
@@ -240,6 +255,7 @@ func (d *dpRun) f(vecIdx int32, a migration.ActionType, t int) (float64, error) 
 	}
 	d.stack = d.stack[:len(d.stack)-1]
 	d.memo[key] = best
+	d.progressed = true
 	if !math.IsInf(best, 1) {
 		d.prev[key] = bestPrev
 	}

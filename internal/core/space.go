@@ -569,11 +569,16 @@ func (sp *space) heuristicCapped(vecIdx int32, last migration.ActionType, tail i
 // very first call, which always polls so tiny searches still honor
 // already-expired deadlines. Once tripped, the reason latches.
 func (sp *space) interrupted() error {
-	if sp.stopErr != nil {
-		return sp.stopErr
-	}
-	if sp.metrics.StatesCreated-sp.budgetBase > sp.opts.maxStates() {
+	if sp.stopErr == nil && sp.metrics.StatesCreated-sp.budgetBase > sp.opts.maxStates() {
 		sp.stopErr = ErrBudget
+	}
+	return sp.polled()
+}
+
+// polled is interrupted without the state budget: the latched reason, else
+// the time budget and the context, polled as interrupted polls them.
+func (sp *space) polled() error {
+	if sp.stopErr != nil {
 		return sp.stopErr
 	}
 	sp.pollCountdown--
@@ -592,8 +597,8 @@ func (sp *space) interrupted() error {
 	return nil
 }
 
-// pollInterval is how many interrupted() calls pass between time/context
-// polls.
+// pollInterval is how many interrupted() or polled() calls pass between
+// time/context polls.
 const pollInterval = 256
 
 // rebudget rearms an interrupted search with a fresh budget envelope for a

@@ -30,12 +30,9 @@ type Options struct {
 	// fault.
 	Plan *core.Plan
 
-	// MaxRetries bounds transient-failure retries per action (default 4).
+	// MaxRetries bounds transient-failure retries per action (default 4),
+	// each after a jittered backoff doubling from 10ms up to 1s.
 	MaxRetries int
-	// BaseBackoff is the first retry delay (default 10ms); subsequent
-	// retries double it up to MaxBackoff (default 1s), with jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 
 	// MaxReplans bounds replanning across the whole run (default 8) so a
 	// hostile environment cannot trap the controller in a plan loop.
@@ -70,12 +67,6 @@ type Options struct {
 	// (default 1.25).
 	DemandMargin float64
 
-	// ObserveRetries bounds the telemetry watchdog: how many times a
-	// failed or insane observation is retried (with the same seeded
-	// backoff as action retries) before the controller degrades
-	// (default 2).
-	ObserveRetries int
-
 	// Journal, when non-nil, records begin/done/replan entries; pair with
 	// OpenJournal + a fresh world to resume after a controller crash.
 	Journal *Journal
@@ -103,24 +94,25 @@ func (o Options) recorder() *obs.Recorder {
 	return o.Config.Options.Recorder
 }
 
+// The retry policy of Run: a transient action failure or an unusable
+// observation is retried after a backoff doubling from baseBackoff up to
+// maxBackoff, with jitter, and the telemetry watchdog retries a failed or
+// insane observation observeRetries times before the controller degrades.
+const (
+	baseBackoff    = 10 * time.Millisecond
+	maxBackoff     = time.Second
+	observeRetries = 2
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 4
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 10 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
 	}
 	if o.MaxReplans <= 0 {
 		o.MaxReplans = 8
 	}
 	if o.DemandMargin <= 1 {
 		o.DemandMargin = 1.25
-	}
-	if o.ObserveRetries <= 0 {
-		o.ObserveRetries = 2
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -283,10 +275,10 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			}
 			out.TelemetryFaults++
 			rec.Add(obs.TelemetryFaults, 1)
-			if attempt >= opts.ObserveRetries {
+			if attempt >= observeRetries {
 				break
 			}
-			opts.Sleep(Backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
+			opts.Sleep(Backoff(baseBackoff, maxBackoff, attempt, rng))
 		}
 		if !good {
 			if degraded {
@@ -410,7 +402,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			}
 			out.Retries++
 			rec.Add(obs.Retries, 1)
-			opts.Sleep(Backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng))
+			opts.Sleep(Backoff(baseBackoff, maxBackoff, attempt, rng))
 			attempt++
 		}
 		if attempt < 0 {
@@ -462,15 +454,14 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 // pre-audited (their post-pass sets Plan.Audit); plans built elsewhere —
 // baselines, hand-constructed Options.Plan — are audited here against the
 // task the plan was computed for, continuing the executed prefix. When
-// Config.SkipAudit is set (tests only), the audit still runs here: the
+// Config.Options.SkipAudit is set, the audit still runs here: the
 // executor's gate is the last line of defense and has no opt-out.
 func ensureAudited(p *core.Plan, executed []int, cfg pipeline.Config) error {
 	if p.Audit == nil {
-		freeOrder := cfg.Planner == pipeline.PlannerMRC || cfg.Planner == pipeline.PlannerJanus
 		opts := cfg.Options
 		opts.InitialCounts = nil
 		opts.InitialLast = core.NoLast
-		rep, err := core.AuditResumed(p.Task, p.Sequence, executed, opts, freeOrder)
+		rep, err := core.AuditResumed(p.Task, p.Sequence, executed, opts, cfg.Planner.FreeOrder())
 		if err != nil {
 			return fmt.Errorf("ctrl: auditing plan: %w", err)
 		}

@@ -290,3 +290,42 @@ func TestRunLegsRejectsNonResumablePlanner(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLegsDPTinyLegs: DP legs whose state budget is below the recursion
+// depth still finish, with exactly the unsliced plan. An interruption
+// evicts the recursion path in flight, so each leg must finalize a memo
+// entry before its budget may stop it.
+func TestRunLegsDPTinyLegs(t *testing.T) {
+	task, _ := loopTask(t)
+	opts := core.Options{Alpha: 0.2}
+	ref, err := core.PlanDP(task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for legStates := 1; legStates <= 5; legStates++ {
+		ckpts := 0
+		plan, _, _, err := RunLegs(context.Background(), Legs{
+			Task:    task,
+			Options: opts,
+			Planner: PlannerDP,
+			Admit:   func(int) (*sched.Client, error) { return nil, nil },
+			Leg: func(leg int) error {
+				if leg > 1000 {
+					return errors.New("no plan after 1000 legs")
+				}
+				return nil
+			},
+			Checkpoint: func(*core.Checkpoint, error) { ckpts++ },
+			LegStates:  legStates,
+		})
+		if err != nil {
+			t.Fatalf("LegStates %d: %v", legStates, err)
+		}
+		if ckpts == 0 {
+			t.Errorf("LegStates %d: planned in one leg", legStates)
+		}
+		if got, want := outcome(plan), outcome(ref); !reflect.DeepEqual(got, want) {
+			t.Fatalf("LegStates %d: plan diverged from the unsliced DP plan:\n got %+v\nwant %+v", legStates, got, want)
+		}
+	}
+}

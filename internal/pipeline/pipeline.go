@@ -66,9 +66,10 @@ func (p Planner) Resumable() bool {
 	return p == "" || p == PlannerAStar || p == PlannerDP
 }
 
-// isBaseline reports whether p is an evaluation baseline: its plans are not
-// bound to canonical within-type order and ignore Options.MaxRunLength.
-func (p Planner) isBaseline() bool {
+// FreeOrder reports whether p is an evaluation baseline, whose plans are
+// audited free-order: they are not bound to canonical within-type order and
+// ignore Options.MaxRunLength.
+func (p Planner) FreeOrder() bool {
 	return p == PlannerMRC || p == PlannerJanus
 }
 
@@ -102,14 +103,6 @@ type Config struct {
 	// demand at every step and re-plans from the first step where growth
 	// makes the remainder unsafe.
 	Forecast demand.Forecast
-
-	// UnitCosts overrides action-type unit costs by type name — the OPEX
-	// cost model of §7.2 (different crews and sites have different costs).
-	UnitCosts map[string]float64
-
-	// SkipAudit disables the independent post-planning audit. Only tests
-	// use it; production runs always audit.
-	SkipAudit bool
 
 	// CampaignSeeds, when > 0, replays the audited plan that many times
 	// with randomized intra-run asynchrony (worst-case circuit-level
@@ -160,12 +153,6 @@ func RunTask(task *migration.Task, cfg Config) (*Result, error) {
 
 // RunTaskContext is RunTask with cooperative cancellation.
 func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Result, error) {
-	applyUnitCosts(task, cfg.UnitCosts)
-	if cfg.SkipAudit {
-		// Propagate the opt-out to the planners' own post-pass so a skip
-		// actually skips (benchmarks isolating search time rely on it).
-		cfg.Options.SkipAudit = true
-	}
 	rec := cfg.Options.Recorder
 	planSpan := rec.Span("pipeline.plan")
 	plan, replans, err := planWithForecast(ctx, task, cfg)
@@ -173,13 +160,11 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.SkipAudit {
-		auditSpan := rec.Span("pipeline.audit")
-		err := audit(task, plan, cfg)
-		auditSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: plan failed audit: %w", err)
-		}
+	auditSpan := rec.Span("pipeline.audit")
+	err = audit(task, plan, cfg)
+	auditSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: plan failed audit: %w", err)
 	}
 	docPlan, err := npd.BuildPlanDocument(task, plan, cfg.Options)
 	if err != nil {
@@ -187,7 +172,9 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 	}
 	res := &Result{Task: task, Plan: plan, Document: docPlan, Replans: replans}
 	if cfg.CampaignSeeds > 0 {
-		res.Campaign, err = sim.NewExecutor(task).Campaign(plan.Sequence, sim.Options{
+		// The plan's task carries the forecast it was planned under, so the
+		// replay sees the demand each state will carry.
+		res.Campaign, err = sim.NewExecutor(plan.Task).Campaign(plan.Sequence, sim.Options{
 			Theta: cfg.Options.Theta,
 			Split: cfg.Options.Split,
 		}, cfg.CampaignSeeds)
@@ -196,16 +183,6 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 		}
 	}
 	return res, nil
-}
-
-func applyUnitCosts(task *migration.Task, unitCosts map[string]float64) {
-	for name, c := range unitCosts {
-		for i := range task.Types {
-			if task.Types[i].Name == name {
-				task.Types[i].UnitCost = c
-			}
-		}
-	}
 }
 
 // planWithForecast plans the task under demand growth (§7.1). The planners
@@ -239,7 +216,7 @@ func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*c
 		full := append(append([]int(nil), executed...), plan.Sequence...)
 		rep := plan.Audit
 		if replans > 0 || rep == nil {
-			if rep, err = core.AuditSequence(ftask, full, opts, cfg.Planner.isBaseline()); err != nil {
+			if rep, err = core.AuditSequence(ftask, full, opts, cfg.Planner.FreeOrder()); err != nil {
 				return nil, replans, err
 			}
 		}
@@ -247,7 +224,7 @@ func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*c
 			// Runs and cost follow the run cap as the planner's own do: the
 			// core planners split runs at the cap, the baselines ignore it.
 			maxRun := cfg.Options.MaxRunLength
-			if cfg.Planner.isBaseline() {
+			if cfg.Planner.FreeOrder() {
 				maxRun = 0
 			}
 			return &core.Plan{
@@ -300,7 +277,7 @@ func audit(task *migration.Task, plan *core.Plan, cfg Config) error {
 		opts := cfg.Options
 		opts.InitialCounts = nil
 		opts.InitialLast = core.NoLast
-		rep, err := core.AuditSequence(task, plan.Sequence, opts, cfg.Planner.isBaseline())
+		rep, err := core.AuditSequence(task, plan.Sequence, opts, cfg.Planner.FreeOrder())
 		if err != nil {
 			return err
 		}

@@ -84,22 +84,6 @@ func TestRunWithBlockFactor(t *testing.T) {
 	}
 }
 
-func TestUnitCostsApplied(t *testing.T) {
-	doc := sampleDoc()
-	res, err := Run(doc, Config{UnitCosts: map[string]float64{"drain-hgrid-v1-grid": 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(sampleDoc(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan.Cost <= base.Plan.Cost {
-		t.Errorf("raising drain unit cost should raise plan cost: %v vs %v",
-			res.Plan.Cost, base.Plan.Cost)
-	}
-}
-
 func TestForecastTriggersReplanning(t *testing.T) {
 	// Aggressive growth: the original plan's later boundaries break and
 	// the pipeline must re-plan mid-flight at least once, still producing
@@ -146,7 +130,7 @@ func TestForecastKeepsRunCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		runCap := maxRun
-		if pl.isBaseline() {
+		if pl.FreeOrder() {
 			runCap = 0
 		}
 		capped := Config{Planner: pl, Options: core.Options{MaxRunLength: maxRun}}
@@ -154,7 +138,7 @@ func TestForecastKeepsRunCap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pl, err)
 		}
-		if pl.isBaseline() && !slices.ContainsFunc(want.Plan.Runs, func(r core.Run) bool { return len(r.Blocks) > maxRun }) {
+		if pl.FreeOrder() && !slices.ContainsFunc(want.Plan.Runs, func(r core.Run) bool { return len(r.Blocks) > maxRun }) {
 			t.Fatalf("%s: no run is longer than the cap, so the case cannot tell the run rules apart", pl)
 		}
 		grown := capped

@@ -640,7 +640,7 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 		Planner:    ctrl.Planner(j.Req.Planner),
 		Admit:      func(preemptions int) (*sched.Client, error) { return m.admit(ctx, j, preemptions) },
 		Leg:        m.legHook(j),
-		Checkpoint: func(cp *core.Checkpoint, reason error) { m.journalCheckpoint(j, cp, reason) },
+		Checkpoint: func(cp *core.Checkpoint, reason error) { m.journalCheckpoint(j, cp, opts, reason) },
 		LegStates:  cmp.Or(j.Req.LegStates, m.cfg.LegStates),
 	})
 	if err != nil {
@@ -720,15 +720,18 @@ func (m *Manager) legHook(j *Job) func(leg int) error {
 			if rng == nil {
 				rng = rand.New(rand.NewSource(1))
 			}
-			m.cfg.Sleep(ctrl.Backoff(m.cfg.BaseBackoff, m.cfg.MaxBackoff, retries, rng))
+			m.cfg.Sleep(ctrl.Backoff(retryBackoff, maxRetryBackoff, retries, rng))
 		}
 	}
 }
 
 // journalCheckpoint seals the checkpoint envelope (atomic file) and
-// journals a checkpoint record carrying the anytime certificate.
-func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
+// journals a checkpoint record carrying the anytime certificate. The
+// partial sequence in both is the checkpoint's SafePartial under the job's
+// options: a prefix an operator may execute and pause at.
+func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, opts core.Options, reason error) {
 	inc, lb, gap := cp.Gap()
+	partial := cp.SafePartial(opts)
 	j.mu.Lock()
 	leg := j.legs + 1
 	j.mu.Unlock()
@@ -740,7 +743,7 @@ func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
 		Reason:         fmt.Sprint(reason),
 		Leg:            leg,
 		Counts:         cp.Counts,
-		Partial:        cp.Partial,
+		Partial:        partial,
 		Incumbent:      inc,
 		LowerBound:     lb,
 		Gap:            gap,
@@ -758,7 +761,7 @@ func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
 		Incumbent:      inc,
 		LowerBound:     lb,
 		Gap:            gap,
-		PartialActions: len(cp.Partial),
+		PartialActions: len(partial),
 		Detail:         detail,
 	})
 }

@@ -216,13 +216,9 @@ type Config struct {
 	AdmitWait time.Duration
 
 	// MaxRetries bounds retries of transient planning failures
-	// (sim.ErrTransient), backed off with the ctrl policy. 0 selects 4.
+	// (sim.ErrTransient), each after a jittered backoff (ctrl.Backoff)
+	// doubling from 50ms up to 2s. 0 selects 4.
 	MaxRetries int
-
-	// BaseBackoff / MaxBackoff shape the transient-retry backoff.
-	// Zero values select 50ms / 2s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 
 	// Options seeds every job's planning options (theta, alpha, …);
 	// per-request fields override it. The budget fields (MaxStates,
@@ -244,6 +240,12 @@ type Config struct {
 	LegHook func(jobID string, leg int) error
 }
 
+// The backoff bounds of a job's transient-failure retries.
+const (
+	retryBackoff    = 50 * time.Millisecond
+	maxRetryBackoff = 2 * time.Second
+)
+
 // withDefaults fills in the documented defaults of unset fields.
 func (c Config) withDefaults() Config {
 	if c.LegStates <= 0 {
@@ -254,12 +256,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 4
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep

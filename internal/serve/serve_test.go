@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"klotski/internal/core"
+	"klotski/internal/durable"
+	"klotski/internal/npd"
 	"klotski/internal/obs"
 	"klotski/internal/sim"
 )
@@ -544,5 +547,118 @@ func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
 	m.Close() // waits for anything the restart relaunched
 	if replanned != 0 {
 		t.Errorf("the restart ran %d planning legs, want none", replanned)
+	}
+}
+
+// TestCheckpointPartialTrimmed: A* pushes run extensions unchecked, so the
+// frontier a checkpoint reaches can be an unsafe paused state. The daemon
+// seals and reports only the checkpoint's SafePartial, the longest prefix
+// an operator may execute and pause at, while Counts stays the frontier's.
+func TestCheckpointPartialTrimmed(t *testing.T) {
+	doc, err := npd.Decode(bytes.NewReader([]byte(testNPD)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, _, err := doc.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	countsOf := func(seq []int) []int {
+		counts := make([]int, task.NumTypes())
+		for _, b := range seq {
+			counts[task.Blocks[b].Type]++
+		}
+		return counts
+	}
+	var m *Manager
+	var checked, trimmed atomic.Int32
+	m = newManager(t, t.TempDir(), func(c *Config) {
+		c.LegHook = func(id string, leg int) error {
+			if leg == 0 {
+				return nil
+			}
+			data, err := m.CheckpointEnvelope(id)
+			if err != nil {
+				t.Errorf("leg %d: CheckpointEnvelope: %v", leg, err)
+				return nil
+			}
+			payload, err := durable.OpenSealed(ckptFormat, data)
+			if err != nil {
+				t.Errorf("leg %d: %v", leg, err)
+				return nil
+			}
+			var ck jobCheckpoint
+			if err := json.Unmarshal(payload, &ck); err != nil {
+				t.Errorf("leg %d: %v", leg, err)
+				return nil
+			}
+			j, err := m.Job(id)
+			if err != nil {
+				t.Errorf("leg %d: %v", leg, err)
+				return nil
+			}
+			if st := j.Status(); st.PartialActions != len(ck.Partial) {
+				t.Errorf("leg %d: status partial_actions %d, envelope partial %d", leg, st.PartialActions, len(ck.Partial))
+			}
+			if err := core.CheckState(task, countsOf(ck.Partial), core.Options{}); err != nil {
+				t.Errorf("leg %d: the sealed partial ends at an unsafe state: %v", leg, err)
+			}
+			checked.Add(1)
+			if core.CheckState(task, ck.Counts, core.Options{}) != nil {
+				frontier := 0
+				for _, c := range ck.Counts {
+					frontier += c
+				}
+				if len(ck.Partial) >= frontier {
+					t.Errorf("leg %d: unsafe frontier %v sealed untrimmed (%d actions)", leg, ck.Counts, len(ck.Partial))
+				}
+				trimmed.Add(1)
+			}
+			return nil
+		}
+	})
+	defer m.Close()
+	j, err := m.Submit(testRequest())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitTerminal(t, j); st.State != StateDone {
+		t.Fatalf("job finished %s (%s), want DONE", st.State, st.Detail)
+	}
+	if checked.Load() == 0 || trimmed.Load() == 0 {
+		t.Fatalf("%d checkpoints read, %d with an unsafe frontier; the fixture must reach one", checked.Load(), trimmed.Load())
+	}
+}
+
+// TestDPTinyLegsFinish: a DP job whose leg budget is below its recursion
+// depth still finishes, with the plan an unsliced DP job makes. Each leg
+// evicts the recursion path it left in flight, so a leg that finalized no
+// memo entry would leave the next one where it began.
+func TestDPTinyLegsFinish(t *testing.T) {
+	m := newManager(t, t.TempDir(), func(c *Config) { c.LegStates = 1 << 20 })
+	defer m.Close()
+	var docs [][]byte
+	for _, legs := range []int{0, 2} {
+		rq := testRequest()
+		rq.Planner, rq.LegStates = "dp", legs
+		j, err := m.Submit(rq)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		st := waitTerminal(t, j)
+		if st.State != StateDone {
+			t.Fatalf("leg_states %d: job finished %s (%s), want DONE", legs, st.State, st.Detail)
+		}
+		if legs > 0 && st.Legs == 0 {
+			t.Errorf("leg_states %d: the job planned in one leg", legs)
+		}
+		doc, err := j.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Error("the sliced DP plan differs from the unsliced one")
 	}
 }

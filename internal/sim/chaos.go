@@ -1,11 +1,11 @@
 // Chaos campaigns: seeded fault schedules and a stateful World that a
-// controller drives block by block. The single InjectFailure hook of the
-// original simulator covers one switch failure per replay; production
-// migrations (paper §7.2) see *trains* of faults — out-of-band device
-// rebuilds, flapping optics, traffic surges, and transiently failing drain
-// RPCs — often several within one migration. A Schedule expresses such a
-// train; a World replays it against the live topology so the control loop
-// in internal/ctrl can observe, retry, and replan.
+// controller drives block by block. Production migrations (paper §7.2) see
+// *trains* of faults — out-of-band device rebuilds, flapping optics,
+// traffic surges, and transiently failing drain RPCs — often several within
+// one migration. A Schedule expresses such a train; a World replays it
+// against the live topology so the control loop in internal/ctrl can
+// observe, retry, and replan. World.Poll and World.fire are the package's
+// one fault interpreter: the Executor replays plans fault-free.
 package sim
 
 import (
@@ -110,46 +110,26 @@ type Schedule []Fault
 
 // ScheduleOptions parameterizes RandomSchedule.
 type ScheduleOptions struct {
-	Faults          int     // number of faults (default 3)
-	SurgeFraction   float64 // demands affected by a surge (default 0.05)
-	SurgeMultiplier float64 // surge rate multiplier (default 1.2)
-	MaxAttempts     int     // max transient failures per fault (default 2)
-	FlapSteps       int     // actions until a flapped circuit recovers (default 2)
+	Faults int // number of faults (default 3)
 
 	// Telemetry widens the draw to the telemetry fault kinds (stale, drop,
 	// corrupt). Off by default so existing seeded schedules — and the
 	// deterministic campaigns replaying them — are byte-identical to before
 	// the telemetry kinds existed.
 	Telemetry bool
-	// TelemetrySteps is the number of ObserveDemands calls a telemetry
-	// fault affects (default 2).
-	TelemetrySteps int
 	// SurgeSteps, when > 0, makes drawn surges transient: surged rates
 	// recover after 1..SurgeSteps actions. 0 keeps surges permanent.
 	SurgeSteps int
 }
 
-func (o ScheduleOptions) withDefaults() ScheduleOptions {
-	if o.Faults <= 0 {
-		o.Faults = 3
-	}
-	if o.SurgeFraction <= 0 {
-		o.SurgeFraction = 0.05
-	}
-	if o.SurgeMultiplier <= 1 {
-		o.SurgeMultiplier = 1.2
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2
-	}
-	if o.FlapSteps <= 0 {
-		o.FlapSteps = 2
-	}
-	if o.TelemetrySteps <= 0 {
-		o.TelemetrySteps = 2
-	}
-	return o
-}
+// The shape of drawn faults. Seeded schedules depend on every one of them.
+const (
+	surgeFraction   = 0.05 // demands affected by a surge
+	surgeMultiplier = 1.2  // surge rate multiplier
+	maxAttempts     = 2    // max transient failures per fault
+	flapSteps       = 2    // max actions until a flapped circuit recovers
+	telemetrySteps  = 2    // max ObserveDemands calls a telemetry fault affects
+)
 
 // RandomSchedule draws a seeded fault train for the task. Switch outages
 // and circuit flaps only target equipment the migration does not itself
@@ -159,7 +139,9 @@ func (o ScheduleOptions) withDefaults() ScheduleOptions {
 // stressing the migration. When no eligible equipment exists the draw
 // falls back to transients and surges.
 func RandomSchedule(task *migration.Task, seed int64, opts ScheduleOptions) Schedule {
-	opts = opts.withDefaults()
+	if opts.Faults <= 0 {
+		opts.Faults = 3
+	}
 	rng := rand.New(rand.NewSource(seed))
 
 	operatedSw := make(map[topo.SwitchID]bool)
@@ -218,26 +200,26 @@ func RandomSchedule(task *migration.Task, seed int64, opts ScheduleOptions) Sche
 			}
 			sched = append(sched, Fault{Step: step, Kind: FaultCircuitFlap,
 				Circuit: spareCk[rng.Intn(len(spareCk))],
-				Steps:   1 + rng.Intn(opts.FlapSteps)})
+				Steps:   1 + rng.Intn(flapSteps)})
 		case 2:
 			steps := 0
 			if opts.SurgeSteps > 0 {
 				steps = 1 + rng.Intn(opts.SurgeSteps)
 			}
 			sched = append(sched, Fault{Step: step, Kind: FaultSurge, Steps: steps,
-				Surge: &demand.Surge{Fraction: opts.SurgeFraction, Multiplier: opts.SurgeMultiplier}})
+				Surge: &demand.Surge{Fraction: surgeFraction, Multiplier: surgeMultiplier}})
 		case 3:
 			sched = append(sched, Fault{Step: step, Kind: FaultTransient,
-				Attempts: 1 + rng.Intn(opts.MaxAttempts)})
+				Attempts: 1 + rng.Intn(maxAttempts)})
 		case 4:
 			sched = append(sched, Fault{Step: step, Kind: FaultTelemetryStale,
-				Steps: 1 + rng.Intn(opts.TelemetrySteps)})
+				Steps: 1 + rng.Intn(telemetrySteps)})
 		case 5:
 			sched = append(sched, Fault{Step: step, Kind: FaultTelemetryDrop,
-				Steps: 1 + rng.Intn(opts.TelemetrySteps)})
+				Steps: 1 + rng.Intn(telemetrySteps)})
 		default:
 			sched = append(sched, Fault{Step: step, Kind: FaultTelemetryCorrupt,
-				Steps: 1 + rng.Intn(opts.TelemetrySteps)})
+				Steps: 1 + rng.Intn(telemetrySteps)})
 		}
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Step < sched[j].Step })

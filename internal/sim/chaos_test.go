@@ -7,6 +7,7 @@ import (
 	"klotski/internal/core"
 	"klotski/internal/demand"
 	"klotski/internal/migration"
+	"klotski/internal/routing"
 	"klotski/internal/topo"
 )
 
@@ -76,6 +77,17 @@ func TestWorldFaultsFireByStepAndBumpEpoch(t *testing.T) {
 	}
 	if !w.DemandsChanged() {
 		t.Fatal("surge fired but DemandsChanged is false")
+	}
+	// The outage removed a bridge and the surge grew demand: the live
+	// network runs hotter than a fault-free world at the same prefix.
+	clean := NewWorld(task, nil, 1)
+	if err := clean.Apply(plan.Sequence[0]); err != nil {
+		t.Fatal(err)
+	}
+	hot, _ := w.Observe(0, routing.SplitEqual)
+	cool, _ := clean.Observe(0, routing.SplitEqual)
+	if hot <= cool {
+		t.Errorf("outage+surge should raise utilization: %v vs fault-free %v", hot, cool)
 	}
 
 	if err := w.Apply(plan.Sequence[1]); err != nil {
@@ -166,42 +178,6 @@ func TestRandomScheduleRespectsOperatedEquipment(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestExecuteWithFaultSchedule exercises the Executor-level chaos path:
-// a spare-switch outage plus a surge mid-replay must register in the
-// report (the plan may or may not stay safe — that is what the report
-// says), and the replay must run to completion without error.
-func TestExecuteWithFaultSchedule(t *testing.T) {
-	task, spares := chaosTask(t)
-	plan, err := core.PlanAStar(task, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewExecutor(task).Execute(plan.Sequence, Options{
-		Faults: Schedule{
-			{Step: 1, Kind: FaultSwitchDown, Switch: spares[0]},
-			{Step: 2, Kind: FaultSurge, Surge: &demand.Surge{Fraction: 1, Multiplier: 1.05}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed {
-		t.Fatal("replay should complete")
-	}
-	base, err := NewExecutor(task).Execute(plan.Sequence, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The outage removes a bridge and the surge grows demand, so the final
-	// boundary — same up-set otherwise — must run hotter than the clean
-	// replay's.
-	last, lastBase := rep.Steps[len(rep.Steps)-1], base.Steps[len(base.Steps)-1]
-	if last.BoundaryUtil <= lastBase.BoundaryUtil {
-		t.Errorf("outage+surge should raise final boundary util: %v vs %v",
-			last.BoundaryUtil, lastBase.BoundaryUtil)
 	}
 }
 
@@ -355,36 +331,5 @@ func TestWorldTransientSurgeRecovers(t *testing.T) {
 	}
 	if r := w.Demands().Demands[0].Rate; r != 150 {
 		t.Fatalf("recovered rate = %v, want 150", r)
-	}
-}
-
-// TestExecuteTransientSurgeRecovers: the open-loop replay honors surge
-// recovery horizons too — a big transient surge violates boundaries only
-// while it is live, not for the rest of the migration.
-func TestExecuteTransientSurgeRecovers(t *testing.T) {
-	task, _ := chaosTask(t)
-	plan, err := core.PlanAStar(task, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewExecutor(task).Execute(plan.Sequence, Options{
-		Faults: Schedule{{Step: 0, Kind: FaultSurge, Steps: 1, Surge: &demand.Surge{Fraction: 1, Multiplier: 5}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed {
-		t.Fatal("replay should complete")
-	}
-	if rep.BoundaryViolations == 0 {
-		t.Fatal("a 5x surge should violate at least one live boundary")
-	}
-	if rep.BoundaryViolations >= len(rep.Steps) {
-		t.Fatalf("surge never recovered: %d of %d boundaries violated",
-			rep.BoundaryViolations, len(rep.Steps))
-	}
-	last := rep.Steps[len(rep.Steps)-1]
-	if last.BoundaryUnsafe {
-		t.Fatal("final boundary still violated after the surge horizon passed")
 	}
 }

@@ -5,12 +5,16 @@
 // run execute "in parallel" (paper §3). In reality that parallelism is
 // asynchronous: circuits drain one at a time, and while a run is in flight
 // the network passes through partial states the planner never checked —
-// this is exactly the traffic-funneling phenomenon of §2.2. The simulator
-// replays a plan with configurable intra-run asynchrony and reports both
-// boundary safety (must hold for a valid plan) and transient excursions
-// (which funneling headroom, core.Options.FunnelFactor, is designed to
-// absorb). It can also inject demand surges and switch failures mid-flight
-// (§7.2) to drive replanning flows.
+// this is exactly the traffic-funneling phenomenon of §2.2. The Executor
+// replays a plan with configurable intra-run asynchrony, at the demand its
+// task forecasts (migration.Task.Forecast, §7.1), and reports both boundary
+// safety (must hold for a valid plan) and transient excursions (which
+// funneling headroom, core.Options.FunnelFactor, is designed to absorb).
+//
+// Faults during a migration (§7.2) belong to the World (chaos.go): it fires
+// a seeded Schedule of outages, flaps, surges and transient failures as a
+// controller applies blocks, and the closed loop in internal/ctrl observes,
+// retries and replans against it.
 package sim
 
 import (
@@ -18,7 +22,6 @@ import (
 	"math/rand"
 
 	"klotski/internal/core"
-	"klotski/internal/demand"
 	"klotski/internal/migration"
 	"klotski/internal/routing"
 	"klotski/internal/topo"
@@ -47,26 +50,6 @@ type Options struct {
 	Split       routing.SplitMode // traffic splitting policy (ECMP or WCMP)
 	Granularity Granularity       // intra-run asynchrony (default GranularityRun)
 	Seed        int64             // shuffle seed for asynchrony order
-
-	// Forecast grows demand as steps complete (§7.1).
-	Forecast demand.Forecast
-
-	// Surge, when non-nil, multiplies a fraction of demands at the given
-	// run index (§7.2 "unexpected traffic surge").
-	SurgeAtRun int
-	Surge      *demand.Surge
-
-	// InjectFailure takes FailSwitch down just before run FailAtRun
-	// executes (§7.2 "failures during operation duration").
-	InjectFailure bool
-	FailAtRun     int
-	FailSwitch    topo.SwitchID
-
-	// Faults is a chaos schedule fired by executed-action count as the
-	// replay progresses — the multi-fault generalization of InjectFailure.
-	// FaultTransient entries are ignored here: the replay has no retry
-	// loop (see internal/ctrl for the closed-loop executor that does).
-	Faults Schedule
 }
 
 // StepReport records what one run did to the network.
@@ -92,20 +75,12 @@ type Report struct {
 	BoundaryViolations  int
 	TransientViolations int
 	PeakUtil            float64 // worst utilization anywhere, any time
-
-	// HaltedAt is the run index where execution stopped (boundary
-	// violation with HaltOnViolation), or -1.
-	HaltedAt int
 }
 
 // Executor replays plans over a task.
 type Executor struct {
 	task *migration.Task
 	eval *routing.Evaluator
-
-	// HaltOnViolation stops execution at the first unsafe boundary
-	// instead of recording it and continuing.
-	HaltOnViolation bool
 }
 
 // NewExecutor returns an executor for the task.
@@ -116,92 +91,23 @@ func NewExecutor(task *migration.Task) *Executor {
 // Execute replays the block sequence and returns the execution report. The
 // sequence must be a valid plan for the task (use core.VerifyPlan, the
 // audit's verdict, first; Execute itself only runs the audit's structural
-// check, core.ValidateSequence).
+// check, core.ValidateSequence). Every observed state, boundary or partial,
+// is checked at the task's forecast for its own finished-action count, as
+// the audit checks it.
 func (e *Executor) Execute(seq []int, opts Options) (*Report, error) {
 	if err := core.ValidateSequence(e.task, seq, nil); err != nil {
 		return nil, err
 	}
-	theta := opts.Theta
-	if theta <= 0 {
-		theta = 0.75
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	task := e.task
 	view := task.Topo.NewView()
-	demands := task.Demands.Clone()
-
-	report := &Report{HaltedAt: -1}
-	runs := groupRuns(task, seq)
-	stepsDone := 0
-	faultFired := make([]bool, len(opts.Faults))
-	flapRecovery := make(map[topo.CircuitID]int)
-	type surgeRecovery struct {
-		step       int
-		multiplier float64
-		hit        []int32
+	at := func(applied int) routing.CheckOpts {
+		return routing.CheckOpts{Theta: opts.Theta, Split: opts.Split, DemandScale: task.Forecast.ScaleAt(applied)}
 	}
-	var surgeRecoveries []surgeRecovery
-	for ri, run := range runs {
-		if opts.InjectFailure && ri == opts.FailAtRun {
-			view.DrainSwitch(opts.FailSwitch)
-		}
-		if opts.Surge != nil && ri == opts.SurgeAtRun {
-			demands = opts.Surge.Apply(demands, rng)
-		}
-		// Chaos schedule: fire due faults and recover expired flaps at run
-		// granularity (the replay observes at run boundaries).
-		for c, at := range flapRecovery {
-			if at <= stepsDone {
-				delete(flapRecovery, c)
-				view.SetCircuitActive(c, true)
-			}
-		}
-		keep := surgeRecoveries[:0]
-		for _, sr := range surgeRecoveries {
-			if sr.step > stepsDone {
-				keep = append(keep, sr)
-				continue
-			}
-			for _, di := range sr.hit {
-				demands.Demands[di].Rate /= sr.multiplier
-			}
-		}
-		surgeRecoveries = keep
-		for fi := range opts.Faults {
-			f := &opts.Faults[fi]
-			if faultFired[fi] || f.Step > stepsDone {
-				continue
-			}
-			faultFired[fi] = true
-			switch f.Kind {
-			case FaultSwitchDown:
-				view.SetSwitchActive(f.Switch, false)
-			case FaultCircuitFlap:
-				view.SetCircuitActive(f.Circuit, false)
-				steps := f.Steps
-				if steps <= 0 {
-					steps = 1
-				}
-				flapRecovery[f.Circuit] = stepsDone + steps
-			case FaultSurge:
-				if f.Surge != nil {
-					var hit []int32
-					demands, hit = f.Surge.ApplyTracked(demands, rng)
-					if f.Steps > 0 && len(hit) > 0 {
-						surgeRecoveries = append(surgeRecoveries, surgeRecovery{
-							step: stepsDone + f.Steps, multiplier: f.Surge.Multiplier, hit: hit})
-					}
-				}
-			case FaultTransient:
-				// No retry loop here; nothing to fail.
-			default:
-				// Telemetry faults degrade the controller's observation
-				// channel (internal/ctrl); the open-loop replay reads
-				// ground truth directly and is unaffected.
-			}
-		}
-		grown := opts.Forecast.At(demands, stepsDone)
 
+	report := &Report{}
+	applied := 0
+	for ri, run := range groupRuns(task, seq) {
 		sr := StepReport{
 			Run:        ri + 1,
 			ActionType: task.Types[run.ty].Name,
@@ -214,25 +120,25 @@ func (e *Executor) Execute(seq []int, opts Options) (*Report, error) {
 			for _, id := range run.blocks {
 				task.Apply(view, id)
 			}
+			applied += len(run.blocks)
 		case GranularityBlock, GranularityCircuit:
 			order := append([]int(nil), run.blocks...)
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for bi, id := range order {
 				if opts.Granularity == GranularityCircuit {
-					e.applyBlockCircuitwise(view, id, rng, grown, theta, opts.Split, &sr)
+					e.applyBlockCircuitwise(view, id, rng, at(applied), &sr)
 				} else {
 					task.Apply(view, id)
 				}
-				last := bi == len(order)-1
-				if !last {
-					e.observeTransient(view, &grown, theta, opts.Split, &sr)
+				applied++
+				if bi < len(order)-1 {
+					e.observeTransient(view, at(applied), &sr)
 				}
 			}
 		}
-		stepsDone += len(run.blocks)
 
 		// Boundary check: this is the state the planner guaranteed.
-		res, viol := e.eval.Evaluate(view, &grown, routing.CheckOpts{Theta: theta, Split: opts.Split})
+		res, viol := e.eval.Evaluate(view, &task.Demands, at(applied))
 		sr.BoundaryUtil = res.MaxUtil
 		if res.MaxUtil > report.PeakUtil {
 			report.PeakUtil = res.MaxUtil
@@ -247,10 +153,6 @@ func (e *Executor) Execute(seq []int, opts Options) (*Report, error) {
 		if sr.TransientPeakUtil > report.PeakUtil {
 			report.PeakUtil = sr.TransientPeakUtil
 		}
-		if sr.BoundaryUnsafe && e.HaltOnViolation {
-			report.HaltedAt = ri
-			return report, nil
-		}
 	}
 	report.Completed = true
 	return report, nil
@@ -258,7 +160,7 @@ func (e *Executor) Execute(seq []int, opts Options) (*Report, error) {
 
 // applyBlockCircuitwise flips a block's elements one at a time, observing
 // the network after each flip — the worst-case asynchrony.
-func (e *Executor) applyBlockCircuitwise(view *topo.View, blockID int, rng *rand.Rand, ds demand.Set, theta float64, split routing.SplitMode, sr *StepReport) {
+func (e *Executor) applyBlockCircuitwise(view *topo.View, blockID int, rng *rand.Rand, copts routing.CheckOpts, sr *StepReport) {
 	task := e.task
 	b := &task.Blocks[blockID]
 	undrain := task.Types[b.Type].Op == migration.Undrain
@@ -270,7 +172,7 @@ func (e *Executor) applyBlockCircuitwise(view *topo.View, blockID int, rng *rand
 	for i, s := range switches {
 		view.SetSwitchActive(s, undrain)
 		if i < len(switches)-1 || len(b.Circuits) > 0 {
-			e.observeTransient(view, &ds, theta, split, sr)
+			e.observeTransient(view, copts, sr)
 		}
 	}
 	circuits := append([]topo.CircuitID(nil), b.Circuits...)
@@ -278,13 +180,13 @@ func (e *Executor) applyBlockCircuitwise(view *topo.View, blockID int, rng *rand
 	for i, c := range circuits {
 		view.SetCircuitActive(c, undrain)
 		if i < len(circuits)-1 {
-			e.observeTransient(view, &ds, theta, split, sr)
+			e.observeTransient(view, copts, sr)
 		}
 	}
 }
 
-func (e *Executor) observeTransient(view *topo.View, ds *demand.Set, theta float64, split routing.SplitMode, sr *StepReport) {
-	res, viol := e.eval.Evaluate(view, ds, routing.CheckOpts{Theta: theta, Split: split})
+func (e *Executor) observeTransient(view *topo.View, copts routing.CheckOpts, sr *StepReport) {
+	res, viol := e.eval.Evaluate(view, &e.task.Demands, copts)
 	if res.MaxUtil > sr.TransientPeakUtil {
 		sr.TransientPeakUtil = res.MaxUtil
 	}
@@ -315,10 +217,6 @@ func groupRuns(task *migration.Task, seq []int) []runGroup {
 
 // String renders a one-line summary of the report.
 func (r *Report) String() string {
-	status := "completed"
-	if !r.Completed {
-		status = fmt.Sprintf("halted at run %d", r.HaltedAt+1)
-	}
-	return fmt.Sprintf("%s: %d runs, peak util %.3f, %d boundary / %d transient violations",
-		status, len(r.Steps), r.PeakUtil, r.BoundaryViolations, r.TransientViolations)
+	return fmt.Sprintf("completed: %d runs, peak util %.3f, %d boundary / %d transient violations",
+		len(r.Steps), r.PeakUtil, r.BoundaryViolations, r.TransientViolations)
 }

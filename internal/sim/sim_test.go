@@ -1,12 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"klotski/internal/core"
 	"klotski/internal/demand"
 	"klotski/internal/gen"
-	"klotski/internal/topo"
 )
 
 func planScenario(t *testing.T) (*gen.Scenario, *core.Plan) {
@@ -107,79 +107,32 @@ func TestFunnelingHeadroomReducesTransients(t *testing.T) {
 	}
 }
 
-func TestSurgeInjection(t *testing.T) {
-	s, p := planScenario(t)
-	ex := NewExecutor(s.Task)
-	rep, err := ex.Execute(p.Sequence, Options{
-		SurgeAtRun: 1,
-		Surge:      &demand.Surge{Fraction: 1, Multiplier: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BoundaryViolations == 0 {
-		t.Error("a 3× surge on every demand should break some boundary")
-	}
-}
-
-func TestHaltOnViolation(t *testing.T) {
-	s, p := planScenario(t)
-	ex := NewExecutor(s.Task)
-	ex.HaltOnViolation = true
-	rep, err := ex.Execute(p.Sequence, Options{
-		SurgeAtRun: 1,
-		Surge:      &demand.Surge{Fraction: 1, Multiplier: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed || rep.HaltedAt < 0 {
-		t.Fatalf("execution should halt on violation: %s", rep)
-	}
-}
-
-func TestFailureInjection(t *testing.T) {
-	s, p := planScenario(t)
-	// Fail a non-operated, traffic-carrying switch at run 1.
-	operated := map[topo.SwitchID]bool{}
-	for _, b := range s.Task.Blocks {
-		for _, sw := range b.Switches {
-			operated[sw] = true
-		}
-	}
-	var victim topo.SwitchID = -1
-	for i := 0; i < s.Task.Topo.NumSwitches(); i++ {
-		sw := s.Task.Topo.Switch(topo.SwitchID(i))
-		if sw.Role == topo.RoleSSW && !operated[sw.ID] {
-			victim = sw.ID
-			break
-		}
-	}
-	if victim < 0 {
-		t.Skip("no unoperated SSW to fail")
-	}
-	rep, err := NewExecutor(s.Task).Execute(p.Sequence, Options{
-		InjectFailure: true, FailAtRun: 1, FailSwitch: victim,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("after failure: %s", rep)
-}
-
+// TestForecastGrowthInSim: the replay checks every boundary at the demand
+// the task forecasts for the state's own finished-action count, as the
+// audit does — a grown boundary is the base boundary scaled by exactly
+// that horizon's factor.
 func TestForecastGrowthInSim(t *testing.T) {
 	s, p := planScenario(t)
-	ex := NewExecutor(s.Task)
-	rep, err := ex.Execute(p.Sequence, Options{Forecast: demand.Forecast{GrowthPerStep: 0.001}})
+	f := demand.Forecast{GrowthPerStep: 0.001}
+	rep, err := NewExecutor(s.Task.WithForecast(f)).Execute(p.Sequence, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ex.Execute(p.Sequence, Options{})
+	base, err := NewExecutor(s.Task).Execute(p.Sequence, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.PeakUtil <= base.PeakUtil {
 		t.Errorf("growth should raise peak util: %v vs %v", rep.PeakUtil, base.PeakUtil)
+	}
+	applied := 0
+	for i, st := range rep.Steps {
+		applied += st.Blocks
+		want := base.Steps[i].BoundaryUtil * f.ScaleAt(applied)
+		if math.Abs(st.BoundaryUtil-want) > 1e-9*want {
+			t.Fatalf("run %d boundary util %v, want %v (base %v at horizon %d)",
+				st.Run, st.BoundaryUtil, want, base.Steps[i].BoundaryUtil, applied)
+		}
 	}
 }
 

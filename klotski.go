@@ -39,8 +39,8 @@
 // production migration types; Suite("A".."E", "E-DMAG", "E-SSW") builds the
 // Table-3 evaluation cases at any scale. NPD documents (LoadNPD,
 // RunPipeline) drive the same machinery declaratively, and the simulator
-// (NewExecutor) replays plans with asynchronous drains, demand surges, and
-// failures.
+// (NewExecutor) replays plans with asynchronous drains at forecast demand;
+// faults are the World's, driven by the control loop (RunControlLoop).
 package klotski
 
 import (
@@ -534,7 +534,7 @@ func WriteMargins(w io.Writer, doc *PlanDocument) error { return report.Margins(
 type (
 	// SimExecutor replays plans against the routing model.
 	SimExecutor = sim.Executor
-	// SimOptions parameterizes a simulation (asynchrony, surges, failures).
+	// SimOptions parameterizes a simulation (bound, split, asynchrony).
 	SimOptions = sim.Options
 	// SimReport summarizes an execution.
 	SimReport = sim.Report
