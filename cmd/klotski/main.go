@@ -19,7 +19,8 @@
 // network snapshots are printed to stderr. With -resume, the first
 // -executed actions of an earlier plan document are treated as done and
 // only the remainder is re-planned (demand may have shifted; pass -growth
-// or edit the NPD demand part accordingly).
+// or edit the NPD demand part accordingly). -simulate replays a whole plan
+// and is refused with -resume.
 //
 // Planning is interruptible: on SIGINT (or -timeout expiry) the search
 // stops at a checkpoint instead of discarding its work. With -checkpoint
@@ -40,8 +41,7 @@
 // executes the migration with the fault-tolerant control loop — retries,
 // backoff, and replanning — reporting completion rate and worst-case
 // boundary utilization to stderr. Every run starts from the printed plan;
-// with -resume, or when forecast integration replanned, the campaign plans
-// the untouched task once itself.
+// with -resume the campaign plans the untouched task once itself.
 //
 // With -drift-threshold > 0 the chaos controller additionally observes
 // demand telemetry before each run, replans when observed drift exceeds
@@ -110,7 +110,6 @@ import (
 	"time"
 
 	"klotski"
-	"klotski/internal/demand"
 	"klotski/internal/durable"
 	"klotski/internal/npd"
 	"klotski/internal/report"
@@ -173,6 +172,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-npd (or -fleet) is required")
 	}
+	if *resume != "" && *simulate > 0 {
+		return fmt.Errorf("-simulate replays a whole plan; it cannot follow -resume")
+	}
 
 	// Observability: the recorder is wired into the planners only when an
 	// export is requested; otherwise Options.Recorder stays nil and the
@@ -215,26 +217,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	task, _, err := doc.Task()
+	if err != nil {
+		return err
+	}
+	if *growth > 0 {
+		task = task.WithForecast(klotski.Forecast{GrowthPerStep: *growth})
+	}
 
 	cfg := klotski.PipelineConfig{
 		Planner:       klotski.PlannerName(*planner),
 		CampaignSeeds: *simulate,
 		Options:       cfgOpts,
 	}
-	if *growth > 0 {
-		cfg.Forecast = demand.Forecast{GrowthPerStep: *growth}
-	}
 
 	if *auditDoc != "" {
-		return auditDocument(doc, cfg, *auditDoc, stderr)
+		return auditDocument(task, cfg, *auditDoc, stderr)
 	}
 
 	start := time.Now()
 	var res *klotski.PipelineResult
 	if *resume != "" {
-		res, err = replanFromDocument(ctx, doc, cfg, *resume, *executed)
+		res, err = replanFromDocument(ctx, task, cfg, *resume, *executed)
 	} else {
-		res, err = klotski.RunPipelineContext(ctx, doc, cfg)
+		res, err = klotski.RunPipelineTaskContext(ctx, task, cfg)
 	}
 	if err != nil {
 		var interrupted *klotski.Interrupted
@@ -260,9 +266,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			time.Since(start).Round(time.Millisecond),
 			res.Plan.Metrics.StatesCreated, res.Plan.Metrics.Checks,
 			res.Plan.Metrics.CacheHits, res.Plan.Metrics.CacheMisses)
-		if res.Replans > 0 {
-			fmt.Fprintf(stderr, "forecast integration re-planned %d time(s)\n", res.Replans)
-		}
 		if err := report.Timeline(stderr, res.Document); err != nil {
 			return err
 		}
@@ -287,7 +290,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				DemandMargin:     *demandMargin,
 			},
 		}
-		if *resume == "" && res.Replans == 0 {
+		if *resume == "" {
 			// The printed plan is the untouched task planned from the empty
 			// prefix, which is where every run starts: no run plans it again.
 			campaign.Run.Plan = res.Plan
@@ -709,7 +712,7 @@ func readPlanDocument(path string) (*npd.PlanDocument, error) {
 
 // documentSequence maps a plan document's phase block names back onto the
 // scenario task's block IDs, in plan order.
-func documentSequence(task *klotski.Task, docName string, prev *npd.PlanDocument) ([]int, error) {
+func documentSequence(task *klotski.Task, prev *npd.PlanDocument) ([]int, error) {
 	byName := make(map[string]int, len(task.Blocks))
 	for i := range task.Blocks {
 		byName[task.Blocks[i].Name] = i
@@ -719,7 +722,7 @@ func documentSequence(task *klotski.Task, docName string, prev *npd.PlanDocument
 		for _, name := range ph.Blocks {
 			id, ok := byName[name]
 			if !ok {
-				return nil, fmt.Errorf("plan block %q not found in scenario %q — was the NPD document edited?", name, docName)
+				return nil, fmt.Errorf("plan block %q not found in scenario %q — was the NPD document edited?", name, task.Name)
 			}
 			seq = append(seq, id)
 		}
@@ -728,25 +731,18 @@ func documentSequence(task *klotski.Task, docName string, prev *npd.PlanDocument
 }
 
 // auditDocument independently verifies a plan or checkpoint document
-// against the NPD scenario: the full sequence is replayed on a pristine
+// against the scenario task: the full sequence is replayed on a pristine
 // serial evaluator and every observable boundary state is checked, under
-// the -growth forecast when one is given. A checkpoint's partial sequence
-// is audited with its endpoint as the final observable state.
-func auditDocument(doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPath string, stderr io.Writer) error {
+// the task's forecast (-growth). A checkpoint's partial sequence is
+// audited with its endpoint as the final observable state.
+func auditDocument(task *klotski.Task, cfg klotski.PipelineConfig, planPath string, stderr io.Writer) error {
 	prev, err := readPlanDocument(planPath)
 	if err != nil {
 		return err
 	}
-	task, _, err := doc.Task()
+	seq, err := documentSequence(task, prev)
 	if err != nil {
 		return err
-	}
-	seq, err := documentSequence(task, doc.Name, prev)
-	if err != nil {
-		return err
-	}
-	if cfg.Forecast.GrowthPerStep != 0 {
-		task = task.WithForecast(cfg.Forecast)
 	}
 	opts := cfg.Options
 	if opts.Theta <= 0 {
@@ -774,19 +770,14 @@ func auditDocument(doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPat
 	return nil
 }
 
-// replanFromDocument rebuilds the scenario from the NPD document, replays
-// the first n actions of the earlier plan document, and re-plans the
-// remainder.
-func replanFromDocument(ctx context.Context, doc *klotski.NPDDocument, cfg klotski.PipelineConfig, planPath string, n int) (*klotski.PipelineResult, error) {
+// replanFromDocument replays the first n actions of the earlier plan
+// document on the scenario task and re-plans the remainder.
+func replanFromDocument(ctx context.Context, task *klotski.Task, cfg klotski.PipelineConfig, planPath string, n int) (*klotski.PipelineResult, error) {
 	prev, err := readPlanDocument(planPath)
 	if err != nil {
 		return nil, err
 	}
-	task, scenario, err := doc.Task()
-	if err != nil {
-		return nil, err
-	}
-	executed, err := documentSequence(task, doc.Name, prev)
+	executed, err := documentSequence(task, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -802,5 +793,5 @@ func replanFromDocument(ctx context.Context, doc *klotski.NPDDocument, cfg klots
 	if err != nil {
 		return nil, err
 	}
-	return &klotski.PipelineResult{Scenario: scenario, Task: task, Plan: plan, Document: planDoc}, nil
+	return &klotski.PipelineResult{Task: task, Plan: plan, Document: planDoc}, nil
 }

@@ -115,6 +115,26 @@ func TestRunResumeTooManyExecuted(t *testing.T) {
 	}
 }
 
+// TestRunResumeRejectsSimulate: -simulate replays a whole plan, so asking
+// for it on a -resume is an error naming both flags, not a run that prints
+// no campaign line and exits 0.
+func TestRunResumeRejectsSimulate(t *testing.T) {
+	npdPath := writeNPD(t)
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-o", planPath}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err := run(context.Background(), []string{"-npd", npdPath, "-resume", planPath, "-executed", "2", "-simulate", "4"}, &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "-simulate") || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("-resume with -simulate: %v, want an error naming both flags", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a refused run wrote a plan: %s", out.String())
+	}
+}
+
 // TestRunCheckpointOnTimeout: an expired planning budget must leave a
 // checkpoint document that the -resume/-executed flow accepts.
 func TestRunCheckpointOnTimeout(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"klotski/internal/obs"
 	"klotski/internal/pipeline"
 	"klotski/internal/sim"
-	"klotski/internal/topo"
 )
 
 // Options parameterizes a control-loop run.
@@ -246,14 +245,11 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 	degraded := false
 	var lastGood, assumed demand.Set
 	assumedAt := 0
-	assumedF := opts.Config.Forecast
+	assumedF := task.Forecast
 	var histories [][]float64
 	var refit demand.Forecast
 	haveRefit := false
 	if driftOn {
-		if assumedF.GrowthPerStep == 0 {
-			assumedF = task.Forecast
-		}
 		lastGood = task.Demands.Clone()
 		assumed = task.Demands.Clone()
 		assumedAt = len(world.Executed())
@@ -289,7 +285,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 			// stalling or trusting garbage.
 			degraded = true
 			env := lastGood.Scaled(opts.DemandMargin)
-			ov := &demandOverride{demands: &env}
+			ov := &demandOverride{demands: env}
 			if haveRefit {
 				ov.forecast = &refit
 			}
@@ -339,7 +335,7 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 				return nil
 			}
 		}
-		ov := &demandOverride{demands: &obsSet}
+		ov := &demandOverride{demands: obsSet}
 		if haveRefit {
 			ov.forecast = &refit
 		}
@@ -523,7 +519,11 @@ func gapSkipCheck(task *migration.Task, world *sim.World, cfg pipeline.Config, t
 	if len(executed) > 0 {
 		last = task.Blocks[executed[len(executed)-1]].Type
 	}
-	planTask := withOutages(task, world.DownSwitches(), world.DownCircuits()).WithDemands(obsSet.Clone())
+	planTask, err := task.WithOutages(executed, world.DownSwitches(), world.DownCircuits())
+	if err != nil {
+		return false
+	}
+	planTask = planTask.WithDemands(obsSet.Clone())
 	if refit != nil {
 		planTask = planTask.WithForecast(*refit)
 	}
@@ -544,59 +544,34 @@ func gapSkipCheck(task *migration.Task, world *sim.World, cfg pipeline.Config, t
 // inflated envelope — never reading world.Demands() while telemetry is
 // suspect.
 type demandOverride struct {
-	demands  *demand.Set
+	demands  demand.Set
 	forecast *demand.Forecast
 }
 
 // replanFromWorld rebuilds the remaining plan from the world's ground
-// truth: executed prefix, out-of-band outages, flapped circuits, and the
-// current (possibly surged) demand level — unless ov supplies the demand
-// view to plan against.
+// truth: executed prefix, out-of-band outages and flapped circuits (under
+// migration.Task.WithOutages's rule), and the world's demand when it
+// changed — unless ov supplies the demand view, and the forecast, to plan
+// against.
 func replanFromWorld(ctx context.Context, task *migration.Task, world *sim.World, cfg pipeline.Config, ov *demandOverride) (*core.Plan, error) {
 	executed := world.Executed()
-	downSw := world.DownSwitches()
-	downCk := world.DownCircuits()
-	if ov != nil {
-		if ov.forecast != nil {
-			cfg.Forecast = *ov.forecast
-		}
-		if ov.demands != nil {
-			planTask := withOutages(task, downSw, downCk)
-			if ov.forecast != nil {
-				planTask = planTask.WithForecast(*ov.forecast)
-			}
-			ds := ov.demands.Clone()
-			return pipeline.ReplanContext(ctx, planTask, executed, &ds, cfg)
-		}
+	planTask, err := task.WithOutages(executed, world.DownSwitches(), world.DownCircuits())
+	if err != nil {
+		return nil, err
 	}
+	var ds *demand.Set
 	switch {
-	case world.DemandsChanged() || len(downCk) > 0:
-		// General drift: rebuild the task against the observed topology
-		// and demand level.
-		planTask := withOutages(task, downSw, downCk)
-		ds := world.Demands()
-		return pipeline.ReplanContext(ctx, planTask, executed, &ds, cfg)
-	case len(downSw) > 0:
-		return pipeline.ReplanAfterOutageContext(ctx, task, executed, downSw, cfg)
-	default:
-		return pipeline.ReplanContext(ctx, task, executed, nil, cfg)
+	case ov != nil:
+		d := ov.demands.Clone()
+		ds = &d
+	case world.DemandsChanged():
+		d := world.Demands()
+		ds = &d
 	}
-}
-
-// withOutages clones the task against a topology with the given switches
-// and circuits administratively down; a no-op when both lists are empty.
-func withOutages(task *migration.Task, downSw []topo.SwitchID, downCk []topo.CircuitID) *migration.Task {
-	if len(downSw)+len(downCk) == 0 {
-		return task
+	if ov != nil && ov.forecast != nil {
+		planTask = planTask.WithForecast(*ov.forecast)
 	}
-	t := task.Topo.Clone()
-	for _, s := range downSw {
-		t.SetSwitchActive(s, false)
-	}
-	for _, c := range downCk {
-		t.SetCircuitActive(c, false)
-	}
-	return task.WithTopology(t)
+	return pipeline.ReplanContext(ctx, planTask, executed, ds, cfg)
 }
 
 // saneDemands rejects telemetry samples no plausible network produces:

@@ -10,7 +10,8 @@
 // The package also implements the demand-forecast integration described in
 // the paper's deployment section (§7.1): traffic grows organically during a
 // months-long migration, so plans must be checked against forecasted rather
-// than current demand, and re-planned when the forecast shifts.
+// than current demand (migration.Task.Forecast), and re-planned when the
+// forecast shifts.
 package demand
 
 import (

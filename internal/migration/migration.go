@@ -12,6 +12,7 @@ package migration
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"unsafe"
@@ -222,15 +223,21 @@ func (t *Task) TargetView() *topo.View {
 // every switch and circuit ID is in range, no switch appears in two blocks
 // (a switch is operated at most once per task, paper §3), and drain blocks
 // operate currently-active elements while undrain blocks operate inactive
-// ones.
+// ones. It allocates one bitset of the operated switches and circuits.
 func (t *Task) Validate() error {
 	if t.Topo == nil {
 		return fmt.Errorf("migration: task %q has no topology", t.Name)
 	}
 	nSw := topo.SwitchID(t.Topo.NumSwitches())
 	nCk := topo.CircuitID(t.Topo.NumCircuits())
-	seenSw := make(map[topo.SwitchID]int)
-	seenCk := make(map[topo.CircuitID]int)
+	// Bit s marks switch s operated, bit nSw+c circuit c.
+	seen := make([]uint64, (int(nSw)+int(nCk)+63)/64)
+	mark := func(bit int) (dup bool) {
+		w, m := bit/64, uint64(1)<<(bit%64)
+		dup = seen[w]&m != 0
+		seen[w] |= m
+		return dup
+	}
 	for i := range t.Blocks {
 		b := &t.Blocks[i]
 		if int(b.Type) < 0 || int(b.Type) >= len(t.Types) {
@@ -244,11 +251,10 @@ func (t *Task) Validate() error {
 			if s < 0 || s >= nSw {
 				return fmt.Errorf("migration: block %q references invalid switch %d", b.Name, s)
 			}
-			if prev, dup := seenSw[s]; dup {
+			if mark(int(s)) {
 				return fmt.Errorf("migration: switch %q in both block %q and block %q",
-					t.Topo.Switch(s).Name, t.Blocks[prev].Name, b.Name)
+					t.Topo.Switch(s).Name, t.Blocks[t.switchOperator(s)].Name, b.Name)
 			}
-			seenSw[s] = i
 			if op == Drain && !t.Topo.SwitchActive(s) {
 				return fmt.Errorf("migration: drain block %q operates already-inactive switch %q",
 					b.Name, t.Topo.Switch(s).Name)
@@ -262,11 +268,10 @@ func (t *Task) Validate() error {
 			if c < 0 || c >= nCk {
 				return fmt.Errorf("migration: block %q references invalid circuit %d", b.Name, c)
 			}
-			if prev, dup := seenCk[c]; dup {
+			if mark(int(nSw) + int(c)) {
 				return fmt.Errorf("migration: circuit %d in both block %q and block %q",
-					c, t.Blocks[prev].Name, b.Name)
+					c, t.Blocks[t.circuitOperator(c)].Name, b.Name)
 			}
-			seenCk[c] = i
 			if op == Drain && !t.Topo.CircuitActive(c) {
 				return fmt.Errorf("migration: drain block %q operates already-inactive circuit %d", b.Name, c)
 			}
@@ -279,6 +284,16 @@ func (t *Task) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// switchOperator returns the first block that operates switch s, or -1.
+func (t *Task) switchOperator(s topo.SwitchID) int {
+	return slices.IndexFunc(t.Blocks, func(b Block) bool { return slices.Contains(b.Switches, s) })
+}
+
+// circuitOperator returns the first block that operates circuit c, or -1.
+func (t *Task) circuitOperator(c topo.CircuitID) int {
+	return slices.IndexFunc(t.Blocks, func(b Block) bool { return slices.Contains(b.Circuits, c) })
 }
 
 // Stats summarizes the scale of a migration task, mirroring the columns of
@@ -357,6 +372,51 @@ func (t *Task) WithTopology(tp *topo.Topology) *Task {
 	nt := *t
 	nt.Topo = tp
 	return &nt
+}
+
+// WithOutages returns the task to replan after out-of-band maintenance or
+// failures took switches and circuits down (paper §7.2 "simultaneous
+// operations": firmware upgrades and device rebuilds are not controlled by
+// the migration but change the real-time topology). A down element that no
+// block operates goes inactive in a cloned topology. One that an executed
+// drain block operates stays nominally active: the drain already took it
+// out of service, keeps it inactive in every replanned state, and must
+// still validate. Any other operated element is a conflict to resolve
+// before replanning. With nothing to mark inactive the task is returned
+// as is.
+func (t *Task) WithOutages(executed []int, downSw []topo.SwitchID, downCk []topo.CircuitID) (*Task, error) {
+	drained := func(b int) bool {
+		return t.Types[t.Blocks[b].Type].Op == Drain && slices.Contains(executed, b)
+	}
+	var tp *topo.Topology
+	clone := func() *topo.Topology {
+		if tp == nil {
+			tp = t.Topo.Clone()
+		}
+		return tp
+	}
+	for _, s := range downSw {
+		switch b := t.switchOperator(s); {
+		case b < 0:
+			clone().SetSwitchActive(s, false)
+		case !drained(b):
+			return nil, fmt.Errorf("migration: switch %q is down but operated by block %q; resolve the conflict first",
+				t.Topo.Switch(s).Name, t.Blocks[b].Name)
+		}
+	}
+	for _, c := range downCk {
+		switch b := t.circuitOperator(c); {
+		case b < 0:
+			clone().SetCircuitActive(c, false)
+		case !drained(b):
+			return nil, fmt.Errorf("migration: circuit %d is down but operated by block %q; resolve the conflict first",
+				c, t.Blocks[b].Name)
+		}
+	}
+	if tp == nil {
+		return t, nil
+	}
+	return t.WithTopology(tp), nil
 }
 
 // TypesInOrder returns the action types sorted by name, for stable output.

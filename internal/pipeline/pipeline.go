@@ -3,17 +3,17 @@
 //
 //   - end-to-end planning: NPD document → topology/task → planner → audited
 //     plan → ordered topology phases;
-//   - demand-forecast integration (§7.1): plans are re-verified against
-//     forecasted demand at every step and re-planned when growth breaks
-//     them;
+//   - demand-forecast integration (§7.1): the growth model rides on the
+//     task (migration.Task.Forecast), so the planners and the audit check
+//     every state at the demand forecast for its horizon;
 //   - replanning after partial execution, demand shifts, or out-of-band
 //     equipment outages (§7.2 "failures during operation duration" and
-//     "simultaneous operations");
+//     "simultaneous operations"), the last through one outage rule,
+//     migration.Task.WithOutages;
 //   - independent plan audits before anything is handed to operators.
 package pipeline
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
@@ -98,12 +98,6 @@ type Config struct {
 	Planner Planner
 	Options core.Options
 
-	// Forecast, when non-zero, is the organic demand growth per completed
-	// migration step (§7.1). The pipeline verifies the plan against grown
-	// demand at every step and re-plans from the first step where growth
-	// makes the remainder unsafe.
-	Forecast demand.Forecast
-
 	// CampaignSeeds, when > 0, replays the audited plan that many times
 	// with randomized intra-run asynchrony (worst-case circuit-level
 	// drains) and attaches the transient-exposure distribution to the
@@ -118,9 +112,6 @@ type Result struct {
 	Plan     *core.Plan
 	Document *npd.PlanDocument
 
-	// Replans counts how many times forecast integration had to re-plan.
-	Replans int
-
 	// Campaign is the transient-exposure distribution when
 	// Config.CampaignSeeds > 0.
 	Campaign *sim.CampaignReport
@@ -132,7 +123,9 @@ func Run(doc *npd.Document, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation threaded through to the
-// planner (and any forecast-driven replans).
+// planner. The document's task carries no forecast; to plan under demand
+// growth, build the task, give it one with WithForecast, and call
+// RunTaskContext.
 func RunContext(ctx context.Context, doc *npd.Document, cfg Config) (*Result, error) {
 	task, scenario, err := doc.Task()
 	if err != nil {
@@ -151,11 +144,12 @@ func RunTask(task *migration.Task, cfg Config) (*Result, error) {
 	return RunTaskContext(context.Background(), task, cfg)
 }
 
-// RunTaskContext is RunTask with cooperative cancellation.
+// RunTaskContext is RunTask with cooperative cancellation. The plan is
+// made and audited against the task, under the task's forecast.
 func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Result, error) {
 	rec := cfg.Options.Recorder
 	planSpan := rec.Span("pipeline.plan")
-	plan, replans, err := planWithForecast(ctx, task, cfg)
+	plan, err := cfg.Planner.PlanContext(ctx, task, cfg.Options)
 	planSpan.End()
 	if err != nil {
 		return nil, err
@@ -170,7 +164,7 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Task: task, Plan: plan, Document: docPlan, Replans: replans}
+	res := &Result{Task: task, Plan: plan, Document: docPlan}
 	if cfg.CampaignSeeds > 0 {
 		// The plan's task carries the forecast it was planned under, so the
 		// replay sees the demand each state will carry.
@@ -185,78 +179,6 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 	return res, nil
 }
 
-// planWithForecast plans the task under demand growth (§7.1). The planners
-// sample the task's demand forecast at every probed state's horizon
-// (migration.Task.Forecast), so the plan is forecast-safe by construction;
-// the walk below remains as an independent safety net. It audits the whole
-// sequence against the forecast and re-plans the remainder from the audit's
-// first failing step. Every replan lengthens the executed prefix, so the
-// loop ends.
-func planWithForecast(ctx context.Context, task *migration.Task, cfg Config) (*core.Plan, int, error) {
-	if cfg.Forecast.GrowthPerStep == 0 {
-		plan, err := cfg.Planner.PlanContext(ctx, task, cfg.Options)
-		return plan, 0, err
-	}
-
-	// Time-indexed demand: every boundary check — the planners' and the
-	// audit's — uses the forecast sampled at the checked state's
-	// finished-action count.
-	ftask := task.WithForecast(cfg.Forecast)
-	plan, err := cfg.Planner.PlanContext(ctx, ftask, cfg.Options)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// The audit starts from the initial state: it always checks the state it
-	// starts from, and a prefix that ends mid-run is not an observed state.
-	opts := cfg.Options
-	opts.InitialCounts, opts.InitialLast = nil, core.NoLast
-	var executed []int
-	for replans := 0; ; replans++ {
-		full := append(append([]int(nil), executed...), plan.Sequence...)
-		rep := plan.Audit
-		if replans > 0 || rep == nil {
-			if rep, err = core.AuditSequence(ftask, full, opts, cfg.Planner.FreeOrder()); err != nil {
-				return nil, replans, err
-			}
-		}
-		if rep.Passed {
-			// Runs and cost follow the run cap as the planner's own do: the
-			// core planners split runs at the cap, the baselines ignore it.
-			maxRun := cfg.Options.MaxRunLength
-			if cfg.Planner.FreeOrder() {
-				maxRun = 0
-			}
-			return &core.Plan{
-				Task:     ftask,
-				Sequence: full,
-				Runs:     core.RunsOf(ftask, full, maxRun),
-				Cost:     core.SequenceCostCapped(ftask, full, cfg.Options.Alpha, core.NoLast, maxRun, 0),
-				Metrics:  plan.Metrics,
-				Audit:    rep,
-			}, replans, nil
-		}
-		broken := min(rep.FailStep, len(full)-1)
-		if broken <= len(executed) {
-			cause := core.ErrAudit
-			if n := len(rep.Steps); n > 0 && !rep.Steps[n-1].OK {
-				cause = core.ErrInfeasible
-			}
-			return nil, replans, fmt.Errorf("pipeline: %s plan after %d executed steps fails under forecast: %w: step %d: %s",
-				cmp.Or(cfg.Planner, PlannerAStar), len(executed), cause, rep.FailStep, rep.Reason)
-		}
-		// Execute up to the step the audit failed at, then re-plan the
-		// remainder. The counts are absolute, so the replan's boundary
-		// checks keep sampling the forecast at global horizons.
-		executed = full[:broken]
-		plan, err = cfg.Planner.planFrom(ctx, ftask, executed, cfg.Options)
-		if err != nil {
-			return nil, replans + 1, fmt.Errorf("pipeline: replanning under forecast after %d steps: %w",
-				len(executed), err)
-		}
-	}
-}
-
 func countsOf(task *migration.Task, seq []int) []int {
 	counts := make([]int, task.NumTypes())
 	for _, id := range seq {
@@ -268,10 +190,11 @@ func countsOf(task *migration.Task, seq []int) []int {
 // audit independently re-verifies the plan (§7.2 "we add extra audits and
 // safety checks to Klotski's plans during operation") with the pristine
 // serial replay engine of internal/audit, attaching the structured report.
-// Core planners arrive pre-audited (their own post-pass sets Plan.Audit),
-// and so does every plan made under a forecast, audited against it by
-// planWithForecast; baseline planners are not bound to canonical
-// within-type order, so they verify free-order here.
+// Core planners arrive pre-audited (their own post-pass sets Plan.Audit);
+// baseline planners are not bound to canonical within-type order, so they
+// verify free-order here. Either audit checks every state under the task's
+// forecast, and a plan that fails it is an error wrapping core.ErrAudit
+// that names the failing step.
 func audit(task *migration.Task, plan *core.Plan, cfg Config) error {
 	if plan.Audit == nil {
 		opts := cfg.Options
@@ -291,7 +214,8 @@ func audit(task *migration.Task, plan *core.Plan, cfg Config) error {
 
 // Replan continues a partially executed migration: executed lists the block
 // IDs already operated (in order); newDemands, when non-nil, replaces the
-// task's demand set (demand shifted mid-migration, §7.1–7.2).
+// task's demand set (demand shifted mid-migration, §7.1–7.2). The replan
+// keeps the task's forecast, sampled at each state's absolute horizon.
 func Replan(task *migration.Task, executed []int, newDemands *demand.Set, cfg Config) (*core.Plan, error) {
 	return ReplanContext(context.Background(), task, executed, newDemands, cfg)
 }
@@ -302,22 +226,14 @@ func ReplanContext(ctx context.Context, task *migration.Task, executed []int, ne
 	if newDemands != nil {
 		planTask = task.WithDemands(*newDemands)
 	}
-	if cfg.Forecast.GrowthPerStep != 0 && planTask.Forecast.GrowthPerStep == 0 {
-		// Carry the pipeline's growth model into the replan so its boundary
-		// checks sample demand at each state's (absolute) horizon too.
-		planTask = planTask.WithForecast(cfg.Forecast)
-	}
 	return cfg.Planner.planFrom(ctx, planTask, executed, cfg.Options)
 }
 
 // ReplanAfterOutage continues a partially executed migration after
 // out-of-band maintenance or failures took switches down (§7.2
-// "simultaneous operations": firmware upgrades and device rebuilds are not
-// controlled by Klotski but change the real-time topology). A down switch
-// operated by the migration is a conflict — except when its operating
-// block is a drain that has already been executed: the switch was already
-// taken out of service by the plan, so the outage changes nothing the
-// remaining steps depend on.
+// "simultaneous operations"), under the outage rule of
+// migration.Task.WithOutages: a down switch that the migration operates is
+// a conflict, unless an executed drain already took it out of service.
 func ReplanAfterOutage(task *migration.Task, executed []int, down []topo.SwitchID, cfg Config) (*core.Plan, error) {
 	return ReplanAfterOutageContext(context.Background(), task, executed, down, cfg)
 }
@@ -325,39 +241,9 @@ func ReplanAfterOutage(task *migration.Task, executed []int, down []topo.SwitchI
 // ReplanAfterOutageContext is ReplanAfterOutage with cooperative
 // cancellation.
 func ReplanAfterOutageContext(ctx context.Context, task *migration.Task, executed []int, down []topo.SwitchID, cfg Config) (*core.Plan, error) {
-	operated := make(map[topo.SwitchID]int)
-	for i := range task.Blocks {
-		for _, s := range task.Blocks[i].Switches {
-			operated[s] = i
-		}
+	outageTask, err := task.WithOutages(executed, down, nil)
+	if err != nil {
+		return nil, err
 	}
-	executedSet := make(map[int]bool, len(executed))
-	for _, b := range executed {
-		executedSet[b] = true
-	}
-	drainedByPlan := make(map[topo.SwitchID]bool)
-	for _, s := range down {
-		b, ok := operated[s]
-		if !ok {
-			continue
-		}
-		if executedSet[b] && task.Types[task.Blocks[b].Type].Op == migration.Drain {
-			// The plan already drained this switch; it being physically
-			// down is harmless to the remaining steps. The executed drain
-			// keeps it inactive in every replanned state, so the base
-			// topology must keep it nominally active for task validation.
-			drainedByPlan[s] = true
-			continue
-		}
-		return nil, fmt.Errorf("pipeline: switch %q is down but operated by block %q; resolve the conflict first",
-			task.Topo.Switch(s).Name, task.Blocks[b].Name)
-	}
-	outageTopo := task.Topo.Clone()
-	for _, s := range down {
-		if !drainedByPlan[s] {
-			outageTopo.SetSwitchActive(s, false)
-		}
-	}
-	outageTask := task.WithTopology(outageTopo)
 	return ReplanContext(ctx, outageTask, executed, nil, cfg)
 }

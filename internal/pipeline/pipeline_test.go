@@ -42,9 +42,6 @@ func TestRunEndToEnd(t *testing.T) {
 	if len(res.Document.Phases) != len(res.Plan.Runs) {
 		t.Fatalf("document phases %d != plan runs %d", len(res.Document.Phases), len(res.Plan.Runs))
 	}
-	if res.Replans != 0 {
-		t.Errorf("no forecast configured, but %d replans", res.Replans)
-	}
 }
 
 func TestRunWithEachPlanner(t *testing.T) {
@@ -84,12 +81,22 @@ func TestRunWithBlockFactor(t *testing.T) {
 	}
 }
 
-func TestForecastTriggersReplanning(t *testing.T) {
-	// Aggressive growth: the original plan's later boundaries break and
-	// the pipeline must re-plan mid-flight at least once, still producing
-	// a complete valid plan.
-	doc := sampleDoc()
-	res, err := Run(doc, Config{Forecast: demand.Forecast{GrowthPerStep: 0.03}})
+// forecastTask builds sampleDoc's task growing demand by growth per step.
+func forecastTask(t *testing.T, growth float64) *migration.Task {
+	t.Helper()
+	task, _, err := sampleDoc().Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return task.WithForecast(demand.Forecast{GrowthPerStep: growth})
+}
+
+// TestForecastPlanAuditsUnderGrowth: the task carries the growth model, so
+// the pipeline's plan passes its audit at the demand forecast for every
+// state, and it is still a valid plan at base demand.
+func TestForecastPlanAuditsUnderGrowth(t *testing.T) {
+	task := forecastTask(t, 0.03)
+	res, err := RunTask(task, Config{})
 	if err != nil {
 		// Very aggressive growth can make the migration genuinely
 		// impossible; that is a legitimate outcome, reported as such.
@@ -98,26 +105,34 @@ func TestForecastTriggersReplanning(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	if err := core.VerifyPlan(res.Task, res.Plan.Sequence, core.Options{}); err != nil {
+	if res.Plan.Task.Forecast != task.Forecast || !res.Plan.Audit.Passed {
+		t.Fatalf("plan not audited under the task's forecast: %+v, %s", res.Plan.Task.Forecast, res.Plan.Audit)
+	}
+	if err := core.VerifyPlan(task.WithForecast(demand.Forecast{}), res.Plan.Sequence, core.Options{}); err != nil {
 		t.Fatalf("forecast-adjusted plan invalid at base demand: %v", err)
 	}
-	t.Logf("replans under growth: %d", res.Replans)
 }
 
-func TestForecastZeroGrowthNoReplan(t *testing.T) {
-	res, err := Run(sampleDoc(), Config{Forecast: demand.Forecast{}})
+// TestForecastZeroGrowthIsNoForecast: a zero growth model plans and
+// documents exactly what no forecast does.
+func TestForecastZeroGrowthIsNoForecast(t *testing.T) {
+	res, err := RunTask(forecastTask(t, 0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replans != 0 {
-		t.Errorf("zero growth should not replan, got %d", res.Replans)
+	want, err := Run(sampleDoc(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Document, want.Document) {
+		t.Errorf("zero growth document %+v, without a forecast %+v", res.Document, want.Document)
 	}
 }
 
-// TestForecastKeepsRunCap: a plan reassembled under a growth forecast keeps
-// its planner's run rule in its runs and its cost: the core planners split
-// runs at the cap, the baselines ignore it. With growth too small to change
-// any verdict, it is the capped plan without growth, phase for phase.
+// TestForecastKeepsRunCap: a plan made under a growth forecast keeps its
+// planner's run rule in its runs and its cost: the core planners split runs
+// at the cap, the baselines ignore it. With growth too small to change any
+// verdict, it is the capped plan without growth, phase for phase.
 func TestForecastKeepsRunCap(t *testing.T) {
 	for _, c := range []struct {
 		pl     Planner
@@ -141,9 +156,8 @@ func TestForecastKeepsRunCap(t *testing.T) {
 		if pl.FreeOrder() && !slices.ContainsFunc(want.Plan.Runs, func(r core.Run) bool { return len(r.Blocks) > maxRun }) {
 			t.Fatalf("%s: no run is longer than the cap, so the case cannot tell the run rules apart", pl)
 		}
-		grown := capped
-		grown.Forecast = demand.Forecast{GrowthPerStep: 1e-6}
-		got, err := RunTask(s.Task, grown)
+		grown := s.Task.WithForecast(demand.Forecast{GrowthPerStep: 1e-6})
+		got, err := RunTask(grown, capped)
 		if err != nil {
 			t.Fatalf("%s under growth: %v", pl, err)
 		}
@@ -164,11 +178,11 @@ func TestForecastKeepsRunCap(t *testing.T) {
 	}
 }
 
-// TestForecastBaselinesFailAtAuditStep: the forecast walk replans a
-// baseline from the audit's first failing step. When that replan cannot
-// get past the step, the run fails once, as infeasible, with the audit's
-// step and reason; a baseline the forecast does not break plans the
-// sequence it plans without replanning.
+// TestForecastBaselinesFailAtAuditStep: a baseline plans at base demand,
+// and the pipeline audits its plan under the task's forecast. A plan the
+// forecast breaks fails that audit, as core.ErrAudit with the audit's step
+// and reason; a baseline the forecast does not break plans the sequence it
+// plans without one.
 func TestForecastBaselinesFailAtAuditStep(t *testing.T) {
 	s, err := gen.Suite("A", 0.25)
 	if err != nil {
@@ -177,32 +191,28 @@ func TestForecastBaselinesFailAtAuditStep(t *testing.T) {
 	for _, c := range []struct {
 		pl     Planner
 		growth float64
-		reason string // the audit's reason, "" for a plan
+		reason string // the audit's step and reason, "" for a plan
 		want   []int
 	}{
-		{PlannerMRC, 0.03, "unsafe state before step 5", nil},
-		{PlannerJanus, 0.01, "unsafe state before step 6", nil},
+		{PlannerMRC, 0.03, "step 5: unsafe state before step 5", nil},
+		{PlannerJanus, 0.01, "step 6: unsafe state before step 6", nil},
 		{PlannerMRC, 0.02, "", []int{0, 4, 2, 6, 1, 5, 3, 7}},
 	} {
-		res, err := RunTask(s.Task, Config{Planner: c.pl, Forecast: demand.Forecast{GrowthPerStep: c.growth}})
+		res, err := RunTask(s.Task.WithForecast(demand.Forecast{GrowthPerStep: c.growth}), Config{Planner: c.pl})
 		if c.reason == "" {
 			if err != nil {
 				t.Fatalf("%s at growth %g: %v", c.pl, c.growth, err)
 			}
-			if !slices.Equal(res.Plan.Sequence, c.want) || res.Replans != 0 {
-				t.Errorf("%s at growth %g: sequence %v after %d replans, want %v after none",
-					c.pl, c.growth, res.Plan.Sequence, res.Replans, c.want)
+			if !slices.Equal(res.Plan.Sequence, c.want) {
+				t.Errorf("%s at growth %g: sequence %v, want %v", c.pl, c.growth, res.Plan.Sequence, c.want)
 			}
 			continue
 		}
 		if err == nil {
 			t.Fatalf("%s at growth %g planned %v", c.pl, c.growth, res.Plan.Sequence)
 		}
-		if !errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrAudit) {
-			t.Errorf("%s at growth %g: %v should be infeasible, not an audit failure", c.pl, c.growth, err)
-		}
-		if !strings.Contains(err.Error(), c.reason) || strings.Contains(err.Error(), "did not converge") {
-			t.Errorf("%s at growth %g: %v should carry the audit's %q", c.pl, c.growth, err, c.reason)
+		if !errors.Is(err, core.ErrAudit) || !strings.Contains(err.Error(), c.reason) {
+			t.Errorf("%s at growth %g: %v should be an audit failure carrying %q", c.pl, c.growth, err, c.reason)
 		}
 	}
 }

@@ -134,7 +134,7 @@ const (
 // RandomSchedule draws a seeded fault train for the task. Switch outages
 // and circuit flaps only target equipment the migration does not itself
 // operate (an outage of operated equipment is a planning conflict, not
-// chaos — see pipeline.ReplanAfterOutage), and outages also spare demand
+// chaos — see migration.Task.WithOutages), and outages also spare demand
 // endpoints — severing a traffic source kills the workload rather than
 // stressing the migration. When no eligible equipment exists the draw
 // falls back to transients and surges.

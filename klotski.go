@@ -479,7 +479,8 @@ func RunPipeline(doc *NPDDocument, cfg PipelineConfig) (*PipelineResult, error) 
 }
 
 // RunPipelineContext is RunPipeline with cooperative cancellation threaded
-// through to the planner and any forecast-driven replans.
+// through to the planner. To plan under demand growth, give the task a
+// forecast (Task.WithForecast) and call RunPipelineTaskContext.
 func RunPipelineContext(ctx context.Context, doc *NPDDocument, cfg PipelineConfig) (*PipelineResult, error) {
 	return pipeline.RunContext(ctx, doc, cfg)
 }
@@ -506,7 +507,8 @@ func ReplanMigrationContext(ctx context.Context, task *Task, executed []int, new
 }
 
 // ReplanAfterOutage continues a partially executed migration after
-// out-of-band maintenance took switches down (§7.2).
+// out-of-band maintenance took switches down (§7.2), under the one outage
+// rule of Task.WithOutages.
 func ReplanAfterOutage(task *Task, executed []int, down []SwitchID, cfg PipelineConfig) (*Plan, error) {
 	return pipeline.ReplanAfterOutage(task, executed, down, cfg)
 }
