@@ -19,8 +19,12 @@
 // network snapshots are printed to stderr. With -resume, the first
 // -executed actions of an earlier plan document are treated as done and
 // only the remainder is re-planned (demand may have shifted; pass -growth
-// or edit the NPD demand part accordingly). -simulate replays a whole plan
-// and is refused with -resume.
+// or edit the NPD demand part accordingly). The replan starts in the run
+// those actions leave in progress: under -maxrun its first phase finishes
+// the current chunk. A* and DP refuse an executed prefix out of canonical
+// within-type order, such as a cut of an MRC plan; resume one with
+// -planner mrc or janus. -simulate replays a whole plan and is refused
+// with -resume.
 //
 // Planning is interruptible: on SIGINT (or -timeout expiry) the search
 // stops at a checkpoint instead of discarding its work. With -checkpoint
@@ -33,7 +37,8 @@
 // With -audit the named plan or checkpoint document is independently
 // verified against the NPD scenario — every boundary state replayed on a
 // pristine serial evaluator — and the process exits non-zero if any state
-// violates the constraints or the sequence was tampered with.
+// violates the constraints or the sequence was tampered with. -audit does
+// nothing else, so it is refused with -simulate, -chaos or -resume.
 //
 // With -chaos N the planned migration is additionally driven through N
 // Monte Carlo chaos runs: each run draws a random fault train (switch
@@ -174,6 +179,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *resume != "" && *simulate > 0 {
 		return fmt.Errorf("-simulate replays a whole plan; it cannot follow -resume")
+	}
+	if *auditDoc != "" && (*simulate > 0 || *chaos > 0 || *resume != "") {
+		return fmt.Errorf("-audit verifies a document and exits; it takes no -simulate, -chaos or -resume")
 	}
 
 	// Observability: the recorder is wired into the planners only when an

@@ -135,6 +135,40 @@ func TestRunResumeRejectsSimulate(t *testing.T) {
 	}
 }
 
+// TestRunAuditRejectsIgnoredModes: -audit verifies a document and exits,
+// so -simulate, -chaos and -resume beside it are errors naming -audit and
+// the flag, not runs that print only the audit line and exit 0.
+func TestRunAuditRejectsIgnoredModes(t *testing.T) {
+	npdPath := writeNPD(t)
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-o", planPath}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{
+		{"-simulate", "4"},
+		{"-chaos", "2"},
+		{"-resume", planPath, "-executed", "2"},
+		{"-simulate", "4", "-chaos", "2"},
+	} {
+		errBuf.Reset()
+		args := append([]string{"-npd", npdPath, "-audit", planPath}, extra...)
+		err := run(context.Background(), args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-audit") || !strings.Contains(err.Error(), extra[0]) {
+			t.Errorf("%v: %v, want an error naming -audit and %s", args, err, extra[0])
+		}
+		if strings.Contains(errBuf.String(), "audit passed") {
+			t.Errorf("%v: a refused run audited: %s", args, errBuf.String())
+		}
+	}
+	// -audit alone still verifies the document.
+	errBuf.Reset()
+	if err := run(context.Background(), []string{"-npd", npdPath, "-audit", planPath}, &out, &errBuf); err != nil ||
+		!strings.Contains(errBuf.String(), "audit passed") {
+		t.Fatalf("-audit: %v, stderr %q", err, errBuf.String())
+	}
+}
+
 // TestRunCheckpointOnTimeout: an expired planning budget must leave a
 // checkpoint document that the -resume/-executed flow accepts.
 func TestRunCheckpointOnTimeout(t *testing.T) {

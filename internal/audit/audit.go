@@ -18,6 +18,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"klotski/internal/migration"
 	"klotski/internal/obs"
@@ -25,8 +26,8 @@ import (
 	"klotski/internal/topo"
 )
 
-// NoLast marks "no action executed yet" in Config.InitialLast. It mirrors
-// core.NoLast without importing core.
+// NoLast marks "no action executed yet" in the replay's run state. It
+// mirrors core.NoLast without importing core.
 const NoLast migration.ActionType = -1
 
 // Config parameterizes a verification run. The zero value audits a
@@ -55,22 +56,19 @@ type Config struct {
 	// independently of the planner's precomputed occupancy deltas.
 	SpaceBudget map[int]int
 
-	// InitialCounts resumes the audit from a partially executed canonical
-	// migration: InitialCounts[i] blocks of type i are already done.
-	// InitialLast is the type of the last executed action (NoLast if
-	// none); InitialRunLength the length of the in-progress run, relevant
-	// only under MaxRunLength. Ignored in FreeOrder mode.
-	InitialCounts    []int
-	InitialLast      migration.ActionType
-	InitialRunLength int
+	// Executed lists the block IDs already executed, in order: the replay
+	// starts from the state after them. They run through the replay's own
+	// run loop unchecked, so its first state carries the run the crews are
+	// in — the last block's type and, under MaxRunLength, the length of its
+	// current chunk. Outside FreeOrder they must keep canonical within-type
+	// order.
+	Executed []int
 
 	// FreeOrder audits plans not bound to canonical within-type order
-	// (the MRC and Janus baselines). Executed lists the exact block IDs
-	// already executed, in order, so the replay starts from the true
-	// partial state. Funneling headroom and MaxRunLength splits, which are
-	// defined on the canonical representation, are not applied.
+	// (the MRC and Janus baselines). Funneling headroom and MaxRunLength
+	// splits, which are defined on the canonical representation, are not
+	// applied.
 	FreeOrder bool
-	Executed  []int
 
 	// AllowPartial accepts a sequence that does not finish the migration
 	// (an interrupted plan prefix, e.g. from a checkpoint). The state
@@ -141,10 +139,9 @@ type Report struct {
 	// Split is the traffic-splitting policy the states were routed under.
 	Split routing.SplitMode
 
-	// Start lists the blocks already executed when the replay began: the
-	// canonical prefix InitialCounts names, or Executed in FreeOrder mode.
-	// Empty when the replay started from the base state, or when sequence
-	// validation failed and nothing was replayed.
+	// Start lists the blocks already executed when the replay began,
+	// Config.Executed. Empty when the replay started from the base state,
+	// or when sequence validation failed and nothing was replayed.
 	Start []int
 
 	// Steps holds one record per audited boundary state, in replay order.
@@ -177,10 +174,6 @@ func Verify(task *migration.Task, seq []int, cfg Config) (*Report, error) {
 	if cfg.Theta < 0 || cfg.Theta > 1 {
 		return nil, fmt.Errorf("audit: Theta %v outside (0, 1]", cfg.Theta)
 	}
-	if !cfg.FreeOrder && cfg.InitialCounts != nil && len(cfg.InitialCounts) != task.NumTypes() {
-		return nil, fmt.Errorf("audit: InitialCounts has %d types, task has %d",
-			len(cfg.InitialCounts), task.NumTypes())
-	}
 
 	rep := &Report{FailStep: -1}
 	defer func() {
@@ -194,7 +187,7 @@ func Verify(task *migration.Task, seq []int, cfg Config) (*Report, error) {
 	if !validateSequence(task, seq, &cfg, rep) {
 		return rep, nil
 	}
-	rep.Start = startBlocks(task, &cfg)
+	rep.Start = slices.Clone(cfg.Executed)
 	replay(task, seq, &cfg, rep)
 	return rep, nil
 }
@@ -217,59 +210,45 @@ func (r *Report) fail(step int, format string, args ...any) bool {
 	return false
 }
 
-// validateSequence performs the structural audit: a canonical resume may
-// count at most each type's blocks as executed, every referenced block
-// must exist, appear at most once (and not among the already-executed
-// prefix), respect canonical within-type order unless FreeOrder, and —
-// unless AllowPartial — the sequence must finish the migration. This is
-// what catches maliciously or accidentally reordered, injected, or dropped
-// actions before any network state is evaluated.
+// validateSequence performs the structural audit over the executed blocks
+// and then the sequence: every referenced block must exist, appear at most
+// once, respect canonical within-type order unless FreeOrder, and — unless
+// AllowPartial — the two must finish the migration. This is what catches
+// maliciously or accidentally reordered, injected, or dropped actions
+// before any network state is evaluated.
 func validateSequence(task *migration.Task, seq []int, cfg *Config, rep *Report) bool {
 	counts := make([]int, task.NumTypes())
 	seen := make(map[int]bool, len(seq)+len(cfg.Executed))
-	if cfg.FreeOrder {
-		for _, id := range cfg.Executed {
-			if id < 0 || id >= len(task.Blocks) {
-				rep.fail(0, "executed prefix references invalid block %d", id)
-				return false
-			}
-			if seen[id] {
-				rep.fail(0, "executed prefix lists block %q twice", task.Blocks[id].Name)
-				return false
-			}
-			seen[id] = true
-			counts[task.Blocks[id].Type]++
-		}
-	} else if cfg.InitialCounts != nil {
-		copy(counts, cfg.InitialCounts)
-		for ty, c := range counts {
-			if total := len(task.BlocksOfType(migration.ActionType(ty))); c < 0 || c > total {
-				return rep.fail(0, "resumed after %d of the %d blocks of type %s", c, total, task.Types[ty].Name)
-			}
-		}
-	}
-	for i, id := range seq {
+	// admit takes id as the next block operated, or says why it cannot be.
+	admit := func(id int) string {
 		if id < 0 || id >= len(task.Blocks) {
-			return rep.fail(i, "step %d references invalid block %d", i, id)
+			return fmt.Sprintf("references invalid block %d", id)
 		}
 		if seen[id] {
-			return rep.fail(i, "step %d repeats block %q (duplicate or injected action)",
-				i, task.Blocks[id].Name)
+			return fmt.Sprintf("repeats block %q (duplicate or injected action)", task.Blocks[id].Name)
 		}
 		seen[id] = true
 		ty := task.Blocks[id].Type
 		ofType := task.BlocksOfType(ty)
 		if counts[ty] >= len(ofType) {
-			return rep.fail(i, "step %d exceeds the %d blocks of type %s (injected action)",
-				i, len(ofType), task.Types[ty].Name)
+			return fmt.Sprintf("exceeds the %d blocks of type %s (injected action)", len(ofType), task.Types[ty].Name)
 		}
-		if !cfg.FreeOrder {
-			if want := ofType[counts[ty]]; want != id {
-				return rep.fail(i, "step %d operates block %q out of canonical order (want %q) — reordered action",
-					i, task.Blocks[id].Name, task.Blocks[want].Name)
-			}
+		if want := ofType[counts[ty]]; !cfg.FreeOrder && want != id {
+			return fmt.Sprintf("operates block %q out of canonical order (want %q) — reordered action",
+				task.Blocks[id].Name, task.Blocks[want].Name)
 		}
 		counts[ty]++
+		return ""
+	}
+	for i, id := range cfg.Executed {
+		if why := admit(id); why != "" {
+			return rep.fail(0, "executed step %d %s", i, why)
+		}
+	}
+	for i, id := range seq {
+		if why := admit(id); why != "" {
+			return rep.fail(i, "step %d %s", i, why)
+		}
 	}
 	if !cfg.AllowPartial {
 		for ty, c := range counts {
@@ -280,18 +259,6 @@ func validateSequence(task *migration.Task, seq []int, cfg *Config, rep *Report)
 		}
 	}
 	return true
-}
-
-// startBlocks lists the blocks executed before the replay's first state.
-func startBlocks(task *migration.Task, cfg *Config) []int {
-	if cfg.FreeOrder {
-		return append([]int(nil), cfg.Executed...)
-	}
-	var start []int
-	for ty, c := range cfg.InitialCounts {
-		start = append(start, task.BlocksOfType(migration.ActionType(ty))[:c]...)
-	}
-	return start
 }
 
 // replay executes the sequence on a fresh view with a fresh serial
@@ -305,36 +272,15 @@ func replay(task *migration.Task, seq []int, cfg *Config, rep *Report) {
 	view := task.Topo.NewView()
 	eval := routing.NewEvaluator(task.Topo)
 
-	// Establish the already-executed starting state and run context.
-	// applied counts all executed actions including the initial prefix: it
-	// is the state's demand-forecast horizon, matching the planners'
-	// absolute count vectors.
+	// The run state: the type of the run in progress, the length of its
+	// current chunk, and the most recently executed block (for funneling
+	// headroom). applied counts all executed actions including the executed
+	// blocks: it is the state's demand-forecast horizon, matching the
+	// planners' absolute count vectors.
 	last := NoLast
 	tail := 0
 	applied := 0
-	lastBlock := -1 // most recently executed block, for funneling headroom
-	if cfg.FreeOrder {
-		for _, id := range cfg.Executed {
-			task.Apply(view, id)
-		}
-		applied = len(cfg.Executed)
-		if n := len(cfg.Executed); n > 0 {
-			lastBlock = cfg.Executed[n-1]
-			last = task.Blocks[lastBlock].Type
-		}
-	} else if cfg.InitialCounts != nil {
-		for ty, c := range cfg.InitialCounts {
-			for _, id := range task.BlocksOfType(migration.ActionType(ty))[:c] {
-				task.Apply(view, id)
-			}
-			applied += c
-		}
-		last = cfg.InitialLast
-		tail = cfg.InitialRunLength
-		if last != NoLast && cfg.InitialCounts[last] > 0 {
-			lastBlock = task.BlocksOfType(last)[cfg.InitialCounts[last]-1]
-		}
-	}
+	lastBlock := -1
 
 	// check audits the current view as the state preceding sequence index
 	// idx (block = the next block, -1 at the end). withFunnel applies the
@@ -378,31 +324,38 @@ func replay(task *migration.Task, seq []int, cfg *Config, rep *Report) {
 		}
 		return -1
 	}
+	// boundary reports whether operating id next ends the run in progress:
+	// a type change, or a forced split under MaxRunLength. The state being
+	// left is then observed by the network and must be safe.
+	boundary := func(id int) bool {
+		return task.Blocks[id].Type != last ||
+			(!cfg.FreeOrder && cfg.MaxRunLength > 0 && tail >= cfg.MaxRunLength)
+	}
+	operate := func(id int, newRun bool) {
+		task.Apply(view, id)
+		applied++
+		tail++
+		if newRun {
+			tail = 1
+		}
+		last = task.Blocks[id].Type
+		lastBlock = id
+	}
 
+	// The executed blocks run through the same loop, unchecked: they are
+	// history, and the replay starts in the run they leave in progress.
+	for _, id := range cfg.Executed {
+		operate(id, boundary(id))
+	}
 	if !check(0, nextBlock(0), false) {
 		return
 	}
 	for i, id := range seq {
-		ty := task.Blocks[id].Type
-		boundary := ty != last ||
-			(!cfg.FreeOrder && cfg.MaxRunLength > 0 && tail >= cfg.MaxRunLength)
-		if boundary && last != NoLast {
-			// Run boundary (type change, or a forced split under
-			// MaxRunLength): the state being left was observed by the
-			// network and must have been safe.
-			if !check(i, id, true) {
-				return
-			}
+		b := boundary(id)
+		if b && last != NoLast && !check(i, id, true) {
+			return
 		}
-		task.Apply(view, id)
-		applied++
-		if ty != last || boundary {
-			tail = 1
-		} else {
-			tail++
-		}
-		last = ty
-		lastBlock = id
+		operate(id, b)
 	}
 	if !check(len(seq), -1, true) {
 		return

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,16 +162,75 @@ func TestVerifyDetectsDroppedAction(t *testing.T) {
 func TestVerifyResumedCanonical(t *testing.T) {
 	task := bridgeTask(t, 2, 2, 100, 100, 150)
 	seq := safeSeq(task)
-	counts := []int{0, 2} // both undrains executed
-	rep, err := Verify(task, seq[2:], Config{
-		InitialCounts: counts,
-		InitialLast:   1,
-	})
+	// Both undrains executed.
+	rep, err := Verify(task, seq[2:], Config{Executed: seq[:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Passed {
 		t.Fatalf("resumed audit failed: %s", rep)
+	}
+}
+
+// TestVerifyRefusesNonCanonicalExecuted: the canonical replay names a state
+// by its per-type counts, which an executed block out of canonical order
+// does not reach, so the audit fails it before replaying anything, naming
+// the block. The free-order replay starts after the same blocks.
+func TestVerifyRefusesNonCanonicalExecuted(t *testing.T) {
+	task := bridgeTask(t, 2, 2, 100, 100, 150)
+	undrains := task.BlocksOfType(1)
+	executed := []int{undrains[1]}
+	rest := append([]int{undrains[0]}, task.BlocksOfType(0)...)
+	rep, err := Verify(task, rest, Config{Executed: executed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := task.Blocks[undrains[1]].Name
+	if rep.Passed || rep.FailStep != 0 || len(rep.Steps) != 0 ||
+		!strings.Contains(rep.Reason, "canonical order") || !strings.Contains(rep.Reason, name) {
+		t.Fatalf("non-canonical executed block %q: %s, want a structural failure naming it", name, rep)
+	}
+	rep, err = Verify(task, rest, Config{Executed: executed, FreeOrder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed || len(rep.Start) != 1 || rep.Start[0] != undrains[1] {
+		t.Fatalf("free-order replay after %q: %s, start %v", name, rep, rep.Start)
+	}
+}
+
+// TestVerifyResumedCarriesRunChunk: under MaxRunLength 2, a replay that
+// resumes after two undrains is in a full chunk, so its third undrain is a
+// forced split and the resumed start is checked as that boundary too, as
+// the whole plan's replay checks it.
+func TestVerifyResumedCarriesRunChunk(t *testing.T) {
+	task := bridgeTask(t, 3, 3, 100, 100, 150)
+	seq := safeSeq(task)
+	cfg := Config{MaxRunLength: 2}
+	whole, err := Verify(task, seq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Executed = seq[:2]
+	resumed, err := Verify(task, seq[2:], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !whole.Passed || !resumed.Passed {
+		t.Fatalf("whole %s, resumed %s", whole, resumed)
+	}
+	var want []int
+	for _, st := range whole.Steps {
+		if st.Index >= 2 {
+			want = append(want, st.Index-2)
+		}
+	}
+	var got []int
+	for _, st := range resumed.Steps[1:] { // Steps[0] is the resumed start
+		got = append(got, st.Index)
+	}
+	if !slices.Equal(got, want) || want[0] != 0 {
+		t.Fatalf("resumed replay checked %v after its start, the whole replay %v", got, want)
 	}
 }
 
@@ -246,14 +306,18 @@ func TestVerifyRejectsMalformedInputs(t *testing.T) {
 	if _, err := Verify(task, nil, Config{Theta: 1.5}); err == nil {
 		t.Error("Theta > 1 accepted")
 	}
-	if _, err := Verify(task, nil, Config{InitialCounts: []int{1}}); err == nil {
-		t.Error("short InitialCounts accepted")
-	}
 	rep, err := Verify(task, []int{99}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Passed || !strings.Contains(rep.Reason, "invalid block") {
 		t.Errorf("out-of-range block: %s", rep)
+	}
+	rep, err = Verify(task, nil, Config{Executed: []int{99}, AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Passed || !strings.Contains(rep.Reason, "invalid block") {
+		t.Errorf("out-of-range executed block: %s", rep)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,24 +63,22 @@ func verify(t *testing.T, label string, task *migration.Task, seq []int, cfg aud
 }
 
 // verifiersAgree holds core's plan checkers to the report on every config
-// they can express (no AllowPartial, no Executed prefix): VerifyPlan, or
+// they can express (no AllowPartial): VerifyPlan, or
 // VerifyPlanFreeOrder in free order, passes iff the report passed and fails
 // with ErrInfeasible iff its last Step failed; on canonical configs,
 // ValidateSequence fails iff the report failed before any Step.
 func verifiersAgree(t *testing.T, label string, task *migration.Task, seq []int, cfg audit.Config, rep *audit.Report) {
 	t.Helper()
-	if cfg.AllowPartial || cfg.Executed != nil {
+	if cfg.AllowPartial {
 		return
 	}
 	opts := core.Options{
-		Theta:            cfg.Theta,
-		Split:            cfg.Split,
-		FunnelFactor:     cfg.FunnelFactor,
-		MaxRunLength:     cfg.MaxRunLength,
-		SpaceBudget:      cfg.SpaceBudget,
-		InitialCounts:    cfg.InitialCounts,
-		InitialLast:      cfg.InitialLast,
-		InitialRunLength: cfg.InitialRunLength,
+		Theta:        cfg.Theta,
+		Split:        cfg.Split,
+		FunnelFactor: cfg.FunnelFactor,
+		MaxRunLength: cfg.MaxRunLength,
+		SpaceBudget:  cfg.SpaceBudget,
+		Executed:     cfg.Executed,
 	}
 	name, verifyPlan := "VerifyPlan", core.VerifyPlan
 	if cfg.FreeOrder {
@@ -93,7 +92,7 @@ func verifiersAgree(t *testing.T, label string, task *migration.Task, seq []int,
 	if cfg.FreeOrder {
 		return
 	}
-	if err := core.ValidateSequence(task, seq, cfg.InitialCounts); (err != nil) != (!rep.Passed && len(rep.Steps) == 0) {
+	if err := core.ValidateSequence(task, seq, cfg.Executed); (err != nil) != (!rep.Passed && len(rep.Steps) == 0) {
 		t.Fatalf("%s: ValidateSequence returned %v for report %s", label, err, rep)
 	}
 }
@@ -106,7 +105,6 @@ func baseConfig(opts core.Options) audit.Config {
 		FunnelFactor: opts.FunnelFactor,
 		MaxRunLength: opts.MaxRunLength,
 		SpaceBudget:  opts.SpaceBudget,
-		InitialLast:  audit.NoLast,
 	}
 }
 
@@ -169,17 +167,26 @@ func exerciseFabric(t *testing.T, task *migration.Task, opts core.Options) bool 
 		verify(t, "partial", task, seq[:len(seq)/2], part)
 	}
 
-	// Resumed canonical plan: replay the tail from per-type initial counts.
-	if opts.MaxRunLength == 0 && len(seq) > 2 {
-		h := len(seq) / 2
-		counts := make([]int, task.NumTypes())
-		for _, id := range seq[:h] {
-			counts[task.Blocks[id].Type]++
-		}
+	// Resumed canonical plan: replay the tail after the executed head, at
+	// every cut. Past the resumed start, which it checks first, the replay
+	// must check the states the whole replay checks there: the run in
+	// progress, and its chunk under a run cap, carry across the cut.
+	for h := 1; h < len(seq); h++ {
 		res := cfg
-		res.InitialCounts = counts
-		res.InitialLast = task.Blocks[seq[h-1]].Type
-		verify(t, "resumed", task, seq[h:], res)
+		res.Executed = seq[:h]
+		r := verify(t, fmt.Sprintf("resumed@%d", h), task, seq[h:], res)
+		var want, got []audit.Step
+		for _, st := range ref.Steps {
+			if st.Index >= h {
+				want = append(want, audit.Step{Index: st.Index - h, Block: st.Block, OK: st.OK})
+			}
+		}
+		for _, st := range r.Steps[1:] {
+			got = append(got, audit.Step{Index: st.Index, Block: st.Block, OK: st.OK})
+		}
+		if !r.Passed || !slices.Equal(got, want) {
+			t.Fatalf("resumed@%d: %s checked %v after its start, the whole replay %v", h, r, got, want)
+		}
 	}
 
 	// Free-order replay of the tail after an executed prefix.

@@ -43,31 +43,18 @@ func PlanMRC(task *migration.Task, opts core.Options) (*core.Plan, error) {
 
 // PlanMRCContext is PlanMRC with cooperative cancellation: the context and
 // the Options.Timeout/MaxStates budget are checked at every greedy step,
-// and overruns wrap core.ErrBudget exactly like the core planners'.
-// Options.InitialCounts, when set, names the canonical prefix already
-// executed; PlanMRCFrom resumes from any executed block set.
+// and overruns wrap core.ErrBudget exactly like the core planners'. It
+// plans the remainder after Options.Executed, in whatever order those
+// blocks were operated: MRC plans are free-order.
 func PlanMRCContext(ctx context.Context, task *migration.Task, opts core.Options) (*core.Plan, error) {
 	if err := checkTask(task); err != nil {
 		return nil, err
 	}
-	done, last := canonicalStart(task, opts)
-	return planMRC(ctx, task, done, last, opts)
-}
-
-// PlanMRCFrom plans the remainder of a migration whose executed blocks are
-// listed in the order they were operated. MRC plans are free-order, so a
-// prefix of one is a block set that per-type counts cannot name; this entry
-// point takes the blocks themselves and ignores Options.InitialCounts and
-// InitialLast.
-func PlanMRCFrom(ctx context.Context, task *migration.Task, executed []int, opts core.Options) (*core.Plan, error) {
-	if err := checkTask(task); err != nil {
-		return nil, err
-	}
-	last, err := executedStart(task, executed)
+	last, err := executedStart(task, opts.Executed)
 	if err != nil {
 		return nil, err
 	}
-	return planMRC(ctx, task, executed, last, opts)
+	return planMRC(ctx, task, opts.Executed, last, opts)
 }
 
 // checkTask rejects the tasks neither baseline can plan.
@@ -76,20 +63,6 @@ func checkTask(task *migration.Task) error {
 		return core.ErrUnsupported
 	}
 	return task.Validate()
-}
-
-// canonicalStart lists the blocks Options.InitialCounts names — the first
-// InitialCounts[t] blocks of each type t — with the run's last type.
-func canonicalStart(task *migration.Task, opts core.Options) ([]int, migration.ActionType) {
-	if opts.InitialCounts == nil {
-		return nil, core.NoLast
-	}
-	var done []int
-	for ty := 0; ty < task.NumTypes() && ty < len(opts.InitialCounts); ty++ {
-		blocks := task.BlocksOfType(migration.ActionType(ty))
-		done = append(done, blocks[:min(max(opts.InitialCounts[ty], 0), len(blocks))]...)
-	}
-	return done, opts.InitialLast
 }
 
 // executedStart validates an executed block list and returns the type of

@@ -207,10 +207,8 @@ func TestJanusSymmetryCollapse(t *testing.T) {
 
 func TestMRCRespectsReplanningStart(t *testing.T) {
 	task := bridgeTask(t, 2, 2, 1, 2, 0.5, 0)
-	opts := core.Options{
-		InitialCounts: []int{0, 1}, // one undrain already executed
-		InitialLast:   migration.ActionType(1),
-	}
+	// One undrain already executed.
+	opts := core.Options{Executed: task.BlocksOfType(migration.ActionType(1))[:1]}
 	p, err := PlanMRC(task, opts)
 	if err != nil {
 		t.Fatal(err)

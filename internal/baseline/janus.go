@@ -39,29 +39,18 @@ func PlanJanus(task *migration.Task, opts core.Options) (*core.Plan, error) {
 
 // PlanJanusContext is PlanJanus with cooperative cancellation: the context
 // is polled alongside the MaxStates/Timeout budget in the search loop, and
-// budget overruns wrap core.ErrBudget exactly like the core planners'.
-// Options.InitialCounts, when set, names the canonical prefix already
-// executed; PlanJanusFrom resumes from any executed block set.
+// budget overruns wrap core.ErrBudget exactly like the core planners'. It
+// plans the remainder after Options.Executed, in whatever order those
+// blocks were operated.
 func PlanJanusContext(ctx context.Context, task *migration.Task, opts core.Options) (*core.Plan, error) {
 	if err := checkTask(task); err != nil {
 		return nil, err
 	}
-	done, last := canonicalStart(task, opts)
-	return planJanus(ctx, task, done, last, opts)
-}
-
-// PlanJanusFrom plans the remainder of a migration whose executed blocks
-// are listed in the order they were operated, ignoring
-// Options.InitialCounts and InitialLast (see PlanMRCFrom).
-func PlanJanusFrom(ctx context.Context, task *migration.Task, executed []int, opts core.Options) (*core.Plan, error) {
-	if err := checkTask(task); err != nil {
-		return nil, err
-	}
-	last, err := executedStart(task, executed)
+	last, err := executedStart(task, opts.Executed)
 	if err != nil {
 		return nil, err
 	}
-	return planJanus(ctx, task, executed, last, opts)
+	return planJanus(ctx, task, opts.Executed, last, opts)
 }
 
 // planJanus searches from the state after the done blocks, with

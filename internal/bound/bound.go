@@ -397,23 +397,10 @@ func (e *Engine) index(vec []uint16) int {
 	return idx
 }
 
-// relax is the closed-form ordering relaxation (the planners' heuristic
-// algebra for uncapped runs): each remaining type needs a fresh run plus
-// extensions, except the in-progress type, which extends for free.
+// relax is the closed-form ordering relaxation of uncapped runs, the
+// planners' heuristic algebra (RelaxCapped).
 func (e *Engine) relax(vec []uint16, last int) float64 {
-	h := 0.0
-	for i := 0; i < e.n; i++ {
-		rem := float64(e.totals[i]) - float64(vec[i])
-		if rem <= 0 {
-			continue
-		}
-		if i == last {
-			h += e.alpha * e.units[i] * rem
-		} else {
-			h += e.units[i] * (1 + e.alpha*(rem-1))
-		}
-	}
-	return h
+	return RelaxCapped(e.units, e.totals, vec, e.alpha, last, 0, 0)
 }
 
 // ensureTables lazily (re)builds the exact lattice tables for the
@@ -573,17 +560,21 @@ func eqVec(a, b []uint16) bool {
 	return true
 }
 
-// RelaxCapped is the standalone closed-form relaxation under an optional
-// run cap: rem[i] actions of type i remain, the in-progress run has type
-// last (−1 for none) and tail actions already in its current chunk. With
-// maxRun = 0 it reduces to the uncapped relaxation. It depends only on
+// RelaxCapped is the closed-form relaxation under an optional run cap:
+// totals[i] − done[i] actions of type i remain, the in-progress run has
+// type last (−1 for none) and tail actions already in its current chunk.
+// Each remaining type needs a fresh run costing unit(1 + α(rem − 1)), and
+// the in-progress type extends at α·unit. Under maxRun = K a type needs at
+// least ⌈rem/K⌉ runs, and the in-progress type gets K − tail α-cost slots
+// before its first fresh one; maxRun = 0 is uncapped. It is the planners'
+// heuristic and the engine's cold completion bound. It depends only on
 // counts, unit costs, and α — not on demands or topology — so it lower
-// bounds the optimal cost of ANY replan of the same remaining work,
-// which is what makes it safe to consult across drift.
-func RelaxCapped(units []float64, rem []int, alpha float64, last, maxRun, tail int) float64 {
+// bounds the optimal cost of ANY replan of the same remaining work, which
+// is what makes it safe to consult across drift.
+func RelaxCapped(units []float64, totals, done []uint16, alpha float64, last, maxRun, tail int) float64 {
 	h := 0.0
-	for i := range rem {
-		r := rem[i]
+	for i := range totals {
+		r := int(totals[i]) - int(done[i])
 		if r <= 0 {
 			continue
 		}
@@ -597,10 +588,7 @@ func RelaxCapped(units []float64, rem []int, alpha float64, last, maxRun, tail i
 			continue
 		}
 		if i == last {
-			free := maxRun - tail
-			if free < 0 {
-				free = 0
-			}
+			free := max(maxRun-tail, 0)
 			if r <= free {
 				h += alpha * unit * float64(r)
 				continue

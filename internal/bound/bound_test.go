@@ -66,7 +66,12 @@ func TestRelaxCapped(t *testing.T) {
 		{"done", []float64{1, 1}, []int{0, 0}, 0.3, 0, 0, 1, 0},
 	}
 	for _, c := range cases {
-		if got := RelaxCapped(c.units, c.rem, c.alpha, c.last, c.maxRun, c.tail); math.Abs(got-c.want) > 1e-12 {
+		totals := make([]uint16, len(c.rem))
+		for i, r := range c.rem {
+			totals[i] = uint16(r)
+		}
+		done := make([]uint16, len(c.rem))
+		if got := RelaxCapped(c.units, totals, done, c.alpha, c.last, c.maxRun, c.tail); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%s: RelaxCapped = %v, want %v", c.name, got, c.want)
 		}
 	}

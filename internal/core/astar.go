@@ -43,10 +43,6 @@ func planAStar(ctx context.Context, task *migration.Task, opts Options) (*Plan, 
 	}
 
 	startIdx, _ := sp.intern(sp.initial)
-	startLast := opts.InitialLast
-	if opts.InitialCounts == nil {
-		startLast = NoLast
-	}
 	if !sp.feasible(startIdx, NoLast) {
 		return nil, planErrf(ErrInfeasible, "initial network state violates constraints")
 	}
@@ -63,12 +59,8 @@ func planAStar(ctx context.Context, task *migration.Task, opts Options) (*Plan, 
 		pq:      &openHeap{secondary: !opts.DisableSecondaryPriority},
 		scratch: make([]uint16, sp.nTypes),
 	}
-	startTail := 0
-	if opts.InitialCounts != nil {
-		startTail = opts.InitialRunLength
-	}
-	s.push(startIdx, startLast, startTail, 0)
-	sp.initLowerBound(startIdx, startLast, startTail)
+	s.push(startIdx, sp.startLast, sp.startTail, 0)
+	sp.initLowerBound(startIdx, sp.startLast, sp.startTail)
 	return s.run()
 }
 
@@ -102,7 +94,7 @@ func (s *astarSearch) push(vecIdx int32, last migration.ActionType, tail int, g 
 		sp.incumbent = g
 	}
 	heap.Push(s.pq, openItem{
-		f:        g + sp.heuristicCapped(vecIdx, last, tail),
+		f:        g + sp.heuristic(vecIdx, last, tail),
 		finished: int32(sp.finished(vecIdx)),
 		order:    int64(sp.metrics.StatesCreated),
 		g:        g,
@@ -160,7 +152,7 @@ func (s *astarSearch) run() (*Plan, error) {
 			return sp.finishPlan(&Plan{
 				Task:     task,
 				Sequence: seq,
-				Runs:     RunsOf(task, seq, sp.opts.MaxRunLength),
+				Runs:     sp.runs(seq),
 				Cost:     it.g,
 				Metrics:  sp.elapsedMetrics(),
 			})

@@ -13,34 +13,28 @@ import (
 // caught before the plan could reach an operator.
 var ErrAudit = errors.New("core: plan failed independent audit")
 
-// auditConfig maps the planner options' constraint set and resume state
-// onto the independent auditor's configuration. The planner's own
+// auditConfig maps the planner options' constraint set and executed
+// blocks onto the independent auditor's configuration. The planner's own
 // fast-path state (its caches, its shared Evaluator) deliberately does not
 // cross this boundary: the auditor builds all of its state from the task
-// alone.
+// alone, and replays Executed through its own run loop.
 func auditConfig(opts *Options) audit.Config {
-	cfg := audit.Config{
+	return audit.Config{
 		Theta:        opts.Theta,
 		Split:        opts.Split,
 		FunnelFactor: opts.FunnelFactor,
 		MaxRunLength: opts.MaxRunLength,
 		SpaceBudget:  opts.SpaceBudget,
+		Executed:     opts.Executed,
 		Recorder:     opts.Recorder,
-		InitialLast:  audit.NoLast,
 	}
-	if opts.InitialCounts != nil {
-		cfg.InitialCounts = opts.InitialCounts
-		cfg.InitialLast = opts.InitialLast
-		cfg.InitialRunLength = opts.InitialRunLength
-	}
-	return cfg
 }
 
 // AuditSequence replays seq against the independent verifier of
 // internal/audit, honoring the planning options' constraint set (θ, split
-// mode, funneling, run cap, space budget) and canonical resume state. It
-// returns the structured report; an error only signals malformed inputs,
-// not a failed audit.
+// mode, funneling, run cap, space budget), from the state after
+// opts.Executed. It returns the structured report; an error only signals
+// malformed inputs, not a failed audit.
 func AuditSequence(task *migration.Task, seq []int, opts Options, freeOrder bool) (*audit.Report, error) {
 	cfg := auditConfig(&opts)
 	cfg.FreeOrder = freeOrder
@@ -55,33 +49,6 @@ func AuditPartial(task *migration.Task, seq []int, opts Options, freeOrder bool)
 	cfg := auditConfig(&opts)
 	cfg.FreeOrder = freeOrder
 	cfg.AllowPartial = true
-	return audit.Verify(task, seq, cfg)
-}
-
-// AuditResumed audits a plan that continues an already-executed prefix of
-// blocks (the control loop's mid-migration state). For canonical plans the
-// prefix collapses to per-type counts; free-order plans (baselines) carry
-// the exact executed sequence into the replay.
-func AuditResumed(task *migration.Task, seq, executed []int, opts Options, freeOrder bool) (*audit.Report, error) {
-	cfg := auditConfig(&opts)
-	cfg.FreeOrder = freeOrder
-	if freeOrder {
-		cfg.InitialCounts = nil
-		cfg.Executed = executed
-		return audit.Verify(task, seq, cfg)
-	}
-	if len(executed) > 0 {
-		counts := make([]int, task.NumTypes())
-		for _, id := range executed {
-			if id < 0 || id >= len(task.Blocks) {
-				return nil, errors.New("core: executed prefix references invalid block")
-			}
-			counts[task.Blocks[id].Type]++
-		}
-		cfg.InitialCounts = counts
-		cfg.InitialLast = task.Blocks[executed[len(executed)-1]].Type
-		cfg.InitialRunLength = 0
-	}
 	return audit.Verify(task, seq, cfg)
 }
 

@@ -42,7 +42,7 @@ func BenchmarkHeuristic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.heuristic(idx, migration.ActionType(i%2))
+		sp.heuristic(idx, migration.ActionType(i%2), 0)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"klotski/internal/migration"
 )
@@ -38,16 +39,13 @@ func (cp *Checkpoint) Task() *migration.Task { return cp.task }
 // states only at run boundaries — A* pushes run extensions unchecked, and
 // Partial reaches the most advanced pushed state — but an operator who
 // executes the partial sequence and pauses there makes its endpoint an
-// observable network state. Counts stays the frontier's. opts.Bound is not
-// consulted, so the search's bound engine is left as it was.
+// observable network state, counted after opts.Executed. Counts stays the
+// frontier's. opts.Bound is not consulted, so the search's bound engine is
+// left as it was.
 func (cp *Checkpoint) SafePartial(opts Options) []int {
 	task := cp.task
 	opts.Bound = nil
-	counts := make([]int, task.NumTypes())
-	copy(counts, opts.InitialCounts)
-	for _, b := range cp.Partial {
-		counts[task.Blocks[b].Type]++
-	}
+	counts := CountsOf(task, append(slices.Clone(opts.Executed), cp.Partial...))
 	partial := cp.Partial
 	for len(partial) > 0 && CheckState(task, counts, opts) != nil {
 		counts[task.Blocks[partial[len(partial)-1]].Type]--

@@ -28,7 +28,7 @@
 // current run's type can be finished without starting a new run. This is
 // the paper's Eq. 9 heuristic made tight (and consistent) in the corner
 // case where the last action's type still has pending actions; see
-// heuristic() for the algebra.
+// bound.RelaxCapped for the algebra.
 //
 // # Execution
 //
@@ -70,8 +70,8 @@ var (
 	ErrUnsupported = errors.New("core: migration type not supported by this planner")
 )
 
-// NoLast marks "no action finished yet" in replanning options and run
-// reconstruction.
+// NoLast marks "no action finished yet" in the resume basis, sequence
+// costs and run reconstruction.
 const NoLast migration.ActionType = -1
 
 // WorkersAdaptive is the lowest value Options.Workers accepts.
@@ -141,15 +141,16 @@ type Options struct {
 	// Timeout caps wall-clock planning time. 0 means no limit.
 	Timeout time.Duration
 
-	// InitialCounts and InitialLast resume planning from a partially
-	// executed migration (replanning after demand shifts or failures,
-	// §7.1–7.2): InitialCounts[i] blocks of type i are already done and the
-	// last executed action had type InitialLast (NoLast if none).
-	// InitialRunLength is the length of the in-progress run, relevant only
-	// under MaxRunLength.
-	InitialCounts    []int
-	InitialLast      migration.ActionType
-	InitialRunLength int
+	// Executed resumes planning from a partially executed migration
+	// (replanning after demand shifts or failures, §7.1–7.2): the blocks
+	// already operated, in the order they were operated. The search starts
+	// from the state after them, with the last block's run in progress —
+	// under MaxRunLength, with as many actions in its current chunk as the
+	// executed run put there (RunsOf). A* and DP refuse blocks of one type
+	// out of canonical order, which their plans never produce; the MRC and
+	// Janus baselines accept any order. The post-planning audit replays the
+	// same blocks (audit.Config.Executed).
+	Executed []int
 
 	// SkipAudit disables the independent post-planning audit: by default
 	// every emitted plan is replayed step-by-step against an independent
@@ -214,9 +215,6 @@ func (o *Options) validate() error {
 	}
 	if o.FunnelFactor != 0 && o.FunnelFactor < 1 {
 		return fmt.Errorf("core: FunnelFactor %v below 1 would loosen the bound", o.FunnelFactor)
-	}
-	if o.InitialRunLength < 0 {
-		return fmt.Errorf("core: negative InitialRunLength %d", o.InitialRunLength)
 	}
 	if o.Workers < WorkersAdaptive {
 		return fmt.Errorf("core: Workers %d below %d", o.Workers, WorkersAdaptive)
@@ -329,11 +327,6 @@ func blockNames(t *migration.Task, ids []int, max int) string {
 	return strings.Join(names, ", ")
 }
 
-// runsFromSequence groups a block sequence into runs.
-func runsFromSequence(t *migration.Task, seq []int) []Run {
-	return RunsOf(t, seq, 0)
-}
-
 // RunsOf groups a block sequence into runs, splitting same-type runs every
 // maxRun actions when maxRun > 0 (Options.MaxRunLength semantics).
 func RunsOf(t *migration.Task, seq []int, maxRun int) []Run {
@@ -419,24 +412,34 @@ func NewBoundEngine(task *migration.Task, opts Options) *bound.Engine {
 func CompletionLowerBound(t *migration.Task, counts []int, last migration.ActionType, alpha float64, maxRun int) float64 {
 	n := t.NumTypes()
 	units := make([]float64, n)
-	rem := make([]int, n)
-	for i := 0; i < n; i++ {
+	totals := make([]uint16, n)
+	done := make([]uint16, n)
+	for i, c := range t.Counts() {
 		units[i] = unitCost(t, migration.ActionType(i))
-		rem[i] = len(t.BlocksOfType(migration.ActionType(i)))
-		if counts != nil && i < len(counts) {
-			rem[i] -= counts[i]
+		totals[i] = uint16(c)
+		if i < len(counts) {
+			done[i] = uint16(min(max(counts[i], 0), c))
 		}
 	}
-	return bound.RelaxCapped(units, rem, alpha, int(last), maxRun, maxRun)
+	return bound.RelaxCapped(units, totals, done, alpha, int(last), maxRun, maxRun)
+}
+
+// CountsOf counts the blocks of seq per action type: the compact vector
+// of the state after a canonical seq.
+func CountsOf(t *migration.Task, seq []int) []int {
+	counts := make([]int, t.NumTypes())
+	for _, id := range seq {
+		counts[t.Blocks[id].Type]++
+	}
+	return counts
 }
 
 // CheckState verifies the single network state given by per-type progress
 // counts (how many blocks of each type have been executed, in canonical
-// order) against the demand, port, and space constraints.
+// order) against the demand, port, and space constraints. opts.Executed is
+// not consulted.
 func CheckState(task *migration.Task, counts []int, opts Options) error {
-	opts.InitialCounts = counts
-	opts.InitialLast = NoLast
-	sp, err := newSpace(task, opts)
+	sp, err := newSpaceAt(task, opts, counts, NoLast)
 	if err != nil {
 		return err
 	}
@@ -448,12 +451,12 @@ func CheckState(task *migration.Task, counts []int, opts Options) error {
 }
 
 // ValidateSequence checks that a block sequence is a permutation of the
-// task's blocks not yet executed (given initialCounts, which may be nil)
-// and that blocks of each type appear in canonical order: the audit's
-// structural check (audit.CheckSequence). The execution simulator relies on
-// it.
-func ValidateSequence(t *migration.Task, seq []int, initialCounts []int) error {
-	return audit.CheckSequence(t, seq, audit.Config{InitialCounts: initialCounts})
+// task's blocks not yet executed (given the executed blocks, which may be
+// nil) and that blocks of each type appear in canonical order, the executed
+// ones included: the audit's structural check (audit.CheckSequence). The
+// execution simulator relies on it.
+func ValidateSequence(t *migration.Task, seq []int, executed []int) error {
+	return audit.CheckSequence(t, seq, audit.Config{Executed: executed})
 }
 
 // unitCost returns the effective unit cost of an action type.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"klotski/internal/demand"
@@ -99,13 +100,7 @@ func bruteForceOptimal(t testing.TB, task *migration.Task, opts Options) float64
 			vec[a]--
 		}
 	}
-	startLast := NoLast
-	startTail := 0
-	if opts.InitialCounts != nil {
-		startLast = opts.InitialLast
-		startTail = opts.InitialRunLength
-	}
-	rec(startLast, startTail, 0)
+	rec(sp.startLast, sp.startTail, 0)
 	return best
 }
 
@@ -113,15 +108,13 @@ func bruteForceOptimal(t testing.TB, task *migration.Task, opts Options) float64
 // advertised cost matches SequenceCost, and VerifyPlan accepts it.
 func checkPlan(t *testing.T, task *migration.Task, p *Plan, opts Options) {
 	t.Helper()
-	if err := ValidateSequence(task, p.Sequence, opts.InitialCounts); err != nil {
+	if err := ValidateSequence(task, p.Sequence, opts.Executed); err != nil {
 		t.Fatalf("plan sequence invalid: %v", err)
 	}
-	initialLast := NoLast
-	if opts.InitialCounts != nil {
-		initialLast = opts.InitialLast
-	}
-	if got := SequenceCostCapped(task, p.Sequence, opts.Alpha, initialLast,
-		opts.MaxRunLength, opts.InitialRunLength); math.Abs(got-p.Cost) > 1e-9 {
+	ex := opts.Executed
+	whole := append(slices.Clone(ex), p.Sequence...)
+	if got := SequenceCostCapped(task, whole, opts.Alpha, NoLast, opts.MaxRunLength, 0) -
+		SequenceCostCapped(task, ex, opts.Alpha, NoLast, opts.MaxRunLength, 0); math.Abs(got-p.Cost) > 1e-9 {
 		t.Fatalf("plan cost %v, SequenceCost says %v", p.Cost, got)
 	}
 	if err := VerifyPlan(task, p.Sequence, opts); err != nil {
@@ -351,12 +344,7 @@ func TestReplanningFromPrefix(t *testing.T) {
 
 	// Execute the first run plus one action, then replan the rest.
 	k := len(full.Runs[0].Blocks) + 1
-	counts := make([]int, task.NumTypes())
-	for _, id := range full.Sequence[:k] {
-		counts[task.Blocks[id].Type]++
-	}
-	lastTy := task.Blocks[full.Sequence[k-1]].Type
-	opts := Options{InitialCounts: counts, InitialLast: lastTy}
+	opts := Options{Executed: full.Sequence[:k]}
 	re := planBoth(t, task, opts)
 
 	prefixCost := SequenceCost(task, full.Sequence[:k], 0, NoLast)
@@ -440,12 +428,12 @@ func TestVerifyPlanRejectsIncompleteAndDisordered(t *testing.T) {
 	if err := VerifyPlan(task, []int{0, 0, 2, 3}, Options{}); err == nil {
 		t.Error("duplicate block should be rejected")
 	}
-	resumed := Options{InitialCounts: []int{-1, 2}, InitialLast: 1}
-	if err := VerifyPlan(task, []int{0, 1}, resumed); err == nil || errors.Is(err, ErrInfeasible) {
-		t.Errorf("negative initial count: want a structural error, got %v", err)
+	resumed := Options{Executed: []int{1}}
+	if err := VerifyPlan(task, []int{0, 2, 3}, resumed); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Errorf("executed block out of canonical order: want a structural error, got %v", err)
 	}
-	if err := ValidateSequence(task, []int{0, 1}, resumed.InitialCounts); err == nil {
-		t.Error("negative initial count should fail the sequence check")
+	if err := ValidateSequence(task, []int{0, 2, 3}, resumed.Executed); err == nil {
+		t.Error("an executed block out of canonical order should fail the sequence check")
 	}
 }
 
@@ -580,7 +568,7 @@ func TestHeuristicAdmissibleAndConsistent(t *testing.T) {
 			idx, _ := sp.intern(st)
 			for last := -1; last < sp.nTypes; last++ {
 				lt := migration.ActionType(last)
-				h := sp.heuristic(idx, lt)
+				h := sp.heuristic(idx, lt, 0)
 				if h < 0 {
 					t.Fatalf("negative heuristic at %v", st)
 				}
@@ -595,7 +583,7 @@ func TestHeuristicAdmissibleAndConsistent(t *testing.T) {
 					next := append([]uint16(nil), st...)
 					next[a]++
 					nIdx, _ := sp.intern(next)
-					hNext := sp.heuristic(nIdx, at)
+					hNext := sp.heuristic(nIdx, at, 0)
 					c := sp.stepCost(lt, at)
 					if h > hNext+c+1e-9 {
 						t.Fatalf("inconsistent heuristic at %v last=%v: h=%v > h'=%v + c=%v",
@@ -617,7 +605,7 @@ func TestHeuristicAdmissibleAndConsistent(t *testing.T) {
 func TestWCMPUnlocksAsymmetricMigration(t *testing.T) {
 	task := bridgeTask(t, 2, 2, 1, 2.5, 2.2, 0)
 	// One new bridge is already in service (replanning start).
-	opts := Options{Theta: 0.7, InitialCounts: []int{0, 1}, InitialLast: migration.ActionType(1)}
+	opts := Options{Theta: 0.7, Executed: task.BlocksOfType(1)[:1]}
 	if _, err := PlanAStar(task, opts); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("plain ECMP should deem the mixed-generation state unsafe, got %v", err)
 	}
@@ -767,7 +755,7 @@ func TestCappedHeuristicConsistent(t *testing.T) {
 				for last := -1; last < sp.nTypes; last++ {
 					lt := migration.ActionType(last)
 					for tail := 1; tail <= k; tail++ {
-						h := sp.heuristicCapped(idx, lt, tail)
+						h := sp.heuristic(idx, lt, tail)
 						if sp.isTarget(idx) && h != 0 {
 							t.Fatalf("K=%d α=%v: h(target)=%v", k, alpha, h)
 						}
@@ -780,7 +768,7 @@ func TestCappedHeuristicConsistent(t *testing.T) {
 							next := append([]uint16(nil), st...)
 							next[a]++
 							nIdx, _ := sp.intern(next)
-							hNext := sp.heuristicCapped(nIdx, at, newTail)
+							hNext := sp.heuristic(nIdx, at, newTail)
 							if h > c+hNext+1e-9 {
 								t.Fatalf("K=%d α=%v st=%v last=%v tail=%d → %v: h=%v > c=%v + h'=%v",
 									k, alpha, st, lt, tail, at, h, c, hNext)
@@ -803,7 +791,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MaxStates: -1},
 		{MaxRunLength: -2},
 		{FunnelFactor: 0.5},
-		{InitialRunLength: -1},
+		{Executed: []int{99}},
 		{Workers: WorkersAdaptive - 1},
 	}
 	for i, opts := range bad {

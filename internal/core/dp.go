@@ -44,10 +44,6 @@ func planDP(ctx context.Context, task *migration.Task, opts Options) (*Plan, err
 		sp.ctx = ctx
 	}
 
-	startLast := opts.InitialLast
-	if opts.InitialCounts == nil {
-		startLast = NoLast
-	}
 	startIdx, _ := sp.intern(sp.initial)
 	if !sp.feasible(startIdx, NoLast) {
 		return nil, planErrf(ErrInfeasible, "initial network state violates constraints")
@@ -56,16 +52,10 @@ func planDP(ctx context.Context, task *migration.Task, opts Options) (*Plan, err
 		return nil, planErrf(ErrInfeasible, "target network state violates constraints")
 	}
 
-	startTail := 0
-	if opts.InitialCounts != nil {
-		startTail = opts.InitialRunLength
-	}
 	d := &dpRun{
-		sp:        sp,
-		startLast: startLast,
-		startTail: startTail,
-		memo:      make(map[int64]float64),
-		prev:      make(map[int64]prevInfo),
+		sp:   sp,
+		memo: make(map[int64]float64),
+		prev: make(map[int64]prevInfo),
 	}
 
 	targetVec := append([]uint16(nil), sp.totals...)
@@ -78,14 +68,12 @@ func planDP(ctx context.Context, task *migration.Task, opts Options) (*Plan, err
 		return sp.finishPlan(&Plan{Task: task, Cost: 0, Metrics: sp.elapsedMetrics()})
 	}
 	d.targetIdx = targetIdx
-	sp.initLowerBound(startIdx, startLast, startTail)
+	sp.initLowerBound(startIdx, sp.startLast, sp.startTail)
 	return d.sweep()
 }
 
 type dpRun struct {
 	sp        *space
-	startLast migration.ActionType
-	startTail int
 	targetIdx int32
 	memo      map[int64]float64
 	prev      map[int64]prevInfo
@@ -144,7 +132,7 @@ func (d *dpRun) sweep() (*Plan, error) {
 	return sp.finishPlan(&Plan{
 		Task:     task,
 		Sequence: seq,
-		Runs:     RunsOf(task, seq, sp.opts.MaxRunLength),
+		Runs:     sp.runs(seq),
 		Cost:     bestCost,
 		Metrics:  sp.elapsedMetrics(),
 	})
@@ -294,10 +282,10 @@ func (d *dpRun) compute(vecIdx int32, a migration.ActionType, t int) (float64, p
 	best := math.Inf(1)
 	bestPrev := prevInfo{last: NoLast}
 	if atInitial {
-		c, nt, _ := sp.step(d.startLast, a, d.startTail)
+		c, nt, _ := sp.step(sp.startLast, a, sp.startTail)
 		if nt == t || (sp.runCap() == 0 && t == 0) {
 			best = c
-			bestPrev = prevInfo{last: d.startLast, tail: int16(d.startTail)}
+			bestPrev = prevInfo{last: sp.startLast, tail: int16(sp.startTail)}
 		}
 		return best, bestPrev, nil
 	}

@@ -82,13 +82,7 @@ func outageReplan(t *testing.T, task *migration.Task, plan *Plan) (*migration.Ta
 	clone := tp.Clone()
 	clone.SetCircuitActive(down, false)
 	replan := task.WithTopology(clone)
-	counts := make([]int, task.NumTypes())
-	last := NoLast
-	for _, id := range plan.Sequence[:len(plan.Sequence)/2] {
-		last = task.Blocks[id].Type
-		counts[last]++
-	}
-	return replan, Options{InitialCounts: counts, InitialLast: last}
+	return replan, Options{Executed: plan.Sequence[:len(plan.Sequence)/2]}
 }
 
 // TestLiftedChecksAgreeWithChecker holds every verdict the lifted check is

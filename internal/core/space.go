@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
+	"klotski/internal/audit"
 	"klotski/internal/bound"
 	"klotski/internal/demand"
 	"klotski/internal/migration"
@@ -33,6 +35,12 @@ type space struct {
 	totals  []uint16 // blocks per type: the target vector V*
 	initial []uint16 // already-executed blocks per type (replanning)
 	units   []float64
+
+	// The resume basis past initial (newSpace): the type of the run in
+	// progress (NoLast on a fresh start) and, under MaxRunLength, the
+	// length of its current chunk.
+	startLast migration.ActionType
+	startTail int
 
 	// Vector interning and the satisfiability cache. Every distinct V gets
 	// a dense index from the intern table; feasT holds one verdict per
@@ -119,7 +127,35 @@ const (
 	feasNo  int8 = 2
 )
 
+// newSpace builds the space of a plan that starts after opts.Executed. It
+// is the one place the resume basis is derived from the executed blocks:
+// their per-type counts, the last block's type, and under MaxRunLength the
+// length of the last chunk RunsOf cuts them into. A prefix out of canonical
+// order names no state of this space and is refused.
 func newSpace(task *migration.Task, opts Options) (*space, error) {
+	ex := opts.Executed
+	if err := audit.CheckSequence(task, ex, audit.Config{AllowPartial: true}); err != nil {
+		return nil, fmt.Errorf("core: cannot resume after the executed blocks: %w", err)
+	}
+	last := NoLast
+	if len(ex) > 0 {
+		last = task.Blocks[ex[len(ex)-1]].Type
+	}
+	sp, err := newSpaceAt(task, opts, CountsOf(task, ex), last)
+	if err != nil {
+		return nil, err
+	}
+	if opts.MaxRunLength > 0 && len(ex) > 0 {
+		runs := RunsOf(task, ex, opts.MaxRunLength)
+		sp.startTail = len(runs[len(runs)-1].Blocks)
+	}
+	return sp, nil
+}
+
+// newSpaceAt builds the space of a search that starts at the state after
+// counts[i] blocks of each type i (nil: none), with a run of type last in
+// progress.
+func newSpaceAt(task *migration.Task, opts Options, counts []int, last migration.ActionType) (*space, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -127,13 +163,14 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 		return nil, fmt.Errorf("core: task %q has no actions to plan", task.Name)
 	}
 	sp := &space{
-		task:    task,
-		opts:    opts,
-		nTypes:  task.NumTypes(),
-		demands: &task.Demands,
-		rec:     opts.Recorder,
-		started: time.Now(),
-		ctx:     context.Background(),
+		task:      task,
+		opts:      opts,
+		nTypes:    task.NumTypes(),
+		startLast: last,
+		demands:   &task.Demands,
+		rec:       opts.Recorder,
+		started:   time.Now(),
+		ctx:       context.Background(),
 		// Poll on the very first budget check so that an already-expired
 		// deadline or cancelled context trips deterministically even on
 		// tiny search spaces.
@@ -151,18 +188,15 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 		sp.totals[i] = uint16(c)
 		sp.units[i] = unitCost(task, migration.ActionType(i))
 	}
+	if counts != nil && len(counts) != sp.nTypes {
+		return nil, fmt.Errorf("core: counts have %d entries, task has %d types", len(counts), sp.nTypes)
+	}
 	sp.initial = make([]uint16, sp.nTypes)
-	if opts.InitialCounts != nil {
-		if len(opts.InitialCounts) != sp.nTypes {
-			return nil, fmt.Errorf("core: InitialCounts has %d entries, task has %d types",
-				len(opts.InitialCounts), sp.nTypes)
+	for i, c := range counts {
+		if c < 0 || c > int(sp.totals[i]) {
+			return nil, fmt.Errorf("core: counts[%d]=%d out of range [0,%d]", i, c, sp.totals[i])
 		}
-		for i, c := range opts.InitialCounts {
-			if c < 0 || c > int(sp.totals[i]) {
-				return nil, fmt.Errorf("core: InitialCounts[%d]=%d out of range [0,%d]", i, c, sp.totals[i])
-			}
-			sp.initial[i] = uint16(c)
-		}
+		sp.initial[i] = uint16(c)
 	}
 	sp.vt = newVecTable(sp.totals)
 	sp.feasT = &feasTable{}
@@ -202,10 +236,6 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 		// run's metrics.
 		sp.bdCrossBase = b.CrossHits()
 		b.Bind(sp.boundStructSig(), sp.boundDemandSig())
-		last := opts.InitialLast
-		if opts.InitialCounts == nil {
-			last = NoLast
-		}
 		b.Arm(sp.initial, int(last))
 		sp.bdCutsBase = b.CutsLearned()
 		sp.bdHitsBase = b.CutHits()
@@ -484,82 +514,17 @@ func (sp *space) stepCost(last, a migration.ActionType) float64 {
 }
 
 // heuristic is the admissible, consistent cost-to-go lower bound (Eq. 9
-// adjusted for the in-progress run): every remaining type a≠last needs at
-// least one fresh run costing unit_a(1 + α(rem_a − 1)); remaining actions
-// of the current run's type can extend it at α·unit_last each.
-//
-// Under Options.MaxRunLength = K the bound strengthens: finishing rem
-// actions of a type needs at least ⌈rem/K⌉ runs (⌈(rem−(K−tail))/K⌉ fresh
-// runs for the in-progress type, whose current chunk still has K−tail
-// α-cost slots). See heuristicCapped.
-func (sp *space) heuristic(vecIdx int32, last migration.ActionType) float64 {
+// adjusted for the in-progress run), the closed-form relaxation
+// bound.RelaxCapped: every remaining type a≠last needs at least one fresh
+// run costing unit_a(1 + α(rem_a − 1)); remaining actions of the current
+// run's type can extend it at α·unit_last each. Under Options.MaxRunLength
+// = K a type needs at least ⌈rem/K⌉ runs, and the in-progress type has
+// K−tail α-cost slots left in its current chunk.
+func (sp *space) heuristic(vecIdx int32, last migration.ActionType, tail int) float64 {
 	if sp.opts.DisableHeuristic {
 		return 0
 	}
-	if sp.runCap() > 0 {
-		// The A* open list stores the tail; the heuristic used for
-		// ordering is computed via heuristicCapped at push time. This
-		// entry point (tail unknown) uses the weakest tail assumption,
-		// keeping it admissible wherever it is still called.
-		return sp.heuristicCapped(vecIdx, last, sp.runCap())
-	}
-	v := sp.vec(vecIdx)
-	h := 0.0
-	alpha := sp.opts.Alpha
-	for i := range v {
-		rem := float64(sp.totals[i] - v[i])
-		if rem == 0 {
-			continue
-		}
-		if migration.ActionType(i) == last {
-			h += alpha * sp.units[i] * rem
-		} else {
-			h += sp.units[i] * (1 + alpha*(rem-1))
-		}
-	}
-	return h
-}
-
-// heuristicCapped is the cost-to-go lower bound under a run cap K, given
-// the in-progress run's tail length. For each type with rem pending
-// actions: fresh runs cost unit each, extensions α·unit each, and at most
-// K actions fit per run; the in-progress type gets K−tail free extension
-// slots before its first fresh run.
-func (sp *space) heuristicCapped(vecIdx int32, last migration.ActionType, tail int) float64 {
-	if sp.opts.DisableHeuristic {
-		return 0
-	}
-	k := sp.runCap()
-	if k == 0 {
-		return sp.heuristic(vecIdx, last)
-	}
-	v := sp.vec(vecIdx)
-	h := 0.0
-	alpha := sp.opts.Alpha
-	for i := range v {
-		rem := int(sp.totals[i]) - int(v[i])
-		if rem == 0 {
-			continue
-		}
-		unit := sp.units[i]
-		if migration.ActionType(i) == last {
-			free := k - tail // α-cost slots left in the current chunk
-			if free < 0 {
-				free = 0
-			}
-			if rem <= free {
-				h += alpha * unit * float64(rem)
-				continue
-			}
-			rest := rem - free
-			runs := (rest + k - 1) / k
-			h += alpha*unit*float64(free) + unit*float64(runs) + alpha*unit*float64(rest-runs)
-		} else {
-			runs := (rem + k - 1) / k
-			h += unit*float64(runs) + alpha*unit*float64(rem-runs)
-		}
-	}
-	return h
+	return bound.RelaxCapped(sp.units, sp.totals, sp.vec(vecIdx), sp.opts.Alpha, int(last), sp.runCap(), tail)
 }
 
 // interrupted reports why the planner must stop — state-budget exhaustion
@@ -752,12 +717,28 @@ func (sp *space) reconstruct(prev map[int64]prevInfo, vecIdx int32, last migrati
 	return rev
 }
 
+// runs groups a plan's sequence into the runs the crews execute: the first
+// continues the run in progress at the start, whose current chunk already
+// holds startTail actions under MaxRunLength.
+func (sp *space) runs(seq []int) []Run {
+	ex := sp.opts.Executed
+	chunk := ex[len(ex)-sp.startTail:]
+	if len(chunk) == 0 {
+		return RunsOf(sp.task, seq, sp.opts.MaxRunLength)
+	}
+	runs := RunsOf(sp.task, append(slices.Clone(chunk), seq...), sp.opts.MaxRunLength)
+	if runs[0].Blocks = runs[0].Blocks[len(chunk):]; len(runs[0].Blocks) == 0 {
+		runs = runs[1:]
+	}
+	return runs
+}
+
 // initLowerBound seeds the run's global lower bound from a start state:
 // the planners' own admissible heuristic, sharpened by the engine's
 // cut-aware completion bound when one is attached. Monotone — a resumed
 // leg can only raise the bound, never lower it.
 func (sp *space) initLowerBound(vecIdx int32, last migration.ActionType, tail int) {
-	lb := sp.heuristicCapped(vecIdx, last, tail)
+	lb := sp.heuristic(vecIdx, last, tail)
 	if sp.bd != nil {
 		if c := sp.bd.Completion(sp.vec(vecIdx), int(last)); c > lb && !math.IsInf(c, 1) {
 			lb = c

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"klotski/internal/core"
@@ -455,9 +456,8 @@ func Run(ctx context.Context, task *migration.Task, world *sim.World, opts Optio
 func ensureAudited(p *core.Plan, executed []int, cfg pipeline.Config) error {
 	if p.Audit == nil {
 		opts := cfg.Options
-		opts.InitialCounts = nil
-		opts.InitialLast = core.NoLast
-		rep, err := core.AuditResumed(p.Task, p.Sequence, executed, opts, cfg.Planner.FreeOrder())
+		opts.Executed = executed
+		rep, err := core.AuditSequence(p.Task, p.Sequence, opts, cfg.Planner.FreeOrder())
 		if err != nil {
 			return fmt.Errorf("ctrl: auditing plan: %w", err)
 		}
@@ -470,28 +470,12 @@ func ensureAudited(p *core.Plan, executed []int, cfg pipeline.Config) error {
 	return nil
 }
 
-// startsAt reports whether the plan's audit began from the executed block
-// set. A plan without an audit qualifies: ensureAudited audits it from
+// startsAt reports whether the plan's audit began after the executed
+// blocks, in the order they were operated: the order fixes the run in
+// progress. A plan without an audit qualifies: ensureAudited audits it from
 // there.
 func startsAt(p *core.Plan, executed []int) bool {
-	if p.Audit == nil {
-		return true
-	}
-	if len(p.Audit.Start) != len(executed) {
-		return false
-	}
-	// A canonical audit lists its start type by type, not in the order
-	// the blocks were operated, so compare the sets.
-	in := make(map[int]bool, len(executed))
-	for _, id := range executed {
-		in[id] = true
-	}
-	for _, id := range p.Audit.Start {
-		if !in[id] {
-			return false
-		}
-	}
-	return true
+	return p.Audit == nil || slices.Equal(p.Audit.Start, executed)
 }
 
 // gapSkipCheck reports whether the remaining plan may keep executing
@@ -502,8 +486,9 @@ func startsAt(p *core.Plan, executed []int) bool {
 // problem's certified completion lower bound. Cost alone is not enough —
 // the plan must also still be SAFE under the drifted demands — so the
 // remaining sequence is re-audited against the drifted task (observed
-// demands, refit forecast, live outages) on a pristine evaluator before
-// the skip is granted.
+// demands, refit forecast, live outages) on a pristine evaluator, after
+// the executed blocks and in free order for a baseline's plan, as
+// ensureAudited audits it, before the skip is granted.
 func gapSkipCheck(task *migration.Task, world *sim.World, cfg pipeline.Config, thr float64, remaining []int, obsSet demand.Set, refit *demand.Forecast) bool {
 	executed := world.Executed()
 	opts := cfg.Options
@@ -511,11 +496,7 @@ func gapSkipCheck(task *migration.Task, world *sim.World, cfg pipeline.Config, t
 	// run structure at the boundary (NoLast can only overestimate, keeping
 	// the certificate sound).
 	inc := core.SequenceCostCapped(task, remaining, opts.Alpha, core.NoLast, opts.MaxRunLength, 0)
-	counts := make([]int, task.NumTypes())
 	last := core.NoLast
-	for _, id := range executed {
-		counts[task.Blocks[id].Type]++
-	}
 	if len(executed) > 0 {
 		last = task.Blocks[executed[len(executed)-1]].Type
 	}
@@ -527,14 +508,12 @@ func gapSkipCheck(task *migration.Task, world *sim.World, cfg pipeline.Config, t
 	if refit != nil {
 		planTask = planTask.WithForecast(*refit)
 	}
-	lb := core.CompletionLowerBound(planTask, counts, last, opts.Alpha, opts.MaxRunLength)
+	lb := core.CompletionLowerBound(planTask, core.CountsOf(planTask, executed), last, opts.Alpha, opts.MaxRunLength)
 	if lb <= 0 || inc > (1+thr)*lb {
 		return false
 	}
-	auditOpts := opts
-	auditOpts.InitialCounts = nil
-	auditOpts.InitialLast = core.NoLast
-	rep, err := core.AuditResumed(planTask, remaining, executed, auditOpts, false)
+	opts.Executed = executed
+	rep, err := core.AuditSequence(planTask, remaining, opts, cfg.Planner.FreeOrder())
 	return err == nil && rep.Passed
 }
 

@@ -231,14 +231,7 @@ func TestBuildPlanDocumentFrom(t *testing.T) {
 	}
 	k := len(full.Runs[0].Blocks)
 	executed := full.Sequence[:k]
-	counts := make([]int, s.Task.NumTypes())
-	for _, id := range executed {
-		counts[s.Task.Blocks[id].Type]++
-	}
-	rest, err := core.PlanAStar(s.Task, core.Options{
-		InitialCounts: counts,
-		InitialLast:   s.Task.Blocks[executed[k-1]].Type,
-	})
+	rest, err := core.PlanAStar(s.Task, core.Options{Executed: executed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,9 @@ func runEndUtils(task *migration.Task, executed []int, plan *core.Plan, opts cor
 			freeOrder = false
 		}
 	}
-	opts.InitialCounts, opts.InitialLast = nil, core.NoLast
+	opts.Executed = executed
 	opts.Recorder = nil
-	rep, err := core.AuditResumed(task, plan.Sequence, executed, opts, freeOrder)
+	rep, err := core.AuditSequence(task, plan.Sequence, opts, freeOrder)
 	if err != nil {
 		return nil, fmt.Errorf("npd: auditing the plan: %w", err)
 	}

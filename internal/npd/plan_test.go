@@ -151,11 +151,7 @@ func TestPlanDocumentMatchesReference(t *testing.T) {
 
 						executed := full.Runs[0].Blocks
 						resumed := opts
-						resumed.InitialCounts = make([]int, base.NumTypes())
-						for _, id := range executed {
-							resumed.InitialCounts[base.Blocks[id].Type]++
-						}
-						resumed.InitialLast = base.Blocks[executed[len(executed)-1]].Type
+						resumed.Executed = executed
 						rest, err := pl.run(planTask, resumed)
 						if err != nil {
 							t.Fatalf("%s: resuming after the first run: %v", name, err)

@@ -73,26 +73,6 @@ func (p Planner) FreeOrder() bool {
 	return p == PlannerMRC || p == PlannerJanus
 }
 
-// planFrom plans the remainder of a migration after the executed blocks,
-// listed in the order they were operated. The core planners resume from
-// per-type counts, which name exactly the executed set because their plans
-// keep canonical within-type order. A baseline's plan does not, so the
-// baselines resume from the blocks themselves.
-func (p Planner) planFrom(ctx context.Context, task *migration.Task, executed []int, opts core.Options) (*core.Plan, error) {
-	switch p {
-	case PlannerMRC:
-		return baseline.PlanMRCFrom(ctx, task, executed, opts)
-	case PlannerJanus:
-		return baseline.PlanJanusFrom(ctx, task, executed, opts)
-	}
-	opts.InitialCounts = countsOf(task, executed)
-	opts.InitialLast = core.NoLast
-	if len(executed) > 0 {
-		opts.InitialLast = task.Blocks[executed[len(executed)-1]].Type
-	}
-	return p.PlanContext(ctx, task, opts)
-}
-
 // Config parameterizes a pipeline run.
 type Config struct {
 	Planner Planner
@@ -179,14 +159,6 @@ func RunTaskContext(ctx context.Context, task *migration.Task, cfg Config) (*Res
 	return res, nil
 }
 
-func countsOf(task *migration.Task, seq []int) []int {
-	counts := make([]int, task.NumTypes())
-	for _, id := range seq {
-		counts[task.Blocks[id].Type]++
-	}
-	return counts
-}
-
 // audit independently re-verifies the plan (§7.2 "we add extra audits and
 // safety checks to Klotski's plans during operation") with the pristine
 // serial replay engine of internal/audit, attaching the structured report.
@@ -197,10 +169,7 @@ func countsOf(task *migration.Task, seq []int) []int {
 // that names the failing step.
 func audit(task *migration.Task, plan *core.Plan, cfg Config) error {
 	if plan.Audit == nil {
-		opts := cfg.Options
-		opts.InitialCounts = nil
-		opts.InitialLast = core.NoLast
-		rep, err := core.AuditSequence(task, plan.Sequence, opts, cfg.Planner.FreeOrder())
+		rep, err := core.AuditSequence(task, plan.Sequence, cfg.Options, cfg.Planner.FreeOrder())
 		if err != nil {
 			return err
 		}
@@ -220,13 +189,17 @@ func Replan(task *migration.Task, executed []int, newDemands *demand.Set, cfg Co
 	return ReplanContext(context.Background(), task, executed, newDemands, cfg)
 }
 
-// ReplanContext is Replan with cooperative cancellation.
+// ReplanContext is Replan with cooperative cancellation. The planner
+// starts after the executed blocks (core.Options.Executed): A* and DP need
+// them in canonical within-type order, the baselines take any order.
 func ReplanContext(ctx context.Context, task *migration.Task, executed []int, newDemands *demand.Set, cfg Config) (*core.Plan, error) {
 	planTask := task
 	if newDemands != nil {
 		planTask = task.WithDemands(*newDemands)
 	}
-	return cfg.Planner.planFrom(ctx, planTask, executed, cfg.Options)
+	opts := cfg.Options
+	opts.Executed = executed
+	return cfg.Planner.PlanContext(ctx, planTask, opts)
 }
 
 // ReplanAfterOutage continues a partially executed migration after

@@ -285,7 +285,9 @@ func TestBaselineReplanResumesFromExecutedSet(t *testing.T) {
 					t.Fatalf("%s %s after %d: replan %v does not operate exactly the %d blocks left after %v",
 						suite, planner, n, re.Sequence, task.NumActions()-n, executed)
 				}
-				rep, err := core.AuditResumed(task, re.Sequence, executed, cfg.Options, true)
+				opts := cfg.Options
+				opts.Executed = executed
+				rep, err := core.AuditSequence(task, re.Sequence, opts, true)
 				if err != nil {
 					t.Fatal(err)
 				}

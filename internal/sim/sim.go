@@ -107,22 +107,22 @@ func (e *Executor) Execute(seq []int, opts Options) (*Report, error) {
 
 	report := &Report{}
 	applied := 0
-	for ri, run := range groupRuns(task, seq) {
+	for ri, run := range core.RunsOf(task, seq, 0) {
 		sr := StepReport{
 			Run:        ri + 1,
-			ActionType: task.Types[run.ty].Name,
-			Blocks:     len(run.blocks),
+			ActionType: task.Types[run.Type].Name,
+			Blocks:     len(run.Blocks),
 		}
 
 		// Intra-run asynchrony: observe partial states per the granularity.
 		switch opts.Granularity {
 		case GranularityRun:
-			for _, id := range run.blocks {
+			for _, id := range run.Blocks {
 				task.Apply(view, id)
 			}
-			applied += len(run.blocks)
+			applied += len(run.Blocks)
 		case GranularityBlock, GranularityCircuit:
-			order := append([]int(nil), run.blocks...)
+			order := append([]int(nil), run.Blocks...)
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for bi, id := range order {
 				if opts.Granularity == GranularityCircuit {
@@ -196,23 +196,6 @@ func (e *Executor) observeTransient(view *topo.View, copts routing.CheckOpts, sr
 		// signal.
 		sr.TransientViolation++
 	}
-}
-
-type runGroup struct {
-	ty     migration.ActionType
-	blocks []int
-}
-
-func groupRuns(task *migration.Task, seq []int) []runGroup {
-	var runs []runGroup
-	for _, id := range seq {
-		ty := task.Blocks[id].Type
-		if len(runs) == 0 || runs[len(runs)-1].ty != ty {
-			runs = append(runs, runGroup{ty: ty})
-		}
-		runs[len(runs)-1].blocks = append(runs[len(runs)-1].blocks, id)
-	}
-	return runs
 }
 
 // String renders a one-line summary of the report.

@@ -192,7 +192,7 @@ var (
 	ErrAudit = core.ErrAudit
 )
 
-// NoLast marks "no action executed yet" in replanning options.
+// NoLast marks "no action executed yet" in sequence costs and lower bounds.
 const NoLast = core.NoLast
 
 // NewBoundEngine builds a lower-bound engine matched to the task's action
@@ -296,19 +296,13 @@ type (
 	AuditStep = audit.Step
 )
 
-// AuditPlan independently audits a complete plan sequence from the
-// migration's initial state. freeOrder permits same-type blocks out of
-// canonical order (the baseline planners' output). The report's Passed
-// field carries the verdict; the returned error only signals malformed
-// inputs.
+// AuditPlan independently audits a plan sequence that completes the
+// migration from the state after opts.Executed (the initial state when
+// empty). freeOrder permits same-type blocks out of canonical order (the
+// baseline planners' output). The report's Passed field carries the
+// verdict; the returned error only signals malformed inputs.
 func AuditPlan(task *Task, seq []int, opts Options, freeOrder bool) (*AuditReport, error) {
 	return core.AuditSequence(task, seq, opts, freeOrder)
-}
-
-// AuditResumedPlan audits a plan that continues an already-executed
-// prefix of blocks (the control loop's mid-migration state).
-func AuditResumedPlan(task *Task, seq, executed []int, opts Options, freeOrder bool) (*AuditReport, error) {
-	return core.AuditResumed(task, seq, executed, opts, freeOrder)
 }
 
 // AuditPartialPlan audits a safe partial sequence — a checkpoint's prefix
