@@ -16,10 +16,11 @@
 //
 // The NPD document must carry a migration part; see cmd/topogen for
 // generating example documents. With -v the plan's runs and per-phase
-// network snapshots are printed to stderr. With -resume, the first
-// -executed actions of an earlier plan document are treated as done and
-// only the remainder is re-planned (demand may have shifted; pass -growth
-// or edit the NPD demand part accordingly). The replan starts in the run
+// network snapshots are printed to stderr. With -resume, the blocks an
+// earlier plan document lists as executed before its phases, and the first
+// -executed actions of those phases, are treated as done and only the
+// remainder is re-planned (demand may have shifted; pass -growth or edit
+// the NPD demand part accordingly); the new document lists all of them. The replan starts in the run
 // those actions leave in progress: under -maxrun its first phase finishes
 // the current chunk. A* and DP refuse an executed prefix out of canonical
 // within-type order, such as a cut of an MRC plan; resume one with
@@ -29,8 +30,8 @@
 // Planning is interruptible: on SIGINT (or -timeout expiry) the search
 // stops at a checkpoint instead of discarding its work. With -checkpoint
 // the best safe partial sequence explored so far is written as a plan
-// document that the -resume/-executed flow accepts once those actions have
-// been executed. Checkpoints are written atomically (temp file + fsync +
+// document, starting where the search started, that the -resume/-executed
+// flow accepts once those actions have been executed. Checkpoints are written atomically (temp file + fsync +
 // rename) inside a versioned, checksummed envelope, so a crash mid-write
 // never leaves a file that silently resumes from garbage.
 //
@@ -96,7 +97,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -183,6 +183,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *auditDoc != "" && (*simulate > 0 || *chaos > 0 || *resume != "") {
 		return fmt.Errorf("-audit verifies a document and exits; it takes no -simulate, -chaos or -resume")
 	}
+	if *executed < 0 {
+		return fmt.Errorf("-executed %d is negative: it counts actions of the -resume document already executed", *executed)
+	}
+	if *executed > 0 && *resume == "" {
+		return fmt.Errorf("-executed %d needs -resume: it counts actions of the -resume document already executed", *executed)
+	}
 
 	// Observability: the recorder is wired into the planners only when an
 	// export is requested; otherwise Options.Recorder stays nil and the
@@ -253,7 +259,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		var interrupted *klotski.Interrupted
 		if errors.As(err, &interrupted) && *ckptPath != "" {
-			n, werr := writeCheckpoint(*ckptPath, interrupted, cfg.Options)
+			n, werr := writeCheckpoint(*ckptPath, interrupted)
 			if werr != nil {
 				return fmt.Errorf("%w (writing checkpoint also failed: %v)", err, werr)
 			}
@@ -449,7 +455,7 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 	// planner at a checkpoint instead of discarding its work; seal them
 	// all before reporting, so the -resume/-executed flow can pick each
 	// member back up.
-	checkpointFleetMembers(rep, ckptDir, opts, stderr)
+	checkpointFleetMembers(rep, ckptDir, stderr)
 
 	out := fleetOut{
 		Completed:   rep.Completed,
@@ -566,7 +572,7 @@ func buildFleetMember(m fleetManifestMember) (klotski.FleetMember, error) {
 // skipped; write failures are reported to stderr and do not mask the
 // interruption itself (the member's journal of record is the fleet
 // report). Returns how many envelopes were written.
-func checkpointFleetMembers(rep *klotski.FleetReport, dir string, opts klotski.Options, stderr io.Writer) int {
+func checkpointFleetMembers(rep *klotski.FleetReport, dir string, stderr io.Writer) int {
 	if dir == "" {
 		return 0
 	}
@@ -583,7 +589,7 @@ func checkpointFleetMembers(rep *klotski.FleetReport, dir string, opts klotski.O
 		}
 		name := fleetMemberLabel(i, m.Name)
 		path := filepath.Join(dir, fleetCheckpointName(name))
-		n, werr := writeCheckpoint(path, interrupted, opts)
+		n, werr := writeCheckpoint(path, interrupted)
 		if werr != nil {
 			fmt.Fprintf(stderr, "klotski: checkpointing fleet member %q: %v\n", name, werr)
 			continue
@@ -647,112 +653,47 @@ func serveDebug(addr string, reg *klotski.ObsRegistry, stderr io.Writer) (func()
 	return func() { srv.Close() }, nil
 }
 
-// writeCheckpoint renders the interrupted search's best partial sequence
-// as a plan document so the -resume/-executed flow accepts it, with the
-// planner's interruption details under an extra "checkpoint" key. The
-// partial is the checkpoint's SafePartial: trimmed to the longest prefix
-// whose paused state satisfies the constraints.
-func writeCheckpoint(path string, interrupted *klotski.Interrupted, opts klotski.Options) (int, error) {
-	cp := interrupted.Checkpoint
-	if cp == nil {
-		return 0, fmt.Errorf("planner returned no checkpoint")
-	}
-	task := cp.Task()
-	partial := cp.SafePartial(opts)
-	pd := &klotski.PlanDocument{
-		Version: npd.Version,
-		Task:    task.Name,
-		Theta:   opts.Theta,
-		Alpha:   opts.Alpha,
-		Actions: len(partial),
-	}
-	for i, run := range klotski.RunsOf(task, partial, 0) {
-		info := task.Types[run.Type]
-		names := make([]string, len(run.Blocks))
-		for j, b := range run.Blocks {
-			names[j] = task.Blocks[b].Name
-		}
-		pd.Phases = append(pd.Phases, klotski.PlanPhase{
-			Index: i, ActionType: info.Name, Op: info.Op.String(), Blocks: names,
-		})
-	}
-	doc := struct {
-		*klotski.PlanDocument
-		Checkpoint struct {
-			Planner string          `json:"planner"`
-			Reason  string          `json:"reason"`
-			Counts  []int           `json:"counts"`
-			Metrics klotski.Metrics `json:"metrics"`
-		} `json:"checkpoint"`
-	}{PlanDocument: pd}
-	doc.Checkpoint.Planner = cp.Planner
-	doc.Checkpoint.Reason = interrupted.Reason.Error()
-	doc.Checkpoint.Counts = cp.Counts
-	doc.Checkpoint.Metrics = cp.Metrics
-
-	if err := durable.WriteSealedFile(path, planFormat, &doc); err != nil {
+// writeCheckpoint seals the interrupted search's checkpoint document
+// (npd.BuildCheckpointDocument) into path and returns how many actions it
+// holds: the -executed count that resumes after all of them.
+func writeCheckpoint(path string, interrupted *klotski.Interrupted) (int, error) {
+	doc := npd.BuildCheckpointDocument(interrupted.Checkpoint, interrupted.Reason)
+	if err := durable.WriteSealedFile(path, npd.PlanFormat, doc); err != nil {
 		return 0, err
 	}
-	return len(partial), nil
+	return doc.Actions, nil
 }
 
-// planFormat tags sealed plan/checkpoint envelopes so a sealed file of
-// some other kind is rejected by name instead of misparsed.
-const planFormat = "klotski/plan"
-
-// readPlanDocument reads a plan document from path, accepting both the
-// sealed envelope (checkpoints) and bare plan JSON, verifying version and
-// checksum when sealed.
-func readPlanDocument(path string) (*npd.PlanDocument, error) {
+// readPlan reads the plan or checkpoint document at path and maps it onto
+// the scenario task: the blocks operated before its phases, and its phases'
+// blocks in plan order.
+func readPlan(task *klotski.Task, path string) (prev *npd.PlanDocument, executed, seq []int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	if durable.IsSealed(data) {
-		payload, err := durable.OpenSealed(planFormat, data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		data = payload
+	if prev, err = npd.ReadPlan(data); err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return npd.DecodePlan(bytes.NewReader(data))
-}
-
-// documentSequence maps a plan document's phase block names back onto the
-// scenario task's block IDs, in plan order.
-func documentSequence(task *klotski.Task, prev *npd.PlanDocument) ([]int, error) {
-	byName := make(map[string]int, len(task.Blocks))
-	for i := range task.Blocks {
-		byName[task.Blocks[i].Name] = i
+	if executed, seq, err = prev.Sequence(task); err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	var seq []int
-	for _, ph := range prev.Phases {
-		for _, name := range ph.Blocks {
-			id, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("plan block %q not found in scenario %q — was the NPD document edited?", name, task.Name)
-			}
-			seq = append(seq, id)
-		}
-	}
-	return seq, nil
+	return prev, executed, seq, nil
 }
 
 // auditDocument independently verifies a plan or checkpoint document
 // against the scenario task: the full sequence is replayed on a pristine
 // serial evaluator and every observable boundary state is checked, under
-// the task's forecast (-growth). A checkpoint's partial sequence is
-// audited with its endpoint as the final observable state.
+// the task's forecast (-growth), from the state after the document's
+// executed blocks. A sequence that stops short of the migration's end (a
+// checkpoint) is audited with its endpoint as the final observable state.
 func auditDocument(task *klotski.Task, cfg klotski.PipelineConfig, planPath string, stderr io.Writer) error {
-	prev, err := readPlanDocument(planPath)
-	if err != nil {
-		return err
-	}
-	seq, err := documentSequence(task, prev)
+	prev, executed, seq, err := readPlan(task, planPath)
 	if err != nil {
 		return err
 	}
 	opts := cfg.Options
+	opts.Executed = executed
 	if opts.Theta <= 0 {
 		opts.Theta = prev.Theta
 	}
@@ -761,7 +702,7 @@ func auditDocument(task *klotski.Task, cfg klotski.PipelineConfig, planPath stri
 	}
 	freeOrder := cfg.Planner.FreeOrder()
 	var rep *klotski.AuditReport
-	if len(seq) < task.NumActions() {
+	if len(executed)+len(seq) < task.NumActions() {
 		rep, err = klotski.AuditPartialPlan(task, seq, opts, freeOrder)
 	} else {
 		rep, err = klotski.AuditPlan(task, seq, opts, freeOrder)
@@ -778,21 +719,17 @@ func auditDocument(task *klotski.Task, cfg klotski.PipelineConfig, planPath stri
 	return nil
 }
 
-// replanFromDocument replays the first n actions of the earlier plan
-// document on the scenario task and re-plans the remainder.
+// replanFromDocument treats as done the earlier document's executed blocks
+// and the first n actions of its phases, and re-plans the remainder.
 func replanFromDocument(ctx context.Context, task *klotski.Task, cfg klotski.PipelineConfig, planPath string, n int) (*klotski.PipelineResult, error) {
-	prev, err := readPlanDocument(planPath)
+	_, executed, seq, err := readPlan(task, planPath)
 	if err != nil {
 		return nil, err
 	}
-	executed, err := documentSequence(task, prev)
-	if err != nil {
-		return nil, err
+	if len(seq) < n {
+		return nil, fmt.Errorf("-executed %d exceeds the %d actions in %s", n, len(seq), planPath)
 	}
-	if len(executed) < n {
-		return nil, fmt.Errorf("-executed %d exceeds the %d actions in %s", n, len(executed), planPath)
-	}
-	executed = executed[:n]
+	executed = append(executed, seq[:n]...)
 	plan, err := klotski.ReplanMigrationContext(ctx, task, executed, nil, cfg)
 	if err != nil {
 		return nil, err

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"klotski/internal/durable"
 	"klotski/internal/npd"
 	"klotski/internal/obs"
+	"klotski/internal/serve"
 )
 
 const testNPD = `{
@@ -216,6 +219,190 @@ func TestRunCheckpointOnTimeout(t *testing.T) {
 	errBuf.Reset()
 	if err := run(context.Background(), []string{"-npd", npdPath, "-audit", ckptPath}, &out, &errBuf); err != nil {
 		t.Fatalf("-audit on checkpoint: %v (stderr: %s)", err, errBuf.String())
+	}
+}
+
+// TestRunExecutedNeedsResume: -executed counts actions of the -resume
+// document, so a negative count, or a count without -resume, is refused
+// up front naming the flag, not a panic or a plan that ignores it.
+func TestRunExecutedNeedsResume(t *testing.T) {
+	npdPath := writeNPD(t)
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-o", planPath}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-npd", npdPath, "-resume", planPath, "-executed", "-1"},
+		{"-npd", npdPath, "-executed", "3"},
+	} {
+		out.Reset()
+		err := run(context.Background(), args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-executed") {
+			t.Errorf("%v: %v, want an error naming -executed", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a refused run wrote a plan", args)
+		}
+	}
+}
+
+// readDoc reads the plan or checkpoint document at path.
+func readDoc(t *testing.T, path string) *npd.PlanDocument {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := npd.ReadPlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// docBlocks lists a document's executed blocks and its phases' blocks.
+func docBlocks(doc *npd.PlanDocument) (executed, blocks []string) {
+	for _, ph := range doc.Phases {
+		blocks = append(blocks, ph.Blocks...)
+	}
+	return doc.Executed, blocks
+}
+
+// hintRE reads the -resume hint an interrupted run prints.
+var hintRE = regexp.MustCompile(`continue with: -resume (\S+) -executed (\d+)`)
+
+// TestRunCheckpointAfterResume: a checkpoint written while replanning after
+// k executed actions starts after them. It audits, and resuming it — with
+// the printed hint, or after none of its own actions — continues after the
+// k blocks rather than replanning from the first block.
+func TestRunCheckpointAfterResume(t *testing.T) {
+	npdPath := writeNPD(t)
+	dir := t.TempDir()
+	planPath := filepath.Join(dir, "plan.json")
+	ckptPath := filepath.Join(dir, "ckpt.json")
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-o", planPath}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	_, planned := docBlocks(readDoc(t, planPath))
+	const k = 3
+	err := run(context.Background(), []string{"-npd", npdPath, "-resume", planPath, "-executed", fmt.Sprint(k),
+		"-timeout", "1ns", "-checkpoint", ckptPath}, &out, &errBuf)
+	hint := hintRE.FindStringSubmatch(errBuf.String())
+	if err == nil || hint == nil || hint[1] != ckptPath {
+		t.Fatalf("interrupted resume: %v, stderr %q, want a checkpoint and its hint", err, errBuf.String())
+	}
+	ck := readDoc(t, ckptPath)
+	if executed, _ := docBlocks(ck); !slices.Equal(executed, planned[:k]) || fmt.Sprint(ck.Actions) != hint[2] {
+		t.Fatalf("checkpoint starts after %v with %d actions (hint %s), want after %v", executed, ck.Actions, hint[2], planned[:k])
+	}
+	errBuf.Reset()
+	if err := run(context.Background(), []string{"-npd", npdPath, "-audit", ckptPath}, &out, &errBuf); err != nil {
+		t.Fatalf("-audit on the checkpoint: %v (stderr: %s)", err, errBuf.String())
+	}
+	for _, n := range []string{hint[2], "0"} {
+		resumedPath := filepath.Join(dir, "resumed-"+n+".json")
+		if err := run(context.Background(), []string{"-npd", npdPath, "-resume", ckptPath, "-executed", n, "-o", resumedPath}, &out, &errBuf); err != nil {
+			t.Fatalf("-resume the checkpoint -executed %s: %v", n, err)
+		}
+		executed, blocks := docBlocks(readDoc(t, resumedPath))
+		if !slices.Equal(executed[:k], planned[:k]) || len(executed)+len(blocks) != len(planned) {
+			t.Errorf("-executed %s: resumed plan starts after %v with %d actions, want after %v with %d in all",
+				n, executed, len(blocks), planned[:k], len(planned)-len(executed))
+		}
+		if err := run(context.Background(), []string{"-npd", npdPath, "-audit", resumedPath}, &out, &errBuf); err != nil {
+			t.Errorf("-audit on the plan resumed from the checkpoint -executed %s: %v", n, err)
+		}
+	}
+}
+
+// TestRunResumedPlanResumes: a resumed plan document says which blocks came
+// before its first phase, so it can itself be audited and resumed.
+func TestRunResumedPlanResumes(t *testing.T) {
+	npdPath := writeNPD(t)
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "plan.json"), filepath.Join(dir, "r1.json"), filepath.Join(dir, "r2.json")}
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-o", paths[0]}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	_, planned := docBlocks(readDoc(t, paths[0]))
+	var done []string
+	for i := 1; i < len(paths); i++ {
+		if err := run(context.Background(), []string{"-npd", npdPath, "-resume", paths[i-1], "-executed", "2", "-o", paths[i]}, &out, &errBuf); err != nil {
+			t.Fatalf("-resume %s -executed 2: %v", paths[i-1], err)
+		}
+		executed, blocks := docBlocks(readDoc(t, paths[i]))
+		_, prev := docBlocks(readDoc(t, paths[i-1]))
+		done = append(done, prev[:2]...)
+		if !slices.Equal(executed, done) || len(blocks) != len(planned)-len(done) {
+			t.Errorf("%s starts after %v with %d actions, want after %v", paths[i], executed, len(blocks), done)
+		}
+		if err := run(context.Background(), []string{"-npd", npdPath, "-audit", paths[i]}, &out, &errBuf); err != nil {
+			t.Errorf("-audit %s: %v", paths[i], err)
+		}
+	}
+}
+
+// TestRunReadsDaemonCheckpoint: the checkpoint klotskid serves for a job
+// sliced into small legs is the CLI's document: -audit verifies it and
+// -resume continues after its actions.
+func TestRunReadsDaemonCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	var ckpt []byte
+	var srv *httptest.Server
+	m, err := serve.Open(serve.Config{
+		Dir: filepath.Join(dir, "state"), PoolWorkers: 1,
+		LegHook: func(id string, leg int) error {
+			if leg == 1 {
+				resp, err := http.Get(srv.URL + "/v1/jobs/" + id + "/checkpoint")
+				if err != nil {
+					return err
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					ckpt, err = io.ReadAll(resp.Body)
+				}
+				return err
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = httptest.NewServer(serve.NewHandler(m))
+	defer m.Close()
+	defer srv.Close()
+	j, err := m.Submit(serve.Request{NPD: json.RawMessage(testNPD), LegStates: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := j.Subscribe()
+	for range done { // closed once the job is terminal
+	}
+	if st := j.Status(); st.State != serve.StateDone {
+		t.Fatalf("job finished %s (%s)", st.State, st.Detail)
+	}
+	if ckpt == nil {
+		t.Fatal("the job served no checkpoint after its first leg")
+	}
+	npdPath := writeNPD(t)
+	ckptPath := filepath.Join(dir, "job.ckpt")
+	if err := os.WriteFile(ckptPath, ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck := readDoc(t, ckptPath)
+	if ck.Checkpoint == nil || ck.Checkpoint.Planner != "astar" {
+		t.Fatalf("served checkpoint document: %+v", ck)
+	}
+	var out, errBuf bytes.Buffer
+	if err := run(context.Background(), []string{"-npd", npdPath, "-audit", ckptPath}, &out, &errBuf); err != nil {
+		t.Fatalf("-audit on the served checkpoint: %v (stderr: %s)", err, errBuf.String())
+	}
+	if err := run(context.Background(), []string{"-npd", npdPath, "-resume", ckptPath, "-executed", fmt.Sprint(ck.Actions)}, &out, &errBuf); err != nil {
+		t.Fatalf("-resume the served checkpoint: %v", err)
 	}
 }
 
@@ -825,7 +1012,7 @@ func TestRunFleetCancelledCheckpointsAllMembers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("member %q checkpoint: %v (stderr: %s)", name, err, errBuf.String())
 		}
-		payload, err := durable.OpenSealed(planFormat, data)
+		payload, err := durable.OpenSealed(npd.PlanFormat, data)
 		if err != nil {
 			t.Fatalf("member %q checkpoint envelope: %v", name, err)
 		}

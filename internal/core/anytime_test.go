@@ -32,9 +32,6 @@ func resumeLadder(t *testing.T, plan func(context.Context, Options) (*Plan, erro
 		if intr.Checkpoint == nil {
 			t.Fatal("Interrupted without checkpoint")
 		}
-		if intr.Checkpoint.Counts == nil {
-			t.Fatal("checkpoint missing counts")
-		}
 		hops++
 		if hops > 64 {
 			t.Fatal("resume ladder did not converge")
@@ -175,13 +172,6 @@ func TestCheckpointPartialIsExecutable(t *testing.T) {
 	cp := intr.Checkpoint
 	if len(cp.Partial) == 0 {
 		t.Skip("search interrupted before any state was reached")
-	}
-	counts := make([]int, task.NumTypes())
-	for _, id := range cp.Partial {
-		counts[task.Blocks[id].Type]++
-	}
-	if !reflect.DeepEqual(counts, cp.Counts) {
-		t.Fatalf("Partial %v does not reach Counts %v", cp.Partial, cp.Counts)
 	}
 	// Each type's subsequence must be the canonical within-type prefix —
 	// the contract that lets pipeline.Replan continue from the partial.

@@ -205,13 +205,11 @@ func (s *astarSearch) interrupt(reason error) error {
 	sp := s.sp
 	sp.rec.Add(obs.PlansInterrupted, 1)
 	sp.pause()
-	counts, partial := s.front.snapshot(sp, s.prev)
 	cp := &Checkpoint{
 		Planner: "astar",
-		Counts:  counts,
-		Partial: partial,
+		Partial: s.front.snapshot(sp, s.prev),
 		Metrics: sp.elapsedMetrics(),
-		task:    sp.task,
+		sp:      sp,
 	}
 	cp.resume = func(ctx context.Context, opts Options) (*Plan, error) {
 		sp.rebudget(ctx, opts)

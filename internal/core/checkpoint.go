@@ -16,42 +16,51 @@ import (
 // checkpoints retain the memo table, the predecessor table, and the cache.
 //
 // The exported fields describe the best partial result at interruption
-// time: Counts is the per-type finished-action vector of the most advanced
-// explored state, Partial the canonical-order block sequence reaching it
-// (every intermediate run boundary of Partial was verified safe during the
-// search), and Metrics the effort spent so far. They are advisory — Resume
-// continues the exact internal search, not the Partial prefix.
+// time: Partial is the canonical-order block sequence from the search's
+// start state (the state after Executed) to the most advanced explored
+// state (every intermediate run boundary of Partial was verified safe
+// during the search), and Metrics the effort spent so far. They are
+// advisory — Resume continues the exact internal search, not the Partial
+// prefix.
 type Checkpoint struct {
 	Planner string  // "astar" or "dp"
-	Counts  []int   // per-type finished counts of the most advanced explored state
-	Partial []int   // block IDs reaching Counts, in execution order
+	Partial []int   // block IDs after Executed, in execution order
 	Metrics Metrics // planner effort up to the interruption
 
-	task   *migration.Task
+	sp     *space // the search's space: its task, options and resume basis
 	resume func(context.Context, Options) (*Plan, error)
 }
 
 // Task returns the migration task the checkpointed search is planning.
-func (cp *Checkpoint) Task() *migration.Task { return cp.task }
+func (cp *Checkpoint) Task() *migration.Task { return cp.sp.task }
+
+// Options returns the options the checkpointed search was built from.
+func (cp *Checkpoint) Options() Options { return cp.sp.opts }
+
+// Executed returns the blocks operated before the search's start state
+// (Options.Executed); Partial continues after them.
+func (cp *Checkpoint) Executed() []int { return cp.sp.opts.Executed }
 
 // SafePartial returns the longest prefix of Partial whose paused endpoint
-// satisfies the constraints under opts (CheckState). The search verifies
-// states only at run boundaries — A* pushes run extensions unchecked, and
-// Partial reaches the most advanced pushed state — but an operator who
-// executes the partial sequence and pauses there makes its endpoint an
-// observable network state, counted after opts.Executed. Counts stays the
-// frontier's. opts.Bound is not consulted, so the search's bound engine is
-// left as it was.
-func (cp *Checkpoint) SafePartial(opts Options) []int {
-	task := cp.task
+// satisfies the constraints (CheckState) under the search's own options,
+// and that prefix cut into runs the way a plan resumed after Executed is:
+// under MaxRunLength the first run finishes the chunk in progress. The
+// search verifies states only at run boundaries — A* pushes run extensions
+// unchecked, and Partial reaches the most advanced pushed state — but an
+// operator who executes the partial sequence and pauses there makes its
+// endpoint an observable network state, counted after Executed. The
+// search's bound engine is not consulted, so it is left as it was.
+func (cp *Checkpoint) SafePartial() (seq []int, runs []Run) {
+	sp := cp.sp
+	opts := sp.opts
 	opts.Bound = nil
-	counts := CountsOf(task, append(slices.Clone(opts.Executed), cp.Partial...))
-	partial := cp.Partial
-	for len(partial) > 0 && CheckState(task, counts, opts) != nil {
-		counts[task.Blocks[partial[len(partial)-1]].Type]--
-		partial = partial[:len(partial)-1]
+	counts := CountsOf(sp.task, append(slices.Clone(opts.Executed), cp.Partial...))
+	seq = cp.Partial
+	for len(seq) > 0 && CheckState(sp.task, counts, opts) != nil {
+		counts[sp.task.Blocks[seq[len(seq)-1]].Type]--
+		seq = seq[:len(seq)-1]
 	}
-	return partial
+	return seq, sp.runs(seq)
 }
 
 // Gap returns the interrupted search's anytime optimality certificate:
@@ -126,19 +135,12 @@ func (f *frontier) observe(sp *space, vecIdx int32, last migration.ActionType, t
 	}
 }
 
-// snapshot renders the frontier as (counts, partial sequence) using the
-// predecessor table. An empty frontier (interrupted before the first push)
-// yields the initial counts and an empty sequence.
-func (f *frontier) snapshot(sp *space, prev map[int64]prevInfo) (counts []int, partial []int) {
-	counts = make([]int, sp.nTypes)
+// snapshot renders the frontier as the partial sequence reaching it, using
+// the predecessor table. An empty frontier (interrupted before the first
+// push) yields an empty sequence.
+func (f *frontier) snapshot(sp *space, prev map[int64]prevInfo) []int {
 	if !f.valid {
-		for i, v := range sp.initial {
-			counts[i] = int(v)
-		}
-		return counts, nil
+		return nil
 	}
-	for i, v := range sp.vec(f.vecIdx) {
-		counts[i] = int(v)
-	}
-	return counts, sp.reconstruct(prev, f.vecIdx, f.last, f.tail)
+	return sp.reconstruct(prev, f.vecIdx, f.last, f.tail)
 }

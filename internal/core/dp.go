@@ -148,13 +148,11 @@ func (d *dpRun) interrupt(reason error) error {
 	}
 	d.stack = d.stack[:0]
 	sp.pause()
-	counts, partial := d.frontierSnapshot()
 	cp := &Checkpoint{
 		Planner: "dp",
-		Counts:  counts,
-		Partial: partial,
+		Partial: d.frontierSnapshot(),
 		Metrics: sp.elapsedMetrics(),
-		task:    sp.task,
+		sp:      sp,
 	}
 	cp.resume = func(ctx context.Context, opts Options) (*Plan, error) {
 		sp.rebudget(ctx, opts)
@@ -167,7 +165,7 @@ func (d *dpRun) interrupt(reason error) error {
 
 // frontierSnapshot finds the most advanced reachable state among finalized
 // memo entries and reconstructs the partial sequence leading to it.
-func (d *dpRun) frontierSnapshot() (counts []int, partial []int) {
+func (d *dpRun) frontierSnapshot() []int {
 	sp := d.sp
 	var front frontier
 	for key, c := range d.memo {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -194,4 +195,71 @@ func TestLowerBoundAtMostCost(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSafePartialTrimsUnsafeFrontier: a search checks states only at run
+// boundaries, so the frontier a checkpoint reaches can be an unsafe paused
+// state. SafePartial keeps the longest prefix of Partial whose endpoint,
+// counted after the executed blocks, is safe, and cuts it into the runs the
+// crews execute after those blocks. Every suite at × 0.25, both planners,
+// run caps 0 and 2, resume cuts 0 and the middle of the plan, state budgets
+// 1, 10 and 100; some frontier must be unsafe and trimmed.
+func TestSafePartialTrimsUnsafeFrontier(t *testing.T) {
+	trimmed := 0
+	for _, name := range gen.SuiteNames() {
+		s, err := gen.Suite(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := s.Task
+		for _, pl := range planners {
+			for _, k := range []int{0, 2} {
+				full, err := pl.plan(task, core.Options{MaxRunLength: k, SkipAudit: true})
+				if err != nil {
+					t.Fatalf("%s %s K=%d: %v", name, pl.name, k, err)
+				}
+				for _, n := range []int{0, len(full.Sequence) / 2} {
+					for _, states := range []int{1, 10, 100} {
+						opts := core.Options{MaxRunLength: k, MaxStates: states, Executed: full.Sequence[:n]}
+						_, err := pl.plan(task, opts)
+						var intr *core.Interrupted
+						if !errors.As(err, &intr) {
+							if err != nil {
+								t.Fatal(err)
+							}
+							continue
+						}
+						cp := intr.Checkpoint
+						label := fmt.Sprintf("%s %s K=%d executed %d states %d", name, pl.name, k, n, states)
+						if !slices.Equal(cp.Executed(), opts.Executed) {
+							t.Fatalf("%s: checkpoint executed %v, want %v", label, cp.Executed(), opts.Executed)
+						}
+						seq, runs := cp.SafePartial()
+						if !slices.Equal(seq, cp.Partial[:len(seq)]) {
+							t.Fatalf("%s: safe partial %v is not a prefix of %v", label, seq, cp.Partial)
+						}
+						done := append(slices.Clone(opts.Executed), seq...)
+						if err := core.CheckState(task, core.CountsOf(task, done), opts); err != nil {
+							t.Fatalf("%s: the safe partial ends at an unsafe state: %v", label, err)
+						}
+						if len(seq) < len(cp.Partial) {
+							next := append(slices.Clone(done), cp.Partial[len(seq)])
+							if core.CheckState(task, core.CountsOf(task, next), opts) == nil {
+								t.Fatalf("%s: trimmed to %d of %d actions, but the next prefix is safe", label, len(seq), len(cp.Partial))
+							}
+							trimmed++
+						}
+						want := slices.DeleteFunc(runEnds(core.RunsOf(task, done, k), 0), func(end int) bool { return end <= n })
+						if got := runEnds(runs, n); !slices.Equal(got, want) {
+							t.Fatalf("%s: safe partial's runs end at %v, the whole sequence's at %v", label, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if trimmed == 0 {
+		t.Fatal("no checkpoint reached an unsafe frontier; the cases must reach one")
+	}
+	t.Logf("%d checkpoints trimmed", trimmed)
 }

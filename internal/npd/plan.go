@@ -1,6 +1,7 @@
 package npd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,22 +10,45 @@ import (
 
 	"klotski/internal/audit"
 	"klotski/internal/core"
+	"klotski/internal/durable"
 	"klotski/internal/migration"
 	"klotski/internal/routing"
 )
 
+// PlanFormat tags a sealed plan document, a checkpoint included, so that a
+// sealed file of another kind is refused by name instead of misparsed.
+const PlanFormat = "klotski/plan"
+
 // PlanDocument is the serialized output of the EDP-Lite pipeline: an
 // ordered list of topology phases, one per migration run (paper §5:
 // "Klotski returns an ordered list of topology phases. Each phase
-// corresponds to one migration step").
+// corresponds to one migration step"). A document says where it starts:
+// Executed names the blocks operated before its first phase, none for a
+// fresh plan. A checkpoint is a plan document of the safe partial sequence
+// an interrupted search reached, with the search under Checkpoint.
 type PlanDocument struct {
-	Version int     `json:"version"`
-	Task    string  `json:"task"`
-	Cost    float64 `json:"cost"`
-	Theta   float64 `json:"theta"`
-	Alpha   float64 `json:"alpha,omitempty"`
-	Actions int     `json:"actions"`
-	Phases  []Phase `json:"phases"`
+	Version    int         `json:"version"`
+	Task       string      `json:"task"`
+	Cost       float64     `json:"cost"`
+	Theta      float64     `json:"theta"`
+	Alpha      float64     `json:"alpha,omitempty"`
+	Actions    int         `json:"actions"`
+	Executed   []string    `json:"executed,omitempty"`
+	Phases     []Phase     `json:"phases"`
+	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
+}
+
+// Checkpoint is what a checkpoint document adds to a plan document: the
+// planner that was interrupted, why, and its anytime certificate and
+// effort at the interruption.
+type Checkpoint struct {
+	Planner        string  `json:"planner"`
+	Reason         string  `json:"reason"`
+	Incumbent      float64 `json:"incumbent"`
+	LowerBound     float64 `json:"lowerBound"`
+	Gap            float64 `json:"gap"`
+	StatesCreated  int     `json:"statesCreated"`
+	StatesExpanded int     `json:"statesExpanded"`
 }
 
 // Phase is the network state after one migration run completes.
@@ -62,39 +86,88 @@ func BuildPlanDocumentFrom(task *migration.Task, executed []int, plan *core.Plan
 	if err != nil {
 		return nil, err
 	}
+	doc := newDocument(task, executed, plan.Runs, utils, opts)
+	doc.Cost = plan.Cost
+	return doc, nil
+}
+
+// BuildCheckpointDocument renders an interrupted search's checkpoint as a
+// plan document: its safe partial sequence (core.Checkpoint.SafePartial) as
+// phases, one per run, after the blocks the search started from, with the
+// planner, the reason it stopped and its certificate under "checkpoint".
+// Its phases' maxUtilization is 0: the writer routes nothing, and -audit
+// routes every state. Executing its actions and pausing leaves a safe
+// state, from which resuming after them continues.
+func BuildCheckpointDocument(cp *core.Checkpoint, reason error) *PlanDocument {
+	_, runs := cp.SafePartial()
+	doc := newDocument(cp.Task(), cp.Executed(), runs, nil, cp.Options())
+	inc, lb, gap := cp.Gap()
+	doc.Checkpoint = &Checkpoint{
+		Planner:        cp.Planner,
+		Reason:         fmt.Sprint(reason),
+		Incumbent:      inc,
+		LowerBound:     lb,
+		Gap:            gap,
+		StatesCreated:  cp.Metrics.StatesCreated,
+		StatesExpanded: cp.Metrics.StatesPopped,
+	}
+	return doc
+}
+
+// newDocument renders runs, operated after the executed blocks, as phases:
+// the network snapshot after every run, with utils[i] (none when nil) as
+// run i's maxUtilization.
+func newDocument(task *migration.Task, executed []int, runs []core.Run, utils []float64, opts core.Options) *PlanDocument {
 	theta := opts.Theta
 	if theta <= 0 {
 		theta = 0.75
 	}
-	doc := &PlanDocument{
-		Version: Version,
-		Task:    task.Name,
-		Cost:    plan.Cost,
-		Theta:   theta,
-		Alpha:   opts.Alpha,
-		Actions: len(plan.Sequence),
-	}
+	doc := &PlanDocument{Version: Version, Task: task.Name, Theta: theta, Alpha: opts.Alpha}
 	view := task.Topo.NewView()
 	for _, id := range executed {
 		task.Apply(view, id)
+		doc.Executed = append(doc.Executed, task.Blocks[id].Name)
 	}
-	for i, run := range plan.Runs {
+	for i, run := range runs {
 		info := task.Types[run.Type]
-		ph := Phase{
-			Index:      i + 1,
-			ActionType: info.Name,
-			Op:         info.Op.String(),
-		}
+		ph := Phase{Index: i + 1, ActionType: info.Name, Op: info.Op.String()}
 		for _, id := range run.Blocks {
 			task.Apply(view, id)
 			ph.Blocks = append(ph.Blocks, task.Blocks[id].Name)
 			ph.SwitchOps += len(task.Blocks[id].Switches)
 		}
 		ph.ActiveSwitches, ph.UpCircuits, ph.CapacityTbps = view.Up()
-		ph.MaxUtilization = utils[i]
+		if utils != nil {
+			ph.MaxUtilization = utils[i]
+		}
+		doc.Actions += len(run.Blocks)
 		doc.Phases = append(doc.Phases, ph)
 	}
-	return doc, nil
+	return doc
+}
+
+// Sequence maps the document's block names onto task's block IDs: executed
+// are the blocks operated before its first phase, seq the phases' blocks in
+// plan order. A name task does not have is an error.
+func (p *PlanDocument) Sequence(task *migration.Task) (executed, seq []int, err error) {
+	byName := make(map[string]int, len(task.Blocks))
+	for i := range task.Blocks {
+		byName[task.Blocks[i].Name] = i
+	}
+	names := slices.Clone(p.Executed)
+	for _, ph := range p.Phases {
+		names = append(names, ph.Blocks...)
+	}
+	ids := make([]int, len(names))
+	for i, name := range names {
+		id, ok := byName[name]
+		if !ok {
+			return nil, nil, fmt.Errorf("npd: plan block %q not found in scenario %q — was the NPD document edited?", name, task.Name)
+		}
+		ids[i] = id
+	}
+	n := len(p.Executed)
+	return ids[:n:n], ids[n:], nil
 }
 
 // runEndUtils returns, per run of plan, the PlacedMaxUtil of the audit step
@@ -185,6 +258,20 @@ func (p *PlanDocument) Encode(w io.Writer) error {
 		return fmt.Errorf("npd: encode plan: %w", err)
 	}
 	return nil
+}
+
+// ReadPlan reads a plan document, a checkpoint included, from data: a
+// sealed envelope, whose tag, version and checksum it verifies, or bare
+// plan JSON.
+func ReadPlan(data []byte) (*PlanDocument, error) {
+	if durable.IsSealed(data) {
+		payload, err := durable.OpenSealed(PlanFormat, data)
+		if err != nil {
+			return nil, err
+		}
+		data = payload
+	}
+	return DecodePlan(bytes.NewReader(data))
 }
 
 // DecodePlan reads a plan document from JSON.

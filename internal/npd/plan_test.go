@@ -33,6 +33,9 @@ func referenceDocument(task *migration.Task, executed []int, plan *core.Plan, op
 		Alpha:   opts.Alpha,
 		Actions: len(plan.Sequence),
 	}
+	for _, id := range executed {
+		doc.Executed = append(doc.Executed, task.Blocks[id].Name)
+	}
 	eval := routing.NewEvaluator(task.Topo)
 	view := task.Topo.NewView()
 	for _, id := range executed {

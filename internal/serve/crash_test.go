@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"klotski/internal/durable"
+	"klotski/internal/npd"
 	"klotski/internal/obs"
 )
 
@@ -174,9 +175,10 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 }
 
 // TestTornCheckpointFileIgnored damages the sealed checkpoint envelope
-// in every way a crash can (truncation, bit flip, garbage) alongside a
-// mid-planning journal prefix: recovery must ignore the damaged envelope
-// and still replay to the identical plan. The recovered job resumes as soon
+// in every way a crash can (truncation, bit flip, garbage), or leaves one
+// under the retired klotski/job-checkpoint tag, alongside a mid-planning
+// journal prefix: the envelope is not served, and since recovery never
+// reads a .ckpt file the job still replays to the identical plan. The recovered job resumes as soon
 // as the manager opens, and its next leg seals a fresh, valid envelope, so
 // the job's first leg is held until the damaged one has been asked for.
 func TestTornCheckpointFileIgnored(t *testing.T) {
@@ -184,16 +186,26 @@ func TestTornCheckpointFileIgnored(t *testing.T) {
 	bounds := durable.RecordBoundaries(journal)
 	prefix := durable.Tear(journal, bounds[len(bounds)/2]) // mid-planning
 
-	// A valid envelope to damage.
-	ckpt, err := writeValidCkpt()
+	// A valid envelope to damage, and the same payload under the retired
+	// job-checkpoint tag, which is refused by name.
+	ckpt, err := os.ReadFile(filepath.Join("testdata", "job-000000.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := durable.OpenSealed(npd.PlanFormat, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired, err := durable.Seal("klotski/job-checkpoint", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	damage := map[string][]byte{
-		"truncated": ckpt[:len(ckpt)/2],
-		"bitflip":   durable.FlipByte(ckpt, int64(len(ckpt)/2)),
-		"garbage":   []byte("not json at all"),
-		"empty":     nil,
+		"truncated":  ckpt[:len(ckpt)/2],
+		"bitflip":    durable.FlipByte(ckpt, int64(len(ckpt)/2)),
+		"garbage":    []byte("not json at all"),
+		"empty":      nil,
+		"old-format": retired,
 	}
 	for name, data := range damage {
 		t.Run(name, func(t *testing.T) {
@@ -233,19 +245,6 @@ func TestTornCheckpointFileIgnored(t *testing.T) {
 			}
 		})
 	}
-}
-
-func writeValidCkpt() ([]byte, error) {
-	dir, err := os.MkdirTemp("", "serve-ckpt")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "x.ckpt")
-	if err := durable.WriteSealedFile(path, ckptFormat, jobCheckpoint{Job: "job-000000", Planner: "astar", Leg: 1}); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(path)
 }
 
 // TestAuditedWithoutDone kills the daemon between the audited record and

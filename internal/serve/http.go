@@ -86,7 +86,9 @@ func writeErr(w http.ResponseWriter, err error) {
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"klotski/internal/durable"
 )
 
 func newTestServer(t *testing.T, mutate func(*Config)) (*Manager, *httptest.Server) {
@@ -58,7 +60,7 @@ func getJSON(t *testing.T, url string, v any) int {
 }
 
 func TestHTTPSubmitPollPlan(t *testing.T) {
-	_, srv := newTestServer(t, nil)
+	m, srv := newTestServer(t, nil)
 
 	resp, body := postJSON(t, srv.URL+"/v1/jobs", testRequest())
 	if resp.StatusCode != http.StatusAccepted {
@@ -107,8 +109,23 @@ func TestHTTPSubmitPollPlan(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/checkpoint", &env); code != http.StatusOK {
 		t.Fatalf("checkpoint: %d", code)
 	}
-	if env.Format != "klotski/job-checkpoint" {
+	if env.Format != "klotski/plan" {
 		t.Errorf("checkpoint format %q", env.Format)
+	}
+	// An envelope under the retired klotski/job-checkpoint tag is refused
+	// by its tag, never misparsed.
+	retired, err := durable.SealValue("klotski/job-checkpoint", map[string]any{"job": st.ID, "partial": []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ckptPath := m.jobPaths(st.ID)
+	if err := os.WriteFile(ckptPath, retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/checkpoint", &apiErr); code != http.StatusNotFound ||
+		!strings.Contains(apiErr.Error, "no valid checkpoint") || !strings.Contains(apiErr.Error, "klotski/job-checkpoint") {
+		t.Errorf("retired checkpoint envelope: %d %q, want 404 no valid checkpoint naming the tag", code, apiErr.Error)
 	}
 
 	// The list endpoint includes the job.
@@ -161,6 +178,27 @@ func TestHTTPErrors(t *testing.T) {
 	var health map[string]string
 	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || health["status"] != "ok" {
 		t.Errorf("health: %d %v", code, health)
+	}
+}
+
+// TestHTTPSubmitRefusesUnknownFields: a misspelled request field ("maxrun"
+// for "max_run") is answered 400 naming the field, not dropped so that the
+// job plans uncapped.
+func TestHTTPSubmitRefusesUnknownFields(t *testing.T) {
+	m, srv := newTestServer(t, nil)
+	body := `{"npd": ` + testNPD + `, "maxrun": 2}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, `"maxrun"`) {
+		t.Errorf("submit with \"maxrun\": %d %q, want 400 naming the field", resp.StatusCode, apiErr.Error)
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("a refused request made %d jobs", len(jobs))
 	}
 }
 

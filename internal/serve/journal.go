@@ -45,25 +45,3 @@ const (
 	recCancelled  = "cancelled"
 	recFailed     = "failed"
 )
-
-// ckptFormat tags the sealed per-job checkpoint envelope.
-const ckptFormat = "klotski/job-checkpoint"
-
-// jobCheckpoint is the sealed checkpoint payload: the job's identity plus
-// the planner's advisory partial result and anytime certificate at the
-// last leg boundary. It is what the checkpoint endpoint serves, and it is
-// deliberately replayable — recovery never needs it, because replanning
-// the journaled request reproduces the same bytes.
-type jobCheckpoint struct {
-	Job            string  `json:"job"`
-	Planner        string  `json:"planner"`
-	Reason         string  `json:"reason"`
-	Leg            int     `json:"leg"`
-	Counts         []int   `json:"counts"`
-	Partial        []int   `json:"partial"`
-	Incumbent      float64 `json:"incumbent"`
-	LowerBound     float64 `json:"lower_bound"`
-	Gap            float64 `json:"gap"`
-	StatesCreated  int     `json:"states_created"`
-	StatesExpanded int     `json:"states_expanded"`
-}

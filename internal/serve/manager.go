@@ -640,7 +640,7 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 		Planner:    ctrl.Planner(j.Req.Planner),
 		Admit:      func(preemptions int) (*sched.Client, error) { return m.admit(ctx, j, preemptions) },
 		Leg:        m.legHook(j),
-		Checkpoint: func(cp *core.Checkpoint, reason error) { m.journalCheckpoint(j, cp, opts, reason) },
+		Checkpoint: func(cp *core.Checkpoint, reason error) { m.journalCheckpoint(j, cp, reason) },
 		LegStates:  cmp.Or(j.Req.LegStates, m.cfg.LegStates),
 	})
 	if err != nil {
@@ -725,31 +725,19 @@ func (m *Manager) legHook(j *Job) func(leg int) error {
 	}
 }
 
-// journalCheckpoint seals the checkpoint envelope (atomic file) and
+// journalCheckpoint seals the checkpoint document (npd.BuildCheckpointDocument,
+// the document klotski -checkpoint writes) into the job's .ckpt file and
 // journals a checkpoint record carrying the anytime certificate. The
-// partial sequence in both is the checkpoint's SafePartial under the job's
-// options: a prefix an operator may execute and pause at.
-func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, opts core.Options, reason error) {
-	inc, lb, gap := cp.Gap()
-	partial := cp.SafePartial(opts)
+// partial sequence in both is the checkpoint's SafePartial: a prefix an
+// operator may execute and pause at.
+func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, reason error) {
+	doc := npd.BuildCheckpointDocument(cp, reason)
 	j.mu.Lock()
 	leg := j.legs + 1
 	j.mu.Unlock()
 	detail := fmt.Sprintf("checkpoint (%v)", reason)
 	_, ckptPath := m.jobPaths(j.ID)
-	if err := durable.WriteSealedFile(ckptPath, ckptFormat, jobCheckpoint{
-		Job:            j.ID,
-		Planner:        cp.Planner,
-		Reason:         fmt.Sprint(reason),
-		Leg:            leg,
-		Counts:         cp.Counts,
-		Partial:        partial,
-		Incumbent:      inc,
-		LowerBound:     lb,
-		Gap:            gap,
-		StatesCreated:  cp.Metrics.StatesCreated,
-		StatesExpanded: cp.Metrics.StatesPopped,
-	}); err != nil {
+	if err := durable.WriteSealedFile(ckptPath, npd.PlanFormat, doc); err != nil {
 		// The journal record below is the durable truth; a failed
 		// envelope write only degrades the checkpoint endpoint, so the
 		// job plans on, and the record says why.
@@ -758,10 +746,10 @@ func (m *Manager) journalCheckpoint(j *Job, cp *core.Checkpoint, opts core.Optio
 	j.transition(record{
 		State:          recCheckpoint,
 		Leg:            leg,
-		Incumbent:      inc,
-		LowerBound:     lb,
-		Gap:            gap,
-		PartialActions: len(partial),
+		Incumbent:      doc.Checkpoint.Incumbent,
+		LowerBound:     doc.Checkpoint.LowerBound,
+		Gap:            doc.Checkpoint.Gap,
+		PartialActions: doc.Actions,
 		Detail:         detail,
 	})
 }
@@ -777,7 +765,7 @@ func (m *Manager) CheckpointEnvelope(id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := durable.OpenSealed(ckptFormat, data); err != nil {
+	if _, err := durable.OpenSealed(npd.PlanFormat, data); err != nil {
 		return nil, err
 	}
 	return data, nil

@@ -17,11 +17,12 @@
 // prefix back into a consistent job — submitted requests replan,
 // journaled final plans are served without replanning, terminal states
 // stay terminal. Alongside the journal, the latest planner checkpoint is
-// sealed (npd envelope) into a sibling .ckpt file via atomic rename; it
-// serves the anytime incumbent to clients and is advisory for recovery —
-// a torn or corrupt checkpoint file is ignored and the job replans from
-// its journaled request, which the planners' determinism contract
-// guarantees reproduces the same bytes.
+// sealed as the CLI's checkpoint document (npd.BuildCheckpointDocument)
+// into a sibling .ckpt file via atomic rename; it serves the anytime
+// incumbent to clients, who may -resume or -audit it, and recovery never
+// reads it — a torn or corrupt checkpoint file is ignored and the job
+// replans from its journaled request, which the planners' determinism
+// contract guarantees reproduces the same bytes.
 //
 // One fsync per back-to-back pair: transitions that always follow one
 // another — ADMITTED then PLANNING, AUDITED then DONE — go to disk as

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"klotski/internal/core"
-	"klotski/internal/durable"
 	"klotski/internal/npd"
 	"klotski/internal/obs"
 	"klotski/internal/sim"
@@ -553,7 +552,10 @@ func TestPlannerPanicFailsJobNotDaemon(t *testing.T) {
 // TestCheckpointPartialTrimmed: A* pushes run extensions unchecked, so the
 // frontier a checkpoint reaches can be an unsafe paused state. The daemon
 // seals and reports only the checkpoint's SafePartial, the longest prefix
-// an operator may execute and pause at, while Counts stays the frontier's.
+// an operator may execute and pause at (core's
+// TestSafePartialTrimsUnsafeFrontier proves the trim): every sealed
+// checkpoint is a plan document whose phases end at a safe state and hold
+// the partial_actions the job reports.
 func TestCheckpointPartialTrimmed(t *testing.T) {
 	doc, err := npd.Decode(bytes.NewReader([]byte(testNPD)))
 	if err != nil {
@@ -563,15 +565,8 @@ func TestCheckpointPartialTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countsOf := func(seq []int) []int {
-		counts := make([]int, task.NumTypes())
-		for _, b := range seq {
-			counts[task.Blocks[b].Type]++
-		}
-		return counts
-	}
 	var m *Manager
-	var checked, trimmed atomic.Int32
+	var checked atomic.Int32
 	m = newManager(t, t.TempDir(), func(c *Config) {
 		c.LegHook = func(id string, leg int) error {
 			if leg == 0 {
@@ -582,14 +577,14 @@ func TestCheckpointPartialTrimmed(t *testing.T) {
 				t.Errorf("leg %d: CheckpointEnvelope: %v", leg, err)
 				return nil
 			}
-			payload, err := durable.OpenSealed(ckptFormat, data)
+			ck, err := npd.ReadPlan(data)
 			if err != nil {
 				t.Errorf("leg %d: %v", leg, err)
 				return nil
 			}
-			var ck jobCheckpoint
-			if err := json.Unmarshal(payload, &ck); err != nil {
-				t.Errorf("leg %d: %v", leg, err)
+			executed, seq, err := ck.Sequence(task)
+			if err != nil || len(executed) != 0 || ck.Checkpoint == nil || ck.Checkpoint.Planner != "astar" {
+				t.Errorf("leg %d: checkpoint document %+v (executed %v): %v", leg, ck, executed, err)
 				return nil
 			}
 			j, err := m.Job(id)
@@ -597,23 +592,13 @@ func TestCheckpointPartialTrimmed(t *testing.T) {
 				t.Errorf("leg %d: %v", leg, err)
 				return nil
 			}
-			if st := j.Status(); st.PartialActions != len(ck.Partial) {
-				t.Errorf("leg %d: status partial_actions %d, envelope partial %d", leg, st.PartialActions, len(ck.Partial))
+			if st := j.Status(); st.PartialActions != len(seq) || ck.Actions != len(seq) {
+				t.Errorf("leg %d: status partial_actions %d, document actions %d, phases %d", leg, st.PartialActions, ck.Actions, len(seq))
 			}
-			if err := core.CheckState(task, countsOf(ck.Partial), core.Options{}); err != nil {
+			if err := core.CheckState(task, core.CountsOf(task, seq), core.Options{}); err != nil {
 				t.Errorf("leg %d: the sealed partial ends at an unsafe state: %v", leg, err)
 			}
 			checked.Add(1)
-			if core.CheckState(task, ck.Counts, core.Options{}) != nil {
-				frontier := 0
-				for _, c := range ck.Counts {
-					frontier += c
-				}
-				if len(ck.Partial) >= frontier {
-					t.Errorf("leg %d: unsafe frontier %v sealed untrimmed (%d actions)", leg, ck.Counts, len(ck.Partial))
-				}
-				trimmed.Add(1)
-			}
 			return nil
 		}
 	})
@@ -625,8 +610,8 @@ func TestCheckpointPartialTrimmed(t *testing.T) {
 	if st := waitTerminal(t, j); st.State != StateDone {
 		t.Fatalf("job finished %s (%s), want DONE", st.State, st.Detail)
 	}
-	if checked.Load() == 0 || trimmed.Load() == 0 {
-		t.Fatalf("%d checkpoints read, %d with an unsafe frontier; the fixture must reach one", checked.Load(), trimmed.Load())
+	if checked.Load() == 0 {
+		t.Fatal("no checkpoint read; the leg budget must interrupt the job")
 	}
 }
 

@@ -1,7 +1,5 @@
 package topo
 
-import "fmt"
-
 // Merge combines two topology universes into one, prefixing switch names
 // to keep them unique and preserving base activity. It returns the merged
 // topology plus the ID offsets of b's switches and circuits (a's IDs are
@@ -37,14 +35,4 @@ func Merge(name, prefixA string, a *Topology, prefixB string, b *Topology) (*Top
 	ckOffset := CircuitID(a.NumCircuits())
 	copyCircuits(b, swOffset)
 	return m, swOffset, ckOffset
-}
-
-// MustSwitch returns the ID of the named switch or panics — a builder
-// convenience for wiring merged universes.
-func (t *Topology) MustSwitch(name string) SwitchID {
-	s, ok := t.SwitchByName(name)
-	if !ok {
-		panic(fmt.Sprintf("topo: no switch named %q", name))
-	}
-	return s.ID
 }

@@ -395,32 +395,3 @@ func TestViewStatsConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWriteDOT(t *testing.T) {
-	tp, sw, ck := buildDiamond(t)
-	v := tp.NewView()
-	v.DrainSwitch(sw[2])
-	tp.SetMetric(ck[3], 2)
-	var buf strings.Builder
-	if err := v.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`graph "diamond"`, `"rsw"`, `"fsw1" -- "ssw"`, "rank=same"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Drained fsw2 and its circuits must be absent.
-	if strings.Contains(out, `"fsw2"`) {
-		t.Errorf("DOT output should omit drained switch:\n%s", out)
-	}
-	// Deterministic output.
-	var buf2 strings.Builder
-	if err := v.WriteDOT(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != out {
-		t.Error("DOT output not deterministic")
-	}
-}

@@ -247,8 +247,9 @@ func PlanJanus(task *Task, opts Options) (*Plan, error) { return baseline.PlanJa
 type (
 	// Checkpoint is the saved state of an interrupted planning run — the
 	// paper's §7.2 hard-budget regime, where a budget overrun must not
-	// throw the search away. Its Counts/Partial fields describe the best
-	// safe partial sequence explored so far.
+	// throw the search away. Partial is the most advanced sequence explored
+	// after the blocks the search started from (Executed), and SafePartial
+	// its longest prefix that is safe to pause at.
 	Checkpoint = core.Checkpoint
 	// Interrupted is returned (as *Interrupted, matchable with errors.As)
 	// when a planner stops early; it wraps ErrBudget or the context error
