@@ -14,6 +14,7 @@ import (
 	"klotski"
 	"klotski/internal/core"
 	"klotski/internal/experiments"
+	"klotski/internal/migration"
 	"klotski/internal/routing"
 )
 
@@ -125,7 +126,7 @@ func BenchmarkFig9(b *testing.B) {
 // the satisfiability cache.
 func BenchmarkFig10(b *testing.B) {
 	s := buildSuite(b, "E")
-	symTask := klotski.SymmetryGranularity(s.Task)
+	symTask := migration.SymmetryGranularity(s.Task)
 	cases := []struct {
 		name string
 		task *klotski.Task
@@ -153,7 +154,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	s := buildSuite(b, "E")
 	for _, factor := range []float64{0.25, 0.5, 1, 2, 4} {
-		task, err := klotski.Reblock(s.Task, factor)
+		task, err := migration.Reblock(s.Task, factor)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,8 +11,7 @@
 //	        [-stats-out stats.json] [-debug-addr localhost:6060]
 //	klotski -npd region.json -resume plan.json -executed 12   # replan the rest
 //	klotski -npd region.json -audit plan.json                 # verify offline
-//	klotski -fleet manifest.json [-fleet-workers 0] [-fleet-no-shared-cuts]
-//	        [-fleet-checkpoint-dir ckpts/]
+//	klotski -fleet manifest.json [-fleet-workers 0] [-fleet-checkpoint-dir ckpts/]
 //
 // The NPD document must carry a migration part; see cmd/topogen for
 // generating example documents. With -v the plan's runs and per-phase
@@ -76,10 +75,8 @@
 // budget -fleet-workers sets (0 = GOMAXPROCS); the budget also bounds
 // how many member documents are built at once. Higher-priority
 // members preempt lower-priority ones mid-search (the victim checkpoints
-// and later resumes, producing the identical plan); members planning the
-// same fabric structure share learned lower-bound cuts unless
-// -fleet-no-shared-cuts is set. The fleet report (per-member plan cost,
-// gap, preemptions, waits; aggregate makespan and cross-plan cut hits) is
+// and later resumes, producing the identical plan). The fleet report
+// (per-member plan cost, gap, preemptions, waits; aggregate makespan) is
 // written as JSON to -o, and the exit status is non-zero if any member
 // failed. Fleet runs stop cleanly on SIGINT and SIGTERM: every member
 // halts at a planner checkpoint, the report is still written, and with
@@ -164,7 +161,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 		fleetPath    = fs.String("fleet", "", "plan a fleet: JSON manifest of members ({\"members\":[{\"name\",\"npd\",\"planner\",\"priority\",\"min_share\"}]}) planned concurrently under one shared admission pool")
 		fleetWorkers = fs.Int("fleet-workers", 0, "how many -fleet members plan at once, the pool's worker budget (0 = GOMAXPROCS)")
-		fleetNoCuts  = fs.Bool("fleet-no-shared-cuts", false, "disable cross-member structural-cut sharing in -fleet runs")
 		fleetCkptDir = fs.String("fleet-checkpoint-dir", "", "on interrupted fleet planning (SIGINT, SIGTERM, -timeout), seal every interrupted member's best safe partial sequence into this directory (<member>.ckpt.json)")
 
 		statsOut  = fs.String("stats-out", "", "write a JSON observability snapshot (counters, gauges, histograms, spans) here on exit")
@@ -188,6 +184,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *executed > 0 && *resume == "" {
 		return fmt.Errorf("-executed %d needs -resume: it counts actions of the -resume document already executed", *executed)
+	}
+	if *simulate < 0 {
+		return fmt.Errorf("-simulate %d is negative: it counts replays, 0 (none) or more", *simulate)
+	}
+	if *chaos < 0 {
+		return fmt.Errorf("-chaos %d is negative: it counts chaos runs, 0 (none) or more", *chaos)
+	}
+	if *chaosFaults < 1 {
+		return fmt.Errorf("-chaos-faults %d is out of range: each chaos run draws 1 fault or more", *chaosFaults)
+	}
+	if *growth < 0 {
+		return fmt.Errorf("-growth %g is negative: it is demand growth per migration step, 0 or more", *growth)
+	}
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout %s is negative: it is the planning budget, 0 (no limit) or more", *timeout)
 	}
 
 	// Observability: the recorder is wired into the planners only when an
@@ -219,7 +230,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Workers: *workers, Recorder: rec,
 	}
 	if *fleetPath != "" {
-		return runFleet(ctx, *fleetPath, *fleetWorkers, *fleetNoCuts, *fleetCkptDir, cfgOpts, *outPath, stdout, stderr, rec)
+		return runFleet(ctx, *fleetPath, *fleetWorkers, *fleetCkptDir, cfgOpts, *outPath, stdout, stderr, rec)
 	}
 
 	f, err := os.Open(*npdPath)
@@ -371,7 +382,6 @@ type fleetOut struct {
 	Failed      int              `json:"failed"`
 	Admitted    int              `json:"admitted"`
 	Preemptions int              `json:"preemptions"`
-	CrossHits   int              `json:"cross_plan_cut_hits"`
 	TotalCost   float64          `json:"total_cost"`
 	MakespanMS  int64            `json:"makespan_ms"`
 }
@@ -385,7 +395,7 @@ type fleetOut struct {
 // the report, and — with ckptDir set — first seals every interrupted
 // member's best safe partial sequence, so stopping a fleet run preserves
 // all members' work, not just one plan's.
-func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCuts bool, ckptDir string, opts klotski.Options, outPath string, stdout, stderr io.Writer, rec *klotski.ObsRecorder) error {
+func runFleet(ctx context.Context, manifestPath string, workers int, ckptDir string, opts klotski.Options, outPath string, stdout, stderr io.Writer, rec *klotski.ObsRecorder) error {
 	data, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return err
@@ -443,9 +453,8 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 	}
 
 	rep, fleetErr := klotski.PlanFleet(ctx, members, klotski.FleetOptions{
-		Pool:         pool,
-		NoSharedCuts: noSharedCuts,
-		Recorder:     rec,
+		Pool:     pool,
+		Recorder: rec,
 	})
 	if rep == nil {
 		return fleetErr
@@ -462,7 +471,6 @@ func runFleet(ctx context.Context, manifestPath string, workers int, noSharedCut
 		Failed:      rep.Failed,
 		Admitted:    rep.Admitted,
 		Preemptions: rep.Preemptions,
-		CrossHits:   rep.CrossHits,
 		TotalCost:   rep.TotalCost,
 		MakespanMS:  rep.Makespan.Milliseconds(),
 	}

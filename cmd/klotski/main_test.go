@@ -247,6 +247,43 @@ func TestRunExecutedNeedsResume(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOutOfRange: a count, a growth rate or a budget out of its
+// range is refused up front naming the flag, not read as another value (a
+// negative -chaos or -simulate as none, -chaos-faults below 1 as 3, a
+// negative -growth as 0, a negative -timeout as no limit). The values the
+// benchmark passes stay accepted.
+func TestRunRefusesOutOfRange(t *testing.T) {
+	npdPath := writeNPD(t)
+	for _, row := range []struct {
+		args []string
+		flag string // "" when the run must succeed
+	}{
+		{[]string{"-chaos", "-3"}, "-chaos"},
+		{[]string{"-simulate", "-2"}, "-simulate"},
+		{[]string{"-growth", "-0.5"}, "-growth"},
+		{[]string{"-timeout", "-1s"}, "-timeout"},
+		{[]string{"-chaos", "2", "-chaos-faults", "0"}, "-chaos-faults"},
+		{[]string{"-chaos-faults", "-4"}, "-chaos-faults"},
+		{[]string{"-chaos", "4", "-chaos-faults", "4"}, ""},
+		{[]string{"-workers", "1"}, ""},
+	} {
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), append([]string{"-npd", npdPath}, row.args...), &out, &errBuf)
+		if row.flag == "" {
+			if err != nil {
+				t.Errorf("%v: %v, want it accepted", row.args, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), row.flag+" ") {
+			t.Errorf("%v: %v, want an error naming %s", row.args, err, row.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a refused run wrote a plan", row.args)
+		}
+	}
+}
+
 // readDoc reads the plan or checkpoint document at path.
 func readDoc(t *testing.T, path string) *npd.PlanDocument {
 	t.Helper()

@@ -391,3 +391,112 @@ func TestObservabilityTable(t *testing.T) {
 		t.Errorf("README.md's instrument table is not obs's; it should read:\n%s", strings.Join(want, "\n"))
 	}
 }
+
+// TestFacadeTaught keeps klotski.go to what is taught or used. Each
+// exported name it declares must be named by README.md or docs/*.md (as
+// klotski.X, or first in a backticked span outside code blocks), by a
+// klotski.X selector in the examples, example_test.go or non-test Go outside
+// klotski.go, or in the signature of a function so kept.
+func TestFacadeTaught(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "klotski.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{} // the exported names
+	sigs := map[string][]string{} // function → the identifiers its signature uses
+	declare := func(id *ast.Ident) {
+		if id.IsExported() {
+			declared[id.Name] = true
+		}
+	}
+	for _, decl := range facade.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			declare(decl.Name)
+			ast.Inspect(decl.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					sigs[decl.Name.Name] = append(sigs[decl.Name.Name], id.Name)
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					declare(spec.Name)
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						declare(n)
+					}
+				}
+			}
+		}
+	}
+
+	kept := map[string]bool{}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md"}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range rootIdent.FindAllStringSubmatch(string(text), -1) {
+			kept[m[1]] = true
+		}
+		prose := fencedBlock.ReplaceAllString(string(text), "")
+		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
+			kept[leadingIdent.FindString(strings.TrimLeft(m[1], "*&"))] = true
+		}
+	}
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		example := strings.HasPrefix(p, "examples"+string(filepath.Separator)) || p == "example_test.go"
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || p == "klotski.go" ||
+			(strings.HasSuffix(p, "_test.go") && !example) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "klotski" {
+					kept[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for grew := true; grew; {
+		grew = false
+		for fn, names := range sigs {
+			for _, name := range names {
+				if kept[fn] && declared[name] && !kept[name] {
+					kept[name], grew = true, true
+				}
+			}
+		}
+	}
+	for name := range declared {
+		if !kept[name] {
+			t.Errorf("klotski.go exports %s, which no document, example or non-test Go outside it names: teach it or delete it", name)
+		}
+	}
+}
+
+// leadingIdent is the Go identifier a backticked span starts with.
+var leadingIdent = regexp.MustCompile(`^[A-Za-z_]\w*`)

@@ -101,11 +101,6 @@ type Engine struct {
 	// per-run deltas into their metrics).
 	cutsLearned int
 	cutHits     int
-
-	// Cross-plan sharing (see store.go): structural cuts flow to and from
-	// the attached store; crossHits counts imports that were new here.
-	store     *Store
-	crossHits int
 }
 
 const (
@@ -193,12 +188,6 @@ func (e *Engine) Bind(structSig, demandSig uint64) {
 	e.sealed = false
 	e.armed = false
 	e.sealEpoch++
-	// With provenance established, pull the shared store's structural
-	// cuts for this structure: demand-independent facts other plans have
-	// already paid to discover.
-	if e.store != nil {
-		e.crossHits += e.store.importInto(e)
-	}
 }
 
 // Arm declares the current run's start state. Deadness queries work
@@ -225,18 +214,12 @@ func (e *Engine) Learn(vec []uint16, structural bool) bool {
 	if e.cut[idx]&cutKnown != 0 {
 		if structural {
 			e.cut[idx] |= cutStructural
-			if e.store != nil && e.bound {
-				e.store.publish(e.structSig, idx)
-			}
 		}
 		return false
 	}
 	e.cut[idx] |= cutKnown
 	if structural {
 		e.cut[idx] |= cutStructural
-		if e.store != nil && e.bound {
-			e.store.publish(e.structSig, idx)
-		}
 	}
 	e.cuts++
 	e.cutsLearned++

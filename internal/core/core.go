@@ -274,7 +274,6 @@ type Metrics struct {
 	BoundCutsLearned  int // new infeasibility cuts learned during this run
 	BoundCutHits      int // queries answered from the cut set (dead/dominated)
 	BoundStatesPruned int // search states skipped as provably dead or dominated
-	BoundCrossHits    int // structural cuts imported from the shared cross-plan store
 
 	// Anytime optimality certificate. IncumbentCost is the cost of the
 	// best complete plan found (0 with OptimalityGap 1 when none yet);

@@ -107,12 +107,11 @@ type space struct {
 	// carry the run's anytime optimality certificate; the *Base fields
 	// rebase the engine's lifetime counters onto this run's metrics so
 	// reuse across runs never double-counts.
-	bd          *bound.Engine
-	incumbent   float64
-	lowerBound  float64
-	bdCutsBase  int
-	bdHitsBase  int
-	bdCrossBase int
+	bd         *bound.Engine
+	incumbent  float64
+	lowerBound float64
+	bdCutsBase int
+	bdHitsBase int
 }
 
 // occMaskEntry is one budget-constrained datacenter's packed occupancy
@@ -231,10 +230,6 @@ func newSpaceAt(task *migration.Task, opts Options, counts []int, last migration
 	if b := opts.Bound; b != nil && opts.FunnelFactor <= 1 && opts.MaxRunLength == 0 &&
 		b.Matches(sp.totals, sp.units, opts.Alpha) {
 		sp.bd = b
-		// Cross-plan import base BEFORE Bind: Bind pulls shared structural
-		// cuts from an attached store, and those imports belong to THIS
-		// run's metrics.
-		sp.bdCrossBase = b.CrossHits()
 		b.Bind(sp.boundStructSig(), sp.boundDemandSig())
 		b.Arm(sp.initial, int(last))
 		sp.bdCutsBase = b.CutsLearned()
@@ -784,13 +779,10 @@ func (sp *space) elapsedMetrics() Metrics {
 	if sp.bd != nil {
 		cl := sp.bd.CutsLearned() - sp.bdCutsBase
 		ch := sp.bd.CutHits() - sp.bdHitsBase
-		cx := sp.bd.CrossHits() - sp.bdCrossBase
 		sp.rec.Add(obs.BoundCutsLearned, cl-sp.metrics.BoundCutsLearned)
 		sp.rec.Add(obs.BoundCutHits, ch-sp.metrics.BoundCutHits)
-		sp.rec.Add(obs.BoundCrossHits, cx-sp.metrics.BoundCrossHits)
 		sp.metrics.BoundCutsLearned = cl
 		sp.metrics.BoundCutHits = ch
-		sp.metrics.BoundCrossHits = cx
 	}
 	sp.metrics.IncumbentCost, sp.metrics.LowerBound, sp.metrics.OptimalityGap =
 		certGap(sp.incumbent, sp.lowerBound)

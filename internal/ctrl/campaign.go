@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/migration"
 	"klotski/internal/pipeline"
@@ -33,8 +32,7 @@ type CampaignOptions struct {
 	// wall-clock sleep. The seeds run concurrently, so a caller's Sleep
 	// and Config.Options.Recorder are called from several goroutines. Its
 	// Config.Options.Evaluator and .Bound plan only the pristine plan: each
-	// worker plans on a fork of the evaluator and on a fresh bound engine,
-	// the engines sharing their structural cuts through one bound.Store.
+	// worker plans on a fork of the evaluator and on a fresh bound engine.
 	Run Options
 
 	// Pool, when non-nil, is a budget the campaign shares with other
@@ -97,7 +95,6 @@ func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (
 		runOpts.Sleep = func(time.Duration) {}
 	}
 	runOpts.Plan = pristinePlan(ctx, task, runOpts.Plan, runOpts.Config, opts.Pool)
-	store := bound.NewStore()
 
 	outs := make([]*Outcome, opts.Seeds)
 	errs := make([]error, opts.Seeds)
@@ -125,7 +122,6 @@ func Campaign(ctx context.Context, task *migration.Task, opts CampaignOptions) (
 			}
 			if o := &ro.Config.Options; o.Bound != nil {
 				o.Bound = core.NewBoundEngine(task, *o)
-				o.Bound.Attach(store)
 			}
 			for s, ok := claim(); ok; s, ok = claim() {
 				outs[s], errs[s] = runSeed(ctx, task, opts, ro, opts.Seed+int64(s))

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/migration"
 	"klotski/internal/obs"
@@ -27,8 +26,8 @@ type FleetMember struct {
 	Task *migration.Task
 
 	// Planner selects the planning algorithm ("" = A*); Options are the
-	// member's planning options. Options.Bound, when nil and cut sharing is
-	// on, receives a store-attached engine.
+	// member's planning options. Options.Bound, when nil, receives a fresh
+	// engine.
 	Planner Planner
 	Options core.Options
 
@@ -48,13 +47,6 @@ const maxFleetPreemptions = 16
 type FleetOptions struct {
 	// Pool is the shared admission pool. Required.
 	Pool *sched.Pool
-
-	// NoSharedCuts disables the fleet-wide bound.Store. With sharing on
-	// (the default), members planning the same fabric structure exchange
-	// structural cuts: plan bytes are unaffected, but search-effort
-	// metrics (states expanded) become arrival-order dependent, so
-	// deterministic benchmarks switch sharing off.
-	NoSharedCuts bool
 
 	// Recorder (nil-safe) receives fleet.plans_admitted and aggregates
 	// the members' planner counters when the members' own options carry
@@ -82,7 +74,7 @@ type FleetReport struct {
 
 	Makespan    time.Duration // wall clock for the whole fleet
 	TotalCost   float64       // sum of completed members' plan costs
-	CrossHits   int           // structural cuts imported across members
+	CrossHits   int           // always 0: bench/ still reads it (ROADMAP item 5(g) drops it)
 	Preemptions int
 }
 
@@ -98,11 +90,6 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var store *bound.Store
-	if !opts.NoSharedCuts {
-		store = bound.NewStore()
-	}
-
 	rep := &FleetReport{Members: make([]FleetMemberReport, len(members))}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -110,7 +97,7 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep.Members[i] = planMember(ctx, members[i], &opts, store)
+			rep.Members[i] = planMember(ctx, members[i], &opts)
 		}(i)
 	}
 	wg.Wait()
@@ -126,7 +113,6 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 		}
 		rep.Completed++
 		rep.TotalCost += m.Plan.Cost
-		rep.CrossHits += m.Plan.Metrics.BoundCrossHits
 	}
 	if err := ctx.Err(); err != nil {
 		return rep, fmt.Errorf("ctrl: fleet cancelled: %w", err)
@@ -136,14 +122,12 @@ func Fleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*Flee
 
 // planMember runs one member through RunLegs, admitted to the fleet's pool
 // until it has been preempted maxFleetPreemptions times.
-func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bound.Store) (rep FleetMemberReport) {
+func planMember(ctx context.Context, m FleetMember, fo *FleetOptions) (rep FleetMemberReport) {
 	rep.Name = m.Name
 	start := time.Now()
 	opts := m.Options
-	if store != nil && opts.Bound == nil {
-		eng := core.NewBoundEngine(m.Task, opts)
-		eng.Attach(store)
-		opts.Bound = eng
+	if opts.Bound == nil {
+		opts.Bound = core.NewBoundEngine(m.Task, opts)
 	}
 	rep.Plan, rep.Preemptions, rep.Admitted, rep.Err = RunLegs(ctx, Legs{
 		Task:    m.Task,
@@ -169,6 +153,6 @@ func planMember(ctx context.Context, m FleetMember, fo *FleetOptions, store *bou
 
 // String renders a one-line fleet summary.
 func (r *FleetReport) String() string {
-	return fmt.Sprintf("fleet of %d plans: %d completed, %d failed, %d admissions, %d preemptions, %d cross-plan cuts, total cost %.3f, makespan %s",
-		len(r.Members), r.Completed, r.Failed, r.Admitted, r.Preemptions, r.CrossHits, r.TotalCost, r.Makespan.Round(time.Millisecond))
+	return fmt.Sprintf("fleet of %d plans: %d completed, %d failed, %d admissions, %d preemptions, total cost %.3f, makespan %s",
+		len(r.Members), r.Completed, r.Failed, r.Admitted, r.Preemptions, r.TotalCost, r.Makespan.Round(time.Millisecond))
 }

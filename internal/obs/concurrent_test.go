@@ -24,7 +24,7 @@ func TestRegistryConcurrentPlans(t *testing.T) {
 			for j := 0; j < each; j++ {
 				rec.Add(SchedPreemptions, 1)
 				rec.Add(FleetPlansAdmitted, 1)
-				rec.Add(BoundCrossHits, 2)
+				rec.Add(BoundCutsLearned, 2)
 				rec.Add(StatesCreated, 1)
 				rec.Add(StatesExpanded, 1)
 				rec.Add(CacheHits, 1)
@@ -37,7 +37,7 @@ func TestRegistryConcurrentPlans(t *testing.T) {
 	want := map[string]int64{
 		MetricSchedPreemptions:   plans * each,
 		MetricFleetPlansAdmitted: plans * each,
-		MetricBoundCrossHits:     plans * each * 2,
+		MetricBoundCutsLearned:   plans * each * 2,
 		MetricStatesCreated:      plans * each,
 		MetricStatesExpanded:     plans * each,
 		MetricCacheHits:          plans * each,

@@ -39,7 +39,6 @@ const (
 	MetricAuditFailures      = "audit.failures"
 	MetricSchedPreemptions   = "sched.preemptions"
 	MetricFleetPlansAdmitted = "fleet.plans_admitted"
-	MetricBoundCrossHits     = "bound.cross_plan_cut_hits"
 
 	// Planning-as-a-service daemon instruments (internal/serve).
 	MetricServeJobsActive       = "serve.jobs_active"
@@ -153,9 +152,6 @@ const (
 	// FleetPlansAdmitted counts fleet members admitted to the shared pool;
 	// a re-admission after a preemption counts again.
 	FleetPlansAdmitted
-	// BoundCrossHits counts structural cuts a plan imported from the shared
-	// cross-plan cut store.
-	BoundCrossHits
 	// ServeJobsActive is the number of the daemon's jobs not yet terminal.
 	ServeJobsActive
 	// ServeJobsSubmitted counts jobs the daemon accepted and journaled.
@@ -230,7 +226,6 @@ var table = [NumInstruments]decl{
 	AuditFailures:         {name: MetricAuditFailures},
 	SchedPreemptions:      {name: MetricSchedPreemptions},
 	FleetPlansAdmitted:    {name: MetricFleetPlansAdmitted},
-	BoundCrossHits:        {name: MetricBoundCrossHits},
 	ServeJobsActive:       {name: MetricServeJobsActive, kind: KindGauge},
 	ServeJobsSubmitted:    {name: MetricServeJobsSubmitted},
 	ServeJobsRecovered:    {name: MetricServeJobsRecovered},

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"klotski/internal/bound"
 	"klotski/internal/core"
 	"klotski/internal/ctrl"
 	"klotski/internal/durable"
@@ -280,7 +279,6 @@ func (j *Job) endLocked() {
 type Manager struct {
 	cfg   Config
 	pool  *sched.Pool
-	store *bound.Store
 	tasks *taskCache
 
 	runCtx    context.Context
@@ -319,7 +317,6 @@ func Open(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:   cfg,
 		pool:  sched.NewPool(cfg.PoolWorkers, cfg.Recorder),
-		store: bound.NewStore(),
 		tasks: newTaskCache(taskCacheEntries, taskCacheBytes),
 		jobs:  make(map[string]*Job),
 	}
@@ -629,11 +626,8 @@ func (m *Manager) runJob(j *Job, doc *npd.Document) {
 		defer cancel()
 	}
 
-	// One bound engine lives across all legs of this job, attached to the
-	// manager-wide store so structural cuts flow between tenants (plan
-	// bytes are engine-independent by contract).
+	// One bound engine lives across all legs of this job.
 	opts.Bound = core.NewBoundEngine(task, opts)
-	opts.Bound.Attach(m.store)
 	plan, _, _, err := ctrl.RunLegs(ctx, ctrl.Legs{
 		Task:       task,
 		Options:    opts,

@@ -189,7 +189,7 @@ func gaugeOracleRun(t *testing.T, seed int64) {
 // serves every plan byte-identical.
 func TestFinishedJobsReleaseRunState(t *testing.T) {
 	// The heap is compared across the last 150 jobs, after 50 have warmed
-	// up what every job shares (pool, cut store, first allocations).
+	// up what every job shares (pool, task cache, first allocations).
 	const warm, measured, jobs = 50, 150, 200
 	// overheadPerJob bounds what a finished job keeps: its table entry,
 	// status fields and cancelled context. Its plan document stays in its

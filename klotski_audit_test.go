@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/gen"
+	"klotski/internal/pipeline"
 )
 
 // Differential audit testing: the independent auditor (internal/audit) and
@@ -166,17 +168,17 @@ func TestAuditDifferentialRandomFabrics(t *testing.T) {
 	const cases = 10
 	feasible := 0
 	for i := 0; i < cases; i++ {
-		p := klotski.HGRIDScenarioParams{
+		p := gen.HGRIDScenarioParams{
 			Region: klotski.RegionParams{
 				Name: fmt.Sprintf("auditprop-%d", i),
-				DCs: []klotski.FabricParams{{
+				DCs: []gen.FabricParams{{
 					Pods:        1 + rng.Intn(2),
 					RSWPerPod:   2,
 					Planes:      4,
 					SSWPerPlane: 1 + rng.Intn(2),
 					FSWUplinks:  1,
 				}},
-				HGRID: klotski.HGRIDParams{
+				HGRID: gen.HGRIDParams{
 					Grids:        2 + rng.Intn(3),
 					FADUPerGrid:  1 + rng.Intn(2),
 					FAUUPerGrid:  1,
@@ -184,14 +186,14 @@ func TestAuditDifferentialRandomFabrics(t *testing.T) {
 				},
 				EBs: 2, DRs: 1, EBBs: 1,
 			},
-			Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
+			Demand:            gen.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
 			V2GridFactor:      1 + rng.Intn(2),
 			V2CapFactor:       0.5 + 0.5*rng.Float64(),
 			PortHeadroomGrids: 1,
 		}
 		theta := 0.65 + 0.2*rng.Float64()
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
-			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			s, err := gen.HGRIDScenario(p.Region.Name, p)
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}
@@ -233,7 +235,7 @@ func TestAuditSkipOption(t *testing.T) {
 // sequences; the pipeline audits them in free-order mode and they pass.
 func TestAuditFreeOrderBaselines(t *testing.T) {
 	task := buildTinyTask(t)
-	for _, pl := range []klotski.PlannerName{klotski.PlannerMRC} {
+	for _, pl := range []klotski.PlannerName{pipeline.PlannerMRC} {
 		res, err := klotski.RunPipelineTask(task, klotski.PipelineConfig{Planner: pl})
 		if err != nil {
 			t.Fatalf("%s: %v", pl, err)

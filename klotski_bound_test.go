@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/core"
+	"klotski/internal/gen"
 )
 
 // Lower-bound engine integration tests: certified optimality gaps on every
@@ -197,17 +199,17 @@ func TestBoundedPlansRandomFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const cases = 5
 	for i := 0; i < cases; i++ {
-		p := klotski.HGRIDScenarioParams{
+		p := gen.HGRIDScenarioParams{
 			Region: klotski.RegionParams{
 				Name: fmt.Sprintf("bound-%d", i),
-				DCs: []klotski.FabricParams{{
+				DCs: []gen.FabricParams{{
 					Pods:        1 + rng.Intn(2),
 					RSWPerPod:   2,
 					Planes:      4,
 					SSWPerPlane: 1 + rng.Intn(2),
 					FSWUplinks:  1,
 				}},
-				HGRID: klotski.HGRIDParams{
+				HGRID: gen.HGRIDParams{
 					Grids:        2 + rng.Intn(3),
 					FADUPerGrid:  1 + rng.Intn(2),
 					FAUUPerGrid:  1,
@@ -215,14 +217,14 @@ func TestBoundedPlansRandomFabrics(t *testing.T) {
 				},
 				EBs: 2, DRs: 1, EBBs: 1,
 			},
-			Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
+			Demand:            gen.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
 			V2GridFactor:      1 + rng.Intn(2),
 			V2CapFactor:       0.5 + 0.5*rng.Float64(),
 			PortHeadroomGrids: 1,
 		}
 		theta := 0.65 + 0.2*rng.Float64()
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
-			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			s, err := gen.HGRIDScenario(p.Region.Name, p)
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}
@@ -347,7 +349,7 @@ func TestBruteForceOptimalAndAdmissible(t *testing.T) {
 			nTypes := f.task.NumTypes()
 			for st, suffix := range completions {
 				counts := parseCounts(st.counts, nTypes)
-				lb := klotski.CompletionLowerBound(f.task, counts, st.last, opts.Alpha, opts.MaxRunLength)
+				lb := core.CompletionLowerBound(f.task, counts, st.last, opts.Alpha, opts.MaxRunLength)
 				if lb > suffix+1e-9 {
 					t.Errorf("inadmissible bound at counts=%v last=%d: lb %v > feasible completion %v",
 						counts, st.last, lb, suffix)
@@ -408,7 +410,7 @@ func TestCompletionBoundAlongOptimalPlan(t *testing.T) {
 			last = task.Blocks[plan.Sequence[k-1]].Type
 		}
 		remaining := plan.Cost - klotski.SequenceCost(task, plan.Sequence[:k], opts.Alpha, klotski.NoLast)
-		lb := klotski.CompletionLowerBound(task, counts, last, opts.Alpha, opts.MaxRunLength)
+		lb := core.CompletionLowerBound(task, counts, last, opts.Alpha, opts.MaxRunLength)
 		if lb > remaining+1e-9 {
 			t.Fatalf("inadmissible bound at step %d: lb %v > remaining plan cost %v", k, lb, remaining)
 		}

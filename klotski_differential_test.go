@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/core"
+	"klotski/internal/gen"
 )
 
 // Differential planner testing: the A* (§4.4) and DP (§4.3) planners are
@@ -23,14 +25,14 @@ import (
 func boundaryPrefixesSafe(t *testing.T, task *klotski.Task, plan *klotski.Plan, opts klotski.Options) {
 	t.Helper()
 	counts := make([]int, task.NumTypes())
-	if err := klotski.CheckState(task, counts, opts); err != nil {
+	if err := core.CheckState(task, counts, opts); err != nil {
 		t.Errorf("initial state unsafe: %v", err)
 	}
 	for i, run := range plan.Runs {
 		for _, b := range run.Blocks {
 			counts[task.Blocks[b].Type]++
 		}
-		if err := klotski.CheckState(task, counts, opts); err != nil {
+		if err := core.CheckState(task, counts, opts); err != nil {
 			t.Errorf("state after run %d/%d unsafe: %v", i+1, len(plan.Runs), err)
 		}
 	}
@@ -159,17 +161,17 @@ func TestIncrementalVsFullRandomFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	const cases = 6
 	for i := 0; i < cases; i++ {
-		p := klotski.HGRIDScenarioParams{
+		p := gen.HGRIDScenarioParams{
 			Region: klotski.RegionParams{
 				Name: fmt.Sprintf("incprop-%d", i),
-				DCs: []klotski.FabricParams{{
+				DCs: []gen.FabricParams{{
 					Pods:        1 + rng.Intn(2),
 					RSWPerPod:   2,
 					Planes:      4,
 					SSWPerPlane: 1 + rng.Intn(2),
 					FSWUplinks:  1,
 				}},
-				HGRID: klotski.HGRIDParams{
+				HGRID: gen.HGRIDParams{
 					Grids:        2 + rng.Intn(3),
 					FADUPerGrid:  1 + rng.Intn(2),
 					FAUUPerGrid:  1,
@@ -177,14 +179,14 @@ func TestIncrementalVsFullRandomFabrics(t *testing.T) {
 				},
 				EBs: 2, DRs: 1, EBBs: 1,
 			},
-			Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
+			Demand:            gen.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
 			V2GridFactor:      1 + rng.Intn(2),
 			V2CapFactor:       0.5 + 0.5*rng.Float64(),
 			PortHeadroomGrids: 1,
 		}
 		theta := 0.65 + 0.2*rng.Float64()
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
-			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			s, err := gen.HGRIDScenario(p.Region.Name, p)
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}
@@ -228,17 +230,17 @@ func TestDifferentialPlannersRandomFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	const cases = 8
 	for i := 0; i < cases; i++ {
-		p := klotski.HGRIDScenarioParams{
+		p := gen.HGRIDScenarioParams{
 			Region: klotski.RegionParams{
 				Name: fmt.Sprintf("prop-%d", i),
-				DCs: []klotski.FabricParams{{
+				DCs: []gen.FabricParams{{
 					Pods:        1 + rng.Intn(2),
 					RSWPerPod:   2,
 					Planes:      4,
 					SSWPerPlane: 1 + rng.Intn(2),
 					FSWUplinks:  1,
 				}},
-				HGRID: klotski.HGRIDParams{
+				HGRID: gen.HGRIDParams{
 					Grids:        2 + rng.Intn(3),
 					FADUPerGrid:  1 + rng.Intn(2),
 					FAUUPerGrid:  1,
@@ -246,14 +248,14 @@ func TestDifferentialPlannersRandomFabrics(t *testing.T) {
 				},
 				EBs: 2, DRs: 1, EBBs: 1,
 			},
-			Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
+			Demand:            gen.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
 			V2GridFactor:      1 + rng.Intn(2),
 			V2CapFactor:       0.5 + 0.5*rng.Float64(),
 			PortHeadroomGrids: 1,
 		}
 		theta := 0.65 + 0.2*rng.Float64()
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
-			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			s, err := gen.HGRIDScenario(p.Region.Name, p)
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/ctrl"
+	"klotski/internal/obs"
 )
 
 // TestPlanFleetFacade drives fleet planning entirely through the public
@@ -24,16 +26,16 @@ func TestPlanFleetFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := klotski.NewObsRegistry()
+	reg := obs.NewRegistry()
 	rec := klotski.NewObsRecorder(reg)
 	pool := klotski.NewWorkerPool(4, rec)
 	defer pool.Close()
 
 	opts := klotski.Options{}
 	members := []klotski.FleetMember{
-		{Name: "a1", Task: task, Planner: klotski.FleetPlannerAStar, Options: opts},
-		{Name: "d1", Task: task, Planner: klotski.FleetPlannerDP, Options: opts},
-		{Name: "a2", Task: task, Planner: klotski.FleetPlannerAStar, Options: opts, Priority: 1},
+		{Name: "a1", Task: task, Planner: ctrl.PlannerAStar, Options: opts},
+		{Name: "d1", Task: task, Planner: ctrl.PlannerDP, Options: opts},
+		{Name: "a2", Task: task, Planner: ctrl.PlannerAStar, Options: opts, Priority: 1},
 	}
 	rep, err := klotski.PlanFleet(context.Background(), members, klotski.FleetOptions{
 		Pool:     pool,
@@ -48,7 +50,7 @@ func TestPlanFleetFacade(t *testing.T) {
 	for i := range rep.Members {
 		m := &rep.Members[i]
 		ref := refA
-		if members[i].Planner == klotski.FleetPlannerDP {
+		if members[i].Planner == ctrl.PlannerDP {
 			ref = refD
 		}
 		if m.Err != nil {

@@ -1,6 +1,7 @@
 package klotski_test
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -11,13 +12,25 @@ import (
 // scaledTask returns the task over a clone of its topology with every circuit
 // capacity, and every demand rate, multiplied by k.
 func scaledTask(task *klotski.Task, k float64) *klotski.Task {
+	return widerTask(task, k).WithDemands(task.Demands.Scaled(k))
+}
+
+// widerTask returns the task over a clone of its topology with every circuit
+// capacity multiplied by k and its demands unchanged.
+func widerTask(task *klotski.Task, k float64) *klotski.Task {
 	tp := task.Topo.Clone()
 	for c := 0; c < tp.NumCircuits(); c++ {
 		id := klotski.CircuitID(c)
 		tp.SetCapacity(id, tp.Circuit(id).Capacity*k)
 	}
-	return task.WithTopology(tp).WithDemands(task.Demands.Scaled(k))
+	return task.WithTopology(tp)
 }
+
+// metamorphicPlanners are the optimal planners the properties hold for.
+var metamorphicPlanners = []struct {
+	name string
+	run  func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
+}{{"astar", klotski.PlanAStar}, {"dp", klotski.PlanDP}}
 
 // TestScalingPreservesPlans is a metamorphic property of the planners:
 // multiplying every circuit capacity and every demand rate by one factor
@@ -31,16 +44,12 @@ func scaledTask(task *klotski.Task, k float64) *klotski.Task {
 // with the capacities for the checks to stay where they were. Plan documents
 // are not compared: they carry the absolute capacities.
 func TestScalingPreservesPlans(t *testing.T) {
-	planners := []struct {
-		name string
-		run  func(*klotski.Task, klotski.Options) (*klotski.Plan, error)
-	}{{"astar", klotski.PlanAStar}, {"dp", klotski.PlanDP}}
 	for _, name := range klotski.SuiteNames() {
 		s, err := klotski.Suite(name, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pl := range planners {
+		for _, pl := range metamorphicPlanners {
 			want, err := pl.run(s.Task, klotski.Options{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, pl.name, err)
@@ -69,5 +78,82 @@ func TestScalingPreservesPlans(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTighterThetaNeverCheaper is a metamorphic property of the optimal
+// planners: every plan safe under a utilization bound θ is safe under any
+// looser one, so tightening θ can only remove plans. Over A* and DP on every
+// suite fabric × 0.25, the optimal cost at each tighter θ must be at least
+// the cost at the default 0.75, or the tighter task must be infeasible.
+// Some tighter θ must raise a cost or leave no plan, or nothing was tested.
+func TestTighterThetaNeverCheaper(t *testing.T) {
+	moved := 0
+	for _, name := range klotski.SuiteNames() {
+		s, err := klotski.Suite(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range metamorphicPlanners {
+			base, err := pl.run(s.Task, klotski.Options{Theta: 0.75})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pl.name, err)
+			}
+			for _, theta := range []float64{0.7, 0.6, 0.5} {
+				got, err := pl.run(s.Task, klotski.Options{Theta: theta})
+				if errors.Is(err, klotski.ErrInfeasible) {
+					moved++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s %s θ=%v: %v", name, pl.name, theta, err)
+				}
+				if got.Cost < base.Cost {
+					t.Errorf("%s %s: θ=%v plans at cost %v, below θ=0.75's %v", name, pl.name, theta, got.Cost, base.Cost)
+				}
+				if got.Cost > base.Cost {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("no tighter θ raised a cost or left no plan")
+	}
+}
+
+// TestMoreCapacityNeverCostlier is a metamorphic property of the optimal
+// planners: with demands unchanged, multiplying every circuit capacity by
+// k > 1 lowers every utilization, so every plan safe before stays safe and
+// the optimal cost cannot rise. Over A* and DP on every suite fabric × 0.25;
+// some wider fabric must plan cheaper, or nothing was tested.
+func TestMoreCapacityNeverCostlier(t *testing.T) {
+	moved := 0
+	for _, name := range klotski.SuiteNames() {
+		s, err := klotski.Suite(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range metamorphicPlanners {
+			base, err := pl.run(s.Task, klotski.Options{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pl.name, err)
+			}
+			for _, k := range []float64{1.5, 2} {
+				got, err := pl.run(widerTask(s.Task, k), klotski.Options{})
+				if err != nil {
+					t.Fatalf("%s %s capacity × %v: %v", name, pl.name, k, err)
+				}
+				if got.Cost > base.Cost {
+					t.Errorf("%s %s: capacity × %v plans at cost %v, above the unscaled %v", name, pl.name, k, got.Cost, base.Cost)
+				}
+				if got.Cost < base.Cost {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("no wider fabric planned cheaper")
 	}
 }

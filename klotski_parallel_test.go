@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/core"
+	"klotski/internal/gen"
 )
 
 // Worker-invariance testing: both planners and their audits are serial,
@@ -69,18 +71,18 @@ func assertWorkerInvariant(t *testing.T, task *klotski.Task, opts klotski.Option
 }
 
 // randomHGRIDFabric draws one random HGRID V1→V2 scenario.
-func randomHGRIDFabric(rng *rand.Rand, name string) klotski.HGRIDScenarioParams {
-	return klotski.HGRIDScenarioParams{
+func randomHGRIDFabric(rng *rand.Rand, name string) gen.HGRIDScenarioParams {
+	return gen.HGRIDScenarioParams{
 		Region: klotski.RegionParams{
 			Name: name,
-			DCs: []klotski.FabricParams{{
+			DCs: []gen.FabricParams{{
 				Pods:        1 + rng.Intn(2),
 				RSWPerPod:   2,
 				Planes:      4,
 				SSWPerPlane: 1 + rng.Intn(2),
 				FSWUplinks:  1,
 			}},
-			HGRID: klotski.HGRIDParams{
+			HGRID: gen.HGRIDParams{
 				Grids:        2 + rng.Intn(3),
 				FADUPerGrid:  1 + rng.Intn(2),
 				FAUUPerGrid:  1,
@@ -88,7 +90,7 @@ func randomHGRIDFabric(rng *rand.Rand, name string) klotski.HGRIDScenarioParams 
 			},
 			EBs: 2, DRs: 1, EBBs: 1,
 		},
-		Demand:            klotski.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
+		Demand:            gen.DemandSpec{BaseUtil: 0.30 + 0.15*rng.Float64()},
 		V2GridFactor:      1 + rng.Intn(2),
 		V2CapFactor:       0.5 + 0.5*rng.Float64(),
 		PortHeadroomGrids: 1,
@@ -126,7 +128,7 @@ func TestParallelMatchesSerialRandomFabrics(t *testing.T) {
 		theta := 0.65 + 0.2*rng.Float64()
 		maxRun := rng.Intn(3) // exercise the tail dimension in a third of cases
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
-			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			s, err := gen.HGRIDScenario(p.Region.Name, p)
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}
@@ -141,7 +143,7 @@ func TestParallelMatchesSerialRandomFabrics(t *testing.T) {
 // (default, one, several, the lowest accepted) on the tiny task, suites A–C
 // and six seeded random fabrics.
 func TestMetricsWorkerInvariant(t *testing.T) {
-	workers := []int{0, 1, 2, 4, klotski.WorkersAdaptive}
+	workers := []int{0, 1, 2, 4, core.WorkersAdaptive}
 	t.Run("Tiny", func(t *testing.T) {
 		assertWorkerInvariant(t, buildTinyTask(t), klotski.Options{}, workers)
 	})
@@ -159,7 +161,7 @@ func TestMetricsWorkerInvariant(t *testing.T) {
 		p := randomHGRIDFabric(rng, fmt.Sprintf("workerinv-%d", i))
 		theta := 0.65 + 0.2*rng.Float64()
 		t.Run(fmt.Sprintf("case=%d", i), func(t *testing.T) {
-			s, err := klotski.HGRIDScenario(p.Region.Name, p)
+			s, err := gen.HGRIDScenario(p.Region.Name, p)
 			if err != nil {
 				t.Fatalf("generating fabric: %v", err)
 			}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"klotski"
+	"klotski/internal/migration"
+	"klotski/internal/pipeline"
 )
 
 // buildTinyTask constructs a small migration entirely through the public
@@ -81,7 +83,7 @@ func TestPublicAPISuiteAndSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym := klotski.SymmetryGranularity(s.Task)
+	sym := migration.SymmetryGranularity(s.Task)
 	if sym.NumActions() < s.Task.NumActions() {
 		t.Errorf("symmetry granularity should not coarsen: %d vs %d",
 			sym.NumActions(), s.Task.NumActions())
@@ -90,7 +92,7 @@ func TestPublicAPISuiteAndSymmetry(t *testing.T) {
 	for _, b := range s.Task.Blocks {
 		ops = append(ops, b.Switches...)
 	}
-	blocks := klotski.StrictSymmetryBlocks(s.Task.Topo, ops)
+	blocks := migration.StrictSymmetryBlocks(s.Task.Topo, ops)
 	if len(blocks) == 0 {
 		t.Fatal("no symmetry blocks")
 	}
@@ -111,7 +113,7 @@ func TestPublicAPINPDPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := klotski.RunPipeline(doc, klotski.PipelineConfig{})
+	res, err := pipeline.Run(doc, klotski.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestPublicAPIReblockFactors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []float64{0.5, 2} {
-		rb, err := klotski.Reblock(s.Task, f)
+		rb, err := migration.Reblock(s.Task, f)
 		if err != nil {
 			t.Fatalf("factor %v: %v", f, err)
 		}
