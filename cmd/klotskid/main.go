@@ -28,6 +28,11 @@
 // drains gracefully: every running job checkpoints (sealed envelope +
 // journal record), then the process exits cleanly.
 //
+// A default no job could plan with — a -theta, -alpha or -maxrun that
+// core.Options.Validate rejects, a negative -pool-workers or -leg-states —
+// stops the daemon before it listens; a request is held to the same rule
+// and answered 400.
+//
 // -ops-addr serves the operational surface: /debug/vars (expvar),
 // /debug/pprof/*, and /debug/stats — the same JSON document the CLI's
 // -stats-out writes, with the serve.* job counters included.

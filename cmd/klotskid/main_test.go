@@ -334,3 +334,30 @@ func TestRunRequiresDir(t *testing.T) {
 		t.Fatalf("run without -dir: %v", err)
 	}
 }
+
+// TestRunRefusesBadDefaults: a default no job could plan with stops the
+// daemon at start, before it listens, instead of answering 202 for jobs
+// that then fail. -theta 2 is run as a real process, which must exit
+// non-zero; a negative -pool-workers or -leg-states, which would be read as
+// GOMAXPROCS or 50 000, is refused the same way.
+func TestRunRefusesBadDefaults(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess", "--",
+		"-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-theta", "2")
+	cmd.Env = append(os.Environ(), "KLOTSKID_HELPER=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() == 0 {
+		t.Fatalf("klotskid -theta 2: %v, want a non-zero exit (stderr: %s)", err, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "listening") || !strings.Contains(stderr.String(), "Theta 2") {
+		t.Errorf("klotskid -theta 2 stderr %q: want the refusal naming Theta 2 and no listen line", stderr.String())
+	}
+	for _, flag := range []string{"-pool-workers", "-leg-states"} {
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-dir", t.TempDir(), flag, "-1"}, &out, &errBuf)
+		if err == nil || strings.Contains(errBuf.String(), "listening") {
+			t.Errorf("klotskid %s -1: %v (stderr %q), want a refusal before listening", flag, err, errBuf.String())
+		}
+	}
+}

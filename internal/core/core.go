@@ -197,10 +197,12 @@ type Options struct {
 	Bound *bound.Engine
 }
 
-// validate rejects option combinations that would silently produce
+// Validate rejects option combinations that would silently produce
 // nonsense: utilization bounds outside (0, 1], α outside [0, 1], negative
-// budgets or run caps, and funneling factors below 1.
-func (o *Options) validate() error {
+// budgets or run caps, and funneling factors below 1. Every planner and
+// audit applies it; a caller that holds options before planning (a
+// daemon's defaults, a request) applies it to refuse them up front.
+func (o *Options) Validate() error {
 	if o.Theta < 0 || o.Theta > 1 {
 		return fmt.Errorf("core: Theta %v outside (0, 1] (0 selects the default 0.75)", o.Theta)
 	}

@@ -155,7 +155,7 @@ func newSpace(task *migration.Task, opts Options) (*space, error) {
 // counts[i] blocks of each type i (nil: none), with a run of type last in
 // progress.
 func newSpaceAt(task *migration.Task, opts Options, counts []int, last migration.ActionType) (*space, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if task.NumTypes() == 0 || task.NumActions() == 0 {

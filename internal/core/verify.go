@@ -34,7 +34,7 @@ func VerifyPlanFreeOrder(task *migration.Task, seq []int, opts Options) error {
 // verify audits seq under opts and reads the verdict off the report: an
 // unsafe state is a failed last Step, a structural fault leaves none.
 func verify(task *migration.Task, seq []int, opts Options, freeOrder bool) error {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return err
 	}
 	rep, err := AuditSequence(task, seq, opts, freeOrder)

@@ -155,6 +155,20 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("non-object submit: %d, want 400", resp.StatusCode)
 	}
+	// Options no planner accepts (core.Options.Validate) are the request's
+	// fault: 400 at submit, not a job that fails later.
+	for _, bad := range []func(*Request){
+		func(rq *Request) { rq.Theta = 2 },
+		func(rq *Request) { rq.Theta = -0.5 },
+		func(rq *Request) { rq.Alpha = 1.5 },
+		func(rq *Request) { rq.MaxRun = -1 },
+	} {
+		rq := testRequest()
+		bad(&rq)
+		if resp, body := postJSON(t, srv.URL+"/v1/jobs", rq); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit theta %v alpha %v max_run %d: %d %s, want 400", rq.Theta, rq.Alpha, rq.MaxRun, resp.StatusCode, body)
+		}
+	}
 
 	// A valid request the daemon cannot journal (a directory squats on
 	// the next job's journal) is the daemon's failure: 500, and the retry,

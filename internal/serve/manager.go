@@ -310,6 +310,15 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("serve: Config.Dir required")
 	}
+	switch {
+	case cfg.PoolWorkers < 0:
+		return nil, fmt.Errorf("serve: negative Config.PoolWorkers %d", cfg.PoolWorkers)
+	case cfg.LegStates < 0:
+		return nil, fmt.Errorf("serve: negative Config.LegStates %d", cfg.LegStates)
+	}
+	if err := cfg.Options.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: Config.Options: %w", err)
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating state dir: %w", err)
 	}
@@ -365,7 +374,7 @@ func (m *Manager) jobPaths(id string) (journal, ckpt string) {
 // record is durable before the job is acknowledged: a daemon killed
 // right after Submit returns still completes the job after restart.
 func (m *Manager) Submit(req Request) (*Job, error) {
-	if err := req.validate(); err != nil {
+	if err := req.validate(m.cfg.Options); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	// Reject NPD documents that cannot even decode, so the submitter
@@ -519,17 +528,8 @@ func (m *Manager) prepare(j *Job, doc *npd.Document) (*migration.Task, core.Opti
 	if err != nil {
 		return nil, core.Options{}, err
 	}
-	opts := m.cfg.Options
+	opts := j.Req.options(m.cfg.Options)
 	opts.Timeout = 0 // RunLegs budgets each leg in states
-	if j.Req.Theta > 0 {
-		opts.Theta = j.Req.Theta
-	}
-	if j.Req.Alpha > 0 {
-		opts.Alpha = j.Req.Alpha
-	}
-	if j.Req.MaxRun > 0 {
-		opts.MaxRunLength = j.Req.MaxRun
-	}
 	opts.Recorder = m.cfg.Recorder
 	return task, opts, nil
 }
@@ -697,7 +697,7 @@ func (m *Manager) finish(j *Job, planErr error, ctx context.Context) {
 
 // legHook is the job's per-leg hook for ctrl.RunLegs: Config.LegHook,
 // with a sim.ErrTransient from it retried under the ctrl backoff policy,
-// at most MaxRetries times per job.
+// at most maxRetries times per job.
 func (m *Manager) legHook(j *Job) func(leg int) error {
 	if m.cfg.LegHook == nil {
 		return nil
@@ -707,7 +707,7 @@ func (m *Manager) legHook(j *Job) func(leg int) error {
 	return func(leg int) error {
 		for {
 			err := m.cfg.LegHook(j.ID, leg)
-			if !errors.Is(err, sim.ErrTransient) || retries >= m.cfg.MaxRetries {
+			if !errors.Is(err, sim.ErrTransient) || retries >= maxRetries {
 				return err
 			}
 			retries++

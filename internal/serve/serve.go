@@ -148,27 +148,43 @@ type Request struct {
 }
 
 // validate rejects requests that could never plan, so the submitter gets
-// a 400 instead of a job that fails asynchronously.
-func (rq *Request) validate() error {
+// a 400 instead of a job that fails asynchronously. The job's planning
+// options, the daemon's defaults under the request's fields, must pass the
+// planners' own rule, core.Options.Validate.
+func (rq *Request) validate(defaults core.Options) error {
 	if len(rq.NPD) == 0 {
 		return errors.New("request has no npd document")
 	}
 	if !ctrl.Planner(rq.Planner).Resumable() {
 		return fmt.Errorf("unknown planner %q (service runs \"astar\" or \"dp\")", rq.Planner)
 	}
-	if rq.Theta < 0 || rq.Theta > 1 {
-		return fmt.Errorf("theta %v outside (0, 1]", rq.Theta)
+	opts := rq.options(defaults)
+	if err := opts.Validate(); err != nil {
+		return err
 	}
-	if rq.Alpha < 0 || rq.Alpha > 1 {
-		return fmt.Errorf("alpha %v outside [0, 1]", rq.Alpha)
-	}
-	if rq.MaxRun < 0 || rq.LegStates < 0 || rq.DeadlineMS < 0 {
+	if rq.LegStates < 0 || rq.DeadlineMS < 0 {
 		return errors.New("negative budget")
 	}
 	if rq.MinShare < 0 {
 		return errors.New("negative share")
 	}
 	return nil
+}
+
+// options is the job's planning options: defaults, with each of Theta,
+// Alpha and MaxRun that the request sets in place of the default's.
+func (rq *Request) options(defaults core.Options) core.Options {
+	opts := defaults
+	if rq.Theta != 0 {
+		opts.Theta = rq.Theta
+	}
+	if rq.Alpha != 0 {
+		opts.Alpha = rq.Alpha
+	}
+	if rq.MaxRun != 0 {
+		opts.MaxRunLength = rq.MaxRun
+	}
+	return opts
 }
 
 // Status is a point-in-time snapshot of a job, served by the status/list
@@ -204,11 +220,12 @@ type Config struct {
 	// checkpoint file per job. Required; created if missing.
 	Dir string
 
-	// PoolWorkers sizes the shared planning pool (0 selects GOMAXPROCS).
+	// PoolWorkers sizes the shared planning pool (0 selects GOMAXPROCS;
+	// Open refuses a negative size).
 	PoolWorkers int
 
 	// LegStates is the default per-leg state budget: how often planning
-	// jobs checkpoint. 0 selects 50000.
+	// jobs checkpoint. 0 selects 50000; Open refuses a negative budget.
 	LegStates int
 
 	// AdmitWait bounds how long a job waits for pool admission before
@@ -216,15 +233,11 @@ type Config struct {
 	// 0 selects 2s; negative waits forever.
 	AdmitWait time.Duration
 
-	// MaxRetries bounds retries of transient planning failures
-	// (sim.ErrTransient), each after a jittered backoff (ctrl.Backoff)
-	// doubling from 50ms up to 2s. 0 selects 4.
-	MaxRetries int
-
 	// Options seeds every job's planning options (theta, alpha, …);
 	// per-request fields override it. The budget fields (MaxStates,
 	// Timeout) and Bound are managed per leg by the service and ignored
-	// here.
+	// here. Open refuses options that core.Options.Validate rejects, so a
+	// daemon never starts with defaults it cannot plan with.
 	Options core.Options
 
 	// Recorder receives the serve.* instruments (nil-safe).
@@ -241,8 +254,11 @@ type Config struct {
 	LegHook func(jobID string, leg int) error
 }
 
-// The backoff bounds of a job's transient-failure retries.
+// A job retries a transient planning failure (sim.ErrTransient) at most
+// maxRetries times, each after a jittered backoff (ctrl.Backoff) doubling
+// from retryBackoff up to maxRetryBackoff.
 const (
+	maxRetries      = 4
 	retryBackoff    = 50 * time.Millisecond
 	maxRetryBackoff = 2 * time.Second
 )
@@ -254,9 +270,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmitWait == 0 {
 		c.AdmitWait = 2 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 4
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep

@@ -227,11 +227,40 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesBadDefaults: a daemon does not start with defaults it
+// cannot plan with. Open refuses default options that core.Options.Validate
+// rejects, the rule every job's options meet, and a negative pool size or
+// leg budget, which would otherwise be read as GOMAXPROCS or 50 000. It
+// creates no state directory.
+func TestOpenRefusesBadDefaults(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"theta 2", func(c *Config) { c.Options.Theta = 2 }},
+		{"theta -0.5", func(c *Config) { c.Options.Theta = -0.5 }},
+		{"alpha 1.5", func(c *Config) { c.Options.Alpha = 1.5 }},
+		{"max run -1", func(c *Config) { c.Options.MaxRunLength = -1 }},
+		{"pool workers -1", func(c *Config) { c.PoolWorkers = -1 }},
+		{"leg states -1", func(c *Config) { c.LegStates = -1 }},
+	} {
+		dir := filepath.Join(t.TempDir(), "state")
+		cfg := Config{Dir: dir}
+		row.mutate(&cfg)
+		if m, err := Open(cfg); err == nil {
+			m.Close()
+			t.Errorf("%s: Open accepted it", row.name)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: a refused Open left its state directory (%v)", row.name, err)
+		}
+	}
+}
+
 func TestTransientRetryBackoff(t *testing.T) {
 	var slept []time.Duration
 	fails := 2
 	m := newManager(t, t.TempDir(), func(c *Config) {
-		c.MaxRetries = 3
 		c.Sleep = func(d time.Duration) { slept = append(slept, d) }
 		c.LegHook = func(id string, leg int) error {
 			if leg == 0 && fails > 0 {
@@ -261,11 +290,15 @@ func TestTransientRetryBackoff(t *testing.T) {
 }
 
 func TestTransientRetryExhaustion(t *testing.T) {
+	fails := maxRetries + 1 // one more than the retries allow
 	m := newManager(t, t.TempDir(), func(c *Config) {
-		c.MaxRetries = 2
 		c.Sleep = func(time.Duration) {}
 		c.LegHook = func(id string, leg int) error {
-			return fmt.Errorf("injected: %w", sim.ErrTransient)
+			if fails > 0 {
+				fails--
+				return fmt.Errorf("injected: %w", sim.ErrTransient)
+			}
+			return nil
 		}
 	})
 	defer m.Close()
