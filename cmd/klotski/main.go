@@ -8,7 +8,7 @@
 //	        [-gap] [-gap-max 0] [-simulate 0] [-checkpoint ckpt.json]
 //	        [-chaos 0] [-chaos-faults 3] [-chaos-seed 1]
 //	        [-drift-threshold 0] [-gap-skip 0] [-demand-margin 1.25]
-//	        [-stats-out stats.json] [-debug-addr localhost:6060]
+//	        [-stats-out stats.json]
 //	klotski -npd region.json -resume plan.json -executed 12   # replan the rest
 //	klotski -npd region.json -audit plan.json                 # verify offline
 //	klotski -fleet manifest.json [-fleet-workers 0] [-fleet-checkpoint-dir ckpts/]
@@ -57,8 +57,8 @@
 // -fleet-checkpoint-dir seals each interrupted member as <member>.ckpt.json.
 //
 // In every mode -stats-out writes a JSON snapshot of the instruments when
-// the run ends, interrupted or not, and -debug-addr serves the live
-// registry: expvar under /debug/vars, profiles under /debug/pprof/.
+// the run ends, interrupted or not; to watch a long plan live, submit it to
+// klotskid, whose -ops-addr serves the same snapshot.
 package main
 
 import (
@@ -69,8 +69,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -104,24 +102,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// The recorder is wired into the planners only when an export is
 	// requested; a nil recorder costs the search one branch per event.
 	var rec *klotski.ObsRecorder
-	if c.statsOut != "" || c.debugAddr != "" {
+	if c.statsOut != "" {
 		reg := klotski.DefaultObsRegistry()
 		rec = klotski.NewObsRecorder(reg)
-		if c.statsOut != "" {
-			// Deferred so interrupted runs still leave a snapshot behind.
-			defer func() {
-				if werr := writeOutput(c.statsOut, nil, reg.WriteJSON); werr != nil {
-					fmt.Fprintln(stderr, "klotski: writing stats:", werr)
-				}
-			}()
-		}
-		if c.debugAddr != "" {
-			stopDebug, err := serveDebug(c.debugAddr, reg, stderr)
-			if err != nil {
-				return fmt.Errorf("starting debug server: %w", err)
+		// Deferred so interrupted runs still leave a snapshot behind.
+		defer func() {
+			if werr := writeOutput(c.statsOut, nil, reg.WriteJSON); werr != nil {
+				fmt.Fprintln(stderr, "klotski: writing stats:", werr)
 			}
-			defer stopDebug()
-		}
+		}()
 	}
 
 	cfgOpts := klotski.Options{
@@ -226,12 +215,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 // config is what one command line asks for.
 type config struct {
-	npd, out, planner, resume, audit, checkpoint, fleet, fleetCkptDir, statsOut, debugAddr string
-	theta, alpha, growth, gapMax, driftThreshold, gapSkip, demandMargin                    float64
-	maxRun, workers, executed, simulate, chaos, chaosFaults, fleetWorkers                  int
-	chaosSeed                                                                              int64
-	timeout                                                                                time.Duration
-	verbose, gap                                                                           bool
+	npd, out, planner, resume, audit, checkpoint, fleet, fleetCkptDir, statsOut string
+	theta, alpha, growth, gapMax, driftThreshold, gapSkip, demandMargin         float64
+	maxRun, workers, executed, simulate, chaos, chaosFaults, fleetWorkers       int
+	chaosSeed                                                                   int64
+	timeout                                                                     time.Duration
+	verbose, gap                                                                bool
 }
 
 // flagSet declares klotski's flags over c. Each has a row in flagTable.
@@ -265,7 +254,6 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.IntVar(&c.fleetWorkers, "fleet-workers", 0, "how many -fleet members plan at once, the pool's worker budget (0 = GOMAXPROCS)")
 	fs.StringVar(&c.fleetCkptDir, "fleet-checkpoint-dir", "", "on interrupted fleet planning (SIGINT, SIGTERM, -timeout), seal every interrupted member's best safe partial sequence into this directory (<member>.ckpt.json)")
 	fs.StringVar(&c.statsOut, "stats-out", "", "write a JSON observability snapshot (counters, gauges, histograms, spans) here on exit")
-	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve live expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060")
 	return fs
 }
 
@@ -362,7 +350,6 @@ var flagTable = map[string]struct {
 	"fleet-workers":        {modeFleet, &span{">=", 0}},
 	"fleet-checkpoint-dir": {modeFleet, nil},
 	"stats-out":            {anyMode, nil},
-	"debug-addr":           {anyMode, nil},
 }
 
 // checkFlags refuses every flag set on the command line that mode m does
@@ -648,22 +635,6 @@ func writeOutput(path string, stdout io.Writer, write func(io.Writer) error) err
 		return err
 	}
 	return f.Close()
-}
-
-// serveDebug starts the expvar + pprof debug server on addr, printing the
-// resolved listen address to stderr (addr may use port 0). The returned
-// stop function closes the listener; in-flight requests are abandoned —
-// the process is exiting anyway.
-func serveDebug(addr string, reg *klotski.ObsRegistry, stderr io.Writer) (func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	reg.PublishExpvar("klotski")
-	fmt.Fprintf(stderr, "debug server listening on http://%s (expvar at /debug/vars, pprof at /debug/pprof/)\n", ln.Addr())
-	srv := &http.Server{Handler: reg.DebugHandler()}
-	go srv.Serve(ln)
-	return func() { srv.Close() }, nil
 }
 
 // writeCheckpoint seals the interrupted search's checkpoint document

@@ -22,7 +22,6 @@ import (
 	"klotski"
 	"klotski/internal/durable"
 	"klotski/internal/npd"
-	"klotski/internal/obs"
 	"klotski/internal/serve"
 )
 
@@ -729,52 +728,6 @@ func TestRunAuditRejectsCorruptSealedFile(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corruption should be refused by checksum: %v", err)
-	}
-}
-
-// TestRunDebugAddr: -debug-addr announces the listen address on stderr and
-// planning completes with the server up (the server stops when run returns).
-func TestRunDebugAddr(t *testing.T) {
-	npdPath := writeNPD(t)
-	var out, errBuf bytes.Buffer
-	if err := run(context.Background(), []string{"-npd", npdPath, "-debug-addr", "127.0.0.1:0"}, &out, &errBuf); err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errBuf.String())
-	}
-	if !strings.Contains(errBuf.String(), "debug server listening on http://127.0.0.1:") {
-		t.Errorf("debug address not announced: %s", errBuf.String())
-	}
-}
-
-// TestServeDebug probes the live debug surface directly: /debug/vars must
-// carry the published registry variable and /debug/pprof/ must serve the
-// profile index.
-func TestServeDebug(t *testing.T) {
-	reg := klotski.DefaultObsRegistry()
-	klotski.NewObsRecorder(reg).Add(obs.StatesCreated, 1)
-	var errBuf bytes.Buffer
-	stop, err := serveDebug("127.0.0.1:0", reg, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	m := regexp.MustCompile(`http://([^ ]+) `).FindStringSubmatch(errBuf.String())
-	if m == nil {
-		t.Fatalf("no address announced: %s", errBuf.String())
-	}
-	for path, want := range map[string]string{
-		"/debug/vars":   `"klotski"`,
-		"/debug/pprof/": "goroutine",
-		"/":             "planner.states_created",
-	} {
-		resp, err := http.Get("http://" + m[1] + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 || !strings.Contains(string(body), want) {
-			t.Errorf("GET %s: status %d, body missing %q", path, resp.StatusCode, want)
-		}
 	}
 }
 

@@ -30,8 +30,8 @@
 //
 // A default no job could plan with — a -theta, -alpha or -maxrun that
 // core.Options.Validate rejects, a negative -pool-workers or -leg-states —
-// stops the daemon before it listens; a request is held to the same rule
-// and answered 400.
+// stops the daemon before it listens, as do a negative -leg-pause and a
+// positional argument; a request is held to the same rule and answered 400.
 //
 // -ops-addr serves the operational surface: /debug/vars (expvar),
 // /debug/pprof/*, and /debug/stats — the same JSON document the CLI's
@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 		poolWorkers = fs.Int("pool-workers", 0, "shared planning pool size (0 = GOMAXPROCS)")
 		legStates   = fs.Int("leg-states", 0, "per-leg state budget between checkpoints (0 = 50000)")
-		admitWait   = fs.Duration("admit-wait", 2*time.Second, "max wait for pool admission before a job degrades to serial planning")
+		admitWait   = fs.Duration("admit-wait", 2*time.Second, "max wait for pool admission before a job degrades to serial planning (0 = 2s; negative waits forever and never degrades)")
 		legPause    = fs.Duration("leg-pause", 0, "pause between planning legs — throttles background planning so anytime progress is observable (mainly for tests and demos)")
 
 		theta  = fs.Float64("theta", 0, "default utilization bound for jobs that do not set one (0 = 0.75)")
@@ -85,9 +85,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: every input is named by a flag", fs.Arg(0))
+	}
 	if *dir == "" {
 		fs.Usage()
 		return errors.New("-dir is required")
+	}
+	if *legPause < 0 {
+		return fmt.Errorf("-leg-pause %v is negative: it must be 0 (no pause) or more", *legPause)
 	}
 
 	reg := obs.NewRegistry()
@@ -105,9 +111,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Recorder: rec,
 	}
 	if *legPause > 0 {
-		pause := *legPause
 		cfg.LegHook = func(string, int) error {
-			time.Sleep(pause)
+			time.Sleep(*legPause)
 			return nil
 		}
 	}
@@ -133,8 +138,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			ln.Close()
 			return err
 		}
-		reg.PublishExpvar("klotskid")
-		ops = serve.NewHTTPServer(reg.DebugHandler())
+		serve.PublishExpvar(reg, "klotskid")
+		ops = serve.NewHTTPServer(serve.DebugHandler(reg))
 		fmt.Fprintf(stderr, "klotskid ops on http://%s (expvar /debug/vars, pprof /debug/pprof/, stats /debug/stats)\n", opsLn.Addr())
 		go ops.Serve(opsLn)
 	}

@@ -361,3 +361,33 @@ func TestRunRefusesBadDefaults(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesDroppedInput: input the daemon would drop, a positional
+// argument or a negative -leg-pause, stops it before it listens, naming
+// what is refused; the benchmark's command line still starts. The context
+// is cancelled up front, so a daemon that starts drains at once and run
+// returns nil.
+func TestRunRefusesDroppedInput(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"stray-arg"}, `"stray-arg"`},
+		{[]string{"-leg-pause", "-1s"}, "-leg-pause"},
+		{[]string{"-leg-pause", "-1s", "stray-arg"}, `"stray-arg"`},
+	} {
+		var out, errBuf bytes.Buffer
+		args := append([]string{"-dir", t.TempDir(), "-addr", "127.0.0.1:0"}, r.args...)
+		err := run(ctx, args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), r.want) || strings.Contains(errBuf.String(), "listening") {
+			t.Errorf("klotskid %v: %v (stderr %q), want a refusal naming %s before listening", args, err, errBuf.String(), r.want)
+		}
+	}
+	var out, errBuf bytes.Buffer
+	args := []string{"-addr", "127.0.0.1:0", "-dir", t.TempDir(), "-pool-workers", "2"}
+	if err := run(ctx, args, &out, &errBuf); err != nil || !strings.Contains(errBuf.String(), "listening") {
+		t.Errorf("klotskid %v: %v (stderr %q), want it to start", args, err, errBuf.String())
+	}
+}

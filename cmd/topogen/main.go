@@ -7,13 +7,17 @@
 //	topogen -dcs 3 -pods 8 -rsw 6 -planes 4 -ssw 8 -grids 4 \
 //	        -migration hgrid-v1-v2 [-o region.json] # a custom region
 //	topogen -suite E -scale 0.25 -stats             # sizes only
+//
+// A flag the chosen form does not read, or a positional argument, is refused.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"klotski"
@@ -52,22 +56,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: every input is named by a flag", fs.Arg(0))
+	}
+	var errs []error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case *suite != "" && slices.Contains(customFlags, f.Name):
+			errs = append(errs, fmt.Errorf("-suite does not read -%s: it describes a custom region", f.Name))
+		case *suite == "" && f.Name == "scale":
+			errs = append(errs, errors.New("-scale is read only with -suite"))
+		case *stats && f.Name == "o":
+			errs = append(errs, errors.New("-stats prints statistics and writes no document, so it does not read -o"))
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 
-	var doc *npd.Document
+	var (
+		s   *klotski.Scenario
+		doc *npd.Document
+		err error
+	)
 	if *suite != "" {
-		s, err := klotski.Suite(*suite, *scale)
-		if err != nil {
+		if s, err = klotski.Suite(*suite, *scale); err != nil {
 			return err
 		}
 		doc = npd.FromRegionParams(s.Name, s.Region.Params)
 		doc.Migration = suiteMigration(*suite)
-		if doc.Migration.Kind == npd.MigrationDMAG {
-			doc.MA = &npd.MAPart{PerEB: 2}
-		}
-		if *stats {
-			printStats(stdout, s)
-			return nil
-		}
 	} else {
 		params := gen.RegionParams{
 			Name: "custom-region",
@@ -83,33 +100,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		doc = npd.FromRegionParams(params.Name, params)
 		doc.Migration = &npd.MigrationPart{Kind: *mig}
-		if *mig == npd.MigrationDMAG {
-			doc.MA = &npd.MAPart{PerEB: 2}
-		}
-		if *stats {
-			s, err := doc.Scenario()
-			if err != nil {
+	}
+	if doc.Migration.Kind == npd.MigrationDMAG {
+		doc.MA = &npd.MAPart{PerEB: 2}
+	}
+	if *stats {
+		if s == nil {
+			if s, err = doc.Scenario(); err != nil {
 				return err
 			}
-			printStats(stdout, s)
-			return nil
 		}
+		printStats(stdout, s)
+		return nil
 	}
 	if err := doc.Validate(); err != nil {
 		return fmt.Errorf("generated document invalid: %w", err)
 	}
 
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	if *outPath == "" {
+		return doc.Encode(stdout)
 	}
-	return doc.Encode(out)
+	f, err := os.Create(*outPath)
+	if err != nil {
+		return err
+	}
+	if err := doc.Encode(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
+
+// customFlags describe a custom region; only a run without -suite reads them.
+var customFlags = strings.Fields("migration dcs pods rsw planes ssw grids fadu fauu ebs")
 
 // suiteMigration reproduces the migration part matching a Table-3 case.
 func suiteMigration(suite string) *npd.MigrationPart {

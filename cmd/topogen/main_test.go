@@ -116,3 +116,47 @@ func TestRunUnknownSuite(t *testing.T) {
 		t.Error("unknown suite should error")
 	}
 }
+
+// TestRunRefusesIgnoredInput: input topogen would drop is refused, naming
+// what it drops, before anything is written; the benchmark's command and
+// the documented ones are accepted.
+func TestRunRefusesIgnoredInput(t *testing.T) {
+	dir := t.TempDir()
+	o := filepath.Join(dir, "out.json")
+	type row struct {
+		args []string
+		want string // what the refusal names
+	}
+	refused := []row{
+		{[]string{"-suite", "E", "stray"}, `"stray"`},
+		{[]string{"-dcs", "3", "stray"}, `"stray"`},
+		{[]string{"-scale", "0.5", "-o", o}, "-scale"},
+		{[]string{"-suite", "E", "-stats", "-o", o}, "-o"},
+	}
+	for _, name := range customFlags {
+		refused = append(refused, row{[]string{"-suite", "E", "-" + name, "1", "-o", o}, "-" + name})
+	}
+	for _, r := range refused {
+		var out, errBuf bytes.Buffer
+		err := run(r.args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("topogen %v: %v, want a refusal naming %s", r.args, err, r.want)
+		}
+		if _, serr := os.Stat(o); out.Len() > 0 || serr == nil {
+			t.Errorf("topogen %v wrote output before refusing", r.args)
+			os.Remove(o)
+		}
+	}
+	for _, args := range [][]string{
+		{"-suite", "E", "-scale", "0.25", "-o", filepath.Join(dir, "E.json")}, // the benchmark's
+		{"-suite", "C", "-scale", "0.25", "-o", filepath.Join(dir, "C.json")}, // README.md's
+		{"-suite", "E", "-scale", "0.25", "-stats"},
+		{"-dcs", "3", "-pods", "8", "-rsw", "6", "-planes", "4", "-ssw", "8", "-grids", "4",
+			"-migration", "hgrid-v1-v2", "-o", filepath.Join(dir, "region.json")},
+	} {
+		var out, errBuf bytes.Buffer
+		if err := run(args, &out, &errBuf); err != nil {
+			t.Errorf("topogen %v: %v", args, err)
+		}
+	}
+}

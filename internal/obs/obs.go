@@ -1,14 +1,14 @@
 // Package obs is the planner observability layer: a declared table of
 // instruments (counters, gauges, histograms and derived values), a registry
-// that holds one of each with JSON-snapshot and expvar export, and a
-// ring-buffered trace of hierarchical spans (plan → expand → check → eval).
+// that holds one of each with a JSON-snapshot export, and a ring-buffered
+// trace of hierarchical spans (plan → expand → check → eval).
 //
 // The hot-path entry point is Recorder, whose generic Add, Set and Observe
 // take an Instrument ID from the table (recorder.go). Planners carry a
 // *Recorder (usually nil); when observability is off the per-event cost is
 // a single nil check, so the search kernel pays nothing for the
 // instrumentation it does not use. Updates are atomic, so concurrent plans
-// and a live /debug/vars reader never race one another.
+// and a live snapshot reader never race one another.
 package obs
 
 import (
@@ -178,8 +178,8 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry used by the CLI's -stats-out
-// and -debug-addr exports.
+// Default returns the process-wide registry the CLI's -stats-out export
+// writes.
 func Default() *Registry { return defaultRegistry }
 
 // Trace returns the named trace stream, creating it with the given ring

@@ -7,7 +7,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -258,37 +257,6 @@ func TestInstrumentTable(t *testing.T) {
 	}
 	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Derived); n != int(NumInstruments) {
 		t.Errorf("snapshot has %d instruments, table declares %d", n, NumInstruments)
-	}
-}
-
-func TestDebugHandler(t *testing.T) {
-	reg := NewRegistry()
-	NewRecorder(reg).Add(StatesCreated, 1)
-	reg.PublishExpvar("klotski-test")
-	reg.PublishExpvar("klotski-test") // duplicate publish must not panic
-
-	srv := httptest.NewServer(reg.DebugHandler())
-	defer srv.Close()
-
-	for path, want := range map[string]string{
-		"/debug/vars":   "klotski-test",
-		"/debug/stats":  MetricStatesCreated,
-		"/":             MetricStatesCreated,
-		"/debug/pprof/": "goroutine",
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		var body bytes.Buffer
-		body.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if !strings.Contains(body.String(), want) {
-			t.Errorf("GET %s: body missing %q", path, want)
-		}
 	}
 }
 

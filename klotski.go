@@ -481,7 +481,7 @@ func PlanFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*
 }
 
 // Observability: a declared table of instruments, a process-wide registry
-// with expvar and JSON-snapshot export, ring-buffered span traces, and the
+// with JSON-snapshot export, ring-buffered span traces, and the
 // nil-safe Recorder the planners accept via Options.Recorder.
 type (
 	// ObsRecorder is the typed hot-path recorder; a nil *ObsRecorder is
@@ -497,8 +497,8 @@ type (
 // ControlOptions.Recorder.
 func NewObsRecorder(reg *ObsRegistry) *ObsRecorder { return obs.NewRecorder(reg) }
 
-// DefaultObsRegistry returns the process-wide registry used by the CLI's
-// -stats-out and -debug-addr exports.
+// DefaultObsRegistry returns the process-wide registry the CLI's -stats-out
+// export writes.
 func DefaultObsRegistry() *ObsRegistry { return obs.Default() }
 
 // Durable-state errors, matchable with errors.Is.
